@@ -33,14 +33,23 @@ from ..quantization import dequantize, quantize
 
 __all__ = ["CodecEngine", "NumpyEngine"]
 
-#: Symbols decoded per chunk by the wavefront (must be a power of two).  The
-#: anchor ladder runs ``ceil(count / chunk)`` Python iterations and the
-#: wavefront ``chunk`` iterations; jump composition needs ``log2(chunk)``
-#: passes over the bit-offset table.  The composition passes stream through
-#: memory proportional to the *bit* length of the stream, the ladder costs a
-#: couple hundred nanoseconds per chunk — 4 symbols per chunk balances the
-#: two on block-sized streams.
-_CHUNK_LOG2 = 2
+
+def _chunk_log2(total_bits: int, count: int) -> int:
+    """log2 of the symbols decoded per wavefront chunk, from the stream itself.
+
+    The anchor ladder runs ``ceil(count / chunk)`` Python iterations (a couple
+    hundred nanoseconds each) and jump composition makes ``log2(chunk)``
+    passes over a table as long as the stream's *bit* length (a few
+    nanoseconds per bit per pass), so the two balance at a chunk of roughly
+    ``48 / bits-per-symbol``: 4 symbols on the ~12-bit wide-alphabet streams
+    of the codec bench, 16 on the 1-2 bit streams the simulator's SZ blocks
+    produce, where the ladder would otherwise dominate.  Above 16 the
+    wavefront's per-row overhead and the wider jump dtype cost more than the
+    ladder saves.  The decoded indices do not depend on the choice.
+    """
+
+    balanced = (48 * count // total_bits).bit_length() - 1
+    return min(max(balanced, 2), 4, max(count - 1, 1).bit_length())
 
 
 _ARANGE_CACHE = np.zeros(0, dtype=np.int64)
@@ -305,7 +314,7 @@ class NumpyEngine(CodecEngine):
                 )
                 bit_len[escapes] = esc_len
 
-        chunk_log2 = min(_CHUNK_LOG2, max(count - 1, 1).bit_length())
+        chunk_log2 = _chunk_log2(total_bits, count)
         chunk = 1 << chunk_log2
         num_chunks = -(-count // chunk)
 

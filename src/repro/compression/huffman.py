@@ -23,7 +23,6 @@ other.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 
@@ -54,35 +53,60 @@ class _CodeBook:
 
 
 def _build_lengths(symbols: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Return Huffman code lengths for each symbol given its frequency."""
+    """Return Huffman code lengths for each symbol given its frequency.
+
+    Linear-time two-queue construction after one stable sort: leaves are
+    consumed in ``(count, index)`` order, internal nodes from a FIFO — merged
+    weights never decrease, so the FIFO is sorted by construction.  On equal
+    weight a leaf goes before an internal node and internal nodes go in
+    creation order; that is the merge sequence of a min-heap keyed
+    ``(count, tie)`` with ``tie = index`` for leaves and ``n, n + 1, ...``
+    for internal nodes, which is what the wire format's code lengths (and so
+    every golden blob) were produced by.
+    """
 
     n = symbols.size
     if n == 1:
         return np.array([1], dtype=np.uint8)
-    # Classic heap-based Huffman; node = (count, tie_breaker, index or tree)
-    heap: list[tuple[int, int, object]] = []
-    for i in range(n):
-        heap.append((int(counts[i]), i, i))
-    heapq.heapify(heap)
-    tie = n
-    parents: dict[int, list[int]] = {}
-    while len(heap) > 1:
-        c1, _, n1 = heapq.heappop(heap)
-        c2, _, n2 = heapq.heappop(heap)
-        parents[tie] = [n1, n2]  # type: ignore[list-item]
-        heapq.heappush(heap, (c1 + c2, tie, tie))
-        tie += 1
-    # Depth-first traversal to assign lengths.
-    lengths = np.zeros(n, dtype=np.uint8)
-    _, _, root = heap[0]
-    stack: list[tuple[object, int]] = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, int) and node < n:
-            lengths[node] = max(depth, 1)
+    order = np.argsort(counts, kind="stable")
+    leaf_weight = counts[order].tolist()
+    # One sentinel heavier than any node ends each queue, so the merge loop
+    # needs no bounds checks: an exhausted queue always loses the comparison.
+    sentinel = int(counts.sum()) + 1
+    leaf_weight.append(sentinel)
+    merged_weight = [sentinel] * n
+    leaf_parent = [0] * n  # by sorted leaf position -> internal node
+    merged_parent = [0] * (n - 1)  # by internal node -> internal node
+    leaf = merged = 0
+    for node in range(n - 1):
+        # Take the two lightest queue heads, the leaf on a tie (the second
+        # pick is written out rather than looped: this is the hot loop).
+        light_leaf, light_merged = leaf_weight[leaf], merged_weight[merged]
+        if light_leaf <= light_merged:
+            weight = light_leaf
+            leaf_parent[leaf] = node
+            leaf += 1
+            light_leaf = leaf_weight[leaf]
         else:
-            for child in parents[node]:  # type: ignore[index]
-                stack.append((child, depth + 1))
+            weight = light_merged
+            merged_parent[merged] = node
+            merged += 1
+            light_merged = merged_weight[merged]
+        if light_leaf <= light_merged:
+            merged_weight[node] = weight + light_leaf
+            leaf_parent[leaf] = node
+            leaf += 1
+        else:
+            merged_weight[node] = weight + light_merged
+            merged_parent[merged] = node
+            merged += 1
+    # A node's parent is created after it, so one reverse pass from the root
+    # (the last internal node, depth 0) sees every parent's depth first.
+    depth = [0] * (n - 1)
+    for node in range(n - 3, -1, -1):
+        depth[node] = depth[merged_parent[node]] + 1
+    lengths = np.empty(n, dtype=np.uint8)
+    lengths[order] = np.array(depth, dtype=np.int64)[leaf_parent] + 1
     return lengths
 
 
@@ -193,18 +217,29 @@ class HuffmanCodec:
         )
 
     def decode(self, blob: bytes) -> np.ndarray:
-        """Inverse of :meth:`encode`."""
+        """Inverse of :meth:`encode`.
 
+        Any blob that is not a complete encoder output — truncated at any
+        byte, or with an invalid code book — raises :class:`CompressorError`.
+        """
+
+        if len(blob) < 12:
+            raise CompressorError("truncated Huffman blob (header)")
         (count,) = struct.unpack_from("<Q", blob, 0)
         offset = 8
         (book_len,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         if count == 0:
             return np.zeros(0, dtype=np.int64)
+        # The book is followed by the 8-byte total_bits field.
+        if book_len < 4 or len(blob) < offset + book_len + 8:
+            raise CompressorError("truncated Huffman blob (code book)")
         book_blob = blob[offset : offset + book_len]
         offset += book_len
         (num_entries,) = struct.unpack_from("<I", book_blob, 0)
         sym_off = 4
+        if book_len != sym_off + 9 * num_entries:
+            raise CompressorError("invalid Huffman code book (bad size)")
         symbols = np.frombuffer(
             book_blob, dtype="<i8", count=num_entries, offset=sym_off
         ).astype(np.int64)

@@ -308,12 +308,17 @@ def pack_header(tag: int, count: int, extra: bytes = b"") -> bytes:
 def unpack_header(blob: bytes) -> tuple[int, int, bytes, int]:
     """Inverse of :func:`pack_header`.
 
-    Returns ``(tag, count, extra, payload_offset)``.
+    Returns ``(tag, count, extra, payload_offset)``; a blob too short for
+    its own header raises :class:`CompressorError`.
     """
 
     if blob[:4] != _MAGIC:
         raise CompressorError("not a repro compression blob (bad magic)")
-    tag, extra_len, count = struct.unpack_from("<BIQ", blob, 4)
     offset = 4 + struct.calcsize("<BIQ")
+    if len(blob) < offset:
+        raise CompressorError("truncated compression blob (header)")
+    tag, extra_len, count = struct.unpack_from("<BIQ", blob, 4)
+    if len(blob) < offset + extra_len:
+        raise CompressorError("truncated compression blob (header extra)")
     extra = blob[offset : offset + extra_len]
     return tag, count, extra, offset + extra_len

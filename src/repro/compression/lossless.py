@@ -45,6 +45,10 @@ _BACKENDS = {
     "bz2": (lambda raw, level: bz2.compress(raw, min(max(level, 1), 9)), bz2.decompress),
 }
 
+#: What the stdlib decoders raise on a truncated or corrupt stream (bz2 uses
+#: the two builtins).
+_DECODE_ERRORS = (zlib.error, lzma.LZMAError, OSError, ValueError, EOFError)
+
 _BACKEND_IDS = {"zlib": 0, "lzma": 1, "bz2": 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
@@ -60,13 +64,19 @@ def lossless_compress_bytes(raw: bytes, backend: str = "zlib", level: int = 6) -
 
 
 def lossless_decompress_bytes(blob: bytes, backend: str = "zlib") -> bytes:
-    """Inverse of :func:`lossless_compress_bytes`."""
+    """Inverse of :func:`lossless_compress_bytes`.
+
+    A truncated or corrupt stream raises :class:`CompressorError`.
+    """
 
     try:
         _, decompress = _BACKENDS[backend]
     except KeyError as exc:
         raise CompressorError(f"unknown lossless backend {backend!r}") from exc
-    return decompress(blob)
+    try:
+        return decompress(blob)
+    except _DECODE_ERRORS as exc:
+        raise CompressorError(f"corrupt {backend} stream: {exc}") from exc
 
 
 class LosslessCompressor(Compressor):

@@ -108,10 +108,12 @@ def decompress_absolute_stream(
 
     impl = resolve_engine(engine)
     payload = lossless_decompress_bytes(blob, backend)
-    bound, max_bins, num_escapes = struct.unpack_from("<dIQ", payload, 0)
-    offset = struct.calcsize("<dIQ")
-    (huff_len,) = struct.unpack_from("<Q", payload, offset)
-    offset += 8
+    offset = struct.calcsize("<dIQQ")
+    if len(payload) < offset:
+        raise CompressorError("truncated SZ payload (header)")
+    bound, max_bins, num_escapes, huff_len = struct.unpack_from("<dIQQ", payload, 0)
+    if len(payload) < offset + huff_len + 8 * num_escapes:
+        raise CompressorError("truncated SZ payload (streams)")
     bounded = huffman.HuffmanCodec(engine=impl).decode(
         payload[offset : offset + huff_len]
     )
@@ -240,7 +242,11 @@ class SZCompressor(Compressor):
         return pack_header(_TAG_REL, array.size, extra) + body + side
 
     def _decompress_rel(self, blob: bytes, count: int, extra: bytes, offset: int) -> np.ndarray:
+        if len(extra) != 16:
+            raise CompressorError("invalid SZ blob (relative-mode header)")
         body_len, side_len = struct.unpack("<QQ", extra)
+        if len(blob) < offset + body_len + side_len:
+            raise CompressorError("truncated SZ blob (relative-mode streams)")
         body = blob[offset : offset + body_len]
         side = blob[offset + body_len : offset + body_len + side_len]
         log_mag = decompress_absolute_stream(
@@ -248,6 +254,8 @@ class SZCompressor(Compressor):
         )
         side_raw = lossless_decompress_bytes(side, self._backend)
         packed_len = (count + 7) // 8
+        if len(side_raw) < 2 * packed_len:
+            raise CompressorError("truncated SZ blob (sign/zero bitmaps)")
         sign_bits = np.unpackbits(
             np.frombuffer(side_raw[:packed_len], dtype=np.uint8)
         )[:count]

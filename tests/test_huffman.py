@@ -3,14 +3,23 @@
 The ``huff`` fixture builds the codec with the module-scoped ``engine``
 fixture from conftest, so every round-trip here runs once per kernel engine
 (the numba leg xfails when numba is not installed).
+
+Code-book construction is engine-independent and pinned differentially:
+``_heap_build_lengths`` below is the heap-based builder every blob was
+produced by until the linear-time two-queue construction replaced it, kept
+verbatim as the reference the new ``huffman._build_lengths`` must match
+length for length.
 """
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.compression import huffman
+from repro.compression import ErrorBoundMode, SZCompressor, huffman
 from repro.compression.interface import CompressorError
 
 
@@ -65,12 +74,6 @@ class TestRoundTrip:
         with pytest.raises(CompressorError):
             huff.encode(np.zeros((3, 3), dtype=np.int64))
 
-    def test_truncated_stream_raises(self, huff):
-        symbols = np.arange(100, dtype=np.int64)
-        blob = huff.encode(symbols)
-        with pytest.raises(Exception):
-            huff.decode(blob[: len(blob) // 2])
-
     def test_codec_class_and_module_functions_agree(self, huff):
         symbols = np.array([1, 2, 3, 1, 2, 1], dtype=np.int64)
         codec = huffman.HuffmanCodec()
@@ -80,3 +83,130 @@ class TestRoundTrip:
         # codec's blobs and vice versa.
         assert np.array_equal(huffman.decode(huff.encode(symbols)), symbols)
         assert np.array_equal(huff.decode(huffman.encode(symbols)), symbols)
+
+
+class TestTruncatedBlobs:
+    """Every proper prefix of a valid blob ends in the typed error."""
+
+    def test_every_huffman_prefix_raises_compressor_error(self, huff):
+        blob = huff.encode(np.arange(200, dtype=np.int64) % 37)
+        for cut in range(len(blob)):
+            with pytest.raises(CompressorError):
+                huff.decode(blob[:cut])
+
+    @pytest.mark.parametrize(
+        "mode", [ErrorBoundMode.RELATIVE, ErrorBoundMode.ABSOLUTE], ids=["rel", "abs"]
+    )
+    def test_every_sz_prefix_raises_compressor_error(self, engine, mode, spiky_data):
+        codec = SZCompressor(bound=1e-3, mode=mode, engine=engine)
+        blob = codec.compress(spiky_data[:300])
+        for cut in range(len(blob)):
+            with pytest.raises(CompressorError):
+                codec.decompress(blob[:cut])
+
+
+def _heap_build_lengths(symbols: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Reference builder: the classic heap-based Huffman construction."""
+
+    n = symbols.size
+    if n == 1:
+        return np.array([1], dtype=np.uint8)
+    # node = (count, tie_breaker, index or tree)
+    heap: list[tuple[int, int, object]] = []
+    for i in range(n):
+        heap.append((int(counts[i]), i, i))
+    heapq.heapify(heap)
+    tie = n
+    parents: dict[int, list[int]] = {}
+    while len(heap) > 1:
+        c1, _, n1 = heapq.heappop(heap)
+        c2, _, n2 = heapq.heappop(heap)
+        parents[tie] = [n1, n2]  # type: ignore[list-item]
+        heapq.heappush(heap, (c1 + c2, tie, tie))
+        tie += 1
+    # Depth-first traversal to assign lengths.
+    lengths = np.zeros(n, dtype=np.uint8)
+    _, _, root = heap[0]
+    stack: list[tuple[object, int]] = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, int) and node < n:
+            lengths[node] = max(depth, 1)
+        else:
+            for child in parents[node]:  # type: ignore[index]
+                stack.append((child, depth + 1))
+    return lengths
+
+
+def _assert_same_lengths(counts) -> np.ndarray:
+    """Check the builder against the reference; return the code lengths."""
+
+    counts = np.asarray(counts, dtype=np.int64)
+    symbols = np.arange(counts.size, dtype=np.int64)
+    built = huffman._build_lengths(symbols, counts)
+    reference = _heap_build_lengths(symbols, counts)
+    assert built.dtype == reference.dtype
+    assert np.array_equal(built, reference)
+    return built
+
+
+def _fibonacci(terms: int) -> list[int]:
+    weights = [1, 1]
+    while len(weights) < terms:
+        weights.append(weights[-1] + weights[-2])
+    return weights[:terms]
+
+
+_count_vectors = st.one_of(
+    # all equal
+    st.builds(lambda n, c: [c] * n, st.integers(1, 300), st.integers(1, 1000)),
+    # two-valued
+    st.lists(st.sampled_from([3, 5]), min_size=1, max_size=300),
+    # heavy ties: merged weights keep colliding with leaves and each other
+    st.lists(st.integers(1, 4), min_size=1, max_size=300),
+    # wide range, few ties
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=300),
+    # Fibonacci weights in any symbol order: the deepest possible tree
+    st.permutations(_fibonacci(40)),
+)
+
+
+class TestBuilderMatchesHeapReference:
+    """The two-queue builder makes the heap builder's merge sequence."""
+
+    @given(counts=_count_vectors)
+    @settings(max_examples=300, deadline=None)
+    def test_generated_counts(self, counts):
+        _assert_same_lengths(counts)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_alphabets(self, n):
+        _assert_same_lengths([7] * n)
+        _assert_same_lengths(range(1, n + 1))
+        _assert_same_lengths(range(n, 0, -1))
+
+    def test_fibonacci_tree_is_a_comb(self):
+        counts = _fibonacci(60)
+        assert int(_assert_same_lengths(counts).max()) == 59
+        assert int(_assert_same_lengths(counts[::-1]).max()) == 59
+
+    def test_full_quantization_alphabet(self, rng):
+        # SZ's 65536-bin quantization minus the escape symbol.
+        _assert_same_lengths(rng.geometric(0.01, size=65535))
+        _assert_same_lengths(np.ones(65535, dtype=np.int64))
+
+    @pytest.mark.parametrize("book_size", [4, 3000])
+    def test_workload_shaped_streams_encode_to_the_same_bytes(
+        self, huff, rng, monkeypatch, book_size
+    ):
+        # The two book shapes of the simulator's SZ blocks (8192 delta codes):
+        # near-constant streams and wide streams with mostly-singleton counts.
+        if book_size == 4:
+            symbols = rng.choice([0, 1, -1, 32768], size=8192, p=[0.97, 0.01, 0.01, 0.01])
+        else:
+            symbols = np.rint(rng.laplace(0.0, 650.0, size=8192))
+        symbols = symbols.astype(np.int64)
+        assert 0.8 * book_size <= np.unique(symbols).size <= 1.2 * book_size
+        blob = huff.encode(symbols)
+        monkeypatch.setattr(huffman, "_build_lengths", _heap_build_lengths)
+        assert huff.encode(symbols) == blob

@@ -9,29 +9,33 @@ scope.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.tools.lint import all_rules, lint_paths
 from repro.tools.lint.config import project_config
 
 
-def test_repository_lints_clean():
+@pytest.fixture(scope="module")
+def report():
+    """One lint run over the whole tree, shared by every check below."""
+
     config = project_config()
-    report = lint_paths(config.default_paths(), config)
+    return lint_paths(config.default_paths(), config)
+
+
+def test_repository_lints_clean(report):
     rendered = "\n".join(d.render() for d in report.diagnostics[:25])
     assert report.exit_code == 0, f"repository must lint clean:\n{rendered}"
     assert report.files_checked > 100  # the walk really covered the tree
 
 
-def test_rule_catalog_has_at_least_eight_active_rules():
-    config = project_config()
-    report = lint_paths(config.default_paths(), config)
+def test_rule_catalog_has_at_least_eight_active_rules(report):
     assert len(report.rules_active) >= 8
     assert set(report.rules_active) == set(all_rules())
 
 
-def test_every_suppression_in_tree_is_reasoned():
+def test_every_suppression_in_tree_is_reasoned(report):
     # The engine drops reasonless suppressions and flags them, so a clean
     # report plus non-empty suppressed list proves each carries a reason.
-    config = project_config()
-    report = lint_paths(config.default_paths(), config)
     assert all(d.rule != "suppression-format" for d in report.diagnostics)
     assert len(report.suppressed) >= 1  # the sanctioned swallows in procpool

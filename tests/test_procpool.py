@@ -157,8 +157,9 @@ class TestProcessExecutorBitIdentity:
 
     def test_budget_escalation_is_bit_identical(self):
         # A tight budget forces mid-run escalation, so workers must pick up
-        # the new compressor instances gate by gate.
-        circuit = qft_benchmark_circuit(8)
+        # the new compressor instances gate by gate.  Seeded: one basis state
+        # in 32 (multiples of 32) compresses well enough to never escalate.
+        circuit = qft_benchmark_circuit(8, seed=8)
         kwargs = dict(memory_budget_bytes=3_000)
         with CompressedSimulator(
             8, SimulatorConfig(num_ranks=2, block_amplitudes=16, **kwargs)

@@ -1,9 +1,9 @@
 """Unit tests for the benchmark trend harness (``benchmarks/trend.py``).
 
-The harness is what turns a silent decode-throughput regression into a red
-CI build, so its own logic — summarising a bench JSON, matching baselines by
-environment, the 30% gate, the append-always contract — is pinned here with
-fabricated bench payloads (no actual benchmarking).
+The harness is what turns a silent codec-throughput regression (encode or
+decode) into a red CI build, so its own logic — summarising a bench JSON,
+matching baselines by environment, the 30% gate, the append-always contract —
+is pinned here with fabricated bench payloads (no actual benchmarking).
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ trend = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(trend)
 
 
-def _bench_payload(decode_mb_s: float = 100.0, numba: bool = False) -> dict:
+def _bench_payload(
+    decode_mb_s: float = 100.0, numba: bool = False, encode_mb_s: float = 50.0
+) -> dict:
     engines = ["numba", "numpy"] if numba else ["numpy"]
     results = {
         "numpy": {
@@ -56,7 +58,7 @@ def _bench_payload(decode_mb_s: float = 100.0, numba: bool = False) -> dict:
                 "codec": "sz-rel",
                 "block": 1 << 17,
                 "ratio": 8.0,
-                "encode_mb_s": 50.0,
+                "encode_mb_s": encode_mb_s,
                 "decode_mb_s": decode_mb_s,
             },
             {
@@ -89,6 +91,7 @@ class TestSummarise:
         record = _record(numba=True)
         assert record["decode_mb_s"]["sz-rel@131072"] == 100.0
         assert record["decode_mb_s"]["huffman@131072"] == 200.0
+        assert record["encode_mb_s"] == {"sz-rel@131072": 50.0, "huffman@131072": 80.0}
         assert record["huffman_decode_msym_s"]["numba"] == 10.0
         assert record["engines_available"] == ["numba", "numpy"]
         assert record["quick"] is False
@@ -102,6 +105,7 @@ class TestSummarise:
 
     def test_partial_bench_runs_summarise_cleanly(self):
         record = trend.summarise({"meta": {"quick": True}}, commit="x", timestamp="t")
+        assert record["encode_mb_s"] == {}
         assert record["decode_mb_s"] == {}
         assert record["huffman_decode_msym_s"] == {}
         assert record["quick"] is True
@@ -118,7 +122,13 @@ class TestBaselineMatching:
         quick = dict(_record(), quick=True)
         other_size = dict(_record(), huffman_symbols=1 << 16)
         other_engines = _record(numba=True)
-        assert trend.find_baseline([quick, other_size, other_engines], current) is None
+        other_host = dict(_record(), available_cpus=1)
+        assert (
+            trend.find_baseline(
+                [quick, other_size, other_engines, other_host], current
+            )
+            is None
+        )
 
     def test_empty_history(self):
         assert trend.find_baseline([], _record()) is None
@@ -134,6 +144,21 @@ class TestCompare:
         # Both throughput series dropped 40%.
         assert len(regressions) == 2
         assert any("sz-rel@131072" in r for r in regressions)
+
+    def test_encode_drop_fails_on_its_own(self):
+        # Decode steady, sz-rel encode down 40%: the encode family is gated
+        # under the same threshold.
+        regressions = trend.compare(
+            _record(encode_mb_s=30.0), _record(encode_mb_s=50.0), 0.30
+        )
+        assert len(regressions) == 1
+        assert "encode_mb_s[sz-rel@131072]" in regressions[0]
+
+    def test_baseline_without_encode_series_is_not_a_regression(self):
+        # Records written before the encode family was tracked carry none.
+        baseline = _record()
+        del baseline["encode_mb_s"]
+        assert trend.compare(_record(encode_mb_s=1.0), baseline, 0.30) == []
 
     def test_improvement_passes(self):
         assert trend.compare(_record(200.0), _record(100.0), 0.30) == []
