@@ -55,6 +55,7 @@ DEFAULT_OUT = DOCS_DIR / "_site"
 ENFORCED_PACKAGES = (
     "repro.backends",
     "repro.compression.engines",
+    "repro.core.kernel",
     "repro.core.procpool",
     "repro.distributed",
     "repro.errors",
@@ -89,7 +90,8 @@ API_SECTIONS = [
     ("core", "repro.core", [
         "repro.core", "repro.core.simulator", "repro.core.config",
         "repro.core.compressed_state", "repro.core.blocks",
-        "repro.core.executor", "repro.core.procpool", "repro.core.cache",
+        "repro.core.kernel", "repro.core.executor", "repro.core.procpool",
+        "repro.core.cache",
         "repro.core.adaptive", "repro.core.fidelity", "repro.core.report",
         "repro.core.checkpoint",
     ]),
@@ -615,7 +617,8 @@ def build(out_dir: Path, strict: bool) -> int:
     api_index_body = (
         "<h1>API reference</h1>"
         "<p>Generated from the package docstrings at build time. The "
-        "<code>repro.backends</code>, <code>repro.core.procpool</code> and "
+        "<code>repro.backends</code>, <code>repro.core.kernel</code>, "
+        "<code>repro.core.procpool</code> and "
         "<code>repro.distributed</code> surfaces are enforced: a missing "
         "docstring fails the strict build.</p>"
         f"<ul>{''.join(api_index_items)}</ul>"

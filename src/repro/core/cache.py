@@ -162,21 +162,19 @@ class BlockCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def record_shard_lookup(self, hit: bool) -> None:
-        """Fold one worker-shard lookup outcome into this cache's counters.
+    def record_shard_lookups(self, hits: int, misses: int) -> None:
+        """Fold worker-shard lookup outcomes into this cache's counters.
 
-        With the process executor the lookups (and lines) live in per-worker
-        shards; this object stays in the simulator purely as the aggregate
-        stats sink the reports read, so shard outcomes are accounted here
-        without touching the line store or the disable rule (each shard
-        applies its own).
+        With the process and ranked tiers the lookups (and lines) live in
+        per-worker shards; this object stays in the simulator purely as the
+        aggregate stats sink the reports read, so shard outcomes are
+        accounted here without touching the line store or the disable rule
+        (each shard applies its own).
         """
 
         with self._mutex:
-            if hit:
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
+            self.stats.hits += hits
+            self.stats.misses += misses
 
     def clear(self) -> None:
         """Drop all lines and re-enable the cache (counters are kept)."""

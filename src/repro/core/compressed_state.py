@@ -174,15 +174,6 @@ class CompressedStateVector:
             CompressedBlock(blob=blob, compressor=compressor.name, bound=compressor.bound),
         )
 
-    def decompress_block(
-        self, rank: int, block: int, compressor: Compressor
-    ) -> np.ndarray:
-        """Decompress one block into a fresh complex128 array."""
-
-        blob = self._store.get(rank, block).blob
-        values = compressor.decompress(blob)
-        return values.view(np.complex128)
-
     def iter_blocks(self) -> Iterator[tuple[tuple[int, int], CompressedBlock]]:
         """Iterate ``((rank, block), CompressedBlock)`` over every block."""
 
@@ -211,15 +202,6 @@ class CompressedStateVector:
         return self._partition.uncompressed_bytes()
 
     # -- state-level queries -----------------------------------------------------------------
-
-    def _decompressor_for(self, entry: CompressedBlock, fallback: Compressor) -> Compressor:
-        """Return a compressor able to decode *entry* (usually the fallback)."""
-
-        # All compressors in this codebase embed a self-describing header, and
-        # decompression only needs an instance of the same class; the caller
-        # passes the instance currently in use, which matches because the
-        # simulator recompresses every block it touches with that instance.
-        return fallback
 
     def to_statevector(self, decompressors: dict[str, Compressor]) -> np.ndarray:
         """Materialise the full dense state vector (small systems only).

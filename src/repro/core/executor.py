@@ -1,11 +1,13 @@
-"""Block-task execution engine.
+"""Block-task execution engine: the in-process and process-pool transports.
 
-The simulator used to run every :class:`~repro.distributed.exchange.BlockTask`
-of a gate plan inline and strictly sequentially.  :class:`TaskExecutor`
-factors that hot path out and adds an optional thread pool: the tasks of one
-gate plan touch pairwise-disjoint (rank, block) sets
-(:meth:`GatePlan.independent_groups`), so they can run concurrently — each
-task leases its own scratch buffers from the shared
+Every block task is one call to :meth:`repro.core.kernel.BlockKernel.run`
+(cache lookup, decompress, apply, recompress); the executors here decide only
+*where* that call happens and commit its output blobs to the block store.
+
+:class:`TaskExecutor` runs the kernel in the parent process — inline, or on
+an optional thread pool: the tasks of one gate plan touch pairwise-disjoint
+(rank, block) sets (:meth:`GatePlan.independent_groups`), so they can run
+concurrently — each task leases its own scratch buffers from the shared
 :class:`~repro.core.blocks.ScratchPool`, and the block cache and report use
 internal locks.  The NumPy kernels and the zlib/lzma/bz2 backends release the
 GIL on block-sized payloads, which is where the wall-clock win comes from.
@@ -18,46 +20,54 @@ a cache hit returns the same bytes recomputation would produce.
 Communication accounting stays in the calling thread: the simulated
 communicator's modelled-time delta is order-dependent, so the executor
 accounts every cross-rank exchange of the plan up front, before dispatch.
+The block store is written from the calling thread too (:meth:`_commit`).
 
 :class:`ProcessTaskExecutor` is the second tier (``SimulatorConfig.executor
 = "process"``): the same plan semantics, but the tasks ship to a persistent
-pool of worker *processes* (:mod:`repro.core.procpool`), each holding a warm
-decompressor map, scratch buffers and a block-cache shard.  Blobs move
-through shared-memory slots rather than pickle, and the codec work — which
-the thread tier cannot parallelise because NumPy fancy-index gathers hold
-the GIL — runs truly concurrently.  Results are bit-identical across both
-tiers and the sequential path: tasks write disjoint blocks and every worker
-runs the exact same kernels and codecs on the exact same bytes.
+pool of worker *processes* (:mod:`repro.core.procpool`), each a
+:class:`BlockTaskWorker` holding a warm kernel — decompressor map, scratch
+buffers and a block-cache shard.  Blobs move through shared-memory slots
+rather than pickle, and the codec work — which the thread tier cannot
+parallelise because NumPy fancy-index gathers hold the GIL — runs truly
+concurrently.  Results are bit-identical across both tiers and the
+sequential path: tasks write disjoint blocks and every worker runs the exact
+same kernel on the exact same bytes.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Iterable
 
-import numpy as np
-
-from ..circuits import Gate
 from ..compression.interface import Compressor
 from ..distributed.comm import SimulatedCommunicator
 from ..distributed.exchange import BlockTask, GatePlan
 from ..errors import BlockCorruptionError, WorkerCrashedError
 from ..resilience import FaultPolicy, resolve_fault_policy
-from ..statevector import ops
 from .blocks import ScratchPool
 from .cache import BlockCache
 from .compressed_state import CompressedStateVector
+from .kernel import BlockKernel, BlockOp, TaskStats
 from .procpool import (
     SLOTS_PER_WORKER,
-    BlockTaskWorker,
     ProcessPool,
+    SlotArena,
+    _pack_frames,
+    _read_frame,
     block_slot_bytes,
     raise_worker_error,
 )
 from .report import SimulationReport
 
-__all__ = ["TaskExecutor", "ProcessTaskExecutor"]
+__all__ = ["TaskExecutor", "ProcessTaskExecutor", "BlockTaskWorker"]
+
+#: A task's kernel inputs — ``(blob1, name1)`` or ``(blob1, name1, blob2,
+#: name2)`` — with the tasks that read exactly those bytes: one runs, the
+#: outputs go to all.
+TaskGroup = tuple[tuple, list[BlockTask]]
 
 
 class TaskExecutor:
@@ -97,9 +107,7 @@ class TaskExecutor:
             raise ValueError("num_workers must be >= 1")
         self._validate_scratch(scratch, num_workers)
         self._state = state
-        self._scratch = scratch
-        self._cache = cache
-        self._decompressors = decompressors
+        self._kernel = BlockKernel(decompressors, scratch, cache)
         self._report = report
         self._comm = comm
         self._num_workers = int(num_workers)
@@ -163,44 +171,32 @@ class TaskExecutor:
 
     # -- plan execution ---------------------------------------------------------------
 
-    def run_plan(
-        self,
-        gate: Gate,
-        plan: GatePlan,
-        compressor: Compressor,
-        op_key: tuple,
-        local_control_mask: np.ndarray | None,
-    ) -> None:
-        """Execute every task of *plan*, applying *gate*'s matrix."""
+    def run_plan(self, op: BlockOp, plan: GatePlan) -> None:
+        """Execute every task of *plan*, applying *op*'s matrix."""
 
         self._account_exchanges(plan)
         if self._num_workers == 1 or len(plan.tasks) < 2:
-            for task in plan.tasks:
-                self._run_task(gate, plan, task, compressor, op_key, local_control_mask)
+            self._run_inline(op, ((self._inputs(task), [task]) for task in plan.tasks))
             return
         pool = self._ensure_pool()
         for wave in plan.independent_groups():
-            groups = self._dedupe_wave(wave)
             futures = [
-                (
-                    pool.submit(
-                        self._run_task,
-                        gate,
-                        plan,
-                        tasks[0],
-                        compressor,
-                        op_key,
-                        local_control_mask,
-                    ),
-                    tasks,
-                )
-                for tasks in groups
+                (pool.submit(self._run_on_thread, op, inputs), tasks)
+                for inputs, tasks in self._dedupe_wave(wave)
             ]
             for future, tasks in futures:
-                out1, out2 = future.result()
-                self._fan_out_duplicates(tasks, out1, out2, compressor)
+                self._commit(op, tasks, *future.result())
 
-    def _dedupe_wave(self, wave: tuple[BlockTask, ...]) -> list[list[BlockTask]]:
+    def _inputs(self, task: BlockTask) -> tuple:
+        """The stored blobs (and their codec names) *task* reads."""
+
+        entry1 = self._state.get_block(*task.first)
+        if task.second is None:
+            return entry1.blob, entry1.compressor
+        entry2 = self._state.get_block(*task.second)
+        return entry1.blob, entry1.compressor, entry2.blob, entry2.compressor
+
+    def _dedupe_wave(self, wave: tuple[BlockTask, ...]) -> list[TaskGroup]:
         """Group a wave's tasks by byte-identical input blobs.
 
         This is the Section 3.4 redundancy the block cache exploits.  Running
@@ -210,35 +206,57 @@ class TaskExecutor:
         sequential path achieves via cache hits.
         """
 
-        groups: dict[tuple[bytes, bytes | None], list[BlockTask]] = {}
+        groups: dict[tuple, list[BlockTask]] = {}
         for task in wave:
-            blob1 = self._state.get_block(*task.first).blob
-            blob2 = (
-                self._state.get_block(*task.second).blob
-                if task.second is not None
-                else None
-            )
-            groups.setdefault((blob1, blob2), []).append(task)
-        return list(groups.values())
+            groups.setdefault(self._inputs(task), []).append(task)
+        return list(groups.items())
 
-    def _fan_out_duplicates(
+    def _run_inline(self, op: BlockOp, groups: Iterable[TaskGroup]) -> None:
+        """Run task groups one after another on the calling thread.
+
+        Each group commits before the next one runs, and the counters of the
+        groups that finished reach the report even when a later one raises.
+        """
+
+        stats = TaskStats()
+        try:
+            for inputs, tasks in groups:
+                self._commit(op, tasks, *self._kernel.run(op, stats, *inputs))
+        finally:
+            stats.fold_into(self._report)
+
+    def _run_on_thread(
+        self, op: BlockOp, inputs: tuple
+    ) -> tuple[bytes, bytes | None]:
+        """Pool-thread body: one round trip; the caller commits the outputs."""
+
+        stats = TaskStats()
+        try:
+            return self._kernel.run(op, stats, *inputs)
+        finally:
+            stats.fold_into(self._report)
+
+    def _commit(
         self,
+        op: BlockOp,
         tasks: list[BlockTask],
         out1: bytes,
-        out2: bytes | None,
-        compressor: Compressor,
+        out2: bytes | None = None,
     ) -> None:
-        """Copy a representative task's output blobs onto its duplicates."""
+        """Store a task group's output blobs (calling thread only).
 
-        for duplicate in tasks[1:]:
-            self._report.add_count("tasks_executed")
-            self._state.put_block(
-                duplicate.first[0], duplicate.first[1], out1, compressor
-            )
-            if duplicate.second is not None and out2 is not None:
+        ``tasks[0]`` is the task that ran; the rest are its byte-identical
+        duplicates, which count as executed tasks without a round trip.
+        """
+
+        for task in tasks:
+            self._state.put_block(task.first[0], task.first[1], out1, op.compressor)
+            if task.second is not None and out2 is not None:
                 self._state.put_block(
-                    duplicate.second[0], duplicate.second[1], out2, compressor
+                    task.second[0], task.second[1], out2, op.compressor
                 )
+        if len(tasks) > 1:
+            self._report.add_count("tasks_executed", len(tasks) - 1)
 
     def _account_exchanges(self, plan: GatePlan) -> None:
         """Record the plan's inter-rank block exchanges (Section 3.3).
@@ -258,92 +276,6 @@ class TaskExecutor:
                 task.first[0], task.second[0], max(entry1.nbytes, entry2.nbytes)
             )
             self._report.add_time("communication", self._comm.modelled_seconds - before)
-
-    # -- single-task execution ---------------------------------------------------------
-
-    def _run_task(
-        self,
-        gate: Gate,
-        plan: GatePlan,
-        task: BlockTask,
-        compressor: Compressor,
-        op_key: tuple,
-        local_control_mask: np.ndarray | None,
-    ) -> tuple[bytes, bytes | None]:
-        """Execute one task and return its output blobs (for wave fan-out)."""
-
-        rank1, block1 = task.first
-        entry1 = self._state.get_block(rank1, block1)
-        entry2 = None
-        if task.second is not None:
-            entry2 = self._state.get_block(*task.second)
-        self._report.add_count("tasks_executed")
-
-        # Compressed block cache lookup (Section 3.4): a hit skips the whole
-        # decompress/apply/recompress round trip.
-        if self._cache is not None:
-            cached = self._cache.lookup(
-                op_key, entry1.blob, entry2.blob if entry2 else None
-            )
-            if cached is not None:
-                out1, out2 = cached
-                self._state.put_block(rank1, block1, out1, compressor)
-                if task.second is not None and out2 is not None:
-                    self._state.put_block(task.second[0], task.second[1], out2, compressor)
-                return out1, out2
-
-        buffer_count = 1 if task.second is None else 2
-        with self._scratch.lease(buffer_count) as buffers:
-            with self._report.timer("decompression"):
-                buffer1 = self._scratch.fill(
-                    buffers[0],
-                    self._decompressors[entry1.compressor].decompress(entry1.blob),
-                )
-                buffer2 = None
-                if entry2 is not None:
-                    buffer2 = self._scratch.fill(
-                        buffers[1],
-                        self._decompressors[entry2.compressor].decompress(entry2.blob),
-                    )
-            self._report.add_count("decompress_calls", buffer_count)
-
-            with self._report.timer("computation"):
-                if buffer2 is None:
-                    ops.apply_controlled_single_qubit(
-                        buffer1, gate.matrix, gate.target, tuple(plan.local_controls)
-                    )
-                else:
-                    self._apply_pairwise(gate, buffer1, buffer2, local_control_mask)
-
-            with self._report.timer("compression"):
-                out1 = compressor.compress(buffer1.view(np.float64))
-                out2 = None
-                if buffer2 is not None:
-                    out2 = compressor.compress(buffer2.view(np.float64))
-            self._report.add_count("compress_calls", buffer_count)
-
-        self._state.put_block(rank1, block1, out1, compressor)
-        if task.second is not None and out2 is not None:
-            self._state.put_block(task.second[0], task.second[1], out2, compressor)
-
-        if self._cache is not None:
-            self._cache.insert(
-                op_key, entry1.blob, entry2.blob if entry2 else None, out1, out2
-            )
-        return out1, out2
-
-    @staticmethod
-    def _apply_pairwise(
-        gate: Gate,
-        buffer_x: np.ndarray,
-        buffer_y: np.ndarray,
-        local_control_mask: np.ndarray | None,
-    ) -> None:
-        """Target qubit selects the block or rank: cross-buffer pair update."""
-
-        ops.apply_single_qubit_pairwise_masked(
-            buffer_x, buffer_y, gate.matrix, local_control_mask
-        )
 
 
 class ProcessTaskExecutor(TaskExecutor):
@@ -424,17 +356,19 @@ class ProcessTaskExecutor(TaskExecutor):
 
     def _ensure_proc_pool(self) -> ProcessPool:
         if self._proc_pool is None:
+            kernel = self._kernel
+            block_amplitudes = kernel.scratch.block_amplitudes
             self._proc_pool = ProcessPool(
                 self._num_workers,
                 BlockTaskWorker,
                 init_args=(
-                    self._scratch.block_amplitudes,
-                    self._decompressors,
+                    block_amplitudes,
+                    kernel.decompressors,
                     self._cache_lines,
                     self._cache_threshold,
-                    self._cache is not None,
+                    kernel.cache is not None,
                 ),
-                slot_bytes=block_slot_bytes(self._scratch.block_amplitudes),
+                slot_bytes=block_slot_bytes(block_amplitudes),
                 start_method=self._start_method,
                 fault_policy=self._policy,
             )
@@ -473,69 +407,36 @@ class ProcessTaskExecutor(TaskExecutor):
 
     # -- plan execution ----------------------------------------------------------------
 
-    def run_plan(
-        self,
-        gate: Gate,
-        plan: GatePlan,
-        compressor: Compressor,
-        op_key: tuple,
-        local_control_mask: np.ndarray | None,
-    ) -> None:
-        """Execute one gate plan across the pool (degraded path when on)."""
+    def run_plan(self, op: BlockOp, plan: GatePlan) -> None:
+        """Execute one gate plan across the pool (inline once degraded)."""
 
-        if self._degraded is not None:
-            self._run_plan_degraded(
-                gate, plan, compressor, op_key, local_control_mask
-            )
-            return
-        if self._num_workers == 1:
+        if self._degraded is not None or self._num_workers == 1:
             # The documented num_workers=1 contract is the seed's sequential
             # execution; a one-process pool would pay IPC per task for zero
-            # parallelism.  The base class runs the plan inline.
-            super().run_plan(gate, plan, compressor, op_key, local_control_mask)
+            # parallelism.  The base class runs the plan in this process —
+            # on threads after a degrade to "thread", inline otherwise.
+            super().run_plan(op, plan)
             return
         self._account_exchanges(plan)
         pool = self._ensure_proc_pool()
-        base_message = (
-            "task",
-            gate.matrix,
-            gate.target,
-            tuple(plan.local_controls),
-            compressor,
-            op_key,
-        )
+        # The op rides the message flat: a nested NamedTuple costs ~4 us per
+        # task to pickle, which the one-message-per-task wire cannot hide.
+        base_message = ("task", *op)
         for wave_index, wave in enumerate(plan.independent_groups()):
             groups = self._dedupe_wave(wave)
             if self._degraded is not None:
-                # A mid-plan degrade finishes the remaining waves inline;
-                # subsequent plans route through _run_plan_degraded.
-                self._run_groups_inline(
-                    gate, plan, groups, compressor, op_key, local_control_mask
-                )
+                # A mid-plan degrade finishes the remaining waves inline.
+                self._run_inline(op, groups)
                 continue
-            self._execute_wave(
-                pool,
-                gate,
-                plan,
-                wave_index,
-                groups,
-                base_message,
-                compressor,
-                op_key,
-                local_control_mask,
-            )
+            self._execute_wave(pool, op, wave_index, groups, base_message)
 
     def _execute_wave(
         self,
         pool: ProcessPool,
-        gate: Gate,
-        plan: GatePlan,
+        op: BlockOp,
         wave_index: int,
-        groups: list[list[BlockTask]],
+        groups: list[TaskGroup],
         base_message: tuple,
-        compressor: Compressor,
-        op_key: tuple,
-        local_control_mask: np.ndarray | None,
     ) -> None:
         """Run one wave's task groups on the pool, recovering per the policy.
 
@@ -547,38 +448,39 @@ class ProcessTaskExecutor(TaskExecutor):
         """
 
         blocks_per_rank = self._state.partition.blocks_per_rank
-        pending = list(groups)
+        pending = groups
         attempt = 0
         while True:
-            queues: dict[int, list[list[BlockTask]]] = {}
-            for tasks in pending:
-                rank, block = tasks[0].first
+            queues: dict[int, list[TaskGroup]] = {}
+            for group in pending:
+                rank, block = group[1][0].first
                 worker_id = (rank * blocks_per_rank + block) % pool.num_workers
-                queues.setdefault(worker_id, []).append(tasks)
-            in_flight: dict[tuple[int, int], list[BlockTask]] = {}
+                queues.setdefault(worker_id, []).append(group)
+            in_flight: dict[tuple[int, int], TaskGroup] = {}
             try:
                 while queues or in_flight:
                     for worker_id in list(queues):
                         queue = queues[worker_id]
-                        while queue and self._can_submit(pool, worker_id):
+                        while queue and pool.can_submit(worker_id):
                             # Pop only after the submit succeeds: a crash
                             # detected at dispatch leaves the group queued
                             # for the retry pass.
-                            tasks = queue[0]
-                            ticket = self._dispatch(
-                                pool, worker_id, base_message, tasks
+                            inputs = queue[0][0]
+                            ticket = pool.submit(
+                                worker_id,
+                                base_message + (inputs[1::2],),
+                                inputs[::2],
                             )
-                            queue.pop(0)
-                            in_flight[(worker_id, ticket)] = tasks
+                            in_flight[(worker_id, ticket)] = queue.pop(0)
                         if not queue:
                             del queues[worker_id]
                     if in_flight:
-                        self._collect_one(pool, in_flight, compressor)
+                        self._collect_one(pool, op, in_flight)
                 return
             except (WorkerCrashedError, BlockCorruptionError) as exc:
                 lost_start = time.perf_counter()
-                self._drain_survivors(pool, in_flight, compressor)
-                pending = [tasks for queue in queues.values() for tasks in queue]
+                self._drain_survivors(pool, op, in_flight)
+                pending = [group for queue in queues.values() for group in queue]
                 pending.extend(in_flight.values())
                 if not pending:  # pragma: no cover - defensive
                     return
@@ -602,19 +504,17 @@ class ProcessTaskExecutor(TaskExecutor):
                         degraded_to=tier,
                         time_lost_seconds=time.perf_counter() - lost_start,
                     )
-                    self._run_groups_inline(
-                        gate, plan, pending, compressor, op_key, local_control_mask
-                    )
+                    self._run_inline(op, pending)
                     return
                 exc.wave_index = wave_index
-                exc.gate = gate.name
+                exc.gate = op.op_key[0]
                 raise
 
     def _drain_survivors(
         self,
         pool: ProcessPool,
-        in_flight: dict[tuple[int, int], list[BlockTask]],
-        compressor: Compressor,
+        op: BlockOp,
+        in_flight: dict[tuple[int, int], TaskGroup],
     ) -> None:
         """Collect every still-valid reply after a failure surfaced.
 
@@ -627,7 +527,7 @@ class ProcessTaskExecutor(TaskExecutor):
 
         while pool.has_outstanding():
             try:
-                self._collect_one(pool, in_flight, compressor)
+                self._collect_one(pool, op, in_flight)
             except BlockCorruptionError:
                 continue
             except WorkerCrashedError as exc:
@@ -645,120 +545,113 @@ class ProcessTaskExecutor(TaskExecutor):
 
         The thread tier leases two scratch buffers per concurrent task from
         the *parent* pool (workers held their own), so the scratch pool is
-        regrown before the first threaded wave runs.
+        regrown before the first threaded wave runs; the sequential tier is
+        the base class at width one.
         """
 
         self._degraded = tier
         pool, self._proc_pool = self._proc_pool, None
         if pool is not None:
             pool.close(join_timeout=0.5)
-        if tier == "thread" and self._scratch.num_buffers < 2 * self._num_workers:
-            self._scratch = ScratchPool(
-                self._scratch.block_amplitudes, buffers=2 * self._num_workers
+        scratch = self._kernel.scratch
+        if tier != "thread":
+            self._num_workers = 1
+        elif scratch.num_buffers < 2 * self._num_workers:
+            self._kernel.scratch = ScratchPool(
+                scratch.block_amplitudes, buffers=2 * self._num_workers
             )
-
-    def _run_groups_inline(
-        self,
-        gate: Gate,
-        plan: GatePlan,
-        groups: list[list[BlockTask]],
-        compressor: Compressor,
-        op_key: tuple,
-        local_control_mask: np.ndarray | None,
-    ) -> None:
-        """Finish a wave's task groups in the parent process (degrade path)."""
-
-        for tasks in groups:
-            out1, out2 = self._run_task(
-                gate, plan, tasks[0], compressor, op_key, local_control_mask
-            )
-            self._fan_out_duplicates(tasks, out1, out2, compressor)
-
-    def _run_plan_degraded(
-        self,
-        gate: Gate,
-        plan: GatePlan,
-        compressor: Compressor,
-        op_key: tuple,
-        local_control_mask: np.ndarray | None,
-    ) -> None:
-        """Run a whole plan on the degraded tier (thread pool or inline)."""
-
-        if self._degraded == "thread":
-            TaskExecutor.run_plan(
-                self, gate, plan, compressor, op_key, local_control_mask
-            )
-            return
-        self._account_exchanges(plan)
-        for task in plan.tasks:
-            self._run_task(gate, plan, task, compressor, op_key, local_control_mask)
-
-    @staticmethod
-    def _can_submit(pool: ProcessPool, worker_id: int) -> bool:
-        return pool.can_submit(worker_id)
-
-    def _dispatch(
-        self,
-        pool: ProcessPool,
-        worker_id: int,
-        base_message: tuple,
-        tasks: list[BlockTask],
-    ) -> int:
-        task = tasks[0]
-        entry1 = self._state.get_block(*task.first)
-        payloads = [entry1.blob]
-        decoder_names: tuple[str, str | None] = (entry1.compressor, None)
-        if task.second is not None:
-            entry2 = self._state.get_block(*task.second)
-            payloads.append(entry2.blob)
-            decoder_names = (entry1.compressor, entry2.compressor)
-        return pool.submit(
-            worker_id, base_message + (decoder_names,), payloads
-        )
 
     def _collect_one(
         self,
         pool: ProcessPool,
-        in_flight: dict[tuple[int, int], list[BlockTask]],
-        compressor: Compressor,
+        op: BlockOp,
+        in_flight: dict[tuple[int, int], TaskGroup],
     ) -> None:
         worker_id, reply = pool.recv_any()
         if reply[0] == "err":
             raise_worker_error(reply, f"block task failed in pool worker {worker_id}")
         _, ticket, out_refs, stats = reply
-        tasks = in_flight[(worker_id, ticket)]
-        task = tasks[0]
-        # Read both frames before committing anything: a corrupted frame
+        # Read every frame before committing anything: a corrupted frame
         # must leave the group fully uncommitted (still in in_flight) so the
         # recovery pass replays it from the parent's authoritative blobs.
         try:
-            out1 = pool.read_frame(worker_id, out_refs[0])
-            out2 = (
-                pool.read_frame(worker_id, out_refs[1])
-                if out_refs[1] is not None
-                else None
-            )
+            outs = [pool.read_frame(worker_id, ref) for ref in out_refs]
         except BlockCorruptionError as exc:
             exc.ticket = ticket
             raise
-        del in_flight[(worker_id, ticket)]
+        _, tasks = in_flight.pop((worker_id, ticket))
+        self._commit(op, tasks, *outs)
+        # Shard lookups happen worker-side; folding their counted outcomes
+        # into the parent cache object gives reports one aggregate view.
+        stats.fold_into(self._report, self._kernel.cache)
 
-        self._report.add_count("tasks_executed")
-        self._state.put_block(task.first[0], task.first[1], out1, compressor)
-        if task.second is not None and out2 is not None:
-            self._state.put_block(task.second[0], task.second[1], out2, compressor)
-        self._fan_out_duplicates(tasks, out1, out2, compressor)
 
-        outcome, codec_calls, timings = stats
-        if codec_calls:
-            self._report.add_count("decompress_calls", codec_calls)
-            self._report.add_count("compress_calls", codec_calls)
-        for bucket, seconds in timings.items():
-            self._report.add_time(bucket, seconds)
-        if self._cache is not None and outcome != "off":
-            # Shard lookups happen worker-side; fold their outcome into the
-            # parent cache object so reports see one aggregate hit/miss
-            # view.  "off" means the shard skipped the lookup (disabled by
-            # its own miss rule), which — as in the sequential tier — costs
-            # nothing and counts nothing.
-            self._cache.record_shard_lookup(outcome == "hit")
+class BlockTaskWorker:
+    """Warm per-process state executing block tasks.
+
+    Initialised once per worker: a :class:`~repro.core.kernel.BlockKernel`
+    with its own decompressor map (one instance per codec class, exactly
+    like the parent simulator's), two scratch buffers and an optional
+    :class:`BlockCache` shard.  Tasks are routed to workers by block
+    affinity, so a shard sees every recurrence of its blocks' patterns.
+    """
+
+    #: Dominant message kind, consulted by the fault harness when arming
+    #: chaos injection for a pool of these workers.
+    POOL_KIND = "task"
+
+    def __init__(
+        self,
+        block_amplitudes: int,
+        decompressors: dict[str, Compressor],
+        cache_lines: int,
+        cache_miss_disable_threshold: int | None,
+        cache_enabled: bool,
+    ) -> None:
+        self._kernel = BlockKernel(
+            dict(decompressors),
+            ScratchPool(block_amplitudes, buffers=2),
+            BlockCache(cache_lines, cache_miss_disable_threshold)
+            if cache_enabled
+            else None,
+        )
+        self._in_arena: SlotArena | None = None
+        self._out_arena: SlotArena | None = None
+
+    def bind_arenas(
+        self, in_arena: SlotArena | None, out_arena: SlotArena | None
+    ) -> None:
+        """Receive the worker's payload slot arenas from the worker main loop."""
+
+        self._in_arena = in_arena
+        self._out_arena = out_arena
+
+    def handle(self, message: tuple) -> tuple:
+        """Serve one control message (``task`` / ``reset`` / ``ping`` / ``die``)."""
+
+        kind = message[0]
+        if kind == "task":
+            return self._run_task(message)
+        if kind == "reset":
+            self._kernel.reset()
+            return ("reset-ok", message[-2])
+        if kind == "ping":
+            return ("pong", message[-2])
+        if kind == "die":  # test hook for the worker-failure path
+            os._exit(17)
+        raise ValueError(f"unknown block-task message {kind!r}")
+
+    def _run_task(self, message: tuple) -> tuple:
+        names, ticket, frames = message[6:]
+        op = BlockOp(*message[1:4], self._kernel.compressor_for(message[4]), message[5])
+        inputs = []
+        for frame, name in zip(frames, names):
+            inputs += (_read_frame(self._in_arena, frame), name)
+        stats = TaskStats()
+        outs = self._kernel.run(op, stats, *inputs)
+        out_refs = _pack_frames(
+            self._out_arena,
+            ticket % SLOTS_PER_WORKER,
+            [out for out in outs if out is not None],
+        )
+        return ("done", ticket, out_refs, stats)

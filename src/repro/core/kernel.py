@@ -1,0 +1,229 @@
+"""The block-task kernel: decompress → apply → recompress, written once.
+
+The paper's execution model is one loop (Figure 2): consult the compressed
+block cache, decompress a block or block pair into scratch, apply the 2x2
+unitary, recompress at the current error bound.  :class:`BlockKernel` is that
+loop.  Every execution tier calls it — the sequential and thread paths of
+:class:`~repro.core.executor.TaskExecutor` in the parent process, the
+block-task workers of :class:`~repro.core.executor.ProcessTaskExecutor`, and
+the rank workers of :mod:`repro.distributed.ranked` — so the tiers differ
+only in how blobs reach the kernel and where its outputs are stored, and
+bit-identity across tiers holds by construction.
+
+A :class:`BlockOp` is all a block task needs to know about the gate; a
+:class:`TaskStats` collects what the round trips cost and is folded into the
+:class:`~repro.core.report.SimulationReport` by whichever transport ran them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from time import perf_counter
+from typing import NamedTuple
+
+import numpy as np
+
+from ..compression.interface import Compressor
+from ..statevector import ops
+from .blocks import ScratchPool
+from .cache import BlockCache
+from .report import SimulationReport
+
+__all__ = ["BlockOp", "TaskStats", "BlockKernel"]
+
+
+class BlockOp(NamedTuple):
+    """One (possibly fused) gate as the block tasks of its plan see it."""
+
+    #: The 2x2 unitary.
+    matrix: np.ndarray
+    #: Target qubit (only read when it lies inside the block).
+    target: int
+    #: Controls applied per amplitude inside the scratch buffers.
+    local_controls: tuple[int, ...]
+    #: Compressor for the output blobs (the controller's current level).
+    compressor: Compressor
+    #: Block-cache ``OP`` field: the gate's key plus ``compressor.describe()``.
+    op_key: tuple
+
+
+@dataclass
+class TaskStats:
+    """What a run of block tasks cost: counters plus the three bucket seconds.
+
+    Cache hits and misses are the lookups the kernel's cache *counted* — a
+    self-disabled cache counts neither, exactly like :class:`BlockCache`'s
+    own statistics.
+    """
+
+    tasks: int = 0
+    decompress_calls: int = 0
+    compress_calls: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    decompression: float = 0.0
+    computation: float = 0.0
+    compression: float = 0.0
+
+    def __reduce__(self) -> tuple:
+        # One of these rides every worker -> parent reply: a flat argument
+        # tuple pickles in a fraction of a default dataclass's state dict.
+        return (TaskStats, tuple(vars(self).values()))
+
+    def fold_into(
+        self, report: SimulationReport, shard_sink: BlockCache | None = None
+    ) -> None:
+        """Add these stats to *report* (thread-safe).
+
+        *shard_sink* is the parent-side :class:`BlockCache` that aggregates
+        worker-shard lookups; leave it ``None`` when the kernel looked up the
+        parent's own cache, which already counted them.
+        """
+
+        for counter, amount in (
+            ("tasks_executed", self.tasks),
+            ("decompress_calls", self.decompress_calls),
+            ("compress_calls", self.compress_calls),
+        ):
+            if amount:
+                report.add_count(counter, amount)
+        for bucket in ("decompression", "computation", "compression"):
+            seconds = getattr(self, bucket)
+            if seconds:
+                report.add_time(bucket, seconds)
+        if shard_sink is not None and (self.cache_hits or self.cache_misses):
+            shard_sink.record_shard_lookups(self.cache_hits, self.cache_misses)
+
+
+class BlockKernel:
+    """Warm state for block round trips plus the one function that runs them.
+
+    Parameters
+    ----------
+    decompressors:
+        Compressor-name → instance map used to decode input blobs.  Shared
+        with the caller (not copied): :meth:`compressor_for` registers new
+        decoders in it.
+    scratch:
+        Pool the staging buffers are leased from; two buffers per concurrent
+        :meth:`run` caller.
+    cache:
+        Optional compressed block cache (Section 3.4) — the simulator's own
+        in the parent, a private shard in a worker.  Must be thread-safe when
+        :meth:`run` is called from several threads.
+    """
+
+    def __init__(
+        self,
+        decompressors: dict[str, Compressor],
+        scratch: ScratchPool,
+        cache: BlockCache | None = None,
+    ) -> None:
+        self.decompressors = decompressors
+        self.scratch = scratch
+        self.cache = cache
+        self._compressors: dict[str, Compressor] = {}
+        self._masks: dict[tuple[int, ...], np.ndarray | None] = {}
+
+    def compressor_for(self, compressor: Compressor) -> Compressor:
+        """Warm instance equal to *compressor* (keyed by ``describe()``).
+
+        Workers receive a freshly unpickled compressor with every message;
+        recompressing with the first instance seen keeps its tables warm
+        across gates.  The same class decodes every blob it produced, so the
+        decompressor map is kept in sync — escalated-level blobs always find
+        a decoder.
+        """
+
+        warm = self._compressors.get(compressor.describe())
+        if warm is None:
+            warm = self._compressors[compressor.describe()] = compressor
+            self.decompressors.setdefault(compressor.name, compressor)
+        return warm
+
+    def reset(self) -> None:
+        """Fresh-simulator state: empty cache, no warm compressors."""
+
+        if self.cache is not None:
+            self.cache.reset()
+        self._compressors.clear()
+
+    def _mask_for(self, local_controls: tuple[int, ...]) -> np.ndarray | None:
+        if local_controls not in self._masks:
+            self._masks[local_controls] = ops.local_control_mask(
+                self.scratch.block_amplitudes, local_controls
+            )
+        return self._masks[local_controls]
+
+    def run(
+        self,
+        op: BlockOp,
+        stats: TaskStats,
+        blob1: bytes,
+        name1: str,
+        blob2: bytes | None = None,
+        name2: str | None = None,
+        row: int | None = None,
+    ) -> tuple[bytes, bytes | None]:
+        """One block task: returns the output blobs ``(out1, out2)``.
+
+        One blob is a local-qubit update of that block.  Two blobs are a
+        block pair (*blob1* holds the target-bit-0 amplitudes) and both are
+        rewritten — unless *row* is given: then this is one rank's half of a
+        cross-rank pair, *blob1* is the block this rank owns, *blob2* the
+        peer's, *row* says which side of the pair *blob1* is, and only
+        ``out1`` is produced (``out2`` is ``None``).  The cache key carries
+        *row* so the two halves of one pair never alias each other's entries.
+
+        A cache hit makes no codec call and leases no scratch.
+        """
+
+        stats.tasks += 1
+        cache = self.cache
+        op_key = op.op_key if row is None else op.op_key + ("xchg", row)
+        if cache is not None and cache.enabled:
+            cached = cache.lookup(op_key, blob1, blob2)
+            if cached is not None:
+                stats.cache_hits += 1
+                return cached
+            stats.cache_misses += 1
+
+        pair = blob2 is not None
+        scratch = self.scratch
+        compress = op.compressor.compress
+        with scratch.lease(2 if pair else 1) as buffers:
+            start = perf_counter()
+            buffer1 = scratch.fill(
+                buffers[0], self.decompressors[name1].decompress(blob1)
+            )
+            if pair:
+                buffer2 = scratch.fill(
+                    buffers[1], self.decompressors[name2].decompress(blob2)
+                )
+            decoded = perf_counter()
+            if not pair:
+                ops.apply_controlled_single_qubit(
+                    buffer1, op.matrix, op.target, op.local_controls
+                )
+            elif row is None:
+                ops.apply_single_qubit_pairwise_masked(
+                    buffer1, buffer2, op.matrix, self._mask_for(op.local_controls)
+                )
+            else:
+                low, high = (buffer1, buffer2) if row == 0 else (buffer2, buffer1)
+                ops.apply_single_qubit_pairwise_half(
+                    low, high, op.matrix, row, self._mask_for(op.local_controls)
+                )
+            applied = perf_counter()
+            out1 = compress(buffer1.view(np.float64))
+            out2 = compress(buffer2.view(np.float64)) if pair and row is None else None
+            done = perf_counter()
+        stats.decompression += decoded - start
+        stats.computation += applied - decoded
+        stats.compression += done - applied
+        stats.decompress_calls += 2 if pair else 1
+        stats.compress_calls += 1 if out2 is None else 2
+
+        if cache is not None:
+            cache.insert(op_key, blob1, blob2, out1, out2)
+        return out1, out2

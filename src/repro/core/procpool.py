@@ -10,13 +10,11 @@ through pipes for small control messages and through
 :mod:`multiprocessing.shared_memory` slot rings for block-sized payloads so
 compressed blobs never ride a pickle stream.
 
-Two worker kinds build on the same :class:`ProcessPool`:
-
-* :class:`BlockTaskWorker` — executes the decompress → apply → recompress
-  round trip of one :class:`~repro.distributed.exchange.BlockTask`
-  (driven by :class:`~repro.core.executor.ProcessTaskExecutor`), and
-* the circuit-fanout worker of :mod:`repro.backends.parallel`, which runs
-  whole circuits on a warm per-process backend session.
+Two worker kinds build on the same :class:`ProcessPool`: the block-task
+worker of :class:`~repro.core.executor.ProcessTaskExecutor` and the
+circuit-fanout worker of :mod:`repro.backends.parallel`, which runs whole
+circuits on a warm per-process backend session.  The rank workers of
+:mod:`repro.distributed.ranked` ride the same pool.
 
 Flow control is slot-based: every worker owns ``SLOTS_PER_WORKER`` input and
 output slots in shared memory, a dispatch with ticket ``t`` uses slot
@@ -38,22 +36,15 @@ import zlib
 from multiprocessing import connection as mp_connection
 from multiprocessing import get_context, shared_memory
 
-import numpy as np
-
-from ..compression.interface import Compressor
 from ..errors import (
     BlockCorruptionError,
     PoolProtocolError,
     ReproError,
     WorkerCrashedError,
 )
-from ..statevector import ops
-from .blocks import ScratchPool
-from .cache import BlockCache
 
 __all__ = [
     "ProcessPool",
-    "BlockTaskWorker",
     "WorkerCrashedError",
     "BlockCorruptionError",
     "effective_cpu_count",
@@ -748,11 +739,6 @@ class ProcessPool:
         self.close()
 
 
-# ---------------------------------------------------------------------------
-# Block-task worker
-# ---------------------------------------------------------------------------
-
-
 def block_slot_bytes(block_amplitudes: int) -> int:
     """Input/output slot size for block-task transport.
 
@@ -762,166 +748,3 @@ def block_slot_bytes(block_amplitudes: int) -> int:
     """
 
     return 2 * (16 * int(block_amplitudes) + 16384)
-
-
-class BlockTaskWorker:
-    """Warm per-process state executing block tasks.
-
-    Initialised once per worker: the decompressor map (one instance per
-    codec class, exactly like the parent simulator's), two scratch buffers
-    leased from a private :class:`ScratchPool`, a compressor cache keyed by
-    ``describe()`` so recompression reuses warm instances across gates, and
-    an optional :class:`BlockCache` shard.  Tasks are routed to workers by
-    block affinity, so a shard sees every recurrence of its blocks' patterns.
-    """
-
-    #: Dominant message kind, consulted by the fault harness when arming
-    #: chaos injection for a pool of these workers.
-    POOL_KIND = "task"
-
-    def __init__(
-        self,
-        block_amplitudes: int,
-        decompressors: dict[str, Compressor],
-        cache_lines: int,
-        cache_miss_disable_threshold: int | None,
-        cache_enabled: bool,
-    ) -> None:
-        self._scratch = ScratchPool(block_amplitudes, buffers=2)
-        self._decompressors = dict(decompressors)
-        self._compressors: dict[str, Compressor] = {}
-        self._masks: dict[tuple[int, ...], np.ndarray | None] = {}
-        self._cache = (
-            BlockCache(
-                lines=cache_lines,
-                miss_disable_threshold=cache_miss_disable_threshold,
-            )
-            if cache_enabled
-            else None
-        )
-        self._in_arena: SlotArena | None = None
-        self._out_arena: SlotArena | None = None
-
-    def bind_arenas(
-        self, in_arena: SlotArena | None, out_arena: SlotArena | None
-    ) -> None:
-        """Receive the worker's payload slot arenas from the worker main loop."""
-
-        self._in_arena = in_arena
-        self._out_arena = out_arena
-
-    # -- warm lookups ----------------------------------------------------------------
-
-    def _compressor_for(self, compressor: Compressor) -> Compressor:
-        warm = self._compressors.get(compressor.describe())
-        if warm is None:
-            warm = self._compressors[compressor.describe()] = compressor
-            # The same class decodes every blob it produced; keep the map in
-            # sync so escalated-level blobs always find a decoder.
-            self._decompressors.setdefault(compressor.name, compressor)
-        return warm
-
-    def _mask_for(self, local_controls: tuple[int, ...]) -> np.ndarray | None:
-        if local_controls not in self._masks:
-            self._masks[local_controls] = ops.local_control_mask(
-                self._scratch.block_amplitudes, local_controls
-            )
-        return self._masks[local_controls]
-
-    # -- message handling -------------------------------------------------------------
-
-    def handle(self, message: tuple) -> tuple:
-        """Serve one control message (``task`` / ``reset`` / ``ping`` / ``die``)."""
-
-        kind = message[0]
-        if kind == "task":
-            return self._run_task(message)
-        if kind == "reset":
-            ticket = message[-2]
-            if self._cache is not None:
-                self._cache.reset()
-            self._compressors.clear()
-            return ("reset-ok", ticket)
-        if kind == "ping":
-            return ("pong", message[-2])
-        if kind == "die":  # test hook for the worker-failure path
-            os._exit(17)
-        raise ValueError(f"unknown block-task message {kind!r}")
-
-    def _run_task(self, message: tuple) -> tuple:
-        (
-            _,
-            matrix,
-            target,
-            local_controls,
-            compressor,
-            op_key,
-            decoder_names,
-            ticket,
-            frames,
-        ) = message
-        pair = decoder_names[1] is not None
-        blob1 = _read_frame(self._in_arena, frames[0])
-        blob2 = _read_frame(self._in_arena, frames[1]) if pair else None
-        compressor = self._compressor_for(compressor)
-
-        # Mirror BlockCache's own accounting: once a shard disables itself
-        # its lookups are free and *uncounted*, exactly like the
-        # sequential/thread tiers — the parent only folds in outcomes that
-        # the shard itself counted.
-        hit = False
-        outcome = "off"
-        if self._cache is not None and self._cache.enabled:
-            cached = self._cache.lookup(op_key, blob1, blob2)
-            if cached is not None:
-                out1, out2 = cached
-                hit = True
-            outcome = "hit" if hit else "miss"
-        if not hit:
-            timings = {}
-            with self._scratch.lease(2 if pair else 1) as buffers:
-                start = time.perf_counter()
-                buffer1 = self._scratch.fill(
-                    buffers[0],
-                    self._decompressors[decoder_names[0]].decompress(blob1),
-                )
-                buffer2 = None
-                if blob2 is not None:
-                    buffer2 = self._scratch.fill(
-                        buffers[1],
-                        self._decompressors[decoder_names[1]].decompress(blob2),
-                    )
-                timings["decompression"] = time.perf_counter() - start
-
-                start = time.perf_counter()
-                if buffer2 is None:
-                    ops.apply_controlled_single_qubit(
-                        buffer1, matrix, target, local_controls
-                    )
-                else:
-                    ops.apply_single_qubit_pairwise_masked(
-                        buffer1, buffer2, matrix, self._mask_for(local_controls)
-                    )
-                timings["computation"] = time.perf_counter() - start
-
-                start = time.perf_counter()
-                out1 = compressor.compress(buffer1.view(np.float64))
-                out2 = (
-                    compressor.compress(buffer2.view(np.float64))
-                    if buffer2 is not None
-                    else None
-                )
-                timings["compression"] = time.perf_counter() - start
-            if self._cache is not None:
-                self._cache.insert(op_key, blob1, blob2, out1, out2)
-        else:
-            timings = {"decompression": 0.0, "computation": 0.0, "compression": 0.0}
-
-        payloads = [out1] if out2 is None else [out1, out2]
-        refs = _pack_frames(
-            self._out_arena, ticket % SLOTS_PER_WORKER, payloads
-        )
-        out_refs = (refs[0], refs[1] if out2 is not None else None)
-        calls = 0 if hit else (2 if pair else 1)
-        stats = (outcome, calls, timings)
-        return ("done", ticket, out_refs, stats)

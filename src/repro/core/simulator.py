@@ -12,11 +12,11 @@ state vector stays compressed.  Per gate (Figure 2):
 2. The :class:`~repro.core.executor.TaskExecutor` runs the plan's tasks —
    sequentially by default, or concurrently on a thread pool
    (``SimulatorConfig.num_workers``) since the tasks touch disjoint blocks.
-   Per task the compressed block cache is consulted; on a miss the block
-   (or block pair) is decompressed into the scratch pool, the 2x2 unitary is
-   applied with the vectorised kernels of :mod:`repro.statevector.ops`, and
-   the result is recompressed with the compressor chosen by the adaptive
-   error controller.
+   Each task is one :meth:`repro.core.kernel.BlockKernel.run`: the
+   compressed block cache is consulted; on a miss the block (or block pair)
+   is decompressed into the scratch pool, the 2x2 unitary is applied with
+   the vectorised kernels of :mod:`repro.statevector.ops`, and the result is
+   recompressed with the compressor chosen by the adaptive error controller.
 3. Inter-rank tasks account their block exchange with the simulated
    communicator; every task updates the time-breakdown report.
 4. After the gate, the memory footprint (Eq. 8) is compared against the
@@ -30,7 +30,6 @@ import os
 import shutil
 import tempfile
 import time
-import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -45,7 +44,6 @@ from ..distributed.exchange import plan_gate
 from ..distributed.partition import Partition, QubitSegment
 from ..errors import ProcessCommTimeout, WorkerCrashedError
 from ..resilience import resolve_fault_policy
-from ..statevector import ops
 from .adaptive import AdaptiveErrorController
 from .blocks import CompressedBlock, ScratchPool
 from .cache import BlockCache
@@ -53,6 +51,7 @@ from .compressed_state import CompressedStateVector
 from .config import SimulatorConfig
 from .executor import ProcessTaskExecutor, TaskExecutor
 from .fidelity import FidelityTracker
+from .kernel import BlockOp
 from .report import SimulationReport
 
 __all__ = ["CompressedSimulator"]
@@ -447,23 +446,6 @@ class CompressedSimulator:
             self._report.fusion_gates_out += stats.gates_out
         return list(gates)
 
-    def run(self, circuit: QuantumCircuit | Iterable[Gate]) -> SimulationReport:
-        """Deprecated alias of :meth:`apply_circuit`.
-
-        .. deprecated:: 1.1
-            Use :meth:`apply_circuit`, or the unified entry points
-            :func:`repro.run` / :meth:`repro.backends.Backend.run` which add
-            shots, observables and batching on top.
-        """
-
-        warnings.warn(
-            "CompressedSimulator.run() is deprecated; use apply_circuit() or "
-            "the unified repro.run() / Backend.run() API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.apply_circuit(circuit)
-
     def apply_gate(self, gate: Gate) -> None:
         """Apply a single gate to the compressed state.
 
@@ -493,10 +475,14 @@ class CompressedSimulator:
 
         plan = plan_gate(self._partition, gate)
         compressor = self._controller.compressor()
-        op_key = gate.key() + (compressor.describe(),)
-        local_control_mask = self._local_control_mask(plan.local_controls)
-
-        self._executor.run_plan(gate, plan, compressor, op_key, local_control_mask)
+        op = BlockOp(
+            gate.matrix,
+            gate.target,
+            plan.local_controls,
+            compressor,
+            gate.key() + (compressor.describe(),),
+        )
+        self._executor.run_plan(op, plan)
 
         self._gate_index += 1
         self._report.gates_executed = self._gate_index
@@ -646,16 +632,6 @@ class CompressedSimulator:
         self._resilience_ckpt = path
         self._replay_log.clear()
         self._report.record_recovery(checkpoints_written=1)
-
-    # -- planning helpers -------------------------------------------------------------------
-
-    def _local_control_mask(self, local_controls: tuple[int, ...]) -> np.ndarray | None:
-        """Boolean mask over block offsets selecting amplitudes whose local
-        control bits are all 1 (``None`` when there are no local controls)."""
-
-        return ops.local_control_mask(
-            self._partition.block_amplitudes, local_controls
-        )
 
     # -- report plumbing ----------------------------------------------------------------------
 

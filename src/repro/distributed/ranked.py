@@ -15,9 +15,9 @@ therefore reachable from ``repro.run(...)`` like every other execution mode.
 Three classes cooperate:
 
 * :class:`RankWorker` — the warm per-process state of one rank (its block
-  slice, decompressor map, scratch buffers, block-cache shard and
-  communicator endpoint), driven through the
-  :class:`~repro.core.procpool.ProcessPool` message loop.
+  slice, its :class:`~repro.core.kernel.BlockKernel` and its communicator
+  endpoint), driven through the :class:`~repro.core.procpool.ProcessPool`
+  message loop.
 * :class:`RankedExecutor` — the parent-side driver.  Per gate it distributes
   the :class:`~repro.distributed.exchange.GatePlan`'s tasks to their owning
   ranks as **one batched message per rank** (amortising IPC over the whole
@@ -32,29 +32,28 @@ Three classes cooperate:
 
 Results are bit-identical to the single-process simulator: every rank runs
 the exact same kernels and codecs on the exact same bytes, and the
-cross-rank half-pair update
-(:func:`repro.statevector.ops.apply_single_qubit_pairwise_half`) evaluates
-element-for-element the same expression as the single-process pairwise
-kernel.  Within one rank's batch, byte-identical non-exchange tasks are
-computed once and fanned out (the same Section 3.4 redundancy the wave
-dedupe of the thread/process tiers exploits); exchange tasks are never
-deduplicated — as over MPI, the communication happens regardless, and only
-the codec work is saved by the per-rank cache shard.
+cross-rank half-pair update (the *row* form of
+:meth:`repro.core.kernel.BlockKernel.run`) evaluates element-for-element
+the same expression as the single-process pairwise kernel.  Within one
+rank's batch, byte-identical non-exchange tasks are computed once and fanned
+out (the same Section 3.4 redundancy the wave dedupe of the thread/process
+tiers exploits); exchange tasks are never deduplicated — as over MPI, the
+communication happens regardless, and only the codec work is saved by the
+per-rank cache shard.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import Iterator
 
 import numpy as np
 
-from ..circuits import Gate
 from ..compression.interface import Compressor
 from ..core.blocks import CompressedBlock, ScratchPool
 from ..core.compressed_state import CompressedStateVector, initial_rank_blocks
 from ..core.cache import BlockCache
+from ..core.kernel import BlockKernel, BlockOp, TaskStats
 from ..core.procpool import (
     SLOTS_PER_WORKER,
     ProcessPool,
@@ -65,7 +64,6 @@ from ..core.procpool import (
 )
 from ..core.report import SimulationReport
 from ..errors import PoolProtocolError, ProcessCommTimeout
-from ..statevector import ops
 from .comm import CommunicationStats, SimulatedCommunicator, aggregate_rank_stats
 from .exchange import GatePlan
 from .partition import Partition
@@ -104,12 +102,13 @@ class RankWorker:
     """Warm per-process state of one simulated-MPI rank.
 
     Owns the rank's slice of the compressed state (``block index →``
-    :class:`~repro.core.blocks.CompressedBlock`), a decompressor map seeded
-    from the parent's, two scratch buffers, a warm-compressor map keyed by
-    ``describe()``, an optional :class:`~repro.core.cache.BlockCache` shard
-    and the rank's :class:`~repro.distributed.process_comm.ProcessCommunicator`
-    endpoint.  Constructed once per worker process by the pool; every
-    control message is served by :meth:`handle`.
+    :class:`~repro.core.blocks.CompressedBlock`), a
+    :class:`~repro.core.kernel.BlockKernel` (decompressor map seeded from
+    the parent's, two scratch buffers, warm compressors, an optional
+    :class:`~repro.core.cache.BlockCache` shard) and the rank's
+    :class:`~repro.distributed.process_comm.ProcessCommunicator` endpoint.
+    Constructed once per worker process by the pool; every control message
+    is served by :meth:`handle`.
 
     Parameters
     ----------
@@ -166,17 +165,12 @@ class RankWorker:
             pool_generation=pool_generation,
         )
         self._blocks: dict[int, CompressedBlock] = {}
-        self._scratch = ScratchPool(block_amplitudes, buffers=2)
-        self._decompressors = dict(decompressors)
-        self._compressors: dict[str, Compressor] = {}
-        self._masks: dict[tuple[int, ...], np.ndarray | None] = {}
-        self._cache = (
-            BlockCache(
-                lines=cache_lines,
-                miss_disable_threshold=cache_miss_disable_threshold,
-            )
+        self._kernel = BlockKernel(
+            dict(decompressors),
+            ScratchPool(block_amplitudes, buffers=2),
+            BlockCache(cache_lines, cache_miss_disable_threshold)
             if cache_enabled
-            else None
+            else None,
         )
         self._in_arena = None
         self._out_arena = None
@@ -191,26 +185,6 @@ class RankWorker:
         """Detach the communicator endpoint (called at worker shutdown)."""
 
         self._comm.close()
-
-    # -- warm lookups ----------------------------------------------------------------
-
-    def _compressor_for(self, compressor: Compressor) -> Compressor:
-        """Warm instance for *compressor*, registering its decoder by name."""
-
-        warm = self._compressors.get(compressor.describe())
-        if warm is None:
-            warm = self._compressors[compressor.describe()] = compressor
-            self._decompressors.setdefault(compressor.name, compressor)
-        return warm
-
-    def _mask_for(self, local_controls: tuple[int, ...]) -> np.ndarray | None:
-        """Cached local-control mask over block offsets (``None`` = none)."""
-
-        if local_controls not in self._masks:
-            self._masks[local_controls] = ops.local_control_mask(
-                self._partition.block_amplitudes, local_controls
-            )
-        return self._masks[local_controls]
 
     def _rank_bytes(self) -> int:
         """Compressed bytes currently held by this rank's slice."""
@@ -255,9 +229,9 @@ class RankWorker:
             partial = 0.0
             for block in range(self._partition.blocks_per_rank):
                 entry = self._blocks[block]
-                values = self._decompressors[entry.compressor].decompress(
-                    entry.blob
-                )
+                values = self._kernel.decompressors[
+                    entry.compressor
+                ].decompress(entry.blob)
                 partial += float(
                     np.sum(np.abs(values.view(np.complex128)) ** 2)
                 )
@@ -279,9 +253,7 @@ class RankWorker:
             return ("comm-stats-ok", ticket, self._comm_snapshot())
         if kind == "reset":
             ticket = message[-2]
-            if self._cache is not None:
-                self._cache.reset()
-            self._compressors.clear()
+            self._kernel.reset()
             self._comm.reset_stats()
             return ("reset-ok", ticket)
         if kind == "ping":
@@ -309,7 +281,7 @@ class RankWorker:
         single-process initialisation by construction.
         """
 
-        compressor = self._compressor_for(compressor)
+        compressor = self._kernel.compressor_for(compressor)
         self._blocks, _ = initial_rank_blocks(
             self._partition, compressor, basis_state, self._rank
         )
@@ -323,207 +295,47 @@ class RankWorker:
         ``("pair", block0, block1)`` for an intra-rank block pair, and
         ``("xchg", block, peer, row)`` for a cross-rank pair — the block is
         exchanged with *peer* through the communicator and only the *row*
-        half this rank owns is rewritten.
+        half this rank owns is rewritten.  The exchange always happens (as it
+        would over MPI); only the codec round trip can be skipped by a cache
+        hit on ``(my blob, peer blob)``.
         """
 
-        (
-            _,
-            matrix,
-            target,
-            local_controls,
-            compressor,
-            op_key,
-            tasks,
-            ticket,
-            _frames,
-        ) = message
-        compressor = self._compressor_for(compressor)
-        mask = self._mask_for(local_controls)
-        timings = {"decompression": 0.0, "computation": 0.0, "compression": 0.0}
-        counters = {
-            "tasks": 0,
-            "decompress_calls": 0,
-            "compress_calls": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-        }
+        _, op, tasks, ticket, _frames = message
+        kernel = self._kernel
+        op = op._replace(compressor=kernel.compressor_for(op.compressor))
+        stats = TaskStats()
         # Within one plan every block appears in exactly one task, so inputs
         # seen earlier in the batch cannot have been rewritten: reusing a
         # byte-identical task's outputs is safe across the whole batch.
-        seen: dict[tuple[bytes, bytes | None], tuple[bytes, bytes | None]] = {}
-        for task in tasks:
-            counters["tasks"] += 1
-            if task[0] == "one":
-                self._task_one(
-                    task[1], matrix, target, local_controls, compressor,
-                    op_key, seen, timings, counters,
+        seen: dict[tuple, tuple[bytes, bytes | None]] = {}
+        for kind, *blocks in tasks:
+            if kind == "xchg":
+                block, peer, row = blocks
+                entry = self._blocks[block]
+                peer_name, peer_blob = _unframe_blob(
+                    self._comm.sendrecv_bytes(
+                        peer, _frame_blob(entry.compressor, entry.blob)
+                    )
                 )
-            elif task[0] == "pair":
-                self._task_pair(
-                    task[1], task[2], matrix, mask, compressor, op_key,
-                    seen, timings, counters,
+                outs = kernel.run(
+                    op, stats, entry.blob, entry.compressor, peer_blob, peer_name, row
                 )
+                blocks = (block,)  # the peer rewrites its own half
             else:
-                self._task_exchange(
-                    task[1], task[2], task[3], matrix, mask, compressor,
-                    op_key, timings, counters,
+                inputs = ()
+                for block in blocks:
+                    entry = self._blocks[block]
+                    inputs += (entry.blob, entry.compressor)
+                outs = seen.get(inputs)
+                if outs is None:
+                    outs = seen[inputs] = kernel.run(op, stats, *inputs)
+                else:
+                    stats.tasks += 1
+            for block, out in zip(blocks, outs):
+                self._blocks[block] = CompressedBlock(
+                    blob=out, compressor=op.compressor.name, bound=op.compressor.bound
                 )
-        stats = {
-            **counters,
-            "timings": timings,
-            "comm": self._comm_snapshot(),
-        }
-        return ("gate-ok", ticket, self._rank_bytes(), stats)
-
-    def _cache_lookup(
-        self, op_key: tuple, blob1: bytes, blob2: bytes | None, counters: dict
-    ) -> tuple[bytes, bytes | None] | None:
-        """Shard lookup with the same self-disable accounting as every tier."""
-
-        if self._cache is None or not self._cache.enabled:
-            return None
-        cached = self._cache.lookup(op_key, blob1, blob2)
-        if cached is not None:
-            counters["cache_hits"] += 1
-        else:
-            counters["cache_misses"] += 1
-        return cached
-
-    def _task_one(
-        self, block, matrix, target, local_controls, compressor, op_key,
-        seen, timings, counters,
-    ) -> None:
-        entry = self._blocks[block]
-        key = (entry.blob, None)
-        if key in seen:
-            out1, _ = seen[key]
-        else:
-            cached = self._cache_lookup(op_key, entry.blob, None, counters)
-            if cached is not None:
-                out1 = cached[0]
-            else:
-                with self._scratch.lease(1) as (buffer,):
-                    start = time.perf_counter()
-                    buffer = self._scratch.fill(
-                        buffer,
-                        self._decompressors[entry.compressor].decompress(entry.blob),
-                    )
-                    timings["decompression"] += time.perf_counter() - start
-                    start = time.perf_counter()
-                    ops.apply_controlled_single_qubit(
-                        buffer, matrix, target, local_controls
-                    )
-                    timings["computation"] += time.perf_counter() - start
-                    start = time.perf_counter()
-                    out1 = compressor.compress(buffer.view(np.float64))
-                    timings["compression"] += time.perf_counter() - start
-                counters["decompress_calls"] += 1
-                counters["compress_calls"] += 1
-                if self._cache is not None:
-                    self._cache.insert(op_key, entry.blob, None, out1, None)
-            seen[key] = (out1, None)
-        self._blocks[block] = CompressedBlock(
-            blob=out1, compressor=compressor.name, bound=compressor.bound
-        )
-
-    def _task_pair(
-        self, block0, block1, matrix, mask, compressor, op_key,
-        seen, timings, counters,
-    ) -> None:
-        entry0 = self._blocks[block0]
-        entry1 = self._blocks[block1]
-        key = (entry0.blob, entry1.blob)
-        if key in seen:
-            out1, out2 = seen[key]
-        else:
-            cached = self._cache_lookup(op_key, entry0.blob, entry1.blob, counters)
-            if cached is not None:
-                out1, out2 = cached
-            else:
-                with self._scratch.lease(2) as buffers:
-                    start = time.perf_counter()
-                    buffer0 = self._scratch.fill(
-                        buffers[0],
-                        self._decompressors[entry0.compressor].decompress(
-                            entry0.blob
-                        ),
-                    )
-                    buffer1 = self._scratch.fill(
-                        buffers[1],
-                        self._decompressors[entry1.compressor].decompress(
-                            entry1.blob
-                        ),
-                    )
-                    timings["decompression"] += time.perf_counter() - start
-                    start = time.perf_counter()
-                    ops.apply_single_qubit_pairwise_masked(
-                        buffer0, buffer1, matrix, mask
-                    )
-                    timings["computation"] += time.perf_counter() - start
-                    start = time.perf_counter()
-                    out1 = compressor.compress(buffer0.view(np.float64))
-                    out2 = compressor.compress(buffer1.view(np.float64))
-                    timings["compression"] += time.perf_counter() - start
-                counters["decompress_calls"] += 2
-                counters["compress_calls"] += 2
-                if self._cache is not None:
-                    self._cache.insert(op_key, entry0.blob, entry1.blob, out1, out2)
-            seen[key] = (out1, out2)
-        self._blocks[block0] = CompressedBlock(
-            blob=out1, compressor=compressor.name, bound=compressor.bound
-        )
-        self._blocks[block1] = CompressedBlock(
-            blob=out2, compressor=compressor.name, bound=compressor.bound
-        )
-
-    def _task_exchange(
-        self, block, peer, row, matrix, mask, compressor, op_key,
-        timings, counters,
-    ) -> None:
-        """Cross-rank pair: ship my blob to *peer*, receive theirs, update
-        the half I own.
-
-        The exchange always happens (as it would over MPI); only the codec
-        round trip can be skipped by a cache hit on ``(my blob, peer blob)``.
-        The cache key carries *row* so the two halves of one pair never
-        alias each other's entries.
-        """
-
-        entry = self._blocks[block]
-        payload = self._comm.sendrecv_bytes(
-            peer, _frame_blob(entry.compressor, entry.blob)
-        )
-        peer_name, peer_blob = _unframe_blob(payload)
-        half_key = op_key + ("xchg", row)
-        cached = self._cache_lookup(half_key, entry.blob, peer_blob, counters)
-        if cached is not None:
-            out1 = cached[0]
-        else:
-            with self._scratch.lease(2) as buffers:
-                start = time.perf_counter()
-                mine = self._scratch.fill(
-                    buffers[0],
-                    self._decompressors[entry.compressor].decompress(entry.blob),
-                )
-                theirs = self._scratch.fill(
-                    buffers[1],
-                    self._decompressors[peer_name].decompress(peer_blob),
-                )
-                timings["decompression"] += time.perf_counter() - start
-                start = time.perf_counter()
-                low, high = (mine, theirs) if row == 0 else (theirs, mine)
-                ops.apply_single_qubit_pairwise_half(low, high, matrix, row, mask)
-                timings["computation"] += time.perf_counter() - start
-                start = time.perf_counter()
-                out1 = compressor.compress(mine.view(np.float64))
-                timings["compression"] += time.perf_counter() - start
-            counters["decompress_calls"] += 2
-            counters["compress_calls"] += 1
-            if self._cache is not None:
-                self._cache.insert(half_key, entry.blob, peer_blob, out1, None)
-        self._blocks[block] = CompressedBlock(
-            blob=out1, compressor=compressor.name, bound=compressor.bound
-        )
+        return ("gate-ok", ticket, self._rank_bytes(), stats, self._comm_snapshot())
 
 
 class RankedExecutor:
@@ -698,19 +510,8 @@ class RankedExecutor:
 
     # -- plan execution ---------------------------------------------------------------
 
-    def run_plan(
-        self,
-        gate: Gate,
-        plan: GatePlan,
-        compressor: Compressor,
-        op_key: tuple,
-        local_control_mask: np.ndarray | None,
-    ) -> None:
-        """Distribute one (possibly fused) gate plan across the ranks.
-
-        The *local_control_mask* parameter of the executor surface is
-        unused — each rank derives (and caches) its own mask worker-side.
-        """
+    def run_plan(self, op: BlockOp, plan: GatePlan) -> None:
+        """Distribute one (possibly fused) gate plan across the ranks."""
 
         pool = self._require_pool()
         per_rank: dict[int, list[tuple]] = {}
@@ -733,46 +534,18 @@ class RankedExecutor:
         if not per_rank:
             return
         for rank, tasks in per_rank.items():
-            pool.submit(
-                rank,
-                (
-                    "gate",
-                    gate.matrix,
-                    gate.target,
-                    tuple(plan.local_controls),
-                    compressor,
-                    op_key,
-                    tuple(tasks),
-                ),
-            )
+            pool.submit(rank, ("gate", op, tuple(tasks)))
         comm_deltas = []
         for worker_id, reply in self._collect(pool, len(per_rank), "gate batch"):
-            _, _ticket, rank_bytes, stats = reply
+            _, _ticket, rank_bytes, stats, comm = reply
             self._rank_bytes[worker_id] = rank_bytes
-            comm_deltas.append(self._fold_gate_stats(worker_id, stats))
-        if comm_deltas:
-            self._report.add_time("communication", max(comm_deltas))
+            stats.fold_into(self._report, self._cache)
+            # The rank's exchange-seconds delta, for critical-path comm time.
+            previous = self._rank_comm[worker_id]["seconds"]["exchange"]
+            comm_deltas.append(comm["seconds"]["exchange"] - previous)
+            self._rank_comm[worker_id] = comm
+        self._report.add_time("communication", max(comm_deltas))
         self._publish_comm()
-
-    def _fold_gate_stats(self, rank: int, stats: dict) -> float:
-        """Fold one rank's gate reply into the report; returns the rank's
-        exchange-seconds delta for critical-path communication time."""
-
-        self._report.add_count("tasks_executed", stats["tasks"])
-        if stats["decompress_calls"]:
-            self._report.add_count("decompress_calls", stats["decompress_calls"])
-        if stats["compress_calls"]:
-            self._report.add_count("compress_calls", stats["compress_calls"])
-        for bucket, seconds in stats["timings"].items():
-            self._report.add_time(bucket, seconds)
-        if self._cache is not None:
-            for _ in range(stats["cache_hits"]):
-                self._cache.record_shard_lookup(True)
-            for _ in range(stats["cache_misses"]):
-                self._cache.record_shard_lookup(False)
-        previous = self._rank_comm[rank]["seconds"]["exchange"]
-        self._rank_comm[rank] = stats["comm"]
-        return stats["comm"]["seconds"]["exchange"] - previous
 
     def _publish_comm(self) -> None:
         """Refresh the parent sink and report view of the per-rank counters."""

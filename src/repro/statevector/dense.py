@@ -9,7 +9,6 @@ NumPy array and applies gates with the vectorised pair-update kernels in
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,22 +111,6 @@ class DenseSimulator:
 
         for gate in circuit:
             self.apply_gate(gate)
-
-    def run(self, circuit: QuantumCircuit | Iterable[Gate]) -> None:
-        """Deprecated alias of :meth:`apply_circuit`.
-
-        .. deprecated:: 1.1
-            Use :meth:`apply_circuit`, or the unified entry points
-            :func:`repro.run` / :meth:`repro.backends.Backend.run`.
-        """
-
-        warnings.warn(
-            "DenseSimulator.run() is deprecated; use apply_circuit() or "
-            "the unified repro.run() / Backend.run() API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.apply_circuit(circuit)
 
     # -- measurement and analysis -------------------------------------------------
 

@@ -102,6 +102,8 @@ DEFAULT_OPTIONS: dict[str, dict] = {
             "CorruptFrame",
             "DropComm",
             "DelayComm",
+            # Crosses the worker -> parent pipe on every block task.
+            "TaskStats",
         ),
     },
 }

@@ -16,7 +16,6 @@ from repro import (
     Backend,
     BackendError,
     CompressedSimulator,
-    DenseSimulator,
     PauliObservable,
     QuantumCircuit,
     Result,
@@ -295,20 +294,6 @@ class TestResultSerialisation:
         ]
         with pytest.raises(KeyError):
             results[0].expectation("missing")
-
-
-class TestDeprecationShims:
-    def test_compressed_run_alias_warns_and_works(self, simulator_config):
-        simulator = CompressedSimulator(4, simulator_config(block_amplitudes=4))
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            report = simulator.run(ghz_circuit(4))
-        assert report.gates_executed == 4
-
-    def test_dense_run_alias_warns_and_works(self):
-        simulator = DenseSimulator(4)
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            simulator.run(ghz_circuit(4))
-        assert simulator.gate_count == 4
 
 
 class TestFidelityTrackingConfig:

@@ -1,0 +1,309 @@
+"""The block-task kernel: one round trip, every tier's only ``ops.apply_*`` caller.
+
+Pinned here:
+
+* **Bytes and counters** — one-block, block-pair and cross-rank half-pair
+  tasks, with no cache, a live cache and a self-disabled cache, give blobs
+  byte-equal to a hand-written decompress → ops → compress reference and
+  the exact :class:`TaskStats`.
+* **Half-pair keys** — the two halves of one pair never alias in the cache.
+* **Partial plans** — a corrupt blob mid-plan leaves the finished tasks
+  committed and counted.
+* **Structure** — nothing else under ``core/`` or ``distributed/`` applies a
+  gate kernel, and ``core/procpool.py`` stays transport only.
+"""
+
+from __future__ import annotations
+
+import ast
+import pickle
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.circuits import Gate, ghz_circuit
+from repro.compression import CompressorError, get_compressor
+from repro.core import (
+    BlockCache,
+    CompressedBlock,
+    CompressedSimulator,
+    ScratchPool,
+    SimulationReport,
+)
+from repro.core.kernel import BlockKernel, BlockOp, TaskStats
+from repro.statevector import ops
+
+BLOCK = 16
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+# A unitary whose rows differ even on equal inputs (0.6 - 0.8j vs 0.8 + 0.6j).
+MATRIX = np.array([[0.6, -0.8j], [0.8, 0.6j]], dtype=np.complex128)
+CONTROLS = (1,)
+
+
+class CountingCodec:
+    """Delegating compressor that counts its codec calls."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.bound = inner.bound
+        self.compress_calls = 0
+        self.decompress_calls = 0
+
+    def describe(self) -> str:
+        return self.inner.describe()
+
+    def compress(self, data):
+        self.compress_calls += 1
+        return self.inner.compress(data)
+
+    def decompress(self, blob):
+        self.decompress_calls += 1
+        return self.inner.decompress(blob)
+
+
+class CountingScratch(ScratchPool):
+    """Scratch pool that counts leases."""
+
+    leases = 0
+
+    def lease(self, count: int = 1):
+        self.leases += 1
+        return super().lease(count)
+
+
+def _disabled_cache() -> BlockCache:
+    cache = BlockCache(lines=4, miss_disable_threshold=1)
+    assert cache.lookup(("warm-up",), b"x", None) is None
+    assert not cache.enabled
+    return cache
+
+
+CACHES = {
+    "none": lambda: None,
+    "enabled": lambda: BlockCache(lines=4, miss_disable_threshold=None),
+    "disabled": _disabled_cache,
+}
+
+#: shape -> (number of input blobs, row, decompress calls, compress calls)
+SHAPES = {
+    "one": (1, None, 1, 1),
+    "pair": (2, None, 2, 2),
+    "half-row0": (2, 0, 2, 1),
+    "half-row1": (2, 1, 2, 1),
+}
+
+
+@pytest.fixture
+def blocks(rng):
+    return [
+        rng.normal(size=BLOCK) + 1j * rng.normal(size=BLOCK) for _ in range(2)
+    ]
+
+
+def _setup(cache):
+    """(kernel, op, stored-codec, output-codec, scratch) around *cache*."""
+
+    stored = CountingCodec(get_compressor("lossless"))
+    output = CountingCodec(get_compressor("xor-bitplane", bound=1e-3))
+    scratch = CountingScratch(BLOCK, buffers=2)
+    kernel = BlockKernel({stored.name: stored, output.name: output}, scratch, cache)
+    op = BlockOp(MATRIX, 2, CONTROLS, output, ("u", (2,), CONTROLS, "xor@1e-3"))
+    return kernel, op, stored, output, scratch
+
+
+def _reference(shape, blocks, stored, output):
+    """Hand-written decompress -> ops -> compress for one task shape."""
+
+    count, row, _, _ = SHAPES[shape]
+    buffers = [
+        stored.decompress(stored.compress(block.view(np.float64)))
+        .view(np.complex128)
+        .copy()
+        for block in blocks[:count]
+    ]
+    mask = ops.local_control_mask(BLOCK, CONTROLS)
+    if count == 1:
+        ops.apply_controlled_single_qubit(buffers[0], MATRIX, 2, CONTROLS)
+    elif row is None:
+        ops.apply_single_qubit_pairwise_masked(buffers[0], buffers[1], MATRIX, mask)
+    else:
+        low, high = buffers if row == 0 else buffers[::-1]
+        ops.apply_single_qubit_pairwise_half(low, high, MATRIX, row, mask)
+    outs = [output.compress(buffer.view(np.float64)) for buffer in buffers]
+    if count == 1 or row is not None:
+        return outs[0], None
+    return outs[0], outs[1]
+
+
+@pytest.mark.parametrize("cache_kind", list(CACHES))
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_round_trip_matches_reference(shape, cache_kind, blocks):
+    count, row, decompressions, compressions = SHAPES[shape]
+    reference_codecs = _setup(None)[2:4]
+    expected = _reference(shape, blocks, *reference_codecs)
+
+    cache = CACHES[cache_kind]()
+    kernel, op, stored, output, scratch = _setup(cache)
+    inputs = []
+    for block in blocks[:count]:
+        inputs += [stored.inner.compress(block.view(np.float64)), stored.name]
+    # ("is not None": an empty BlockCache is falsy through __len__.)
+    counted_before = (
+        (cache.stats.hits, cache.stats.misses) if cache is not None else None
+    )
+
+    stats = TaskStats()
+    assert kernel.run(op, stats, *inputs, row=row) == expected
+    counted = cache_kind == "enabled"
+    assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (
+        1,
+        decompressions,
+        compressions,
+    )
+    assert (stats.cache_hits, stats.cache_misses) == (0, 1 if counted else 0)
+    assert stats.decompression > 0 and stats.computation > 0 and stats.compression > 0
+    assert (stored.decompress_calls, output.compress_calls) == (
+        decompressions,
+        compressions,
+    )
+    assert scratch.leases == 1
+
+    # The same task again: a live cache answers it without touching a codec
+    # or the scratch pool; without one (or once self-disabled) it recomputes.
+    assert kernel.run(op, stats, *inputs, row=row) == expected
+    repeats = 1 if counted else 2
+    assert stats.tasks == 2
+    assert (stats.decompress_calls, stats.compress_calls) == (
+        repeats * decompressions,
+        repeats * compressions,
+    )
+    assert (stats.cache_hits, stats.cache_misses) == (
+        (1, 1) if counted else (0, 0)
+    )
+    assert (stored.decompress_calls, output.compress_calls) == (
+        repeats * decompressions,
+        repeats * compressions,
+    )
+    assert scratch.leases == repeats
+    if cache_kind == "disabled":
+        # A self-disabled shard counts neither hit nor miss.
+        assert (cache.stats.hits, cache.stats.misses) == counted_before
+
+
+def test_half_pair_rows_never_alias(blocks):
+    # Byte-identical halves (a uniform state) are the case where only the
+    # row in the key tells the two halves' cache lines apart.
+    kernel, op, stored, _output, _scratch = _setup(CACHES["enabled"]())
+    blob = stored.inner.compress(blocks[0].view(np.float64))
+    stats = TaskStats()
+    out_row0, _ = kernel.run(op, stats, blob, stored.name, blob, stored.name, 0)
+    out_row1, _ = kernel.run(op, stats, blob, stored.name, blob, stored.name, 1)
+    pair0, pair1 = kernel.run(op, stats, blob, stored.name, blob, stored.name)
+    assert (stats.cache_hits, stats.cache_misses) == (0, 3)
+    assert out_row0 != out_row1
+    # Each half is the matching side of the whole-pair update.
+    assert (out_row0, out_row1) == (pair0, pair1)
+    assert kernel.run(op, stats, blob, stored.name, blob, stored.name, 1) == (
+        out_row1,
+        None,
+    )
+    assert stats.cache_hits == 1
+
+
+def test_task_stats_pickle_flat_and_fold():
+    stats = TaskStats(3, 4, 2, 1, 2, 0.25, 0.5, 0.125)
+    constructor, args = stats.__reduce__()
+    assert constructor is TaskStats and args == (3, 4, 2, 1, 2, 0.25, 0.5, 0.125)
+    assert pickle.loads(pickle.dumps(stats)) == stats
+
+    report = SimulationReport()
+    sink = BlockCache()
+    stats.fold_into(report)
+    assert (sink.stats.hits, sink.stats.misses) == (0, 0)
+    stats.fold_into(report, sink)
+    assert (report.tasks_executed, report.decompress_calls, report.compress_calls) == (
+        6,
+        8,
+        4,
+    )
+    assert (
+        report.decompression_seconds,
+        report.computation_seconds,
+        report.compression_seconds,
+    ) == (0.5, 1.0, 0.25)
+    assert (sink.stats.hits, sink.stats.misses) == (1, 2)
+
+
+def test_failure_mid_plan_keeps_finished_tasks(simulator_config):
+    # 6 qubits over 2 ranks x 4 blocks: a local-qubit gate plans 8 tasks in
+    # rank-major order; the fifth one's blob is corrupt.
+    config = simulator_config(block_amplitudes=8, use_block_cache=False)
+    gate = Gate("u", MATRIX, targets=(0,))
+    with CompressedSimulator(6, config) as clean, CompressedSimulator(
+        6, config
+    ) as simulator:
+        for sim in (clean, simulator):
+            sim.apply_circuit(ghz_circuit(6))
+        clean.apply_gate(gate)
+
+        before = {key: entry.blob for key, entry in simulator.state.iter_blocks()}
+        entry = simulator.state.get_block(1, 0)
+        simulator.state.store.put(
+            1,
+            0,
+            CompressedBlock(
+                blob=entry.blob[:-1], compressor=entry.compressor, bound=entry.bound
+            ),
+        )
+        counts = simulator.report().as_dict()
+        with pytest.raises(CompressorError):
+            simulator.apply_gate(gate)
+
+        after = simulator.report().as_dict()
+        assert after["compress_calls"] - counts["compress_calls"] == 4
+        assert after["decompress_calls"] - counts["decompress_calls"] == 4
+        # The failing task counts as started, as it always has.
+        assert after["tasks_executed"] - counts["tasks_executed"] == 5
+        assert after["gates_executed"] == counts["gates_executed"]
+        for block in range(4):
+            assert (
+                simulator.state.get_block(0, block).blob
+                == clean.state.get_block(0, block).blob
+            )
+        for block in range(1, 4):
+            assert simulator.state.get_block(1, block).blob == before[(1, block)]
+
+
+class TestStructure:
+    def test_only_the_kernel_applies_gate_kernels(self):
+        callers = {
+            path.relative_to(SRC).as_posix()
+            for package in ("core", "distributed")
+            for path in (SRC / package).rglob("*.py")
+            if re.search(r"\bops\.apply_", path.read_text())
+        }
+        assert callers == {"core/kernel.py"}
+
+    def test_procpool_is_transport_only(self):
+        tree = ast.parse((SRC / "core" / "procpool.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+        forbidden = {
+            "numpy",
+            "compression",
+            "statevector",
+            "blocks",
+            "cache",
+            "ScratchPool",
+            "BlockCache",
+        }
+        assert not imported & forbidden
