@@ -1,13 +1,17 @@
 """Gate fusion + parallel block-task execution speedup.
 
 The paper's time breakdown (Table 2) shows the per-gate decompress → apply →
-recompress round trip dominating the runtime.  This bench quantifies the two
+recompress round trip dominating the runtime.  This bench quantifies the
 attacks this repo mounts on that bottleneck:
 
 * **Fusion** — consecutive same-target/same-control gates multiply into one
   2x2 unitary, so a whole run costs one round trip per block.  Measured as
   the reduction in compressor invocations on a QFT-style workload whose
   per-qubit rotation chains are exactly the fusible pattern.
+* **Local runs** — consecutive in-block gates under the same block/rank
+  controls share one round trip per block, their 2x2 steps applied in order.
+  Counted with ``plan_gate`` as blob round trips (buffers staged) before and
+  after run formation, for the Table-2 circuits at two block sizes.
 * **Parallel tasks** — the disjoint-block tasks of a gate plan run on a
   thread pool (``SimulatorConfig.num_workers``); zlib and the NumPy kernels
   release the GIL on block-sized payloads.
@@ -24,8 +28,21 @@ import time
 import numpy as np
 
 from repro.analysis import format_table
-from repro.circuits import QuantumCircuit, fuse_circuit
+from repro.applications import (
+    grover_circuit,
+    qaoa_maxcut_circuit,
+    random_regular_graph,
+    random_supremacy_circuit,
+)
+from repro.circuits import (
+    QuantumCircuit,
+    form_local_runs,
+    fuse_circuit,
+    fuse_gate_sequence,
+    qft_circuit,
+)
 from repro.core import CompressedSimulator, SimulatorConfig
+from repro.distributed import Partition, plan_gate
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -33,6 +50,8 @@ NUM_QUBITS = 10 if QUICK else 14
 BLOCK_AMPLITUDES = 64 if QUICK else 1024
 LAYERS = 2 if QUICK else 3
 NUM_RANKS = 2
+#: The two block sizes of the round-trip table: the bench's own and 4x it.
+RUN_TABLE_BLOCKS = (BLOCK_AMPLITUDES, 4 * BLOCK_AMPLITUDES)
 
 
 def chain_qft_circuit(num_qubits: int, layers: int) -> QuantumCircuit:
@@ -103,7 +122,8 @@ def test_fusion_roundtrip_reduction(emit):
     ]
     emit(
         f"Fusion round-trip reduction ({NUM_QUBITS} qubits, "
-        f"{len(circuit)} gates -> {len(fused)} fused)",
+        f"{len(circuit)} gates -> {len(fused)} fused -> "
+        f"{with_fusion['gates']} after run formation)",
         format_table(rows)
         + f"\ncompressor-invocation reduction: {reduction:.2f}x "
         f"(gate reduction {stats.round_trip_reduction:.2f}x)",
@@ -112,6 +132,57 @@ def test_fusion_roundtrip_reduction(emit):
     # Both executions must produce the same state (lossless compression).
     assert np.allclose(baseline["state"], with_fusion["state"], atol=1e-10)
     assert reduction >= 2.0
+
+
+def table2_circuits(num_qubits: int) -> dict[str, QuantumCircuit]:
+    """The paper's Table-2 workloads at *num_qubits* (even)."""
+
+    graph = random_regular_graph(num_qubits, 4, seed=num_qubits)
+    return {
+        "qft": qft_circuit(num_qubits),
+        "qaoa": qaoa_maxcut_circuit(graph, [0.6, 0.35], [0.45, 0.25]),
+        "random": random_supremacy_circuit(2, num_qubits // 2, depth=16, seed=11),
+        "grover": grover_circuit(num_qubits, marked=5, iterations=2),
+    }
+
+
+def test_local_run_roundtrip_reduction(emit):
+    """Run formation must cut QFT's blob round trips >= 2x at the larger block.
+
+    The saving grows with the share of qubits that sit inside a block (6 and
+    8 of 10 in quick mode, 10 and 12 of 14 at full size), so the floor is
+    asserted where at most two qubits select the block and rank.
+    """
+
+    rows = []
+    for name, circuit in table2_circuits(NUM_QUBITS).items():
+        fused, _ = fuse_gate_sequence(circuit.gates)
+        for block in RUN_TABLE_BLOCKS:
+            partition = Partition(NUM_QUBITS, NUM_RANKS, block)
+            schedule = form_local_runs(fused, partition.offset_bits)
+            before, after = (
+                sum(plan_gate(partition, element).touched_buffers for element in elements)
+                for elements in (fused, schedule)
+            )
+            rows.append(
+                {
+                    "circuit": name,
+                    "block": block,
+                    "gates": len(fused),
+                    "elements": len(schedule),
+                    "round_trips_before": before,
+                    "round_trips_after": after,
+                    "reduction": f"{before / after:.2f}x",
+                }
+            )
+            assert after < before
+            if name == "qft" and block == max(RUN_TABLE_BLOCKS):
+                assert before >= 2 * after
+    emit(
+        f"Blob round trips before/after run formation ({NUM_QUBITS} qubits, "
+        f"{NUM_RANKS} ranks)",
+        format_table(rows),
+    )
 
 
 def test_fusion_parallel_beats_sequential_seed_path(emit):

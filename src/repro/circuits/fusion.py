@@ -16,6 +16,14 @@ ordinary :class:`~repro.circuits.gates.Gate`, so the planner
 (:func:`repro.distributed.exchange.plan_gate`), the executor and the block
 cache consume it unchanged — and because :meth:`Gate.key` hashes the matrix
 bytes, a fused group can never alias its constituent gates in the cache.
+
+A second, coarser grouping rides on top (:func:`form_local_runs`): consecutive
+gates whose targets all lie *inside* a block, under the same block/rank
+controls, touch the same set of blocks and never need a partner block, so a
+block can be decompressed once, take every gate of the stretch in order, and
+be recompressed once.  A :class:`LocalRun` keeps its constituents as separate
+2x2 steps — nothing is multiplied — so under lossless compression it performs
+exactly the floating-point operations of the gate-by-gate schedule.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ __all__ = [
     "fuse_run",
     "fuse_gate_sequence",
     "fuse_circuit",
+    "LocalRun",
+    "local_run",
+    "constituents",
+    "form_local_runs",
 ]
 
 
@@ -180,3 +192,89 @@ def fuse_circuit(
     fused = QuantumCircuit(circuit.num_qubits, name=f"{circuit.name}_fused")
     fused.extend(gates)
     return fused, stats
+
+
+@dataclass(frozen=True, eq=False)
+class LocalRun:
+    """Two or more consecutive in-block gates sharing one block round trip.
+
+    Every constituent's target lies in the block-offset (``LOCAL``) segment
+    and all share one set of block/rank controls, hence one touched-block
+    set; :func:`repro.distributed.exchange.plan_gate` checks both against the
+    partition it plans for.  The simulator treats a run like a fused group —
+    one executed gate, one recompression — but applies the constituents one
+    after another instead of as one matrix.
+    """
+
+    gates: tuple[Gate, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.gates) < 2:
+            raise GateError("a local run has at least two gates; use local_run()")
+
+    @property
+    def name(self) -> str:
+        """Mnemonic for messages and statistics."""
+
+        return "run(" + "+".join(gate.name for gate in self.gates) + ")"
+
+    def max_qubit(self) -> int:
+        """Largest qubit index any constituent references."""
+
+        return max(gate.max_qubit() for gate in self.gates)
+
+    def key(self) -> tuple:
+        """Cache-key identity: the constituents' keys, in order.
+
+        Every element is a tuple where :meth:`Gate.key` starts with a string,
+        so a run never aliases a single gate's or a fused group's cache line.
+        """
+
+        return tuple(gate.key() for gate in self.gates)
+
+
+def local_run(gates: Sequence[Gate]) -> Gate | LocalRun:
+    """*gates* as one schedule element: a run of one is the gate itself."""
+
+    return gates[0] if len(gates) == 1 else LocalRun(tuple(gates))
+
+
+def constituents(element: Gate | LocalRun) -> tuple[Gate, ...]:
+    """The gates a schedule element applies, in order."""
+
+    return element.gates if isinstance(element, LocalRun) else (element,)
+
+
+def form_local_runs(
+    gates: Sequence[Gate], local_qubits: int, max_group: int | None = None
+) -> list[Gate | LocalRun]:
+    """Group maximal stretches of consecutive in-block gates into runs.
+
+    A gate joins the current run when its target is below *local_qubits*
+    (the partition's ``offset_bits``) and its controls at or above
+    *local_qubits* are the run's; anything else ends the run.  Gates are
+    never reordered, and a stretch of one stays the plain :class:`Gate`.
+    *max_group* caps the constituents per run like it caps a fused group.
+    """
+
+    elements: list[Gate | LocalRun] = []
+    run: list[Gate] = []
+    run_outer: frozenset[int] = frozenset()
+
+    def flush() -> None:
+        if run:
+            elements.append(local_run(run))
+            run.clear()
+
+    for gate in gates:
+        if gate.target >= local_qubits:
+            flush()
+            elements.append(gate)
+            continue
+        outer = frozenset(c for c in gate.controls if c >= local_qubits)
+        if outer != run_outer or (max_group is not None and len(run) >= max_group):
+            flush()
+        run_outer = outer
+        run.append(gate)
+    flush()
+    return elements

@@ -70,13 +70,18 @@ class SimulatorConfig:
     fusion_enabled:
         Run the gate-fusion pass (:mod:`repro.circuits.fusion`) before
         execution: consecutive same-target/same-control gates collapse into
-        one 2x2 unitary, paying a single decompress/recompress round trip per
-        block for the whole run.  **On by default** — the pass is
+        one 2x2 unitary, and consecutive in-block gates under the same
+        block/rank controls group into a local run whose 2x2 steps are
+        applied in order — either way a single decompress/recompress round
+        trip per block for the whole group.  **On by default** — the pass is
         semantics-preserving by construction and strictly reduces compressor
         round trips; set ``fusion_enabled=False`` to opt out (the seed
-        behaviour, still exercised by the differential tests).
+        behaviour, still exercised by the differential tests).  While
+        ``memory_budget_bytes`` is set and the state is still lossless, a
+        local run is taken gate by gate so the budget is checked after each.
     fusion_max_group:
-        Optional cap on gates per fused group (``None`` = unlimited).
+        Optional cap on gates per fused group and on steps per local run
+        (``None`` = unlimited).
     num_workers:
         Workers for independent block tasks of a gate plan.  ``1`` (the
         default) keeps the seed's sequential execution; larger values run

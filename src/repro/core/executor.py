@@ -71,7 +71,7 @@ TaskGroup = tuple[tuple, list[BlockTask]]
 
 
 class TaskExecutor:
-    """Runs the block tasks of one (possibly fused) gate plan.
+    """Runs the block tasks of one plan (a gate's, or a local run's).
 
     Parameters
     ----------
@@ -172,7 +172,7 @@ class TaskExecutor:
     # -- plan execution ---------------------------------------------------------------
 
     def run_plan(self, op: BlockOp, plan: GatePlan) -> None:
-        """Execute every task of *plan*, applying *op*'s matrix."""
+        """Execute every task of *plan*, applying *op*'s steps."""
 
         self._account_exchanges(plan)
         if self._num_workers == 1 or len(plan.tasks) < 2:
@@ -286,7 +286,7 @@ class ProcessTaskExecutor(TaskExecutor):
     → recompress round trip happens in worker processes, so the codec path
     scales past the GIL.  Compressed blobs travel through per-worker
     shared-memory slots (:mod:`repro.core.procpool`); the control pipe only
-    carries the 2x2 matrix, control metadata and frame references.
+    carries the 2x2 matrices, control metadata and frame references.
 
     Tasks route to workers by block affinity (flat index of the task's first
     block modulo the pool width), so each worker's block-cache shard sees
@@ -507,7 +507,7 @@ class ProcessTaskExecutor(TaskExecutor):
                     self._run_inline(op, pending)
                     return
                 exc.wave_index = wave_index
-                exc.gate = op.op_key[0]
+                exc.gate = op.name
                 raise
 
     def _drain_survivors(

@@ -2,15 +2,16 @@
 
 The paper's execution model is one loop (Figure 2): consult the compressed
 block cache, decompress a block or block pair into scratch, apply the 2x2
-unitary, recompress at the current error bound.  :class:`BlockKernel` is that
-loop.  Every execution tier calls it — the sequential and thread paths of
-:class:`~repro.core.executor.TaskExecutor` in the parent process, the
-block-task workers of :class:`~repro.core.executor.ProcessTaskExecutor`, and
-the rank workers of :mod:`repro.distributed.ranked` — so the tiers differ
+unitary — or, for a run of consecutive in-block gates, each of its unitaries
+in order — and recompress at the current error bound.  :class:`BlockKernel`
+is that loop.  Every execution tier calls it — the sequential and thread
+paths of :class:`~repro.core.executor.TaskExecutor` in the parent process,
+the block-task workers of :class:`~repro.core.executor.ProcessTaskExecutor`,
+and the rank workers of :mod:`repro.distributed.ranked` — so the tiers differ
 only in how blobs reach the kernel and where its outputs are stored, and
 bit-identity across tiers holds by construction.
 
-A :class:`BlockOp` is all a block task needs to know about the gate; a
+A :class:`BlockOp` is all a block task needs to know about the gate or run; a
 :class:`TaskStats` collects what the round trips cost and is folded into the
 :class:`~repro.core.report.SimulationReport` by whichever transport ran them.
 """
@@ -33,18 +34,37 @@ __all__ = ["BlockOp", "TaskStats", "BlockKernel"]
 
 
 class BlockOp(NamedTuple):
-    """One (possibly fused) gate as the block tasks of its plan see it."""
+    """One schedule element — a (possibly fused) gate or a
+    :class:`~repro.circuits.fusion.LocalRun` — as the block tasks of its plan
+    see it.
 
-    #: The 2x2 unitary.
-    matrix: np.ndarray
-    #: Target qubit (only read when it lies inside the block).
-    target: int
-    #: Controls applied per amplitude inside the scratch buffers.
-    local_controls: tuple[int, ...]
+    The first three fields are parallel, one entry per step: step ``i``
+    applies ``matrices[i]`` to ``targets[i]`` under ``local_controls[i]``.
+    A gate is one step; only one-block tasks ever take more.  The fields are
+    flat (one array, two tuples of ints) because the op rides every
+    process-tier task message.
+    """
+
+    #: The 2x2 unitaries, stacked: shape ``(steps, 2, 2)``.
+    matrices: np.ndarray
+    #: Target qubit per step (only read when it lies inside the block).
+    targets: tuple[int, ...]
+    #: Per step, the controls applied per amplitude inside the scratch buffers.
+    local_controls: tuple[tuple[int, ...], ...]
     #: Compressor for the output blobs (the controller's current level).
     compressor: Compressor
-    #: Block-cache ``OP`` field: the gate's key plus ``compressor.describe()``.
+    #: Block-cache ``OP`` field: the gate's key — or the run's, one gate key
+    #: per step — plus ``compressor.describe()``.
     op_key: tuple
+
+    @property
+    def name(self) -> str:
+        """Gate mnemonic(s), read back from the key (error context)."""
+
+        head = self.op_key[0]
+        if isinstance(head, str):
+            return head
+        return "+".join(key[0] for key in self.op_key[:-1])
 
 
 @dataclass
@@ -167,13 +187,15 @@ class BlockKernel:
     ) -> tuple[bytes, bytes | None]:
         """One block task: returns the output blobs ``(out1, out2)``.
 
-        One blob is a local-qubit update of that block.  Two blobs are a
-        block pair (*blob1* holds the target-bit-0 amplitudes) and both are
-        rewritten — unless *row* is given: then this is one rank's half of a
-        cross-rank pair, *blob1* is the block this rank owns, *blob2* the
-        peer's, *row* says which side of the pair *blob1* is, and only
-        ``out1`` is produced (``out2`` is ``None``).  The cache key carries
-        *row* so the two halves of one pair never alias each other's entries.
+        One blob is a local-qubit update of that block: every step of *op*
+        is applied in order between one decompress and one compress.  Two
+        blobs (always a one-step *op*) are a block pair (*blob1* holds the
+        target-bit-0 amplitudes) and both are rewritten — unless *row* is
+        given: then this is one rank's half of a cross-rank pair, *blob1* is
+        the block this rank owns, *blob2* the peer's, *row* says which side
+        of the pair *blob1* is, and only ``out1`` is produced (``out2`` is
+        ``None``).  The cache key carries *row* so the two halves of one pair
+        never alias each other's entries.
 
         A cache hit makes no codec call and leases no scratch.
         """
@@ -202,17 +224,27 @@ class BlockKernel:
                 )
             decoded = perf_counter()
             if not pair:
-                ops.apply_controlled_single_qubit(
-                    buffer1, op.matrix, op.target, op.local_controls
-                )
+                for matrix, target, controls in zip(
+                    op.matrices, op.targets, op.local_controls
+                ):
+                    ops.apply_controlled_single_qubit(
+                        buffer1, matrix, target, controls
+                    )
             elif row is None:
                 ops.apply_single_qubit_pairwise_masked(
-                    buffer1, buffer2, op.matrix, self._mask_for(op.local_controls)
+                    buffer1,
+                    buffer2,
+                    op.matrices[0],
+                    self._mask_for(op.local_controls[0]),
                 )
             else:
                 low, high = (buffer1, buffer2) if row == 0 else (buffer2, buffer1)
                 ops.apply_single_qubit_pairwise_half(
-                    low, high, op.matrix, row, self._mask_for(op.local_controls)
+                    low,
+                    high,
+                    op.matrices[0],
+                    row,
+                    self._mask_for(op.local_controls[0]),
                 )
             applied = perf_counter()
             out1 = compress(buffer1.view(np.float64))

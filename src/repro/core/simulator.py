@@ -4,8 +4,10 @@
 state vector stays compressed.  Per gate (Figure 2):
 
 0. (optional) The fusion pass (:mod:`repro.circuits.fusion`) coalesces runs
-   of consecutive same-target/same-control gates so each run pays one block
-   round trip instead of one per gate (``SimulatorConfig.fusion_enabled``).
+   of consecutive same-target/same-control gates into one 2x2 unitary, then
+   groups consecutive in-block gates into local runs, so each group pays one
+   block round trip instead of one per gate
+   (``SimulatorConfig.fusion_enabled``).
 1. The gate plan (:func:`repro.distributed.exchange.plan_gate`) lists which
    (rank, block) buffers must be staged together, which depends on the target
    qubit's index segment and the control qubits.
@@ -14,9 +16,10 @@ state vector stays compressed.  Per gate (Figure 2):
    (``SimulatorConfig.num_workers``) since the tasks touch disjoint blocks.
    Each task is one :meth:`repro.core.kernel.BlockKernel.run`: the
    compressed block cache is consulted; on a miss the block (or block pair)
-   is decompressed into the scratch pool, the 2x2 unitary is applied with
-   the vectorised kernels of :mod:`repro.statevector.ops`, and the result is
-   recompressed with the compressor chosen by the adaptive error controller.
+   is decompressed into the scratch pool, the 2x2 unitary (each of a local
+   run's, in order) is applied with the vectorised kernels of
+   :mod:`repro.statevector.ops`, and the result is recompressed with the
+   compressor chosen by the adaptive error controller.
 3. Inter-rank tasks account their block exchange with the simulated
    communicator; every task updates the time-breakdown report.
 4. After the gate, the memory footprint (Eq. 8) is compared against the
@@ -37,7 +40,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
-from ..circuits.fusion import fuse_gate_sequence
+from ..circuits.fusion import (
+    LocalRun,
+    constituents,
+    form_local_runs,
+    fuse_gate_sequence,
+    local_run,
+)
 from ..compression.interface import Compressor, get_compressor
 from ..distributed.comm import SimulatedCommunicator
 from ..distributed.exchange import plan_gate
@@ -152,7 +161,7 @@ class CompressedSimulator:
         # applied since the last resilience checkpoint, the path of that
         # checkpoint, and a lazily created temp directory for it when the
         # policy does not pin one.
-        self._replay_log: list[Gate] = []
+        self._replay_log: list[Gate | LocalRun] = []
         self._resilience_ckpt: Path | None = None
         self._ckpt_tempdir: str | None = None
         self._ranked_generation = 0
@@ -418,36 +427,41 @@ class CompressedSimulator:
 
         With ``fusion_enabled`` the circuit first goes through the fusion
         pass, so consecutive same-target/same-control runs execute as single
-        fused gates (``report.fusion_gates_in/out`` record the reduction).
+        fused gates and consecutive in-block gates share one round trip
+        (``report.fusion_gates_in/out`` record the reduction).
         """
 
         for gate in self.prepare_gates(circuit):
             self.apply_gate(gate)
         return self.report()
 
-    def prepare_gates(self, circuit: QuantumCircuit | Iterable[Gate]) -> list[Gate]:
-        """The exact gate sequence :meth:`apply_circuit` would execute.
+    def prepare_gates(
+        self, circuit: QuantumCircuit | Iterable[Gate]
+    ) -> list[Gate | LocalRun]:
+        """The exact schedule :meth:`apply_circuit` would execute.
 
         Runs the configured fusion pass (recording its statistics in the
-        report) and returns the resulting gates as a list.  Stepping the
-        returned list through :meth:`apply_gate` one gate at a time is
-        bit-identical to a single :meth:`apply_circuit` call — this is the
-        entry point for drivers that need gate-granular control between
-        gates (progress events, cancellation checks, suspend points), such
-        as the :mod:`repro.serve` job executor.
+        report) and returns the resulting elements as a list: plain gates,
+        fused gates, and a :class:`~repro.circuits.fusion.LocalRun` for every
+        stretch of two or more consecutive in-block gates under this
+        simulator's partition.  Stepping the returned list through
+        :meth:`apply_gate` one element at a time is bit-identical to a single
+        :meth:`apply_circuit` call — this is the entry point for drivers that
+        need control between elements (progress events, cancellation checks,
+        suspend points), such as the :mod:`repro.serve` job executor.
         """
 
-        gates: Iterable[Gate] = circuit
+        gates = list(circuit)
         if self._config.fusion_enabled:
-            gates, stats = fuse_gate_sequence(
-                list(circuit), max_group=self._config.fusion_max_group
-            )
+            cap = self._config.fusion_max_group
+            fused, stats = fuse_gate_sequence(gates, max_group=cap)
+            gates = form_local_runs(fused, self._partition.offset_bits, cap)
             self._report.fusion_gates_in += stats.gates_in
-            self._report.fusion_gates_out += stats.gates_out
-        return list(gates)
+            self._report.fusion_gates_out += len(gates)
+        return gates
 
-    def apply_gate(self, gate: Gate) -> None:
-        """Apply a single gate to the compressed state.
+    def apply_gate(self, gate: Gate | LocalRun) -> None:
+        """Apply a single gate — or one local run — to the compressed state.
 
         On the ranked tier with an active :class:`~repro.resilience.FaultPolicy`
         (``max_retries > 0`` or a checkpoint interval), a rank-worker death or
@@ -467,17 +481,36 @@ class CompressedSimulator:
         else:
             self._apply_gate_once(gate)
 
-    def _apply_gate_once(self, gate: Gate) -> None:
-        """One attempt at a gate: plan, execute, then commit the per-gate
-        bookkeeping (counters, fidelity, escalation).  The bookkeeping only
-        runs after ``run_plan`` returns, so a failed attempt leaves the
-        parent-side counters untouched and replay stays exact."""
+    def _apply_gate_once(self, gate: Gate | LocalRun) -> None:
+        """One attempt at a schedule element.
+
+        While a memory budget is set and the controller is still lossless,
+        any single gate can add a large share of the budget, so the footprint
+        has to be checked after each one: a run then goes gate by gate until
+        the first escalation and finishes as one round trip from there.
+        """
+
+        if isinstance(gate, LocalRun) and self._config.memory_budget_bytes is not None:
+            steps = gate.gates
+            while len(steps) > 1 and self._controller.is_lossless:
+                self._run_element(steps[0])
+                steps = steps[1:]
+            gate = local_run(steps)
+        self._run_element(gate)
+
+    def _run_element(self, gate: Gate | LocalRun) -> None:
+        """Plan, execute, then commit the per-gate bookkeeping (counters,
+        fidelity, escalation) — once per element, however many steps it has.
+        The bookkeeping only runs after ``run_plan`` returns, so a failed
+        attempt leaves the parent-side counters untouched and replay stays
+        exact."""
 
         plan = plan_gate(self._partition, gate)
         compressor = self._controller.compressor()
+        steps = constituents(gate)
         op = BlockOp(
-            gate.matrix,
-            gate.target,
+            np.stack([step.matrix for step in steps]),
+            tuple(step.target for step in steps),
             plan.local_controls,
             compressor,
             gate.key() + (compressor.describe(),),
@@ -506,11 +539,12 @@ class CompressedSimulator:
             or self._policy.checkpoint_interval_waves > 0
         )
 
-    def _apply_gate_resilient(self, gate: Gate) -> None:
+    def _apply_gate_resilient(self, gate: Gate | LocalRun) -> None:
         """Apply one gate with the detect → contain → recover loop around it."""
 
         policy = self._policy
         attempt = 0
+        index_before = self._gate_index
         while True:
             try:
                 self._apply_gate_once(gate)
@@ -532,7 +566,7 @@ class CompressedSimulator:
                 if backoff > 0:
                     time.sleep(backoff)
         self._replay_log.append(gate)
-        self._maybe_resilience_checkpoint()
+        self._maybe_resilience_checkpoint(index_before)
 
     def _recover_ranked(self) -> int:
         """Tear down the rank pool, reload the last checkpoint, replay.
@@ -612,15 +646,19 @@ class CompressedSimulator:
             os.makedirs(directory, exist_ok=True)
         return Path(directory) / "resilience.ckpt"
 
-    def _maybe_resilience_checkpoint(self) -> None:
+    def _maybe_resilience_checkpoint(self, index_before: int) -> None:
         """Write an in-run checkpoint every ``checkpoint_interval_waves``
         gates (atomically: tmp file + ``os.replace``), clearing the replay
-        log — recovery then replays at most one interval's worth of gates."""
+        log — recovery then replays at most one interval's worth of gates.
+        Checkpoints fall between schedule elements only; one element can
+        advance the gate index past a multiple of the interval (a run taken
+        gate by gate under a budget), so the test is for a crossed multiple
+        since *index_before*."""
 
         interval = self._policy.checkpoint_interval_waves
         if interval <= 0 or not self._replay_log:
             return
-        if self._gate_index % interval != 0:
+        if self._gate_index // interval == index_before // interval:
             return
 
         from .checkpoint import save_checkpoint

@@ -17,7 +17,7 @@ from .comm import (
     SimulatedCommunicator,
     aggregate_rank_stats,
 )
-from .exchange import BlockTask, GatePlan, plan_fused_group, plan_gate
+from .exchange import BlockTask, GatePlan, plan_gate
 from .process_comm import ProcessCommTimeout, ProcessCommunicator, RankCommArena
 
 #: Names that live in :mod:`repro.distributed.ranked`, which imports from
@@ -50,5 +50,4 @@ __all__ = [
     "BlockTask",
     "GatePlan",
     "plan_gate",
-    "plan_fused_group",
 ]

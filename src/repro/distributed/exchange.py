@@ -15,13 +15,12 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..circuits import Gate
-from ..circuits.fusion import fuse_run
+from ..circuits.fusion import LocalRun, constituents
 from .partition import Partition, QubitSegment
 
-__all__ = ["BlockTask", "GatePlan", "plan_gate", "plan_fused_group"]
+__all__ = ["BlockTask", "GatePlan", "plan_gate"]
 
 
 @dataclass(frozen=True)
@@ -48,12 +47,14 @@ class BlockTask:
 
 @dataclass(frozen=True)
 class GatePlan:
-    """Everything the executor needs to run one gate over the block store."""
+    """Everything the executor needs to run one gate, or one
+    :class:`~repro.circuits.fusion.LocalRun`, over the block store."""
 
     segment: QubitSegment
     tasks: tuple[BlockTask, ...]
-    #: Controls that must be applied per-amplitude inside the scratch buffers.
-    local_controls: tuple[int, ...]
+    #: Per step (a single gate is a one-step plan), the controls that must be
+    #: applied per-amplitude inside the scratch buffers.
+    local_controls: tuple[tuple[int, ...], ...]
     #: Number of inter-rank block exchanges the plan implies.
     exchange_count: int
 
@@ -113,12 +114,17 @@ def _passes(index: int, required_bits: list[int]) -> bool:
     return all(index >> bit & 1 for bit in required_bits)
 
 
-def plan_gate(partition: Partition, gate: Gate) -> GatePlan:
+def plan_gate(partition: Partition, gate: Gate | LocalRun) -> GatePlan:
     """Build the :class:`GatePlan` for *gate* under *partition*.
 
     Control qubits in the block / rank segments prune whole blocks / ranks
     (Section 3.3's three control cases); local controls are left in the plan
     for the executor to apply as element masks.
+
+    A :class:`~repro.circuits.fusion.LocalRun` plans as its first gate — every
+    constituent must target the ``LOCAL`` segment under the same block/rank
+    controls, so all touch the same blocks — with one ``local_controls``
+    entry per constituent.
     """
 
     if gate.max_qubit() >= partition.num_qubits:
@@ -126,11 +132,27 @@ def plan_gate(partition: Partition, gate: Gate) -> GatePlan:
             f"gate {gate.name} touches qubit {gate.max_qubit()} outside the "
             f"{partition.num_qubits}-qubit partition"
         )
-    target = gate.target
+    first, *rest = constituents(gate)
+    target = first.target
     segment = partition.segment_of(target)
     local_controls, block_control_bits, rank_control_bits = _control_filters(
-        partition, gate.controls
+        partition, first.controls
     )
+    step_controls = [local_controls]
+    for step in rest:
+        local, block_bits, rank_bits = _control_filters(partition, step.controls)
+        if (
+            segment is not QubitSegment.LOCAL
+            or partition.segment_of(step.target) is not QubitSegment.LOCAL
+            or set(block_bits) != set(block_control_bits)
+            or set(rank_bits) != set(rank_control_bits)
+        ):
+            raise ValueError(
+                f"{gate.name} is not a local run under this partition: every "
+                "gate must target the block-offset segment under the same "
+                "block/rank controls"
+            )
+        step_controls.append(local)
 
     tasks: list[BlockTask] = []
     exchange_count = 0
@@ -174,22 +196,7 @@ def plan_gate(partition: Partition, gate: Gate) -> GatePlan:
     return GatePlan(
         segment=segment,
         tasks=tuple(tasks),
-        local_controls=local_controls,
+        local_controls=tuple(step_controls),
         exchange_count=exchange_count,
     )
 
-
-def plan_fused_group(
-    partition: Partition, gates: Sequence[Gate]
-) -> tuple[Gate, GatePlan]:
-    """Plan a run of fusible gates as a single unit of work.
-
-    The run is fused into one gate (:func:`repro.circuits.fusion.fuse_run`),
-    whose plan is then identical to any single gate's — every listed block
-    pays ONE decompress/recompress round trip for the whole group instead of
-    one per constituent gate.  Returns the fused gate together with its plan
-    so the executor can apply the fused matrix.
-    """
-
-    fused = fuse_run(gates)
-    return fused, plan_gate(partition, fused)

@@ -96,7 +96,8 @@ class TestRunSingle:
 
     def test_compressed_report_attached(self):
         result = repro.run(ghz_circuit(5), shots=0)
-        assert result.report["gates_executed"] == 5
+        assert result.report["fusion_gates_in"] == 5
+        assert result.report["gates_executed"] == result.report["fusion_gates_out"]
         assert result.counts is None
         assert result.statevector is None
         assert result.metadata["compression_ratio"] > 0
@@ -198,13 +199,13 @@ class TestBatchedRuns:
             fresh = CompressedSimulator(circuit.num_qubits, SimulatorConfig())
             fresh.apply_circuit(circuit)
             assert np.array_equal(result.statevector, fresh.statevector())
-            assert result.report["gates_executed"] == len(circuit)
+            assert result.report["gates_executed"] == fresh.report().gates_executed
 
     def test_batch_report_counters_are_per_circuit(self):
         circuits = [ghz_circuit(6), ghz_circuit(6), ghz_circuit(6)]
         results = repro.run(circuits, backend="compressed")
         executed = [result.report["gates_executed"] for result in results]
-        assert executed == [6, 6, 6]
+        assert executed[0] == executed[1] == executed[2] <= 6
         tasks = [result.report["tasks_executed"] for result in results]
         assert tasks[0] == tasks[1] == tasks[2]
 
@@ -306,8 +307,12 @@ class TestFidelityTrackingConfig:
         simulator = CompressedSimulator(6, config)
         report = simulator.apply_circuit(ghz_circuit(6))
         assert simulator.fidelity_tracker is not None
-        assert simulator.fidelity_tracker.num_gates == 6
-        assert report.fidelity_lower_bound == pytest.approx((1 - 1e-2) ** 6)
+        # One factor per executed schedule element (the GHZ chain's in-block
+        # gates share round trips, so fewer than its six gates).
+        assert simulator.fidelity_tracker.num_gates == report.gates_executed <= 6
+        assert report.fidelity_lower_bound == pytest.approx(
+            (1 - 1e-2) ** report.gates_executed
+        )
 
     def test_tracking_off_reports_none(self, simulator_config):
         config = simulator_config(

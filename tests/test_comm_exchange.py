@@ -105,7 +105,7 @@ class TestGatePlanner:
 
     def test_local_control_is_deferred_to_executor(self):
         plan = plan_gate(self.partition, standard_gate("x", 5, controls=(1,)))
-        assert plan.local_controls == (1,)
+        assert plan.local_controls == ((1,),)
         # No pruning happened: control is below the block boundary.
         assert len(plan.tasks) == self.partition.num_ranks * 2
 
@@ -129,7 +129,7 @@ class TestGatePlanner:
         # Controls: one local (qubit 2), one rank-level (qubit 7); target block-level.
         gate = standard_gate("x", 5, controls=(2, 7))
         plan = plan_gate(self.partition, gate)
-        assert plan.local_controls == (2,)
+        assert plan.local_controls == ((2,),)
         for task in plan.tasks:
             rank, _ = task.first
             assert rank & 0b10  # rank bit 1 (qubit 7) must be set

@@ -5,6 +5,12 @@ refactor: random circuits run through the compressed simulator with fusion
 on/off and ``num_workers`` 1/4 must agree with the dense reference —
 amplitude for amplitude under lossless compression, and within the tracked
 fidelity lower bound under every lossy compressor family.
+
+Local runs (consecutive in-block gates sharing one round trip) multiply
+nothing, so wherever the 2x2 fusion itself does not fire they are held to
+more: bit-equality with the dense simulator and with ``fusion_enabled=False``
+on every tier, and an escalation history equal to the gate-by-gate one while
+a memory budget is still being met losslessly.
 """
 
 from __future__ import annotations
@@ -13,8 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.applications import qaoa_maxcut_circuit, random_regular_graph
 from repro.circuits import (
+    LocalRun,
     QuantumCircuit,
+    form_local_runs,
     fuse_circuit,
     fuse_gate_sequence,
     fuse_run,
@@ -23,10 +32,11 @@ from repro.circuits import (
     qft_circuit,
     standard_gate,
 )
+from repro.circuits.fusion import constituents
 from repro.circuits.gates import GateError
 from repro.compression.interface import get_compressor
 from repro.core import BlockCache, CompressedSimulator
-from repro.distributed import Partition, plan_fused_group, plan_gate
+from repro.distributed import Partition, QubitSegment, plan_gate
 from repro.statevector import simulate_statevector
 
 NUM_QUBITS = 6
@@ -66,6 +76,43 @@ def fusion_heavy_circuits(draw) -> QuantumCircuit:
         else:
             circuit.ccx(qubits[0], qubits[1], qubits[2])
     return circuit
+
+
+@st.composite
+def run_heavy_circuits(draw) -> QuantumCircuit:
+    """Random circuits on which only run formation fires.
+
+    Consecutive gates never share a target, so the 2x2 fusion has nothing to
+    multiply and the fused schedule performs the unfused arithmetic; controls
+    fall anywhere, so under a small block some are local and some are not.
+    """
+
+    circuit = QuantumCircuit(NUM_QUBITS)
+    previous = None
+    for _ in range(draw(st.integers(min_value=2, max_value=16))):
+        qubits = draw(
+            st.permutations(range(NUM_QUBITS)).filter(lambda p: p[0] != previous)
+        )
+        previous = qubits[0]
+        kind = draw(st.integers(min_value=0, max_value=3))
+        if kind == 0:
+            circuit.add(draw(st.sampled_from(_single_gates)), qubits[0])
+        elif kind == 1:
+            circuit.rx(draw(st.floats(-3.14, 3.14, allow_nan=False)), qubits[0])
+        elif kind == 2:
+            circuit.cx(qubits[1], qubits[0])
+        else:
+            circuit.ccx(qubits[1], qubits[2], qubits[0])
+    return circuit
+
+
+#: Execution tiers of the differential tests (all on two ranks).
+TIERS = {
+    "sequential": {},
+    "thread": dict(num_workers=2),
+    "process": dict(num_workers=2, executor="process"),
+    "ranked": dict(comm="process"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +182,98 @@ class TestFusionPass:
 
 
 # ---------------------------------------------------------------------------
-# Planning: fused groups and task independence
+# Run formation
+# ---------------------------------------------------------------------------
+
+
+def _outer_controls(gate, local_qubits: int) -> frozenset:
+    return frozenset(c for c in gate.controls if c >= local_qubits)
+
+
+class TestRunFormation:
+    @given(
+        circuit=run_heavy_circuits(),
+        local_qubits=st.integers(min_value=0, max_value=NUM_QUBITS),
+        max_group=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_runs_are_ordered_valid_and_maximal(self, circuit, local_qubits, max_group):
+        gates = circuit.gates
+        elements = form_local_runs(gates, local_qubits, max_group)
+        # Never reordered, never dropped: the same gate objects, in order.
+        flat = [gate for element in elements for gate in constituents(element)]
+        assert len(flat) == len(gates)
+        assert all(a is b for a, b in zip(flat, gates))
+
+        def local(element) -> bool:
+            return all(g.target < local_qubits for g in constituents(element))
+
+        for element in elements:
+            steps = constituents(element)
+            if isinstance(element, LocalRun):
+                # Only in-block targets under one block/rank control set.
+                assert len(steps) >= 2 and local(element)
+                assert len({_outer_controls(g, local_qubits) for g in steps}) == 1
+                assert max_group is None or len(steps) <= max_group
+        # Maximal: neighbours stay apart only for a reason.
+        for left, right in zip(elements, elements[1:]):
+            if local(left) and local(right):
+                assert _outer_controls(
+                    constituents(left)[-1], local_qubits
+                ) != _outer_controls(constituents(right)[0], local_qubits) or (
+                    max_group is not None and len(constituents(left)) == max_group
+                )
+
+    def test_run_of_one_is_the_gate_itself(self):
+        gates = [standard_gate("h", 0), standard_gate("h", 5), standard_gate("x", 1)]
+        elements = form_local_runs(gates, 3)
+        assert all(a is b for a, b in zip(elements, gates))
+        with pytest.raises(GateError):
+            LocalRun((gates[0],))
+
+    def test_key_never_aliases_a_gate_or_a_fused_group(self):
+        h, t = standard_gate("h", 0), standard_gate("t", 0)
+        run = LocalRun((h, t))
+        assert run.key() == (h.key(), t.key())
+        assert run.key() not in (h.key(), t.key(), fuse_run([h, t]).key())
+        assert LocalRun((t, h)).key() != run.key()
+        assert run.name == "run(h+t)" and run.max_qubit() == 0
+
+
+# ---------------------------------------------------------------------------
+# Planning: runs and task independence
 # ---------------------------------------------------------------------------
 
 
 class TestFusedPlanning:
-    @pytest.mark.parametrize("target", [0, 3, 5])  # local / block / rank segment
-    def test_plan_fused_group_matches_single_gate_plan(self, target):
+    def test_run_plans_as_its_first_gate_with_per_step_controls(self):
+        # 6 qubits, 4 ranks, 4-amplitude blocks: qubits 0-1 local, 2-3 block,
+        # 4-5 rank.  Both steps sit under block control 3 and rank control 5.
         partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
-        gates = [standard_gate("h", target), standard_gate("t", target)]
-        fused, plan = plan_fused_group(partition, gates)
-        assert plan == plan_gate(partition, fused)
-        # One plan for the whole run — the same tasks a single gate would get.
-        assert plan.tasks == plan_gate(partition, gates[0]).tasks
+        first = standard_gate("x", 0, controls=(1, 3, 5))
+        second = standard_gate("h", 1, controls=(5, 3))
+        plan = plan_gate(partition, LocalRun((first, second)))
+        assert plan.segment is QubitSegment.LOCAL
+        assert plan.tasks == plan_gate(partition, first).tasks
+        assert plan.tasks == plan_gate(partition, second).tasks
+        assert plan.local_controls == ((1,), ())
+        assert plan.exchange_count == 0
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            standard_gate("h", 3),  # block-segment target
+            standard_gate("h", 5),  # rank-segment target
+            standard_gate("h", 1, controls=(3,)),  # another block control set
+            standard_gate("h", 1, controls=(4,)),  # another rank control set
+        ],
+    )
+    def test_plan_rejects_what_is_not_a_run_under_the_partition(self, second):
+        partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
+        with pytest.raises(ValueError, match="not a local run"):
+            plan_gate(partition, LocalRun((standard_gate("h", 0), second)))
+        with pytest.raises(ValueError, match="not a local run"):
+            plan_gate(partition, LocalRun((second, standard_gate("h", 0))))
 
     @pytest.mark.parametrize("target", [0, 3, 5])
     def test_independent_groups_cover_and_are_disjoint(self, target):
@@ -233,12 +359,127 @@ class TestDifferentialLossless:
         assert np.allclose(states[False, 1], states[True, 1], atol=1e-12)
 
 
+class TestLocalRunsLossless:
+    """Where only run formation fires, batching changes no amplitude bit."""
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    @given(circuit=run_heavy_circuits(), block=st.sampled_from([4, 8, 16, 32]))
+    @settings(max_examples=10, deadline=None)
+    def test_bit_equal_to_unfused_and_dense(self, tier, circuit, block, simulator_config):
+        # Two ranks of 32 amplitudes: the block size moves the LOCAL / BLOCK
+        # boundary from qubit 2 to qubit 5 (one block per rank, no BLOCK bits).
+        states = {}
+        for fusion, options in ((True, TIERS[tier]), (False, {})):
+            config = simulator_config(
+                num_ranks=2, block_amplitudes=block, fusion_enabled=fusion, **options
+            )
+            with CompressedSimulator(NUM_QUBITS, config) as simulator:
+                report = simulator.apply_circuit(circuit)
+                states[fusion] = simulator.statevector()
+                if fusion:
+                    assert report.gates_executed == report.fusion_gates_out
+        dense = simulate_statevector(circuit)
+        assert np.array_equal(states[True], states[False])
+        assert np.array_equal(states[True], dense)
+
+    def test_runs_share_round_trips(self, simulator_config):
+        # QFT's controlled phases target one qubit at a time, so the 2x2
+        # fusion is idle and every saving here is run formation's.
+        circuit = qft_circuit(NUM_QUBITS)
+        reports = {}
+        for fusion in (False, True):
+            config = simulator_config(
+                num_ranks=2,
+                block_amplitudes=16,
+                use_block_cache=False,
+                fusion_enabled=fusion,
+            )
+            with CompressedSimulator(NUM_QUBITS, config) as simulator:
+                reports[fusion] = simulator.apply_circuit(circuit)
+        fused, seed = reports[True], reports[False]
+        assert fused.fusion_gates_in == len(circuit)
+        assert fused.gates_executed == fused.fusion_gates_out < len(circuit)
+        assert fused.compress_calls == fused.decompress_calls
+        assert fused.compress_calls < seed.compress_calls
+        assert fused.tasks_executed < seed.tasks_executed
+
+
+def _snapshot_first_escalation(simulator) -> list:
+    """Record (gate count, peak footprint, min ratio) when *simulator* first
+    escalates — a run taken gate by gate escalates inside ``apply_gate``."""
+
+    taken: list = []
+    escalate = simulator.controller.maybe_escalate
+
+    def recording(footprint_bytes: int, gate_index: int) -> bool:
+        escalated = escalate(footprint_bytes, gate_index)
+        if escalated and not taken:
+            report = simulator.report()
+            taken.append(
+                (gate_index, report.peak_footprint_bytes, report.min_compression_ratio)
+            )
+        return escalated
+
+    simulator.controller.maybe_escalate = recording
+    return taken
+
+
+class TestLocalRunsUnderBudget:
+    """Lossless under a budget, a run is checked gate by gate."""
+
+    def test_first_escalation_matches_gate_by_gate(self, simulator_config):
+        # The mixer layer of a depth-1 QAOA is one 12-gate run that takes the
+        # footprint from 2368 to 3024 bytes; the budget falls at its fifth gate.
+        graph = random_regular_graph(8, 3, seed=1)
+        circuit = qaoa_maxcut_circuit(graph, [0.6], [0.4])
+        config = simulator_config(
+            num_ranks=2, block_amplitudes=32, memory_budget_bytes=2_600
+        )
+        with CompressedSimulator(8, config) as batched, CompressedSimulator(
+            8, config
+        ) as stepped:
+            at_first = {
+                name: _snapshot_first_escalation(simulator)
+                for name, simulator in (("batched", batched), ("stepped", stepped))
+            }
+            elements = batched.prepare_gates(circuit)
+            for element in elements:
+                batched.apply_gate(element)
+                for gate in constituents(element):
+                    stepped.apply_gate(gate)
+            # Up to and including the first escalation the two histories are
+            # one: same event, same gate count, same footprint/ratio extremes.
+            assert batched.controller.events[0] == stepped.controller.events[0]
+            assert at_first["batched"] == at_first["stepped"] != []
+            # The budget bit inside the mixer run, not at an element boundary ...
+            index = batched.controller.events[0].gate_index
+            mixer = next(e for e in elements if isinstance(e, LocalRun) and len(e.gates) == 12)
+            before = sum(len(constituents(e)) for e in elements[: elements.index(mixer)])
+            assert before < index < before + 12
+            # ... and from there on runs are single round trips again.
+            assert batched.gate_count < stepped.gate_count
+            dense = simulate_statevector(circuit)
+            assert batched.fidelity_vs(dense) >= batched.report().fidelity_lower_bound
+            assert (
+                batched.report().fidelity_lower_bound
+                >= stepped.report().fidelity_lower_bound
+            )
+
+    def test_without_a_budget_a_lossless_run_is_one_round_trip(self, simulator_config):
+        circuit = qft_circuit(8)
+        config = simulator_config(num_ranks=2, block_amplitudes=32)
+        with CompressedSimulator(8, config) as simulator:
+            report = simulator.apply_circuit(circuit)
+        assert report.gates_executed == report.fusion_gates_out < len(circuit)
+
+
 class TestDifferentialLossy:
     @given(circuit=fusion_heavy_circuits())
     @settings(max_examples=6, deadline=None)
     def test_within_fidelity_bound_across_compressors(
         self, circuit, compressor_name, simulator_config
     ):
+        bounds = []
         for fusion, workers in ((False, 1), (True, 4)):
             config = simulator_config(
                 num_ranks=2,
@@ -254,6 +495,9 @@ class TestDifferentialLossy:
                 dense = simulate_statevector(circuit)
                 fidelity = simulator.fidelity_vs(dense)
                 assert fidelity >= report.fidelity_lower_bound - 1e-12
+                bounds.append(report.fidelity_lower_bound)
+        # Fused groups and local runs only ever remove recompressions.
+        assert bounds[1] >= bounds[0]
 
     def test_fusion_tightens_lossy_fidelity_bound(self, simulator_config):
         # Fewer executed gates = fewer lossy recompressions = a tighter

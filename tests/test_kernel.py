@@ -7,6 +7,9 @@ Pinned here:
   byte-equal to a hand-written decompress → ops → compress reference and
   the exact :class:`TaskStats`.
 * **Half-pair keys** — the two halves of one pair never alias in the cache.
+* **Multi-step ops** — a k-step one-block task is byte-equal to k chained
+  one-step tasks under lossless compression, at one decompress, one compress
+  and one task; a hit on the run's key makes no codec call.
 * **Partial plans** — a corrupt blob mid-plan leaves the finished tasks
   committed and counted.
 * **Structure** — nothing else under ``core/`` or ``distributed/`` applies a
@@ -111,7 +114,9 @@ def _setup(cache):
     output = CountingCodec(get_compressor("xor-bitplane", bound=1e-3))
     scratch = CountingScratch(BLOCK, buffers=2)
     kernel = BlockKernel({stored.name: stored, output.name: output}, scratch, cache)
-    op = BlockOp(MATRIX, 2, CONTROLS, output, ("u", (2,), CONTROLS, "xor@1e-3"))
+    op = BlockOp(
+        MATRIX[None], (2,), (CONTROLS,), output, ("u", (2,), CONTROLS, "xor@1e-3")
+    )
     return kernel, op, stored, output, scratch
 
 
@@ -212,6 +217,70 @@ def test_half_pair_rows_never_alias(blocks):
         None,
     )
     assert stats.cache_hits == 1
+
+
+#: (matrix, target, local controls) of a three-step run on one 16-amplitude
+#: block: uncontrolled, controlled, and a repeat target.
+STEPS = (
+    (MATRIX, 2, ()),
+    (MATRIX.conj().T, 0, (1, 3)),
+    (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128), 2, (0,)),
+)
+
+
+def _step_op(steps, codec, describe="lossless"):
+    matrices, targets, controls = zip(*steps)
+    key = tuple(("u", (t,), c, m.tobytes()) for m, t, c in steps) + (describe,)
+    return BlockOp(np.stack(matrices), targets, controls, codec, key)
+
+
+@pytest.mark.parametrize("cache_kind", ["none", "enabled"])
+def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
+    def lossless_kernel(cache):
+        codec = CountingCodec(get_compressor("lossless"))
+        scratch = CountingScratch(BLOCK, buffers=2)
+        return BlockKernel({codec.name: codec}, scratch, cache), codec, scratch
+
+    blob = get_compressor("lossless").compress(blocks[0].view(np.float64))
+
+    chained_kernel, codec, _ = lossless_kernel(None)
+    chained, chained_stats = blob, TaskStats()
+    for step in STEPS:
+        chained, _ = chained_kernel.run(
+            _step_op([step], codec), chained_stats, chained, codec.name
+        )
+    assert (chained_stats.tasks, codec.decompress_calls, codec.compress_calls) == (
+        3,
+        3,
+        3,
+    )
+
+    kernel, codec, scratch = lossless_kernel(CACHES[cache_kind]())
+    op = _step_op(STEPS, codec)
+    stats = TaskStats()
+    assert kernel.run(op, stats, blob, codec.name) == (chained, None)
+    assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (1, 1, 1)
+    assert (codec.decompress_calls, codec.compress_calls, scratch.leases) == (1, 1, 1)
+
+    # Again: a live cache answers from the run's line without a codec call;
+    # the line is the run's own, not any constituent's or a prefix's.
+    assert kernel.run(op, stats, blob, codec.name) == (chained, None)
+    hit = cache_kind == "enabled"
+    assert stats.tasks == 2
+    assert (codec.decompress_calls, codec.compress_calls, scratch.leases) == (
+        (1, 1, 1) if hit else (2, 2, 2)
+    )
+    assert (stats.cache_hits, stats.cache_misses) == ((1, 1) if hit else (0, 0))
+    if hit:
+        for shorter in (STEPS[:1], STEPS[:2]):
+            kernel.run(_step_op(shorter, codec), stats, blob, codec.name)
+        assert (stats.cache_hits, stats.cache_misses) == (1, 3)
+
+
+def test_block_op_name_reads_back_from_the_key():
+    codec = get_compressor("lossless")
+    assert _setup(None)[1].name == "u"
+    assert _step_op(STEPS, codec).name == "u+u+u"
 
 
 def test_task_stats_pickle_flat_and_fold():

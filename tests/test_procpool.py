@@ -41,7 +41,8 @@ from repro.core import (
     effective_cpu_count,
 )
 from repro.core.procpool import SlotArena, _pack_frames, _read_frame
-from repro.resilience import FaultPolicy
+from repro.resilience import FaultPolicy, faults
+from repro.resilience.faults import FaultPlan, KillWorker
 
 #: Pin for tests that assert exact failure propagation or exact cache
 #: counters: an inert policy keeps them deterministic even when the suite
@@ -319,6 +320,63 @@ class TestProcessExecutorLifecycle:
             pool.submit(1, ("die",))
             with pytest.raises(WorkerCrashedError):
                 pool.recv_any(timeout=30.0)
+
+    def test_multi_step_task_rides_flat_and_survives_a_worker_death(self):
+        # Qubits 0-3 sit inside a 16-amplitude block, so the circuit opens
+        # with a four-step local run and keeps forming runs between its
+        # block- and rank-level gates.
+        circuit = (
+            repro.QuantumCircuit(6).h(0).cx(0, 1).rx(0.3, 2).ccx(1, 2, 3).h(5).h(4)
+        )
+        circuit.cx(5, 0).cx(5, 1).t(2).cx(4, 2).ry(0.7, 3).cx(3, 0).h(1)
+        kwargs = dict(num_workers=2, executor="process")
+        sequential = _final_state(6, circuit)
+
+        # The wire: one message per task, the run's steps as one stacked
+        # array and two tuples of ints — no gate objects.
+        config = SimulatorConfig(
+            num_ranks=2, block_amplitudes=16, fault_policy=NO_RECOVERY, **kwargs
+        )
+        with CompressedSimulator(6, config) as simulator:
+            pool = simulator.executor._ensure_proc_pool()
+            sent, submit = [], pool.submit
+
+            def recording(worker_id, message, payloads=()):
+                sent.append((worker_id, message))
+                return submit(worker_id, message, payloads)
+
+            pool.submit = recording
+            report = simulator.apply_circuit(circuit)
+            assert np.array_equal(simulator.statevector(), sequential)
+        assert report.gates_executed < len(circuit)
+        to_worker0 = [m for worker_id, m in sent if worker_id == 0 and m[0] == "task"]
+        multi = [i for i, m in enumerate(to_worker0) if len(m[2]) > 1]
+        assert multi
+        for index in multi:
+            _kind, matrices, targets, controls, _codec, op_key, _names = to_worker0[index]
+            assert matrices.shape == (len(targets), 2, 2)
+            assert all(type(target) is int for target in targets)
+            assert all(type(c) is int for step in controls for c in step)
+            assert len(op_key) == len(targets) + 1
+        assert b"repro.circuits" not in pickle.dumps(to_worker0[multi[0]])
+
+        # A worker killed at one of those multi-step tasks: the run's other
+        # tasks stay committed and only the lost one is replayed.
+        plan = FaultPlan(
+            injections=(KillWorker(worker=0, after=multi[-1] + 1, kinds=("task",)),)
+        )
+        config = SimulatorConfig(
+            num_ranks=2,
+            block_amplitudes=16,
+            fault_policy=FaultPolicy(max_retries=2),
+            **kwargs,
+        )
+        with faults.installed_plan(plan), CompressedSimulator(6, config) as simulator:
+            recovered = simulator.apply_circuit(circuit)
+            assert np.array_equal(simulator.statevector(), sequential)
+        assert recovered.recovery["retries"] == 1
+        assert recovered.recovery["restarts"] == 1
+        assert recovered.tasks_executed == report.tasks_executed
 
     def test_batched_reset_matches_fresh_simulators(self):
         # The warm-pool reset path: two circuits through one backend session

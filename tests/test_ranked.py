@@ -292,6 +292,63 @@ class TestFailureAndValidation:
                 simulator.apply_gate(standard_gate("h", NUM_QUBITS - 1))
             assert time.monotonic() - start < 10.0
 
+    @pytest.mark.parametrize("budget", [None, 1_200])
+    def test_multi_step_batch_survives_a_rank_death(self, budget):
+        # Qubits 0-3 sit inside a 16-amplitude block: the circuit opens with
+        # a four-step local run and forms more between its block- and
+        # rank-level gates.  Under the budget the lossless runs go gate by
+        # gate, so one element advances the gate index by several — the
+        # resilience checkpoints must still fall between elements.
+        from repro.resilience import FaultPolicy, faults
+        from repro.resilience.faults import FaultPlan, KillWorker
+
+        circuit = QuantumCircuit(6).h(0).cx(0, 1).rx(0.3, 2).ccx(1, 2, 3).h(5).h(4)
+        circuit.cx(5, 0).cx(5, 1).t(2).cx(4, 2).ry(0.7, 3).cx(3, 0).h(1)
+        options = dict(num_ranks=2, block_amplitudes=16, memory_budget_bytes=budget)
+        with CompressedSimulator(6, SimulatorConfig(**options)) as reference:
+            expected_report = reference.apply_circuit(circuit)
+            expected = final_blobs(reference)
+        assert (expected_report.escalations > 0) == (budget is not None)
+
+        # The wire: the run's steps ride one gate batch per rank as one
+        # stacked array and two tuples of ints.
+        inert = FaultPolicy(max_retries=0)
+        config = SimulatorConfig(comm="process", fault_policy=inert, **options)
+        with CompressedSimulator(6, config) as simulator:
+            pool = simulator.executor.pool
+            sent, submit = [], pool.submit
+
+            def recording(worker_id, message, payloads=()):
+                sent.append((worker_id, message))
+                return submit(worker_id, message, payloads)
+
+            pool.submit = recording
+            simulator.apply_circuit(circuit)
+            assert final_blobs(simulator) == expected
+        to_rank1 = [m for worker_id, m in sent if worker_id == 1 and m[0] == "gate"]
+        multi = [i for i, m in enumerate(to_rank1) if len(m[1].targets) > 1]
+        assert multi
+        for index in multi:
+            op = to_rank1[index][1]
+            assert op.matrices.shape == (len(op.targets), 2, 2)
+            assert len(op.local_controls) == len(op.targets) == len(op.op_key) - 1
+
+        # Rank 1 dies on its last multi-step batch: rebuild, reload the last
+        # in-run checkpoint, replay whole elements, finish bit-identically.
+        plan = FaultPlan(
+            injections=(KillWorker(worker=1, after=multi[-1] + 1, kinds=("gate",)),)
+        )
+        policy = FaultPolicy(max_retries=2, checkpoint_interval_waves=3)
+        config = SimulatorConfig(comm="process", fault_policy=policy, **options)
+        with faults.installed_plan(plan), CompressedSimulator(6, config) as simulator:
+            report = simulator.apply_circuit(circuit)
+            assert final_blobs(simulator) == expected
+        assert report.recovery["retries"] == 1
+        assert report.recovery["checkpoints_written"] > 0
+        assert report.gates_executed == expected_report.gates_executed
+        assert report.fidelity_lower_bound == expected_report.fidelity_lower_bound
+        assert report.final_error_bound == expected_report.final_error_bound
+
     def test_worker_error_drains_outstanding_replies(self):
         # A handler error on one rank must not leave the other ranks'
         # queued replies undrained — a later request would mis-unpack a
