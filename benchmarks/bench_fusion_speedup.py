@@ -4,14 +4,13 @@ The paper's time breakdown (Table 2) shows the per-gate decompress → apply →
 recompress round trip dominating the runtime.  This bench quantifies the
 attacks this repo mounts on that bottleneck:
 
-* **Fusion** — consecutive same-target/same-control gates multiply into one
-  2x2 unitary, so a whole run costs one round trip per block.  Measured as
-  the reduction in compressor invocations on a QFT-style workload whose
-  per-qubit rotation chains are exactly the fusible pattern.
-* **Local runs** — consecutive in-block gates under the same block/rank
-  controls share one round trip per block, their 2x2 steps applied in order.
-  Counted with ``plan_gate`` as blob round trips (buffers staged) before and
-  after run formation, for the Table-2 circuits at two block sizes.
+* **Runs** — consecutive gates that stage the same blocks (in-block targets
+  under the same block/rank controls, or one non-local target under one
+  control set) share one round trip per block, their 2x2 steps applied in
+  order.  Measured as the reduction in compressor invocations on a QFT-style
+  workload of per-qubit rotation chains, and counted with ``plan_gate`` as
+  blob round trips (buffers staged) before and after run formation, for the
+  Table-2 circuits at two block sizes.
 * **Parallel tasks** — the disjoint-block tasks of a gate plan run on a
   thread pool (``SimulatorConfig.num_workers``); zlib and the NumPy kernels
   release the GIL on block-sized payloads.
@@ -34,13 +33,7 @@ from repro.applications import (
     random_regular_graph,
     random_supremacy_circuit,
 )
-from repro.circuits import (
-    QuantumCircuit,
-    form_local_runs,
-    fuse_circuit,
-    fuse_gate_sequence,
-    qft_circuit,
-)
+from repro.circuits import QuantumCircuit, form_runs, qft_circuit
 from repro.core import CompressedSimulator, SimulatorConfig
 from repro.distributed import Partition, plan_gate
 
@@ -57,9 +50,9 @@ RUN_TABLE_BLOCKS = (BLOCK_AMPLITUDES, 4 * BLOCK_AMPLITUDES)
 def chain_qft_circuit(num_qubits: int, layers: int) -> QuantumCircuit:
     """QFT-style workload with consecutive same-target rotation chains.
 
-    Each layer applies a 4-gate single-qubit chain per qubit (the fusible
-    pattern; think QFT surrounded by phase-estimation pre/post rotations)
-    followed by a controlled-phase ladder (not fusible: controls differ).
+    Each layer applies a 4-gate single-qubit chain per qubit (one run per
+    chain wherever the qubit lies; think QFT surrounded by phase-estimation
+    pre/post rotations) followed by a controlled-phase ladder.
     """
 
     circuit = QuantumCircuit(num_qubits, name=f"chain_qft_{num_qubits}")
@@ -101,7 +94,6 @@ def test_fusion_roundtrip_reduction(emit):
     """Fusion must cut compressor invocations >= 2x on the chain workload."""
 
     circuit = chain_qft_circuit(NUM_QUBITS, LAYERS)
-    fused, stats = fuse_circuit(circuit)
     baseline = _run(circuit, NUM_QUBITS, fusion=False, workers=1)
     with_fusion = _run(circuit, NUM_QUBITS, fusion=True, workers=1)
 
@@ -122,15 +114,15 @@ def test_fusion_roundtrip_reduction(emit):
     ]
     emit(
         f"Fusion round-trip reduction ({NUM_QUBITS} qubits, "
-        f"{len(circuit)} gates -> {len(fused)} fused -> "
-        f"{with_fusion['gates']} after run formation)",
+        f"{len(circuit)} gates -> {with_fusion['gates']} after run formation)",
         format_table(rows)
         + f"\ncompressor-invocation reduction: {reduction:.2f}x "
-        f"(gate reduction {stats.round_trip_reduction:.2f}x)",
+        f"(gate reduction {len(circuit) / with_fusion['gates']:.2f}x)",
     )
 
-    # Both executions must produce the same state (lossless compression).
-    assert np.allclose(baseline["state"], with_fusion["state"], atol=1e-10)
+    # A run applies its gates' own steps in order: lossless, the two
+    # executions produce the same state to the last bit.
+    assert np.array_equal(baseline["state"], with_fusion["state"])
     assert reduction >= 2.0
 
 
@@ -146,7 +138,7 @@ def table2_circuits(num_qubits: int) -> dict[str, QuantumCircuit]:
     }
 
 
-def test_local_run_roundtrip_reduction(emit):
+def test_run_formation_roundtrip_reduction(emit):
     """Run formation must cut QFT's blob round trips >= 2x at the larger block.
 
     The saving grows with the share of qubits that sit inside a block (6 and
@@ -156,19 +148,19 @@ def test_local_run_roundtrip_reduction(emit):
 
     rows = []
     for name, circuit in table2_circuits(NUM_QUBITS).items():
-        fused, _ = fuse_gate_sequence(circuit.gates)
+        gates = circuit.gates
         for block in RUN_TABLE_BLOCKS:
             partition = Partition(NUM_QUBITS, NUM_RANKS, block)
-            schedule = form_local_runs(fused, partition.offset_bits)
+            schedule = form_runs(gates, partition.offset_bits)
             before, after = (
                 sum(plan_gate(partition, element).touched_buffers for element in elements)
-                for elements in (fused, schedule)
+                for elements in (gates, schedule)
             )
             rows.append(
                 {
                     "circuit": name,
                     "block": block,
-                    "gates": len(fused),
+                    "gates": len(gates),
                     "elements": len(schedule),
                     "round_trips_before": before,
                     "round_trips_after": after,
@@ -214,7 +206,7 @@ def test_fusion_parallel_beats_sequential_seed_path(emit):
         format_table(rows) + f"\nspeedup: {speedup:.2f}x",
     )
 
-    assert np.allclose(sequential["state"], parallel["state"], atol=1e-10)
+    assert np.array_equal(sequential["state"], parallel["state"])
     # The work counters shrink deterministically in every mode; the strict
     # wall-clock comparison is only enforced in the full-size run (quick mode
     # exists for CI smoke on shared runners, where timing is too noisy).

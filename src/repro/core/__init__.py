@@ -3,16 +3,11 @@
 from .adaptive import AdaptiveErrorController, EscalationEvent
 from .blocks import BlockStore, CompressedBlock, ScratchPool
 from .cache import BlockCache, CacheStats
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .compressed_state import CompressedStateVector
 from .config import PAPER_BLOCK_AMPLITUDES, SimulatorConfig
 from .executor import ProcessTaskExecutor, TaskExecutor
-from .procpool import (
-    BlockCorruptionError,
-    ProcessPool,
-    WorkerCrashedError,
-    effective_cpu_count,
-)
+from .procpool import ProcessPool, effective_cpu_count
 from .fidelity import FidelityTracker, fidelity_curve, fidelity_lower_bound
 from .report import SimulationReport, Timer
 from .simulator import CompressedSimulator
@@ -22,8 +17,6 @@ __all__ = [
     "TaskExecutor",
     "ProcessTaskExecutor",
     "ProcessPool",
-    "WorkerCrashedError",
-    "BlockCorruptionError",
     "effective_cpu_count",
     "CompressedStateVector",
     "SimulatorConfig",
@@ -42,5 +35,4 @@ __all__ = [
     "fidelity_curve",
     "save_checkpoint",
     "load_checkpoint",
-    "CheckpointError",
 ]

@@ -91,20 +91,6 @@ class BlockStore:
 
         return sum(entry.nbytes for entry in self._blocks[rank] if entry is not None)
 
-    def total_bytes_with_scratch(self) -> int:
-        """Eq. 8: compressed blocks plus two decompressed blocks per rank."""
-
-        scratch = 2 * self._partition.block_bytes * self._partition.num_ranks
-        return self.compressed_bytes() + scratch
-
-    def compression_ratio(self) -> float:
-        """Current overall ratio: uncompressed state size / compressed size."""
-
-        compressed = self.compressed_bytes()
-        if compressed == 0:
-            return float("inf")
-        return self._partition.uncompressed_bytes() / compressed
-
     def bounds_in_use(self) -> set[float]:
         """Distinct error bounds present across the stored blocks."""
 

@@ -20,18 +20,11 @@ import json
 import struct
 from pathlib import Path
 
-from ..distributed.partition import Partition  # noqa: F401 - re-export context
-from ..errors import CheckpointError
-from .blocks import CompressedBlock
+from .. import errors
 from .config import SimulatorConfig
 from .simulator import CompressedSimulator
 
-__all__ = [
-    "save_checkpoint",
-    "load_checkpoint",
-    "read_checkpoint",
-    "CheckpointError",
-]
+__all__ = ["save_checkpoint", "load_checkpoint", "read_checkpoint"]
 
 _MAGIC = b"QCKPT001"
 
@@ -105,7 +98,7 @@ class _Reader:
 
         end = self._offset + size
         if end > len(self._raw):
-            raise CheckpointError(
+            raise errors.CheckpointError(
                 f"checkpoint truncated inside {what}: need {size} bytes at "
                 f"offset {self._offset}, file holds {len(self._raw)}",
                 path=str(self._path),
@@ -143,12 +136,12 @@ def read_checkpoint(path: str | Path) -> tuple[dict, list[tuple]]:
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise CheckpointError(
+        raise errors.CheckpointError(
             f"cannot read checkpoint: {exc}", path=str(path)
         ) from exc
     reader = _Reader(raw, path)
     if reader.take(len(_MAGIC), "magic") != _MAGIC:
-        raise CheckpointError(
+        raise errors.CheckpointError(
             f"{path} is not a repro checkpoint", path=str(path)
         )
     (meta_len,) = reader.unpack(_U32, "metadata length")
@@ -156,11 +149,11 @@ def read_checkpoint(path: str | Path) -> tuple[dict, list[tuple]]:
     try:
         meta = json.loads(meta_blob.decode())
     except (ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointError(
+        raise errors.CheckpointError(
             f"checkpoint metadata is not valid JSON: {exc}", path=str(path)
         ) from exc
     if not isinstance(meta, dict):
-        raise CheckpointError(
+        raise errors.CheckpointError(
             "checkpoint metadata is not a JSON object", path=str(path)
         )
     (num_blocks,) = reader.unpack(_U32, "block count")
@@ -172,14 +165,14 @@ def read_checkpoint(path: str | Path) -> tuple[dict, list[tuple]]:
         try:
             name = reader.take(name_len, f"block {index} compressor name").decode()
         except UnicodeDecodeError as exc:
-            raise CheckpointError(
+            raise errors.CheckpointError(
                 f"block {index} compressor name is not valid UTF-8",
                 path=str(path),
             ) from exc
         blob = reader.take(blob_len, f"block {index} blob")
         blocks.append((rank, block, name, bound, blob))
     if not reader.exhausted:
-        raise CheckpointError(
+        raise errors.CheckpointError(
             "checkpoint has trailing bytes after the last block",
             path=str(path),
         )
@@ -192,7 +185,7 @@ def _meta_field(meta: dict, key: str, path: Path):
     try:
         return meta[key]
     except KeyError as exc:
-        raise CheckpointError(
+        raise errors.CheckpointError(
             f"checkpoint metadata is missing required field {key!r}",
             path=str(path),
         ) from exc
@@ -228,7 +221,7 @@ def load_checkpoint(
         )
     else:
         if config.num_ranks != _meta_field(meta, "num_ranks", path):
-            raise CheckpointError(
+            raise errors.CheckpointError(
                 "config.num_ranks does not match the checkpointed partition"
             )
 
@@ -240,20 +233,11 @@ def load_checkpoint(
         simulator.partition.num_ranks * simulator.partition.blocks_per_rank
     )
     if len(blocks) != expected:
-        raise CheckpointError(
+        raise errors.CheckpointError(
             f"checkpoint holds {len(blocks)} blocks, partition expects {expected}",
             path=str(path),
         )
-    for rank, block, name, bound, blob in blocks:
-        simulator.state.store.put(
-            rank, block, CompressedBlock(blob=blob, compressor=name, bound=bound)
-        )
-
-    # Restore progress counters.
-    simulator._gate_index = int(_meta_field(meta, "gate_count", path))  # noqa: SLF001 - deliberate restore
-    if simulator.fidelity_tracker is not None:
-        for bound in _meta_field(meta, "fidelity_gate_bounds", path):
-            simulator.fidelity_tracker.record_gate(float(bound))
-    if _meta_field(meta, "current_bound", path):
-        simulator.controller.force_level(float(meta["current_bound"]))
+    for key in ("gate_count", "fidelity_gate_bounds", "current_bound"):
+        _meta_field(meta, key, path)
+    simulator.restore(meta, blocks)
     return simulator

@@ -187,14 +187,18 @@ class CompressedStateVector:
         return self._store.compressed_bytes()
 
     def footprint_bytes(self) -> int:
-        """Eq. 8: compressed blocks plus two scratch blocks per rank."""
+        """Eq. 8: compressed blocks plus two decompressed blocks per rank."""
 
-        return self._store.total_bytes_with_scratch()
+        scratch = 2 * self._partition.block_bytes * self._partition.num_ranks
+        return self._store.compressed_bytes() + scratch
 
     def compression_ratio(self) -> float:
         """Uncompressed size over compressed size (higher is better)."""
 
-        return self._store.compression_ratio()
+        compressed = self._store.compressed_bytes()
+        if compressed == 0:
+            return float("inf")
+        return self._partition.uncompressed_bytes() / compressed
 
     def uncompressed_bytes(self) -> int:
         """What the dense state vector would occupy (16 bytes/amplitude)."""

@@ -68,20 +68,20 @@ class SimulatorConfig:
     track_fidelity_bound:
         Maintain the Π(1 - δ_i) lower bound on simulation fidelity.
     fusion_enabled:
-        Run the gate-fusion pass (:mod:`repro.circuits.fusion`) before
-        execution: consecutive same-target/same-control gates collapse into
-        one 2x2 unitary, and consecutive in-block gates under the same
-        block/rank controls group into a local run whose 2x2 steps are
-        applied in order — either way a single decompress/recompress round
-        trip per block for the whole group.  **On by default** — the pass is
-        semantics-preserving by construction and strictly reduces compressor
-        round trips; set ``fusion_enabled=False`` to opt out (the seed
-        behaviour, still exercised by the differential tests).  While
-        ``memory_budget_bytes`` is set and the state is still lossless, a
-        local run is taken gate by gate so the budget is checked after each.
-    fusion_max_group:
-        Optional cap on gates per fused group and on steps per local run
-        (``None`` = unlimited).
+        Run the grouping pass (:func:`repro.circuits.fusion.form_runs`)
+        before execution: consecutive gates that stage the same blocks —
+        in-block targets under the same block/rank controls, or one
+        non-local target under one control set — become a run whose 2x2
+        steps are applied in order inside a single decompress/recompress
+        round trip per block (or block pair).  **On by default** — nothing is
+        reordered or multiplied, so lossless results are bit-equal to the
+        gate-by-gate schedule and to the dense simulator, and compressor
+        round trips only go down; set ``fusion_enabled=False`` to opt out
+        (the seed behaviour, the differential tests' reference).  Lossy
+        results differ between the two settings because a run is quantised
+        once instead of once per gate.  While ``memory_budget_bytes`` is set
+        and the state is still lossless, a run is taken gate by gate so the
+        budget is checked after each.
     num_workers:
         Workers for independent block tasks of a gate plan.  ``1`` (the
         default) keeps the seed's sequential execution; larger values run
@@ -135,7 +135,6 @@ class SimulatorConfig:
     start_lossless: bool = True
     track_fidelity_bound: bool = True
     fusion_enabled: bool = True
-    fusion_max_group: int | None = None
     num_workers: int = 1
     executor: str = "thread"
     mp_start_method: str | None = None
@@ -189,8 +188,6 @@ class SimulatorConfig:
                 "incompatible with executor='process' or num_workers > 1; "
                 "scale it with num_ranks instead"
             )
-        if self.fusion_max_group is not None and self.fusion_max_group < 1:
-            raise ValueError("fusion_max_group must be >= 1 (or None)")
         if self.fault_policy is not None:
             from ..resilience import FaultPolicy
 

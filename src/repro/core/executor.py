@@ -71,7 +71,7 @@ TaskGroup = tuple[tuple, list[BlockTask]]
 
 
 class TaskExecutor:
-    """Runs the block tasks of one plan (a gate's, or a local run's).
+    """Runs the block tasks of one plan (a gate's, or a run's).
 
     Parameters
     ----------

@@ -2,10 +2,11 @@
 
 The paper's execution model is one loop (Figure 2): consult the compressed
 block cache, decompress a block or block pair into scratch, apply the 2x2
-unitary — or, for a run of consecutive in-block gates, each of its unitaries
-in order — and recompress at the current error bound.  :class:`BlockKernel`
-is that loop.  Every execution tier calls it — the sequential and thread
-paths of :class:`~repro.core.executor.TaskExecutor` in the parent process,
+unitary — or, for a run of consecutive gates staging the same blocks, each of
+its unitaries in order — and recompress at the current error bound.
+:class:`BlockKernel` is that loop.  Every execution tier calls it — the
+sequential and thread paths of
+:class:`~repro.core.executor.TaskExecutor` in the parent process,
 the block-task workers of :class:`~repro.core.executor.ProcessTaskExecutor`,
 and the rank workers of :mod:`repro.distributed.ranked` — so the tiers differ
 only in how blobs reach the kernel and where its outputs are stored, and
@@ -34,15 +35,13 @@ __all__ = ["BlockOp", "TaskStats", "BlockKernel"]
 
 
 class BlockOp(NamedTuple):
-    """One schedule element — a (possibly fused) gate or a
-    :class:`~repro.circuits.fusion.LocalRun` — as the block tasks of its plan
-    see it.
+    """One schedule element — a gate or a :class:`~repro.circuits.fusion.Run`
+    — as the block tasks of its plan see it.
 
     The first three fields are parallel, one entry per step: step ``i``
     applies ``matrices[i]`` to ``targets[i]`` under ``local_controls[i]``.
-    A gate is one step; only one-block tasks ever take more.  The fields are
-    flat (one array, two tuples of ints) because the op rides every
-    process-tier task message.
+    A gate is one step.  The fields are flat (one array, two tuples of ints)
+    because the op rides every process-tier task message.
     """
 
     #: The 2x2 unitaries, stacked: shape ``(steps, 2, 2)``.
@@ -187,15 +186,17 @@ class BlockKernel:
     ) -> tuple[bytes, bytes | None]:
         """One block task: returns the output blobs ``(out1, out2)``.
 
-        One blob is a local-qubit update of that block: every step of *op*
-        is applied in order between one decompress and one compress.  Two
-        blobs (always a one-step *op*) are a block pair (*blob1* holds the
-        target-bit-0 amplitudes) and both are rewritten — unless *row* is
-        given: then this is one rank's half of a cross-rank pair, *blob1* is
-        the block this rank owns, *blob2* the peer's, *row* says which side
-        of the pair *blob1* is, and only ``out1`` is produced (``out2`` is
-        ``None``).  The cache key carries *row* so the two halves of one pair
-        never alias each other's entries.
+        Every step of *op* is applied in order between one decompress and
+        one compress per blob.  One blob is a local-qubit update of that
+        block.  Two blobs are a block pair (*blob1* holds the target-bit-0
+        amplitudes) and both are rewritten — unless *row* is given: then this
+        is one rank's half of a cross-rank pair, *blob1* is the block this
+        rank owns, *blob2* the peer's, *row* says which side of the pair
+        *blob1* is, and only ``out1`` is produced (``out2`` is ``None``).
+        Both ranks of such a pair stage the same two buffers and run the same
+        steps, the last one only for the half they keep, so the halves equal
+        the whole pair task's outputs bit for bit.  The cache key carries
+        *row* so the two halves of one pair never alias each other's entries.
 
         A cache hit makes no codec call and leases no scratch.
         """
@@ -230,22 +231,21 @@ class BlockKernel:
                     ops.apply_controlled_single_qubit(
                         buffer1, matrix, target, controls
                     )
-            elif row is None:
-                ops.apply_single_qubit_pairwise_masked(
-                    buffer1,
-                    buffer2,
-                    op.matrices[0],
-                    self._mask_for(op.local_controls[0]),
-                )
             else:
-                low, high = (buffer1, buffer2) if row == 0 else (buffer2, buffer1)
-                ops.apply_single_qubit_pairwise_half(
-                    low,
-                    high,
-                    op.matrices[0],
-                    row,
-                    self._mask_for(op.local_controls[0]),
-                )
+                low, high = (buffer2, buffer1) if row == 1 else (buffer1, buffer2)
+                last = len(op.matrices) - 1
+                for step, (matrix, controls) in enumerate(
+                    zip(op.matrices, op.local_controls)
+                ):
+                    mask = self._mask_for(controls)
+                    if row is None or step < last:
+                        ops.apply_single_qubit_pairwise_masked(
+                            low, high, matrix, mask
+                        )
+                    else:
+                        ops.apply_single_qubit_pairwise_half(
+                            low, high, matrix, row, mask
+                        )
             applied = perf_counter()
             out1 = compress(buffer1.view(np.float64))
             out2 = compress(buffer2.view(np.float64)) if pair and row is None else None

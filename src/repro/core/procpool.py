@@ -36,17 +36,10 @@ import zlib
 from multiprocessing import connection as mp_connection
 from multiprocessing import get_context, shared_memory
 
-from ..errors import (
-    BlockCorruptionError,
-    PoolProtocolError,
-    ReproError,
-    WorkerCrashedError,
-)
+from .. import errors
 
 __all__ = [
     "ProcessPool",
-    "WorkerCrashedError",
-    "BlockCorruptionError",
     "effective_cpu_count",
     "live_pool_count",
     "SLOTS_PER_WORKER",
@@ -109,11 +102,11 @@ def raise_worker_error(reply: tuple, context: str) -> None:
     _, exc, worker_traceback = reply
     detail = f"{context}:\n{worker_traceback}"
     if exc is None:
-        raise ReproError(detail)
+        raise errors.ReproError(detail)
     if hasattr(exc, "add_note"):  # Python >= 3.11
         exc.add_note(detail)
         raise exc
-    raise exc from ReproError(detail)  # pragma: no cover - py3.10 path
+    raise exc from errors.ReproError(detail)  # pragma: no cover - py3.10 path
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +191,7 @@ class SlotArena:
         payload = bytes(self._shm.buf[base : base + length])
         actual_crc = zlib.crc32(payload)
         if actual_crc != expected_crc:
-            raise BlockCorruptionError(
+            raise errors.BlockCorruptionError(
                 "shared-memory payload failed its checksum",
                 slot=slot,
                 expected_crc=expected_crc,
@@ -249,10 +242,10 @@ def _read_frame(
     if ref[0] == "inline":
         return ref[1]
     if arena is None:
-        raise WorkerCrashedError("shm frame reference without an arena")
+        raise errors.WorkerCrashedError("shm frame reference without an arena")
     try:
         return arena.read(ref)
-    except BlockCorruptionError as exc:
+    except errors.BlockCorruptionError as exc:
         exc.worker_id = worker_id
         raise
 
@@ -501,7 +494,7 @@ class ProcessPool:
 
         worker = self._workers[worker_id]
         if worker.outstanding >= SLOTS_PER_WORKER:
-            raise PoolProtocolError(
+            raise errors.PoolProtocolError(
                 f"worker {worker_id} already has {worker.outstanding} outstanding "
                 f"tasks (cap {SLOTS_PER_WORKER}); collect a response first",
                 worker_id=worker_id,
@@ -582,7 +575,7 @@ class ProcessPool:
                 if worker.outstanding
             }
             if not waiting:
-                raise PoolProtocolError(
+                raise errors.PoolProtocolError(
                     "recv_any() called with no outstanding tasks", op="recv_any"
                 )
             ready = mp_connection.wait(list(waiting), timeout=0.2)
@@ -598,7 +591,7 @@ class ProcessPool:
                 if worker.outstanding and not worker.process.is_alive():
                     raise self._crash_error(worker_id)
             if deadline is not None and time.monotonic() > deadline:
-                raise WorkerCrashedError(
+                raise errors.WorkerCrashedError(
                     f"no pool worker answered within {timeout:.0f}s "
                     f"({sum(w.outstanding for w in self._workers)} tasks outstanding)"
                 )
@@ -619,11 +612,11 @@ class ProcessPool:
 
         return self._workers[worker_id].process.pid
 
-    def _crash_error(self, worker_id: int) -> WorkerCrashedError:
+    def _crash_error(self, worker_id: int) -> errors.WorkerCrashedError:
         worker = self._workers[worker_id]
         worker.process.join(timeout=1.0)
         exitcode = worker.process.exitcode
-        return WorkerCrashedError(
+        return errors.WorkerCrashedError(
             f"pool worker {worker_id} (pid {worker.process.pid}) died "
             "mid-plan; the in-flight wave must be replayed (or the "
             "simulator rebuilt) to continue",

@@ -3,10 +3,9 @@
 :class:`CompressedSimulator` executes a circuit Schrödinger-style while the
 state vector stays compressed.  Per gate (Figure 2):
 
-0. (optional) The fusion pass (:mod:`repro.circuits.fusion`) coalesces runs
-   of consecutive same-target/same-control gates into one 2x2 unitary, then
-   groups consecutive in-block gates into local runs, so each group pays one
-   block round trip instead of one per gate
+0. (optional) The grouping pass (:func:`repro.circuits.fusion.form_runs`)
+   turns consecutive gates that stage the same blocks into runs, so each run
+   pays one block round trip instead of one per gate
    (``SimulatorConfig.fusion_enabled``).
 1. The gate plan (:func:`repro.distributed.exchange.plan_gate`) lists which
    (rank, block) buffers must be staged together, which depends on the target
@@ -16,8 +15,8 @@ state vector stays compressed.  Per gate (Figure 2):
    (``SimulatorConfig.num_workers``) since the tasks touch disjoint blocks.
    Each task is one :meth:`repro.core.kernel.BlockKernel.run`: the
    compressed block cache is consulted; on a miss the block (or block pair)
-   is decompressed into the scratch pool, the 2x2 unitary (each of a local
-   run's, in order) is applied with the vectorised kernels of
+   is decompressed into the scratch pool, the 2x2 unitary (each of a run's,
+   in order) is applied with the vectorised kernels of
    :mod:`repro.statevector.ops`, and the result is recompressed with the
    compressor chosen by the adaptive error controller.
 3. Inter-rank tasks account their block exchange with the simulated
@@ -40,19 +39,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
-from ..circuits.fusion import (
-    LocalRun,
-    constituents,
-    form_local_runs,
-    fuse_gate_sequence,
-    local_run,
-)
+from ..circuits.fusion import Run, constituents, form_runs, run_of
 from ..compression.interface import Compressor, get_compressor
 from ..distributed.comm import SimulatedCommunicator
 from ..distributed.exchange import plan_gate
 from ..distributed.partition import Partition, QubitSegment
 from ..errors import ProcessCommTimeout, WorkerCrashedError
-from ..resilience import resolve_fault_policy
+from ..resilience import resolve_fault_policy, suspend_to_checkpoint
 from .adaptive import AdaptiveErrorController
 from .blocks import CompressedBlock, ScratchPool
 from .cache import BlockCache
@@ -161,7 +154,7 @@ class CompressedSimulator:
         # applied since the last resilience checkpoint, the path of that
         # checkpoint, and a lazily created temp directory for it when the
         # policy does not pin one.
-        self._replay_log: list[Gate | LocalRun] = []
+        self._replay_log: list[Gate | Run] = []
         self._resilience_ckpt: Path | None = None
         self._ckpt_tempdir: str | None = None
         self._ranked_generation = 0
@@ -408,27 +401,50 @@ class CompressedSimulator:
                 )
             self._fork_config = config
         clone = CompressedSimulator(self._num_qubits, config)
-        if self._controller.current_bound:
-            clone._controller.force_level(self._controller.current_bound)
-        for (rank, block), entry in self._state.iter_blocks():
-            clone._state.store.put(
-                rank,
-                block,
-                CompressedBlock(
-                    blob=entry.blob, compressor=entry.compressor, bound=entry.bound
-                ),
-            )
+        clone.restore(
+            {"current_bound": self._controller.current_bound},
+            (
+                (rank, block, entry.compressor, entry.bound, entry.blob)
+                for (rank, block), entry in self._state.iter_blocks()
+            ),
+        )
         return clone
+
+    def restore(self, meta: dict, blocks: Iterable[tuple]) -> None:
+        """Overwrite this simulator's state with a snapshot.
+
+        *blocks* are ``(rank, block, compressor name, bound, blob)`` tuples
+        and *meta* is checkpoint metadata
+        (:func:`repro.core.checkpoint.read_checkpoint` returns both).  The
+        gate index, the report's ``gates_executed``, the fidelity history and
+        the adaptive error level are rewound to *meta*; a field it lacks
+        takes its start-of-run value.  This is the one state-restore path:
+        checkpoint load, suspend/resume, ranked recovery and :meth:`fork`
+        all end here.
+        """
+
+        for rank, block, name, bound, blob in blocks:
+            self._state.store.put(
+                rank, block, CompressedBlock(blob=blob, compressor=name, bound=bound)
+            )
+        self._gate_index = int(meta.get("gate_count", 0))
+        self._report.gates_executed = self._gate_index
+        if self._fidelity is not None:
+            self._fidelity.reset()
+            for bound in meta.get("fidelity_gate_bounds", ()):
+                self._fidelity.record_gate(float(bound))
+        self._controller = AdaptiveErrorController(self._config)
+        if meta.get("current_bound"):
+            self._controller.force_level(float(meta["current_bound"]))
 
     # -- gate execution -----------------------------------------------------------------
 
     def apply_circuit(self, circuit: QuantumCircuit | Iterable[Gate]) -> SimulationReport:
         """Apply every gate of *circuit*; returns the (running) report.
 
-        With ``fusion_enabled`` the circuit first goes through the fusion
-        pass, so consecutive same-target/same-control runs execute as single
-        fused gates and consecutive in-block gates share one round trip
-        (``report.fusion_gates_in/out`` record the reduction).
+        With ``fusion_enabled`` the circuit first goes through the grouping
+        pass, so consecutive gates that stage the same blocks share one round
+        trip (``report.fusion_gates_in/out`` record the reduction).
         """
 
         for gate in self.prepare_gates(circuit):
@@ -437,13 +453,13 @@ class CompressedSimulator:
 
     def prepare_gates(
         self, circuit: QuantumCircuit | Iterable[Gate]
-    ) -> list[Gate | LocalRun]:
+    ) -> list[Gate | Run]:
         """The exact schedule :meth:`apply_circuit` would execute.
 
-        Runs the configured fusion pass (recording its statistics in the
+        Runs the configured grouping pass (recording its statistics in the
         report) and returns the resulting elements as a list: plain gates,
-        fused gates, and a :class:`~repro.circuits.fusion.LocalRun` for every
-        stretch of two or more consecutive in-block gates under this
+        and a :class:`~repro.circuits.fusion.Run` for every stretch of two or
+        more consecutive gates that stage the same blocks under this
         simulator's partition.  Stepping the returned list through
         :meth:`apply_gate` one element at a time is bit-identical to a single
         :meth:`apply_circuit` call — this is the entry point for drivers that
@@ -453,15 +469,13 @@ class CompressedSimulator:
 
         gates = list(circuit)
         if self._config.fusion_enabled:
-            cap = self._config.fusion_max_group
-            fused, stats = fuse_gate_sequence(gates, max_group=cap)
-            gates = form_local_runs(fused, self._partition.offset_bits, cap)
-            self._report.fusion_gates_in += stats.gates_in
+            self._report.fusion_gates_in += len(gates)
+            gates = form_runs(gates, self._partition.offset_bits)
             self._report.fusion_gates_out += len(gates)
         return gates
 
-    def apply_gate(self, gate: Gate | LocalRun) -> None:
-        """Apply a single gate — or one local run — to the compressed state.
+    def apply_gate(self, gate: Gate | Run) -> None:
+        """Apply a single gate — or one run — to the compressed state.
 
         On the ranked tier with an active :class:`~repro.resilience.FaultPolicy`
         (``max_retries > 0`` or a checkpoint interval), a rank-worker death or
@@ -481,7 +495,7 @@ class CompressedSimulator:
         else:
             self._apply_gate_once(gate)
 
-    def _apply_gate_once(self, gate: Gate | LocalRun) -> None:
+    def _apply_gate_once(self, gate: Gate | Run) -> None:
         """One attempt at a schedule element.
 
         While a memory budget is set and the controller is still lossless,
@@ -490,15 +504,15 @@ class CompressedSimulator:
         the first escalation and finishes as one round trip from there.
         """
 
-        if isinstance(gate, LocalRun) and self._config.memory_budget_bytes is not None:
+        if isinstance(gate, Run) and self._config.memory_budget_bytes is not None:
             steps = gate.gates
             while len(steps) > 1 and self._controller.is_lossless:
                 self._run_element(steps[0])
                 steps = steps[1:]
-            gate = local_run(steps)
+            gate = run_of(steps)
         self._run_element(gate)
 
-    def _run_element(self, gate: Gate | LocalRun) -> None:
+    def _run_element(self, gate: Gate | Run) -> None:
         """Plan, execute, then commit the per-gate bookkeeping (counters,
         fidelity, escalation) — once per element, however many steps it has.
         The bookkeeping only runs after ``run_plan`` returns, so a failed
@@ -539,7 +553,7 @@ class CompressedSimulator:
             or self._policy.checkpoint_interval_waves > 0
         )
 
-    def _apply_gate_resilient(self, gate: Gate | LocalRun) -> None:
+    def _apply_gate_resilient(self, gate: Gate | Run) -> None:
         """Apply one gate with the detect → contain → recover loop around it."""
 
         policy = self._policy
@@ -576,11 +590,11 @@ class CompressedSimulator:
         1. Close the (partially dead) executor with a short join timeout —
            surviving ranks may be blocked in an exchange with the dead peer
            and need the SIGTERM escalation.
-        2. Rewind the parent-side bookkeeping (gate index, fidelity history,
-           adaptive-controller level) to the last resilience checkpoint, or
-           to the start of the run when none was written yet.
-        3. Rebuild the pool and arena, restore the checkpointed blocks into
-           the fresh rank workers.
+        2. Rebuild the pool and arena.
+        3. :meth:`restore` the last resilience checkpoint — blocks into the
+           fresh rank workers, parent-side bookkeeping (gate index, fidelity
+           history, adaptive-controller level) rewound — or the start of the
+           run when none was written yet.
         4. Replay the gates applied since the checkpoint through the normal
            per-gate path, which re-runs the same compressor bounds and
            escalation decisions (everything below is deterministic).
@@ -590,7 +604,7 @@ class CompressedSimulator:
 
         self._executor.close(join_timeout=0.5)
 
-        meta = blocks = None
+        meta, blocks = {}, ()
         if self._resilience_ckpt is not None:
             # A torn/corrupt snapshot falls back to replay-from-start rather
             # than failing the recovery.
@@ -599,37 +613,17 @@ class CompressedSimulator:
             # repro-lint: disable=error-taxonomy -- recovery path: a torn
             # checkpoint degrades to replay-from-start, never fails recovery
             except Exception:
-                meta = blocks = None
+                pass
 
-        # Rewind bookkeeping *before* rebuilding: the initial compressor of
-        # the fresh workers must match what a failure-free run would have
-        # used at that point.
+        # Fresh controller *before* rebuilding: the fresh workers' initial
+        # blocks must be compressed as at the start of a failure-free run.
         self._controller = AdaptiveErrorController(self._config)
-        if self._fidelity is not None:
-            self._fidelity.reset()
-        if meta is not None:
-            self._gate_index = int(meta.get("gate_count", 0))
-            if self._fidelity is not None:
-                for bound in meta.get("fidelity_gate_bounds", []):
-                    self._fidelity.record_gate(float(bound))
-            if meta.get("current_bound"):
-                self._controller.force_level(float(meta["current_bound"]))
-        else:
-            self._gate_index = 0
-        self._report.gates_executed = self._gate_index
-
         # Bump the pool generation so rebuilt rank workers do not re-arm
         # injected comm faults from the environment (the replay would
         # deterministically hit the same drop/delay and never converge).
         self._ranked_generation += 1
         self._build_ranked(self._initial_basis_state)
-        if blocks is not None:
-            for rank, block, name, bound, blob in blocks:
-                self._state.store.put(
-                    rank,
-                    block,
-                    CompressedBlock(blob=blob, compressor=name, bound=bound),
-                )
+        self.restore(meta, blocks)
 
         replay = list(self._replay_log)
         for logged_gate in replay:
@@ -661,12 +655,8 @@ class CompressedSimulator:
         if self._gate_index // interval == index_before // interval:
             return
 
-        from .checkpoint import save_checkpoint
-
         path = self._resilience_checkpoint_path()
-        tmp = path.with_name(path.name + ".tmp")
-        save_checkpoint(self, tmp)
-        os.replace(tmp, path)
+        suspend_to_checkpoint(self, path)
         self._resilience_ckpt = path
         self._replay_log.clear()
         self._report.record_recovery(checkpoints_written=1)
@@ -748,9 +738,11 @@ class CompressedSimulator:
         draw per hit block in ascending flat block index (rank-major) — and
         nothing here depends on ``num_workers``, which cannot change the
         stored state (disjoint block writes, deterministic compressors).
-        ``fusion_enabled`` is different: fusing reorders the floating-point
-        arithmetic, so the stored state can differ at the ULP level and
-        counts are only guaranteed stable within one fusion setting.
+        Nor, under lossless compression, on ``fusion_enabled``: a run applies
+        its gates' own 2x2 steps in order, so the stored amplitudes are the
+        gate-by-gate schedule's bit for bit.  Lossy counts do differ between
+        the two settings, because a run is quantised once instead of once per
+        gate.
         """
 
         if shots < 0:

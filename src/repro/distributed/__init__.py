@@ -18,7 +18,7 @@ from .comm import (
     aggregate_rank_stats,
 )
 from .exchange import BlockTask, GatePlan, plan_gate
-from .process_comm import ProcessCommTimeout, ProcessCommunicator, RankCommArena
+from .process_comm import ProcessCommunicator, RankCommArena
 
 #: Names that live in :mod:`repro.distributed.ranked`, which imports from
 #: :mod:`repro.core` and therefore cannot load eagerly here (``repro.core``
@@ -42,7 +42,6 @@ __all__ = [
     "RankCommunicator",
     "aggregate_rank_stats",
     "ProcessCommunicator",
-    "ProcessCommTimeout",
     "RankCommArena",
     "RankedExecutor",
     "RankedStateVector",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..circuits import Gate
-from ..circuits.fusion import LocalRun, constituents
+from ..circuits.fusion import Run, constituents
 from .partition import Partition, QubitSegment
 
 __all__ = ["BlockTask", "GatePlan", "plan_gate"]
@@ -48,7 +48,7 @@ class BlockTask:
 @dataclass(frozen=True)
 class GatePlan:
     """Everything the executor needs to run one gate, or one
-    :class:`~repro.circuits.fusion.LocalRun`, over the block store."""
+    :class:`~repro.circuits.fusion.Run`, over the block store."""
 
     segment: QubitSegment
     tasks: tuple[BlockTask, ...]
@@ -114,17 +114,17 @@ def _passes(index: int, required_bits: list[int]) -> bool:
     return all(index >> bit & 1 for bit in required_bits)
 
 
-def plan_gate(partition: Partition, gate: Gate | LocalRun) -> GatePlan:
+def plan_gate(partition: Partition, gate: Gate | Run) -> GatePlan:
     """Build the :class:`GatePlan` for *gate* under *partition*.
 
     Control qubits in the block / rank segments prune whole blocks / ranks
     (Section 3.3's three control cases); local controls are left in the plan
     for the executor to apply as element masks.
 
-    A :class:`~repro.circuits.fusion.LocalRun` plans as its first gate — every
-    constituent must target the ``LOCAL`` segment under the same block/rank
-    controls, so all touch the same blocks — with one ``local_controls``
-    entry per constituent.
+    A :class:`~repro.circuits.fusion.Run` plans as its first gate, with one
+    ``local_controls`` entry per constituent.  Every constituent must stage
+    what the first does: the same segment under the same block/rank controls
+    and, above the block boundary, the same target and local control set.
     """
 
     if gate.max_qubit() >= partition.num_qubits:
@@ -141,16 +141,20 @@ def plan_gate(partition: Partition, gate: Gate | LocalRun) -> GatePlan:
     step_controls = [local_controls]
     for step in rest:
         local, block_bits, rank_bits = _control_filters(partition, step.controls)
-        if (
-            segment is not QubitSegment.LOCAL
-            or partition.segment_of(step.target) is not QubitSegment.LOCAL
-            or set(block_bits) != set(block_control_bits)
-            or set(rank_bits) != set(rank_control_bits)
-        ):
+        same_blocks = (
+            partition.segment_of(step.target) is segment
+            and set(block_bits) == set(block_control_bits)
+            and set(rank_bits) == set(rank_control_bits)
+        )
+        same_pairs = segment is QubitSegment.LOCAL or (
+            step.target == target and set(local) == set(local_controls)
+        )
+        if not (same_blocks and same_pairs):
             raise ValueError(
-                f"{gate.name} is not a local run under this partition: every "
-                "gate must target the block-offset segment under the same "
-                "block/rank controls"
+                f"{gate.name} is not a run under this partition: every gate "
+                "must target the block-offset segment under the same "
+                "block/rank controls, or share one non-local target and "
+                "control set"
             )
         step_controls.append(local)
 

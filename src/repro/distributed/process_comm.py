@@ -55,11 +55,11 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..errors import ProcessCommTimeout
+from .. import errors
 from ..resilience import faults as _faults
 from .comm import CommunicationStats, RankCommunicator
 
-__all__ = ["RankCommArena", "ProcessCommunicator", "ProcessCommTimeout"]
+__all__ = ["RankCommArena", "ProcessCommunicator"]
 
 #: Bytes of the per-channel header: seq, ack, message-total, chunk-length.
 _CHANNEL_HEADER_BYTES = 32
@@ -407,7 +407,7 @@ class ProcessCommunicator(RankCommunicator):
                     # the deadline error — without spending the wall-clock
                     # wait (injection is for tests, determinism matters,
                     # latency does not).
-                    raise ProcessCommTimeout(
+                    raise errors.ProcessCommTimeout(
                         f"rank {self._rank}: block exchange with rank "
                         f"{peer} dropped by injected fault plan",
                         rank=self._rank,
@@ -431,7 +431,7 @@ class ProcessCommunicator(RankCommunicator):
             if spins > 200:
                 time.sleep(5e-5 if spins < 4000 else 1e-3)
                 if time.monotonic() > deadline:
-                    raise ProcessCommTimeout(
+                    raise errors.ProcessCommTimeout(
                         f"rank {self._rank}: block exchange with rank {peer} "
                         f"made no progress for {self._timeout:.0f}s "
                         "(peer process dead?)",
@@ -504,7 +504,7 @@ class ProcessCommunicator(RankCommunicator):
                         for rank in range(self._num_ranks)
                         if int(counters[rank]) < target
                     ]
-                    raise ProcessCommTimeout(
+                    raise errors.ProcessCommTimeout(
                         f"rank {self._rank}: {what} stuck waiting on ranks "
                         f"{laggards} for {self._timeout:.0f}s",
                         rank=self._rank,

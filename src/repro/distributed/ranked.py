@@ -511,7 +511,7 @@ class RankedExecutor:
     # -- plan execution ---------------------------------------------------------------
 
     def run_plan(self, op: BlockOp, plan: GatePlan) -> None:
-        """Distribute one (possibly fused) gate plan across the ranks."""
+        """Distribute one gate's or run's plan across the ranks."""
 
         pool = self._require_pool()
         per_rank: dict[int, list[tuple]] = {}
@@ -738,20 +738,6 @@ class RankedBlockStore:
         """Compressed bytes of one rank's slice (cached parent-side)."""
 
         return self._executor.rank_compressed_bytes(rank)
-
-    def total_bytes_with_scratch(self) -> int:
-        """Eq. 8: compressed blocks plus two decompressed blocks per rank."""
-
-        scratch = 2 * self._partition.block_bytes * self._partition.num_ranks
-        return self.compressed_bytes() + scratch
-
-    def compression_ratio(self) -> float:
-        """Current overall ratio: uncompressed state size / compressed size."""
-
-        compressed = self.compressed_bytes()
-        if compressed == 0:
-            return float("inf")
-        return self._partition.uncompressed_bytes() / compressed
 
     def bounds_in_use(self) -> set[float]:
         """Distinct error bounds present across the stored blocks."""

@@ -93,7 +93,7 @@ class WorkerCrashedError(ReproError):
         Index of the gate wave that was in flight when the crash surfaced
         (filled in by the executor, which owns wave numbering).
     gate:
-        Name/span of the (possibly fused) gate whose plan was executing.
+        Name/span of the gate or run whose plan was executing.
     rank:
         The simulated-MPI rank the worker served (ranked tier only).
     """

@@ -61,7 +61,6 @@ def resume_from_checkpoint(simulator, path: str | Path) -> int:
     bit-identically.  Returns the restored gate index.
     """
 
-    from ..core.blocks import CompressedBlock
     from ..core.checkpoint import read_checkpoint
 
     path = Path(path)
@@ -88,18 +87,5 @@ def resume_from_checkpoint(simulator, path: str | Path) -> int:
         )
 
     simulator.reset()
-    for rank, block, name, bound, blob in blocks:
-        simulator.state.store.put(
-            rank, block, CompressedBlock(blob=blob, compressor=name, bound=bound)
-        )
-    gate_index = int(meta.get("gate_count", 0))
-    # Rewind the parent-side bookkeeping exactly as load_checkpoint does on
-    # a freshly built simulator.
-    simulator._gate_index = gate_index  # noqa: SLF001 - deliberate restore
-    simulator._report.gates_executed = gate_index  # noqa: SLF001 - deliberate restore
-    if simulator.fidelity_tracker is not None:
-        for bound in meta.get("fidelity_gate_bounds", []):
-            simulator.fidelity_tracker.record_gate(float(bound))
-    if meta.get("current_bound"):
-        simulator.controller.force_level(float(meta["current_bound"]))
-    return gate_index
+    simulator.restore(meta, blocks)
+    return simulator.gate_count

@@ -6,7 +6,7 @@ distinct :class:`~repro.core.config.SimulatorConfig`, so every job with the
 same config reuses the same leased simulators and any process pools they
 spun up), pulls jobs off a :class:`~repro.serve.queue.FairScheduler` with a
 small pool of worker coroutines, and executes each circuit *gate-stepped*:
-chunks of fused gates are applied between ``await`` points, so progress
+chunks of schedule elements are applied between ``await`` points, so progress
 events, cancellation and checkpoint-based suspension all happen at
 deterministic gate boundaries rather than wall-clock ones.
 
@@ -605,7 +605,7 @@ class SimulationService:
         self._finish(job, "completed", result=result)
 
     async def _run_on_simulator(self, job: Job, session) -> Result:
-        """Apply the job's fused gates in chunks on a leased warm simulator.
+        """Apply the job's schedule elements in chunks on a leased warm simulator.
 
         Replays the exact single-circuit rng ladder of
         :meth:`repro.backends.base.Backend.run`, so sampled counts are

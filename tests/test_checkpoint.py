@@ -7,12 +7,13 @@ import pytest
 
 from repro.circuits import qft_circuit
 from repro.core import (
-    CheckpointError,
     CompressedSimulator,
     SimulatorConfig,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.errors import CheckpointError
+from repro.resilience import resume_from_checkpoint
 from repro.statevector import simulate_statevector, state_fidelity
 
 
@@ -62,6 +63,22 @@ class TestCheckpointRoundTrip:
         assert resumed.fidelity_tracker.lower_bound == pytest.approx(
             simulator.fidelity_tracker.lower_bound
         )
+
+    def test_report_counts_the_restored_gates(self, tmp_path):
+        # One restore path: a loaded and a resumed simulator both report the
+        # checkpointed gate count, not zero.
+        simulator = CompressedSimulator(7, _config())
+        simulator.apply_circuit(qft_circuit(7))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(simulator, path)
+        loaded = load_checkpoint(path)
+        warm = CompressedSimulator(7, _config())
+        warm.apply_circuit(qft_circuit(7).gates[:3])
+        assert resume_from_checkpoint(warm, path) == simulator.gate_count
+        for restored in (loaded, warm):
+            assert restored.gate_count == simulator.gate_count > 0
+            assert restored.report().gates_executed == restored.gate_count
+            assert np.array_equal(restored.statevector(), simulator.statevector())
 
     def test_checkpoint_matches_dense_after_resume(self, tmp_path):
         circuit = qft_circuit(7)

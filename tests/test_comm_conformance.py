@@ -31,12 +31,12 @@ import pytest
 
 from repro.distributed import (
     CommunicationStats,
-    ProcessCommTimeout,
     ProcessCommunicator,
     RankCommArena,
     SimulatedCommunicator,
     aggregate_rank_stats,
 )
+from repro.errors import ProcessCommTimeout
 
 
 def _payload(rank: int, size: int) -> bytes:

@@ -18,6 +18,7 @@ from repro.core import (
     BlockCache,
     BlockStore,
     CompressedBlock,
+    CompressedStateVector,
     FidelityTracker,
     ScratchPool,
     SimulationReport,
@@ -89,14 +90,15 @@ class TestBlockStore:
                 )
         assert self.store.compressed_bytes() == 10 * self.partition.total_blocks
         assert self.store.rank_compressed_bytes(0) == 10 * self.partition.blocks_per_rank
-        expected_scratch = 2 * self.partition.block_bytes * 2
-        assert self.store.total_bytes_with_scratch() == (
-            self.store.compressed_bytes() + expected_scratch
-        )
-        assert self.store.compression_ratio() == pytest.approx(
-            self.partition.uncompressed_bytes() / self.store.compressed_bytes()
-        )
         assert self.store.bounds_in_use() == {0.0}
+
+    def test_state_footprint_is_eq8(self):
+        state = CompressedStateVector(self.partition, LosslessCompressor())
+        expected_scratch = 2 * self.partition.block_bytes * 2
+        assert state.footprint_bytes() == state.compressed_bytes() + expected_scratch
+        assert state.compression_ratio() == pytest.approx(
+            self.partition.uncompressed_bytes() / state.compressed_bytes()
+        )
 
 
 class TestScratchPool:

@@ -1,16 +1,14 @@
-"""Fusion pass + parallel block-task execution: unit and differential tests.
+"""Run formation + parallel block-task execution: unit and differential tests.
 
-The differential harness is the safety net for the gate-fusion / scheduling
-refactor: random circuits run through the compressed simulator with fusion
-on/off and ``num_workers`` 1/4 must agree with the dense reference —
-amplitude for amplitude under lossless compression, and within the tracked
-fidelity lower bound under every lossy compressor family.
-
-Local runs (consecutive in-block gates sharing one round trip) multiply
-nothing, so wherever the 2x2 fusion itself does not fire they are held to
-more: bit-equality with the dense simulator and with ``fusion_enabled=False``
-on every tier, and an escalation history equal to the gate-by-gate one while
-a memory budget is still being met losslessly.
+The differential harness is the safety net for the gate-grouping / scheduling
+code: random circuits run through the compressed simulator with fusion
+on/off and ``num_workers`` 1/4 must agree with the dense reference — bit for
+bit under lossless compression, since a run (consecutive gates sharing one
+round trip) multiplies nothing and reorders nothing — and within the tracked
+fidelity lower bound under every lossy compressor family.  While a memory
+budget is still being met losslessly, a run's escalation history equals the
+gate-by-gate one.  (The all-tier bit-equality property lives in
+``tests/test_property_simulator.py``.)
 """
 
 from __future__ import annotations
@@ -21,13 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.applications import qaoa_maxcut_circuit, random_regular_graph
 from repro.circuits import (
-    LocalRun,
     QuantumCircuit,
-    form_local_runs,
-    fuse_circuit,
-    fuse_gate_sequence,
-    fuse_run,
-    fusible,
+    Run,
+    form_runs,
     ghz_circuit,
     qft_circuit,
     standard_gate,
@@ -57,7 +51,7 @@ def _chain_circuit(num_qubits: int = 4) -> QuantumCircuit:
 
 @st.composite
 def fusion_heavy_circuits(draw) -> QuantumCircuit:
-    """Random circuits biased toward fusible same-target runs."""
+    """Random circuits biased toward same-target stretches."""
 
     circuit = QuantumCircuit(NUM_QUBITS)
     num_moves = draw(st.integers(min_value=1, max_value=12))
@@ -65,7 +59,7 @@ def fusion_heavy_circuits(draw) -> QuantumCircuit:
         kind = draw(st.integers(min_value=0, max_value=3))
         qubits = draw(st.permutations(range(NUM_QUBITS)).map(lambda p: p[:3]))
         if kind == 0:
-            # A run of gates on one target — what the fusion pass coalesces.
+            # A stretch of gates on one target: a run wherever the target lies.
             for _ in range(draw(st.integers(min_value=1, max_value=4))):
                 circuit.add(draw(st.sampled_from(_single_gates)), qubits[0])
         elif kind == 1:
@@ -78,165 +72,95 @@ def fusion_heavy_circuits(draw) -> QuantumCircuit:
     return circuit
 
 
-@st.composite
-def run_heavy_circuits(draw) -> QuantumCircuit:
-    """Random circuits on which only run formation fires.
-
-    Consecutive gates never share a target, so the 2x2 fusion has nothing to
-    multiply and the fused schedule performs the unfused arithmetic; controls
-    fall anywhere, so under a small block some are local and some are not.
-    """
-
-    circuit = QuantumCircuit(NUM_QUBITS)
-    previous = None
-    for _ in range(draw(st.integers(min_value=2, max_value=16))):
-        qubits = draw(
-            st.permutations(range(NUM_QUBITS)).filter(lambda p: p[0] != previous)
-        )
-        previous = qubits[0]
-        kind = draw(st.integers(min_value=0, max_value=3))
-        if kind == 0:
-            circuit.add(draw(st.sampled_from(_single_gates)), qubits[0])
-        elif kind == 1:
-            circuit.rx(draw(st.floats(-3.14, 3.14, allow_nan=False)), qubits[0])
-        elif kind == 2:
-            circuit.cx(qubits[1], qubits[0])
-        else:
-            circuit.ccx(qubits[1], qubits[2], qubits[0])
-    return circuit
-
-
-#: Execution tiers of the differential tests (all on two ranks).
-TIERS = {
-    "sequential": {},
-    "thread": dict(num_workers=2),
-    "process": dict(num_workers=2, executor="process"),
-    "ranked": dict(comm="process"),
-}
-
-
-# ---------------------------------------------------------------------------
-# Fusion pass unit tests
-# ---------------------------------------------------------------------------
-
-
-class TestFusionPass:
-    def test_fused_matrix_is_product_in_application_order(self):
-        h = standard_gate("h", 0)
-        t = standard_gate("t", 0)
-        s = standard_gate("s", 0)
-        fused = fuse_run([h, t, s])
-        assert np.allclose(fused.matrix, s.matrix @ t.matrix @ h.matrix)
-        assert fused.targets == (0,)
-        assert fused.controls == ()
-
-    def test_single_gate_run_is_returned_unchanged(self):
-        gate = standard_gate("h", 2)
-        assert fuse_run([gate]) is gate
-
-    def test_fusible_requires_same_target_and_control_set(self):
-        assert fusible(standard_gate("h", 0), standard_gate("t", 0))
-        assert not fusible(standard_gate("h", 0), standard_gate("h", 1))
-        assert not fusible(standard_gate("x", 0, controls=(1,)), standard_gate("x", 0))
-        # Control order is irrelevant: the condition is a set membership test.
-        assert fusible(
-            standard_gate("x", 0, controls=(1, 2)), standard_gate("z", 0, controls=(2, 1))
-        )
-
-    def test_fuse_run_rejects_unfusible_and_empty(self):
-        with pytest.raises(GateError):
-            fuse_run([standard_gate("h", 0), standard_gate("h", 1)])
-        with pytest.raises(GateError):
-            fuse_run([])
-
-    def test_fuse_circuit_statistics(self):
-        circuit = _chain_circuit(4)  # 4 chains of 4 + 3 entanglers
-        fused, stats = fuse_circuit(circuit)
-        assert stats.gates_in == 19
-        assert stats.gates_out == 7
-        assert stats.fused_groups == 4
-        assert stats.max_group == 4
-        assert stats.round_trip_reduction > 2.0
-        assert len(fused) == stats.gates_out
-
-    def test_nothing_to_fuse_preserves_gates(self):
-        circuit = QuantumCircuit(3).h(0).h(1).h(2).cx(0, 1)
-        fused, stats = fuse_circuit(circuit)
-        assert stats.fused_groups == 0
-        assert stats.round_trip_reduction == 1.0
-        assert fused.gates == circuit.gates
-
-    def test_max_group_caps_run_length(self):
-        gates = [standard_gate("t", 0) for _ in range(7)]
-        fused, stats = fuse_gate_sequence(gates, max_group=3)
-        assert [len(g.name.split("+")) if g.name.startswith("fused") else 1 for g in fused] == [3, 3, 1]
-        assert stats.gates_out == 3
-        assert stats.max_group == 3
-
-    def test_fused_circuit_operator_equivalence(self):
-        circuit = _chain_circuit(4)
-        fused, _ = fuse_circuit(circuit)
-        assert np.allclose(
-            simulate_statevector(circuit), simulate_statevector(fused), atol=1e-12
-        )
-
-
 # ---------------------------------------------------------------------------
 # Run formation
 # ---------------------------------------------------------------------------
 
 
-def _outer_controls(gate, local_qubits: int) -> frozenset:
-    return frozenset(c for c in gate.controls if c >= local_qubits)
+def _staging(gate, local_qubits: int) -> tuple:
+    """What two neighbours must agree on to share a run (restated here)."""
+
+    if gate.target < local_qubits:
+        return ("local", frozenset(c for c in gate.controls if c >= local_qubits))
+    return (gate.target, frozenset(gate.controls))
 
 
 class TestRunFormation:
     @given(
-        circuit=run_heavy_circuits(),
+        circuit=fusion_heavy_circuits(),
         local_qubits=st.integers(min_value=0, max_value=NUM_QUBITS),
-        max_group=st.sampled_from([None, 1, 2, 3]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_runs_are_ordered_valid_and_maximal(self, circuit, local_qubits, max_group):
+    def test_runs_are_ordered_valid_and_maximal(self, circuit, local_qubits):
         gates = circuit.gates
-        elements = form_local_runs(gates, local_qubits, max_group)
+        elements = form_runs(gates, local_qubits)
         # Never reordered, never dropped: the same gate objects, in order.
         flat = [gate for element in elements for gate in constituents(element)]
         assert len(flat) == len(gates)
         assert all(a is b for a, b in zip(flat, gates))
-
-        def local(element) -> bool:
-            return all(g.target < local_qubits for g in constituents(element))
-
         for element in elements:
             steps = constituents(element)
-            if isinstance(element, LocalRun):
-                # Only in-block targets under one block/rank control set.
-                assert len(steps) >= 2 and local(element)
-                assert len({_outer_controls(g, local_qubits) for g in steps}) == 1
-                assert max_group is None or len(steps) <= max_group
-        # Maximal: neighbours stay apart only for a reason.
+            assert isinstance(element, Run) == (len(steps) >= 2)
+            # Valid: in-block targets under one block/rank control set, or
+            # one non-local target under one control set.
+            assert len({_staging(g, local_qubits) for g in steps}) == 1
+        # Maximal: neighbours stay apart only because the staging changes.
         for left, right in zip(elements, elements[1:]):
-            if local(left) and local(right):
-                assert _outer_controls(
-                    constituents(left)[-1], local_qubits
-                ) != _outer_controls(constituents(right)[0], local_qubits) or (
-                    max_group is not None and len(constituents(left)) == max_group
-                )
+            assert _staging(constituents(left)[-1], local_qubits) != _staging(
+                constituents(right)[0], local_qubits
+            )
+
+    def test_chain_circuit_schedule(self):
+        circuit = _chain_circuit(4)  # 4 chains of 4 + 3 entanglers
+        # Everything in-block and uncontrolled above it: one run.
+        assert len(form_runs(circuit.gates, 4)) == 1
+        # Nothing in-block: each chain is a run on its own target; the three
+        # controlled phases differ in target, so each stands alone.
+        elements = form_runs(circuit.gates, 0)
+        assert [len(constituents(e)) for e in elements] == [4, 4, 4, 4, 1, 1, 1]
+        assert elements[0].name == "run(h+t+rz+s)"
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            standard_gate("h", 5),  # another non-local target
+            standard_gate("h", 4, controls=(0,)),  # another (local) control set
+            standard_gate("h", 4, controls=(5,)),  # another outer control set
+            standard_gate("h", 0),  # an in-block target
+        ],
+    )
+    def test_never_merges_across_a_change_of_staging(self, second):
+        first = standard_gate("x", 4)
+        for gates in ([first, second], [second, first]):
+            elements = form_runs(gates, 3)
+            assert all(a is b for a, b in zip(elements, gates))
+
+    def test_in_block_gates_merge_across_targets_but_not_outer_controls(self):
+        h0, x1 = standard_gate("h", 0), standard_gate("x", 1, controls=(2,))
+        under5 = standard_gate("z", 2, controls=(5,))
+        elements = form_runs([h0, x1, under5, h0], 3)
+        assert [len(constituents(e)) for e in elements] == [2, 1, 1]
+        assert elements[0].gates == (h0, x1)
+
+    def test_pair_run_ignores_control_order(self):
+        first = standard_gate("x", 4, controls=(1, 5))
+        second = standard_gate("z", 4, controls=(5, 1))
+        (run,) = form_runs([first, second], 3)
+        assert run.gates == (first, second)
 
     def test_run_of_one_is_the_gate_itself(self):
         gates = [standard_gate("h", 0), standard_gate("h", 5), standard_gate("x", 1)]
-        elements = form_local_runs(gates, 3)
+        elements = form_runs(gates, 3)
         assert all(a is b for a, b in zip(elements, gates))
         with pytest.raises(GateError):
-            LocalRun((gates[0],))
+            Run((gates[0],))
 
-    def test_key_never_aliases_a_gate_or_a_fused_group(self):
+    def test_key_never_aliases_a_gate(self):
         h, t = standard_gate("h", 0), standard_gate("t", 0)
-        run = LocalRun((h, t))
+        run = Run((h, t))
         assert run.key() == (h.key(), t.key())
-        assert run.key() not in (h.key(), t.key(), fuse_run([h, t]).key())
-        assert LocalRun((t, h)).key() != run.key()
+        assert run.key() not in (h.key(), t.key())
+        assert Run((t, h)).key() != run.key()
         assert run.name == "run(h+t)" and run.max_qubit() == 0
 
 
@@ -252,28 +176,45 @@ class TestFusedPlanning:
         partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
         first = standard_gate("x", 0, controls=(1, 3, 5))
         second = standard_gate("h", 1, controls=(5, 3))
-        plan = plan_gate(partition, LocalRun((first, second)))
+        plan = plan_gate(partition, Run((first, second)))
         assert plan.segment is QubitSegment.LOCAL
         assert plan.tasks == plan_gate(partition, first).tasks
         assert plan.tasks == plan_gate(partition, second).tasks
         assert plan.local_controls == ((1,), ())
         assert plan.exchange_count == 0
 
+    @pytest.mark.parametrize("target", [3, 5])  # block / rank segment
+    def test_pair_run_plans_as_its_first_gates_pair_tasks(self, target):
+        partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
+        first = standard_gate("x", target, controls=(1, 2, 4))
+        second = standard_gate("p", target, controls=(4, 2, 1), params=(0.3,))
+        plan = plan_gate(partition, Run((first, second, first)))
+        single = plan_gate(partition, first)
+        assert plan.segment is single.segment is not QubitSegment.LOCAL
+        assert plan.tasks == single.tasks == plan_gate(partition, second).tasks
+        assert plan.local_controls == ((1,), (1,), (1,))
+        # One exchange per block pair for the whole run.
+        assert plan.exchange_count == single.exchange_count
+
     @pytest.mark.parametrize(
-        "second",
+        "first, second",
         [
-            standard_gate("h", 3),  # block-segment target
-            standard_gate("h", 5),  # rank-segment target
-            standard_gate("h", 1, controls=(3,)),  # another block control set
-            standard_gate("h", 1, controls=(4,)),  # another rank control set
+            (standard_gate("h", 0), standard_gate("h", 3)),  # block-segment target
+            (standard_gate("h", 0), standard_gate("h", 5)),  # rank-segment target
+            (standard_gate("h", 0), standard_gate("h", 1, controls=(3,))),
+            (standard_gate("h", 0), standard_gate("h", 1, controls=(4,))),
+            (standard_gate("h", 3), standard_gate("h", 2)),  # another block target
+            (standard_gate("h", 3), standard_gate("h", 3, controls=(0,))),
+            (standard_gate("h", 5), standard_gate("h", 5, controls=(2,))),
+            (standard_gate("h", 5), standard_gate("h", 4)),  # another rank target
         ],
     )
-    def test_plan_rejects_what_is_not_a_run_under_the_partition(self, second):
+    def test_plan_rejects_what_is_not_a_run_under_the_partition(self, first, second):
         partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
-        with pytest.raises(ValueError, match="not a local run"):
-            plan_gate(partition, LocalRun((standard_gate("h", 0), second)))
-        with pytest.raises(ValueError, match="not a local run"):
-            plan_gate(partition, LocalRun((second, standard_gate("h", 0))))
+        with pytest.raises(ValueError, match="not a run"):
+            plan_gate(partition, Run((first, second)))
+        with pytest.raises(ValueError, match="not a run"):
+            plan_gate(partition, Run((second, first)))
 
     @pytest.mark.parametrize("target", [0, 3, 5])
     def test_independent_groups_cover_and_are_disjoint(self, target):
@@ -334,13 +275,13 @@ class TestDifferentialLossless:
         with CompressedSimulator(NUM_QUBITS, config) as simulator:
             simulator.apply_circuit(circuit)
             dense = simulate_statevector(circuit)
-            assert np.allclose(simulator.statevector(), dense, atol=1e-10)
+            assert np.array_equal(simulator.statevector(), dense)
             assert simulator.norm_squared() == pytest.approx(1.0, abs=1e-9)
 
-    def test_worker_count_is_bit_identical_and_fusion_is_allclose(self, simulator_config):
+    def test_worker_count_and_fusion_are_bit_identical(self, simulator_config):
         # num_workers cannot change the stored state at all (disjoint block
-        # writes, deterministic compressors); fusion reorders floating-point
-        # arithmetic, so across fusion settings agreement is to tolerance.
+        # writes, deterministic compressors), and a run applies its gates'
+        # own 2x2 steps in order, so neither can fusion.
         circuit = _chain_circuit(NUM_QUBITS)
         states: dict[tuple[bool, int], np.ndarray] = {}
         for fusion in (False, True):
@@ -354,37 +295,12 @@ class TestDifferentialLossless:
                 with CompressedSimulator(NUM_QUBITS, config) as simulator:
                     simulator.apply_circuit(circuit)
                     states[fusion, workers] = simulator.statevector()
-        for fusion in (False, True):
-            assert np.array_equal(states[fusion, 1], states[fusion, 4])
-        assert np.allclose(states[False, 1], states[True, 1], atol=1e-12)
+        for state in states.values():
+            assert np.array_equal(state, states[False, 1])
 
 
-class TestLocalRunsLossless:
-    """Where only run formation fires, batching changes no amplitude bit."""
-
-    @pytest.mark.parametrize("tier", list(TIERS))
-    @given(circuit=run_heavy_circuits(), block=st.sampled_from([4, 8, 16, 32]))
-    @settings(max_examples=10, deadline=None)
-    def test_bit_equal_to_unfused_and_dense(self, tier, circuit, block, simulator_config):
-        # Two ranks of 32 amplitudes: the block size moves the LOCAL / BLOCK
-        # boundary from qubit 2 to qubit 5 (one block per rank, no BLOCK bits).
-        states = {}
-        for fusion, options in ((True, TIERS[tier]), (False, {})):
-            config = simulator_config(
-                num_ranks=2, block_amplitudes=block, fusion_enabled=fusion, **options
-            )
-            with CompressedSimulator(NUM_QUBITS, config) as simulator:
-                report = simulator.apply_circuit(circuit)
-                states[fusion] = simulator.statevector()
-                if fusion:
-                    assert report.gates_executed == report.fusion_gates_out
-        dense = simulate_statevector(circuit)
-        assert np.array_equal(states[True], states[False])
-        assert np.array_equal(states[True], dense)
-
+class TestRunsLossless:
     def test_runs_share_round_trips(self, simulator_config):
-        # QFT's controlled phases target one qubit at a time, so the 2x2
-        # fusion is idle and every saving here is run formation's.
         circuit = qft_circuit(NUM_QUBITS)
         reports = {}
         for fusion in (False, True):
@@ -424,7 +340,7 @@ def _snapshot_first_escalation(simulator) -> list:
     return taken
 
 
-class TestLocalRunsUnderBudget:
+class TestRunsUnderBudget:
     """Lossless under a budget, a run is checked gate by gate."""
 
     def test_first_escalation_matches_gate_by_gate(self, simulator_config):
@@ -453,7 +369,7 @@ class TestLocalRunsUnderBudget:
             assert at_first["batched"] == at_first["stepped"] != []
             # The budget bit inside the mixer run, not at an element boundary ...
             index = batched.controller.events[0].gate_index
-            mixer = next(e for e in elements if isinstance(e, LocalRun) and len(e.gates) == 12)
+            mixer = next(e for e in elements if isinstance(e, Run) and len(e.gates) == 12)
             before = sum(len(constituents(e)) for e in elements[: elements.index(mixer)])
             assert before < index < before + 12
             # ... and from there on runs are single round trips again.
@@ -496,7 +412,7 @@ class TestDifferentialLossy:
                 fidelity = simulator.fidelity_vs(dense)
                 assert fidelity >= report.fidelity_lower_bound - 1e-12
                 bounds.append(report.fidelity_lower_bound)
-        # Fused groups and local runs only ever remove recompressions.
+        # Runs only ever remove recompressions.
         assert bounds[1] >= bounds[0]
 
     def test_fusion_tightens_lossy_fidelity_bound(self, simulator_config):
@@ -565,63 +481,67 @@ class TestSampleCountsDeterminism:
         second = simulator.sample_counts(500, np.random.default_rng(99))
         assert first == second
 
-    @pytest.mark.parametrize("fusion", [False, True])
-    def test_identical_counts_across_num_workers(self, fusion, simulator_config):
-        # num_workers cannot change the stored blocks (disjoint writes,
-        # deterministic compressors), so within one fusion setting a seeded
-        # generator must yield the same counts for any worker count.  Fusion
-        # itself reorders floating-point arithmetic, so counts are only
-        # pinned within a fusion setting, not across them.
-        counts = {}
-        for workers in (1, 4):
-            config = simulator_config(
-                num_ranks=2, block_amplitudes=16, fusion_enabled=fusion, num_workers=workers
-            )
-            with CompressedSimulator(8, config) as simulator:
-                simulator.apply_circuit(qft_circuit(8))
-                counts[workers] = simulator.sample_counts(300, np.random.default_rng(7))
-        assert counts[1] == counts[4]
+    def test_identical_counts_across_num_workers_and_fusion(self, simulator_config):
+        # Neither num_workers (disjoint writes, deterministic compressors)
+        # nor, under lossless compression, fusion (a run applies its gates'
+        # own steps in order) can change the stored blocks, so a seeded
+        # generator must yield the same counts for every combination.
+        counts = []
+        for fusion in (False, True):
+            for workers in (1, 4):
+                config = simulator_config(
+                    num_ranks=2,
+                    block_amplitudes=16,
+                    fusion_enabled=fusion,
+                    num_workers=workers,
+                )
+                with CompressedSimulator(8, config) as simulator:
+                    simulator.apply_circuit(_chain_circuit(8))
+                    counts.append(
+                        simulator.sample_counts(300, np.random.default_rng(7))
+                    )
+        assert all(c == counts[0] for c in counts)
 
 
 # ---------------------------------------------------------------------------
-# Block cache under fused op-keys
+# Block cache under run op-keys
 # ---------------------------------------------------------------------------
 
 
-class TestCacheWithFusedOpKeys:
+class TestCacheWithRunOpKeys:
     def _op_key(self, gate, compressor) -> tuple:
         return gate.key() + (compressor.describe(),)
 
-    def test_fused_group_and_constituents_use_distinct_lines(self):
+    def test_run_and_constituents_use_distinct_lines(self):
         compressor = get_compressor("lossless")
         h = standard_gate("h", 0)
         t = standard_gate("t", 0)
-        fused = fuse_run([h, t])
+        run = Run((h, t))
         blob = b"compressed-block"
         cache = BlockCache(lines=8, miss_disable_threshold=None)
 
-        cache.insert(self._op_key(fused, compressor), blob, None, b"fused-out", None)
-        # Neither constituent may alias the fused line (or each other).
+        cache.insert(self._op_key(run, compressor), blob, None, b"run-out", None)
+        # Neither constituent may alias the run's line (or each other).
         assert cache.lookup(self._op_key(h, compressor), blob, None) is None
         assert cache.lookup(self._op_key(t, compressor), blob, None) is None
-        assert cache.lookup(self._op_key(fused, compressor), blob, None) == (
-            b"fused-out",
+        assert cache.lookup(self._op_key(run, compressor), blob, None) == (
+            b"run-out",
             None,
         )
         assert cache.stats.hits == 1
         assert cache.stats.misses == 2
         assert cache.stats.insertions == 1
 
-    def test_two_fused_groups_with_same_name_but_different_matrices(self):
+    def test_two_runs_with_same_name_but_different_matrices(self):
         compressor = get_compressor("lossless")
-        group_a = fuse_run([standard_gate("rz", 0, params=(0.1,)), standard_gate("h", 0)])
-        group_b = fuse_run([standard_gate("rz", 0, params=(0.2,)), standard_gate("h", 0)])
-        assert group_a.name == group_b.name
+        run_a = Run((standard_gate("rz", 0, params=(0.1,)), standard_gate("h", 0)))
+        run_b = Run((standard_gate("rz", 0, params=(0.2,)), standard_gate("h", 0)))
+        assert run_a.name == run_b.name
         cache = BlockCache(lines=8, miss_disable_threshold=None)
         blob = b"block"
-        cache.insert(self._op_key(group_a, compressor), blob, None, b"out-a", None)
-        # Same mnemonic, different fused matrix: must miss.
-        assert cache.lookup(self._op_key(group_b, compressor), blob, None) is None
+        cache.insert(self._op_key(run_a, compressor), blob, None, b"out-a", None)
+        # Same mnemonics, different step matrix: must miss.
+        assert cache.lookup(self._op_key(run_b, compressor), blob, None) is None
 
     def test_hit_miss_accounting_with_fusion_enabled(self, simulator_config):
         # GHZ keeps blocks identical.  Sequentially that redundancy shows up

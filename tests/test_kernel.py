@@ -9,7 +9,9 @@ Pinned here:
 * **Half-pair keys** — the two halves of one pair never alias in the cache.
 * **Multi-step ops** — a k-step one-block task is byte-equal to k chained
   one-step tasks under lossless compression, at one decompress, one compress
-  and one task; a hit on the run's key makes no codec call.
+  and one task; a hit on the run's key makes no codec call.  A k-step pair
+  task likewise (one decompress pair, one compress pair), and the two ``row``
+  halves of a k-step cross-rank task are the whole pair task's two outputs.
 * **Partial plans** — a corrupt blob mid-plan leaves the finished tasks
   committed and counted.
 * **Structure** — nothing else under ``core/`` or ``distributed/`` applies a
@@ -275,6 +277,41 @@ def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
         for shorter in (STEPS[:1], STEPS[:2]):
             kernel.run(_step_op(shorter, codec), stats, blob, codec.name)
         assert (stats.cache_hits, stats.cache_misses) == (1, 3)
+
+
+def test_multi_step_pair_equals_chained_pairs_and_its_own_halves(blocks):
+    codec = CountingCodec(get_compressor("lossless"))
+    kernel = BlockKernel({codec.name: codec}, CountingScratch(BLOCK, buffers=2))
+    # Same steps, all on one target above the block: the masks differ per step.
+    steps = [(matrix, 5, controls) for matrix, _, controls in STEPS]
+    pair = [
+        part
+        for block in blocks
+        for part in (codec.inner.compress(block.view(np.float64)), codec.name)
+    ]
+
+    chained, chained_stats = pair, TaskStats()
+    for step in steps:
+        low, high = kernel.run(_step_op([step], codec), chained_stats, *chained)
+        chained = [low, codec.name, high, codec.name]
+    assert (chained_stats.decompress_calls, chained_stats.compress_calls) == (6, 6)
+
+    op = _step_op(steps, codec)
+    calls = (codec.decompress_calls, codec.compress_calls)
+    stats = TaskStats()
+    whole = kernel.run(op, stats, *pair)
+    assert whole == (chained[0], chained[2])
+    assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (1, 2, 2)
+    assert (codec.decompress_calls - calls[0], codec.compress_calls - calls[1]) == (
+        2,
+        2,
+    )
+
+    # Each rank of a cross-rank pair stages its own block first, then the
+    # peer's, and keeps only its half.
+    assert kernel.run(op, stats, *pair, row=0) == (whole[0], None)
+    assert kernel.run(op, stats, *pair[2:], *pair[:2], row=1) == (whole[1], None)
+    assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (3, 6, 4)
 
 
 def test_block_op_name_reads_back_from_the_key():

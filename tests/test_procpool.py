@@ -34,12 +34,8 @@ from repro.applications import (
 from repro.backends import BackendError
 from repro.backends.base import Backend
 from repro.compression.huffman import HuffmanCodec
-from repro.core import (
-    CompressedSimulator,
-    SimulatorConfig,
-    WorkerCrashedError,
-    effective_cpu_count,
-)
+from repro.core import CompressedSimulator, SimulatorConfig, effective_cpu_count
+from repro.errors import WorkerCrashedError
 from repro.core.procpool import SlotArena, _pack_frames, _read_frame
 from repro.resilience import FaultPolicy, faults
 from repro.resilience.faults import FaultPlan, KillWorker

@@ -4,7 +4,9 @@ The invariant behind the whole reproduction: for *any* circuit and *any*
 partition geometry, the blocked/compressed simulation under lossless
 compression is amplitude-for-amplitude identical to the dense reference, and
 under lossy compression the measured fidelity never falls below the
-Π(1 - δ) bound the simulator reports.
+Π(1 - δ) bound the simulator reports.  With the default configuration
+(fusion on, lossless) "identical" means to the last bit, on every execution
+tier: a run applies its gates' own 2x2 steps in order.
 
 The ``simulator_config`` factory fixture is session-scoped, which keeps it
 compatible with hypothesis's function-scoped-fixture health check.
@@ -60,7 +62,74 @@ _partitions = st.sampled_from(
 )
 
 
+@st.composite
+def run_heavy_circuits(draw) -> QuantumCircuit:
+    """Random circuits biased toward stretches that share one staging:
+    consecutive gates on one target, and controlled pairs on one target under
+    one control set (in either control order)."""
+
+    circuit = QuantumCircuit(NUM_QUBITS)
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.integers(min_value=0, max_value=4))
+        control1, control2, target = draw(
+            st.permutations(range(NUM_QUBITS)).map(lambda p: p[:3])
+        )
+        angles = st.floats(-3.14, 3.14, allow_nan=False)
+        if kind == 0:
+            for _ in range(draw(st.integers(min_value=2, max_value=4))):
+                circuit.add(draw(st.sampled_from(_single_gates)), target)
+        elif kind == 1:
+            circuit.h(target).rz(draw(angles), target).rx(draw(angles), target)
+        elif kind == 2:
+            circuit.cp(draw(angles), control1, target)
+            circuit.cp(draw(angles), control1, target)
+        elif kind == 3:
+            circuit.ccx(control1, control2, target)
+            circuit.add("ry", target, controls=(control2, control1), params=(draw(angles),))
+        else:
+            circuit.cx(control1, target)
+    return circuit
+
+
+#: Execution tiers of the bit-equality property (all on four ranks, so a
+#: rank-segment target pairs blocks of different ranks).
+TIERS = {
+    "sequential": {},
+    "thread": dict(num_workers=2),
+    "process": dict(num_workers=2, executor="process"),
+    "ranked": dict(comm="process"),
+}
+
+
+def _bits(state: np.ndarray) -> np.ndarray:
+    return state.view(np.float64)
+
+
 class TestLosslessEquivalence:
+    @pytest.mark.parametrize("tier", list(TIERS))
+    @given(circuit=run_heavy_circuits(), block=st.sampled_from([4, 8, 16]))
+    @settings(max_examples=12, deadline=None)
+    def test_default_config_is_bit_equal_to_dense_on_every_tier(
+        self, tier, circuit, block, simulator_config
+    ):
+        # Four ranks of 16 amplitudes: qubits 4-5 are the RANK segment, and
+        # the block size moves the LOCAL / BLOCK boundary from qubit 2 to
+        # qubit 4 (one block per rank, no BLOCK bits), so same-target
+        # stretches land in all three segments.
+        states = {}
+        for fusion, options in ((True, TIERS[tier]), (False, {})):
+            config = simulator_config(
+                num_ranks=4, block_amplitudes=block, fusion_enabled=fusion, **options
+            )
+            with CompressedSimulator(NUM_QUBITS, config) as simulator:
+                report = simulator.apply_circuit(circuit)
+                states[fusion] = simulator.statevector()
+                if fusion:
+                    assert report.gates_executed == report.fusion_gates_out
+        dense = simulate_statevector(circuit)
+        assert np.array_equal(_bits(states[True]), _bits(dense))
+        assert np.array_equal(_bits(states[True]), _bits(states[False]))
+
     @given(circuit=random_circuits(), shape=_partitions)
     @settings(max_examples=30, deadline=None)
     def test_matches_dense_amplitude_for_amplitude(self, circuit, shape, simulator_config):
@@ -105,8 +174,8 @@ class TestLossyFidelityBound:
         fidelity = simulator.fidelity_vs(dense)
         assert fidelity >= report.fidelity_lower_bound - 1e-12
         # One (1 - δ) factor per *executed* gate: with fusion on by default
-        # a run of fusible gates pays a single compression event, so the
-        # tracked bound is per fused gate, not per source gate.
+        # a run pays a single compression event, so the tracked bound is per
+        # schedule element, not per source gate.
         assert report.gates_executed <= len(circuit)
         assert report.fidelity_lower_bound == pytest.approx(
             (1.0 - bound) ** report.gates_executed, rel=1e-9

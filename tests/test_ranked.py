@@ -20,10 +20,10 @@ from repro.circuits import QuantumCircuit, standard_gate
 from repro.core import (
     CompressedSimulator,
     SimulatorConfig,
-    WorkerCrashedError,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.errors import WorkerCrashedError
 
 NUM_QUBITS = 8
 BLOCK = 16

@@ -11,6 +11,7 @@ errors) is covered alongside.
 
 from __future__ import annotations
 
+import importlib
 import os
 import pickle
 import signal
@@ -121,17 +122,24 @@ def assert_bit_identical(statevector, counts, baseline):
 
 
 class TestErrorTaxonomy:
-    def test_old_locations_reexport_the_same_classes(self):
-        import repro.core.checkpoint as checkpoint
-        import repro.core.procpool as procpool
-        import repro.distributed.process_comm as process_comm
-
-        assert procpool.WorkerCrashedError is WorkerCrashedError
-        assert procpool.BlockCorruptionError is BlockCorruptionError
-        assert process_comm.ProcessCommTimeout is ProcessCommTimeout
-        assert checkpoint.CheckpointError is CheckpointError
-        assert repro.WorkerCrashedError is WorkerCrashedError
-        assert repro.core.WorkerCrashedError is WorkerCrashedError
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.core.procpool", "WorkerCrashedError"),
+            ("repro.core.procpool", "BlockCorruptionError"),
+            ("repro.core", "WorkerCrashedError"),
+            ("repro.core", "BlockCorruptionError"),
+            ("repro.core.checkpoint", "CheckpointError"),
+            ("repro.core", "CheckpointError"),
+            ("repro.distributed.process_comm", "ProcessCommTimeout"),
+            ("repro.distributed", "ProcessCommTimeout"),
+        ],
+    )
+    def test_error_types_live_in_repro_errors_only(self, module, name):
+        # The v1.1 old-location re-exports went in v1.3: ``from module
+        # import name`` raises ImportError exactly when the attribute is gone.
+        assert not hasattr(importlib.import_module(module), name)
+        assert getattr(repro, name) is getattr(errors, name)
 
     def test_common_base_keeps_runtimeerror_in_the_mro(self):
         for cls in (
