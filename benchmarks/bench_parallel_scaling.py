@@ -1,28 +1,28 @@
-"""Thread vs process executor scaling on a codec-bound workload.
+"""Thread executor scaling on a codec-bound workload, and the process pools.
 
 PR 2 left an honest caveat in the codec bench: NumPy fancy-index gathers —
 the heart of the table-driven Huffman decoder — hold the GIL, so
 ``num_workers`` buys almost nothing on codec-bound (SZ-path) workloads under
-the *thread* executor.  The process executor exists to break exactly that
-ceiling: warm worker processes, shared-memory blob transport, true multi-core
-codec work.  This bench pins the comparison to numbers:
+the *thread* executor.  This bench pins that ceiling to numbers, next to the
+two users of the worker-process pool:
 
-* wall-clock and speedup-vs-``num_workers=1`` curves for the thread and the
-  process executor on a codec-bound QFT-style workload (SZ codec on the hot
-  path, block cache off so every task pays the full round trip), with
-  bit-identity across every executor/worker combination asserted in all
-  modes, and
+* wall-clock and speedup-vs-``num_workers=1`` curve for the thread executor
+  on a codec-bound QFT-style workload (SZ codec on the hot path, block cache
+  off so every task pays the full round trip), with bit-identity across
+  every worker count asserted in all modes,
+* the cost of in-run resilience checkpoints on the ranked tier (one worker
+  process per rank — the only process-parallel mechanism for one circuit;
+  its scaling curve is ``bench_fig16_node_scaling.py``), and
 * batched ``repro.run()`` fan-out: a 9-circuit QAOA angle grid executed
   sequentially and with ``parallel="process"``, results required identical
   up to measured wall-clock metadata.
 
-Results land in ``benchmarks/results/BENCH_parallel.json``.  The speedup
-floor (process executor >= 2x at 4 workers, where the thread executor is
-~1x) is only enforced in full mode on hosts with >= 4 effective CPUs —
-on a single-CPU container the curve is flat by construction and the run
-still verifies cross-tier determinism; ``meta.available_cpus`` records
-which regime produced the numbers (affinity-aware, not raw
-``os.cpu_count()``).
+Results land in ``benchmarks/results/BENCH_parallel.json``;
+``meta.available_cpus`` records which regime produced the numbers
+(affinity-aware, not raw ``os.cpu_count()``).  The
+``executor_scaling.curves.process`` key of earlier recordings is gone with
+the block-task process executor (v1.4.0): ``executor="process"`` is now a
+spelling of the ranked tier, whose width is ``num_ranks``.
 
 Set ``REPRO_BENCH_QUICK=1`` for a CI-sized smoke run.
 """
@@ -56,7 +56,6 @@ BLOCK_AMPLITUDES = 32 if QUICK else 256
 LAYERS = 2 if QUICK else 4
 REPEATS = 1 if QUICK else 2
 WORKER_COUNTS = (1, 2, 4)
-SPEEDUP_FLOOR = 2.0
 QAOA_QUBITS = 8 if QUICK else 12
 FANOUT_WORKERS = 4
 #: In-run resilience checkpoint cadence sweep (waves between snapshots;
@@ -75,14 +74,8 @@ def _merge_json(section: str, payload) -> None:
         "available_cpus": effective_cpu_count(),
         "num_qubits": NUM_QUBITS,
         "block_amplitudes": BLOCK_AMPLITUDES,
-        "floor": SPEEDUP_FLOOR,
-        "floor_enforced": _floor_enforced(),
     }
     JSON_PATH.write_text(json.dumps(data, indent=2))
-
-
-def _floor_enforced() -> bool:
-    return not QUICK and effective_cpu_count() >= 4
 
 
 def codec_bound_circuit(num_qubits: int, layers: int) -> QuantumCircuit:
@@ -96,7 +89,7 @@ def codec_bound_circuit(num_qubits: int, layers: int) -> QuantumCircuit:
     return circuit
 
 
-def _run(circuit, *, executor: str, workers: int) -> tuple[float, np.ndarray]:
+def _run(circuit, *, workers: int) -> tuple[float, np.ndarray]:
     """Best-of-``REPEATS`` wall-clock (noise on shared runners) + final state."""
 
     config = SimulatorConfig(
@@ -107,7 +100,6 @@ def _run(circuit, *, executor: str, workers: int) -> tuple[float, np.ndarray]:
         use_block_cache=False,  # every task pays the full codec round trip
         fusion_enabled=False,  # keep the gate count (and task count) fixed
         num_workers=workers,
-        executor=executor,
     )
     best = float("inf")
     with CompressedSimulator(NUM_QUBITS, config) as simulator:
@@ -121,36 +113,23 @@ def _run(circuit, *, executor: str, workers: int) -> tuple[float, np.ndarray]:
 
 
 def test_executor_scaling_curves(emit):
-    """Thread vs process speedup curves; bit-identity enforced in all modes."""
+    """Thread executor speedup curve; bit-identity enforced in all modes."""
 
     circuit = codec_bound_circuit(NUM_QUBITS, LAYERS)
-    _run(circuit, executor="thread", workers=1)  # warm-up (allocator, zlib)
+    _run(circuit, workers=1)  # warm-up (allocator, zlib)
 
-    curves: dict[str, dict[int, float]] = {}
+    curve: dict[int, float] = {}
     baseline_state: np.ndarray | None = None
-    for executor in ("thread", "process"):
-        curves[executor] = {}
-        for workers in WORKER_COUNTS:
-            seconds, state = _run(circuit, executor=executor, workers=workers)
-            curves[executor][workers] = seconds
-            if baseline_state is None:
-                baseline_state = state
-            else:
-                # The acceptance contract: every tier, every width, the same
-                # bytes-for-bytes final state.
-                assert np.array_equal(baseline_state, state), (executor, workers)
+    for workers in WORKER_COUNTS:
+        curve[workers], state = _run(circuit, workers=workers)
+        if baseline_state is None:
+            baseline_state = state
+        else:
+            # The acceptance contract: every width, the same bytes-for-bytes
+            # final state.
+            assert np.array_equal(baseline_state, state), workers
 
-    baseline = curves["thread"][1]
-    rows = [
-        {
-            "executor": executor,
-            "num_workers": workers,
-            "seconds": f"{seconds:.3f}",
-            "speedup": f"{baseline / seconds:.2f}x",
-        }
-        for executor in ("thread", "process")
-        for workers, seconds in curves[executor].items()
-    ]
+    baseline = curve[1]
     available = effective_cpu_count()
     _merge_json(
         "executor_scaling",
@@ -162,7 +141,7 @@ def test_executor_scaling_curves(emit):
             },
             "baseline_seconds": baseline,
             "curves": {
-                executor: [
+                "thread": [
                     {
                         "num_workers": workers,
                         "seconds": seconds,
@@ -170,24 +149,25 @@ def test_executor_scaling_curves(emit):
                     }
                     for workers, seconds in curve.items()
                 ]
-                for executor, curve in curves.items()
             },
         },
     )
     emit(
-        f"Executor scaling, codec-bound SZ workload ({NUM_QUBITS} qubits, "
+        f"Thread executor scaling, codec-bound SZ workload ({NUM_QUBITS} qubits, "
         f"{len(circuit)} gates, {available} CPU(s) available)",
-        format_table(rows)
-        + (
-            "\nNOTE: fewer than 4 CPUs available — the curves are flat by "
-            "construction; this run only checks cross-tier bit-identity."
-            if available < 4
-            else f"\nfloor: process executor >= {SPEEDUP_FLOOR}x at 4 workers"
-        ),
+        format_table(
+            [
+                {
+                    "executor": "thread",
+                    "num_workers": workers,
+                    "seconds": f"{seconds:.3f}",
+                    "speedup": f"{baseline / seconds:.2f}x",
+                }
+                for workers, seconds in curve.items()
+            ]
+        )
+        + "\nbit-identity across all worker counts asserted",
     )
-    if _floor_enforced():
-        process_speedup = baseline / curves["process"][4]
-        assert process_speedup >= SPEEDUP_FLOOR, curves
 
 
 def test_recovery_overhead(emit):
@@ -201,7 +181,7 @@ def test_recovery_overhead(emit):
     """
 
     circuit = codec_bound_circuit(NUM_QUBITS, LAYERS)
-    _run(circuit, executor="thread", workers=1)  # warm-up (allocator, zlib)
+    _run(circuit, workers=1)  # warm-up (allocator, zlib)
     rows = []
     baseline_state: np.ndarray | None = None
     baseline_seconds: float | None = None

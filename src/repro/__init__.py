@@ -70,7 +70,7 @@ from .backends import (
     run,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "__version__",

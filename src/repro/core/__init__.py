@@ -6,7 +6,7 @@ from .cache import BlockCache, CacheStats
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compressed_state import CompressedStateVector
 from .config import PAPER_BLOCK_AMPLITUDES, SimulatorConfig
-from .executor import ProcessTaskExecutor, TaskExecutor
+from .executor import TaskExecutor
 from .procpool import ProcessPool, effective_cpu_count
 from .fidelity import FidelityTracker, fidelity_curve, fidelity_lower_bound
 from .report import SimulationReport, Timer
@@ -15,7 +15,6 @@ from .simulator import CompressedSimulator
 __all__ = [
     "CompressedSimulator",
     "TaskExecutor",
-    "ProcessTaskExecutor",
     "ProcessPool",
     "effective_cpu_count",
     "CompressedStateVector",

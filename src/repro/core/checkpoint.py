@@ -47,6 +47,7 @@ def save_checkpoint(simulator: CompressedSimulator, path: str | Path) -> int:
         "block_amplitudes": partition.block_amplitudes,
         "gate_count": simulator.gate_count,
         "current_bound": simulator.controller.current_bound,
+        "escalations": simulator.report().escalations,
         "fidelity_gate_bounds": (
             list(simulator.fidelity_tracker.gate_bounds)
             if simulator.fidelity_tracker is not None

@@ -86,34 +86,38 @@ class SimulatorConfig:
         Workers for independent block tasks of a gate plan.  ``1`` (the
         default) keeps the seed's sequential execution; larger values run
         disjoint-block tasks concurrently on the tier chosen by
-        ``executor``.  Results are bit-identical regardless of the setting.
+        ``executor``.  On the ranked tier the workers *are* the ranks, so
+        only ``1`` or ``num_ranks`` is accepted.  Results are bit-identical
+        regardless of the setting.
     executor:
         Parallel tier for block tasks when ``num_workers > 1``: ``"thread"``
-        (the default; scales only where the codecs drop the GIL — zlib does,
-        NumPy fancy-index gathers do not) or ``"process"`` (a persistent
-        pool of worker processes with warm per-worker decompressors, scratch
-        and block-cache shards; compressed blobs move through shared-memory
-        slots, and codec-bound workloads scale with physical cores).
+        (the default; a thread pool in this process, which scales only where
+        the codecs drop the GIL — zlib does, NumPy fancy-index gathers do
+        not) or ``"process"``, a spelling of the ranked tier described under
+        ``comm`` (one worker process per rank, so it requires
+        ``num_workers == num_ranks``).  With ``num_workers=1`` either value
+        is the sequential path.
     mp_start_method:
-        ``multiprocessing`` start method for the process tier: ``"fork"``,
-        ``"spawn"``, ``"forkserver"`` or ``None`` for the platform default.
-        Both fork and spawn produce bit-identical states.
+        ``multiprocessing`` start method for the ranked tier's rank workers:
+        ``"fork"``, ``"spawn"``, ``"forkserver"`` or ``None`` for the
+        platform default.  Both fork and spawn produce bit-identical states.
     comm:
         Communication tier for the ``num_ranks`` partition.  ``"simulated"``
         (the default) keeps every rank's blocks in one process and only
         *accounts* the traffic a distributed run would generate
         (:class:`~repro.distributed.comm.SimulatedCommunicator`);
-        ``"process"`` makes each rank a persistent worker process owning its
-        partition slice, with entangling gates moving real compressed blobs
-        between ranks through shared-memory channels
-        (:mod:`repro.distributed.ranked`).  Results are bit-identical across
-        both tiers.  ``comm="process"`` supplies its own parallelism (one
-        process per rank), so it requires the default ``executor="thread"``
-        with ``num_workers=1``.
+        ``"process"`` selects the ranked tier: each rank is a persistent
+        worker process owning its partition slice, with entangling gates
+        moving real compressed blobs between ranks through shared-memory
+        channels (:mod:`repro.distributed.ranked`).  Results are
+        bit-identical across both tiers.  The ranked tier is the only
+        process-parallel mechanism and is scaled with ``num_ranks``;
+        :attr:`tier` reports which of ``"sequential"``, ``"thread"`` or
+        ``"ranked"`` the three fields above resolve to.
     fault_policy:
         Recovery policy (:class:`repro.resilience.FaultPolicy`) of the run:
-        retries, backoff, in-run checkpoint interval and the executor
-        degrade ladder.  ``None`` resolves through
+        retries, backoff and the in-run checkpoint interval.  ``None``
+        resolves through
         :func:`repro.resilience.resolve_fault_policy` — the
         ``REPRO_FAULT_POLICY`` environment variable if set, a
         recovery-enabled default when a fault plan is active (the CI chaos
@@ -180,14 +184,19 @@ class SimulatorConfig:
             raise ValueError(
                 f"comm must be 'simulated' or 'process', got {self.comm!r}"
             )
-        if self.comm == "process" and (
-            self.executor != "thread" or self.num_workers != 1
-        ):
+        ranked = self.comm == "process" or (
+            self.executor == "process" and self.num_workers > 1
+        )
+        if ranked and self.num_workers not in (1, self.num_ranks):
             raise ValueError(
-                "comm='process' runs one worker process per rank and is "
-                "incompatible with executor='process' or num_workers > 1; "
-                "scale it with num_ranks instead"
+                "the ranked tier (comm='process' or executor='process') runs "
+                f"one worker process per rank: num_workers={self.num_workers} "
+                f"must be 1 or equal num_ranks={self.num_ranks}; scale it "
+                "with num_ranks instead (see docs/migration.md)"
             )
+        self._tier = (
+            "ranked" if ranked else "thread" if self.num_workers > 1 else "sequential"
+        )
         if self.fault_policy is not None:
             from ..resilience import FaultPolicy
 
@@ -196,6 +205,14 @@ class SimulatorConfig:
                     "fault_policy must be a repro.resilience.FaultPolicy "
                     "instance or None"
                 )
+
+    @property
+    def tier(self) -> str:
+        """The execution tier this config selects, derived at validation:
+        ``"sequential"``, ``"thread"`` (``num_workers`` pool threads) or
+        ``"ranked"`` (one worker process per rank)."""
+
+        return self._tier
 
     def resolve_block_amplitudes(self, num_qubits: int, num_ranks: int) -> int:
         """Pick the block size for a given problem when not set explicitly.

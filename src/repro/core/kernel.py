@@ -6,9 +6,8 @@ unitary — or, for a run of consecutive gates staging the same blocks, each of
 its unitaries in order — and recompress at the current error bound.
 :class:`BlockKernel` is that loop.  Every execution tier calls it — the
 sequential and thread paths of
-:class:`~repro.core.executor.TaskExecutor` in the parent process,
-the block-task workers of :class:`~repro.core.executor.ProcessTaskExecutor`,
-and the rank workers of :mod:`repro.distributed.ranked` — so the tiers differ
+:class:`~repro.core.executor.TaskExecutor` in the parent process and the
+rank workers of :mod:`repro.distributed.ranked` — so the tiers differ
 only in how blobs reach the kernel and where its outputs are stored, and
 bit-identity across tiers holds by construction.
 
@@ -41,7 +40,7 @@ class BlockOp(NamedTuple):
     The first three fields are parallel, one entry per step: step ``i``
     applies ``matrices[i]`` to ``targets[i]`` under ``local_controls[i]``.
     A gate is one step.  The fields are flat (one array, two tuples of ints)
-    because the op rides every process-tier task message.
+    because the op rides every ranked-tier gate message.
     """
 
     #: The 2x2 unitaries, stacked: shape ``(steps, 2, 2)``.
@@ -55,15 +54,6 @@ class BlockOp(NamedTuple):
     #: Block-cache ``OP`` field: the gate's key — or the run's, one gate key
     #: per step — plus ``compressor.describe()``.
     op_key: tuple
-
-    @property
-    def name(self) -> str:
-        """Gate mnemonic(s), read back from the key (error context)."""
-
-        head = self.op_key[0]
-        if isinstance(head, str):
-            return head
-        return "+".join(key[0] for key in self.op_key[:-1])
 
 
 @dataclass

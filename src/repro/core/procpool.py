@@ -4,17 +4,16 @@ The thread pool of :class:`~repro.core.executor.TaskExecutor` only scales
 where the hot loop drops the GIL, and PR 2 measured that the table-driven
 codec path does not: NumPy fancy-index gathers hold the GIL, so codec-bound
 workloads stay serial however many worker threads exist.  This module is the
-fix the ROADMAP names — a pool of *processes*, each holding warm state
-(decompressor map, scratch buffers, block-cache shard) initialised once, fed
-through pipes for small control messages and through
+substrate of the fix — a pool of *processes*, each holding warm state
+initialised once, fed through pipes for small control messages and through
 :mod:`multiprocessing.shared_memory` slot rings for block-sized payloads so
 compressed blobs never ride a pickle stream.
 
-Two worker kinds build on the same :class:`ProcessPool`: the block-task
-worker of :class:`~repro.core.executor.ProcessTaskExecutor` and the
-circuit-fanout worker of :mod:`repro.backends.parallel`, which runs whole
-circuits on a warm per-process backend session.  The rank workers of
-:mod:`repro.distributed.ranked` ride the same pool.
+Two worker kinds build on :class:`ProcessPool`: the rank workers of
+:mod:`repro.distributed.ranked` (one process per rank, each owning its slice
+of the compressed state — the only process-parallel mechanism for a single
+circuit) and the circuit-fanout workers of :mod:`repro.backends.parallel`,
+which run whole circuits on a warm per-process backend session.
 
 Flow control is slot-based: every worker owns ``SLOTS_PER_WORKER`` input and
 output slots in shared memory, a dispatch with ticket ``t`` uses slot
@@ -371,7 +370,7 @@ class ProcessPool:
         platform default.
     fault_policy:
         Optional :class:`~repro.resilience.FaultPolicy` of the owning run.
-        The pool itself never retries — recovery belongs to the executors —
+        The pool itself never retries — recovery belongs to its owner —
         but the policy gates probabilistic chaos injection: chaos kills are
         only armed when the policy can survive them (``max_retries > 0``).
         Targeted fault-plan injections are always armed.
@@ -458,7 +457,7 @@ class ProcessPool:
                     self._slot_bytes,
                 ),
                 # Not daemonic: circuit-fanout workers may themselves
-                # use a process executor, and daemons cannot have
+                # run the ranked tier, and daemons cannot have
                 # children.  Workers exit on pipe EOF, so they never
                 # outlive the parent's handles.
                 daemon=False,

@@ -88,8 +88,7 @@ class SimulationReport:
 
     #: Fault-recovery accounting, or ``None`` when the run never recovered
     #: from (or prepared for) a failure: retries, waves/gates replayed, time
-    #: lost re-executing, checkpoints written, pool restarts, and the
-    #: executor tier degraded to (if the retry ladder was exhausted).  Fed by
+    #: lost re-executing, checkpoints written and pool restarts.  Fed by
     #: :meth:`record_recovery` from the resilience machinery.
     recovery: dict | None = None
 
@@ -146,7 +145,6 @@ class SimulationReport:
         time_lost_seconds: float = 0.0,
         checkpoints_written: int = 0,
         restarts: int = 0,
-        degraded_to: str | None = None,
     ) -> None:
         """Thread-safe accumulation into the :attr:`recovery` section.
 
@@ -164,7 +162,6 @@ class SimulationReport:
                     "time_lost_seconds": 0.0,
                     "checkpoints_written": 0,
                     "restarts": 0,
-                    "degraded_to": None,
                 }
             self.recovery["retries"] += retries
             self.recovery["waves_replayed"] += waves_replayed
@@ -172,8 +169,6 @@ class SimulationReport:
             self.recovery["time_lost_seconds"] += time_lost_seconds
             self.recovery["checkpoints_written"] += checkpoints_written
             self.recovery["restarts"] += restarts
-            if degraded_to is not None:
-                self.recovery["degraded_to"] = degraded_to
 
     # -- derived quantities --------------------------------------------------------------
 
@@ -282,7 +277,6 @@ class SimulationReport:
             f"escalations          : {self.escalations}",
         ]
         if self.recovery is not None:
-            degraded = self.recovery["degraded_to"]
             lines.append(
                 f"recovery             : {self.recovery['retries']} retries, "
                 f"{self.recovery['waves_replayed']} waves / "
@@ -290,6 +284,5 @@ class SimulationReport:
                 f"{self.recovery['restarts']} restarts, "
                 f"{self.recovery['checkpoints_written']} checkpoints, "
                 f"{self.recovery['time_lost_seconds']:.3f} s lost"
-                + (f", degraded to {degraded}" if degraded else "")
             )
         return "\n".join(lines)

@@ -10,9 +10,12 @@ state vector stays compressed.  Per gate (Figure 2):
 1. The gate plan (:func:`repro.distributed.exchange.plan_gate`) lists which
    (rank, block) buffers must be staged together, which depends on the target
    qubit's index segment and the control qubits.
-2. The :class:`~repro.core.executor.TaskExecutor` runs the plan's tasks —
-   sequentially by default, or concurrently on a thread pool
-   (``SimulatorConfig.num_workers``) since the tasks touch disjoint blocks.
+2. The executor of the configured tier (``SimulatorConfig.tier``) runs the
+   plan's tasks — :class:`~repro.core.executor.TaskExecutor` sequentially by
+   default or concurrently on a thread pool (``num_workers``), since the
+   tasks touch disjoint blocks; on the ranked tier
+   :class:`~repro.distributed.ranked.RankedExecutor` ships them to the rank
+   worker processes that own the blocks.
    Each task is one :meth:`repro.core.kernel.BlockKernel.run`: the
    compressed block cache is consulted; on a miss the block (or block pair)
    is decompressed into the scratch pool, the 2x2 unitary (each of a run's,
@@ -51,7 +54,7 @@ from .blocks import CompressedBlock, ScratchPool
 from .cache import BlockCache
 from .compressed_state import CompressedStateVector
 from .config import SimulatorConfig
-from .executor import ProcessTaskExecutor, TaskExecutor
+from .executor import TaskExecutor
 from .fidelity import FidelityTracker
 from .kernel import BlockOp
 from .report import SimulationReport
@@ -103,19 +106,13 @@ class CompressedSimulator:
         self._controller = AdaptiveErrorController(self._config)
         # Two scratch buffers per worker *thread*: every block-pair task
         # leases its own pair, so parallel tasks never share a staging
-        # buffer.  Block-task process workers stage in their own address
-        # space, so the parent pool stays at the sequential size; rank
-        # workers own *all* staging (parent-side state queries allocate
-        # fresh arrays), so the ranked parent keeps no pool at all.
-        ranked_mode = self._config.comm == "process"
-        process_mode = self._config.executor == "process" and not ranked_mode
+        # buffer.  Rank workers own *all* staging (parent-side state queries
+        # allocate fresh arrays), so the ranked parent keeps no pool at all.
+        ranked = self._config.tier == "ranked"
         self._scratch = (
             None
-            if ranked_mode
-            else ScratchPool(
-                block_amplitudes,
-                buffers=2 if process_mode else 2 * self._config.num_workers,
-            )
+            if ranked
+            else ScratchPool(block_amplitudes, buffers=2 * self._config.num_workers)
         )
         self._cache = (
             BlockCache(
@@ -163,7 +160,7 @@ class CompressedSimulator:
         # once per X/Y observable per circuit in a batch.
         self._fork_config: SimulatorConfig | None = None
 
-        if ranked_mode:
+        if ranked:
             self._build_ranked(initial_basis_state)
             self._gate_index = 0
             return
@@ -174,32 +171,15 @@ class CompressedSimulator:
             comm=self._comm,
             initial_basis_state=initial_basis_state,
         )
-        if process_mode:
-            self._executor: TaskExecutor = ProcessTaskExecutor(
-                state=self._state,
-                scratch=self._scratch,
-                cache=self._cache,
-                decompressors=self._decompressors,
-                report=self._report,
-                comm=self._comm,
-                num_workers=self._config.num_workers,
-                cache_lines=self._config.cache_lines,
-                cache_miss_disable_threshold=(
-                    self._config.cache_miss_disable_threshold
-                ),
-                start_method=self._config.mp_start_method,
-                fault_policy=self._policy,
-            )
-        else:
-            self._executor = TaskExecutor(
-                state=self._state,
-                scratch=self._scratch,
-                cache=self._cache,
-                decompressors=self._decompressors,
-                report=self._report,
-                comm=self._comm,
-                num_workers=self._config.num_workers,
-            )
+        self._executor = TaskExecutor(
+            state=self._state,
+            scratch=self._scratch,
+            cache=self._cache,
+            decompressors=self._decompressors,
+            report=self._report,
+            comm=self._comm,
+            num_workers=self._config.num_workers,
+        )
         self._gate_index = 0
 
     def _build_ranked(self, initial_basis_state: int) -> None:
@@ -304,7 +284,8 @@ class CompressedSimulator:
 
     @property
     def executor(self) -> TaskExecutor:
-        """The task executor running block plans (thread or process tier)."""
+        """The executor running block plans (:class:`TaskExecutor`, or the
+        ranked tier's :class:`~repro.distributed.ranked.RankedExecutor`)."""
 
         return self._executor
 
@@ -385,14 +366,10 @@ class CompressedSimulator:
         config = self._fork_config
         if config is None:
             config = self._config
-            if (
-                config.num_workers != 1
-                or config.executor != "thread"
-                or config.comm != "simulated"
-            ):
+            if config.tier != "sequential":
                 # Forks exist for short side computations: always local,
                 # single-worker, simulated-communication — even when the
-                # parent runs on the process or ranked tier.  Derived once
+                # parent runs on the thread or ranked tier.  Derived once
                 # per simulator: dataclasses.replace re-runs the full config
                 # validation, which must not execute per fork (batched runs
                 # fork once per X/Y observable per circuit).
@@ -416,11 +393,11 @@ class CompressedSimulator:
         *blocks* are ``(rank, block, compressor name, bound, blob)`` tuples
         and *meta* is checkpoint metadata
         (:func:`repro.core.checkpoint.read_checkpoint` returns both).  The
-        gate index, the report's ``gates_executed``, the fidelity history and
-        the adaptive error level are rewound to *meta*; a field it lacks
-        takes its start-of-run value.  This is the one state-restore path:
-        checkpoint load, suspend/resume, ranked recovery and :meth:`fork`
-        all end here.
+        gate index, the report's ``gates_executed`` and ``escalations``, the
+        fidelity history and the adaptive error level are rewound to *meta*;
+        a field it lacks takes its start-of-run value.  This is the one
+        state-restore path: checkpoint load, suspend/resume, ranked recovery
+        and :meth:`fork` all end here.
         """
 
         for rank, block, name, bound, blob in blocks:
@@ -429,6 +406,7 @@ class CompressedSimulator:
             )
         self._gate_index = int(meta.get("gate_count", 0))
         self._report.gates_executed = self._gate_index
+        self._report.escalations = int(meta.get("escalations", 0))
         if self._fidelity is not None:
             self._fidelity.reset()
             for bound in meta.get("fidelity_gate_bounds", ()):
@@ -548,7 +526,7 @@ class CompressedSimulator:
 
     @property
     def _ranked_resilience(self) -> bool:
-        return self._config.comm == "process" and (
+        return self._config.tier == "ranked" and (
             self._policy.max_retries > 0
             or self._policy.checkpoint_interval_waves > 0
         )
@@ -593,8 +571,8 @@ class CompressedSimulator:
         2. Rebuild the pool and arena.
         3. :meth:`restore` the last resilience checkpoint — blocks into the
            fresh rank workers, parent-side bookkeeping (gate index, fidelity
-           history, adaptive-controller level) rewound — or the start of the
-           run when none was written yet.
+           history, escalation count, adaptive-controller level) rewound —
+           or the start of the run when none was written yet.
         4. Replay the gates applied since the checkpoint through the normal
            per-gate path, which re-runs the same compressor bounds and
            escalation decisions (everything below is deterministic).
@@ -673,7 +651,6 @@ class CompressedSimulator:
             self._fidelity.lower_bound if self._fidelity is not None else None
         )
         self._report.final_error_bound = self._controller.current_bound
-        self._report.escalations = len(self._controller.events)
 
     def report(self) -> SimulationReport:
         """The up-to-date :class:`SimulationReport` for this simulation."""

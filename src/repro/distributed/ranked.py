@@ -10,8 +10,9 @@ moves real compressed blobs between rank processes through
 shared-memory implementation of the MPI-shaped
 :class:`~repro.distributed.comm.RankCommunicator` interface.
 
-Selected with ``SimulatorConfig(comm="process", num_ranks=...)`` and
-therefore reachable from ``repro.run(...)`` like every other execution mode.
+Selected with ``SimulatorConfig(comm="process", num_ranks=...)`` — or its
+other spelling, ``executor="process", num_workers=num_ranks`` — and therefore
+reachable from ``repro.run(...)`` like every other execution mode.
 Three classes cooperate:
 
 * :class:`RankWorker` — the warm per-process state of one rank (its block
@@ -21,8 +22,7 @@ Three classes cooperate:
 * :class:`RankedExecutor` — the parent-side driver.  Per gate it distributes
   the :class:`~repro.distributed.exchange.GatePlan`'s tasks to their owning
   ranks as **one batched message per rank** (amortising IPC over the whole
-  plan, unlike the per-task dispatch of the block-task process tier), then
-  folds the per-rank codec/cache/communication statistics into the
+  plan), then folds the per-rank codec/cache/communication statistics into the
   simulator's :class:`~repro.core.report.SimulationReport`.
 * :class:`RankedStateVector` / :class:`RankedBlockStore` — a
   :class:`~repro.core.compressed_state.CompressedStateVector`-compatible
@@ -36,8 +36,8 @@ cross-rank half-pair update (the *row* form of
 :meth:`repro.core.kernel.BlockKernel.run`) evaluates element-for-element
 the same expression as the single-process pairwise kernel.  Within one
 rank's batch, byte-identical non-exchange tasks are computed once and fanned
-out (the same Section 3.4 redundancy the wave dedupe of the thread/process
-tiers exploits); exchange tasks are never deduplicated — as over MPI, the
+out (the same Section 3.4 redundancy the wave dedupe of the thread tier
+exploits); exchange tasks are never deduplicated — as over MPI, the
 communication happens regardless, and only the codec work is saved by the
 per-rank cache shard.
 """
@@ -355,8 +355,7 @@ class RankedExecutor:
     counters, which are folded into the report — ``communication_seconds``
     grows by the *maximum* per-rank exchange-time delta of the gate (the
     critical path; the ranks communicate concurrently), while the codec
-    buckets sum CPU-style across ranks exactly like the thread/process
-    tiers.
+    buckets sum CPU-style across ranks exactly like the thread tier.
 
     Parameters
     ----------

@@ -89,16 +89,11 @@ class WorkerCrashedError(ReproError):
         The dead worker's process id.
     exitcode:
         Its exit status, when the process could be reaped.
-    wave_index:
-        Index of the gate wave that was in flight when the crash surfaced
-        (filled in by the executor, which owns wave numbering).
-    gate:
-        Name/span of the gate or run whose plan was executing.
     rank:
         The simulated-MPI rank the worker served (ranked tier only).
     """
 
-    context_fields = ("worker_id", "pid", "exitcode", "wave_index", "gate", "rank")
+    context_fields = ("worker_id", "pid", "exitcode", "rank")
 
 
 class ProcessCommTimeout(ReproError):
@@ -144,11 +139,9 @@ class BlockCorruptionError(ReproError):
         Arena slot index the payload lived in.
     expected_crc / actual_crc:
         The checksum mismatch that tripped detection.
-    ticket:
-        Pool ticket of the reply being read (filled by the executor).
     """
 
-    context_fields = ("worker_id", "slot", "expected_crc", "actual_crc", "ticket")
+    context_fields = ("worker_id", "slot", "expected_crc", "actual_crc")
 
 
 class CheckpointError(ReproError):

@@ -6,12 +6,11 @@ recover:
 
 * :class:`FaultPolicy` — the user-facing knob set, carried on
   :class:`repro.core.config.SimulatorConfig`: how many times to retry, how
-  to back off between attempts, how often to write in-run checkpoints, and
-  which executor tiers to degrade through when respawning keeps failing.
+  to back off between attempts and how often to write in-run checkpoints.
 * Self-healing pools — :class:`repro.core.procpool.ProcessPool` can respawn
-  a dead worker in place and the executors re-dispatch only the in-flight
-  wave; the parent holds the authoritative block blobs until a wave commits,
-  so replay is idempotent and bit-identical.
+  a dead worker in place; the batch fan-out (``parallel="process"``)
+  re-dispatches only the circuits the dead worker held, and every circuit
+  ships its own seed sequence, so replay is idempotent and bit-identical.
 * Ranked-tier recovery — the simulator tears down a failed rank pool,
   reloads the last in-run checkpoint and deterministically replays the
   gates since, instead of raising.
@@ -20,8 +19,8 @@ recover:
   corrupt a shared-memory blob) so all of the above is testable on every
   commit.
 
-The default policy is inert (no retries, no checkpoints, no degradation), so
-runs without an explicit opt-in behave exactly as before.
+The default policy is inert (no retries, no checkpoints), so runs without an
+explicit opt-in behave exactly as before.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ __all__ = [
     "resume_from_checkpoint",
 ]
 
-#: Executor tiers a degrade ladder may name, in decreasing parallelism.
-DEGRADE_TIERS = ("thread", "sequential")
-
 #: Environment variable holding a ``key=value,key=value`` fault policy spec
 #: (see :func:`resolve_fault_policy`).
 POLICY_ENV_VAR = "REPRO_FAULT_POLICY"
@@ -50,17 +46,17 @@ class FaultPolicy:
     """Recovery policy of one simulation run.
 
     The policy is inert by default: ``max_retries=0`` keeps the historical
-    fail-fast behaviour (first crash raises), an empty ``degrade_to`` ladder
-    disables executor fallback and ``checkpoint_interval_waves=0`` disables
-    in-run checkpoints.  Attach a non-trivial policy to
-    :class:`repro.core.config.SimulatorConfig` via its ``fault_policy``
-    field to opt into recovery.
+    fail-fast behaviour (first crash raises) and
+    ``checkpoint_interval_waves=0`` disables in-run checkpoints.  Attach a
+    non-trivial policy to :class:`repro.core.config.SimulatorConfig` via its
+    ``fault_policy`` field to opt into recovery.
 
     Attributes
     ----------
     max_retries:
-        How many times a failed gate wave (process tier) or gate (ranked
-        tier) is retried after healing the pool.  ``0`` means fail fast.
+        How many times a failed gate (ranked tier) or batch dispatch
+        (``parallel="process"`` fan-out) is retried after healing or
+        rebuilding the pool.  ``0`` means fail fast.
     backoff_base_seconds / backoff_multiplier / backoff_max_seconds:
         Exponential backoff between retry attempts: attempt ``n`` sleeps
         ``base * multiplier**n`` seconds, capped at the max.
@@ -75,10 +71,6 @@ class FaultPolicy:
     checkpoint_dir:
         Directory for in-run checkpoints; ``None`` uses a per-run temporary
         directory that is removed when the simulator closes.
-    degrade_to:
-        Executor tiers (subset of ``("thread", "sequential")``, tried in
-        order) to fall back to when ``max_retries`` is exhausted.  Empty
-        disables the ladder: the failure is raised instead.
     seed:
         Seed of the jitter stream (and of any policy-owned randomness);
         fixed seed ⇒ bit-identical retry timing decisions.
@@ -91,11 +83,10 @@ class FaultPolicy:
     backoff_max_seconds: float = 2.0
     checkpoint_interval_waves: int = 0
     checkpoint_dir: str | None = None
-    degrade_to: tuple[str, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
-        """Validate the knob ranges and normalise ``degrade_to`` to a tuple."""
+        """Validate the knob ranges."""
 
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -109,13 +100,6 @@ class FaultPolicy:
             raise ValueError("backoff_max_seconds must be >= 0")
         if self.checkpoint_interval_waves < 0:
             raise ValueError("checkpoint_interval_waves must be >= 0")
-        ladder = tuple(self.degrade_to)
-        object.__setattr__(self, "degrade_to", ladder)
-        for tier in ladder:
-            if tier not in DEGRADE_TIERS:
-                raise ValueError(
-                    f"degrade_to tier {tier!r} not in {DEGRADE_TIERS}"
-                )
 
     def backoff_seconds(self, attempt: int) -> float:
         """Deterministic backoff before retry ``attempt`` (0-based).
@@ -139,19 +123,15 @@ class FaultPolicy:
     def active(self) -> bool:
         """Whether this policy enables any recovery behaviour at all."""
 
-        return (
-            self.max_retries > 0
-            or bool(self.degrade_to)
-            or self.checkpoint_interval_waves > 0
-        )
+        return self.max_retries > 0 or self.checkpoint_interval_waves > 0
 
 
 def _parse_policy_spec(spec: str) -> FaultPolicy:
     """Parse a ``key=value,key=value`` policy spec (the env-var syntax).
 
-    Example: ``max_retries=2,degrade_to=thread+sequential,seed=7``.
-    ``degrade_to`` entries are joined with ``+`` because ``,`` separates
-    keys.  Unknown keys raise :class:`ValueError` so typos fail loudly.
+    Example: ``max_retries=2,checkpoint_interval_waves=8,seed=7``.  Unknown
+    keys — typos, or keys a later version removed — raise
+    :class:`ValueError` so they fail loudly.
     """
 
     kwargs: dict[str, object] = {}
@@ -175,10 +155,11 @@ def _parse_policy_spec(spec: str) -> FaultPolicy:
             kwargs[key] = float(value)
         elif key == "checkpoint_dir":
             kwargs[key] = value
-        elif key == "degrade_to":
-            kwargs[key] = tuple(t for t in value.split("+") if t)
         else:
-            raise ValueError(f"unknown fault-policy key {key!r}")
+            raise ValueError(
+                f"unknown fault-policy key {key!r} (docs/migration.md lists "
+                "the keys removed since earlier versions)"
+            )
     return FaultPolicy(**kwargs)
 
 
@@ -189,9 +170,8 @@ def resolve_fault_policy(policy: "FaultPolicy | None") -> FaultPolicy:
     ``REPRO_FAULT_POLICY`` environment variable (``key=value,...`` spec) is
     parsed; otherwise, when a fault plan is active (installed or via
     ``REPRO_FAULT_PLAN`` — e.g. the CI chaos job), a recovery-enabled
-    default (``max_retries=2`` with a full degrade ladder) applies so
-    injected faults are survived rather than fatal; otherwise the inert
-    default policy.
+    default (``max_retries=2``) applies so injected faults are survived
+    rather than fatal; otherwise the inert default policy.
     """
 
     if policy is not None:
@@ -202,7 +182,7 @@ def resolve_fault_policy(policy: "FaultPolicy | None") -> FaultPolicy:
     from . import faults
 
     if faults.get_active_plan() is not None:
-        return FaultPolicy(max_retries=2, degrade_to=DEGRADE_TIERS)
+        return FaultPolicy(max_retries=2)
     return FaultPolicy()
 
 

@@ -55,7 +55,7 @@ PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 #: from rank workers ("gate"/"init"/...) because a rank kill tears down the
 #: whole ranked pool — a heavier recovery that dedicated tests cover
 #: deterministically instead.
-CHAOS_KILL_KINDS = ("task", "circuit")
+CHAOS_KILL_KINDS = ("circuit",)
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class KillWorker:
     after:
         Fire on the N-th (1-based) submission matching this injection.
     kinds:
-        Optional filter of message kinds (e.g. ``("task",)``) the counter
+        Optional filter of message kinds (e.g. ``("gate",)``) the counter
         matches; ``None`` counts every submission to the target.
     """
 
@@ -177,7 +177,7 @@ class FaultPlan:
     :class:`CorruptFrame`, :class:`DropComm`, :class:`DelayComm`) with an
     optional probabilistic *chaos* mode: with ``chaos_kill_probability`` per
     pool (seeded by ``chaos_seed`` and a process-wide pool counter, so
-    decisions are reproducible), one worker of a task/circuit pool is killed
+    decisions are reproducible), one worker of a circuit fan-out pool is killed
     after a pseudorandomly chosen number of submissions.  Chaos kills are
     only armed for pools whose fault policy enables retries, so opted-out
     runs are never sabotaged.
@@ -249,7 +249,7 @@ def parse_plan(spec: str) -> FaultPlan:
 
     The spec is a ``;``-separated list of entries, each ``type:k=v,k=v``:
 
-    - ``kill:worker=1,after=5`` (optional ``kinds=task+circuit``)
+    - ``kill:worker=1,after=5`` (optional ``kinds=gate+circuit``)
     - ``corrupt:worker=0,after=2``
     - ``drop:rank=0,peer=1,after=2``
     - ``delay:rank=1,peer=0,seconds=0.2,after=1``
@@ -475,9 +475,9 @@ def arm_for_pool(
 ) -> PoolFaultState | None:
     """Build the fault state of a new pool, or ``None`` with no active plan.
 
-    ``kind`` is the dominant message kind of the pool's workers ("task" for
-    block-task pools, "circuit" for batch runners, "gate" for rank pools) —
-    it gates chaos mode to :data:`CHAOS_KILL_KINDS`.  ``chaos_allowed``
+    ``kind`` is the dominant message kind of the pool's workers ("circuit"
+    for batch runners, "gate" for rank pools, "task" for pools that declare
+    none) — it gates chaos mode to :data:`CHAOS_KILL_KINDS`.  ``chaos_allowed``
     reflects the pool's fault policy: chaos kills are only scheduled when
     the policy can actually recover from them (``max_retries > 0``), while
     targeted injections are always armed (deterministic tests opt in

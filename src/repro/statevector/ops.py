@@ -98,9 +98,8 @@ def apply_single_qubit_pairwise_masked(
 
     This is the cross-buffer update of a controlled gate whose controls lie
     in the local index segment: only offsets whose control bits are all 1
-    participate.  ``mask=None`` is the uncontrolled case.  Shared by the
-    thread executor and the block-task process workers so both tiers apply
-    bit-identical arithmetic.
+    participate.  ``mask=None`` is the uncontrolled case.  Every tier reaches
+    it through the one block kernel, so all apply bit-identical arithmetic.
     """
 
     if mask is None:
@@ -170,8 +169,8 @@ def local_control_mask(
     """Boolean mask over *size* block offsets whose control bits are all 1.
 
     ``None`` when there are no local controls (the uncontrolled fast path).
-    Shared by the simulator's planner and the block-task process workers so
-    both derive byte-identical masks from a plan's ``local_controls``.
+    Every tier's block kernel derives its masks here, so a plan's
+    ``local_controls`` yield byte-identical masks wherever the task runs.
     """
 
     if not local_controls:

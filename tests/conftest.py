@@ -2,12 +2,43 @@
 
 from __future__ import annotations
 
+import os
+import sys
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
 from repro.analysis.datasets import qaoa_state, supremacy_state
 from repro.compression import get_compressor
 from repro.core import SimulatorConfig
+from repro.core.procpool import live_pool_count
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_pools_or_segments(monkeypatch):
+    """Fail the test that leaks a process pool or a shared-memory segment.
+
+    Autouse fixtures are set up first and torn down last, so the check runs
+    after the test's own fixtures released what they held.  Segments are the
+    ones *this* process created (workers only attach), which keeps the check
+    exact under concurrent test runs.
+    """
+
+    created: list[str] = []
+    original = shared_memory.SharedMemory.__init__
+
+    def recording(self, name=None, create=False, size=0, **kwargs):
+        original(self, name=name, create=create, size=size, **kwargs)
+        if create:
+            created.append(self.name)
+
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", recording)
+    yield
+    assert live_pool_count() == 0, "the test left a ProcessPool open"
+    if sys.platform == "linux":
+        leaked = [name for name in created if os.path.exists(f"/dev/shm/{name}")]
+        assert not leaked, f"the test left shared-memory segments behind: {leaked}"
 
 
 @pytest.fixture

@@ -182,7 +182,7 @@ async def _run_soak(num_jobs: int, kill_after: int) -> dict:
             )
             clock.advance(0.001)
     plan = FaultPlan(
-        injections=(KillWorker(worker=0, after=kill_after, kinds=("task",)),)
+        injections=(KillWorker(worker=0, after=kill_after, kinds=("gate",)),)
     )
     with installed_plan(plan):
         results = await asyncio.gather(*(job.future for job in jobs))

@@ -468,9 +468,11 @@ class TestEnginePlumbing:
         finally:
             restored.close()
 
-    def test_process_executor_bit_identical_across_engines(self, engine):
-        # The engine rides to process workers inside pickled codecs; the
-        # distributed result must match the sequential numpy-engine result
+    def test_process_workers_bit_identical_across_engines(self, engine):
+        # The engine rides to the rank worker processes inside pickled
+        # codecs (executor="process" is the ranked tier: one worker per
+        # rank, so num_workers == num_ranks); the distributed result must
+        # match the sequential numpy-engine result
         # byte for byte (the engines are bit-identical, so mixing tiers and
         # engines can never change the state).
         circuit = qft_benchmark_circuit(6)

@@ -314,12 +314,6 @@ def test_multi_step_pair_equals_chained_pairs_and_its_own_halves(blocks):
     assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (3, 6, 4)
 
 
-def test_block_op_name_reads_back_from_the_key():
-    codec = get_compressor("lossless")
-    assert _setup(None)[1].name == "u"
-    assert _step_op(STEPS, codec).name == "u+u+u"
-
-
 def test_task_stats_pickle_flat_and_fold():
     stats = TaskStats(3, 4, 2, 1, 2, 0.25, 0.5, 0.125)
     constructor, args = stats.__reduce__()

@@ -1,13 +1,14 @@
-"""Process-parallel execution tier: pool, executor, fan-out and picklability.
+"""Process parallelism: slot transport, the ``executor="process"`` spelling of
+the ranked tier, the batch fan-out and codec picklability.
 
 Three contracts are pinned here:
 
-* **Bit-identity** — the process executor (fork *and* spawn), the thread
-  executor and the sequential path all produce byte-identical compressed
-  states: tasks write disjoint blocks, the codecs are deterministic pure
-  functions, and every tier runs the same kernels on the same bytes.
-* **Robustness** — a worker dying mid-plan raises a clear error instead of
-  hanging, and shutdown is idempotent (``close()`` twice, context manager).
+* **One mechanism** — ``executor="process", num_workers=num_ranks`` is the
+  ranked tier (:mod:`tests.test_ranked` covers the tier itself): same
+  executor and byte-identical compressed states as ``comm="process"``, the
+  thread executor and the sequential path, fork *and* spawn.
+* **Fan-out** — ``repro.run(..., parallel="process")`` equals the sequential
+  batch, JSON for JSON.
 * **Cheap picklability** — every codec ships to workers as constructor
   arguments only, and a pickled codec produces and decodes byte-identical
   blobs.
@@ -16,9 +17,7 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import json
-import os
 import pickle
-import signal
 
 import numpy as np
 import pytest
@@ -34,11 +33,15 @@ from repro.applications import (
 from repro.backends import BackendError
 from repro.backends.base import Backend
 from repro.compression.huffman import HuffmanCodec
-from repro.core import CompressedSimulator, SimulatorConfig, effective_cpu_count
-from repro.errors import WorkerCrashedError
-from repro.core.procpool import SlotArena, _pack_frames, _read_frame
-from repro.resilience import FaultPolicy, faults
-from repro.resilience.faults import FaultPlan, KillWorker
+from repro.core import (
+    CompressedSimulator,
+    SimulatorConfig,
+    TaskExecutor,
+    effective_cpu_count,
+)
+from repro.core.procpool import SlotArena, _pack_frames, _read_frame, live_pool_count
+from repro.distributed.ranked import RankedExecutor
+from repro.resilience import FaultPolicy
 
 #: Pin for tests that assert exact failure propagation or exact cache
 #: counters: an inert policy keeps them deterministic even when the suite
@@ -132,45 +135,55 @@ class TestSlotTransport:
 
 
 # ---------------------------------------------------------------------------
-# Process executor: bit-identity
+# executor="process": a spelling of the ranked tier
 # ---------------------------------------------------------------------------
 
 
-class TestProcessExecutorBitIdentity:
-    def test_matches_sequential_and_thread_tiers(self):
-        circuit = qft_benchmark_circuit(8)
-        sequential = _final_state(8, circuit)
-        threaded = _final_state(8, circuit, num_workers=4)
-        process = _final_state(8, circuit, num_workers=2, executor="process")
-        assert np.array_equal(sequential, threaded)
-        assert np.array_equal(sequential, process)
+class TestProcessSpellingIsTheRankedTier:
+    """``executor="process", num_workers=num_ranks`` and ``comm="process"``
+    select one mechanism: same tier, same executor, same bits."""
+
+    @pytest.mark.parametrize("budget", [None, 3_000])
+    def test_same_tier_same_executor_same_bits(self, budget):
+        # Seeded: one basis state in 32 (multiples of 32) compresses well
+        # enough to never escalate under the budget.
+        circuit = qft_benchmark_circuit(8, seed=8)
+        outcomes = {}
+        for spelling, options in (
+            ("sequential", {}),
+            ("thread", dict(num_workers=4)),
+            ("executor", dict(num_workers=2, executor="process")),
+            ("comm", dict(comm="process")),
+        ):
+            config = SimulatorConfig(
+                num_ranks=2, block_amplitudes=16, memory_budget_bytes=budget, **options
+            )
+            with CompressedSimulator(8, config) as simulator:
+                report = simulator.apply_circuit(circuit)
+                outcomes[spelling] = (
+                    config.tier,
+                    type(simulator.executor),
+                    bool(report.rank_comm),
+                    simulator.statevector().tobytes(),
+                    report.peak_footprint_bytes,
+                    report.min_compression_ratio,
+                    report.escalations,
+                )
+        assert outcomes["executor"] == outcomes["comm"]
+        assert outcomes["executor"][:3] == ("ranked", RankedExecutor, True)
+        assert outcomes["sequential"][:3] == ("sequential", TaskExecutor, False)
+        assert outcomes["thread"][:3] == ("thread", TaskExecutor, False)
+        assert outcomes["executor"][3:] == outcomes["sequential"][3:]
+        assert outcomes["thread"][3:] == outcomes["sequential"][3:]
+        # The budget must actually bite (workers then pick up the escalated
+        # compressor instances gate by gate).
+        assert (outcomes["sequential"][-1] > 0) == (budget is not None)
 
     def test_codec_bound_sz_path_is_bit_identical(self):
         circuit = qft_benchmark_circuit(8)
         kwargs = dict(lossy_compressor="sz", use_block_cache=False, start_lossless=False)
         sequential = _final_state(8, circuit, **kwargs)
         process = _final_state(8, circuit, num_workers=2, executor="process", **kwargs)
-        assert np.array_equal(sequential, process)
-
-    def test_budget_escalation_is_bit_identical(self):
-        # A tight budget forces mid-run escalation, so workers must pick up
-        # the new compressor instances gate by gate.  Seeded: one basis state
-        # in 32 (multiples of 32) compresses well enough to never escalate.
-        circuit = qft_benchmark_circuit(8, seed=8)
-        kwargs = dict(memory_budget_bytes=3_000)
-        with CompressedSimulator(
-            8, SimulatorConfig(num_ranks=2, block_amplitudes=16, **kwargs)
-        ) as sequential_sim:
-            report = sequential_sim.apply_circuit(circuit)
-            sequential = sequential_sim.statevector()
-        assert report.escalations > 0  # the budget must actually bite
-        process = _final_state(8, circuit, num_workers=2, executor="process", **kwargs)
-        assert np.array_equal(sequential, process)
-
-    def test_cache_heavy_grover_is_bit_identical(self):
-        circuit = grover_circuit(6, marked=5, iterations=2)
-        sequential = _final_state(6, circuit)
-        process = _final_state(6, circuit, num_workers=2, executor="process")
         assert np.array_equal(sequential, process)
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -201,35 +214,34 @@ class TestProcessExecutorBitIdentity:
         )
         with CompressedSimulator(6, config) as simulator:
             report = simulator.apply_circuit(circuit)
-            # One shard lookup per *dispatched* task: duplicates absorbed by
-            # the parent-side wave dedupe never reach a worker, so lookups
-            # are bounded by (and here strictly below) the task count.
+            # At most one shard lookup per task: byte-identical duplicates
+            # within a rank's batch are fanned out without one.
             lookups = report.cache_hits + report.cache_misses
             assert 0 < lookups <= report.tasks_executed
             # Grover's recurring block patterns must produce shard hits.
             assert report.cache_hits > 0
+            assert np.array_equal(simulator.statevector(), _final_state(6, circuit))
 
     def test_disabled_shards_stop_counting_misses(self):
         # Once a shard's miss rule disables it, its lookups are free and
         # uncounted — the parent must not keep accumulating misses (the
         # sequential tier caps at the disable threshold too).
         circuit = qft_benchmark_circuit(8)
-        threshold = 16
         config = SimulatorConfig(
             num_ranks=2,
             block_amplitudes=16,
             num_workers=2,
             executor="process",
-            cache_miss_disable_threshold=threshold,
+            cache_miss_disable_threshold=1,
             fault_policy=NO_RECOVERY,
         )
         with CompressedSimulator(8, config) as simulator:
             report = simulator.apply_circuit(circuit)
-            # This workload is cache-hostile (wave duplicates are absorbed
-            # by the parent-side dedupe, so shards never see a repeat):
-            # every shard must hit its miss cap, disable, and stop counting.
+            # A shard's first lookup misses, which at this threshold
+            # disables it: one counted miss per rank, however many tasks.
             assert report.cache_hits == 0
-            assert report.cache_misses <= threshold * config.num_workers
+            assert 0 < report.cache_misses <= config.num_ranks
+            assert report.tasks_executed > 10 * config.num_ranks
 
     def test_single_worker_runs_sequentially_without_a_pool(self):
         # num_workers=1 keeps the documented sequential contract: no worker
@@ -239,12 +251,14 @@ class TestProcessExecutorBitIdentity:
         config = SimulatorConfig(
             num_ranks=2, block_amplitudes=16, num_workers=1, executor="process"
         )
+        assert config.tier == "sequential"
         with CompressedSimulator(7, config) as simulator:
             simulator.apply_circuit(circuit)
-            assert simulator.executor.pool is None
+            assert type(simulator.executor) is TaskExecutor
+            assert live_pool_count() == 0
             assert np.array_equal(sequential, simulator.statevector())
 
-    def test_fork_helper_uses_thread_tier(self):
+    def test_fork_helper_is_sequential(self):
         config = SimulatorConfig(
             num_ranks=2, block_amplitudes=16, num_workers=2, executor="process"
         )
@@ -252,140 +266,11 @@ class TestProcessExecutorBitIdentity:
             simulator.apply_circuit(qft_benchmark_circuit(6))
             clone = simulator.fork()
             try:
+                assert clone.config.tier == "sequential"
                 assert clone.config.executor == "thread"
-                assert clone.config.num_workers == 1
                 assert np.array_equal(clone.statevector(), simulator.statevector())
             finally:
                 clone.close()
-
-
-# ---------------------------------------------------------------------------
-# Process executor: lifecycle and failure paths
-# ---------------------------------------------------------------------------
-
-
-class TestProcessExecutorLifecycle:
-    def test_close_is_idempotent(self):
-        config = SimulatorConfig(
-            num_ranks=2, block_amplitudes=16, num_workers=2, executor="process"
-        )
-        simulator = CompressedSimulator(6, config)
-        simulator.apply_circuit(qft_benchmark_circuit(6))
-        assert simulator.executor.pool is not None
-        simulator.close()
-        assert simulator.executor.pool is None
-        simulator.close()  # second close must be a no-op
-
-    def test_context_manager_closes_pool(self):
-        config = SimulatorConfig(
-            num_ranks=2, block_amplitudes=16, num_workers=2, executor="process"
-        )
-        with CompressedSimulator(6, config) as simulator:
-            simulator.apply_circuit(qft_benchmark_circuit(6))
-            executor = simulator.executor
-        assert executor.pool is None
-
-    def test_worker_death_raises_instead_of_hanging(self):
-        config = SimulatorConfig(
-            num_ranks=2,
-            block_amplitudes=16,
-            num_workers=2,
-            executor="process",
-            fault_policy=NO_RECOVERY,
-        )
-        with CompressedSimulator(6, config) as simulator:
-            simulator.apply_circuit(qft_benchmark_circuit(6))
-            pool = simulator.executor.pool
-            os.kill(pool.worker_pid(0), signal.SIGKILL)
-            with pytest.raises(WorkerCrashedError, match="died"):
-                simulator.apply_circuit(qft_benchmark_circuit(6))
-
-    def test_worker_exit_via_message_raises(self):
-        # The "die" control message is the deterministic crash hook: the
-        # worker hard-exits while the executor still expects a response.
-        config = SimulatorConfig(
-            num_ranks=2,
-            block_amplitudes=16,
-            num_workers=2,
-            executor="process",
-            fault_policy=NO_RECOVERY,
-        )
-        with CompressedSimulator(6, config) as simulator:
-            simulator.apply_circuit(qft_benchmark_circuit(6))
-            pool = simulator.executor.pool
-            pool.submit(1, ("die",))
-            with pytest.raises(WorkerCrashedError):
-                pool.recv_any(timeout=30.0)
-
-    def test_multi_step_task_rides_flat_and_survives_a_worker_death(self):
-        # Qubits 0-3 sit inside a 16-amplitude block, so the circuit opens
-        # with a four-step local run and keeps forming runs between its
-        # block- and rank-level gates.
-        circuit = (
-            repro.QuantumCircuit(6).h(0).cx(0, 1).rx(0.3, 2).ccx(1, 2, 3).h(5).h(4)
-        )
-        circuit.cx(5, 0).cx(5, 1).t(2).cx(4, 2).ry(0.7, 3).cx(3, 0).h(1)
-        kwargs = dict(num_workers=2, executor="process")
-        sequential = _final_state(6, circuit)
-
-        # The wire: one message per task, the run's steps as one stacked
-        # array and two tuples of ints — no gate objects.
-        config = SimulatorConfig(
-            num_ranks=2, block_amplitudes=16, fault_policy=NO_RECOVERY, **kwargs
-        )
-        with CompressedSimulator(6, config) as simulator:
-            pool = simulator.executor._ensure_proc_pool()
-            sent, submit = [], pool.submit
-
-            def recording(worker_id, message, payloads=()):
-                sent.append((worker_id, message))
-                return submit(worker_id, message, payloads)
-
-            pool.submit = recording
-            report = simulator.apply_circuit(circuit)
-            assert np.array_equal(simulator.statevector(), sequential)
-        assert report.gates_executed < len(circuit)
-        to_worker0 = [m for worker_id, m in sent if worker_id == 0 and m[0] == "task"]
-        multi = [i for i, m in enumerate(to_worker0) if len(m[2]) > 1]
-        assert multi
-        for index in multi:
-            _kind, matrices, targets, controls, _codec, op_key, _names = to_worker0[index]
-            assert matrices.shape == (len(targets), 2, 2)
-            assert all(type(target) is int for target in targets)
-            assert all(type(c) is int for step in controls for c in step)
-            assert len(op_key) == len(targets) + 1
-        assert b"repro.circuits" not in pickle.dumps(to_worker0[multi[0]])
-
-        # A worker killed at one of those multi-step tasks: the run's other
-        # tasks stay committed and only the lost one is replayed.
-        plan = FaultPlan(
-            injections=(KillWorker(worker=0, after=multi[-1] + 1, kinds=("task",)),)
-        )
-        config = SimulatorConfig(
-            num_ranks=2,
-            block_amplitudes=16,
-            fault_policy=FaultPolicy(max_retries=2),
-            **kwargs,
-        )
-        with faults.installed_plan(plan), CompressedSimulator(6, config) as simulator:
-            recovered = simulator.apply_circuit(circuit)
-            assert np.array_equal(simulator.statevector(), sequential)
-        assert recovered.recovery["retries"] == 1
-        assert recovered.recovery["restarts"] == 1
-        assert recovered.tasks_executed == report.tasks_executed
-
-    def test_batched_reset_matches_fresh_simulators(self):
-        # The warm-pool reset path: two circuits through one backend session
-        # with the process executor must equal fresh, isolated runs.
-        circuits = [qft_benchmark_circuit(6), grover_circuit(6, marked=5, iterations=1)]
-        config = SimulatorConfig(
-            num_ranks=2, block_amplitudes=16, num_workers=2, executor="process"
-        )
-        results = repro.run(circuits, config=config, return_statevector=True)
-        for circuit, result in zip(circuits, results):
-            with CompressedSimulator(6, config) as fresh:
-                fresh.apply_circuit(circuit)
-                assert np.array_equal(result.statevector, fresh.statevector())
 
     def test_invalid_executor_and_start_method_rejected(self):
         with pytest.raises(ValueError, match="executor"):

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import QuantumCircuit
 from repro.core import CompressedSimulator
+from repro.distributed.ranked import RankedExecutor
 from repro.statevector import simulate_statevector, state_fidelity
 
 NUM_QUBITS = 6
@@ -91,12 +92,14 @@ def run_heavy_circuits(draw) -> QuantumCircuit:
     return circuit
 
 
-#: Execution tiers of the bit-equality property (all on four ranks, so a
-#: rank-segment target pairs blocks of different ranks).
+#: Execution tiers of the bit-equality property, on top of four ranks of 16
+#: amplitudes (so a rank-segment target pairs blocks of different ranks).
+#: "process" is the other spelling of the ranked tier — one worker per rank,
+#: here two ranks of 32.
 TIERS = {
     "sequential": {},
     "thread": dict(num_workers=2),
-    "process": dict(num_workers=2, executor="process"),
+    "process": dict(num_ranks=2, num_workers=2, executor="process"),
     "ranked": dict(comm="process"),
 }
 
@@ -118,14 +121,17 @@ class TestLosslessEquivalence:
         # stretches land in all three segments.
         states = {}
         for fusion, options in ((True, TIERS[tier]), (False, {})):
-            config = simulator_config(
-                num_ranks=4, block_amplitudes=block, fusion_enabled=fusion, **options
-            )
+            geometry = dict(num_ranks=4, block_amplitudes=block, fusion_enabled=fusion)
+            config = simulator_config(**(geometry | options))
             with CompressedSimulator(NUM_QUBITS, config) as simulator:
                 report = simulator.apply_circuit(circuit)
                 states[fusion] = simulator.statevector()
                 if fusion:
                     assert report.gates_executed == report.fusion_gates_out
+                    ranked = tier in ("process", "ranked")
+                    assert config.tier == ("ranked" if ranked else tier)
+                    assert isinstance(simulator.executor, RankedExecutor) == ranked
+                    assert bool(report.rank_comm) == ranked
         dense = simulate_statevector(circuit)
         assert np.array_equal(_bits(states[True]), _bits(dense))
         assert np.array_equal(_bits(states[True]), _bits(states[False]))

@@ -1,4 +1,5 @@
-"""The multi-rank distributed execution tier (``SimulatorConfig.comm="process"``).
+"""The multi-rank distributed execution tier (``SimulatorConfig.comm="process"``,
+or ``executor="process"`` with one worker per rank).
 
 The contract under test: a circuit run with the state split over rank worker
 processes — with *real* compressed-blob exchange between ranks — is
@@ -364,11 +365,41 @@ class TestFailureAndValidation:
             assert not pool.has_outstanding()
             assert simulator.norm_squared() == pytest.approx(1.0)
 
-    def test_comm_process_rejects_other_parallel_tiers(self):
-        with pytest.raises(ValueError, match="comm='process'"):
-            SimulatorConfig(comm="process", executor="process")
-        with pytest.raises(ValueError, match="comm='process'"):
-            SimulatorConfig(comm="process", num_workers=2)
+    @pytest.mark.parametrize(
+        "options, tier",
+        [
+            (dict(), "sequential"),
+            (dict(num_ranks=4), "sequential"),
+            (dict(executor="process"), "sequential"),
+            (dict(num_ranks=2, executor="process", num_workers=1), "sequential"),
+            (dict(num_workers=3), "thread"),
+            (dict(num_ranks=2, num_workers=3), "thread"),
+            (dict(comm="process"), "ranked"),
+            (dict(num_ranks=4, comm="process"), "ranked"),
+            (dict(num_ranks=4, comm="process", num_workers=4), "ranked"),
+            (dict(num_ranks=2, comm="process", executor="process"), "ranked"),
+            (dict(num_ranks=2, executor="process", num_workers=2), "ranked"),
+            (
+                dict(num_ranks=2, comm="process", executor="process", num_workers=2),
+                "ranked",
+            ),
+            # The ranks are the workers: any other width is refused.
+            (dict(executor="process", num_workers=4), None),
+            (dict(num_ranks=2, executor="process", num_workers=4), None),
+            (dict(num_ranks=4, executor="process", num_workers=3), None),
+            (dict(comm="process", num_workers=2), None),
+            (dict(num_ranks=4, comm="process", num_workers=2), None),
+        ],
+    )
+    def test_tier_validation_table(self, options, tier):
+        if tier is None:
+            with pytest.raises(ValueError, match="num_ranks"):
+                SimulatorConfig(**options)
+            return
+        config = SimulatorConfig(**options)
+        assert config.tier == tier
+        with pytest.raises(AttributeError):
+            config.tier = "thread"
 
     def test_unknown_comm_rejected(self):
         with pytest.raises(ValueError, match="comm"):

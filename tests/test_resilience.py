@@ -1,11 +1,10 @@
 """Fault-tolerant execution (``repro.resilience``).
 
 The contract under test: with a recovery-enabled :class:`FaultPolicy`, a
-seeded fault plan that kills a process worker mid-run — or a rank worker
-mid-run — still completes and is *bit-identical* (statevector, sampling,
-observables) to a failure-free run; with retries exhausted, the degrade
-ladder falls back one executor tier and still finishes.  The deterministic
-injection harness itself (plan parsing, per-blob checksums, structured
+seeded fault plan that kills a rank worker mid-run — or a fan-out worker
+mid-batch — still completes and is *bit-identical* (statevector, sampling,
+observables) to a failure-free run.  The deterministic injection harness
+itself (plan parsing, per-blob checksums, structured
 errors) is covered alongside.
 """
 
@@ -26,7 +25,7 @@ from repro.applications import qft_benchmark_circuit
 from repro.backends import PauliObservable
 from repro.core import CompressedSimulator, SimulatorConfig, load_checkpoint
 from repro.core.checkpoint import read_checkpoint
-from repro.core.procpool import SlotArena
+from repro.core.procpool import ProcessPool, SlotArena
 from repro.errors import (
     BlockCorruptionError,
     CheckpointError,
@@ -34,7 +33,7 @@ from repro.errors import (
     ReproError,
     WorkerCrashedError,
 )
-from repro.resilience import DEGRADE_TIERS, FaultPolicy, resolve_fault_policy
+from repro.resilience import FaultPolicy, resolve_fault_policy
 from repro.resilience import faults
 from repro.resilience.faults import (
     CorruptFrame,
@@ -61,24 +60,19 @@ def _no_leaked_plan(monkeypatch):
     faults.clear_plan()
 
 
-def process_config(policy=None, **overrides) -> SimulatorConfig:
+#: The two spellings of the ranked tier (docs/migration.md).
+SPELLINGS = {
+    "comm": dict(comm="process"),
+    "executor": dict(executor="process", num_workers=2),
+}
+
+
+def ranked_config(policy=None, spelling="comm", **overrides) -> SimulatorConfig:
     defaults = dict(
         num_ranks=2,
         block_amplitudes=BLOCK,
-        num_workers=2,
-        executor="process",
         fault_policy=policy,
-    )
-    defaults.update(overrides)
-    return SimulatorConfig(**defaults)
-
-
-def ranked_config(policy=None, **overrides) -> SimulatorConfig:
-    defaults = dict(
-        num_ranks=2,
-        block_amplitudes=BLOCK,
-        comm="process",
-        fault_policy=policy,
+        **SPELLINGS[spelling],
     )
     defaults.update(overrides)
     return SimulatorConfig(**defaults)
@@ -191,8 +185,6 @@ class TestFaultPolicy:
             FaultPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             FaultPolicy(backoff_jitter=1.5)
-        with pytest.raises(ValueError):
-            FaultPolicy(degrade_to=("gpu",))
 
     def test_backoff_is_deterministic_and_capped(self):
         policy = FaultPolicy(
@@ -211,23 +203,27 @@ class TestFaultPolicy:
     def test_env_spec_is_parsed(self, monkeypatch):
         monkeypatch.setenv(
             "REPRO_FAULT_POLICY",
-            "max_retries=3,degrade_to=thread+sequential,seed=7",
+            "max_retries=3,checkpoint_interval_waves=8,seed=7",
         )
         policy = resolve_fault_policy(None)
         assert policy.max_retries == 3
-        assert policy.degrade_to == ("thread", "sequential")
+        assert policy.checkpoint_interval_waves == 8
         assert policy.seed == 7
 
-    def test_env_spec_rejects_unknown_keys(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_POLICY", "retries=3")
-        with pytest.raises(ValueError, match="unknown fault-policy key"):
+    @pytest.mark.parametrize("spec", ["retries=3", "max_retries=2,degrade_to=thread"])
+    def test_env_spec_rejects_unknown_and_removed_keys(self, monkeypatch, spec):
+        monkeypatch.setenv("REPRO_FAULT_POLICY", spec)
+        with pytest.raises(
+            ValueError, match=r"unknown fault-policy key .*docs/migration\.md"
+        ):
             resolve_fault_policy(None)
+        with pytest.raises(TypeError):
+            FaultPolicy(degrade_to=("thread",))
 
     def test_active_plan_enables_recovery_by_default(self):
         with faults.installed_plan(FaultPlan(chaos_seed=1)):
             policy = resolve_fault_policy(None)
-        assert policy.max_retries == 2
-        assert policy.degrade_to == DEGRADE_TIERS
+        assert policy == FaultPolicy(max_retries=2)
 
     def test_explicit_policy_wins_over_env_and_plan(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_POLICY", "max_retries=9")
@@ -268,106 +264,10 @@ class TestPlanParsing:
         assert KillWorker(worker=0, after=3) in plan.injections
 
 
-class TestProcessTierRecovery:
-    def test_worker_kill_is_recovered_bit_identically(self, circuit, baseline):
-        plan = FaultPlan(
-            injections=(KillWorker(worker=0, after=5, kinds=("task",)),)
-        )
-        with faults.installed_plan(plan):
-            statevector, counts, recovery = run_to_outcome(
-                process_config(FaultPolicy(max_retries=2)), circuit
-            )
-        assert_bit_identical(statevector, counts, baseline)
-        assert recovery["retries"] == 1
-        assert recovery["restarts"] == 1
-        assert recovery["degraded_to"] is None
-        assert recovery["time_lost_seconds"] > 0.0
-
-    def test_corrupt_frame_is_retried_from_parent_copy(self, circuit, baseline):
-        plan = FaultPlan(injections=(CorruptFrame(worker=0, after=2),))
-        with faults.installed_plan(plan):
-            statevector, counts, recovery = run_to_outcome(
-                process_config(FaultPolicy(max_retries=2)), circuit
-            )
-        assert_bit_identical(statevector, counts, baseline)
-        assert recovery["retries"] == 1
-        assert recovery["restarts"] == 0
-
-    def test_degrade_ladder_falls_back_to_thread(self, circuit, baseline):
-        plan = FaultPlan(
-            injections=(KillWorker(worker=0, after=5, kinds=("task",)),)
-        )
-        policy = FaultPolicy(max_retries=0, degrade_to=("thread",))
-        with faults.installed_plan(plan):
-            with CompressedSimulator(
-                NUM_QUBITS, process_config(policy)
-            ) as simulator:
-                simulator.apply_circuit(circuit)
-                statevector = simulator.statevector()
-                counts = simulator.sample_counts(SHOTS, np.random.default_rng(7))
-                assert simulator.executor.degraded_tier == "thread"
-                recovery = simulator.report().recovery
-        assert_bit_identical(statevector, counts, baseline)
-        assert recovery["degraded_to"] == "thread"
-
-    def test_degrade_ladder_falls_back_to_sequential(self, circuit, baseline):
-        plan = FaultPlan(
-            injections=(KillWorker(worker=1, after=3, kinds=("task",)),)
-        )
-        policy = FaultPolicy(max_retries=0, degrade_to=("sequential",))
-        with faults.installed_plan(plan):
-            with CompressedSimulator(
-                NUM_QUBITS, process_config(policy)
-            ) as simulator:
-                simulator.apply_circuit(circuit)
-                statevector = simulator.statevector()
-                counts = simulator.sample_counts(SHOTS, np.random.default_rng(7))
-                assert simulator.executor.degraded_tier == "sequential"
-        assert_bit_identical(statevector, counts, baseline)
-
-    def test_exhausted_retries_fall_back_one_tier(self, circuit, baseline):
-        # Two kills landing in one wave: the first consumes the single
-        # allowed retry, the second exhausts it — the ladder must then take
-        # over instead of raising.
-        plan = FaultPlan(
-            injections=(
-                KillWorker(worker=-1, after=1, kinds=("task",)),
-                KillWorker(worker=-1, after=2, kinds=("task",)),
-            )
-        )
-        policy = FaultPolicy(
-            max_retries=1, degrade_to=("thread", "sequential")
-        )
-        with faults.installed_plan(plan):
-            with CompressedSimulator(
-                NUM_QUBITS, process_config(policy)
-            ) as simulator:
-                simulator.apply_circuit(circuit)
-                statevector = simulator.statevector()
-                counts = simulator.sample_counts(SHOTS, np.random.default_rng(7))
-                assert simulator.executor.degraded_tier == "thread"
-                recovery = simulator.report().recovery
-        assert_bit_identical(statevector, counts, baseline)
-        assert recovery["retries"] == 1
-        assert recovery["degraded_to"] == "thread"
-
-    def test_fail_fast_policy_raises_with_context(self, circuit):
-        plan = FaultPlan(
-            injections=(KillWorker(worker=0, after=5, kinds=("task",)),)
-        )
-        with faults.installed_plan(plan):
-            with CompressedSimulator(
-                NUM_QUBITS, process_config(FaultPolicy(max_retries=0))
-            ) as simulator:
-                with pytest.raises(WorkerCrashedError) as excinfo:
-                    simulator.apply_circuit(circuit)
-        assert excinfo.value.worker_id == 0
-        assert excinfo.value.pid is not None
-
-
 class TestRankedRecovery:
+    @pytest.mark.parametrize("spelling", list(SPELLINGS))
     def test_rank_kill_resumes_from_checkpoint_bit_identically(
-        self, circuit, baseline
+        self, circuit, baseline, spelling
     ):
         plan = FaultPlan(
             injections=(KillWorker(worker=1, after=6, kinds=("gate",)),)
@@ -375,12 +275,43 @@ class TestRankedRecovery:
         policy = FaultPolicy(max_retries=2, checkpoint_interval_waves=4)
         with faults.installed_plan(plan):
             statevector, counts, recovery = run_to_outcome(
-                ranked_config(policy), circuit
+                ranked_config(policy, spelling), circuit
             )
         assert_bit_identical(statevector, counts, baseline)
         assert recovery["retries"] == 1
         assert recovery["restarts"] == 2  # the whole 2-rank pool is rebuilt
         assert recovery["checkpoints_written"] > 0
+
+    def test_escalations_before_the_checkpoint_survive_recovery(self):
+        # The budget forces every escalation early; rank 1 dies late, after
+        # checkpoints that already carry them.  Recovery installs a fresh
+        # adaptive controller, so the count must ride the checkpoint meta.
+        circuit = qft_benchmark_circuit(NUM_QUBITS, seed=8)
+        options = dict(memory_budget_bytes=1_400)
+        reference_config = SimulatorConfig(
+            num_ranks=2, block_amplitudes=BLOCK, **options
+        )
+        with CompressedSimulator(NUM_QUBITS, reference_config) as reference:
+            expected = reference.apply_circuit(circuit)
+            expected_state = reference.statevector()
+        assert expected.escalations > 0
+
+        plan = FaultPlan(
+            injections=(KillWorker(worker=1, after=30, kinds=("gate",)),)
+        )
+        policy = FaultPolicy(max_retries=2, checkpoint_interval_waves=4)
+        with faults.installed_plan(plan), CompressedSimulator(
+            NUM_QUBITS, ranked_config(policy, **options)
+        ) as simulator:
+            report = simulator.apply_circuit(circuit)
+            assert np.array_equal(simulator.statevector(), expected_state)
+        assert report.recovery["retries"] == 1
+        assert report.recovery["checkpoints_written"] > 0
+        # Each escalation takes its own gate, so replaying fewer gates than
+        # there were escalations means the resumed checkpoint held some.
+        assert report.recovery["gates_replayed"] < expected.escalations
+        assert report.escalations == expected.escalations
+        assert report.final_error_bound == expected.final_error_bound
 
     def test_comm_drop_is_recovered_once(self, circuit, baseline, monkeypatch):
         # Environment-delivered plan: rank workers arm it in their own
@@ -419,6 +350,19 @@ class TestRankedRecovery:
         assert excinfo.value.rank == 0
         assert excinfo.value.peer == 1
         assert excinfo.value.op == "sendrecv"
+
+    def test_fail_fast_policy_raises_with_context(self, circuit):
+        plan = FaultPlan(
+            injections=(KillWorker(worker=0, after=5, kinds=("gate",)),)
+        )
+        with faults.installed_plan(plan):
+            with CompressedSimulator(
+                NUM_QUBITS, ranked_config(FaultPolicy(max_retries=0))
+            ) as simulator:
+                with pytest.raises(WorkerCrashedError) as excinfo:
+                    simulator.apply_circuit(circuit)
+        assert excinfo.value.worker_id == 0
+        assert excinfo.value.pid is not None
 
     def test_observables_identical_under_rank_kill(self, circuit):
         observable = PauliObservable("XZ" + "I" * (NUM_QUBITS - 2))
@@ -498,38 +442,56 @@ class TestBatchFanOut:
         assert [r.counts for r in recovered] == [r.counts for r in reference]
 
 
+class _PingWorker:
+    """Minimal pool worker state: answers every message with its ticket."""
+
+    def handle(self, message: tuple) -> tuple:
+        return ("pong", message[-2])
+
+
 class TestBoundedTeardown:
-    def test_close_reaps_a_killed_worker_promptly(self, circuit):
-        config = process_config(FaultPolicy(max_retries=0))
-        simulator = CompressedSimulator(NUM_QUBITS, config)
-        simulator.apply_circuit(circuit)
-        pool = simulator.executor.pool
+    def test_close_reaps_a_killed_worker_promptly(self):
+        pool = ProcessPool(2, _PingWorker)
         pids = [pool.worker_pid(i) for i in range(2)]
         os.kill(pids[0], signal.SIGKILL)
         start = time.monotonic()
-        simulator.close()
+        pool.close()
         assert time.monotonic() - start < 10.0
         for pid in pids:
             # Every worker is reaped — no zombies, no orphans.
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
-    def test_heal_respawns_only_the_dead_worker(self, circuit):
-        config = process_config(FaultPolicy(max_retries=0))
-        with CompressedSimulator(NUM_QUBITS, config) as simulator:
-            simulator.apply_circuit(circuit)
-            pool = simulator.executor.pool
+    def test_heal_respawns_only_the_dead_worker(self):
+        with ProcessPool(2, _PingWorker) as pool:
             survivor_pid = pool.worker_pid(1)
             os.kill(pool.worker_pid(0), signal.SIGKILL)
             with pytest.raises(WorkerCrashedError):
-                simulator.apply_circuit(circuit)
+                pool.submit(0, ("ping",))
+                pool.recv_any(timeout=30.0)
             restarted = pool.heal()
             assert restarted == [0]
             assert pool.worker_pid(1) == survivor_pid
             assert pool.worker_pid(0) != survivor_pid
+            # The replacement sits in the same seat and answers.
+            assert pool.broadcast(("ping",)) == [("pong", 0), ("pong", 0)]
 
 
 class TestBlobChecksums:
+    def test_corrupt_reply_frame_surfaces_typed_on_readout(self, circuit):
+        # The ranked parent fetches blobs from the rank workers for readout;
+        # a scribbled reply frame must fail its CRC, not decode as garbage.
+        plan = FaultPlan(injections=(CorruptFrame(worker=1, after=2),))
+        with faults.installed_plan(plan):
+            with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
+                simulator.apply_circuit(circuit)
+                with pytest.raises(BlockCorruptionError) as excinfo:
+                    simulator.statevector()
+                assert excinfo.value.worker_id == 1
+                assert excinfo.value.expected_crc != excinfo.value.actual_crc
+                # Nothing was consumed from the worker: the next read is clean.
+                assert simulator.norm_squared() == pytest.approx(1.0)
+
     def test_corrupt_payload_raises_typed_error(self):
         arena = SlotArena(slots=2, slot_bytes=4096)
         try:
