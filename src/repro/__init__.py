@@ -47,7 +47,6 @@ from .core import (
     save_checkpoint,
 )
 from .errors import (
-    BlockCorruptionError,
     CheckpointError,
     PoolProtocolError,
     ProcessCommTimeout,
@@ -70,7 +69,7 @@ from .backends import (
     run,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "__version__",
@@ -84,7 +83,6 @@ __all__ = [
     "ReproError",
     "WorkerCrashedError",
     "ProcessCommTimeout",
-    "BlockCorruptionError",
     "CheckpointError",
     "PoolProtocolError",
     "FaultPolicy",

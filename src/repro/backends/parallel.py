@@ -56,8 +56,6 @@ class _CircuitRunner:
             observables,
             seed_sequence,
             return_statevector,
-            _ticket,
-            _frames,
         ) = message
         started = time.perf_counter()
         result = self._engine._execute(
@@ -127,8 +125,8 @@ def run_batch_in_processes(
         fault_policy=policy,
     ) as pool:
         # Round-robin assignment keeps each worker's per-width simulators
-        # warm; the outstanding cap (pool slots) bounds pipe backlog so a
-        # worker busy computing never deadlocks the dispatch loop.
+        # warm; the outstanding cap bounds pipe backlog so a worker busy
+        # computing never deadlocks the dispatch loop.
         queues: dict[int, list[tuple]] = {}
         for index, (circuit, sequence) in enumerate(zip(batch, seed_sequences)):
             message = (

@@ -86,21 +86,6 @@ class BlockStore:
             if entry is not None
         )
 
-    def rank_compressed_bytes(self, rank: int) -> int:
-        """Compressed footprint of one rank's initialised blocks."""
-
-        return sum(entry.nbytes for entry in self._blocks[rank] if entry is not None)
-
-    def bounds_in_use(self) -> set[float]:
-        """Distinct error bounds present across the stored blocks."""
-
-        return {
-            entry.bound
-            for per_rank in self._blocks
-            for entry in per_rank
-            if entry is not None
-        }
-
 
 #: glibc ``mallopt`` parameters and the values :func:`_keep_task_heap` sets:
 #: requests below 4 MiB come from the heap, and up to 32 MiB of free heap

@@ -94,6 +94,9 @@ class CompressedStateVector:
         (norm computations) a distributed implementation would need.
     initial_basis_state:
         Basis state to initialise to (default ``|0...0>``).
+    store:
+        The block table; a parent-side :class:`BlockStore` unless given (the
+        ranked tier passes the executor that proxies to its rank workers).
     """
 
     def __init__(
@@ -102,15 +105,12 @@ class CompressedStateVector:
         compressor: Compressor,
         comm: SimulatedCommunicator | None = None,
         initial_basis_state: int = 0,
+        store: BlockStore | None = None,
     ) -> None:
         self._partition = partition
-        self._store = BlockStore(partition)
+        self._store = BlockStore(partition) if store is None else store
         self._comm = comm
-        if not 0 <= initial_basis_state < partition.total_amplitudes:
-            raise ValueError(
-                f"initial basis state {initial_basis_state} out of range"
-            )
-        self._initialise(compressor, initial_basis_state)
+        self.reset(compressor, initial_basis_state)
 
     def _initialise(self, compressor: Compressor, basis_state: int) -> None:
         partition = self._partition

@@ -209,10 +209,10 @@ class CompressedSimulator:
         try:
             self._state = RankedStateVector(
                 partition=self._partition,
-                executor=ranked,
-                comm=self._comm,
                 compressor=self._initial_compressor(),
+                comm=self._comm,
                 initial_basis_state=initial_basis_state,
+                store=ranked,
             )
         except BaseException:
             ranked.close()

@@ -96,8 +96,7 @@ class RankCommArena:
 
     Created once by the ranked executor before its worker processes start;
     the workers attach endpoints by :attr:`name`.  Only this owner unlinks
-    the segment (in :meth:`close`), mirroring the single-unlink discipline of
-    :class:`repro.core.procpool.SlotArena`.
+    the segment (in :meth:`close`).
 
     Parameters
     ----------

@@ -13,22 +13,29 @@ shared-memory implementation of the MPI-shaped
 Selected with ``SimulatorConfig(comm="process", num_ranks=...)`` — or its
 other spelling, ``executor="process", num_workers=num_ranks`` — and therefore
 reachable from ``repro.run(...)`` like every other execution mode.
+Two transports, each used for one thing: parent↔rank messages (gate batches,
+and the blobs of parent-side readout and restore) ride one control pipe per
+worker; rank↔rank block exchange goes through the one shared
+:class:`~repro.distributed.process_comm.RankCommArena` segment.
 Three classes cooperate:
 
 * :class:`RankWorker` — the warm per-process state of one rank (its block
   slice, its :class:`~repro.core.kernel.BlockKernel` and its communicator
   endpoint), driven through the :class:`~repro.core.procpool.ProcessPool`
   message loop.
-* :class:`RankedExecutor` — the parent-side driver.  Per gate it distributes
-  the :class:`~repro.distributed.exchange.GatePlan`'s tasks to their owning
-  ranks as **one batched message per rank** (amortising IPC over the whole
-  plan), then folds the per-rank codec/cache/communication statistics into the
-  simulator's :class:`~repro.core.report.SimulationReport`.
-* :class:`RankedStateVector` / :class:`RankedBlockStore` — a
-  :class:`~repro.core.compressed_state.CompressedStateVector`-compatible
-  facade whose block table lives in the rank workers; parent-side state
-  queries (sampling, statevector materialisation, checkpointing) fetch blobs
-  on demand, while norms run as a *real* allreduce across the ranks.
+* :class:`RankedExecutor` — the parent-side driver *and* block store.  Per
+  gate it distributes the :class:`~repro.distributed.exchange.GatePlan`'s
+  tasks to their owning ranks as **one batched message per rank** (amortising
+  IPC over the whole plan), then folds the per-rank codec/cache/communication
+  statistics into the simulator's
+  :class:`~repro.core.report.SimulationReport`; its ``get`` / ``put`` /
+  iteration are the :class:`~repro.core.blocks.BlockStore` surface over the
+  block table living in the rank workers.
+* :class:`RankedStateVector` — a
+  :class:`~repro.core.compressed_state.CompressedStateVector` over that
+  store; parent-side state queries (sampling, statevector materialisation,
+  checkpointing) fetch blobs on demand, while norms run as a *real*
+  allreduce across the ranks.
 
 Results are bit-identical to the single-process simulator: every rank runs
 the exact same kernels and codecs on the exact same bytes, and the
@@ -54,14 +61,7 @@ from ..core.blocks import CompressedBlock, ScratchPool
 from ..core.compressed_state import CompressedStateVector, initial_rank_blocks
 from ..core.cache import BlockCache
 from ..core.kernel import BlockKernel, BlockOp, TaskStats
-from ..core.procpool import (
-    SLOTS_PER_WORKER,
-    ProcessPool,
-    _pack_frames,
-    _read_frame,
-    block_slot_bytes,
-    raise_worker_error,
-)
+from ..core.procpool import ProcessPool, raise_worker_error
 from ..core.report import SimulationReport
 from ..errors import PoolProtocolError, ProcessCommTimeout
 from .comm import CommunicationStats, SimulatedCommunicator, aggregate_rank_stats
@@ -69,7 +69,7 @@ from .exchange import GatePlan
 from .partition import Partition
 from .process_comm import ProcessCommunicator, RankCommArena
 
-__all__ = ["RankWorker", "RankedExecutor", "RankedBlockStore", "RankedStateVector"]
+__all__ = ["RankWorker", "RankedExecutor", "RankedStateVector"]
 
 
 def rank_channel_capacity(block_amplitudes: int) -> int:
@@ -172,14 +172,6 @@ class RankWorker:
             if cache_enabled
             else None,
         )
-        self._in_arena = None
-        self._out_arena = None
-
-    def bind_arenas(self, in_arena, out_arena) -> None:
-        """Receive the pool's payload slot arenas (called by the worker main)."""
-
-        self._in_arena = in_arena
-        self._out_arena = out_arena
 
     def close(self) -> None:
         """Detach the communicator endpoint (called at worker shutdown)."""
@@ -198,34 +190,28 @@ class RankWorker:
 
         Message kinds: ``init`` (rebuild the slice to a basis state),
         ``gate`` (run this rank's batch of one gate plan's tasks), ``get`` /
-        ``put`` (parent-side block access), ``norm`` (partial norm + real
-        allreduce), ``barrier``, ``bounds``, ``comm-stats``, ``reset``,
-        ``ping`` and the test hook ``die``.
+        ``put`` (parent-side block access, the blob riding in the message),
+        ``norm`` (partial norm + real allreduce), ``reset``, ``ping`` and the
+        test hook ``die``.
         """
 
         kind = message[0]
         if kind == "gate":
             return self._run_gate(message)
         if kind == "init":
-            _, compressor, basis_state, ticket, _frames = message
+            _, compressor, basis_state = message
             self._init_state(compressor, basis_state)
-            return ("init-ok", ticket, self._rank_bytes())
+            return ("init-ok", self._rank_bytes())
         if kind == "get":
-            _, block, ticket, _frames = message
-            entry = self._blocks[block]
-            refs = _pack_frames(
-                self._out_arena, ticket % SLOTS_PER_WORKER, [entry.blob]
-            )
-            return ("block", ticket, refs[0], entry.compressor, entry.bound)
+            entry = self._blocks[message[1]]
+            return ("block", entry.blob, entry.compressor, entry.bound)
         if kind == "put":
-            _, block, name, bound, ticket, frames = message
-            blob = _read_frame(self._in_arena, frames[0])
+            _, block, name, bound, blob = message
             self._blocks[block] = CompressedBlock(
                 blob=blob, compressor=name, bound=bound
             )
-            return ("put-ok", ticket, self._rank_bytes())
+            return ("put-ok", self._rank_bytes())
         if kind == "norm":
-            ticket = message[-2]
             partial = 0.0
             for block in range(self._partition.blocks_per_rank):
                 entry = self._blocks[block]
@@ -236,28 +222,13 @@ class RankWorker:
                     np.sum(np.abs(values.view(np.complex128)) ** 2)
                 )
             total = self._comm.allreduce_sum(partial)
-            return ("norm-ok", ticket, total, self._comm_snapshot())
-        if kind == "barrier":
-            ticket = message[-2]
-            self._comm.barrier()
-            return ("barrier-ok", ticket, self._comm_snapshot())
-        if kind == "bounds":
-            ticket = message[-2]
-            return (
-                "bounds-ok",
-                ticket,
-                sorted({entry.bound for entry in self._blocks.values()}),
-            )
-        if kind == "comm-stats":
-            ticket = message[-2]
-            return ("comm-stats-ok", ticket, self._comm_snapshot())
+            return ("norm-ok", total, self._comm_snapshot())
         if kind == "reset":
-            ticket = message[-2]
             self._kernel.reset()
             self._comm.reset_stats()
-            return ("reset-ok", ticket)
+            return ("reset-ok",)
         if kind == "ping":
-            return ("pong", message[-2])
+            return ("pong",)
         if kind == "die":  # test hook for the rank-death path
             os._exit(19)
         raise ValueError(f"unknown rank-worker message {kind!r}")
@@ -300,7 +271,7 @@ class RankWorker:
         hit on ``(my blob, peer blob)``.
         """
 
-        _, op, tasks, ticket, _frames = message
+        _, op, tasks = message
         kernel = self._kernel
         op = op._replace(compressor=kernel.compressor_for(op.compressor))
         stats = TaskStats()
@@ -335,7 +306,7 @@ class RankWorker:
                 self._blocks[block] = CompressedBlock(
                     blob=out, compressor=op.compressor.name, bound=op.compressor.bound
                 )
-        return ("gate-ok", ticket, self._rank_bytes(), stats, self._comm_snapshot())
+        return ("gate-ok", self._rank_bytes(), stats, self._comm_snapshot())
 
 
 class RankedExecutor:
@@ -346,8 +317,13 @@ class RankedExecutor:
     (:meth:`run_plan`, :meth:`close`, :meth:`rebind_report`,
     :meth:`reset_workers`, :attr:`num_workers`) but owns the state: one
     persistent :class:`~repro.core.procpool.ProcessPool` worker per rank,
-    plus the shared :class:`~repro.distributed.process_comm.RankCommArena`
-    the rank endpoints exchange blocks through.
+    reached over that worker's control pipe, plus the one shared
+    :class:`~repro.distributed.process_comm.RankCommArena` segment the rank
+    endpoints exchange blocks through.  It is also the
+    :class:`~repro.core.blocks.BlockStore` of the
+    :class:`RankedStateVector` (:meth:`get`, :meth:`put`, iteration,
+    :meth:`compressed_bytes`): one blob per request rides the pipe, off the
+    gate hot path.
 
     Per gate, the plan's tasks are grouped by owning rank and shipped as one
     batched message per rank; each reply carries the rank's codec timings,
@@ -433,7 +409,6 @@ class RankedExecutor:
                     pool_generation,
                 ),
                 worker_args=[(rank,) for rank in range(num_ranks)],
-                slot_bytes=block_slot_bytes(partition.block_amplitudes),
                 start_method=start_method,
                 fault_policy=fault_policy,
             )
@@ -536,7 +511,7 @@ class RankedExecutor:
             pool.submit(rank, ("gate", op, tuple(tasks)))
         comm_deltas = []
         for worker_id, reply in self._collect(pool, len(per_rank), "gate batch"):
-            _, _ticket, rank_bytes, stats, comm = reply
+            _, rank_bytes, stats, comm = reply
             self._rank_bytes[worker_id] = rank_bytes
             stats.fold_into(self._report, self._cache)
             # The rank's exchange-seconds delta, for critical-path comm time.
@@ -566,7 +541,7 @@ class RankedExecutor:
             for rank, entry in enumerate(self._rank_comm)
         ]
 
-    # -- state access (used by RankedBlockStore / RankedStateVector) --------------------
+    # -- the block store RankedStateVector holds ---------------------------------------
 
     def _require_pool(self) -> ProcessPool:
         if self._pool is None:
@@ -607,11 +582,11 @@ class RankedExecutor:
             raise_worker_error(error[1], f"{context} failed on rank {error[0]}")
         return replies
 
-    def _request(self, rank: int, message: tuple, payloads: list[bytes] = ()) -> tuple:
+    def _request(self, rank: int, message: tuple) -> tuple:
         """Synchronous single-worker RPC (no other requests outstanding)."""
 
         pool = self._require_pool()
-        pool.submit(rank, message, payloads)
+        pool.submit(rank, message)
         worker_id, reply = pool.recv_any()
         if reply[0] == "err":
             raise_worker_error(reply, f"request {message[0]!r} failed on rank {rank}")
@@ -623,23 +598,24 @@ class RankedExecutor:
             )
         return reply
 
-    def fetch_block(self, rank: int, block: int) -> CompressedBlock:
+    def get(self, rank: int, block: int) -> CompressedBlock:
         """Pull one compressed block out of its owning rank worker."""
 
-        reply = self._request(rank, ("get", block))
-        _, _ticket, ref, name, bound = reply
-        blob = self._require_pool().read_frame(rank, ref)
+        _, blob, name, bound = self._request(rank, ("get", block))
         return CompressedBlock(blob=blob, compressor=name, bound=bound)
 
-    def store_block(self, rank: int, block: int, entry: CompressedBlock) -> None:
+    def put(self, rank: int, block: int, entry: CompressedBlock) -> None:
         """Push one compressed block into its owning rank worker."""
 
         reply = self._request(
-            rank,
-            ("put", block, entry.compressor, entry.bound),
-            [entry.blob],
+            rank, ("put", block, entry.compressor, entry.bound, entry.blob)
         )
-        self._rank_bytes[rank] = reply[2]
+        self._rank_bytes[rank] = reply[1]
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], CompressedBlock]]:
+        for rank in range(self._partition.num_ranks):
+            for block in range(self._partition.blocks_per_rank):
+                yield (rank, block), self.get(rank, block)
 
     def broadcast_init(self, compressor: Compressor, basis_state: int) -> None:
         """(Re)initialise every rank's slice to ``|basis_state>``."""
@@ -651,7 +627,7 @@ class RankedExecutor:
             pool, self._partition.num_ranks, "state initialisation"
         )
         for worker_id, reply in replies:
-            self._rank_bytes[worker_id] = reply[2]
+            self._rank_bytes[worker_id] = reply[1]
 
     def norm_squared(self) -> float:
         """Blockwise Σ|a_i|² via a *real* allreduce across the rank workers."""
@@ -663,140 +639,33 @@ class RankedExecutor:
         for worker_id, reply in self._collect(
             pool, self._partition.num_ranks, "norm"
         ):
-            _, _ticket, value, comm = reply
+            _, value, comm = reply
             self._rank_comm[worker_id] = comm
             total = value if total is None else total
         self._publish_comm()
         return float(total)
-
-    def rank_compressed_bytes(self, rank: int) -> int:
-        """Cached compressed size of one rank's slice."""
-
-        return self._rank_bytes[rank]
 
     def compressed_bytes(self) -> int:
         """Cached total compressed size across all ranks."""
 
         return sum(self._rank_bytes)
 
-    def bounds_in_use(self) -> set[float]:
-        """Union of error bounds present across every rank's blocks."""
-
-        bounds: set[float] = set()
-        for rank in range(self._partition.num_ranks):
-            reply = self._request(rank, ("bounds",))
-            bounds.update(reply[2])
-        return bounds
-
-
-class RankedBlockStore:
-    """Parent-side view of the block table living inside the rank workers.
-
-    Implements the :class:`~repro.core.blocks.BlockStore` surface
-    (``get`` / ``put`` / iteration / memory accounting) by proxying to the
-    owning rank worker, so every parent-side state query — sampling,
-    statevector materialisation, checkpoint save/load — works unchanged on a
-    ranked simulator.  ``get``/``put`` move one blob per call over the
-    pool's shared-memory reply slots; the hot path (gate execution) never
-    goes through here.
-    """
-
-    def __init__(self, partition: Partition, executor: RankedExecutor) -> None:
-        self._partition = partition
-        self._executor = executor
-
-    @property
-    def partition(self) -> Partition:
-        """The rank/block decomposition this store is laid out for."""
-
-        return self._partition
-
-    def get(self, rank: int, block: int) -> CompressedBlock:
-        """Fetch one compressed block from its owning rank worker."""
-
-        return self._executor.fetch_block(rank, block)
-
-    def put(self, rank: int, block: int, compressed: CompressedBlock) -> None:
-        """Store one compressed block into its owning rank worker."""
-
-        self._executor.store_block(rank, block, compressed)
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], CompressedBlock]]:
-        for rank in range(self._partition.num_ranks):
-            for block in range(self._partition.blocks_per_rank):
-                yield (rank, block), self.get(rank, block)
-
-    # -- memory accounting ---------------------------------------------------------
-
-    def compressed_bytes(self) -> int:
-        """Total compressed bytes across all rank slices (cached parent-side)."""
-
-        return self._executor.compressed_bytes()
-
-    def rank_compressed_bytes(self, rank: int) -> int:
-        """Compressed bytes of one rank's slice (cached parent-side)."""
-
-        return self._executor.rank_compressed_bytes(rank)
-
-    def bounds_in_use(self) -> set[float]:
-        """Distinct error bounds present across the stored blocks."""
-
-        return self._executor.bounds_in_use()
-
 
 class RankedStateVector(CompressedStateVector):
     """A :class:`~repro.core.compressed_state.CompressedStateVector` whose
     blocks live in the rank worker processes.
 
-    Construction broadcasts the initial basis state to the workers (each
-    rank compresses its own slice — byte-identical to the parent-side path,
-    the codecs being deterministic); block access and iteration proxy
-    through :class:`RankedBlockStore`; :meth:`norm_squared` runs as a real
-    allreduce across the ranks instead of a parent-side loop.
-
-    Parameters
-    ----------
-    partition:
-        The rank/block decomposition.
-    executor:
-        The :class:`RankedExecutor` owning the rank workers.
-    comm:
-        The parent-side stats sink
-        (:class:`~repro.distributed.comm.SimulatedCommunicator`).
-    compressor:
-        Compressor for the initial blocks.
-    initial_basis_state:
-        Basis state to initialise to (default ``|0...0>``).
+    Built with ``store=`` the :class:`RankedExecutor` owning the rank
+    workers: initialisation broadcasts the basis state to them (each rank
+    compresses its own slice — byte-identical to the parent-side path, the
+    codecs being deterministic), block access and iteration are the
+    executor's ``get`` / ``put`` over the control pipes, and
+    :meth:`norm_squared` runs as a real allreduce across the ranks instead
+    of a parent-side loop.
     """
 
-    def __init__(
-        self,
-        partition: Partition,
-        executor: RankedExecutor,
-        comm: SimulatedCommunicator,
-        compressor: Compressor,
-        initial_basis_state: int = 0,
-    ) -> None:
-        # Deliberately does NOT call the base __init__: the base would build
-        # a parent-side BlockStore and compress every block locally.
-        self._partition = partition
-        self._store = RankedBlockStore(partition, executor)
-        self._comm = comm
-        self._executor = executor
-        if not 0 <= initial_basis_state < partition.total_amplitudes:
-            raise ValueError(
-                f"initial basis state {initial_basis_state} out of range"
-            )
-        executor.broadcast_init(compressor, initial_basis_state)
-
-    def reset(self, compressor: Compressor, initial_basis_state: int = 0) -> None:
-        """Re-initialise every rank's slice to ``|initial_basis_state>``."""
-
-        if not 0 <= initial_basis_state < self._partition.total_amplitudes:
-            raise ValueError(
-                f"initial basis state {initial_basis_state} out of range"
-            )
-        self._executor.broadcast_init(compressor, initial_basis_state)
+    def _initialise(self, compressor: Compressor, basis_state: int) -> None:
+        self._store.broadcast_init(compressor, basis_state)
 
     def norm_squared(self, decompressors: dict[str, Compressor]) -> float:
         """Σ|a_i|² computed rank-locally and combined by a real allreduce.
@@ -805,4 +674,4 @@ class RankedStateVector(CompressedStateVector):
         rank decodes its own blocks with its own warm map.
         """
 
-        return self._executor.norm_squared()
+        return self._store.norm_squared()

@@ -26,7 +26,6 @@ __all__ = [
     "ReproError",
     "WorkerCrashedError",
     "ProcessCommTimeout",
-    "BlockCorruptionError",
     "CheckpointError",
     "PoolProtocolError",
     "ServiceError",
@@ -119,29 +118,6 @@ class ProcessCommTimeout(ReproError):
     """
 
     context_fields = ("rank", "peer", "op", "elapsed_seconds", "timeout_seconds")
-
-
-class BlockCorruptionError(ReproError):
-    """A shared-memory payload failed its per-blob checksum.
-
-    The slot arenas of :mod:`repro.core.procpool` checksum every payload on
-    write and verify on read, so a scribbled shared-memory segment surfaces
-    as this typed error instead of a garbage decode deep inside a codec.
-    The parent holds the authoritative copy of every block until a wave
-    commits, so a corrupted transfer is retried from the parent copy by the
-    resilience machinery.
-
-    Context
-    -------
-    worker_id:
-        Worker whose arena held the corrupt payload.
-    slot:
-        Arena slot index the payload lived in.
-    expected_crc / actual_crc:
-        The checksum mismatch that tripped detection.
-    """
-
-    context_fields = ("worker_id", "slot", "expected_crc", "actual_crc")
 
 
 class CheckpointError(ReproError):

@@ -15,9 +15,8 @@ recover:
   reloads the last in-run checkpoint and deterministically replays the
   gates since, instead of raising.
 * :mod:`repro.resilience.faults` — a deterministic, seedable fault-injection
-  harness (kill worker N after K submissions, drop/delay a comm channel,
-  corrupt a shared-memory blob) so all of the above is testable on every
-  commit.
+  harness (kill worker N after K submissions, drop/delay a comm channel)
+  so all of the above is testable on every commit.
 
 The default policy is inert (no retries, no checkpoints), so runs without an
 explicit opt-in behave exactly as before.

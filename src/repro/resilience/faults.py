@@ -1,8 +1,7 @@
 """Deterministic, seedable fault injection.
 
 A :class:`FaultPlan` describes faults to inject into a run: kill worker N
-after its K-th submission, drop or delay a rank↔peer comm exchange, corrupt
-a shared-memory payload.  Plans are installed process-wide (via
+after its K-th submission, drop or delay a rank↔peer comm exchange.  Plans are installed process-wide (via
 :func:`install_plan` / the :func:`installed_plan` context manager) or through
 the ``REPRO_FAULT_PLAN`` environment variable, which is how the CI chaos job
 subjects the whole tier-1 suite to a low-probability seeded kill plan.
@@ -15,7 +14,7 @@ the plan spec.
 
 The hooks are pulled by the machinery, not pushed: :class:`ProcessPool
 <repro.core.procpool.ProcessPool>` arms a :class:`PoolFaultState` per pool
-and consults it on every submit / frame read, and
+and consults it on every submit, and
 :class:`ProcessCommunicator <repro.distributed.process_comm.ProcessCommunicator>`
 arms a :class:`CommFaultState` per endpoint.  With no active plan every hook
 is ``None`` and the fast paths pay a single attribute check.
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "KillWorker",
-    "CorruptFrame",
     "DropComm",
     "DelayComm",
     "FaultPlan",
@@ -83,32 +81,6 @@ class KillWorker:
 
         if self.after < 1:
             raise ValueError("KillWorker.after must be >= 1")
-
-
-@dataclass(frozen=True)
-class CorruptFrame:
-    """Corrupt the shared-memory payload of a worker's N-th reply read.
-
-    Flips one byte of the slot-arena region backing the reply, so the
-    reader's checksum verification must surface a typed
-    :class:`repro.errors.BlockCorruptionError` instead of a garbage decode.
-
-    Attributes
-    ----------
-    worker:
-        Worker whose reply payload is scribbled; ``-1`` matches any worker.
-    after:
-        Fire on the N-th (1-based) matching frame read.
-    """
-
-    worker: int
-    after: int
-
-    def __post_init__(self) -> None:
-        """Reject counters that could never fire (``after`` is 1-based)."""
-
-        if self.after < 1:
-            raise ValueError("CorruptFrame.after must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -174,7 +146,7 @@ class FaultPlan:
     """A deterministic set of faults to inject into a run.
 
     A plan combines *targeted* injections (:class:`KillWorker`,
-    :class:`CorruptFrame`, :class:`DropComm`, :class:`DelayComm`) with an
+    :class:`DropComm`, :class:`DelayComm`) with an
     optional probabilistic *chaos* mode: with ``chaos_kill_probability`` per
     pool (seeded by ``chaos_seed`` and a process-wide pool counter, so
     decisions are reproducible), one worker of a circuit fan-out pool is killed
@@ -250,7 +222,6 @@ def parse_plan(spec: str) -> FaultPlan:
     The spec is a ``;``-separated list of entries, each ``type:k=v,k=v``:
 
     - ``kill:worker=1,after=5`` (optional ``kinds=gate+circuit``)
-    - ``corrupt:worker=0,after=2``
     - ``drop:rank=0,peer=1,after=2``
     - ``delay:rank=1,peer=0,seconds=0.2,after=1``
     - ``chaos:prob=0.05,seed=11``
@@ -276,13 +247,6 @@ def parse_plan(spec: str) -> FaultPlan:
                     worker=int(kv.get("worker", -1)),
                     after=int(kv.get("after", 1)),
                     kinds=tuple(kinds.split("+")) if kinds else None,
-                )
-            )
-        elif kind == "corrupt":
-            injections.append(
-                CorruptFrame(
-                    worker=int(kv.get("worker", -1)),
-                    after=int(kv.get("after", 1)),
                 )
             )
         elif kind == "drop":
@@ -375,7 +339,6 @@ class PoolFaultState:
     def __init__(
         self,
         kills: list[KillWorker],
-        corruptions: list[CorruptFrame],
         tracked: frozenset = frozenset(),
     ) -> None:
         """Arm the given targeted injections for one pool.
@@ -387,12 +350,7 @@ class PoolFaultState:
         """
 
         self._kill_counters = [[inj, inj.after] for inj in kills]
-        self._corrupt_counters = [[inj, inj.after] for inj in corruptions]
         self._tracked = tracked
-
-    def _fire(self, injection) -> None:
-        if injection in self._tracked:
-            _mark_fired(injection)
 
     def on_submit(self, worker_id: int, kind: str) -> int | None:
         """Called before each submission; returns a worker id to kill, or None.
@@ -413,24 +371,10 @@ class PoolFaultState:
                 continue
             entry[1] = remaining - 1
             if entry[1] == 0:
-                self._fire(inj)
+                if inj in self._tracked:
+                    _mark_fired(inj)
                 return inj.worker if inj.worker >= 0 else worker_id
         return None
-
-    def on_read_frame(self, worker_id: int) -> bool:
-        """Called before each reply-frame read; True ⇒ corrupt this payload."""
-
-        for entry in self._corrupt_counters:
-            inj, remaining = entry
-            if remaining <= 0:
-                continue
-            if inj.worker not in (-1, worker_id):
-                continue
-            entry[1] = remaining - 1
-            if entry[1] == 0:
-                self._fire(inj)
-                return True
-        return False
 
 
 class CommFaultState:
@@ -494,10 +438,7 @@ def arm_for_pool(
     kills = _unfired(
         [inj for inj in plan.injections if isinstance(inj, KillWorker)]
     )
-    corruptions = _unfired(
-        [inj for inj in plan.injections if isinstance(inj, CorruptFrame)]
-    )
-    tracked = frozenset(kills) | frozenset(corruptions)
+    tracked = frozenset(kills)
     if (
         chaos_allowed
         and plan.chaos_seed is not None
@@ -514,9 +455,9 @@ def arm_for_pool(
                     kinds=CHAOS_KILL_KINDS,
                 )
             )
-    if not kills and not corruptions:
+    if not kills:
         return None
-    return PoolFaultState(kills, corruptions, tracked=tracked)
+    return PoolFaultState(kills, tracked=tracked)
 
 
 def arm_for_comm(rank: int, pool_generation: int = 0) -> CommFaultState | None:

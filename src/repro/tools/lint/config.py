@@ -99,7 +99,6 @@ DEFAULT_OPTIONS: dict[str, dict] = {
             "FaultPolicy",
             "FaultPlan",
             "KillWorker",
-            "CorruptFrame",
             "DropComm",
             "DelayComm",
             # Crosses the worker -> parent pipe on every block task.

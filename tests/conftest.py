@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from multiprocessing import shared_memory
@@ -13,6 +14,7 @@ from repro.analysis.datasets import qaoa_state, supremacy_state
 from repro.compression import get_compressor
 from repro.core import SimulatorConfig
 from repro.core.procpool import live_pool_count
+from tiers import TIERS, tier_config
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +24,8 @@ def _no_leaked_pools_or_segments(monkeypatch):
     Autouse fixtures are set up first and torn down last, so the check runs
     after the test's own fixtures released what they held.  Segments are the
     ones *this* process created (workers only attach), which keeps the check
-    exact under concurrent test runs.
+    exact under concurrent test runs.  Yields the list of segment names
+    created so far, for tests that pin how many a tier allocates.
     """
 
     created: list[str] = []
@@ -34,7 +37,7 @@ def _no_leaked_pools_or_segments(monkeypatch):
             created.append(self.name)
 
     monkeypatch.setattr(shared_memory.SharedMemory, "__init__", recording)
-    yield
+    yield created
     assert live_pool_count() == 0, "the test left a ProcessPool open"
     if sys.platform == "linux":
         leaked = [name for name in created if os.path.exists(f"/dev/shm/{name}")]
@@ -65,6 +68,18 @@ def engine(request) -> str:
         except ImportError:
             pytest.xfail("numba is not installed")
     return request.param
+
+
+@pytest.fixture(scope="module", params=TIERS)
+def tier(request):
+    """Config factory of one execution tier, parametrized over all of them.
+
+    Module-scoped like :func:`engine`, so a module using it runs once per
+    tier; ``tier(num_ranks=4, fusion_enabled=False)`` takes any
+    :func:`tiers.tier_config` keyword.
+    """
+
+    return functools.partial(tier_config, request.param)
 
 
 @pytest.fixture(

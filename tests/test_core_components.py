@@ -89,8 +89,6 @@ class TestBlockStore:
                     rank, block, CompressedBlock(b"x" * 10, "lossless", 0.0)
                 )
         assert self.store.compressed_bytes() == 10 * self.partition.total_blocks
-        assert self.store.rank_compressed_bytes(0) == 10 * self.partition.blocks_per_rank
-        assert self.store.bounds_in_use() == {0.0}
 
     def test_state_footprint_is_eq8(self):
         state = CompressedStateVector(self.partition, LosslessCompressor())

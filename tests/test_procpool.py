@@ -1,5 +1,5 @@
-"""Process parallelism: slot transport, the ``executor="process"`` spelling of
-the ranked tier, the batch fan-out and codec picklability.
+"""Process parallelism: the message pool, the ``executor="process"`` spelling
+of the ranked tier, the batch fan-out and codec picklability.
 
 Three contracts are pinned here:
 
@@ -39,7 +39,7 @@ from repro.core import (
     TaskExecutor,
     effective_cpu_count,
 )
-from repro.core.procpool import SlotArena, _pack_frames, _read_frame, live_pool_count
+from repro.core.procpool import ProcessPool, live_pool_count
 from repro.distributed.ranked import RankedExecutor
 from repro.resilience import FaultPolicy
 
@@ -102,33 +102,25 @@ class TestCodecPicklability:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory slot transport
+# The message pool
 # ---------------------------------------------------------------------------
 
 
-class TestSlotTransport:
-    def test_slot_round_trip(self):
-        arena = SlotArena(slots=2, slot_bytes=64)
-        try:
-            refs = arena.write(1, [b"alpha", b"beta-beta"])
-            assert [arena.read(ref) for ref in refs] == [b"alpha", b"beta-beta"]
-        finally:
-            arena.close()
+class _EchoWorker:
+    """Pool worker state answering every message with the message itself."""
 
-    def test_oversized_payload_falls_back_inline(self):
-        arena = SlotArena(slots=2, slot_bytes=8)
-        try:
-            assert arena.write(0, [b"x" * 9]) is None
-            refs = _pack_frames(arena, 0, [b"x" * 9, b"y"])
-            assert all(ref[0] == "inline" for ref in refs)
-            assert _read_frame(arena, refs[0]) == b"x" * 9
-        finally:
-            arena.close()
+    def handle(self, message: tuple) -> tuple:
+        return message
 
-    def test_no_arena_means_inline(self):
-        refs = _pack_frames(None, 0, [b"payload"])
-        assert refs == [("inline", b"payload")]
-        assert _read_frame(None, refs[0]) == b"payload"
+
+class TestMessagePool:
+    def test_message_and_reply_cross_as_given(self):
+        # Nothing is appended to a message and nothing stripped from a reply:
+        # blobs ride in the tuple, beyond the 64 KiB pipe buffer included.
+        message = ("echo", 7, b"", bytes(range(256)) * 300, None)
+        with ProcessPool(1, _EchoWorker) as pool:
+            pool.submit(0, message)
+            assert pool.recv_any(timeout=30.0) == (0, message)
 
     def test_effective_cpu_count_positive(self):
         assert effective_cpu_count() >= 1
@@ -378,6 +370,13 @@ class TestBatchFanout:
         )
         for left, right in zip(sequential, parallel):
             assert np.array_equal(left.statevector, right.statevector)
+
+    def test_fanout_creates_no_shared_memory(
+        self, qaoa_batch, _no_leaked_pools_or_segments
+    ):
+        _, circuits = qaoa_batch
+        repro.run(circuits[:2], shots=10, seed=1, parallel="process", max_parallel=2)
+        assert _no_leaked_pools_or_segments == []
 
     def test_caller_supplied_comm_rejected(self, qaoa_batch):
         # Workers would mutate unpickled copies, silently zeroing the

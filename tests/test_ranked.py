@@ -9,6 +9,10 @@ report carries real (not modelled) communication statistics.
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
+import signal
 import time
 
 import numpy as np
@@ -24,16 +28,18 @@ from repro.core import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.errors import WorkerCrashedError
+from repro.core.blocks import CompressedBlock
+from repro.errors import PoolProtocolError, WorkerCrashedError
+from repro.resilience import FaultPolicy
+from tiers import tier_config
 
 NUM_QUBITS = 8
 BLOCK = 16
 
 
-def ranked_config(**overrides) -> SimulatorConfig:
-    defaults = dict(num_ranks=4, block_amplitudes=BLOCK, comm="process")
-    defaults.update(overrides)
-    return SimulatorConfig(**defaults)
+ranked_config = functools.partial(
+    tier_config, "ranked-comm", num_ranks=4, block_amplitudes=BLOCK
+)
 
 
 def entangling_circuit() -> QuantumCircuit:
@@ -276,13 +282,64 @@ class TestLifecycle:
             simulator.statevector()
 
 
+class TestParentReadout:
+    """``RankedExecutor.get`` / ``put``: one blob per request, riding the
+    owning rank's control pipe."""
+
+    #: Empty, minimal, one byte past the 64 KiB pipe buffer, and far past it.
+    SIZES = (0, 1, (64 << 10) + 1, 4 << 20)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_blobs_round_trip_byte_identical(self, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+        rng = np.random.default_rng(17)
+        config = ranked_config(num_ranks=2, mp_start_method=start_method)
+        with CompressedSimulator(NUM_QUBITS, config) as simulator:
+            store = simulator.state.store
+            assert store is simulator.executor  # no pass-through layer between
+            for block, size in enumerate(self.SIZES):
+                blob = rng.bytes(size)
+                rank = block % 2
+                store.put(rank, block, CompressedBlock(blob, "opaque", 0.25))
+                entry = store.get(rank, block)
+                assert (entry.blob, entry.compressor, entry.bound) == (
+                    blob,
+                    "opaque",
+                    0.25,
+                )
+            # The parent's cached footprint followed every put.
+            assert store.compressed_bytes() == sum(
+                entry.nbytes for _key, entry in store
+            )
+
+    def test_rank_killed_between_gets_raises_promptly(self):
+        config = ranked_config(num_ranks=2, fault_policy=FaultPolicy(max_retries=0))
+        with CompressedSimulator(NUM_QUBITS, config) as simulator:
+            store = simulator.executor
+            store.get(1, 0)
+            os.kill(store.pool.worker_pid(1), signal.SIGKILL)
+            start = time.monotonic()
+            with pytest.raises(WorkerCrashedError) as excinfo:
+                store.get(1, 0)
+            assert time.monotonic() - start < 10.0
+            assert excinfo.value.worker_id == 1
+
+    def test_one_shared_memory_segment_per_simulator(
+        self, _no_leaked_pools_or_segments
+    ):
+        # The rank<->rank RankCommArena, and nothing per worker.
+        with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
+            simulator.apply_circuit(entangling_circuit())
+            simulator.statevector()
+        assert len(_no_leaked_pools_or_segments) == 1
+
+
 class TestFailureAndValidation:
     def test_rank_death_is_prompt(self):
         # Pin the fail-fast policy: this test asserts the *detection* path,
         # which an ambient fault plan (the CI chaos job) would otherwise
         # upgrade to recovery.
-        from repro.resilience import FaultPolicy
-
         circuit = entangling_circuit()
         config = ranked_config(fault_policy=FaultPolicy(max_retries=0))
         with CompressedSimulator(NUM_QUBITS, config) as simulator:
@@ -300,7 +357,7 @@ class TestFailureAndValidation:
         # rank-level gates.  Under the budget the lossless runs go gate by
         # gate, so one element advances the gate index by several — the
         # resilience checkpoints must still fall between elements.
-        from repro.resilience import FaultPolicy, faults
+        from repro.resilience import faults
         from repro.resilience.faults import FaultPlan, KillWorker
 
         circuit = QuantumCircuit(6).h(0).cx(0, 1).rx(0.3, 2).ccx(1, 2, 3).h(5).h(4)
@@ -319,9 +376,9 @@ class TestFailureAndValidation:
             pool = simulator.executor.pool
             sent, submit = [], pool.submit
 
-            def recording(worker_id, message, payloads=()):
+            def recording(worker_id, message):
                 sent.append((worker_id, message))
-                return submit(worker_id, message, payloads)
+                return submit(worker_id, message)
 
             pool.submit = recording
             simulator.apply_circuit(circuit)
@@ -362,7 +419,8 @@ class TestFailureAndValidation:
             with pytest.raises(ValueError, match="bogus-kind"):
                 executor._collect(pool, 2, "test dispatch")
             # The protocol stayed in sync: real collectives still work.
-            assert not pool.has_outstanding()
+            with pytest.raises(PoolProtocolError, match="no outstanding"):
+                pool.recv_any()
             assert simulator.norm_squared() == pytest.approx(1.0)
 
     @pytest.mark.parametrize(

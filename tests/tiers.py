@@ -1,0 +1,25 @@
+"""The execution tiers as test inputs (shared by ``conftest.tier`` and the
+ranked-tier test modules)."""
+
+from __future__ import annotations
+
+from repro.core import SimulatorConfig
+
+#: The execution tiers, the ranked one under both of its spellings.
+TIERS = ("sequential", "thread", "ranked-comm", "ranked-executor")
+
+
+def tier_config(
+    tier: str, num_ranks: int = 2, block_amplitudes: int = 16, **overrides
+) -> SimulatorConfig:
+    """A laptop-scale :class:`SimulatorConfig` selecting execution tier *tier*."""
+
+    options = {
+        "sequential": {},
+        "thread": dict(num_workers=2),
+        "ranked-comm": dict(comm="process"),
+        "ranked-executor": dict(executor="process", num_workers=num_ranks),
+    }[tier]
+    return SimulatorConfig(
+        num_ranks=num_ranks, block_amplitudes=block_amplitudes, **options, **overrides
+    )
