@@ -182,7 +182,4 @@ def run_batch_in_processes(
                     if lost:
                         queues.setdefault(dead_id, []).extend(lost.values())
                         outstanding -= len(lost)
-                backoff = policy.backoff_seconds(attempt - 1)
-                if backoff > 0:
-                    time.sleep(backoff)
     return results  # type: ignore[return-value]

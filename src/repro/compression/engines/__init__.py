@@ -24,8 +24,9 @@ pin this contract.
 Selection is a constructor parameter on every codec
 (``HuffmanCodec(engine="numba")``, ``SZCompressor(engine=...)``, ...),
 plumbed from :class:`repro.core.config.SimulatorConfig` via its
-``codec_engine`` field and surviving process/rank-worker pickling through
-the constructor-args-only ``__getstate__`` contract.  When numba is not
+``codec_engine`` field and surviving process/rank-worker pickling because
+:class:`~repro.compression.interface.ConstructorPickled` pickles the
+requested name with the other constructor arguments.  When numba is not
 installed, requesting ``"numba"`` falls back to the NumPy engine with a
 one-time :class:`EngineFallbackWarning`; nothing else changes, because the
 two engines agree bit-for-bit.

@@ -85,20 +85,12 @@ class FPZIPLikeCompressor(Compressor):
         # No engine-backed hot loop (byte-matrix slicing + stdlib codec), but
         # the parameter is accepted, validated and pickled so the registry's
         # uniform `get_compressor(name, engine=...)` plumbing works here too.
-        self._set_engine(engine)
-
-    def __getstate__(self) -> dict:
-        # Constructor arguments only (cheap process-pool pickling); mode and
-        # bound are derived from the precision on unpickle.
-        return {
-            "precision": self._precision,
-            "backend": self._backend,
-            "level": self._level,
-            "engine": self._engine_name,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
+        self._record_init(
+            precision=self._precision,
+            backend=backend,
+            level=self._level,
+            engine=engine,
+        )
 
     @classmethod
     def from_relative_bound(cls, bound: float, **kwargs) -> "FPZIPLikeCompressor":

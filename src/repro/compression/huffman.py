@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import CodecEngine, engine_name, resolve_engine
-from .interface import CompressorError
+from .engines import CodecEngine
+from .interface import CompressorError, ConstructorPickled
 
 __all__ = ["HuffmanCodec", "encode", "decode", "DECODE_WINDOW_BITS"]
 
@@ -135,7 +135,7 @@ def _canonicalize(symbols: np.ndarray, lengths: np.ndarray) -> _CodeBook:
     return _CodeBook(symbols=symbols, lengths=lengths, codes=codes)
 
 
-class HuffmanCodec:
+class HuffmanCodec(ConstructorPickled):
     """Encode/decode int64 symbol arrays with canonical Huffman codes.
 
     Parameters
@@ -158,27 +158,7 @@ class HuffmanCodec:
         if not 1 <= window_bits <= 16:
             raise CompressorError("window_bits must be in [1, 16]")
         self._window_bits = window_bits
-        self._engine_name = engine_name(engine)
-        self._engine_impl = resolve_engine(engine)
-
-    @property
-    def engine(self) -> str:
-        """The *requested* engine name (``"numpy"`` when none was given).
-
-        Deliberately the requested name, not the resolved one: a codec pickled
-        with ``engine="numba"`` on a host without numba re-resolves — and gets
-        the real numba engine — when unpickled on a worker that has it.
-        """
-
-        return self._engine_name
-
-    def __getstate__(self) -> dict:
-        # Constructor arguments only (cheap process-pool pickling); decode
-        # tables are always built per call, never held on the instance.
-        return {"window_bits": self._window_bits, "engine": self._engine_name}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
+        self._record_init(window_bits=window_bits, engine=engine)
 
     def encode(self, symbols: np.ndarray) -> bytes:
         """Encode a 1-D integer array into a self-describing byte string."""

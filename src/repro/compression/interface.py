@@ -37,6 +37,7 @@ import numpy as np
 __all__ = [
     "ErrorBoundMode",
     "CompressorError",
+    "ConstructorPickled",
     "Compressor",
     "CompressionRecord",
     "roundtrip",
@@ -67,7 +68,45 @@ class ErrorBoundMode(enum.Enum):
     RELATIVE = "rel"
 
 
-class Compressor(abc.ABC):
+class ConstructorPickled:
+    """Pickle as the constructor arguments; derived state is rebuilt on load.
+
+    A codec crosses a process boundary on every ranked ``("gate", op,
+    tasks)`` message, so its payload must stay constructor-sized.  The
+    constructor hands its arguments to :meth:`_record_init`; the one pair of
+    pickle hooks below returns and replays them.  ``engine`` is recorded as
+    the *requested* name — never the resolved instance an outer codec hands
+    its inner one — so a codec built with ``engine="numba"`` on a fallback
+    host still asks for (and gets) the real numba engine when unpickled on a
+    worker that has it.
+    """
+
+    def _record_init(self, *, engine=None, **args) -> None:
+        """Record the constructor arguments and resolve the kernel engine.
+
+        The resolved implementation lands on ``self._engine_impl``.  Imported
+        lazily because :mod:`.engines` imports this module.
+        """
+
+        from .engines import engine_name, resolve_engine
+
+        self._engine_impl = resolve_engine(engine)
+        self._init_args = {**args, "engine": engine_name(engine)}
+
+    @property
+    def engine(self) -> str:
+        """Requested codec engine name (``"numpy"`` when none was given)."""
+
+        return self._init_args["engine"]
+
+    def __getstate__(self) -> dict:
+        return self._init_args
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
+
+class Compressor(ConstructorPickled, abc.ABC):
     """Abstract base class for all compression backends."""
 
     #: Registry name, overridden by subclasses.
@@ -80,30 +119,6 @@ class Compressor(abc.ABC):
             )
         self._mode = mode
         self._bound = float(bound)
-
-    # -- codec kernel engine ------------------------------------------------------
-
-    def _set_engine(self, engine=None) -> None:
-        """Resolve and record the codec kernel engine (``engine=`` argument).
-
-        Subclasses with engine-backed hot loops call this from their
-        constructor; the resolved implementation lands on
-        ``self._engine_impl`` and the *requested* name on
-        ``self._engine_name`` (what :meth:`engine` reports and what pickling
-        must preserve).  Imported lazily because :mod:`.engines` imports this
-        module.
-        """
-
-        from .engines import engine_name, resolve_engine
-
-        self._engine_name = engine_name(engine)
-        self._engine_impl = resolve_engine(engine)
-
-    @property
-    def engine(self) -> str:
-        """Requested codec engine name (``"numpy"`` when none was given)."""
-
-        return getattr(self, "_engine_name", "numpy")
 
     # -- declared error control -------------------------------------------------
 

@@ -104,26 +104,13 @@ class LosslessCompressor(Compressor):
         # No engine-backed hot loop (the stdlib codecs do all the work), but
         # the parameter is accepted, validated and pickled so the registry's
         # uniform `get_compressor(name, engine=...)` plumbing works here too.
-        self._set_engine(engine)
+        self._record_init(backend=backend, level=self._level, engine=engine)
 
     @property
     def backend(self) -> str:
         """Name of the byte-level backend in use (zlib/bz2/lzma)."""
 
         return self._backend
-
-    def __getstate__(self) -> dict:
-        # Constructor arguments only: pickling a codec must stay cheap and
-        # stable so process-pool workers can receive instances per task
-        # (see repro.core.procpool); derived state is rebuilt on unpickle.
-        return {
-            "backend": self._backend,
-            "level": self._level,
-            "engine": self._engine_name,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
 
     def compress(self, data: np.ndarray) -> bytes:
         """Byte-exact compression of the raw float64 buffer."""

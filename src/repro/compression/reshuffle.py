@@ -68,23 +68,12 @@ class ReshuffleCompressor(Compressor):
         engine: str | None = None,
     ) -> None:
         super().__init__(ErrorBoundMode.RELATIVE, bound)
-        self._set_engine(engine)
+        self._record_init(
+            bound=self.bound, backend=backend, level=int(level), engine=engine
+        )
         self._inner = XorBitplaneCompressor(
             bound=bound, backend=backend, level=level, engine=self._engine_impl
         )
-
-    def __getstate__(self) -> dict:
-        # Constructor arguments only (cheap process-pool pickling); the
-        # inner Solution C instance is rebuilt on unpickle.
-        return {
-            "bound": self.bound,
-            "backend": self._inner._backend,
-            "level": self._inner._level,
-            "engine": self._engine_name,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
 
     def compress(self, data: np.ndarray) -> bytes:
         """De-interleave (real, imag) pairs, then run the inner SZ codec."""

@@ -180,27 +180,20 @@ class SZCompressor(Compressor):
         self._max_bins = int(max_bins)
         self._backend = backend
         self._level = int(level)
-        self._set_engine(engine)
+        self._record_init(
+            bound=self.bound,
+            mode=mode,
+            max_bins=self._max_bins,
+            backend=backend,
+            level=self._level,
+            engine=engine,
+        )
 
     @property
     def max_bins(self) -> int:
         """Quantization-bin budget for the linear-scaling stage."""
 
         return self._max_bins
-
-    def __getstate__(self) -> dict:
-        # Constructor arguments only (cheap process-pool pickling).
-        return {
-            "bound": self.bound,
-            "mode": self.mode,
-            "max_bins": self._max_bins,
-            "backend": self._backend,
-            "level": self._level,
-            "engine": self._engine_name,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
 
     # -- absolute mode ------------------------------------------------------------
 

@@ -55,7 +55,14 @@ class SZComplexCompressor(Compressor):
         if mode is ErrorBoundMode.LOSSLESS:
             raise CompressorError("SZ-complex is a lossy compressor")
         super().__init__(mode, bound)
-        self._set_engine(engine)
+        self._record_init(
+            bound=self.bound,
+            mode=mode,
+            max_bins=int(max_bins),
+            backend=backend,
+            level=int(level),
+            engine=engine,
+        )
         self._inner = SZCompressor(
             bound=bound,
             mode=mode,
@@ -70,21 +77,6 @@ class SZComplexCompressor(Compressor):
         """Quantization-bin budget of the inner SZ codec."""
 
         return self._inner.max_bins
-
-    def __getstate__(self) -> dict:
-        # Constructor arguments only (cheap process-pool pickling); the
-        # inner per-component SZ instance is rebuilt on unpickle.
-        return {
-            "bound": self.bound,
-            "mode": self.mode,
-            "max_bins": self._inner.max_bins,
-            "backend": self._inner._backend,
-            "level": self._inner._level,
-            "engine": self._engine_name,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
 
     def compress(self, data: np.ndarray) -> bytes:
         """Split interleaved (real, imag) into two SZ streams (Solution B)."""

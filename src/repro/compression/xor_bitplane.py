@@ -76,26 +76,15 @@ class XorBitplaneCompressor(Compressor):
         self._backend = backend
         self._level = int(level)
         self._keep_bytes = bitplane.bytes_to_keep(bound)
-        self._set_engine(engine)
+        self._record_init(
+            bound=self.bound, backend=backend, level=self._level, engine=engine
+        )
 
     @property
     def keep_bytes(self) -> int:
         """Leading bytes of each double preserved by the truncation stage."""
 
         return self._keep_bytes
-
-    def __getstate__(self) -> dict:
-        # Constructor arguments only (cheap process-pool pickling); the
-        # derived truncation width is recomputed on unpickle.
-        return {
-            "bound": self.bound,
-            "backend": self._backend,
-            "level": self._level,
-            "engine": self._engine_name,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
 
     # -- compression ---------------------------------------------------------------
 

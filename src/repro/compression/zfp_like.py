@@ -91,20 +91,13 @@ class ZFPLikeCompressor(Compressor):
         super().__init__(mode, bound)
         self._backend = backend
         self._level = int(level)
-        self._set_engine(engine)
-
-    def __getstate__(self) -> dict:
-        # Constructor arguments only (cheap process-pool pickling).
-        return {
-            "bound": self.bound,
-            "mode": self.mode,
-            "backend": self._backend,
-            "level": self._level,
-            "engine": self._engine_name,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
+        self._record_init(
+            bound=self.bound,
+            mode=mode,
+            backend=backend,
+            level=self._level,
+            engine=engine,
+        )
 
     # -- fixed-point / embedded coding machinery ---------------------------------------
 

@@ -9,7 +9,7 @@ from .config import PAPER_BLOCK_AMPLITUDES, SimulatorConfig
 from .executor import TaskExecutor
 from .procpool import ProcessPool, effective_cpu_count
 from .fidelity import FidelityTracker, fidelity_curve, fidelity_lower_bound
-from .report import SimulationReport, Timer
+from .report import SimulationReport
 from .simulator import CompressedSimulator
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "SimulatorConfig",
     "PAPER_BLOCK_AMPLITUDES",
     "SimulationReport",
-    "Timer",
     "AdaptiveErrorController",
     "EscalationEvent",
     "BlockCache",

@@ -17,10 +17,12 @@ type to decide whether a snapshot is usable.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
 from .. import errors
+from ..resilience import resume_from_checkpoint
 from .config import SimulatorConfig
 from .simulator import CompressedSimulator
 
@@ -32,10 +34,13 @@ _BLOCK_HEADER = struct.Struct("<IIHdI")
 
 
 def save_checkpoint(simulator: CompressedSimulator, path: str | Path) -> int:
-    """Write *simulator*'s full compressed state to *path*.
+    """Atomically write *simulator*'s full compressed state to *path*.
 
-    Returns the number of bytes written.  The simulator can keep running
-    afterwards; the checkpoint is an independent snapshot.
+    The snapshot lands via a temporary sibling file and ``os.replace``, so a
+    crash mid-write can never leave a torn checkpoint under the final name
+    (a previous checkpoint there stays intact).  Returns the number of bytes
+    written.  The simulator can keep running afterwards; the checkpoint is
+    an independent snapshot.
     """
 
     path = Path(path)
@@ -65,7 +70,8 @@ def save_checkpoint(simulator: CompressedSimulator, path: str | Path) -> int:
         blocks.append((rank, block, entry))
 
     meta_blob = json.dumps(meta).encode()
-    with path.open("wb") as handle:
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as handle:
         handle.write(_MAGIC)
         handle.write(struct.pack("<I", len(meta_blob)))
         handle.write(meta_blob)
@@ -77,6 +83,7 @@ def save_checkpoint(simulator: CompressedSimulator, path: str | Path) -> int:
             )
             handle.write(name)
             handle.write(entry.blob)
+    os.replace(tmp, path)
     return path.stat().st_size
 
 
@@ -204,7 +211,7 @@ def load_checkpoint(
     """
 
     path = Path(path)
-    meta, blocks = read_checkpoint(path)
+    meta, _ = read_checkpoint(path)
 
     if config is None:
         config = SimulatorConfig(
@@ -220,25 +227,15 @@ def load_checkpoint(
             # the default is safe for any checkpoint.
             codec_engine=meta.get("codec_engine", "numpy"),
         )
-    else:
-        if config.num_ranks != _meta_field(meta, "num_ranks", path):
-            raise errors.CheckpointError(
-                "config.num_ranks does not match the checkpointed partition"
-            )
+    for key in ("gate_count", "fidelity_gate_bounds", "current_bound"):
+        _meta_field(meta, key, path)
 
     simulator = CompressedSimulator(
         _meta_field(meta, "num_qubits", path), config=config
     )
-
-    expected = (
-        simulator.partition.num_ranks * simulator.partition.blocks_per_rank
-    )
-    if len(blocks) != expected:
-        raise errors.CheckpointError(
-            f"checkpoint holds {len(blocks)} blocks, partition expects {expected}",
-            path=str(path),
-        )
-    for key in ("gate_count", "fidelity_gate_bounds", "current_bound"):
-        _meta_field(meta, key, path)
-    simulator.restore(meta, blocks)
+    try:
+        resume_from_checkpoint(simulator, path)
+    except BaseException:
+        simulator.close()
+        raise
     return simulator

@@ -116,7 +116,7 @@ class SimulatorConfig:
         ``"ranked"`` the three fields above resolve to.
     fault_policy:
         Recovery policy (:class:`repro.resilience.FaultPolicy`) of the run:
-        retries, backoff and the in-run checkpoint interval.  ``None``
+        retries and the in-run checkpoint interval.  ``None``
         resolves through
         :func:`repro.resilience.resolve_fault_policy` — the
         ``REPRO_FAULT_POLICY`` environment variable if set, a

@@ -10,27 +10,9 @@ while the compressed simulator executes.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
-__all__ = ["Timer", "SimulationReport"]
-
-
-class Timer:
-    """Tiny context-manager stopwatch feeding a named bucket of a report."""
-
-    def __init__(self, report: "SimulationReport", bucket: str) -> None:
-        self._report = report
-        self._bucket = bucket
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        elapsed = time.perf_counter() - self._start
-        self._report.add_time(self._bucket, elapsed)
+__all__ = ["SimulationReport"]
 
 
 @dataclass
@@ -81,9 +63,8 @@ class SimulationReport:
     #: (``SimulatorConfig.comm="process"``): one dict per rank with the
     #: :class:`~repro.distributed.comm.CommunicationStats` fields this
     #: endpoint sent plus measured ``exchange_seconds`` /
-    #: ``allreduce_seconds`` / ``barrier_seconds``.  ``None`` when
-    #: communication is simulated (the aggregate counters above then carry
-    #: the modelled traffic).
+    #: ``allreduce_seconds``.  ``None`` when communication is simulated (the
+    #: aggregate counters above then carry the modelled traffic).
     rank_comm: list | None = None
 
     #: Fault-recovery accounting, or ``None`` when the run never recovered
@@ -118,11 +99,6 @@ class SimulationReport:
             raise KeyError(f"unknown counter {counter!r}")
         with self._mutex:
             setattr(self, counter, getattr(self, counter) + amount)
-
-    def timer(self, bucket: str) -> Timer:
-        """Context manager accumulating its wall time into *bucket*."""
-
-        return Timer(self, bucket)
 
     def observe_ratio(self, ratio: float) -> None:
         """Track the worst (minimum) compression ratio seen so far."""

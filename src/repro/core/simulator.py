@@ -48,7 +48,7 @@ from ..distributed.comm import SimulatedCommunicator
 from ..distributed.exchange import plan_gate
 from ..distributed.partition import Partition, QubitSegment
 from ..errors import ProcessCommTimeout, WorkerCrashedError
-from ..resilience import resolve_fault_policy, suspend_to_checkpoint
+from ..resilience import resolve_fault_policy
 from .adaptive import AdaptiveErrorController
 from .blocks import CompressedBlock, ScratchPool
 from .cache import BlockCache
@@ -554,9 +554,6 @@ class CompressedSimulator:
                     waves_replayed=replayed,
                     time_lost_seconds=time.perf_counter() - lost_start,
                 )
-                backoff = policy.backoff_seconds(attempt - 1)
-                if backoff > 0:
-                    time.sleep(backoff)
         self._replay_log.append(gate)
         self._maybe_resilience_checkpoint(index_before)
 
@@ -620,8 +617,8 @@ class CompressedSimulator:
 
     def _maybe_resilience_checkpoint(self, index_before: int) -> None:
         """Write an in-run checkpoint every ``checkpoint_interval_waves``
-        gates (atomically: tmp file + ``os.replace``), clearing the replay
-        log — recovery then replays at most one interval's worth of gates.
+        gates (atomically, see :func:`~repro.core.checkpoint.save_checkpoint`),
+        clearing the replay log — recovery then replays at most one interval's worth of gates.
         Checkpoints fall between schedule elements only; one element can
         advance the gate index past a multiple of the interval (a run taken
         gate by gate under a budget), so the test is for a crossed multiple
@@ -633,8 +630,10 @@ class CompressedSimulator:
         if self._gate_index // interval == index_before // interval:
             return
 
+        from .checkpoint import save_checkpoint
+
         path = self._resilience_checkpoint_path()
-        suspend_to_checkpoint(self, path)
+        save_checkpoint(self, path)
         self._resilience_ckpt = path
         self._replay_log.clear()
         self._report.record_recovery(checkpoints_written=1)

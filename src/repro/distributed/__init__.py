@@ -13,7 +13,6 @@ two interchangeable tiers — the traffic-accounting
 from .partition import Partition, QubitSegment
 from .comm import (
     CommunicationStats,
-    RankCommunicator,
     SimulatedCommunicator,
     aggregate_rank_stats,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "QubitSegment",
     "SimulatedCommunicator",
     "CommunicationStats",
-    "RankCommunicator",
     "aggregate_rank_stats",
     "ProcessCommunicator",
     "RankCommArena",

@@ -1,9 +1,8 @@
-"""The communicator hierarchy: simulated, process-backed, future MPI.
+"""The two communicators: simulated and process-backed.
 
 The paper runs Intel-QS over MPI on up to 4,096 Theta nodes (Section 4).
-This reproduction models that layer as a small hierarchy, all sharing the
-subset of MPI the simulator needs — point-to-point block exchange, allreduce
-for norms, a barrier:
+This reproduction models that layer with the subset of MPI the simulator
+needs — point-to-point block exchange and an allreduce for norms:
 
 * :class:`SimulatedCommunicator` — every rank's compressed blocks live in one
   process and the communicator only *records* the traffic (messages and
@@ -12,12 +11,12 @@ for norms, a barrier:
 * :class:`~repro.distributed.process_comm.ProcessCommunicator` — the real
   thing at single-node scale: each rank is a worker process owning its
   partition slice (:mod:`repro.distributed.ranked`), and compressed blobs
-  actually cross process boundaries through shared-memory channels.  It
-  implements :class:`RankCommunicator`, the payload-carrying interface below.
-* an MPI communicator (future work) — a thin ``mpi4py`` wrapper implementing
-  the same :class:`RankCommunicator` interface (``sendrecv_bytes`` →
-  ``MPI.Comm.sendrecv``, ``allreduce_sum`` → ``MPI.Comm.allreduce``) would
-  let the ranked tier span nodes without touching the executor.
+  actually cross process boundaries through shared-memory channels.
+
+A rank worker reaches its endpoint through two calls, ``sendrecv_bytes(peer,
+payload)`` and ``allreduce_sum(value)``; an ``mpi4py`` wrapper offering the
+same two (``MPI.Comm.sendrecv`` / ``MPI.Comm.allreduce``) would let the
+ranked tier span nodes without touching the executor (parked, see ROADMAP).
 
 Both real and simulated communicators account their traffic in the same
 :class:`CommunicationStats` counters;
@@ -28,8 +27,7 @@ and tests can compare them field by field.
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -37,7 +35,6 @@ import numpy as np
 __all__ = [
     "CommunicationStats",
     "SimulatedCommunicator",
-    "RankCommunicator",
     "aggregate_rank_stats",
 ]
 
@@ -50,7 +47,6 @@ class CommunicationStats:
     bytes_sent: int = 0
     exchanges: int = 0
     allreduces: int = 0
-    barriers: int = 0
 
     def reset(self) -> None:
         """Zero every counter."""
@@ -59,7 +55,6 @@ class CommunicationStats:
         self.bytes_sent = 0
         self.exchanges = 0
         self.allreduces = 0
-        self.barriers = 0
 
     def as_dict(self) -> dict:
         """Counters as a plain JSON-serialisable mapping."""
@@ -69,7 +64,6 @@ class CommunicationStats:
             "bytes_sent": self.bytes_sent,
             "exchanges": self.exchanges,
             "allreduces": self.allreduces,
-            "barriers": self.barriers,
         }
 
 
@@ -79,11 +73,10 @@ class SimulatedCommunicator:
     Simulation is one tier of the hierarchy, not the only option: it is the
     default (``SimulatorConfig(comm="simulated")``), while
     ``comm="process"`` swaps in real inter-rank data movement through
-    :class:`~repro.distributed.process_comm.ProcessCommunicator`, and an
-    ``mpi4py``-backed :class:`RankCommunicator` would span nodes the same
-    way.  This class also doubles as the parent-side aggregate *stats sink*
-    of a ranked run (the executor folds real per-endpoint counters into
-    :attr:`stats` via :func:`aggregate_rank_stats`).
+    :class:`~repro.distributed.process_comm.ProcessCommunicator`.  This
+    class also doubles as the parent-side aggregate *stats sink* of a ranked
+    run (the executor folds real per-endpoint counters into :attr:`stats`
+    via :func:`aggregate_rank_stats`).
 
     Parameters
     ----------
@@ -137,15 +130,6 @@ class SimulatedCommunicator:
             self._modelled_seconds += num_bytes / self._bandwidth
         self._modelled_seconds += messages * self._latency
 
-    def send(self, source: int, dest: int, num_bytes: int) -> None:
-        """Record a point-to-point message of *num_bytes* from source to dest."""
-
-        self._check_rank(source)
-        self._check_rank(dest)
-        if source == dest:
-            return
-        self._account(num_bytes, 1)
-
     def exchange_blocks(self, rank_a: int, rank_b: int, num_bytes: int) -> None:
         """Record a symmetric block exchange between two ranks.
 
@@ -178,11 +162,6 @@ class SimulatedCommunicator:
         self._account(8 * self._num_ranks * rounds, self._num_ranks * rounds)
         return float(values.sum())
 
-    def barrier(self) -> None:
-        """Record a barrier (no data volume)."""
-
-        self.stats.barriers += 1
-
     def reset(self) -> None:
         """Clear all counters."""
 
@@ -190,86 +169,10 @@ class SimulatedCommunicator:
         self._modelled_seconds = 0.0
 
 
-class RankCommunicator(abc.ABC):
-    """Payload-carrying communicator interface of one rank (MPI subset).
-
-    One instance is *one endpoint*: it knows its own ``rank``, the total
-    ``num_ranks``, and moves real bytes.  This is the surface a future
-    ``mpi4py`` communicator implements unchanged
-    (``sendrecv_bytes`` → ``MPI.Comm.sendrecv``, ``allreduce_sum`` →
-    ``MPI.Comm.allreduce``, ``barrier`` → ``MPI.Comm.Barrier``); the
-    shared-memory implementation for single-node multi-process runs is
-    :class:`~repro.distributed.process_comm.ProcessCommunicator`.
-
-    Every endpoint accounts its own traffic in :attr:`stats` (what *this*
-    rank sent) and its blocking time in :attr:`op_seconds`;
-    :func:`aggregate_rank_stats` folds the per-endpoint counters onto the
-    :class:`SimulatedCommunicator` conventions.
-    """
-
-    @property
-    @abc.abstractmethod
-    def rank(self) -> int:
-        """This endpoint's rank index in ``[0, num_ranks)``."""
-
-    @property
-    @abc.abstractmethod
-    def num_ranks(self) -> int:
-        """Total number of ranks in the communicator."""
-
-    @property
-    @abc.abstractmethod
-    def stats(self) -> CommunicationStats:
-        """Traffic counters for operations initiated by this endpoint."""
-
-    @property
-    @abc.abstractmethod
-    def op_seconds(self) -> dict:
-        """Measured wall-clock seconds this endpoint spent blocked per
-        operation kind (``"exchange"``, ``"allreduce"``, ``"barrier"``)."""
-
-    @abc.abstractmethod
-    def sendrecv_bytes(self, peer: int, payload: bytes) -> bytes:
-        """Simultaneously send *payload* to *peer* and receive its payload.
-
-        This is the symmetric block exchange of Section 3.3 (third bullet):
-        both ranks of a pair call it with matching *peer* arguments and each
-        returns the bytes the other sent.  Blocking; deadlock-free as long as
-        both sides of the pair participate.
-
-        Parameters
-        ----------
-        peer:
-            The partner rank.
-        payload:
-            Bytes to ship (a compressed block, plus any framing the caller
-            adds).
-
-        Returns
-        -------
-        bytes
-            The partner's payload.
-        """
-
-    @abc.abstractmethod
-    def allreduce_sum(self, value: float) -> float:
-        """Sum one scalar contribution per rank across all ranks.
-
-        Every rank passes its local partial (e.g. its slice's Σ|a|²) and
-        every rank returns the identical global sum, exactly like
-        ``MPI_Allreduce(MPI_SUM)``.  The summation order is deterministic
-        (ascending rank), so all endpoints return bit-identical floats.
-        """
-
-    @abc.abstractmethod
-    def barrier(self) -> None:
-        """Block until every rank has entered the barrier."""
-
-
 def aggregate_rank_stats(
     per_rank: Iterable[Mapping[str, int] | CommunicationStats],
 ) -> CommunicationStats:
-    """Fold per-endpoint :class:`RankCommunicator` counters into one view.
+    """Fold per-endpoint counters of a real communicator into one view.
 
     A real communicator counts at each endpoint: a symmetric exchange of
     ``n`` bytes is *one* ``exchanges`` tick, *one* message and ``n`` bytes on
@@ -303,6 +206,5 @@ def aggregate_rank_stats(
         total.bytes_sent += int(data["bytes_sent"])
         endpoint_exchanges += int(data["exchanges"])
         total.allreduces = max(total.allreduces, int(data["allreduces"]))
-        total.barriers = max(total.barriers, int(data["barriers"]))
     total.exchanges = endpoint_exchanges // 2
     return total

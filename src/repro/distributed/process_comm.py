@@ -16,9 +16,9 @@ channels inside it:
   A channel is a sequence/acknowledge counter pair plus a payload area;
   payloads larger than the area stream through it in chunks, so correctness
   never depends on the channel capacity.
-* **Allreduce / barrier**: per-rank arrive/depart generation counters plus a
-  value slot per rank, a sense-reversing two-phase barrier that makes the
-  value slots stable while any rank is still reading them.
+* **Allreduce**: per-rank arrive/depart generation counters plus a value
+  slot per rank — a two-phase rendezvous that keeps the value slots stable
+  while any rank is still reading them.
 
 Synchronisation is by polling with exponential backoff (hot spin, then
 micro-sleeps): the critical sections are block-compression sized, so a
@@ -35,9 +35,8 @@ x86's total store order — the architecture of the reference container and
 of CI.  A weakly-ordered CPU (aarch64) could in principle make a counter
 increment visible before the payload bytes it publishes; deploying the
 ranked tier there should swap in a fence-bearing transport — most naturally
-the mpi4py implementation of the same
-:class:`~repro.distributed.comm.RankCommunicator` interface, which is the
-portable path to multi-node scale anyway.
+an mpi4py endpoint offering the same ``sendrecv_bytes`` / ``allreduce_sum``
+calls, which is the portable path to multi-node scale anyway.
 
 The accounting convention mirrors :class:`~repro.distributed.comm.SimulatedCommunicator`
 so the two are comparable field by field after
@@ -57,7 +56,7 @@ import numpy as np
 
 from .. import errors
 from ..resilience import faults as _faults
-from .comm import CommunicationStats, RankCommunicator
+from .comm import CommunicationStats
 
 __all__ = ["RankCommArena", "ProcessCommunicator"]
 
@@ -269,13 +268,15 @@ class _ChunkReceiver:
         return b"".join(self._parts)
 
 
-class ProcessCommunicator(RankCommunicator):
+class ProcessCommunicator:
     """One rank's endpoint of a shared-memory communicator group.
 
-    Implements :class:`~repro.distributed.comm.RankCommunicator` over a
-    :class:`RankCommArena`: real payload bytes cross process boundaries
-    through the arena's channels, and collectives synchronise through its
-    generation counters.  Exchanges are restricted to hypercube neighbours
+    One instance is *one endpoint* of a :class:`RankCommArena`: it knows its
+    own ``rank`` and the total ``num_ranks``, real payload bytes cross
+    process boundaries through the arena's channels, and the allreduce
+    synchronises through its generation counters.  It accounts its own
+    traffic in :attr:`stats` (what *this* rank sent) and its blocking time in
+    :attr:`op_seconds`.  Exchanges are restricted to hypercube neighbours
     (``peer == rank ^ 2**k``) — the only pairs the gate planner produces.
 
     Parameters
@@ -338,11 +339,11 @@ class ProcessCommunicator(RankCommunicator):
                 self._channels[(src, src ^ (1 << bit))] = _Channel(header, payload)
         self._generation = 0
         self._stats = CommunicationStats()
-        self._op_seconds = {"exchange": 0.0, "allreduce": 0.0, "barrier": 0.0}
+        self._op_seconds = {"exchange": 0.0, "allreduce": 0.0}
         self._closed = False
         self._fault_state = _faults.arm_for_comm(self._rank, pool_generation)
 
-    # -- RankCommunicator surface ---------------------------------------------------
+    # -- the endpoint surface -------------------------------------------------------
 
     @property
     def rank(self) -> int:
@@ -372,9 +373,12 @@ class ProcessCommunicator(RankCommunicator):
     def sendrecv_bytes(self, peer: int, payload: bytes) -> bytes:
         """Exchange *payload* with *peer*; returns the peer's payload.
 
-        Both endpoints drive their sender and receiver state machines in one
-        loop, so the exchange cannot deadlock even when both payloads exceed
-        the channel capacity and stream through in chunks.
+        The symmetric block exchange of Section 3.3 (third bullet): both
+        ranks of a pair call it with matching *peer* arguments and each
+        returns the bytes the other sent.  Both endpoints drive their sender
+        and receiver state machines in one loop, so the exchange cannot
+        deadlock even when both payloads exceed the channel capacity and
+        stream through in chunks.
 
         Raises
         ------
@@ -471,18 +475,6 @@ class ProcessCommunicator(RankCommunicator):
         self._stats.bytes_sent += 8 * rounds
         self._op_seconds["allreduce"] += time.perf_counter() - started
         return total
-
-    def barrier(self) -> None:
-        """Block until every rank has entered the barrier."""
-
-        started = time.perf_counter()
-        self._generation += 1
-        self._arrive[self._rank] = self._generation
-        self._wait_counters(self._arrive, "barrier(arrive)")
-        self._depart[self._rank] = self._generation
-        self._wait_counters(self._depart, "barrier(depart)")
-        self._stats.barriers += 1
-        self._op_seconds["barrier"] += time.perf_counter() - started
 
     # -- internals -------------------------------------------------------------------
 

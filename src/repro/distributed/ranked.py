@@ -6,9 +6,8 @@ is split over ``num_ranks`` persistent worker processes, each owning the
 disjoint :class:`~repro.distributed.partition.Partition` slice an MPI rank
 would own, and a gate whose target qubit falls in the rank index segment
 moves real compressed blobs between rank processes through
-:class:`~repro.distributed.process_comm.ProcessCommunicator` — the
-shared-memory implementation of the MPI-shaped
-:class:`~repro.distributed.comm.RankCommunicator` interface.
+:class:`~repro.distributed.process_comm.ProcessCommunicator`, the
+shared-memory stand-in for an MPI communicator.
 
 Selected with ``SimulatorConfig(comm="process", num_ranks=...)`` — or its
 other spelling, ``executor="process", num_workers=num_ranks`` — and therefore
@@ -424,7 +423,7 @@ class RankedExecutor:
     def _zero_comm() -> dict:
         return {
             "stats": CommunicationStats().as_dict(),
-            "seconds": {"exchange": 0.0, "allreduce": 0.0, "barrier": 0.0},
+            "seconds": {"exchange": 0.0, "allreduce": 0.0},
         }
 
     # -- executor surface -------------------------------------------------------------
@@ -532,7 +531,6 @@ class RankedExecutor:
         sink.bytes_sent = aggregate.bytes_sent
         sink.exchanges = aggregate.exchanges
         sink.allreduces = aggregate.allreduces
-        sink.barriers = aggregate.barriers
         self._report.rank_comm = [
             {"rank": rank, **entry["stats"], **{
                 f"{kind}_seconds": seconds

@@ -110,7 +110,7 @@ class ProcessCommTimeout(ReproError):
     peer:
         The peer rank (or laggard ranks) it was waiting on.
     op:
-        The communicator operation ("sendrecv", "allreduce", "barrier").
+        The communicator operation ("sendrecv", "allreduce(arrive)", ...).
     elapsed_seconds:
         How long the endpoint actually waited.
     timeout_seconds:

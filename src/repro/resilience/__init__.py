@@ -5,8 +5,8 @@ or a stuck communicator raises and the run dies) into detect → contain →
 recover:
 
 * :class:`FaultPolicy` — the user-facing knob set, carried on
-  :class:`repro.core.config.SimulatorConfig`: how many times to retry, how
-  to back off between attempts and how often to write in-run checkpoints.
+  :class:`repro.core.config.SimulatorConfig`: how many times to retry and
+  how often (and where) to write in-run checkpoints.
 * Self-healing pools — :class:`repro.core.procpool.ProcessPool` can respawn
   a dead worker in place; the batch fan-out (``parallel="process"``)
   re-dispatches only the circuits the dead worker held, and every circuit
@@ -25,13 +25,11 @@ explicit opt-in behave exactly as before.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass
 
 __all__ = [
     "FaultPolicy",
     "resolve_fault_policy",
-    "suspend_to_checkpoint",
     "resume_from_checkpoint",
 ]
 
@@ -56,13 +54,6 @@ class FaultPolicy:
         How many times a failed gate (ranked tier) or batch dispatch
         (``parallel="process"`` fan-out) is retried after healing or
         rebuilding the pool.  ``0`` means fail fast.
-    backoff_base_seconds / backoff_multiplier / backoff_max_seconds:
-        Exponential backoff between retry attempts: attempt ``n`` sleeps
-        ``base * multiplier**n`` seconds, capped at the max.
-    backoff_jitter:
-        Fraction of the computed backoff added as deterministic jitter
-        (seeded by ``seed`` and the attempt index), de-synchronising
-        concurrent retriers without sacrificing reproducibility.
     checkpoint_interval_waves:
         Ranked tier: write an in-run checkpoint every N applied gate waves
         so recovery replays at most N gates.  ``0`` disables checkpoints
@@ -70,65 +61,25 @@ class FaultPolicy:
     checkpoint_dir:
         Directory for in-run checkpoints; ``None`` uses a per-run temporary
         directory that is removed when the simulator closes.
-    seed:
-        Seed of the jitter stream (and of any policy-owned randomness);
-        fixed seed ⇒ bit-identical retry timing decisions.
     """
 
     max_retries: int = 0
-    backoff_base_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.1
-    backoff_max_seconds: float = 2.0
     checkpoint_interval_waves: int = 0
     checkpoint_dir: str | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         """Validate the knob ranges."""
 
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_seconds < 0:
-            raise ValueError("backoff_base_seconds must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1]")
-        if self.backoff_max_seconds < 0:
-            raise ValueError("backoff_max_seconds must be >= 0")
         if self.checkpoint_interval_waves < 0:
             raise ValueError("checkpoint_interval_waves must be >= 0")
-
-    def backoff_seconds(self, attempt: int) -> float:
-        """Deterministic backoff before retry ``attempt`` (0-based).
-
-        The jitter component is drawn from a stream seeded by
-        ``(self.seed, attempt)``, so the same policy produces the same
-        sleep sequence on every run.
-        """
-
-        base = self.backoff_base_seconds * (self.backoff_multiplier ** attempt)
-        base = min(base, self.backoff_max_seconds)
-        if self.backoff_jitter <= 0.0 or base <= 0.0:
-            return base
-        rng = random.Random(f"{self.seed}:{attempt}")
-        return min(
-            base * (1.0 + self.backoff_jitter * rng.random()),
-            self.backoff_max_seconds,
-        )
-
-    @property
-    def active(self) -> bool:
-        """Whether this policy enables any recovery behaviour at all."""
-
-        return self.max_retries > 0 or self.checkpoint_interval_waves > 0
 
 
 def _parse_policy_spec(spec: str) -> FaultPolicy:
     """Parse a ``key=value,key=value`` policy spec (the env-var syntax).
 
-    Example: ``max_retries=2,checkpoint_interval_waves=8,seed=7``.  Unknown
+    Example: ``max_retries=2,checkpoint_interval_waves=8``.  Unknown
     keys — typos, or keys a later version removed — raise
     :class:`ValueError` so they fail loudly.
     """
@@ -143,15 +94,8 @@ def _parse_policy_spec(spec: str) -> FaultPolicy:
         key, _, value = chunk.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in ("max_retries", "checkpoint_interval_waves", "seed"):
+        if key in ("max_retries", "checkpoint_interval_waves"):
             kwargs[key] = int(value)
-        elif key in (
-            "backoff_base_seconds",
-            "backoff_multiplier",
-            "backoff_jitter",
-            "backoff_max_seconds",
-        ):
-            kwargs[key] = float(value)
         elif key == "checkpoint_dir":
             kwargs[key] = value
         else:
@@ -188,4 +132,4 @@ def resolve_fault_policy(policy: "FaultPolicy | None") -> FaultPolicy:
 # Imported last: suspend.py reaches (lazily) into repro.core.checkpoint,
 # which imports repro.core.simulator, which imports this package — every
 # name above must already be bound when that cycle re-enters here.
-from .suspend import resume_from_checkpoint, suspend_to_checkpoint  # noqa: E402
+from .suspend import resume_from_checkpoint  # noqa: E402

@@ -1,17 +1,15 @@
-"""Suspend/resume of in-flight simulations over QCKPT001 checkpoints.
+"""Resume of in-flight simulations from QCKPT001 checkpoints.
 
 The service layer (:mod:`repro.serve`) pauses long jobs at gate boundaries
 and later continues them, possibly on a *different* warm simulator of the
-same geometry.  Both halves build on the checkpoint format of
-:mod:`repro.core.checkpoint`:
-
-* :func:`suspend_to_checkpoint` snapshots a simulator's compressed state
-  atomically (tmp file + ``os.replace``, the same torn-write discipline as
-  the in-run resilience checkpoints);
-* :func:`resume_from_checkpoint` restores a snapshot *into an existing warm
-  simulator* instead of constructing a fresh one — the serve-layer lease
-  pools keep executors, scratch pools and decompressors alive across the
-  suspension, so resuming pays only the block-table rebuild.
+same geometry.  Suspending is :func:`repro.core.checkpoint.save_checkpoint`
+(atomic: tmp file + ``os.replace``, shared with the in-run resilience
+checkpoints); :func:`resume_from_checkpoint` is the one validated restore —
+it puts a snapshot *into an existing simulator*, so the serve-layer lease
+pools keep executors, scratch pools and decompressors alive across the
+suspension and resuming pays only the block-table rebuild
+(:func:`~repro.core.checkpoint.load_checkpoint` builds a simulator from the
+metadata and then calls it too).
 
 Determinism contract: a run suspended after gate *k* and resumed elsewhere
 applies gates ``k+1..n`` to bit-identical compressed blocks, with the gate
@@ -23,30 +21,11 @@ point, differ).
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 from ..errors import CheckpointError
 
-__all__ = ["suspend_to_checkpoint", "resume_from_checkpoint"]
-
-
-def suspend_to_checkpoint(simulator, path: str | Path) -> int:
-    """Atomically snapshot *simulator* to *path*; returns bytes written.
-
-    The snapshot lands via a temporary sibling file and ``os.replace``, so a
-    crash mid-write can never leave a torn checkpoint under the final name.
-    The simulator keeps running (or can be released) afterwards — the
-    snapshot is independent.
-    """
-
-    from ..core.checkpoint import save_checkpoint
-
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    written = save_checkpoint(simulator, tmp)
-    os.replace(tmp, path)
-    return written
+__all__ = ["resume_from_checkpoint"]
 
 
 def resume_from_checkpoint(simulator, path: str | Path) -> int:

@@ -47,9 +47,10 @@ from ..backends.compressed import _package_result
 from ..backends.observables import PauliObservable
 from ..backends.result import Result
 from ..circuits import QuantumCircuit
+from ..core.checkpoint import save_checkpoint
 from ..core.config import SimulatorConfig
 from ..errors import JobCancelledError, ServiceClosedError
-from ..resilience import resume_from_checkpoint, suspend_to_checkpoint
+from ..resilience import resume_from_checkpoint
 from .events import EventStream, JobEvent
 from .queue import FairScheduler
 
@@ -649,7 +650,7 @@ class SimulationService:
                 if job._suspend_requested and index < len(gates):
                     job._suspend_requested = False
                     path = self._checkpoint_path_for(job)
-                    written = suspend_to_checkpoint(simulator, path)
+                    written = save_checkpoint(simulator, path)
                     job._checkpoint_path = path
                     job._next_gate = index
                     raise _SuspendMarker(

@@ -1,13 +1,12 @@
 """Project-native static analysis: the ``repro`` contract linter.
 
 Seven PRs of growth piled up contracts that only fail at runtime — often
-only under fault injection: constructor-args-only pickling for anything
-that crosses a process boundary, nopython-compilable engine kernels, typed
-:mod:`repro.errors` exceptions at the public surface, lock discipline in the
-thread tier, seeded RNG everywhere.  This package machine-checks them with
-a self-contained stdlib-:mod:`ast` rule engine (the container cannot
-install third-party linters, the same constraint that shaped the docs
-builder).
+only under fault injection: nopython-compilable engine kernels, typed
+:mod:`repro.errors` exceptions at the public surface, raw multiprocessing
+confined to the pool modules, released resources, seeded RNG everywhere.
+This package machine-checks them, one file at a time, with a self-contained
+stdlib-:mod:`ast` rule engine (the container cannot install third-party
+linters, the same constraint that shaped the docs builder).
 
 Usage::
 

@@ -37,12 +37,8 @@ DEFAULT_INCLUDE = (
     "setup.py",
 )
 
-#: Never linted: the fixture corpus exists to *fail* rules, and the built
-#: site is generated output.
-DEFAULT_EXCLUDE = (
-    "tests/lint_fixtures/*",
-    "docs/_site/*",
-)
+#: Never linted: the built site is generated output.
+DEFAULT_EXCLUDE = ("docs/_site/*",)
 
 #: Per-rule path scopes.  A rule absent from this mapping applies to every
 #: linted file (fine for rules that only trigger on specific constructs,
@@ -53,7 +49,6 @@ DEFAULT_RULE_PATHS: dict[str, tuple[str, ...]] = {
     # benchmarks legitimately use wall-clock time.
     "docstring-coverage": ("src/repro/*",),
     "error-taxonomy": ("src/repro/*",),
-    "pickle-contract": ("src/repro/*",),
     "mp-hygiene": ("src/repro/*",),
     "determinism": ("src/repro/*", "examples/*", "tests/*"),
     "resource-hygiene": ("src/repro/*", "benchmarks/*", "examples/*", "docs/*"),
@@ -63,7 +58,7 @@ DEFAULT_RULE_PATHS: dict[str, tuple[str, ...]] = {
 DEFAULT_OPTIONS: dict[str, dict] = {
     "mp-hygiene": {
         # The only modules allowed to touch raw multiprocessing primitives;
-        # everything else goes through ProcessPool / RankCommunicator.
+        # everything else goes through ProcessPool / ProcessCommunicator.
         "allowed_files": (
             "src/repro/core/procpool.py",
             "src/repro/distributed/process_comm.py",
@@ -82,27 +77,6 @@ DEFAULT_OPTIONS: dict[str, dict] = {
             "IOError",
             "EnvironmentError",
             "SystemError",
-        ),
-    },
-    "lock-order": {
-        # Calls considered blocking when made while holding a lock.  join/
-        # recv/get only count with zero positional arguments (so dict.get(k)
-        # and ", ".join(parts) never false-positive); sleep always counts.
-        "blocking_calls": ("join", "recv", "get", "sleep"),
-    },
-    "pickle-contract": {
-        # Record/config classes that cross process boundaries without being
-        # codecs; they must be dataclasses (frozen preferred) or define the
-        # explicit __getstate__/__setstate__ pair.
-        "record_classes": (
-            "SimulatorConfig",
-            "FaultPolicy",
-            "FaultPlan",
-            "KillWorker",
-            "DropComm",
-            "DelayComm",
-            # Crosses the worker -> parent pipe on every block task.
-            "TaskStats",
         ),
     },
 }

@@ -11,9 +11,7 @@ in the rule modules (:mod:`repro.tools.lint.rules`).  It owns four things:
   the suppression inventory stays auditable.
 * :class:`LintRule` and the rule registry — rules are classes registered by
   the :func:`rule` decorator.  A rule sees one parsed module at a time
-  (:meth:`LintRule.check_module`) and, for whole-program analyses such as
-  the lock-order deadlock detector, every module at the end
-  (:meth:`LintRule.finalize`).
+  (:meth:`LintRule.check_module`).
 * :func:`lint_paths` — file discovery, parsing, rule dispatch, suppression
   filtering, and the :class:`LintReport` the CLI turns into text/JSON and an
   exit code.
@@ -280,13 +278,8 @@ class LintRule:
 
     A rule defines a stable kebab-case ``id`` (the suppression token and the
     JSON key), a one-line ``summary`` for ``--list-rules``, and overrides
-    one or both hooks:
-
-    * :meth:`check_module` — called once per enabled file; return (or yield)
-      diagnostics for that file alone.
-    * :meth:`finalize` — called once with every enabled file after the
-      per-module pass; the hook for whole-program analyses (lock graphs,
-      cross-module class hierarchies).
+    :meth:`check_module`, called once per enabled file to return (or yield)
+    diagnostics for that file alone.
     """
 
     id: str = ""
@@ -294,11 +287,6 @@ class LintRule:
 
     def check_module(self, ctx: ModuleContext):
         """Per-file check; the default finds nothing."""
-
-        return ()
-
-    def finalize(self, modules: list[ModuleContext]):
-        """Whole-program check over every enabled file; default: nothing."""
 
         return ()
 
@@ -384,21 +372,24 @@ def _discover(paths: list[Path], config) -> list[tuple[Path, str]]:
     return [(files[rel], rel) for rel in sorted(files)]
 
 
-def lint_paths(paths: list[Path], config) -> LintReport:
-    """Lint every Python file under *paths* according to *config*."""
+def _lint(sources, registry, selected: frozenset[str], options) -> LintReport:
+    """Check ``(path, rel, source, enabled rule ids)`` tuples with *selected*.
 
-    registry = all_rules()
+    The one runner behind :func:`lint_paths` and :func:`lint_source`: parse,
+    run each enabled rule's :meth:`~LintRule.check_module`, and split the
+    findings into surviving and suppressed diagnostics.
+    """
+
     known = frozenset(registry) | _UNSUPPRESSABLE
-    selected = config.selected_rules(frozenset(registry))
-
-    contexts: list[ModuleContext] = []
-    diagnostics: list[Diagnostic] = []
-    for path, rel in _discover(paths, config):
-        source = path.read_text(encoding="utf-8")
+    checkers = {rule_id: registry[rule_id]() for rule_id in sorted(selected)}
+    kept: list[Diagnostic] = []
+    suppressed: list[Diagnostic] = []
+    files_checked = 0
+    for path, rel, source, enabled in sources:
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            diagnostics.append(
+            kept.append(
                 Diagnostic(
                     PARSE_ERROR,
                     rel,
@@ -408,41 +399,39 @@ def lint_paths(paths: list[Path], config) -> LintReport:
                 )
             )
             continue
-        enabled = config.enabled_for(rel) & selected
-        contexts.append(
-            ModuleContext(path, rel, source, tree, enabled, config.options, known)
+        files_checked += 1
+        ctx = ModuleContext(
+            path, rel, source, tree, enabled & selected, options, known
         )
-
-    for ctx in contexts:
-        diagnostics.extend(ctx.suppressions.problems)
-
-    for rule_id in sorted(selected):
-        checker = registry[rule_id]()
-        enabled_ctxs = [ctx for ctx in contexts if rule_id in ctx.enabled]
-        for ctx in enabled_ctxs:
-            diagnostics.extend(checker.check_module(ctx))
-        diagnostics.extend(checker.finalize(enabled_ctxs))
-
-    by_rel = {ctx.rel: ctx for ctx in contexts}
-    kept: list[Diagnostic] = []
-    suppressed: list[Diagnostic] = []
-    for diagnostic in diagnostics:
-        ctx = by_rel.get(diagnostic.path)
-        if (
-            diagnostic.rule not in _UNSUPPRESSABLE
-            and ctx is not None
-            and ctx.suppressions.covers(diagnostic.line, diagnostic.rule)
-        ):
-            suppressed.append(diagnostic)
-        else:
-            kept.append(diagnostic)
-
+        found = list(ctx.suppressions.problems)
+        for rule_id, checker in checkers.items():
+            if rule_id in ctx.enabled:
+                found.extend(checker.check_module(ctx))
+        for diagnostic in found:
+            if diagnostic.rule not in _UNSUPPRESSABLE and ctx.suppressions.covers(
+                diagnostic.line, diagnostic.rule
+            ):
+                suppressed.append(diagnostic)
+            else:
+                kept.append(diagnostic)
     return LintReport(
         diagnostics=sorted(kept, key=Diagnostic.sort_key),
         suppressed=sorted(suppressed, key=Diagnostic.sort_key),
-        files_checked=len(contexts),
+        files_checked=files_checked,
         rules_active=tuple(sorted(selected)),
     )
+
+
+def lint_paths(paths: list[Path], config) -> LintReport:
+    """Lint every Python file under *paths* according to *config*."""
+
+    registry = all_rules()
+    sources = (
+        (path, rel, path.read_text(encoding="utf-8"), config.enabled_for(rel))
+        for path, rel in _discover(paths, config)
+    )
+    selected = config.selected_rules(frozenset(registry))
+    return _lint(sources, registry, selected, config.options)
 
 
 def lint_source(
@@ -454,57 +443,14 @@ def lint_source(
 ) -> LintReport:
     """Lint one in-memory source string (the unit-test entry point).
 
-    *rules* restricts the run to the named rule ids (default: all); project
-    rules still run, seeing just this one module.  Suppression comments in
-    *source* behave exactly as they do on disk.
+    *rules* restricts the run to the named rule ids (default: all).
+    Suppression comments in *source* behave exactly as they do on disk.
     """
 
     registry = all_rules()
-    known = frozenset(registry) | _UNSUPPRESSABLE
     selected = frozenset(rules) if rules is not None else frozenset(registry)
     unknown = selected - frozenset(registry)
     if unknown:
         raise ValueError(f"unknown rule id(s): {sorted(unknown)}")
-
-    diagnostics: list[Diagnostic] = []
-    try:
-        tree = ast.parse(source, filename=rel)
-    except SyntaxError as exc:
-        diagnostics.append(
-            Diagnostic(
-                PARSE_ERROR,
-                rel,
-                exc.lineno or 1,
-                (exc.offset or 0) + 1,
-                f"cannot parse: {exc.msg}",
-            )
-        )
-        return LintReport(
-            diagnostics=diagnostics,
-            files_checked=1,
-            rules_active=tuple(sorted(selected)),
-        )
-
-    ctx = ModuleContext(
-        Path(rel), rel, source, tree, selected, options or {}, known
-    )
-    diagnostics.extend(ctx.suppressions.problems)
-    for rule_id in sorted(selected):
-        checker = registry[rule_id]()
-        diagnostics.extend(checker.check_module(ctx))
-        diagnostics.extend(checker.finalize([ctx]))
-
-    kept, suppressed = [], []
-    for diagnostic in diagnostics:
-        if diagnostic.rule not in _UNSUPPRESSABLE and ctx.suppressions.covers(
-            diagnostic.line, diagnostic.rule
-        ):
-            suppressed.append(diagnostic)
-        else:
-            kept.append(diagnostic)
-    return LintReport(
-        diagnostics=sorted(kept, key=Diagnostic.sort_key),
-        suppressed=sorted(suppressed, key=Diagnostic.sort_key),
-        files_checked=1,
-        rules_active=tuple(sorted(selected)),
-    )
+    sources = [(Path(rel), rel, source, selected)]
+    return _lint(sources, registry, selected, options or {})

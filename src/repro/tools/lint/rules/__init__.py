@@ -11,10 +11,8 @@ from . import (  # noqa: F401  (imported for their registration side effect)
     determinism,
     docstrings,
     error_taxonomy,
-    lock_order,
     mp_hygiene,
     njit_purity,
-    pickle_contract,
     resource_hygiene,
     suppression_format,
 )
@@ -23,10 +21,8 @@ __all__ = [
     "determinism",
     "docstrings",
     "error_taxonomy",
-    "lock_order",
     "mp_hygiene",
     "njit_purity",
-    "pickle_contract",
     "resource_hygiene",
     "suppression_format",
 ]

@@ -157,6 +157,34 @@ class TestCheckpointRobustness:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(target)
 
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        # save_checkpoint is atomic: a crash after the first block was
+        # written leaves no torn file under the final name.
+        from repro.core import checkpoint
+
+        simulator = CompressedSimulator(6, _config())
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(simulator, path)
+        previous = path.read_bytes()
+        simulator.apply_circuit(qft_circuit(6))
+
+        class FailsOnSecondBlock:
+            real = checkpoint._BLOCK_HEADER
+            calls = 0
+
+            def pack(self, *fields):
+                self.calls += 1
+                if self.calls == 2:
+                    raise OSError("disk full")
+                return self.real.pack(*fields)
+
+        monkeypatch.setattr(checkpoint, "_BLOCK_HEADER", FailsOnSecondBlock())
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(simulator, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == previous
+        assert load_checkpoint(path).gate_count == 0
+
     def test_bad_magic_rejected(self, valid_checkpoint):
         payload, tmp_path = valid_checkpoint
         target = tmp_path / "magic.bin"

@@ -94,7 +94,6 @@ def _conformance_script_simulated(num_ranks: int) -> CommunicationStats:
     for rank_a, rank_b in ((0, 1),) if num_ranks == 2 else ((0, 1), (2, 3), (0, 2)):
         comm.exchange_blocks(rank_a, rank_b, PAYLOAD_SIZE)
     comm.allreduce_sum([float(r + 1) for r in range(num_ranks)])
-    comm.barrier()
     return comm.stats
 
 
@@ -111,7 +110,6 @@ def _conformance_script_process(endpoint: ProcessCommunicator):
         elif rank == rank_b:
             received.append(endpoint.sendrecv_bytes(rank_a, _payload(rank, PAYLOAD_SIZE)))
     total = endpoint.allreduce_sum(float(rank + 1))
-    endpoint.barrier()
     return received, total
 
 
@@ -229,12 +227,12 @@ class TestProcessCommunicator:
         finally:
             arena.close()
 
-    def test_barrier_times_out_without_peers(self):
+    def test_allreduce_times_out_without_peers(self):
         arena = RankCommArena(2)
         try:
             endpoint = arena.endpoint(1, timeout=0.3)
-            with pytest.raises(ProcessCommTimeout, match="barrier"):
-                endpoint.barrier()
+            with pytest.raises(ProcessCommTimeout, match="allreduce"):
+                endpoint.allreduce_sum(1.0)
             endpoint.close()
         finally:
             arena.close()
@@ -246,7 +244,6 @@ class TestProcessCommunicator:
                 totals.append(
                     endpoint.allreduce_sum(float(endpoint.rank + round_index))
                 )
-                endpoint.barrier()
             return totals
 
         results, stats = _run_process_script(4, script)
@@ -256,7 +253,6 @@ class TestProcessCommunicator:
         ]
         assert all(result == expected for result in results)
         assert all(entry["allreduces"] == 5 for entry in stats)
-        assert all(entry["barriers"] == 5 for entry in stats)
 
     def test_arena_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -282,12 +278,11 @@ class TestAggregateRankStats:
 
     def test_collectives_counted_once(self):
         per_rank = [
-            CommunicationStats(messages=2, bytes_sent=16, allreduces=1, barriers=2)
+            CommunicationStats(messages=2, bytes_sent=16, allreduces=1)
             for _ in range(4)
         ]
         total = aggregate_rank_stats(per_rank)
         assert total.allreduces == 1
-        assert total.barriers == 2
         assert total.messages == 8
 
     def test_accepts_dicts(self):

@@ -15,18 +15,6 @@ from repro.distributed import (
 
 
 class TestSimulatedCommunicator:
-    def test_send_accounting(self):
-        comm = SimulatedCommunicator(4)
-        comm.send(0, 1, 1000)
-        comm.send(1, 2, 500)
-        assert comm.stats.messages == 2
-        assert comm.stats.bytes_sent == 1500
-
-    def test_send_to_self_is_free(self):
-        comm = SimulatedCommunicator(2)
-        comm.send(1, 1, 999)
-        assert comm.stats.messages == 0
-
     def test_exchange_blocks_counts_both_directions(self):
         comm = SimulatedCommunicator(2)
         comm.exchange_blocks(0, 1, 256)
@@ -37,7 +25,7 @@ class TestSimulatedCommunicator:
     def test_rank_range_checked(self):
         comm = SimulatedCommunicator(2)
         with pytest.raises(ValueError):
-            comm.send(0, 5, 10)
+            comm.exchange_blocks(0, 5, 10)
 
     def test_allreduce_sum(self):
         comm = SimulatedCommunicator(4)
@@ -60,10 +48,10 @@ class TestSimulatedCommunicator:
     def test_reset(self):
         comm = SimulatedCommunicator(2, bandwidth_bytes_per_s=1e6)
         comm.exchange_blocks(0, 1, 100)
-        comm.barrier()
+        comm.allreduce_sum([1.0, 2.0])
         comm.reset()
         assert comm.stats.bytes_sent == 0
-        assert comm.stats.barriers == 0
+        assert comm.stats.allreduces == 0
         assert comm.modelled_seconds == 0.0
 
     def test_invalid_rank_count(self):

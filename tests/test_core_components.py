@@ -351,12 +351,6 @@ class TestSimulationReport:
         with pytest.raises(KeyError):
             SimulationReport().add_time("flux_capacitor", 1.0)
 
-    def test_timer_context_manager(self):
-        report = SimulationReport()
-        with report.timer("computation"):
-            sum(range(1000))
-        assert report.computation_seconds > 0
-
     def test_observers(self):
         report = SimulationReport()
         report.observe_ratio(10.0)

@@ -29,9 +29,16 @@ def test_repository_lints_clean(report):
     assert report.files_checked > 100  # the walk really covered the tree
 
 
-def test_rule_catalog_has_at_least_eight_active_rules(report):
-    assert len(report.rules_active) >= 8
-    assert set(report.rules_active) == set(all_rules())
+def test_rule_catalog_is_exactly_the_seven_rules(report):
+    assert set(report.rules_active) == set(all_rules()) == {
+        "determinism",
+        "docstring-coverage",
+        "error-taxonomy",
+        "mp-hygiene",
+        "njit-purity",
+        "resource-hygiene",
+        "suppression-format",
+    }
 
 
 def test_every_suppression_in_tree_is_reasoned(report):

@@ -2,8 +2,7 @@
 
 Every rule gets at least one snippet it must flag, one it must stay silent
 on, and one where a reasoned suppression moves the diagnostic to the
-suppressed list.  The seeded deadlock corpus under ``tests/lint_fixtures/``
-is asserted flagged with the exact rule id and cycle path.
+suppressed list.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.lint import LintConfig, lint_paths, lint_source
+from repro.tools.lint import LintConfig, lint_source
 from repro.tools.lint.cli import main as lint_main
 from repro.tools.lint.config import DEFAULT_OPTIONS, project_config
-
-FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 
 def run(source: str, *rules: str, options: dict | None = None):
@@ -466,315 +463,6 @@ class TestNjitPurity:
 
 
 # ---------------------------------------------------------------------------
-# pickle-contract
-# ---------------------------------------------------------------------------
-
-
-class TestPickleContract:
-    def test_flags_codec_without_pair(self):
-        report = run(
-            """\
-            class LeakyCodec:
-                def __init__(self, bound):
-                    self._bound = bound
-                    self._table = list(range(16))
-
-                def compress(self, data):
-                    return bytes(data)
-
-                def decompress(self, blob):
-                    return blob
-            """,
-            "pickle-contract",
-        )
-        assert len(report.diagnostics) == 1
-        assert "__getstate__ and __setstate__" in messages(report)[0]
-
-    def test_explicit_pair_and_frozen_dataclass_are_clean(self):
-        report = run(
-            """\
-            from dataclasses import dataclass
-
-            class GoodCodec:
-                def __init__(self, bound):
-                    self._bound = bound
-
-                def compress(self, data):
-                    return bytes(data)
-
-                def decompress(self, blob):
-                    return blob
-
-                def __getstate__(self):
-                    return {"bound": self._bound}
-
-                def __setstate__(self, state):
-                    self.__init__(**state)
-
-            @dataclass(frozen=True)
-            class FrozenCodec:
-                bound: float
-
-                def compress(self, data):
-                    return bytes(data)
-
-                def decompress(self, blob):
-                    return blob
-            """,
-            "pickle-contract",
-        )
-        assert report.diagnostics == []
-
-    def test_pair_inherited_through_project_mro_is_clean(self):
-        report = run(
-            """\
-            class PickleBase:
-                def __getstate__(self):
-                    return {"bound": self._bound}
-
-                def __setstate__(self, state):
-                    self.__init__(**state)
-
-            class Derived(PickleBase):
-                def __init__(self, bound):
-                    self._bound = bound
-
-                def compress(self, data):
-                    return bytes(data)
-
-                def decompress(self, blob):
-                    return blob
-            """,
-            "pickle-contract",
-        )
-        assert report.diagnostics == []
-
-    def test_abstract_interfaces_are_exempt(self):
-        report = run(
-            """\
-            from abc import ABC, abstractmethod
-
-            class Compressor(ABC):
-                @abstractmethod
-                def compress(self, data):
-                    ...
-
-                @abstractmethod
-                def decompress(self, blob):
-                    ...
-            """,
-            "pickle-contract",
-        )
-        assert report.diagnostics == []
-
-    def test_flags_wrong_getstate_and_setstate_shapes(self):
-        report = run(
-            """\
-            class ShapeCodec:
-                def __init__(self, bound):
-                    self._bound = bound
-
-                def compress(self, data):
-                    return bytes(data)
-
-                def decompress(self, blob):
-                    return blob
-
-                def __getstate__(self):
-                    state = {"bound": self._bound}
-                    return state
-
-                def __setstate__(self, state):
-                    self._bound = state["bound"]
-            """,
-            "pickle-contract",
-        )
-        joined = "\n".join(messages(report))
-        assert len(report.diagnostics) == 2
-        assert "single 'return {...}'" in joined
-        assert "self.__init__(**state)" in joined
-
-    def test_record_class_must_be_dataclass_or_carry_pair(self):
-        options = {"pickle-contract": {"record_classes": ("JobSpec",)}}
-        offending = run(
-            """\
-            class JobSpec:
-                def __init__(self, name):
-                    self.name = name
-            """,
-            "pickle-contract",
-            options=options,
-        )
-        assert len(offending.diagnostics) == 1
-        assert "record class 'JobSpec'" in messages(offending)[0]
-
-        clean = run(
-            """\
-            from dataclasses import dataclass
-
-            @dataclass
-            class JobSpec:
-                name: str
-            """,
-            "pickle-contract",
-            options=options,
-        )
-        assert clean.diagnostics == []
-
-
-# ---------------------------------------------------------------------------
-# lock-order
-# ---------------------------------------------------------------------------
-
-
-class TestLockOrder:
-    def test_flags_self_deadlock_on_plain_lock(self):
-        report = run(
-            """\
-            import threading
-
-            class Bad:
-                def __init__(self):
-                    self._m = threading.Lock()
-
-                def work(self):
-                    with self._m:
-                        with self._m:
-                            pass
-            """,
-            "lock-order",
-        )
-        assert len(report.diagnostics) == 1
-        assert "guaranteed self-deadlock" in messages(report)[0]
-
-    def test_rlock_reentry_is_clean(self):
-        report = run(
-            """\
-            import threading
-
-            class Fine:
-                def __init__(self):
-                    self._m = threading.RLock()
-
-                def outer(self):
-                    with self._m:
-                        self.inner()
-
-                def inner(self):
-                    with self._m:
-                        pass
-            """,
-            "lock-order",
-        )
-        assert report.diagnostics == []
-
-    def test_dict_get_and_str_join_under_lock_are_clean(self):
-        report = run(
-            """\
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._mutex = threading.Lock()
-                    self._entries = {}
-
-                def lookup(self, key):
-                    with self._mutex:
-                        return self._entries.get(key)
-
-                def describe(self, parts):
-                    with self._mutex:
-                        return ", ".join(parts)
-            """,
-            "lock-order",
-        )
-        assert report.diagnostics == []
-
-    def test_condition_wait_under_own_lock_is_clean(self):
-        report = run(
-            """\
-            import threading
-
-            class Pool:
-                def __init__(self):
-                    self._available = threading.Condition()
-                    self._free = []
-
-                def lease(self):
-                    with self._available:
-                        while not self._free:
-                            self._available.wait()
-                        return self._free.pop()
-            """,
-            "lock-order",
-        )
-        assert report.diagnostics == []
-
-    def test_queue_get_under_lock_is_flagged(self):
-        report = run(
-            """\
-            import threading
-
-            class Drain:
-                def __init__(self, queue):
-                    self._mutex = threading.Lock()
-                    self._queue = queue
-
-                def take(self):
-                    with self._mutex:
-                        return self._queue.get()
-            """,
-            "lock-order",
-        )
-        assert len(report.diagnostics) == 1
-        assert "blocking call get()" in messages(report)[0]
-
-
-# ---------------------------------------------------------------------------
-# The seeded deadlock regression corpus
-# ---------------------------------------------------------------------------
-
-
-class TestDeadlockFixtures:
-    def lint_fixture(self, name: str):
-        path = FIXTURES / name
-        return lint_source(
-            path.read_text(encoding="utf-8"),
-            rel=f"tests/lint_fixtures/{name}",
-            rules=("lock-order",),
-            options=DEFAULT_OPTIONS,
-        )
-
-    def test_cycle_fixture_flagged_with_cycle_path(self):
-        report = self.lint_fixture("deadlock_cycle.py")
-        assert [d.rule for d in report.diagnostics] == ["lock-order"]
-        message = report.diagnostics[0].message
-        assert message.startswith(
-            "lock-order cycle deadlock_cycle.LedgerPair._audit -> "
-            "deadlock_cycle.LedgerPair._ledger -> "
-            "deadlock_cycle.LedgerPair._audit"
-        )
-        # Both acquisition sites are reported, including the edge that only
-        # exists through the interprocedural call closure.
-        assert "via call to _stamp_audit()" in message
-        assert "acquired here" in message
-
-    def test_blocking_fixture_flags_both_sites(self):
-        report = self.lint_fixture("blocking_under_lock.py")
-        assert [d.rule for d in report.diagnostics] == ["lock-order", "lock-order"]
-        joined = "\n".join(messages(report))
-        assert "blocking call recv()" in joined
-        assert "blocking call sleep()" in joined
-        assert "blocking_under_lock.ReplyPump._mutex" in joined
-
-    def test_fixture_corpus_is_excluded_from_project_lint(self):
-        config = project_config()
-        assert config.excluded("tests/lint_fixtures/deadlock_cycle.py")
-        report = lint_paths([FIXTURES], config)
-        assert report.files_checked == 0
-
-
-# ---------------------------------------------------------------------------
 # Engine mechanics: suppressions, parse errors, report shape
 # ---------------------------------------------------------------------------
 
@@ -861,7 +549,7 @@ class TestConfigAndCli:
         test_rules = config.enabled_for("tests/test_cache.py")
         assert "docstring-coverage" in src_rules
         assert "docstring-coverage" not in test_rules
-        assert "lock-order" in src_rules and "lock-order" in test_rules
+        assert "njit-purity" in src_rules and "njit-purity" in test_rules
 
     def test_selected_rules_filtering(self):
         registry = frozenset({"a", "b", "c"})
@@ -878,10 +566,8 @@ class TestConfigAndCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "pickle-contract",
             "njit-purity",
             "error-taxonomy",
-            "lock-order",
             "determinism",
             "mp-hygiene",
             "docstring-coverage",
@@ -900,4 +586,6 @@ class TestConfigAndCli:
     def test_cli_exit_codes_for_usage_errors(self, tmp_path, capsys):
         assert lint_main([str(tmp_path / "missing.py")]) == 2
         assert lint_main(["--select", "no-such-rule"]) == 2
+        assert lint_main(["--select", "lock-order"]) == 2  # removed in 1.6
+        assert lint_main(["--select", "pickle-contract"]) == 2
         capsys.readouterr()

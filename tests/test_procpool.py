@@ -16,8 +16,11 @@ Three contracts are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +35,8 @@ from repro.applications import (
 )
 from repro.backends import BackendError
 from repro.backends.base import Backend
+from repro.compression import ErrorBoundMode, available_compressors, get_compressor
+from repro.compression.engines import EngineFallbackWarning
 from repro.compression.huffman import HuffmanCodec
 from repro.core import (
     CompressedSimulator,
@@ -39,14 +44,20 @@ from repro.core import (
     TaskExecutor,
     effective_cpu_count,
 )
+from repro.core.kernel import TaskStats
 from repro.core.procpool import ProcessPool, live_pool_count
 from repro.distributed.ranked import RankedExecutor
 from repro.resilience import FaultPolicy
+from repro.resilience.faults import DelayComm, DropComm, FaultPlan, KillWorker
 
 #: Pin for tests that assert exact failure propagation or exact cache
 #: counters: an inert policy keeps them deterministic even when the suite
 #: runs under a chaos fault plan (the CI chaos job).
 NO_RECOVERY = FaultPolicy(max_retries=0)
+
+
+#: Every spelling the registry accepts: names, aliases and solution letters.
+EVERY_CODEC_NAME = available_compressors() + ("a", "b", "c", "d")
 
 
 def _final_state(num_qubits: int, circuit, **config_kwargs) -> np.ndarray:
@@ -72,17 +83,54 @@ class TestCodecPicklability:
         assert clone.describe() == codec.describe()
 
     def test_pickled_lossy_families_round_trip(self, compressor_name, spiky_data):
-        from repro.compression import get_compressor
-
         codec = get_compressor(compressor_name, bound=1e-3)
         clone = pickle.loads(pickle.dumps(codec))
         assert clone.compress(spiky_data) == codec.compress(spiky_data)
         assert clone.bound == codec.bound and clone.mode is codec.mode
 
-    def test_pickle_payload_is_constructor_sized(self, make_codec):
-        # The state must stay cheap: constructor arguments, not tables.
-        payload = pickle.dumps(make_codec("sz"))
-        assert len(payload) < 400
+    def test_pickle_payload_is_constructor_sized(self, engine):
+        # The state must stay cheap: constructor arguments, not tables or the
+        # resolved engine (the codec rides every ranked gate message).
+        codecs = [get_compressor(name, engine=engine) for name in EVERY_CODEC_NAME]
+        for codec in codecs + [HuffmanCodec(engine=engine)]:
+            assert len(pickle.dumps(codec)) < 250, codec
+            assert all(
+                isinstance(value, (str, int, float, ErrorBoundMode))
+                for value in codec.__getstate__().values()
+            ), codec
+
+    @pytest.mark.parametrize("name", EVERY_CODEC_NAME)
+    def test_every_registered_name_round_trips(self, name, spiky_data):
+        codec = get_compressor(name)
+        clone = pickle.loads(pickle.dumps(codec))
+        blob = codec.compress(spiky_data)
+        assert type(clone) is type(codec)
+        assert clone.compress(spiky_data) == blob
+        assert np.array_equal(clone.decompress(blob), codec.decompress(blob))
+        assert (clone.mode, clone.bound, clone.engine) == (
+            codec.mode,
+            codec.bound,
+            "numpy",
+        )
+
+    @pytest.mark.parametrize(
+        "build",
+        [functools.partial(get_compressor, name) for name in EVERY_CODEC_NAME]
+        + [HuffmanCodec],
+        ids=EVERY_CODEC_NAME + ("huffman",),
+    )
+    def test_clone_reports_the_requested_engine(self, build):
+        # The requested name is what pickles — never the resolved instance,
+        # also not the one an outer codec hands its inner codec — so on a
+        # numba-less host the clone still asks for numba, and unpickling
+        # re-resolves without a second fallback warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EngineFallbackWarning)
+            codec = build(engine="numba")  # the one-time latch may fire here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clone = pickle.loads(pickle.dumps(codec))
+        assert clone.engine == codec.engine == "numba"
 
     def test_huffman_codec_pickles(self):
         codec = HuffmanCodec(window_bits=11)
@@ -93,12 +141,20 @@ class TestCodecPicklability:
         assert np.array_equal(clone.decode(blob), symbols)
 
     def test_fpzip_pickles_with_derived_bound(self):
-        from repro.compression import get_compressor
-
         codec = get_compressor("fpzip", precision=22)
         clone = pickle.loads(pickle.dumps(codec))
         assert clone.bound == codec.bound
         assert clone.precision == codec.precision
+
+
+@pytest.mark.parametrize(
+    "record",
+    [SimulatorConfig, FaultPolicy, FaultPlan, KillWorker, DropComm, DelayComm, TaskStats],
+)
+def test_process_boundary_records_pickle_by_value(record):
+    # Config, policy, fault-plan entries and the per-task stats reply cross
+    # the parent↔worker pipe: plain-field dataclasses, or an explicit reduce.
+    assert dataclasses.is_dataclass(record) or "__reduce__" in vars(record)
 
 
 # ---------------------------------------------------------------------------

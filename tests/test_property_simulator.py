@@ -22,6 +22,7 @@ from repro.circuits import QuantumCircuit
 from repro.core import CompressedSimulator
 from repro.distributed.ranked import RankedExecutor
 from repro.statevector import simulate_statevector, state_fidelity
+from tiers import TIERS, tier_config
 
 NUM_QUBITS = 6
 
@@ -92,43 +93,32 @@ def run_heavy_circuits(draw) -> QuantumCircuit:
     return circuit
 
 
-#: Execution tiers of the bit-equality property, on top of four ranks of 16
-#: amplitudes (so a rank-segment target pairs blocks of different ranks).
-#: "process" is the other spelling of the ranked tier — one worker per rank,
-#: here two ranks of 32.
-TIERS = {
-    "sequential": {},
-    "thread": dict(num_workers=2),
-    "process": dict(num_ranks=2, num_workers=2, executor="process"),
-    "ranked": dict(comm="process"),
-}
-
-
 def _bits(state: np.ndarray) -> np.ndarray:
     return state.view(np.float64)
 
 
 class TestLosslessEquivalence:
-    @pytest.mark.parametrize("tier", list(TIERS))
+    @pytest.mark.parametrize("tier", TIERS)
     @given(circuit=run_heavy_circuits(), block=st.sampled_from([4, 8, 16]))
     @settings(max_examples=12, deadline=None)
     def test_default_config_is_bit_equal_to_dense_on_every_tier(
-        self, tier, circuit, block, simulator_config
+        self, tier, circuit, block
     ):
         # Four ranks of 16 amplitudes: qubits 4-5 are the RANK segment, and
         # the block size moves the LOCAL / BLOCK boundary from qubit 2 to
         # qubit 4 (one block per rank, no BLOCK bits), so same-target
         # stretches land in all three segments.
         states = {}
-        for fusion, options in ((True, TIERS[tier]), (False, {})):
-            geometry = dict(num_ranks=4, block_amplitudes=block, fusion_enabled=fusion)
-            config = simulator_config(**(geometry | options))
+        for fusion, name in ((True, tier), (False, "sequential")):
+            config = tier_config(
+                name, num_ranks=4, block_amplitudes=block, fusion_enabled=fusion
+            )
             with CompressedSimulator(NUM_QUBITS, config) as simulator:
                 report = simulator.apply_circuit(circuit)
                 states[fusion] = simulator.statevector()
                 if fusion:
                     assert report.gates_executed == report.fusion_gates_out
-                    ranked = tier in ("process", "ranked")
+                    ranked = tier.startswith("ranked")
                     assert config.tier == ("ranked" if ranked else tier)
                     assert isinstance(simulator.executor, RankedExecutor) == ranked
                     assert bool(report.rank_comm) == ranked

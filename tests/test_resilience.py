@@ -164,40 +164,34 @@ class TestErrorTaxonomy:
 class TestFaultPolicy:
     def test_default_policy_is_inert(self):
         policy = FaultPolicy()
-        assert not policy.active
+        assert policy.max_retries == 0 and policy.checkpoint_interval_waves == 0
         assert resolve_fault_policy(None) == policy
 
     def test_validation_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             FaultPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            FaultPolicy(backoff_jitter=1.5)
-
-    def test_backoff_is_deterministic_and_capped(self):
-        policy = FaultPolicy(
-            max_retries=3,
-            backoff_base_seconds=0.5,
-            backoff_multiplier=4.0,
-            backoff_max_seconds=1.0,
-            seed=3,
-        )
-        first = [policy.backoff_seconds(n) for n in range(4)]
-        second = [policy.backoff_seconds(n) for n in range(4)]
-        assert first == second
-        assert all(b <= 1.0 for b in first)
-        assert first[0] >= 0.5
+            FaultPolicy(checkpoint_interval_waves=-1)
 
     def test_env_spec_is_parsed(self, monkeypatch):
         monkeypatch.setenv(
             "REPRO_FAULT_POLICY",
-            "max_retries=3,checkpoint_interval_waves=8,seed=7",
+            "max_retries=3,checkpoint_interval_waves=8,checkpoint_dir=/tmp/ckpt",
         )
         policy = resolve_fault_policy(None)
-        assert policy.max_retries == 3
-        assert policy.checkpoint_interval_waves == 8
-        assert policy.seed == 7
+        assert policy == FaultPolicy(
+            max_retries=3, checkpoint_interval_waves=8, checkpoint_dir="/tmp/ckpt"
+        )
 
-    @pytest.mark.parametrize("spec", ["retries=3", "max_retries=2,degrade_to=thread"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "retries=3",
+            "max_retries=2,degrade_to=thread",
+            "max_retries=2,backoff_base_seconds=0.1",
+            "max_retries=2,seed=7",
+        ],
+    )
     def test_env_spec_rejects_unknown_and_removed_keys(self, monkeypatch, spec):
         monkeypatch.setenv("REPRO_FAULT_POLICY", spec)
         with pytest.raises(
