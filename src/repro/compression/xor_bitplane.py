@@ -142,6 +142,10 @@ class XorBitplaneCompressor(Compressor):
         keep_bytes, _bound, codes_len, suffix_len, exc_len, exc_count = struct.unpack(
             "<BdIIIQ", extra
         )
+        # Checked up front: with no exceptions the third sub-blob is never
+        # read, so a blob missing its tail would otherwise decode silently.
+        if len(blob) < offset + codes_len + suffix_len + exc_len:
+            raise CompressorError("truncated Solution C blob (payload)")
         codes_blob = blob[offset : offset + codes_len]
         suffix_blob = blob[offset + codes_len : offset + codes_len + suffix_len]
         exc_blob = blob[

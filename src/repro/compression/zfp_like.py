@@ -141,20 +141,24 @@ class ZFPLikeCompressor(Compressor):
         return header + widths.tobytes() + packed.tobytes()
 
     def _decode_abs(self, blob: bytes, count: int) -> np.ndarray:
-        step, total, total_bits = struct.unpack_from("<dQQ", blob, 0)
-        offset = struct.calcsize("<dQQ")
-        num_blocks = total // BLOCK_SIZE
-        widths = np.frombuffer(blob, dtype=np.uint8, count=num_blocks, offset=offset)
-        offset += num_blocks
-        packed = np.frombuffer(blob, dtype=np.uint8, offset=offset)
-        bits = (
-            np.unpackbits(packed)[:total_bits]
-            if total_bits
-            else np.zeros(0, dtype=np.uint8)
-        )
-
-        per_coeff_width = np.repeat(widths.astype(np.int64), BLOCK_SIZE)
-        zigzag = unpack_bitfields(bits, per_coeff_width)
+        try:
+            step, total, total_bits = struct.unpack_from("<dQQ", blob, 0)
+            offset = struct.calcsize("<dQQ")
+            num_blocks = total // BLOCK_SIZE
+            widths = np.frombuffer(
+                blob, dtype=np.uint8, count=num_blocks, offset=offset
+            )
+            offset += num_blocks
+            packed = np.frombuffer(blob, dtype=np.uint8, offset=offset)
+            bits = (
+                np.unpackbits(packed)[:total_bits]
+                if total_bits
+                else np.zeros(0, dtype=np.uint8)
+            )
+            per_coeff_width = np.repeat(widths.astype(np.int64), BLOCK_SIZE)
+            zigzag = unpack_bitfields(bits, per_coeff_width)
+        except (struct.error, ValueError) as exc:
+            raise CompressorError(f"truncated ZFP-like payload: {exc}") from exc
 
         signs = (zigzag & np.uint64(1)).astype(np.int64)
         magnitudes = (zigzag >> np.uint64(1)).astype(np.int64) + signs

@@ -108,8 +108,8 @@ class SimulatorConfig:
         (:class:`~repro.distributed.comm.SimulatedCommunicator`);
         ``"process"`` selects the ranked tier: each rank is a persistent
         worker process owning its partition slice, with entangling gates
-        moving real compressed blobs between ranks through shared-memory
-        channels (:mod:`repro.distributed.ranked`).  Results are
+        moving real compressed blobs between ranks over socket pairs
+        (:mod:`repro.distributed.ranked`).  Results are
         bit-identical across both tiers.  The ranked tier is the only
         process-parallel mechanism and is scaled with ``num_ranks``;
         :attr:`tier` reports which of ``"sequential"``, ``"thread"`` or

@@ -13,8 +13,8 @@ tickets.
 Two worker kinds build on :class:`ProcessPool`: the rank workers of
 :mod:`repro.distributed.ranked` (one process per rank, each owning its slice
 of the compressed state — the only process-parallel mechanism for a single
-circuit; their rank↔rank block exchange has its own shared-memory arena,
-:class:`~repro.distributed.process_comm.RankCommArena`) and the
+circuit; their rank↔rank block exchange rides socket pairs handed to them
+through ``worker_args``, see :mod:`repro.distributed.process_comm`) and the
 circuit-fanout workers of :mod:`repro.backends.parallel`, which run whole
 circuits on a warm per-process backend session.
 

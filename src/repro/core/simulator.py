@@ -185,7 +185,7 @@ class CompressedSimulator:
     def _build_ranked(self, initial_basis_state: int) -> None:
         """(Re)build the ranked tier: one worker process per rank, each
         holding its partition slice, with real inter-rank block exchange over
-        shared memory.  Imported lazily to keep the repro.distributed package
+        socket pairs.  Imported lazily to keep the repro.distributed package
         import-light.  Called from ``__init__`` and again from
         :meth:`_recover_ranked` after a rank death tears the pool down.
         """
@@ -565,7 +565,7 @@ class CompressedSimulator:
         1. Close the (partially dead) executor with a short join timeout —
            surviving ranks may be blocked in an exchange with the dead peer
            and need the SIGTERM escalation.
-        2. Rebuild the pool and arena.
+        2. Rebuild the pool (fresh workers, fresh rank↔rank links).
         3. :meth:`restore` the last resilience checkpoint — blocks into the
            fresh rank workers, parent-side bookkeeping (gate index, fidelity
            history, escalation count, adaptive-controller level) rewound —

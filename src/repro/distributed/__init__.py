@@ -5,7 +5,7 @@ is split over ranks and blocks (:mod:`~repro.distributed.partition`), gates
 are planned into per-block tasks and inter-rank exchanges
 (:mod:`~repro.distributed.exchange`), and the communication layer comes in
 two interchangeable tiers — the traffic-accounting
-:class:`SimulatedCommunicator` and the real shared-memory
+:class:`SimulatedCommunicator` and the real socket-pair
 :class:`ProcessCommunicator` behind the multi-rank execution tier of
 :mod:`~repro.distributed.ranked` (``SimulatorConfig(comm="process")``).
 """
@@ -17,7 +17,7 @@ from .comm import (
     aggregate_rank_stats,
 )
 from .exchange import BlockTask, GatePlan, plan_gate
-from .process_comm import ProcessCommunicator, RankCommArena
+from .process_comm import ProcessCommunicator, rank_links
 
 #: Names that live in :mod:`repro.distributed.ranked`, which imports from
 #: :mod:`repro.core` and therefore cannot load eagerly here (``repro.core``
@@ -40,7 +40,7 @@ __all__ = [
     "CommunicationStats",
     "aggregate_rank_stats",
     "ProcessCommunicator",
-    "RankCommArena",
+    "rank_links",
     "RankedExecutor",
     "RankedStateVector",
     "RankWorker",

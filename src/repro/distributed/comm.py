@@ -11,7 +11,7 @@ needs — point-to-point block exchange and an allreduce for norms:
 * :class:`~repro.distributed.process_comm.ProcessCommunicator` — the real
   thing at single-node scale: each rank is a worker process owning its
   partition slice (:mod:`repro.distributed.ranked`), and compressed blobs
-  actually cross process boundaries through shared-memory channels.
+  actually cross process boundaries over kernel socket pairs.
 
 A rank worker reaches its endpoint through two calls, ``sendrecv_bytes(peer,
 payload)`` and ``allreduce_sum(value)``; an ``mpi4py`` wrapper offering the

@@ -1,56 +1,43 @@
-"""Shared-memory rank-to-rank communication (the real inter-rank transport).
+"""Socket-pair rank-to-rank communication (the real inter-rank transport).
 
 This module reproduces, at single-node scale, the communication layer the
 paper runs over MPI (Sections 3.3 and 4): compressed blocks really do leave
 the address space of the rank that owns them.  Each rank of the
-:mod:`repro.distributed.ranked` execution tier holds one
-:class:`ProcessCommunicator` endpoint attached to a single
-:class:`RankCommArena` — a shared-memory segment the parent creates before
-the rank workers start — and moves payloads through lock-free chunked
-channels inside it:
+:mod:`repro.distributed.ranked` tier holds one :class:`ProcessCommunicator`
+whose *links* are one end each of a ``socket.socketpair()`` per hypercube
+neighbour ``rank ^ 2**k`` — the only pairs a gate plan can generate, since a
+rank-segment target qubit flips exactly one rank bit
+(:meth:`repro.distributed.partition.Partition.rank_pairs`).  The parent
+creates every pair with :func:`rank_links` before the rank workers start and
+keeps none of them.
 
-* **Point-to-point block exchange** (``sendrecv_bytes``): one directed
-  channel per hypercube neighbour pair ``(rank, rank ^ 2**k)`` — the only
-  pairs a gate plan can generate, since a rank-segment target qubit flips
-  exactly one rank bit (:meth:`repro.distributed.partition.Partition.rank_pairs`).
-  A channel is a sequence/acknowledge counter pair plus a payload area;
-  payloads larger than the area stream through it in chunks, so correctness
-  never depends on the channel capacity.
-* **Allreduce**: per-rank arrive/depart generation counters plus a value
-  slot per rank — a two-phase rendezvous that keeps the value slots stable
-  while any rank is still reading them.
+* **Block exchange** (``sendrecv_bytes``): a length-prefixed frame each way
+  over the pair's non-blocking link; one loop advances both directions, so
+  two payloads larger than the kernel socket buffer cannot block each other.
+* **Allreduce**: a recursive-doubling allgather over the same links, then one
+  sum in ascending rank order — every rank returns the bit-identical float.
 
-Synchronisation is by polling with exponential backoff (hot spin, then
-micro-sleeps): the critical sections are block-compression sized, so a
-condition-variable handshake would cost more than it saves.  Every blocking
-wait carries a deadline (:class:`ProcessCommTimeout`), so a dead peer turns
-into a prompt error instead of a hang — the parent's pool additionally
-detects dead worker processes on its own (see
-:meth:`repro.core.procpool.ProcessPool.recv_any`).
+Buffering, ordering and wake-ups are the kernel's.  A wait spins briefly
+(the ranks run in lock step, so the peer is usually microseconds away), then
+sleeps in ``select`` for what is left of its deadline; every blocking wait
+has one (:class:`~repro.errors.ProcessCommTimeout`), and a reset or closed
+link raises the same typed error at once.  Peer death is *not* detected
+through end-of-file (under fork every rank inherits every end): the deadline
+and the parent pool's dead-worker detection remain the contract.
 
-**Memory-ordering assumption.**  The publish/consume counters are plain
-stores with no explicit fences (pure Python has none to offer), so the
-"payload before counter" ordering the protocol relies on is guaranteed by
-x86's total store order — the architecture of the reference container and
-of CI.  A weakly-ordered CPU (aarch64) could in principle make a counter
-increment visible before the payload bytes it publishes; deploying the
-ranked tier there should swap in a fence-bearing transport — most naturally
-an mpi4py endpoint offering the same ``sendrecv_bytes`` / ``allreduce_sum``
-calls, which is the portable path to multi-node scale anyway.
-
-The accounting convention mirrors :class:`~repro.distributed.comm.SimulatedCommunicator`
-so the two are comparable field by field after
-:func:`~repro.distributed.comm.aggregate_rank_stats`: each endpoint counts
-what it sent, and collectives use the same recursive-doubling cost model the
-simulated communicator charges (the physical shared-memory writes are
-cheaper, but the modelled volume is what a network implementation would
-move).
+Accounting mirrors :class:`~repro.distributed.comm.SimulatedCommunicator`,
+field by field after :func:`~repro.distributed.comm.aggregate_rank_stats`:
+each endpoint counts what it sent, an allreduce the ``log2(r)`` eight-byte
+messages of the recursive-doubling model (the number of exchanges it makes).
 """
 
 from __future__ import annotations
 
+import contextlib
+import select
+import socket
 import time
-from multiprocessing import shared_memory
+from typing import Iterator
 
 import numpy as np
 
@@ -58,237 +45,67 @@ from .. import errors
 from ..resilience import faults as _faults
 from .comm import CommunicationStats
 
-__all__ = ["RankCommArena", "ProcessCommunicator"]
+__all__ = ["ProcessCommunicator", "rank_links"]
 
-#: Bytes of the per-channel header: seq, ack, message-total, chunk-length.
-_CHANNEL_HEADER_BYTES = 32
+#: Bytes of the little-endian length prefix of every frame.
+_HEADER_BYTES = 8
 
-#: Default per-channel payload capacity when none is derived from the block
-#: size (conformance tests exercise far smaller capacities to force chunking).
-DEFAULT_CHANNEL_CAPACITY = 1 << 16
-
-#: Default deadline for any single blocking communicator operation.
-DEFAULT_TIMEOUT_SECONDS = 120.0
+#: Fruitless send/receive attempts (a few hundred microseconds) before a wait
+#: stops spinning and sleeps in ``select``, which carries the deadline.
+_SPIN_ATTEMPTS = 200
 
 
-def _is_power_of_two(value: int) -> bool:
-    return value > 0 and value & (value - 1) == 0
+def _rank_bits(num_ranks: int) -> int:
+    """``log2(num_ranks)``, rejecting anything but a power of two."""
+
+    if num_ranks < 1 or num_ranks & (num_ranks - 1):
+        raise ValueError(f"num_ranks ({num_ranks}) must be a power of two")
+    return num_ranks.bit_length() - 1
 
 
-def _layout(num_ranks: int, channel_capacity: int) -> tuple[int, int, int]:
-    """Return ``(collective_bytes, channel_bytes, total_bytes)`` of a segment.
+@contextlib.contextmanager
+def rank_links(num_ranks: int) -> Iterator[list[dict[int, socket.socket]]]:
+    """Create the links of a *num_ranks* communicator group.
 
-    The collective region holds three per-rank arrays (arrive counters,
-    depart counters, float64 value slots); the channel region holds one
-    directed channel per (rank, rank-bit) pair.
+    Yields a list whose entry ``r`` maps each hypercube neighbour
+    ``r ^ 2**k`` to rank ``r``'s end of that pair's ``socket.socketpair()``
+    — the ``links`` argument of rank ``r``'s :class:`ProcessCommunicator`.
+    Leaving the block closes the creator's copy of every end: a parent that
+    hands them to rank workers (sockets cross ``Process(args=...)`` under
+    every start method) keeps no descriptor once the workers run; endpoints
+    used in-process must finish inside the block.
     """
 
-    rank_bits = num_ranks.bit_length() - 1
-    collective = 3 * 8 * num_ranks
-    channel = _CHANNEL_HEADER_BYTES + channel_capacity
-    total = collective + num_ranks * rank_bits * channel
-    return collective, channel, max(1, total)
-
-
-class RankCommArena:
-    """Parent-owned shared-memory segment backing one rank communicator group.
-
-    Created once by the ranked executor before its worker processes start;
-    the workers attach endpoints by :attr:`name`.  Only this owner unlinks
-    the segment (in :meth:`close`).
-
-    Parameters
-    ----------
-    num_ranks:
-        Number of ranks (power of two).
-    channel_capacity:
-        Payload bytes per directed channel.  Sized to one compressed block in
-        the ranked tier; larger payloads stream through in chunks, so this is
-        a throughput knob, not a correctness bound.
-    """
-
-    def __init__(
-        self, num_ranks: int, channel_capacity: int = DEFAULT_CHANNEL_CAPACITY
-    ) -> None:
-        if not _is_power_of_two(num_ranks):
-            raise ValueError(f"num_ranks ({num_ranks}) must be a power of two")
-        if channel_capacity < 1:
-            raise ValueError("channel_capacity must be >= 1")
-        self._num_ranks = int(num_ranks)
-        self._channel_capacity = int(channel_capacity)
-        _, _, total = _layout(self._num_ranks, self._channel_capacity)
-        self._shm = shared_memory.SharedMemory(create=True, size=total)
-        # Counters must start at zero; SharedMemory zero-fills on most
-        # platforms but the contract does not guarantee it.
-        self._shm.buf[:total] = b"\x00" * total
-
-    @property
-    def name(self) -> str:
-        """Segment name rank workers attach to."""
-
-        return self._shm.name
-
-    @property
-    def num_ranks(self) -> int:
-        """Number of ranks the arena is laid out for."""
-
-        return self._num_ranks
-
-    @property
-    def channel_capacity(self) -> int:
-        """Payload bytes per directed channel."""
-
-        return self._channel_capacity
-
-    def endpoint(
-        self, rank: int, timeout: float = DEFAULT_TIMEOUT_SECONDS
-    ) -> "ProcessCommunicator":
-        """Attach an in-process endpoint for *rank* (tests and tools).
-
-        Rank workers in other processes construct
-        :class:`ProcessCommunicator` directly from :attr:`name` instead.
-        """
-
-        return ProcessCommunicator(
-            self.name,
-            rank,
-            self._num_ranks,
-            self._channel_capacity,
-            timeout=timeout,
-        )
-
-    def close(self) -> None:
-        """Detach and unlink the segment (idempotent)."""
-
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-            pass
-
-
-class _Channel:
-    """One directed chunked channel inside the arena.
-
-    ``seq`` counts chunks published by the writer, ``ack`` chunks consumed by
-    the reader; the writer may only rewrite the payload area when
-    ``seq == ack``.  ``msg_total`` carries the full message length (written
-    with the first chunk), ``chunk_len`` the bytes of the current chunk.
-    """
-
-    def __init__(self, header: np.ndarray, payload: memoryview) -> None:
-        self._header = header
-        self._payload = payload
-        self._capacity = len(payload)
-
-    # -- writer side ---------------------------------------------------------------
-
-    def can_write(self) -> bool:
-        return int(self._header[0]) == int(self._header[1])
-
-    def write_chunk(self, chunk: bytes, message_total: int, first: bool) -> None:
-        self._payload[: len(chunk)] = chunk
-        self._header[3] = len(chunk)
-        if first:
-            self._header[2] = message_total
-        # Publishing the sequence number last makes the chunk visible only
-        # after its bytes and lengths are in place.
-        self._header[0] = int(self._header[0]) + 1
-
-    # -- reader side ---------------------------------------------------------------
-
-    def can_read(self) -> bool:
-        return int(self._header[0]) != int(self._header[1])
-
-    def read_chunk(self) -> tuple[bytes, int]:
-        chunk_len = int(self._header[3])
-        total = int(self._header[2])
-        chunk = bytes(self._payload[:chunk_len])
-        self._header[1] = int(self._header[1]) + 1
-        return chunk, total
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-
-class _ChunkSender:
-    """Progress-based state machine streaming one payload into a channel."""
-
-    def __init__(self, channel: _Channel, payload: bytes) -> None:
-        self._channel = channel
-        self._payload = payload
-        self._cursor = 0
-        self._sent_any = False
-        self.done = False
-
-    def step(self) -> bool:
-        """Write the next chunk if the channel is free; True on progress."""
-
-        if self.done or not self._channel.can_write():
-            return False
-        end = min(self._cursor + self._channel.capacity, len(self._payload))
-        self._channel.write_chunk(
-            self._payload[self._cursor : end],
-            len(self._payload),
-            first=not self._sent_any,
-        )
-        self._sent_any = True
-        self._cursor = end
-        if self._cursor >= len(self._payload):
-            self.done = True
-        return True
-
-
-class _ChunkReceiver:
-    """Progress-based state machine draining one payload from a channel."""
-
-    def __init__(self, channel: _Channel) -> None:
-        self._channel = channel
-        self._parts: list[bytes] = []
-        self._received = 0
-        self._total: int | None = None
-        self.done = False
-
-    def step(self) -> bool:
-        """Consume the next chunk if one is published; True on progress."""
-
-        if self.done or not self._channel.can_read():
-            return False
-        chunk, total = self._channel.read_chunk()
-        if self._total is None:
-            self._total = total
-        self._parts.append(chunk)
-        self._received += len(chunk)
-        if self._total is not None and self._received >= self._total:
-            self.done = True
-        return True
-
-    def result(self) -> bytes:
-        return b"".join(self._parts)
+    links: list[dict[int, socket.socket]] = [{} for _ in range(num_ranks)]
+    try:
+        for bit in range(_rank_bits(num_ranks)):
+            for rank in range(num_ranks):
+                peer = rank ^ (1 << bit)
+                if rank < peer:
+                    links[rank][peer], links[peer][rank] = socket.socketpair()
+        yield links
+    finally:
+        for ends in links:
+            for link in ends.values():
+                link.close()
 
 
 class ProcessCommunicator:
-    """One rank's endpoint of a shared-memory communicator group.
+    """One rank's endpoint of a socket-pair communicator group.
 
-    One instance is *one endpoint* of a :class:`RankCommArena`: it knows its
-    own ``rank`` and the total ``num_ranks``, real payload bytes cross
-    process boundaries through the arena's channels, and the allreduce
-    synchronises through its generation counters.  It accounts its own
-    traffic in :attr:`stats` (what *this* rank sent) and its blocking time in
-    :attr:`op_seconds`.  Exchanges are restricted to hypercube neighbours
-    (``peer == rank ^ 2**k``) — the only pairs the gate planner produces.
+    Real payload bytes cross process boundaries over its links, which exist
+    for hypercube neighbours only (``peer == rank ^ 2**k``) — the only pairs
+    the gate planner produces.
 
     Parameters
     ----------
-    arena_name:
-        Shared-memory segment name of the parent's :class:`RankCommArena`.
-    rank:
-        This endpoint's rank index.
-    num_ranks:
-        Total ranks (must match the arena's layout).
-    channel_capacity:
-        Payload bytes per channel (must match the arena's layout).
+    rank, num_ranks:
+        This endpoint's rank index and the total ranks (a power of two);
+        kept as attributes.
+    links:
+        Neighbour rank → this rank's end of the pair's connected socket, for
+        exactly the ``log2(num_ranks)`` hypercube neighbours (entry *rank* of
+        :func:`rank_links`).  The endpoint closes them in :meth:`close`.
     timeout:
         Deadline in seconds for any single blocking operation; exceeding it
         raises :class:`ProcessCommTimeout` (a dead peer, not a slow one —
@@ -297,233 +114,186 @@ class ProcessCommunicator:
         Rebuild count of the owning rank pool; forwarded to the fault
         harness so injected comm faults only arm in generation 0 (see
         :func:`repro.resilience.faults.arm_for_comm`).
+
+    Attributes
+    ----------
+    stats:
+        :class:`~repro.distributed.comm.CommunicationStats` of what *this*
+        rank sent (the endpoint convention
+        :func:`~repro.distributed.comm.aggregate_rank_stats` folds).
+    op_seconds:
+        Seconds spent blocked, per kind (``"exchange"``, ``"allreduce"``).
     """
 
     def __init__(
         self,
-        arena_name: str,
         rank: int,
         num_ranks: int,
-        channel_capacity: int = DEFAULT_CHANNEL_CAPACITY,
-        timeout: float = DEFAULT_TIMEOUT_SECONDS,
+        links: dict[int, socket.socket],
+        timeout: float = 120.0,
         pool_generation: int = 0,
     ) -> None:
-        if not _is_power_of_two(num_ranks):
-            raise ValueError(f"num_ranks ({num_ranks}) must be a power of two")
+        rank_bits = _rank_bits(num_ranks)
         if not 0 <= rank < num_ranks:
             raise ValueError(f"rank {rank} out of range (0..{num_ranks - 1})")
-        self._rank = int(rank)
-        self._num_ranks = int(num_ranks)
-        self._channel_capacity = int(channel_capacity)
+        neighbours = {rank ^ (1 << bit) for bit in range(rank_bits)}
+        if set(links) != neighbours:
+            raise ValueError(
+                f"rank {rank} of {num_ranks} needs one link per hypercube "
+                f"neighbour {sorted(neighbours)}, got {sorted(links)}"
+            )
+        self.rank = int(rank)
+        self.num_ranks = int(num_ranks)
+        self._rank_bits = rank_bits
         self._timeout = float(timeout)
-        self._rank_bits = num_ranks.bit_length() - 1
-        self._shm = shared_memory.SharedMemory(name=arena_name)
-        collective, channel_bytes, _ = _layout(num_ranks, channel_capacity)
-        buf = self._shm.buf
-        self._arrive = np.frombuffer(buf, dtype=np.uint64, count=num_ranks, offset=0)
-        self._depart = np.frombuffer(
-            buf, dtype=np.uint64, count=num_ranks, offset=8 * num_ranks
-        )
-        self._values = np.frombuffer(
-            buf, dtype=np.float64, count=num_ranks, offset=16 * num_ranks
-        )
-        self._channels: dict[tuple[int, int], _Channel] = {}
-        for src in range(num_ranks):
-            for bit in range(self._rank_bits):
-                index = src * self._rank_bits + bit
-                base = collective + index * channel_bytes
-                header = np.frombuffer(buf, dtype=np.uint64, count=4, offset=base)
-                payload = buf[
-                    base + _CHANNEL_HEADER_BYTES : base + channel_bytes
-                ]
-                self._channels[(src, src ^ (1 << bit))] = _Channel(header, payload)
-        self._generation = 0
-        self._stats = CommunicationStats()
-        self._op_seconds = {"exchange": 0.0, "allreduce": 0.0}
-        self._closed = False
-        self._fault_state = _faults.arm_for_comm(self._rank, pool_generation)
-
-    # -- the endpoint surface -------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        """This endpoint's rank index."""
-
-        return self._rank
-
-    @property
-    def num_ranks(self) -> int:
-        """Total ranks in the communicator group."""
-
-        return self._num_ranks
-
-    @property
-    def stats(self) -> CommunicationStats:
-        """Traffic this endpoint initiated (endpoint convention; see
-        :func:`~repro.distributed.comm.aggregate_rank_stats`)."""
-
-        return self._stats
-
-    @property
-    def op_seconds(self) -> dict:
-        """Measured seconds spent blocked, per operation kind."""
-
-        return dict(self._op_seconds)
+        self._links = dict(links)
+        for link in self._links.values():
+            link.setblocking(False)
+        self.stats = CommunicationStats()
+        self.op_seconds = {"exchange": 0.0, "allreduce": 0.0}
+        self._fault_state = _faults.arm_for_comm(self.rank, pool_generation)
 
     def sendrecv_bytes(self, peer: int, payload: bytes) -> bytes:
         """Exchange *payload* with *peer*; returns the peer's payload.
 
         The symmetric block exchange of Section 3.3 (third bullet): both
         ranks of a pair call it with matching *peer* arguments and each
-        returns the bytes the other sent.  Both endpoints drive their sender
-        and receiver state machines in one loop, so the exchange cannot
-        deadlock even when both payloads exceed the channel capacity and
-        stream through in chunks.
+        returns the bytes the other sent.
 
         Raises
         ------
         ValueError
-            If *peer* is out of range, equals this rank, or is not a
-            hypercube neighbour (no channel exists — gate plans never
-            produce such pairs).
+            If *peer* is out of range, this rank itself, or not a hypercube
+            neighbour (no link exists — gate plans never produce such pairs).
         ProcessCommTimeout
-            If the peer stops making progress before the deadline.
+            If the exchange is not complete by the deadline, or the link is
+            reset or closed (the ``OSError`` is the ``__cause__``).
         """
 
-        if not 0 <= peer < self._num_ranks:
-            raise ValueError(f"peer {peer} out of range (0..{self._num_ranks - 1})")
-        if peer == self._rank:
+        if not 0 <= peer < self.num_ranks:
+            raise ValueError(f"peer {peer} out of range (0..{self.num_ranks - 1})")
+        if peer == self.rank:
             raise ValueError("cannot exchange with self")
-        if (self._rank, peer) not in self._channels:
+        if peer not in self._links:
             raise ValueError(
-                f"ranks {self._rank} and {peer} are not hypercube neighbours; "
+                f"ranks {self.rank} and {peer} are not hypercube neighbours; "
                 "gate plans only exchange blocks between ranks differing in "
                 "one rank bit"
             )
         started = time.perf_counter()
         if self._fault_state is not None:
-            injected = self._fault_state.on_exchange(self._rank, peer)
+            injected = self._fault_state.on_exchange(self.rank, peer)
             if injected is not None:
                 action, seconds = injected
                 if action == "drop":
-                    # A dropped channel behaves exactly like a dead peer —
-                    # the deadline error — without spending the wall-clock
-                    # wait (injection is for tests, determinism matters,
-                    # latency does not).
-                    raise errors.ProcessCommTimeout(
-                        f"rank {self._rank}: block exchange with rank "
-                        f"{peer} dropped by injected fault plan",
-                        rank=self._rank,
-                        peer=peer,
-                        op="sendrecv",
-                        elapsed_seconds=self._timeout,
-                        timeout_seconds=self._timeout,
+                    # A dropped link behaves exactly like a dead peer — the
+                    # deadline error — without spending the wall-clock wait.
+                    raise self._timed_out(
+                        peer, "sendrecv", self._timeout, "injected fault plan"
                     )
                 time.sleep(seconds)
-        sender = _ChunkSender(self._channels[(self._rank, peer)], payload)
-        receiver = _ChunkReceiver(self._channels[(peer, self._rank)])
-        deadline = time.monotonic() + self._timeout
-        spins = 0
-        while not (sender.done and receiver.done):
-            progressed = sender.step()
-            progressed = receiver.step() or progressed
-            if progressed:
-                spins = 0
-                continue
-            spins += 1
-            if spins > 200:
-                time.sleep(5e-5 if spins < 4000 else 1e-3)
-                if time.monotonic() > deadline:
-                    raise errors.ProcessCommTimeout(
-                        f"rank {self._rank}: block exchange with rank {peer} "
-                        f"made no progress for {self._timeout:.0f}s "
-                        "(peer process dead?)",
-                        rank=self._rank,
-                        peer=peer,
-                        op="sendrecv",
-                        elapsed_seconds=time.perf_counter() - started,
-                        timeout_seconds=self._timeout,
-                    )
-        self._stats.exchanges += 1
-        self._stats.messages += 1
-        self._stats.bytes_sent += len(payload)
-        self._op_seconds["exchange"] += time.perf_counter() - started
-        return receiver.result()
+        received = self._exchange(peer, payload, "sendrecv")
+        self.stats.exchanges += 1
+        self.stats.messages += 1
+        self.stats.bytes_sent += len(payload)
+        self.op_seconds["exchange"] += time.perf_counter() - started
+        return received
 
     def allreduce_sum(self, value: float) -> float:
         """Global sum of one float contribution per rank.
 
-        All ranks read the same value-slot array in ascending rank order, so
-        every endpoint returns the bit-identical float.  Accounting uses the
-        same recursive-doubling volume model as
+        Round ``k`` swaps, with neighbour ``rank ^ 2**k``, the ``2**k``
+        contributions each side holds so far; after the last round every
+        rank sums the same array in ascending rank order.  Accounting
+        charges the recursive-doubling model of
         :meth:`~repro.distributed.comm.SimulatedCommunicator.allreduce_sum`
         (per endpoint: ``log2(r)`` messages of 8 bytes), so aggregated real
-        stats match the simulated ones field by field.
+        stats match the simulated ones field by field.  A round whose partner
+        does not answer by the deadline raises :class:`ProcessCommTimeout`.
         """
 
         started = time.perf_counter()
-        self._generation += 1
-        self._values[self._rank] = float(value)
-        self._arrive[self._rank] = self._generation
-        self._wait_counters(self._arrive, "allreduce(arrive)")
-        total = float(self._values.sum())
-        self._depart[self._rank] = self._generation
-        self._wait_counters(self._depart, "allreduce(depart)")
-        rounds = max(1, self._num_ranks.bit_length() - 1)
-        self._stats.allreduces += 1
-        self._stats.messages += rounds
-        self._stats.bytes_sent += 8 * rounds
-        self._op_seconds["allreduce"] += time.perf_counter() - started
-        return total
+        values = np.zeros(self.num_ranks, dtype=np.float64)
+        values[self.rank] = float(value)
+        for bit in range(self._rank_bits):
+            width = 1 << bit
+            mine = self.rank & -width  # first of the ranks gathered so far
+            theirs = mine ^ width
+            held = values[mine : mine + width].tobytes()
+            values[theirs : theirs + width] = np.frombuffer(
+                self._exchange(self.rank ^ width, held, "allreduce"), np.float64
+            )
+        rounds = max(1, self._rank_bits)
+        self.stats.allreduces += 1
+        self.stats.messages += rounds
+        self.stats.bytes_sent += 8 * rounds
+        self.op_seconds["allreduce"] += time.perf_counter() - started
+        return float(values.sum())
 
-    # -- internals -------------------------------------------------------------------
+    def _exchange(self, peer: int, payload: bytes, op: str) -> bytes:
+        """Send one frame to *peer* and receive one, both under one deadline."""
 
-    def _wait_counters(self, counters: np.ndarray, what: str) -> None:
-        """Poll until every rank's counter reaches the current generation."""
-
-        target = self._generation
+        link = self._links[peer]
         started = time.perf_counter()
         deadline = time.monotonic() + self._timeout
-        spins = 0
-        while not bool((counters >= target).all()):
-            spins += 1
-            if spins > 200:
-                time.sleep(5e-5 if spins < 4000 else 1e-3)
-                if time.monotonic() > deadline:
-                    laggards = [
-                        rank
-                        for rank in range(self._num_ranks)
-                        if int(counters[rank]) < target
-                    ]
-                    raise errors.ProcessCommTimeout(
-                        f"rank {self._rank}: {what} stuck waiting on ranks "
-                        f"{laggards} for {self._timeout:.0f}s",
-                        rank=self._rank,
-                        peer=tuple(laggards),
-                        op=what,
-                        elapsed_seconds=time.perf_counter() - started,
-                        timeout_seconds=self._timeout,
-                    )
+        outgoing = memoryview(len(payload).to_bytes(_HEADER_BYTES, "little") + payload)
+        incoming = memoryview(bytearray(_HEADER_BYTES))
+        filled, idle, in_header = 0, 0, True
+        try:
+            while outgoing or filled < len(incoming):
+                idle += 1
+                if outgoing:
+                    try:
+                        outgoing = outgoing[link.send(outgoing) :]
+                        idle = 0
+                    except BlockingIOError:
+                        pass
+                if filled < len(incoming):
+                    try:
+                        count = link.recv_into(incoming[filled:])
+                        if not count:
+                            raise ConnectionResetError("link closed by the peer")
+                        filled += count
+                        idle = 0
+                    except BlockingIOError:
+                        pass
+                if in_header and filled == _HEADER_BYTES:
+                    in_header = False
+                    size = int.from_bytes(incoming, "little")
+                    incoming, filled = memoryview(bytearray(size)), 0
+                    continue
+                if idle > _SPIN_ATTEMPTS:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError("deadline passed")
+                    reading = [link] if filled < len(incoming) else []
+                    select.select(reading, [link] if outgoing else [], [], remaining)
+        except OSError as exc:  # TimeoutError and link resets alike
+            elapsed = time.perf_counter() - started
+            raise self._timed_out(peer, op, elapsed, exc) from exc
+        return bytes(incoming)
+
+    def _timed_out(self, peer: int, op: str, elapsed: float, why: object):
+        """The typed error of an *op* with *peer* that cannot complete."""
+
+        return errors.ProcessCommTimeout(
+            f"rank {self.rank}: {op} with rank {peer} incomplete after {elapsed:.2f}s"
+            f" (deadline {self._timeout:.0f}s; {why}; peer process dead?)",
+            rank=self.rank,
+            peer=peer,
+            op=op,
+            elapsed_seconds=elapsed,
+            timeout_seconds=self._timeout,
+        )
 
     def reset_stats(self) -> None:
         """Zero this endpoint's counters and measured seconds."""
 
-        self._stats.reset()
-        for key in self._op_seconds:
-            self._op_seconds[key] = 0.0
+        self.stats.reset()
+        self.op_seconds = dict.fromkeys(self.op_seconds, 0.0)
 
     def close(self) -> None:
-        """Detach from the arena (idempotent; never unlinks — the parent's
-        :class:`RankCommArena` owns the segment)."""
+        """Close this endpoint's links (idempotent)."""
 
-        if self._closed:
-            return
-        self._closed = True
-        # Drop every numpy/memoryview export before closing the mapping, or
-        # SharedMemory.close() raises BufferError.
-        self._arrive = self._depart = self._values = None
-        self._channels = {}
-        try:
-            self._shm.close()
-        except (BufferError, OSError):  # pragma: no cover - defensive
-            pass
+        for link in self._links.values():
+            link.close()

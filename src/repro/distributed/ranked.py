@@ -7,15 +7,15 @@ disjoint :class:`~repro.distributed.partition.Partition` slice an MPI rank
 would own, and a gate whose target qubit falls in the rank index segment
 moves real compressed blobs between rank processes through
 :class:`~repro.distributed.process_comm.ProcessCommunicator`, the
-shared-memory stand-in for an MPI communicator.
+socket-pair stand-in for an MPI communicator.
 
 Selected with ``SimulatorConfig(comm="process", num_ranks=...)`` — or its
 other spelling, ``executor="process", num_workers=num_ranks`` — and therefore
 reachable from ``repro.run(...)`` like every other execution mode.
 Two transports, each used for one thing: parent↔rank messages (gate batches,
 and the blobs of parent-side readout and restore) ride one control pipe per
-worker; rank↔rank block exchange goes through the one shared
-:class:`~repro.distributed.process_comm.RankCommArena` segment.
+worker; rank↔rank block exchange goes over one connected socket pair per
+hypercube neighbour pair (:func:`~repro.distributed.process_comm.rank_links`).
 Three classes cooperate:
 
 * :class:`RankWorker` — the warm per-process state of one rank (its block
@@ -66,20 +66,9 @@ from ..errors import PoolProtocolError, ProcessCommTimeout
 from .comm import CommunicationStats, SimulatedCommunicator, aggregate_rank_stats
 from .exchange import GatePlan
 from .partition import Partition
-from .process_comm import ProcessCommunicator, RankCommArena
+from .process_comm import ProcessCommunicator, rank_links
 
 __all__ = ["RankWorker", "RankedExecutor", "RankedStateVector"]
-
-
-def rank_channel_capacity(block_amplitudes: int) -> int:
-    """Per-channel payload capacity for block exchange.
-
-    One uncompressed block plus codec overhead, so a typical compressed blob
-    crosses in a single chunk; pathological blobs simply stream through in
-    several (see :mod:`repro.distributed.process_comm`).
-    """
-
-    return 16 * int(block_amplitudes) + 4096
 
 
 def _frame_blob(name: str, blob: bytes) -> bytes:
@@ -119,13 +108,14 @@ class RankWorker:
         escalated compressors arrive with gate messages).
     cache_lines, cache_miss_disable_threshold, cache_enabled:
         Block-cache shard configuration (mirrors the parent's).
-    arena_name, channel_capacity, comm_timeout:
-        Attachment parameters of the shared communicator arena.
+    comm_timeout:
+        Deadline of any single blocking communicator operation.
     pool_generation:
         Rebuild count of the owning pool; generation > 0 (a recovery
         rebuild) suppresses injected comm faults so replay converges.
-    rank:
-        This worker's rank index (appended per worker by the pool).
+    rank, links:
+        This worker's rank index and its ends of the rank↔rank socket pairs
+        (appended per worker by the pool).
     """
 
     #: Dominant message kind, consulted by the fault harness when arming
@@ -143,11 +133,10 @@ class RankWorker:
         cache_lines: int,
         cache_miss_disable_threshold: int | None,
         cache_enabled: bool,
-        arena_name: str,
-        channel_capacity: int,
         comm_timeout: float,
         pool_generation: int,
         rank: int,
+        links: dict,
     ) -> None:
         self._rank = int(rank)
         self._partition = Partition(
@@ -156,10 +145,9 @@ class RankWorker:
             block_amplitudes=block_amplitudes,
         )
         self._comm = ProcessCommunicator(
-            arena_name,
             rank,
             num_ranks,
-            channel_capacity,
+            links,
             timeout=comm_timeout,
             pool_generation=pool_generation,
         )
@@ -173,7 +161,7 @@ class RankWorker:
         )
 
     def close(self) -> None:
-        """Detach the communicator endpoint (called at worker shutdown)."""
+        """Close the communicator endpoint (called at worker shutdown)."""
 
         self._comm.close()
 
@@ -316,9 +304,9 @@ class RankedExecutor:
     (:meth:`run_plan`, :meth:`close`, :meth:`rebind_report`,
     :meth:`reset_workers`, :attr:`num_workers`) but owns the state: one
     persistent :class:`~repro.core.procpool.ProcessPool` worker per rank,
-    reached over that worker's control pipe, plus the one shared
-    :class:`~repro.distributed.process_comm.RankCommArena` segment the rank
-    endpoints exchange blocks through.  It is also the
+    reached over that worker's control pipe; the socket pairs the rank
+    endpoints exchange blocks over are created here, handed to the workers
+    and closed on this side before the constructor returns.  It is also the
     :class:`~repro.core.blocks.BlockStore` of the
     :class:`RankedStateVector` (:meth:`get`, :meth:`put`, iteration,
     :meth:`compressed_bytes`): one blob per request rides the pipe, off the
@@ -386,11 +374,10 @@ class RankedExecutor:
         self._comm_sink = comm_sink
         self._cache = cache
         num_ranks = partition.num_ranks
-        self._arena: RankCommArena | None = RankCommArena(
-            num_ranks,
-            channel_capacity=rank_channel_capacity(partition.block_amplitudes),
-        )
-        try:
+        # The workers hold the only open ends once the pool is up (or has
+        # failed to come up): a socket is a descriptor, and this process may
+        # build many simulators.
+        with rank_links(num_ranks) as links:
             self._pool: ProcessPool | None = ProcessPool(
                 num_ranks,
                 RankWorker,
@@ -402,19 +389,13 @@ class RankedExecutor:
                     cache_lines,
                     cache_miss_disable_threshold,
                     cache is not None,
-                    self._arena.name,
-                    rank_channel_capacity(partition.block_amplitudes),
                     comm_timeout,
                     pool_generation,
                 ),
-                worker_args=[(rank,) for rank in range(num_ranks)],
+                worker_args=list(enumerate(links)),
                 start_method=start_method,
                 fault_policy=fault_policy,
             )
-        except BaseException:
-            self._arena.close()
-            self._arena = None
-            raise
         self._rank_bytes = [0] * num_ranks
         self._rank_comm: list[dict] = [self._zero_comm() for _ in range(num_ranks)]
         self._publish_comm()
@@ -460,7 +441,7 @@ class RankedExecutor:
         self._publish_comm()
 
     def close(self, join_timeout: float = 3.0) -> None:
-        """Shut down the rank workers and the communicator arena (idempotent).
+        """Shut down the rank workers (idempotent).
 
         ``join_timeout`` bounds the graceful-exit wait per worker; recovery
         paths pass a short timeout because surviving ranks may be blocked in
@@ -471,9 +452,6 @@ class RankedExecutor:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close(join_timeout=join_timeout)
-        arena, self._arena = self._arena, None
-        if arena is not None:
-            arena.close()
 
     def __enter__(self) -> "RankedExecutor":
         return self

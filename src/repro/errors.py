@@ -99,8 +99,10 @@ class ProcessCommTimeout(ReproError):
     """A blocking communicator operation exceeded its deadline.
 
     Raised by :class:`repro.distributed.process_comm.ProcessCommunicator`
-    when a peer rank fails to make progress (typically because its process
-    died mid-plan); inside a rank worker it travels back to the parent as an
+    when an exchange with a peer rank is not complete by the deadline
+    (typically because the peer's process died mid-plan), or at once when
+    the link to it is reset or closed — the ``OSError`` is then the
+    ``__cause__``; inside a rank worker it travels back to the parent as an
     ``("err", ...)`` reply.
 
     Context
@@ -108,9 +110,9 @@ class ProcessCommTimeout(ReproError):
     rank:
         The rank that timed out waiting.
     peer:
-        The peer rank (or laggard ranks) it was waiting on.
+        The peer rank it was exchanging with.
     op:
-        The communicator operation ("sendrecv", "allreduce(arrive)", ...).
+        The communicator operation (``"sendrecv"`` or ``"allreduce"``).
     elapsed_seconds:
         How long the endpoint actually waited.
     timeout_seconds:

@@ -57,12 +57,9 @@ DEFAULT_RULE_PATHS: dict[str, tuple[str, ...]] = {
 #: Per-rule option mappings (rule id -> knobs the rule reads).
 DEFAULT_OPTIONS: dict[str, dict] = {
     "mp-hygiene": {
-        # The only modules allowed to touch raw multiprocessing primitives;
-        # everything else goes through ProcessPool / ProcessCommunicator.
-        "allowed_files": (
-            "src/repro/core/procpool.py",
-            "src/repro/distributed/process_comm.py",
-        ),
+        # The only module allowed to touch raw multiprocessing primitives;
+        # everything else goes through ProcessPool.
+        "allowed_files": ("src/repro/core/procpool.py",),
     },
     "error-taxonomy": {
         # Builtin types that must not be raised from public repro modules:

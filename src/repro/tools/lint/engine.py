@@ -240,8 +240,8 @@ class ModuleContext:
         """Top-level import aliases: local name -> dotted module/object path.
 
         ``import numpy as np`` maps ``np -> numpy``; ``from multiprocessing
-        import shared_memory`` maps ``shared_memory ->
-        multiprocessing.shared_memory``.  Function-local imports are included
+        import connection`` maps ``connection ->
+        multiprocessing.connection``.  Function-local imports are included
         too (rules care about what a name means, not where it was bound).
         """
 

@@ -1,13 +1,14 @@
-"""mp-hygiene: raw multiprocessing primitives stay in the two transport modules.
+"""mp-hygiene: raw multiprocessing primitives stay in the process pool.
 
-The process tier's correctness depends on every process and shared-memory
-segment being owned by :class:`repro.core.procpool.ProcessPool` or
-:class:`repro.distributed.process_comm.RankCommArena` — those two own the
-spawn/teardown discipline (bounded joins, single-unlink, fault arming).  A
-stray ``multiprocessing.Process`` elsewhere bypasses all of it: no crash
-detection, no chaos gating, zombies on interpreter exit.  This rule flags
-any ``import multiprocessing`` (or submodule) outside the allow-listed
-files.
+The process tier's correctness depends on every process being owned by
+:class:`repro.core.procpool.ProcessPool`, which owns the spawn/teardown
+discipline (bounded joins, crash detection, fault arming).  A stray
+``multiprocessing.Process`` elsewhere bypasses all of it: no crash
+detection, no chaos gating, zombies on interpreter exit — and the
+package's shared-memory submodule would bring back segments (and the
+``resource_tracker`` helper process) that nothing in ``src/`` creates any
+more.  This rule flags any ``import multiprocessing`` (or submodule)
+outside the allow-listed file.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ __all__ = ["MpHygieneRule"]
 
 @rule
 class MpHygieneRule(LintRule):
-    """Flag multiprocessing imports outside the sanctioned transport modules."""
+    """Flag multiprocessing imports outside the sanctioned pool module."""
 
     id = "mp-hygiene"
-    summary = (
-        "raw multiprocessing primitives only in core/procpool.py and "
-        "distributed/process_comm.py"
-    )
+    summary = "raw multiprocessing primitives only in core/procpool.py"
 
     def check_module(self, ctx: ModuleContext):
-        """Flag multiprocessing imports outside the two sanctioned modules."""
+        """Flag multiprocessing imports outside the sanctioned module."""
 
         allowed = ctx.option(self.id, "allowed_files", ())
         if ctx.rel in allowed:
@@ -49,8 +47,7 @@ class MpHygieneRule(LintRule):
                 yield ctx.diagnostic(
                     self.id,
                     node,
-                    f"import of {module!r} outside the process-transport "
-                    "modules; route process/shared-memory work through "
-                    "repro.core.procpool.ProcessPool or "
-                    "repro.distributed.process_comm",
+                    f"import of {module!r} outside core/procpool.py; route "
+                    "process work through repro.core.procpool.ProcessPool "
+                    "(rank-to-rank bytes: repro.distributed.process_comm)",
                 )

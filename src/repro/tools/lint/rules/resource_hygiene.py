@@ -1,14 +1,15 @@
-"""resource-hygiene: shared memory and file handles cannot leak.
+"""resource-hygiene: sockets and file handles cannot leak.
 
-A leaked ``SharedMemory`` segment outlives the interpreter (it is a file in
-``/dev/shm`` until unlinked) and a leaked file handle is a descriptor the
-fault-injection chaos runs eventually exhaust.  The codebase's discipline,
-established in :mod:`repro.core.procpool`:
+A leaked socket or file handle is a descriptor: the ranked tier opens one
+socket pair per rank-neighbour pair per simulator, and a long
+:mod:`repro.serve` session (or a fault-injection chaos run) that loses one
+per build ends in ``EMFILE``.  The codebase's discipline:
 
-* every ``shared_memory.SharedMemory(...)`` created is either **owned** —
-  assigned to ``self.<attr>`` in a class that defines ``close()`` or
-  ``__exit__`` — or **transferred** (directly returned), or created under a
-  ``try/finally`` that closes it;
+* every ``socket.socketpair()`` / ``socket.socket(...)`` created is either
+  **owned** — assigned to ``self.<attr>`` in a class that defines
+  ``close()`` or ``__exit__`` — or **transferred** (directly returned), or
+  created under a ``try/finally`` that closes it
+  (:func:`repro.distributed.process_comm.rank_links`);
 * every ``open(...)`` is a ``with`` context manager;
 * every asyncio task is **held**: a ``create_task(...)`` /
   ``ensure_future(...)`` whose return value is discarded is a lost task —
@@ -67,7 +68,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def __init__(self) -> None:
         self.open_calls: list[ast.Call] = []
-        self.shm_calls: list[ast.Call] = []
+        self.socket_calls: list[ast.Call] = []
         self.lost_task_calls: list[ast.Call] = []
         self.with_items: set[int] = set()
         self.returned: set[int] = set()
@@ -119,8 +120,10 @@ class _FunctionScanner(ast.NodeVisitor):
         name = _call_name(node)
         if name == "open" and isinstance(node.func, ast.Name):
             self.open_calls.append(node)
-        elif name == "SharedMemory":
-            self.shm_calls.append(node)
+        elif name == "socketpair" or (
+            name == "socket" and ast.unparse(node.func) == "socket.socket"
+        ):
+            self.socket_calls.append(node)
         self.generic_visit(node)
 
     # Nested defs get their own scanner pass; do not double-visit.
@@ -144,16 +147,16 @@ def _class_has_teardown(cls: ast.ClassDef) -> bool:
 
 @rule
 class ResourceHygieneRule(LintRule):
-    """Flag SharedMemory/file handles and asyncio tasks that can leak."""
+    """Flag socket/file handles and asyncio tasks that can leak."""
 
     id = "resource-hygiene"
     summary = (
-        "SharedMemory/open() handles closed via with, finally, or owner "
+        "socket/open() handles closed via with, finally, or owner "
         "close(); asyncio tasks stored, not spawned-and-discarded"
     )
 
     def check_module(self, ctx: ModuleContext):
-        """Flag open()/SharedMemory acquisitions with no deterministic release."""
+        """Flag open()/socket acquisitions with no deterministic release."""
 
         yield from self._scan_scope(ctx, ctx.tree.body, enclosing_class=None)
 
@@ -198,7 +201,7 @@ class ResourceHygieneRule(LintRule):
                 "exception; use 'with open(...) as f:' (or close in a "
                 "finally)",
             )
-        for call in scanner.shm_calls:
+        for call in scanner.socket_calls:
             if id(call) in scanner.returned:
                 continue  # ownership transferred to the caller
             if scanner.has_finally_close:
@@ -208,7 +211,7 @@ class ResourceHygieneRule(LintRule):
             yield ctx.diagnostic(
                 self.id,
                 call,
-                "SharedMemory segment with no reachable close: assign it to "
+                "socket with no reachable close: assign it to "
                 "self in a class defining close()/__exit__, close it in a "
                 "finally, or return it to a caller that does",
             )

@@ -2,8 +2,8 @@
 
 One scripted traffic pattern runs against both communication tiers —
 :class:`SimulatedCommunicator` (accounting only) and
-:class:`ProcessCommunicator` endpoints over a shared-memory arena — and the
-suite asserts they agree on
+:class:`ProcessCommunicator` endpoints over :func:`rank_links` socket pairs —
+and the suite asserts they agree on
 
 * exchange semantics: each peer of a ``sendrecv_bytes`` pair receives
   exactly the bytes the other sent (trivially true for the simulated tier,
@@ -15,14 +15,18 @@ suite asserts they agree on
   script (both tiers charge collectives with the same recursive-doubling
   volume model; see ``process_comm``'s module docstring).
 
-The process endpoints are exercised from threads of this test process — the
-arena is plain shared memory, so attachment is address-space-agnostic; the
-ranked execution tier attaches the very same class from worker processes
-(covered by ``tests/test_ranked.py``).
+The endpoints are exercised from threads of this test process and from
+spawned processes — a connected socket does not care which address space
+holds its other end; the ranked execution tier hands the very same links to
+its rank workers (covered by ``tests/test_ranked.py``).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import select
+import signal
 import threading
 import time
 
@@ -32,33 +36,32 @@ import pytest
 from repro.distributed import (
     CommunicationStats,
     ProcessCommunicator,
-    RankCommArena,
     SimulatedCommunicator,
     aggregate_rank_stats,
+    rank_links,
 )
 from repro.errors import ProcessCommTimeout
 
+#: Far above the kernel's socket buffer (~200 KiB): the sender cannot finish
+#: before the receiver starts draining.
+BIG = 8 << 20
+
 
 def _payload(rank: int, size: int) -> bytes:
-    return bytes([(rank * 37 + i) % 256 for i in range(size)])
+    pattern = bytes((rank * 37 + i) % 256 for i in range(256))
+    return (pattern * (size // 256 + 1))[:size]
 
 
-def _run_process_script(
-    num_ranks: int,
-    per_rank_script,
-    channel_capacity: int = 4096,
-    timeout: float = 30.0,
-):
+def _run_process_script(num_ranks: int, per_rank_script, timeout: float = 30.0):
     """Run *per_rank_script(endpoint)* on one thread per rank; returns
     (per-rank results, per-rank stats) in rank order."""
 
-    arena = RankCommArena(num_ranks, channel_capacity=channel_capacity)
     results: list = [None] * num_ranks
     errors: list = []
     stats: list = [None] * num_ranks
 
-    def runner(rank: int) -> None:
-        endpoint = arena.endpoint(rank, timeout=timeout)
+    def runner(rank: int, links: dict) -> None:
+        endpoint = ProcessCommunicator(rank, num_ranks, links, timeout=timeout)
         try:
             results[rank] = per_rank_script(endpoint)
             stats[rank] = endpoint.stats.as_dict()
@@ -67,21 +70,65 @@ def _run_process_script(
         finally:
             endpoint.close()
 
-    threads = [
-        threading.Thread(target=runner, args=(rank,), daemon=True)
-        for rank in range(num_ranks)
-    ]
-    try:
+    with rank_links(num_ranks) as links:
+        threads = [
+            threading.Thread(target=runner, args=(rank, links[rank]), daemon=True)
+            for rank in range(num_ranks)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60.0)
-    finally:
-        arena.close()
     if errors:
         rank, exc = errors[0]
         raise AssertionError(f"rank {rank} failed: {exc!r}") from exc
     return results, stats
+
+
+def _rank_process_main(rank, num_ranks, links, per_rank_script, outcome) -> None:
+    """Entry point of one rank process: run the script, report the outcome."""
+
+    endpoint = ProcessCommunicator(rank, num_ranks, links, timeout=30.0)
+    try:
+        outcome.send((per_rank_script(endpoint), endpoint.stats.as_dict()))
+    finally:
+        endpoint.close()
+
+
+def _run_script_in_processes(num_ranks: int, per_rank_script, start_method: str):
+    """:func:`_run_process_script` with one *process* per rank instead."""
+
+    context = multiprocessing.get_context(start_method)
+    workers = []
+    with rank_links(num_ranks) as links:
+        for rank in range(num_ranks):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_rank_process_main,
+                args=(rank, num_ranks, links[rank], per_rank_script, sender),
+            )
+            process.start()
+            sender.close()
+            workers.append((process, receiver))
+    try:
+        outcomes = []
+        for _, receiver in workers:
+            assert receiver.poll(60.0), "a rank process did not report"
+            outcomes.append(receiver.recv())
+    finally:
+        for process, receiver in workers:
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            receiver.close()
+    return [result for result, _ in outcomes], [stats for _, stats in outcomes]
+
+
+def _send_big_forever(links) -> None:
+    """Victim of the SIGKILL test: starts an exchange nobody completes."""
+
+    ProcessCommunicator(1, 2, links, timeout=60.0).sendrecv_bytes(0, _payload(1, BIG))
 
 
 PAYLOAD_SIZE = 96
@@ -143,15 +190,29 @@ class TestConformance:
         # Every rank returns the bit-identical global sum.
         assert totals == {expected}
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_parity_with_one_process_per_rank(self, start_method):
+        # The same script with the endpoints in real processes: the links
+        # cross Process(args=...) under both start methods.
+        results, per_rank = _run_script_in_processes(
+            4, _conformance_script_process, start_method
+        )
+        simulated = _conformance_script_simulated(4)
+        assert aggregate_rank_stats(per_rank).as_dict() == simulated.as_dict()
+        assert {total for _, total in results} == {10.0}
+        assert results[0][0] == [_payload(1, PAYLOAD_SIZE), _payload(2, PAYLOAD_SIZE)]
+
 
 class TestProcessCommunicator:
-    """Behaviour specific to the real shared-memory implementation."""
+    """Behaviour specific to the real socket-pair implementation."""
 
     def test_chunked_transfer_both_directions(self):
-        # Payloads far larger than the channel capacity must stream through
-        # in chunks without deadlocking, even when both sides send at once.
-        big0 = _payload(0, 5000)
-        big1 = _payload(1, 7777)
+        # Payloads far larger than the kernel's socket buffer move through
+        # it in pieces; with both sides sending at once neither can finish
+        # its send before it starts receiving, so a send-then-receive
+        # implementation would deadlock here.
+        big0 = _payload(0, BIG)
+        big1 = _payload(1, BIG + 7777)
 
         def script(endpoint):
             mine, theirs = (big0, big1) if endpoint.rank == 0 else (big1, big0)
@@ -159,10 +220,10 @@ class TestProcessCommunicator:
             assert got == theirs
             return len(got)
 
-        results, stats = _run_process_script(2, script, channel_capacity=64)
-        assert results == [7777, 5000]
-        assert stats[0]["bytes_sent"] == 5000
-        assert stats[1]["bytes_sent"] == 7777
+        results, stats = _run_process_script(2, script)
+        assert results == [BIG + 7777, BIG]
+        assert stats[0]["bytes_sent"] == BIG
+        assert stats[1]["bytes_sent"] == BIG + 7777
 
     def test_empty_payload(self):
         def script(endpoint):
@@ -173,69 +234,103 @@ class TestProcessCommunicator:
 
     def test_asymmetric_payload_sizes(self):
         def script(endpoint):
-            mine = _payload(endpoint.rank, 10 if endpoint.rank == 0 else 3000)
+            mine = _payload(endpoint.rank, 10 if endpoint.rank == 0 else BIG)
             return endpoint.sendrecv_bytes(1 - endpoint.rank, mine)
 
-        results, _ = _run_process_script(2, script, channel_capacity=128)
-        assert results[0] == _payload(1, 3000)
+        results, _ = _run_process_script(2, script)
+        assert results[0] == _payload(1, BIG)
         assert results[1] == _payload(0, 10)
 
     def test_exchange_with_self_rejected(self):
-        arena = RankCommArena(2)
-        try:
-            endpoint = arena.endpoint(0)
+        with rank_links(2) as links:
+            endpoint = ProcessCommunicator(0, 2, links[0])
             with pytest.raises(ValueError, match="self"):
                 endpoint.sendrecv_bytes(0, b"x")
-            endpoint.close()
-        finally:
-            arena.close()
 
     def test_non_neighbour_exchange_rejected(self):
-        # Ranks 0 and 3 differ in two rank bits: no channel exists, exactly
-        # as no gate plan can pair them.
-        arena = RankCommArena(4)
-        try:
-            endpoint = arena.endpoint(0)
+        # Ranks 0 and 3 differ in two rank bits: no link exists, exactly as
+        # no gate plan can pair them.
+        with rank_links(4) as links:
+            endpoint = ProcessCommunicator(0, 4, links[0])
             with pytest.raises(ValueError, match="neighbour"):
                 endpoint.sendrecv_bytes(3, b"x")
-            endpoint.close()
-        finally:
-            arena.close()
 
     def test_peer_out_of_range_rejected(self):
-        arena = RankCommArena(2)
-        try:
-            endpoint = arena.endpoint(0)
+        with rank_links(2) as links:
+            endpoint = ProcessCommunicator(0, 2, links[0])
             with pytest.raises(ValueError, match="range"):
                 endpoint.sendrecv_bytes(5, b"x")
-            endpoint.close()
-        finally:
-            arena.close()
 
     def test_dead_peer_times_out_promptly(self):
         # A sendrecv whose peer never shows up must fail with the dedicated
         # timeout error, not hang — this is the communicator-level half of
         # the rank-death story (the pool detects dead processes separately).
-        arena = RankCommArena(2)
-        try:
-            endpoint = arena.endpoint(0, timeout=0.3)
+        # The small payload waits in its receive, the big one already in its
+        # send (the peer's buffer fills); both honour the deadline.
+        for size in (10, BIG):
+            payload = _payload(0, size)
+            with rank_links(2) as links:
+                endpoint = ProcessCommunicator(0, 2, links[0], timeout=0.5)
+                start = time.monotonic()
+                with pytest.raises(ProcessCommTimeout) as excinfo:
+                    endpoint.sendrecv_bytes(1, payload)
+                assert 0.5 <= time.monotonic() - start < 0.6
+            assert (excinfo.value.op, excinfo.value.peer) == ("sendrecv", 1)
+
+    def test_closed_link_raises_the_typed_error_at_once(self):
+        # A link the other side closed (or reset) is the same typed error
+        # the recovery path catches, with the OSError as its cause.
+        with rank_links(2) as links:
+            endpoint = ProcessCommunicator(0, 2, links[0], timeout=30.0)
+            links[1][0].close()
             start = time.monotonic()
-            with pytest.raises(ProcessCommTimeout):
+            with pytest.raises(ProcessCommTimeout) as excinfo:
                 endpoint.sendrecv_bytes(1, b"payload")
+            assert time.monotonic() - start < 1.0
+        assert isinstance(excinfo.value.__cause__, OSError)
+
+    def test_peer_killed_mid_exchange_is_prompt_under_spawn(self):
+        # Under spawn a rank holds only its own ends, so once the creator has
+        # let go of its copies a SIGKILLed peer is visible on the link itself.
+        context = multiprocessing.get_context("spawn")
+        with rank_links(2) as links:
+            victim = context.Process(target=_send_big_forever, args=(links[1],))
+            victim.start()
+            mine = links[0][1].dup()
+        endpoint = ProcessCommunicator(0, 2, {1: mine}, timeout=30.0)
+        try:
+            # Readable: the victim is inside its exchange.
+            assert select.select([mine], [], [], 30.0)[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            start = time.monotonic()
+            with pytest.raises(ProcessCommTimeout) as excinfo:
+                endpoint.sendrecv_bytes(1, _payload(0, BIG))
             assert time.monotonic() - start < 5.0
-            endpoint.close()
+            assert isinstance(excinfo.value.__cause__, OSError)
         finally:
-            arena.close()
+            endpoint.close()
+            if victim.is_alive():
+                victim.kill()
+                victim.join()
 
     def test_allreduce_times_out_without_peers(self):
-        arena = RankCommArena(2)
-        try:
-            endpoint = arena.endpoint(1, timeout=0.3)
+        with rank_links(2) as links:
+            endpoint = ProcessCommunicator(1, 2, links[1], timeout=0.3)
             with pytest.raises(ProcessCommTimeout, match="allreduce"):
                 endpoint.allreduce_sum(1.0)
-            endpoint.close()
-        finally:
-            arena.close()
+
+    @pytest.mark.parametrize("num_ranks", [4, 8])
+    def test_allreduce_is_one_value_on_every_rank(self, num_ranks):
+        # Contributions whose sum depends on the order of addition: every
+        # rank must add them in ascending rank order, like numpy does here.
+        values = [0.1 * (rank + 1) ** 3 + 1e-9 * rank for rank in range(num_ranks)]
+
+        def script(endpoint):
+            return endpoint.allreduce_sum(values[endpoint.rank])
+
+        results, _ = _run_process_script(num_ranks, script)
+        assert set(results) == {float(np.array(values).sum())}
 
     def test_repeated_collectives_stay_in_step(self):
         def script(endpoint):
@@ -254,17 +349,20 @@ class TestProcessCommunicator:
         assert all(result == expected for result in results)
         assert all(entry["allreduces"] == 5 for entry in stats)
 
-    def test_arena_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
-            RankCommArena(3)
-        with pytest.raises(ValueError):
-            RankCommArena(2, channel_capacity=0)
-        arena = RankCommArena(2)
-        try:
-            with pytest.raises(ValueError):
-                ProcessCommunicator(arena.name, 2, 2)
-        finally:
-            arena.close()
+    def test_links_reject_bad_geometry(self):
+        with pytest.raises(ValueError, match="power of two"):
+            with rank_links(3):
+                pass
+        with rank_links(4) as links:
+            with pytest.raises(ValueError, match="power of two"):
+                ProcessCommunicator(0, 3, links[0])
+            with pytest.raises(ValueError, match="range"):
+                ProcessCommunicator(4, 4, links[0])
+            # Rank 1's neighbours are 0 and 3, not rank 0's 1 and 2.
+            with pytest.raises(ValueError, match="neighbour"):
+                ProcessCommunicator(1, 4, links[0])
+            with pytest.raises(ValueError, match="neighbour"):
+                ProcessCommunicator(0, 4, {1: links[0][1]})
 
 
 class TestAggregateRankStats:

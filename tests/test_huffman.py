@@ -19,7 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression import ErrorBoundMode, SZCompressor, huffman
+from repro.compression import (
+    ErrorBoundMode,
+    SZCompressor,
+    available_compressors,
+    huffman,
+)
 from repro.compression.interface import CompressorError
 
 
@@ -100,6 +105,21 @@ class TestTruncatedBlobs:
     def test_every_sz_prefix_raises_compressor_error(self, engine, mode, spiky_data):
         codec = SZCompressor(bound=1e-3, mode=mode, engine=engine)
         blob = codec.compress(spiky_data[:300])
+        for cut in range(len(blob)):
+            with pytest.raises(CompressorError):
+                codec.decompress(blob[:cut])
+
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_every_codec_prefix_raises_compressor_error(
+        self, make_codec, name, spiky_data
+    ):
+        # Every registered codec, not just SZ: a blob cut anywhere — inside
+        # the header, a length field, a sub-blob, or only its last byte —
+        # ends in the typed error, never in struct/numpy internals and never
+        # in a silently "decoded" array.
+        codec = make_codec(name)
+        blob = codec.compress(spiky_data[:600])
+        assert codec.decompress(blob).size == 600  # the whole blob decodes
         for cut in range(len(blob)):
             with pytest.raises(CompressorError):
                 codec.decompress(blob[:cut])

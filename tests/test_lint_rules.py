@@ -58,6 +58,17 @@ class TestMpHygiene:
         )
         assert report.diagnostics == []
 
+    def test_rank_comm_module_is_not_exempt(self):
+        # The rank-to-rank transport is sockets now; a shared-memory import
+        # coming back there (or anywhere else in src/) fails the lint.
+        report = lint_source(
+            "from multiprocessing import shared_memory\n",
+            rel="src/repro/distributed/process_comm.py",
+            rules=("mp-hygiene",),
+            options=DEFAULT_OPTIONS,
+        )
+        assert [d.rule for d in report.diagnostics] == ["mp-hygiene"]
+
     def test_suppression_with_reason(self):
         report = run(
             "import multiprocessing  "
@@ -324,35 +335,53 @@ class TestResourceHygiene:
         )
         assert report.diagnostics == []
 
-    def test_flags_unowned_shared_memory(self):
+    def test_flags_unowned_socket(self):
         report = run(
             """\
-            from multiprocessing import shared_memory
+            import socket
 
-            def scratch(size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                return bytes(shm.buf[:size])
+            def probe(payload):
+                ours, theirs = socket.socketpair()
+                ours.sendall(payload)
+                return theirs.recv(len(payload))
+
+            def listener(port):
+                server = socket.socket()
+                server.bind(("localhost", port))
             """,
             "resource-hygiene",
         )
-        assert len(report.diagnostics) == 1
-        assert "SharedMemory" in messages(report)[0]
+        assert len(report.diagnostics) == 2
+        assert all("socket with no reachable close" in m for m in messages(report))
 
-    def test_owned_and_transferred_shared_memory_are_clean(self):
+    def test_owned_transferred_and_finally_closed_sockets_are_clean(self):
         report = run(
             """\
-            from multiprocessing import shared_memory
+            import socket
 
-            def make(size):
-                return shared_memory.SharedMemory(create=True, size=size)
+            def make():
+                return socket.socketpair()
 
-            class Arena:
-                def __init__(self, size):
-                    self._shm = shared_memory.SharedMemory(create=True, size=size)
+            def links(count):
+                pairs = []
+                try:
+                    for _ in range(count):
+                        pairs.append(socket.socketpair())
+                    yield pairs
+                finally:
+                    for ours, theirs in pairs:
+                        ours.close()
+                        theirs.close()
+
+            class Endpoint:
+                def __init__(self):
+                    self._sock = socket.socket()
 
                 def close(self):
-                    self._shm.close()
-                    self._shm.unlink()
+                    self._sock.close()
+
+            def not_a_socket(pool):
+                return pool.socket("tcp")
             """,
             "resource-hygiene",
         )

@@ -31,7 +31,7 @@ from repro.core import (
 from repro.core.blocks import CompressedBlock
 from repro.errors import PoolProtocolError, WorkerCrashedError
 from repro.resilience import FaultPolicy
-from tiers import tier_config
+from tiers import open_fd_count, tier_config
 
 NUM_QUBITS = 8
 BLOCK = 16
@@ -325,14 +325,22 @@ class TestParentReadout:
             assert time.monotonic() - start < 10.0
             assert excinfo.value.worker_id == 1
 
-    def test_one_shared_memory_segment_per_simulator(
+    def test_no_segment_no_tracker_no_leaked_descriptor(
         self, _no_leaked_pools_or_segments
     ):
-        # The rank<->rank RankCommArena, and nothing per worker.
+        # The ranked tier is processes, pipes and sockets: no shared-memory
+        # segment, so no resource_tracker helper either, and every pipe and
+        # socket end the parent opened is closed again by close().
+        from multiprocessing import resource_tracker
+
+        tracker_pid = resource_tracker._resource_tracker._pid
+        open_before = open_fd_count()
         with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
             simulator.apply_circuit(entangling_circuit())
             simulator.statevector()
-        assert len(_no_leaked_pools_or_segments) == 1
+        assert _no_leaked_pools_or_segments == []
+        assert resource_tracker._resource_tracker._pid == tracker_pid
+        assert open_fd_count() == open_before
 
 
 class TestFailureAndValidation:

@@ -40,7 +40,7 @@ from repro.resilience.faults import (
     KillWorker,
     parse_plan,
 )
-from tiers import tier_config
+from tiers import open_fd_count, tier_config
 
 NUM_QUBITS = 6
 BLOCK = 16
@@ -71,11 +71,15 @@ def ranked_config(policy=None, spelling="comm", **overrides) -> SimulatorConfig:
 def run_to_outcome(config, circuit):
     """Run ``circuit``, returning (statevector, sample counts, recovery dict)."""
 
+    open_before = open_fd_count()
     with CompressedSimulator(NUM_QUBITS, config) as simulator:
         simulator.apply_circuit(circuit)
         statevector = simulator.statevector()
         counts = simulator.sample_counts(SHOTS, np.random.default_rng(7))
         recovery = simulator.report().recovery
+    # Pipes and sockets are descriptors: none may outlive the simulator,
+    # pool rebuilds by the recovery path included.
+    assert open_fd_count() == open_before
     return statevector, counts, recovery
 
 

@@ -3,6 +3,8 @@ ranked-tier test modules)."""
 
 from __future__ import annotations
 
+import os
+
 from repro.core import SimulatorConfig
 
 #: The execution tiers, the ranked one under both of its spellings.
@@ -23,3 +25,11 @@ def tier_config(
     return SimulatorConfig(
         num_ranks=num_ranks, block_amplitudes=block_amplitudes, **options, **overrides
     )
+
+
+def open_fd_count() -> int:
+    """Descriptors this process holds open (Linux ``/proc``; the ranked
+    tier's pipes and sockets are descriptors, and a leaked one per simulator
+    ends in ``EMFILE`` in a long-lived service)."""
+
+    return len(os.listdir("/proc/self/fd"))
