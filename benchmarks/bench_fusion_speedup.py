@@ -4,10 +4,11 @@ The paper's time breakdown (Table 2) shows the per-gate decompress → apply →
 recompress round trip dominating the runtime.  This bench quantifies the
 attacks this repo mounts on that bottleneck:
 
-* **Runs** — consecutive gates that stage the same blocks (in-block targets
-  under the same block/rank controls, or one non-local target under one
-  control set) share one round trip per block, their 2x2 steps applied in
-  order.  Measured as the reduction in compressor invocations on a QFT-style
+* **Runs** — consecutive gates that can share one staging share one round
+  trip per block, their 2x2 steps applied in order: one-block gates (an
+  in-block target, or a diagonal 2x2 wherever its target lies — it needs no
+  partner block) whatever their controls, or gates on one non-local target
+  under one set of non-local controls.  Measured as the reduction in compressor invocations on a QFT-style
   workload of per-qubit rotation chains, and counted with ``plan_gate`` as
   blob round trips (buffers staged) before and after run formation, for the
   Table-2 circuits at two block sizes.

@@ -290,6 +290,12 @@ class Gate:
         return self.targets[0]
 
     @property
+    def is_diagonal(self) -> bool:
+        """True when the 2x2 is exactly diagonal: it never mixes a pair."""
+
+        return bool(self.matrix[0, 1] == 0 == self.matrix[1, 0])
+
+    @property
     def num_qubits(self) -> int:
         """Number of distinct qubits this gate touches."""
 

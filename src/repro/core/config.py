@@ -69,14 +69,15 @@ class SimulatorConfig:
         Maintain the Π(1 - δ_i) lower bound on simulation fidelity.
     fusion_enabled:
         Run the grouping pass (:func:`repro.circuits.fusion.form_runs`)
-        before execution: consecutive gates that stage the same blocks —
-        in-block targets under the same block/rank controls, or one
-        non-local target under one control set — become a run whose 2x2
+        before execution: consecutive gates that can share one staging —
+        one-block gates (an in-block target, or a diagonal 2x2 wherever its
+        target lies) whatever their controls, or gates on one non-local
+        target under one set of non-local controls — become a run whose 2x2
         steps are applied in order inside a single decompress/recompress
         round trip per block (or block pair).  **On by default** — nothing is
-        reordered or multiplied, so lossless results are bit-equal to the
-        gate-by-gate schedule and to the dense simulator, and compressor
-        round trips only go down; set ``fusion_enabled=False`` to opt out
+        reordered or multiplied, so lossless results equal the gate-by-gate
+        schedule's and the dense simulator's, and compressor round trips
+        only go down; set ``fusion_enabled=False`` to opt out
         (the seed behaviour, the differential tests' reference).  Lossy
         results differ between the two settings because a run is quantised
         once instead of once per gate.  While ``memory_budget_bytes`` is set

@@ -44,9 +44,9 @@ from .report import SimulationReport
 
 __all__ = ["TaskExecutor"]
 
-#: A task's kernel inputs — ``(blob1, name1)`` or ``(blob1, name1, blob2,
-#: name2)`` — with the tasks that read exactly those bytes: one runs, the
-#: outputs go to all.
+#: A task's kernel inputs (:meth:`TaskExecutor._inputs`) with the tasks that
+#: read exactly those bytes and block-index bits: one runs, the outputs go to
+#: all.
 TaskGroup = tuple[tuple, list[BlockTask]]
 
 
@@ -152,28 +152,43 @@ class TaskExecutor:
 
         self._account_exchanges(plan)
         if self._num_workers == 1 or len(plan.tasks) < 2:
-            self._run_inline(op, ((self._inputs(task), [task]) for task in plan.tasks))
+            self._run_inline(
+                op, ((self._inputs(op, task), [task]) for task in plan.tasks)
+            )
             return
         pool = self._ensure_pool()
         for wave in plan.independent_groups():
             futures = [
                 (pool.submit(self._run_on_thread, op, inputs), tasks)
-                for inputs, tasks in self._dedupe_wave(wave)
+                for inputs, tasks in self._dedupe_wave(op, wave)
             ]
             for future, tasks in futures:
                 self._commit(op, tasks, *future.result())
 
-    def _inputs(self, task: BlockTask) -> tuple:
-        """The stored blobs (and their codec names) *task* reads."""
+    def _inputs(self, op: BlockOp, task: BlockTask) -> tuple:
+        """The positional kernel arguments of *task* after ``(op, stats)``:
+        the stored blobs it reads with their codec names and, for a
+        one-block task, the bits of its block's index that *op* reads."""
 
         entry1 = self._state.get_block(*task.first)
         if task.second is None:
-            return entry1.blob, entry1.compressor
+            rank, block = task.first
+            index = rank * self._state.partition.blocks_per_rank + block
+            return (
+                entry1.blob,
+                entry1.compressor,
+                None,
+                None,
+                None,
+                index & op.index_mask,
+            )
         entry2 = self._state.get_block(*task.second)
         return entry1.blob, entry1.compressor, entry2.blob, entry2.compressor
 
-    def _dedupe_wave(self, wave: tuple[BlockTask, ...]) -> list[TaskGroup]:
-        """Group a wave's tasks by byte-identical input blobs.
+    def _dedupe_wave(
+        self, op: BlockOp, wave: tuple[BlockTask, ...]
+    ) -> list[TaskGroup]:
+        """Group a wave's tasks by byte-identical kernel inputs.
 
         This is the Section 3.4 redundancy the block cache exploits.  Running
         duplicates concurrently would make every copy miss the cache and pay
@@ -184,7 +199,7 @@ class TaskExecutor:
 
         groups: dict[tuple, list[BlockTask]] = {}
         for task in wave:
-            groups.setdefault(self._inputs(task), []).append(task)
+            groups.setdefault(self._inputs(op, task), []).append(task)
         return list(groups.items())
 
     def _run_inline(self, op: BlockOp, groups: Iterable[TaskGroup]) -> None:

@@ -2,10 +2,17 @@
 
 The paper's execution model is one loop (Figure 2): consult the compressed
 block cache, decompress a block or block pair into scratch, apply the 2x2
-unitary — or, for a run of consecutive gates staging the same blocks, each of
+unitary — or, for a run of consecutive gates sharing one staging, each of
 its unitaries in order — and recompress at the current error bound.
-:class:`BlockKernel` is that loop.  Every execution tier calls it — the
-sequential and thread paths of
+:class:`BlockKernel` is that loop.  It stages only what the element mixes: a
+pair of blocks for a mixing 2x2 on a target above the block boundary, one
+block for everything else — an in-block target, or a diagonal 2x2 wherever
+its target lies, which from inside one block is a single phase
+(:func:`repro.statevector.ops.apply_phase`).  A one-block task applies the
+steps whose block- and rank-level controls are set in its block's index, so
+one run may hold steps under different controls.
+
+Every execution tier calls it — the sequential and thread paths of
 :class:`~repro.core.executor.TaskExecutor` in the parent process and the
 rank workers of :mod:`repro.distributed.ranked` — so the tiers differ
 only in how blobs reach the kernel and where its outputs are stored, and
@@ -37,18 +44,26 @@ class BlockOp(NamedTuple):
     """One schedule element — a gate or a :class:`~repro.circuits.fusion.Run`
     — as the block tasks of its plan see it.
 
-    The first three fields are parallel, one entry per step: step ``i``
-    applies ``matrices[i]`` to ``targets[i]`` under ``local_controls[i]``.
-    A gate is one step.  The fields are flat (one array, two tuples of ints)
-    because the op rides every ranked-tier gate message.
+    The first four fields are parallel, one entry per step: step ``i``
+    applies ``matrices[i]`` to ``targets[i]`` under ``local_controls[i]`` on
+    the blocks ``block_controls[i]`` lets through.  A gate is one step.  The
+    fields are flat (one array, ints and tuples of ints) because the op rides
+    every ranked-tier gate message.
     """
 
     #: The 2x2 unitaries, stacked: shape ``(steps, 2, 2)``.
     matrices: np.ndarray
-    #: Target qubit per step (only read when it lies inside the block).
+    #: Target qubit per step (only read by one-block tasks; a pair task's
+    #: steps share the target the plan paired the blocks on).
     targets: tuple[int, ...]
     #: Per step, the controls applied per amplitude inside the scratch buffers.
     local_controls: tuple[tuple[int, ...], ...]
+    #: Per step, the block- and rank-level controls as a mask over the global
+    #: block index (:attr:`~repro.distributed.exchange.GatePlan.block_controls`);
+    #: only read by one-block tasks — a pair plan is already pruned by it.
+    block_controls: tuple[int, ...]
+    #: The block-index bits a one-block task's outcome depends on.
+    index_mask: int
     #: Compressor for the output blobs (the controller's current level).
     compressor: Compressor
     #: Block-cache ``OP`` field: the gate's key — or the run's, one gate key
@@ -131,6 +146,7 @@ class BlockKernel:
         self.decompressors = decompressors
         self.scratch = scratch
         self.cache = cache
+        self._offset_bits = scratch.block_amplitudes.bit_length() - 1
         self._compressors: dict[str, Compressor] = {}
         self._masks: dict[tuple[int, ...], np.ndarray | None] = {}
 
@@ -173,12 +189,23 @@ class BlockKernel:
         blob2: bytes | None = None,
         name2: str | None = None,
         row: int | None = None,
+        index: int = 0,
     ) -> tuple[bytes, bytes | None]:
         """One block task: returns the output blobs ``(out1, out2)``.
 
         Every step of *op* is applied in order between one decompress and
-        one compress per blob.  One blob is a local-qubit update of that
-        block.  Two blobs are a block pair (*blob1* holds the target-bit-0
+        one compress per blob.
+
+        One blob is a one-block update of the block with global index *index*
+        (``rank * blocks_per_rank + block``; only the bits in
+        ``op.index_mask`` are read): a step applies when all its
+        ``block_controls`` bits are set in *index* — as a 2x2 on an in-block
+        target, or, for a diagonal on a target above the block, as the phase
+        ``m[b, b]`` of the target's bit ``b`` of *index* unless that is
+        exactly 1.  The cache key carries the bits read, since byte-identical
+        blocks on opposite sides of such a bit have different outputs.
+
+        Two blobs are a block pair (*blob1* holds the target-bit-0
         amplitudes) and both are rewritten — unless *row* is given: then this
         is one rank's half of a cross-rank pair, *blob1* is the block this
         rank owns, *blob2* the peer's, *row* says which side of the pair
@@ -193,7 +220,10 @@ class BlockKernel:
 
         stats.tasks += 1
         cache = self.cache
-        op_key = op.op_key if row is None else op.op_key + ("xchg", row)
+        if blob2 is None:
+            op_key = op.op_key + (index & op.index_mask,)
+        else:
+            op_key = op.op_key if row is None else op.op_key + ("xchg", row)
         if cache is not None and cache.enabled:
             cached = cache.lookup(op_key, blob1, blob2)
             if cached is not None:
@@ -215,12 +245,20 @@ class BlockKernel:
                 )
             decoded = perf_counter()
             if not pair:
-                for matrix, target, controls in zip(
-                    op.matrices, op.targets, op.local_controls
+                offset_bits = self._offset_bits
+                for matrix, target, controls, required in zip(
+                    op.matrices, op.targets, op.local_controls, op.block_controls
                 ):
-                    ops.apply_controlled_single_qubit(
-                        buffer1, matrix, target, controls
-                    )
+                    if index & required != required:
+                        continue
+                    if target < offset_bits:
+                        ops.apply_controlled_single_qubit(
+                            buffer1, matrix, target, controls
+                        )
+                    else:
+                        phase = ops.block_phase(matrix, target - offset_bits, index)
+                        if phase is not None:
+                            ops.apply_phase(buffer1, phase, self._mask_for(controls))
             else:
                 low, high = (buffer2, buffer1) if row == 1 else (buffer1, buffer2)
                 last = len(op.matrices) - 1

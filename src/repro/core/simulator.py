@@ -4,12 +4,14 @@
 state vector stays compressed.  Per gate (Figure 2):
 
 0. (optional) The grouping pass (:func:`repro.circuits.fusion.form_runs`)
-   turns consecutive gates that stage the same blocks into runs, so each run
+   turns consecutive gates that can share one staging into runs, so each run
    pays one block round trip instead of one per gate
    (``SimulatorConfig.fusion_enabled``).
 1. The gate plan (:func:`repro.distributed.exchange.plan_gate`) lists which
-   (rank, block) buffers must be staged together, which depends on the target
-   qubit's index segment and the control qubits.
+   (rank, block) buffers must be staged, and which of them together: only a
+   gate that mixes amplitude pairs across blocks (a non-diagonal 2x2 on a
+   target above the block boundary) needs a partner block, chosen by the
+   target qubit's index segment; the control qubits prune blocks.
 2. The executor of the configured tier (``SimulatorConfig.tier``) runs the
    plan's tasks — :class:`~repro.core.executor.TaskExecutor` sequentially by
    default or concurrently on a thread pool (``num_workers``), since the
@@ -421,7 +423,7 @@ class CompressedSimulator:
         """Apply every gate of *circuit*; returns the (running) report.
 
         With ``fusion_enabled`` the circuit first goes through the grouping
-        pass, so consecutive gates that stage the same blocks share one round
+        pass, so consecutive gates that can share one staging share one round
         trip (``report.fusion_gates_in/out`` record the reduction).
         """
 
@@ -437,7 +439,7 @@ class CompressedSimulator:
         Runs the configured grouping pass (recording its statistics in the
         report) and returns the resulting elements as a list: plain gates,
         and a :class:`~repro.circuits.fusion.Run` for every stretch of two or
-        more consecutive gates that stage the same blocks under this
+        more consecutive gates that can share one staging under this
         simulator's partition.  Stepping the returned list through
         :meth:`apply_gate` one element at a time is bit-identical to a single
         :meth:`apply_circuit` call — this is the entry point for drivers that
@@ -479,7 +481,9 @@ class CompressedSimulator:
         While a memory budget is set and the controller is still lossless,
         any single gate can add a large share of the budget, so the footprint
         has to be checked after each one: a run then goes gate by gate until
-        the first escalation and finishes as one round trip from there.
+        the first escalation and finishes as one round trip from there (the
+        rest is planned afresh: what is left of a pair run may be only its
+        diagonals, a one-block run).
         """
 
         if isinstance(gate, Run) and self._config.memory_budget_bytes is not None:
@@ -504,6 +508,8 @@ class CompressedSimulator:
             np.stack([step.matrix for step in steps]),
             tuple(step.target for step in steps),
             plan.local_controls,
+            plan.block_controls,
+            plan.index_mask,
             compressor,
             gate.key() + (compressor.describe(),),
         )

@@ -1,10 +1,15 @@
 """Gate-to-communication planning.
 
-Given a :class:`~repro.distributed.partition.Partition` and a gate, this
-module answers two questions the simulator (and the tests) need:
+Given a :class:`~repro.distributed.partition.Partition` and a schedule
+element (a gate, or a :class:`~repro.circuits.fusion.Run`), this module
+answers what the element needs staged:
 
-* which pairs of (rank, block) buffers have to be co-resident in scratch
-  memory for the gate, and
+* which (rank, block) buffers it touches at all — block- and rank-level
+  controls prune whole blocks and ranks, and a diagonal 2x2 skips the blocks
+  it multiplies by exactly 1;
+* which of them have to be co-resident in scratch memory as a pair — only
+  those a step actually *mixes*: a diagonal gate never mixes an amplitude
+  pair, so wherever its target lies it plans one block at a time; and
 * which of those pairs require an inter-rank exchange.
 
 Keeping the planning separate from the execution makes the index arithmetic
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 
 from ..circuits import Gate
 from ..circuits.fusion import Run, constituents
+from ..statevector.ops import block_phase
 from .partition import Partition, QubitSegment
 
 __all__ = ["BlockTask", "GatePlan", "plan_gate"]
@@ -27,9 +33,9 @@ __all__ = ["BlockTask", "GatePlan", "plan_gate"]
 class BlockTask:
     """One unit of work: decompress the listed buffers, update, recompress.
 
-    ``first`` is always present; ``second`` is ``None`` for local-qubit gates
-    (the pair lives inside one block).  Each buffer is identified by
-    ``(rank, block)``.
+    ``first`` is always present; ``second`` is ``None`` for one-block
+    elements (the pair lives inside one block, or the gate is diagonal and
+    mixes no pair).  Each buffer is identified by ``(rank, block)``.
     """
 
     first: tuple[int, int]
@@ -55,6 +61,14 @@ class GatePlan:
     #: Per step (a single gate is a one-step plan), the controls that must be
     #: applied per-amplitude inside the scratch buffers.
     local_controls: tuple[tuple[int, ...], ...]
+    #: Per step, its block- and rank-level controls as a mask over the global
+    #: block index ``rank * blocks_per_rank + block`` (a non-local qubit ``q``
+    #: is bit ``q - offset_bits``).  A pair plan's tasks are already pruned
+    #: by it; a one-block plan's kernel tests it per block and step.
+    block_controls: tuple[int, ...]
+    #: The block-index bits a one-block task's outcome depends on (every
+    #: step's ``block_controls`` and non-local target bit); 0 for pair plans.
+    index_mask: int
     #: Number of inter-rank block exchanges the plan implies.
     exchange_count: int
 
@@ -89,29 +103,27 @@ class GatePlan:
         return tuple(tuple(wave) for wave in waves)
 
 
-def _control_filters(
-    partition: Partition, controls: tuple[int, ...]
-) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """Split control qubits into (local, block-level bits, rank-level bits)."""
+def _split_controls(
+    controls: tuple[int, ...], offset_bits: int
+) -> tuple[tuple[int, ...], int]:
+    """Split control qubits into the local ones and a mask of the others
+    over the global block index (see :attr:`GatePlan.block_controls`)."""
 
-    local: list[int] = []
-    block_bits: list[int] = []
-    rank_bits: list[int] = []
+    mask = 0
     for control in controls:
-        segment = partition.segment_of(control)
-        if segment is QubitSegment.LOCAL:
-            local.append(control)
-        elif segment is QubitSegment.BLOCK:
-            block_bits.append(partition.block_bit(control))
-        else:
-            rank_bits.append(partition.rank_bit(control))
-    return tuple(local), block_bits, rank_bits
+        if control >= offset_bits:
+            mask |= 1 << (control - offset_bits)
+    return tuple(c for c in controls if c < offset_bits), mask
 
 
-def _passes(index: int, required_bits: list[int]) -> bool:
-    """True when *index* has every bit in *required_bits* set."""
+def _acts_on(step: Gate, required: int, index: int, offset_bits: int) -> bool:
+    """Whether one-block *step* changes the block with global index *index*
+    (the test :meth:`repro.core.kernel.BlockKernel.run` applies per step)."""
 
-    return all(index >> bit & 1 for bit in required_bits)
+    if index & required != required:
+        return False
+    target_bit = step.target - offset_bits
+    return target_bit < 0 or block_phase(step.matrix, target_bit, index) is not None
 
 
 def plan_gate(partition: Partition, gate: Gate | Run) -> GatePlan:
@@ -121,10 +133,14 @@ def plan_gate(partition: Partition, gate: Gate | Run) -> GatePlan:
     (Section 3.3's three control cases); local controls are left in the plan
     for the executor to apply as element masks.
 
-    A :class:`~repro.circuits.fusion.Run` plans as its first gate, with one
-    ``local_controls`` entry per constituent.  Every constituent must stage
-    what the first does: the same segment under the same block/rank controls
-    and, above the block boundary, the same target and local control set.
+    An element whose every step is one-block — an in-block target, or a
+    diagonal 2x2 — plans as ``second=None`` tasks with no exchange (and
+    reports ``QubitSegment.LOCAL``), on exactly the blocks where at least one
+    step does something: all of the step's non-local control bits set in the
+    block's global index ``i`` and, for a diagonal on a non-local target,
+    ``m[b, b] != 1`` where ``b`` is the target's bit of ``i``.  Anything else
+    is a pair element: every step must share one non-local target and one set
+    of non-local controls, and it plans as that target's block pairs.
     """
 
     if gate.max_qubit() >= partition.num_qubits:
@@ -132,75 +148,60 @@ def plan_gate(partition: Partition, gate: Gate | Run) -> GatePlan:
             f"gate {gate.name} touches qubit {gate.max_qubit()} outside the "
             f"{partition.num_qubits}-qubit partition"
         )
-    first, *rest = constituents(gate)
-    target = first.target
-    segment = partition.segment_of(target)
-    local_controls, block_control_bits, rank_control_bits = _control_filters(
-        partition, first.controls
-    )
-    step_controls = [local_controls]
-    for step in rest:
-        local, block_bits, rank_bits = _control_filters(partition, step.controls)
-        same_blocks = (
-            partition.segment_of(step.target) is segment
-            and set(block_bits) == set(block_control_bits)
-            and set(rank_bits) == set(rank_control_bits)
-        )
-        same_pairs = segment is QubitSegment.LOCAL or (
-            step.target == target and set(local) == set(local_controls)
-        )
-        if not (same_blocks and same_pairs):
-            raise ValueError(
-                f"{gate.name} is not a run under this partition: every gate "
-                "must target the block-offset segment under the same "
-                "block/rank controls, or share one non-local target and "
-                "control set"
+    steps = constituents(gate)
+    offset = partition.offset_bits
+    per_rank = partition.blocks_per_rank
+    split = [_split_controls(step.controls, offset) for step in steps]
+    local_controls = tuple(local for local, _ in split)
+    block_controls = tuple(required for _, required in split)
+
+    if all(step.target < offset or step.is_diagonal for step in steps):
+        index_mask = 0
+        for step, required in zip(steps, block_controls):
+            index_mask |= required
+            if step.target >= offset:
+                index_mask |= 1 << (step.target - offset)
+        tasks = [
+            BlockTask(divmod(index, per_rank), None, crosses_ranks=False)
+            for index in range(partition.total_blocks)
+            if any(
+                _acts_on(step, required, index, offset)
+                for step, required in zip(steps, block_controls)
             )
-        step_controls.append(local)
+        ]
+        return GatePlan(
+            QubitSegment.LOCAL,
+            tuple(tasks),
+            local_controls,
+            block_controls,
+            index_mask,
+            exchange_count=0,
+        )
 
-    tasks: list[BlockTask] = []
-    exchange_count = 0
-
-    if segment is QubitSegment.LOCAL:
-        for rank in range(partition.num_ranks):
-            if not _passes(rank, rank_control_bits):
-                continue
-            for block in range(partition.blocks_per_rank):
-                if not _passes(block, block_control_bits):
-                    continue
-                tasks.append(BlockTask((rank, block), None, crosses_ranks=False))
-
-    elif segment is QubitSegment.BLOCK:
-        for rank in range(partition.num_ranks):
-            if not _passes(rank, rank_control_bits):
-                continue
-            for block0, block1 in partition.block_pairs(target):
-                # A block-level control must hold for the *pair*; the pair's
-                # blocks only differ in the target bit, so testing block0 is
-                # equivalent unless the control bit IS the target bit (which
-                # cannot happen: a control never equals the target).
-                if not _passes(block0, block_control_bits):
-                    continue
-                tasks.append(
-                    BlockTask((rank, block0), (rank, block1), crosses_ranks=False)
-                )
-
-    else:  # RANK segment
-        for rank0, rank1 in partition.rank_pairs(target):
-            if not _passes(rank0, rank_control_bits):
-                continue
-            for block in range(partition.blocks_per_rank):
-                if not _passes(block, block_control_bits):
-                    continue
-                tasks.append(
-                    BlockTask((rank0, block), (rank1, block), crosses_ranks=True)
-                )
-                exchange_count += 1
-
+    target, required = steps[0].target, block_controls[0]
+    if target < offset or any(
+        step.target != target or mask != required
+        for step, mask in zip(steps, block_controls)
+    ):
+        raise ValueError(
+            f"{gate.name} is not a run under this partition: every gate must "
+            "be one-block (an in-block target, or a diagonal 2x2), or all "
+            "must share one non-local target and one set of non-local controls"
+        )
+    target_bit = 1 << (target - offset)
+    tasks = []
+    for index in range(partition.total_blocks):
+        # The pair's blocks differ only in the target bit, which no control
+        # can be, so testing the controls on the bit-0 block covers both.
+        if index & target_bit or index & required != required:
+            continue
+        first, second = divmod(index, per_rank), divmod(index | target_bit, per_rank)
+        tasks.append(BlockTask(first, second, crosses_ranks=first[0] != second[0]))
     return GatePlan(
-        segment=segment,
-        tasks=tuple(tasks),
-        local_controls=tuple(step_controls),
-        exchange_count=exchange_count,
+        partition.segment_of(target),
+        tuple(tasks),
+        local_controls,
+        block_controls,
+        index_mask=0,
+        exchange_count=sum(task.crosses_ranks for task in tasks),
     )
-

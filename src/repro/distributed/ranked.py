@@ -4,8 +4,10 @@ This module reproduces the paper's distributed execution model (Sections 3.3
 and 4) with *actual* data movement, not just accounting: the compressed state
 is split over ``num_ranks`` persistent worker processes, each owning the
 disjoint :class:`~repro.distributed.partition.Partition` slice an MPI rank
-would own, and a gate whose target qubit falls in the rank index segment
-moves real compressed blobs between rank processes through
+would own, and a gate that mixes amplitude pairs across the rank index
+segment (a non-diagonal 2x2 on a rank-segment target; a diagonal there is a
+one-block phase each rank applies on its own) moves real compressed blobs
+between rank processes through
 :class:`~repro.distributed.process_comm.ProcessCommunicator`, the
 socket-pair stand-in for an MPI communicator.
 
@@ -249,7 +251,7 @@ class RankWorker:
     def _run_gate(self, message: tuple) -> tuple:
         """Run this rank's batch of one gate plan's tasks.
 
-        Task descriptors: ``("one", block)`` for a local-qubit update,
+        Task descriptors: ``("one", block)`` for a one-block update,
         ``("pair", block0, block1)`` for an intra-rank block pair, and
         ``("xchg", block, peer, row)`` for a cross-rank pair — the block is
         exchanged with *peer* through the communicator and only the *row*
@@ -262,9 +264,11 @@ class RankWorker:
         kernel = self._kernel
         op = op._replace(compressor=kernel.compressor_for(op.compressor))
         stats = TaskStats()
+        first_index = self._rank * self._partition.blocks_per_rank
         # Within one plan every block appears in exactly one task, so inputs
-        # seen earlier in the batch cannot have been rewritten: reusing a
-        # byte-identical task's outputs is safe across the whole batch.
+        # seen earlier in the batch cannot have been rewritten: reusing the
+        # outputs of a task with byte-identical blobs (and, for a one-block
+        # task, the same index bits the op reads) is safe across the batch.
         seen: dict[tuple, tuple[bytes, bytes | None]] = {}
         for kind, *blocks in tasks:
             if kind == "xchg":
@@ -284,9 +288,12 @@ class RankWorker:
                 for block in blocks:
                     entry = self._blocks[block]
                     inputs += (entry.blob, entry.compressor)
-                outs = seen.get(inputs)
+                index = (first_index + blocks[0]) & op.index_mask
+                outs = seen.get(inputs + (index,))
                 if outs is None:
-                    outs = seen[inputs] = kernel.run(op, stats, *inputs)
+                    outs = seen[inputs + (index,)] = kernel.run(
+                        op, stats, *inputs, index=index
+                    )
                 else:
                     stats.tasks += 1
             for block, out in zip(blocks, outs):

@@ -27,6 +27,8 @@ __all__ = [
     "apply_single_qubit_pairwise",
     "apply_single_qubit_pairwise_masked",
     "apply_single_qubit_pairwise_half",
+    "apply_phase",
+    "block_phase",
     "apply_controlled_single_qubit",
     "local_control_mask",
     "control_mask_indices",
@@ -161,6 +163,47 @@ def apply_single_qubit_pairwise_half(
     a = vector_low[mask]
     b = vector_high[mask]
     out[mask] = u_a * a + u_b * b
+
+
+def apply_phase(
+    vector: np.ndarray, phase: complex, mask: np.ndarray | None = None
+) -> None:
+    """Multiply the amplitudes *mask* selects by the scalar *phase*, in place.
+
+    This is a diagonal gate on a target above the block boundary, seen from
+    one block: every amplitude of the block has the same target bit ``b``, so
+    the update is ``m[b, b] * x`` under the local-control mask — no partner
+    block is read.  It computes ``phase * x + 0.0`` so that it equals the
+    pairwise update's ``0 * partner + phase * x``:
+
+    * scalar first, the operand order :func:`apply_single_qubit` uses
+      (``u00 * a``) — NumPy's SIMD complex multiply is fused and not
+      operand-symmetric, ``x * phase`` can differ in the last bit;
+    * ``+ 0.0`` turns the ``-0.0`` of e.g. ``(-1+0j) * (0+0j)`` into the
+      ``+0.0`` the pairwise sum yields, so an all-zero block stays
+      byte-equal to its compressor's zero blob.
+    """
+
+    if mask is None:
+        vector[:] = phase * vector + 0.0
+    else:
+        vector[mask] = phase * vector[mask] + 0.0
+
+
+def block_phase(matrix: np.ndarray, target_bit: int, index: int) -> complex | None:
+    """The phase a diagonal *matrix* multiplies one whole block by, or
+    ``None`` when it is exactly 1 and the block is left alone.
+
+    *target_bit* is the position of the gate's target in the global block
+    index *index* (the target lies above the block boundary, so every
+    amplitude of the block has the same target bit ``b``): the phase is
+    ``matrix[b, b]``.  Planner and kernel both ask here, so a block is staged
+    exactly when it is changed.
+    """
+
+    side = index >> target_bit & 1
+    phase = matrix[side, side]
+    return None if phase == 1 else phase
 
 
 def local_control_mask(

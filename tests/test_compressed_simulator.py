@@ -19,6 +19,7 @@ from repro.circuits import QuantumCircuit, ghz_circuit, qft_circuit, uniform_sup
 from repro.core import CompressedSimulator
 from repro.distributed import SimulatedCommunicator
 from repro.statevector import simulate_statevector, state_fidelity
+from tiers import TIERS, tier_config
 
 PARTITION_SHAPES = [
     # (num_qubits, num_ranks, block_amplitudes) exercising all three segments
@@ -210,6 +211,48 @@ class TestBlockCacheBehaviour:
         report = simulator.apply_circuit(ghz_circuit(6))
         assert simulator.cache is None
         assert report.cache_hits == 0
+
+
+class TestDiagonalGatesAboveTheBlock:
+    """A diagonal 2x2 on a block- or rank-segment target is a one-block step.
+
+    7 qubits over 2 ranks of 16-amplitude blocks: qubits 0-3 are local, 4-5
+    select the block, 6 the rank.
+    """
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_identical_blocks_across_a_target_bit_do_not_alias(self, tier, fusion):
+        # Eight byte-identical non-zero blocks, then phases that depend on
+        # which side of qubits 4, 5 and 6 a block lies: one task's output
+        # must not be handed to another with the same bytes (the block cache,
+        # the thread tier's wave dedupe, the rank worker's batch dedupe).
+        uniform = QuantumCircuit(7).h(0).h(1).h(4).h(5).h(6)
+        phases = QuantumCircuit(7).cz(0, 4).cz(1, 5).cp(0.3, 5, 6).rz(0.7, 4).t(6)
+        config = tier_config(tier, fusion_enabled=fusion)
+        with CompressedSimulator(7, config) as simulator:
+            simulator.apply_circuit(uniform)
+            assert len({e.blob for _, e in simulator.state.iter_blocks()}) == 1
+            simulator.apply_circuit(phases)
+            dense = simulate_statevector(uniform.compose(phases))
+            assert np.array_equal(simulator.statevector(), dense)
+            assert len({e.blob for _, e in simulator.state.iter_blocks()}) == 8
+
+    @pytest.mark.parametrize("tier", ["sequential", "ranked-comm"])
+    def test_zero_blocks_stay_the_zero_blob(self, tier):
+        # (-1+0j) * (0+0j) is -0.0+0.0j: a phase applied naively would move
+        # an all-zero block off the compressor's zero blob, which dedupe and
+        # the block cache key on.
+        circuit = QuantumCircuit(7).cz(4, 5).cz(0, 6).cp(0.3, 5, 6).cp(0.3, 6, 4)
+        circuit.z(5).z(6).rz(0.4, 5).rz(0.4, 6)
+        with CompressedSimulator(7, tier_config(tier)) as simulator:
+            before = dict(simulator.state.iter_blocks())
+            zero_blob = before[(1, 3)].blob
+            assert zero_blob != before[(0, 0)].blob
+            simulator.apply_circuit(circuit)
+            for key, entry in simulator.state.iter_blocks():
+                if key != (0, 0):  # the rz's move |0...0>'s own block
+                    assert entry.blob == zero_blob
 
 
 class TestCommunicationAccounting:

@@ -77,12 +77,27 @@ def fusion_heavy_circuits(draw) -> QuantumCircuit:
 # ---------------------------------------------------------------------------
 
 
-def _staging(gate, local_qubits: int) -> tuple:
-    """What two neighbours must agree on to share a run (restated here)."""
+ONE_BLOCK = "one-block"
+
+#: (num_ranks, block_amplitudes) shapes over NUM_QUBITS qubits; the same list
+#: as ``tests/test_property_simulator.py``'s ``_partitions``.
+PARTITION_SHAPES = [(1, 64), (1, 16), (2, 16), (4, 8), (8, 4)]
+
+
+def _keys(gate, local_qubits: int) -> tuple:
+    """The run keys a gate can take, preferred first (the rule, restated)."""
 
     if gate.target < local_qubits:
-        return ("local", frozenset(c for c in gate.controls if c >= local_qubits))
-    return (gate.target, frozenset(gate.controls))
+        return (ONE_BLOCK,)
+    pair = (gate.target, frozenset(c for c in gate.controls if c >= local_qubits))
+    diagonal = gate.matrix[0, 1] == 0 == gate.matrix[1, 0]
+    return (ONE_BLOCK, pair) if diagonal else (pair,)
+
+
+def _run_key(steps, local_qubits: int):
+    """The key a stretch was opened under: its first gate's preferred one."""
+
+    return _keys(steps[0], local_qubits)[0]
 
 
 class TestRunFormation:
@@ -101,30 +116,50 @@ class TestRunFormation:
         for element in elements:
             steps = constituents(element)
             assert isinstance(element, Run) == (len(steps) >= 2)
-            # Valid: in-block targets under one block/rank control set, or
-            # one non-local target under one control set.
-            assert len({_staging(g, local_qubits) for g in steps}) == 1
-        # Maximal: neighbours stay apart only because the staging changes.
+            # Valid: every step can take the key the run was opened under.
+            key = _run_key(steps, local_qubits)
+            assert all(key in _keys(step, local_qubits) for step in steps)
+        # Maximal under the rule as written: the next element's first gate
+        # could not have taken the open run's key.
         for left, right in zip(elements, elements[1:]):
-            assert _staging(constituents(left)[-1], local_qubits) != _staging(
+            assert _run_key(constituents(left), local_qubits) not in _keys(
                 constituents(right)[0], local_qubits
             )
 
+    @given(circuit=fusion_heavy_circuits())
+    @settings(max_examples=30, deadline=None)
+    def test_every_element_plans_under_every_partition_shape(self, circuit):
+        for ranks, block in PARTITION_SHAPES:
+            partition = Partition(NUM_QUBITS, ranks, block)
+            for element in form_runs(circuit.gates, partition.offset_bits):
+                steps = constituents(element)
+                plan = plan_gate(partition, element)
+                assert len(plan.local_controls) == len(steps)
+                one_block = _run_key(steps, partition.offset_bits) == ONE_BLOCK
+                assert one_block == all(task.second is None for task in plan.tasks)
+                if one_block:
+                    assert plan.segment is QubitSegment.LOCAL
+                    assert plan.exchange_count == 0
+                else:
+                    assert plan.segment is partition.segment_of(steps[0].target)
+
     def test_chain_circuit_schedule(self):
         circuit = _chain_circuit(4)  # 4 chains of 4 + 3 entanglers
-        # Everything in-block and uncontrolled above it: one run.
+        # Everything in-block: one run.
         assert len(form_runs(circuit.gates, 4)) == 1
-        # Nothing in-block: each chain is a run on its own target; the three
-        # controlled phases differ in target, so each stands alone.
+        # Nothing in-block: each chain is a pair run opened by its ``h`` that
+        # the diagonal ``t``/``rz``/``s`` join; the three controlled phases
+        # are diagonal, so whatever their targets they form one one-block run.
         elements = form_runs(circuit.gates, 0)
-        assert [len(constituents(e)) for e in elements] == [4, 4, 4, 4, 1, 1, 1]
+        assert [len(constituents(e)) for e in elements] == [4, 4, 4, 4, 3]
         assert elements[0].name == "run(h+t+rz+s)"
+        assert elements[-1].name == "run(p+p+p)"
 
     @pytest.mark.parametrize(
         "second",
         [
             standard_gate("h", 5),  # another non-local target
-            standard_gate("h", 4, controls=(0,)),  # another (local) control set
+            standard_gate("z", 4, controls=(5,)),  # a diagonal, other outer controls
             standard_gate("h", 4, controls=(5,)),  # another outer control set
             standard_gate("h", 0),  # an in-block target
         ],
@@ -135,12 +170,30 @@ class TestRunFormation:
             elements = form_runs(gates, 3)
             assert all(a is b for a, b in zip(elements, gates))
 
-    def test_in_block_gates_merge_across_targets_but_not_outer_controls(self):
+    def test_one_block_gates_merge_across_targets_and_outer_controls(self):
         h0, x1 = standard_gate("h", 0), standard_gate("x", 1, controls=(2,))
-        under5 = standard_gate("z", 2, controls=(5,))
-        elements = form_runs([h0, x1, under5, h0], 3)
-        assert [len(constituents(e)) for e in elements] == [2, 1, 1]
-        assert elements[0].gates == (h0, x1)
+        under5 = standard_gate("x", 2, controls=(5,))
+        cz = standard_gate("z", 4, controls=(3,))  # diagonal, nothing in-block
+        t5 = standard_gate("t", 5)
+        (run,) = form_runs([h0, x1, under5, cz, t5, h0], 3)
+        assert run.gates == (h0, x1, under5, cz, t5, h0)
+
+    def test_pair_run_takes_diagonals_and_other_local_controls(self):
+        # cx . rz . cx on non-local target 4: under a local control the
+        # sandwich is one pair round trip ...
+        rz = standard_gate("rz", 4, params=(0.3,))
+        cx = standard_gate("x", 4, controls=(1,))
+        (run,) = form_runs([cx, rz, cx, standard_gate("h", 4, controls=(0, 2))], 3)
+        assert len(run.gates) == 4
+        # ... under a non-local control the plain rz cannot take the pair
+        # key (its control set differs) and goes one-block between them;
+        # the same rz under that control joins.
+        outer = standard_gate("x", 4, controls=(5,))
+        assert len(form_runs([outer, rz, outer], 3)) == 3
+        crz = standard_gate("rz", 4, controls=(5,), params=(0.3,))
+        assert len(form_runs([outer, crz, outer], 3)) == 1
+        # A diagonal never opens a pair run: it prefers one-block.
+        assert [len(constituents(e)) for e in form_runs([rz, cx, rz], 3)] == [1, 2]
 
     def test_pair_run_ignores_control_order(self):
         first = standard_gate("x", 4, controls=(1, 5))
@@ -187,24 +240,29 @@ class TestFusedPlanning:
     def test_pair_run_plans_as_its_first_gates_pair_tasks(self, target):
         partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
         first = standard_gate("x", target, controls=(1, 2, 4))
-        second = standard_gate("p", target, controls=(4, 2, 1), params=(0.3,))
-        plan = plan_gate(partition, Run((first, second, first)))
+        # A diagonal with the run's non-local controls, and a mixing gate
+        # under other local controls: both ride the first gate's pairs.
+        second = standard_gate("p", target, controls=(4, 2), params=(0.3,))
+        third = standard_gate("h", target, controls=(0, 4, 2, 1))
+        plan = plan_gate(partition, Run((first, second, third)))
         single = plan_gate(partition, first)
         assert plan.segment is single.segment is not QubitSegment.LOCAL
-        assert plan.tasks == single.tasks == plan_gate(partition, second).tasks
-        assert plan.local_controls == ((1,), (1,), (1,))
+        assert plan.tasks == single.tasks == plan_gate(partition, third).tasks
+        assert plan.local_controls == ((1,), (), (0, 1))
+        assert plan.index_mask == 0
         # One exchange per block pair for the whole run.
         assert plan.exchange_count == single.exchange_count
+        assert plan.exchange_count == (len(plan.tasks) if target == 5 else 0)
 
     @pytest.mark.parametrize(
         "first, second",
         [
             (standard_gate("h", 0), standard_gate("h", 3)),  # block-segment target
             (standard_gate("h", 0), standard_gate("h", 5)),  # rank-segment target
-            (standard_gate("h", 0), standard_gate("h", 1, controls=(3,))),
-            (standard_gate("h", 0), standard_gate("h", 1, controls=(4,))),
+            (standard_gate("h", 3), standard_gate("z", 2)),  # a diagonal elsewhere
+            (standard_gate("h", 3), standard_gate("z", 3, controls=(2,))),
             (standard_gate("h", 3), standard_gate("h", 2)),  # another block target
-            (standard_gate("h", 3), standard_gate("h", 3, controls=(0,))),
+            (standard_gate("h", 5), standard_gate("t", 0)),  # in-block, in a pair run
             (standard_gate("h", 5), standard_gate("h", 5, controls=(2,))),
             (standard_gate("h", 5), standard_gate("h", 4)),  # another rank target
         ],
@@ -215,6 +273,50 @@ class TestFusedPlanning:
             plan_gate(partition, Run((first, second)))
         with pytest.raises(ValueError, match="not a run"):
             plan_gate(partition, Run((second, first)))
+
+    def test_one_block_run_plans_the_blocks_a_step_acts_on(self):
+        # Qubits 0-1 local, 2-3 block, 4-5 rank; global block index bits are
+        # qubits 2..5.  cz(3 -> 5) acts where bits 1 and 3 are set; t on 4
+        # where bit 2 is set; x on 0 under 2 where bit 0 is set.
+        partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
+        cz = standard_gate("z", 5, controls=(3,))
+        t4 = standard_gate("t", 4)
+        cx = standard_gate("x", 0, controls=(2, 1))
+        plan = plan_gate(partition, Run((cz, t4, cx)))
+        assert plan.segment is QubitSegment.LOCAL and plan.exchange_count == 0
+        assert plan.local_controls == ((), (), (1,))
+        assert plan.block_controls == (0b0010, 0, 0b0001)
+        assert plan.index_mask == 0b1111
+        touched = [
+            index
+            for index in range(16)
+            if index & 0b1010 == 0b1010 or index & 0b0100 or index & 0b0001
+        ]
+        assert [task.first for task in plan.tasks] == [divmod(i, 4) for i in touched]
+        assert all(task.second is None for task in plan.tasks)
+        # rz has no unit entry: it touches every block; z only the bit-1 half.
+        rz = plan_gate(partition, standard_gate("rz", 5, params=(0.4,)))
+        assert len(rz.tasks) == 16 and rz.index_mask == 0b1000
+        z = plan_gate(partition, standard_gate("z", 5))
+        assert [task.first[0] for task in z.tasks] == [2] * 4 + [3] * 4
+
+    @pytest.mark.parametrize("target", [3, 5])
+    def test_all_diagonal_suffix_of_a_pair_run_plans_one_block(self, target):
+        # Under a memory budget a run goes gate by gate until the first
+        # escalation and the rest is re-wrapped: a pair run's suffix may hold
+        # only its diagonals.
+        partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
+        gates = [
+            standard_gate("x", target, controls=(1,)),
+            standard_gate("rz", target, params=(0.3,)),
+            standard_gate("p", target, controls=(0,), params=(0.2,)),
+        ]
+        (run,) = form_runs(gates, partition.offset_bits)
+        assert plan_gate(partition, run).segment is not QubitSegment.LOCAL
+        suffix = plan_gate(partition, Run(tuple(gates[1:])))
+        assert suffix.segment is QubitSegment.LOCAL
+        assert suffix.exchange_count == 0 and len(suffix.tasks) == 16
+        assert all(task.second is None for task in suffix.tasks)
 
     @pytest.mark.parametrize("target", [0, 3, 5])
     def test_independent_groups_cover_and_are_disjoint(self, target):

@@ -12,6 +12,10 @@ Pinned here:
   and one task; a hit on the run's key makes no codec call.  A k-step pair
   task likewise (one decompress pair, one compress pair), and the two ``row``
   halves of a k-step cross-rank task are the whole pair task's two outputs.
+* **One-block steps above the block** — a one-block task applies the steps
+  whose block/rank-level controls are set in its block's index, a diagonal on
+  a non-local target as one scalar phase; every block of a dense reference
+  comes out equal, and the cache key carries exactly the index bits read.
 * **Partial plans** — a corrupt blob mid-plan leaves the finished tasks
   committed and counted.
 * **Structure** — nothing else under ``core/`` or ``distributed/`` applies a
@@ -28,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.circuits import Gate, ghz_circuit
+from repro.circuits import Gate, ghz_circuit, standard_gate
 from repro.compression import CompressorError, get_compressor
 from repro.core import (
     BlockCache,
@@ -117,7 +121,13 @@ def _setup(cache):
     scratch = CountingScratch(BLOCK, buffers=2)
     kernel = BlockKernel({stored.name: stored, output.name: output}, scratch, cache)
     op = BlockOp(
-        MATRIX[None], (2,), (CONTROLS,), output, ("u", (2,), CONTROLS, "xor@1e-3")
+        MATRIX[None],
+        (2,),
+        (CONTROLS,),
+        (0,),
+        0,
+        output,
+        ("u", (2,), CONTROLS, "xor@1e-3"),
     )
     return kernel, op, stored, output, scratch
 
@@ -233,7 +243,9 @@ STEPS = (
 def _step_op(steps, codec, describe="lossless"):
     matrices, targets, controls = zip(*steps)
     key = tuple(("u", (t,), c, m.tobytes()) for m, t, c in steps) + (describe,)
-    return BlockOp(np.stack(matrices), targets, controls, codec, key)
+    return BlockOp(
+        np.stack(matrices), targets, controls, (0,) * len(steps), 0, codec, key
+    )
 
 
 @pytest.mark.parametrize("cache_kind", ["none", "enabled"])
@@ -312,6 +324,59 @@ def test_multi_step_pair_equals_chained_pairs_and_its_own_halves(blocks):
     assert kernel.run(op, stats, *pair, row=0) == (whole[0], None)
     assert kernel.run(op, stats, *pair[2:], *pair[:2], row=1) == (whole[1], None)
     assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (3, 6, 4)
+
+
+def test_one_block_steps_follow_the_block_index(rng):
+    # 7 qubits in 16-amplitude blocks: qubits 4-6 are bits 0-2 of the block
+    # index.  An in-block 2x2 under qubit 4, a t on qubit 5, and an rz on
+    # qubit 6 under local qubit 1 and qubit 4.
+    gates = [
+        Gate("u", MATRIX, targets=(2,), controls=(4,)),
+        standard_gate("t", 5),
+        standard_gate("rz", 6, controls=(1, 4), params=(0.7,)),
+    ]
+    dense = rng.normal(size=128) + 1j * rng.normal(size=128)
+    expected = dense.copy()
+    for gate in gates:
+        ops.apply_gate_to_vector(expected, gate)
+
+    codec = CountingCodec(get_compressor("lossless"))
+    cache = CACHES["enabled"]()
+    kernel = BlockKernel({codec.name: codec}, ScratchPool(BLOCK, buffers=2), cache)
+    op = BlockOp(
+        np.stack([gate.matrix for gate in gates]),
+        (2, 5, 6),
+        ((), (), (1,)),
+        (0b001, 0, 0b001),
+        0b111,
+        codec,
+        tuple(gate.key() for gate in gates) + ("lossless",),
+    )
+    stats = TaskStats()
+    for index in range(8):
+        block = dense[index * BLOCK : (index + 1) * BLOCK]
+        # Bits above the mask are not read.
+        out, none = kernel.run(
+            op, stats, codec.compress(block.view(np.float64)), codec.name,
+            index=index | 0b1000,
+        )
+        assert none is None
+        assert np.array_equal(
+            codec.decompress(out).view(np.complex128),
+            expected[index * BLOCK : (index + 1) * BLOCK],
+        )
+    assert (stats.cache_hits, stats.cache_misses) == (0, 8)
+
+    # One blob on both sides of the t's target bit: two lines (block 0's own
+    # left the 4-line cache), two outputs; the same bits again hit whatever
+    # the bits outside the mask say.
+    blob = codec.compress(dense[:BLOCK].view(np.float64))
+    low, _ = kernel.run(op, stats, blob, codec.name, index=0b000)
+    high, _ = kernel.run(op, stats, blob, codec.name, index=0b010)
+    assert low == blob != high
+    assert (stats.cache_hits, stats.cache_misses) == (0, 10)
+    assert kernel.run(op, stats, blob, codec.name, index=0b11010) == (high, None)
+    assert (stats.cache_hits, stats.cache_misses) == (1, 10)
 
 
 def test_task_stats_pickle_flat_and_fold():

@@ -67,12 +67,15 @@ _partitions = st.sampled_from(
 @st.composite
 def run_heavy_circuits(draw) -> QuantumCircuit:
     """Random circuits biased toward stretches that share one staging:
-    consecutive gates on one target, and controlled pairs on one target under
-    one control set (in either control order)."""
+    consecutive gates on one target, controlled pairs on one target under
+    one control set (in either control order), and diagonal gates — one-block
+    steps wherever their target lies — alone, in both control orders, and
+    sandwiched between mixing gates on a rank-segment target (qubits 4-5
+    under the four-rank partition the tier test uses)."""
 
     circuit = QuantumCircuit(NUM_QUBITS)
     for _ in range(draw(st.integers(min_value=1, max_value=10))):
-        kind = draw(st.integers(min_value=0, max_value=4))
+        kind = draw(st.integers(min_value=0, max_value=8))
         control1, control2, target = draw(
             st.permutations(range(NUM_QUBITS)).map(lambda p: p[:3])
         )
@@ -88,8 +91,22 @@ def run_heavy_circuits(draw) -> QuantumCircuit:
         elif kind == 3:
             circuit.ccx(control1, control2, target)
             circuit.add("ry", target, controls=(control2, control1), params=(draw(angles),))
-        else:
+        elif kind == 4:
             circuit.cx(control1, target)
+        elif kind == 5:
+            circuit.cz(control1, target).cz(target, control1)
+            circuit.cp(draw(angles), control1, target)
+            circuit.cp(draw(angles), target, control1)
+        elif kind == 6:
+            high = draw(st.sampled_from([4, 5]))
+            circuit.rz(draw(angles), high).t(high)
+        else:
+            # cx . rz . cx under a control that is always local (7: the rz
+            # joins the pair run) or always the other rank qubit (8: it
+            # cannot, and goes one-block between two pair round trips).
+            high = draw(st.sampled_from([4, 5]))
+            control = draw(st.sampled_from([0, 1])) if kind == 7 else 9 - high
+            circuit.cx(control, high).rz(draw(angles), high).cx(control, high)
     return circuit
 
 

@@ -29,8 +29,10 @@ from repro.core import (
     save_checkpoint,
 )
 from repro.core.blocks import CompressedBlock
+from repro.distributed import plan_gate
 from repro.errors import PoolProtocolError, WorkerCrashedError
 from repro.resilience import FaultPolicy
+from repro.statevector import simulate_statevector
 from tiers import open_fd_count, tier_config
 
 NUM_QUBITS = 8
@@ -181,6 +183,45 @@ class TestRealCommunication:
             report = simulator.apply_circuit(circuit)
             assert report.communication_bytes == 0
             assert report.block_exchanges == 0
+
+
+    def test_diagonal_rank_target_gates_do_not_exchange(self):
+        # Qubits 6 and 7 select the rank.  A diagonal never mixes a pair, so
+        # each rank phases its own blocks: nothing crosses a socket.
+        circuit = QuantumCircuit(NUM_QUBITS).h(0).h(1).h(2)
+        circuit.z(7).t(6).rz(0.3, 7).p(0.4, 6).cz(6, 7).cz(0, 7).cp(0.5, 7, 6)
+        circuit.cp(0.2, 5, 7)
+        with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
+            report = simulator.apply_circuit(circuit)
+            assert simulator.comm.stats.exchanges == 0
+            assert simulator.comm.stats.bytes_sent == 0
+            assert report.block_exchanges == 0
+            assert all(entry["exchanges"] == 0 for entry in report.rank_comm)
+            assert np.array_equal(
+                simulator.statevector(), simulate_statevector(circuit)
+            )
+
+    def test_exchanges_are_the_plans_exchange_counts(self):
+        # One exchange per block per rank-target element that mixes; the
+        # diagonal rank-target elements between them add none.
+        circuit = QuantumCircuit(NUM_QUBITS).h(0).h(7).t(7).cx(0, 6).rz(0.3, 6)
+        circuit.cz(6, 7).h(1).cp(0.4, 1, 7).h(6).sx(7)
+        with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
+            plans = [
+                plan_gate(simulator.partition, element)
+                for element in simulator.prepare_gates(circuit)
+            ]
+            crossing = [plan for plan in plans if plan.exchange_count]
+            assert 0 < len(crossing) < len(plans)
+            for plan in crossing:
+                assert plan.exchange_count == len(plan.tasks) == 8
+            simulator.apply_circuit(circuit)
+            assert simulator.comm.stats.exchanges == sum(
+                plan.exchange_count for plan in plans
+            )
+            assert np.array_equal(
+                simulator.statevector(), simulate_statevector(circuit)
+            )
 
 
 class TestLifecycle:

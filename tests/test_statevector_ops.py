@@ -141,6 +141,53 @@ class TestPairwiseKernel:
             )
 
 
+class TestApplyPhase:
+    """A diagonal gate above the block, seen from one block at a time."""
+
+    #: 13 qubits: the target (12) splits the vector into two 4096-amplitude
+    #: contiguous halves, each one "block" of uniform target bit.
+    NUM_QUBITS = 13
+
+    @pytest.mark.parametrize(
+        "name, params, controls",
+        [
+            ("z", (), ()),
+            ("t", (), ()),
+            ("rz", (0.37,), ()),
+            ("p", (1.1,), ()),
+            ("p", (-2.3,), (3,)),  # cp under a control inside the block
+        ],
+    )
+    def test_equals_the_pairwise_update_bit_for_bit(self, name, params, controls, rng):
+        # NumPy's SIMD complex multiply is fused and not operand-symmetric:
+        # x * phase differs from phase * x in the last bit, and only the
+        # scalar-first order is what the 2x2 kernels compute.
+        target = self.NUM_QUBITS - 1
+        gate = standard_gate(name, target, controls=controls, params=params)
+        state = rng.normal(size=1 << self.NUM_QUBITS) + 1j * rng.normal(
+            size=1 << self.NUM_QUBITS
+        )
+        expected = state.copy()
+        ops.apply_controlled_single_qubit(expected, gate.matrix, target, controls)
+        half = 1 << target
+        mask = ops.local_control_mask(half, controls)
+        for side in (0, 1):
+            block = state[side * half : (side + 1) * half].copy()
+            assert block.size >= 4096
+            ops.apply_phase(block, gate.matrix[side, side], mask)
+            assert np.array_equal(block, expected[side * half : (side + 1) * half])
+
+    @pytest.mark.parametrize("controls", [(), (2,)])
+    def test_keeps_zeros_positive(self, controls):
+        # (-1+0j) * (0+0j) is -0.0+0.0j; the pairwise sum 0*low + m11*high
+        # yields +0, and so must this: a zero block has to stay byte-equal to
+        # the compressor's zero blob.
+        block = np.zeros(16, dtype=np.complex128)
+        for phase in (gates.Z[1, 1], gates.phase(2.0)[1, 1], gates.rz(-1.0)[0, 0]):
+            ops.apply_phase(block, phase, ops.local_control_mask(16, controls))
+            assert block.tobytes() == bytes(16 * 16)
+
+
 class TestControlMaskIndices:
     def test_selects_expected_indices(self):
         indices = ops.control_mask_indices(16, 0b0101, 0b0101)
