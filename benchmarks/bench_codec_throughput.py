@@ -11,11 +11,7 @@ helpers.  This bench pins those wins to numbers:
   quantities, on the spiky amplitude model of Figure 9),
 * the table-driven Huffman decoder against a faithful copy of the seed's
   bit-by-bit decoder on a 2^20-symbol SZ-quantized stream (the acceptance
-  floor is 5x),
-* the engine matrix: the same decode paths once per registered kernel
-  engine (``numpy`` and, where installed, the JIT-compiled ``numba``
-  engine), with cross-engine bit-identity asserted in every mode and a
-  >= 3x numba-over-numpy Huffman-decode floor enforced in full mode, and
+  floor is 5x), and
 * the ``TaskExecutor`` thread-scaling curve with the SZ codec on the hot
   path — NumPy kernels and zlib release the GIL, which is what
   ``num_workers`` > 1 feeds on.
@@ -44,12 +40,10 @@ from repro.circuits import QuantumCircuit
 from repro.compression import (
     ErrorBoundMode,
     SZCompressor,
-    available_engines,
     get_compressor,
     huffman,
     quantization,
 )
-from repro.compression.huffman import HuffmanCodec
 from repro.core import CompressedSimulator, SimulatorConfig, effective_cpu_count
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -60,8 +54,6 @@ BLOCK_SIZES = (1 << 14, 1 << 17) if QUICK else (1 << 14, 1 << 17, 1 << 20)
 HUFFMAN_SYMBOLS = 1 << 16 if QUICK else 1 << 20
 REPEATS = 2 if QUICK else 3
 SPEEDUP_FLOOR = 5.0
-#: Minimum numba-over-numpy Huffman decode speedup (full mode, numba hosts).
-ENGINE_SPEEDUP_FLOOR = 3.0
 
 
 def _merge_json(section: str, payload) -> None:
@@ -202,87 +194,6 @@ def test_huffman_decode_speedup_vs_seed(emit):
     )
     if not QUICK:
         assert speedup >= SPEEDUP_FLOOR
-
-
-def test_engine_matrix(emit):
-    """The same hot decode paths, once per registered kernel engine.
-
-    Every engine must decode the 2^20-symbol SZ-quantized Huffman stream and
-    an SZ block bit-identically (asserted in every mode); on hosts where the
-    numba engine runs natively its Huffman decode must beat the numpy engine
-    by >= 3x in full mode.  Hosts without numba still record the numpy row,
-    so the JSON's engine dimension exists in every environment.
-    """
-
-    symbols = _sz_quantized_stream(HUFFMAN_SYMBOLS)
-    rng = np.random.default_rng(23)
-    block = _spiky_amplitudes(rng, BLOCK_SIZES[-1])
-    engines = available_engines()
-
-    reference_blob = huffman.encode(symbols)
-    reference_sz = SZCompressor(bound=1e-3).compress(block)
-
-    rows = []
-    results = {}
-    for engine in sorted(engines):
-        huff = HuffmanCodec(engine=engine)
-        sz = SZCompressor(bound=1e-3, engine=engine)
-        # Bit-identity across engines is the wire-format contract and fails
-        # the bench in every mode.
-        assert huff.encode(symbols) == reference_blob, engine
-        assert sz.compress(block) == reference_sz, engine
-        assert np.array_equal(huff.decode(reference_blob), symbols), engine
-
-        huff.decode(reference_blob)  # warm-up (JIT compile on numba)
-        sz.decompress(reference_sz)
-        decode_s = _best_seconds(lambda: huff.decode(reference_blob))
-        encode_s = _best_seconds(lambda: huff.encode(symbols))
-        sz_decode_s = _best_seconds(lambda: sz.decompress(reference_sz))
-        results[engine] = {
-            "huffman_decode_seconds": decode_s,
-            "huffman_encode_seconds": encode_s,
-            "sz_decode_seconds": sz_decode_s,
-            "huffman_decode_msym_s": symbols.size / decode_s / 1e6,
-        }
-        rows.append(
-            {
-                "engine": engine,
-                "huffman_decode_s": f"{decode_s:.3f}",
-                "huffman_encode_s": f"{encode_s:.3f}",
-                "sz_decode_s": f"{sz_decode_s:.3f}",
-            }
-        )
-
-    speedup = None
-    if "numba" in results:
-        speedup = (
-            results["numpy"]["huffman_decode_seconds"]
-            / results["numba"]["huffman_decode_seconds"]
-        )
-    _merge_json(
-        "engines",
-        {
-            "available": list(engines),
-            "symbols": int(symbols.size),
-            "block": int(block.size),
-            "results": results,
-            "numba_decode_speedup": speedup,
-            "floor": ENGINE_SPEEDUP_FLOOR,
-        },
-    )
-    emit(
-        f"Kernel engine matrix ({symbols.size} Huffman symbols, "
-        f"{block.size}-amplitude SZ block)",
-        format_table(rows)
-        + (
-            f"\nnumba decode speedup: {speedup:.1f}x "
-            f"(floor {ENGINE_SPEEDUP_FLOOR}x, enforced in full mode)"
-            if speedup is not None
-            else "\nnumba not installed - numpy engine only"
-        ),
-    )
-    if speedup is not None and not QUICK:
-        assert speedup >= ENGINE_SPEEDUP_FLOOR
 
 
 def test_codec_throughput_matrix(emit):

@@ -10,8 +10,8 @@ turns a silent performance regression into a red build while still recording
 the data point for later inspection.
 
 Environment matching is deliberately strict: a baseline only counts when it
-ran in the same mode (quick vs full), on the same stream sizes, with the same
-engine set and on a host with the same effective CPU count — comparing a
+ran in the same mode (quick vs full), on the same stream sizes and on a host
+with the same effective CPU count — comparing a
 laptop full run against a throttled CI quick run, or two different
 containers, would only produce noise (unchanged zfp-abs code measured 112 and
 58 MB/s decode at 128 Ki on the 1-CPU and 2-CPU recording hosts).  When no
@@ -59,7 +59,6 @@ ENVIRONMENT_KEYS = (
     "quick",
     "huffman_symbols",
     "block_sizes",
-    "engines_available",
     "available_cpus",
 )
 
@@ -84,8 +83,9 @@ def summarise(bench: dict, commit: str, timestamp: str) -> dict:
     """One flat trend record from a ``BENCH_codec.json`` payload.
 
     ``encode_mb_s`` and ``decode_mb_s`` carry one series per (codec, block)
-    cell of the throughput matrix; ``huffman_decode_msym_s`` one series per
-    engine.
+    cell of the throughput matrix; ``huffman_decode_msym_s`` the one series
+    ``"numpy"`` (the key rows recorded before 1.9.0 carry it under, next to an
+    ``engines_available`` field nothing reads any more).
     Sections absent from a partial bench run are simply absent here too.
     """
 
@@ -99,7 +99,6 @@ def summarise(bench: dict, commit: str, timestamp: str) -> dict:
         "huffman_symbols": meta.get("huffman_symbols"),
         "block_sizes": meta.get("block_sizes"),
         "available_cpus": meta.get("available_cpus"),
-        "engines_available": None,
         "encode_mb_s": {},
         "decode_mb_s": {},
         "huffman_decode_msym_s": {},
@@ -113,13 +112,6 @@ def summarise(bench: dict, commit: str, timestamp: str) -> dict:
         record["huffman_decode_msym_s"]["numpy"] = (
             section["symbols"] / section["vectorised_seconds"] / 1e6
         )
-    if "engines" in bench:
-        section = bench["engines"]
-        record["engines_available"] = sorted(section["available"])
-        for engine, metrics in section["results"].items():
-            record["huffman_decode_msym_s"][engine] = metrics[
-                "huffman_decode_msym_s"
-            ]
     return record
 
 

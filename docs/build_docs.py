@@ -65,8 +65,7 @@ API_SECTIONS = [
         "repro.compression.fpzip_like", "repro.compression.reshuffle",
         "repro.compression.huffman", "repro.compression.bitpack",
         "repro.compression.quantization", "repro.compression.metrics",
-        "repro.compression.engines", "repro.compression.engines.numpy_engine",
-        "repro.compression.engines.numba_engine",
+        "repro.compression.engines",
     ]),
     ("distributed", "repro.distributed", [
         "repro.distributed", "repro.distributed.partition",

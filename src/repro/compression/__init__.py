@@ -6,13 +6,6 @@ in :mod:`repro.compression.interface`, so ``get_compressor("C", bound=1e-3)``
 works immediately.
 """
 
-from .engines import (
-    DEFAULT_ENGINE,
-    KNOWN_ENGINES,
-    EngineFallbackWarning,
-    available_engines,
-    get_engine,
-)
 from .interface import (
     PAPER_ERROR_LEVELS,
     CompressionRecord,
@@ -34,12 +27,6 @@ from .fpzip_like import FPZIPLikeCompressor, PAPER_PRECISION_MAP
 from . import bitplane, engines, huffman, metrics, quantization
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "KNOWN_ENGINES",
-    "EngineFallbackWarning",
-    "available_engines",
-    "get_engine",
-    "engines",
     "Compressor",
     "CompressorError",
     "CompressionRecord",
@@ -60,6 +47,7 @@ __all__ = [
     "COMPLEX_QUANTIZATION_BINS",
     "PAPER_PRECISION_MAP",
     "bitplane",
+    "engines",
     "huffman",
     "metrics",
     "quantization",

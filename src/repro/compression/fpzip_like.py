@@ -66,11 +66,7 @@ class FPZIPLikeCompressor(Compressor):
     name = "fpzip"
 
     def __init__(
-        self,
-        precision: int = 22,
-        backend: str = "zlib",
-        level: int = 6,
-        engine: str | None = None,
+        self, precision: int = 22, backend: str = "zlib", level: int = 6
     ) -> None:
         if not 4 <= precision <= 64:
             raise CompressorError("FPZIP precision must be in [4, 64]")
@@ -82,14 +78,8 @@ class FPZIPLikeCompressor(Compressor):
         self._precision = int(precision)
         self._backend = backend
         self._level = int(level)
-        # No engine-backed hot loop (byte-matrix slicing + stdlib codec), but
-        # the parameter is accepted, validated and pickled so the registry's
-        # uniform `get_compressor(name, engine=...)` plumbing works here too.
         self._record_init(
-            precision=self._precision,
-            backend=backend,
-            level=self._level,
-            engine=engine,
+            precision=self._precision, backend=backend, level=self._level
         )
 
     @classmethod

@@ -6,19 +6,16 @@ This module provides a small, self-contained canonical-Huffman implementation
 used by :mod:`repro.compression.sz` and :mod:`repro.compression.sz_complex`.
 
 The codec owns the *format*: code-book construction, canonicalisation, wire
-(de)serialisation and code-book validation.  The hot loops — packing the
-variable-width code words on encode and walking the bit stream on decode —
-are delegated to a pluggable kernel engine
-(:mod:`repro.compression.engines`): the default ``"numpy"`` engine runs the
-table-driven vectorised decoder (window lookup table + jump composition +
-anchor-ladder wavefront), the optional ``"numba"`` engine runs the
-naturally-sequential loop as JIT-compiled machine code.  Both produce
-bit-identical streams; select one with ``HuffmanCodec(engine=...)``.
+(de)serialisation and code-book validation.  The hot loops are two calls:
+:func:`repro.compression.bitpack.pack_bitfields` packs the variable-width
+code words on encode, and
+:func:`repro.compression.engines.huffman_decode_indices` walks the bit
+stream on decode (window lookup table + jump composition + anchor-ladder
+wavefront).
 
 The wire format is unchanged from the seed implementation: little-endian
 ``count`` / code book (symbols + lengths) / ``total_bits`` / MSB-first packed
-code stream.  Blobs produced by any engine decode identically with every
-other.
+code stream.
 """
 
 from __future__ import annotations
@@ -28,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import CodecEngine
+from .bitpack import pack_bitfields
+from .engines import huffman_decode_indices
 from .interface import CompressorError, ConstructorPickled
 
 __all__ = ["HuffmanCodec", "encode", "decode", "DECODE_WINDOW_BITS"]
 
-#: Width (bits) of the numpy engine's window lookup table.  Codes no longer
+#: Width (bits) of the decoder's window lookup table.  Codes no longer
 #: than this resolve with one table gather; rarer, longer codes take the
 #: searchsorted slow path.  2^W table entries are built per decode call; 16
 #: is the widest window a uint16 table index supports and keeps the
@@ -141,24 +139,15 @@ class HuffmanCodec(ConstructorPickled):
     Parameters
     ----------
     window_bits:
-        Width of the numpy engine's decode lookup table (ignored by other
-        engines; the decoded stream never depends on it).
-    engine:
-        Kernel engine for the hot loops — an engine name from
-        :data:`repro.compression.engines.KNOWN_ENGINES`, an already-resolved
-        :class:`~repro.compression.engines.CodecEngine`, or ``None`` for the
-        default.
+        Width of the decode lookup table (a speed knob; the decoded stream
+        never depends on it).
     """
 
-    def __init__(
-        self,
-        window_bits: int = DECODE_WINDOW_BITS,
-        engine: str | CodecEngine | None = None,
-    ) -> None:
+    def __init__(self, window_bits: int = DECODE_WINDOW_BITS) -> None:
         if not 1 <= window_bits <= 16:
             raise CompressorError("window_bits must be in [1, 16]")
         self._window_bits = window_bits
-        self._record_init(window_bits=window_bits, engine=engine)
+        self._record_init(window_bits=window_bits)
 
     def encode(self, symbols: np.ndarray) -> bytes:
         """Encode a 1-D integer array into a self-describing byte string."""
@@ -178,7 +167,7 @@ class HuffmanCodec(ConstructorPickled):
         sym_order = np.argsort(book.symbols)
         sorted_syms = book.symbols[sym_order]
         positions = sym_order[np.searchsorted(sorted_syms, symbols)]
-        packed, total_bits = self._engine_impl.pack_bitfields(
+        packed, total_bits = pack_bitfields(
             book.codes[positions], book.lengths[positions].astype(np.int64)
         )
 
@@ -249,7 +238,7 @@ class HuffmanCodec(ConstructorPickled):
     def _decode_stream(
         self, packed: np.ndarray, total_bits: int, count: int, book: _CodeBook
     ) -> np.ndarray:
-        flat_idx = self._engine_impl.huffman_decode_indices(
+        flat_idx = huffman_decode_indices(
             packed, total_bits, count, book.lengths, book.codes, self._window_bits
         )
         return book.symbols[flat_idx]

@@ -74,30 +74,13 @@ class ConstructorPickled:
     A codec crosses a process boundary on every ranked ``("gate", op,
     tasks)`` message, so its payload must stay constructor-sized.  The
     constructor hands its arguments to :meth:`_record_init`; the one pair of
-    pickle hooks below returns and replays them.  ``engine`` is recorded as
-    the *requested* name — never the resolved instance an outer codec hands
-    its inner one — so a codec built with ``engine="numba"`` on a fallback
-    host still asks for (and gets) the real numba engine when unpickled on a
-    worker that has it.
+    pickle hooks below returns and replays them.
     """
 
-    def _record_init(self, *, engine=None, **args) -> None:
-        """Record the constructor arguments and resolve the kernel engine.
+    def _record_init(self, **args) -> None:
+        """Record the constructor arguments for the pickle hooks."""
 
-        The resolved implementation lands on ``self._engine_impl``.  Imported
-        lazily because :mod:`.engines` imports this module.
-        """
-
-        from .engines import engine_name, resolve_engine
-
-        self._engine_impl = resolve_engine(engine)
-        self._init_args = {**args, "engine": engine_name(engine)}
-
-    @property
-    def engine(self) -> str:
-        """Requested codec engine name (``"numpy"`` when none was given)."""
-
-        return self._init_args["engine"]
+        self._init_args = args
 
     def __getstate__(self) -> dict:
         return self._init_args
@@ -289,9 +272,16 @@ def available_compressors() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def get_compressor(name: str, **kwargs) -> Compressor:
+def get_compressor(name: str, *, engine: str | None = None, **kwargs) -> Compressor:
     """Instantiate a registered compressor by *name* or solution letter."""
 
+    # `engine` is read by benchmarks/e2e/e2e_trace.py (frozen), which passes
+    # "numpy"; it selects nothing and goes with that call (docs/migration.md).
+    if engine not in (None, "numpy"):
+        raise CompressorError(
+            f"codec engine {engine!r} was removed in 1.9.0: there is one "
+            "kernel implementation, drop the argument (see docs/migration.md)"
+        )
     key = name.lower()
     key = _SOLUTION_ALIASES.get(key, key)
     try:

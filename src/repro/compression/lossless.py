@@ -93,18 +93,13 @@ class LosslessCompressor(Compressor):
 
     name = "lossless"
 
-    def __init__(
-        self, backend: str = "zlib", level: int = 6, engine: str | None = None
-    ) -> None:
+    def __init__(self, backend: str = "zlib", level: int = 6) -> None:
         super().__init__(ErrorBoundMode.LOSSLESS, 0.0)
         if backend not in _BACKENDS:
             raise CompressorError(f"unknown lossless backend {backend!r}")
         self._backend = backend
         self._level = int(level)
-        # No engine-backed hot loop (the stdlib codecs do all the work), but
-        # the parameter is accepted, validated and pickled so the registry's
-        # uniform `get_compressor(name, engine=...)` plumbing works here too.
-        self._record_init(backend=backend, level=self._level, engine=engine)
+        self._record_init(backend=backend, level=self._level)
 
     @property
     def backend(self) -> str:

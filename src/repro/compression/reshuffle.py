@@ -61,19 +61,11 @@ class ReshuffleCompressor(Compressor):
     name = "reshuffle"
 
     def __init__(
-        self,
-        bound: float = 1e-3,
-        backend: str = "zlib",
-        level: int = 6,
-        engine: str | None = None,
+        self, bound: float = 1e-3, backend: str = "zlib", level: int = 6
     ) -> None:
         super().__init__(ErrorBoundMode.RELATIVE, bound)
-        self._record_init(
-            bound=self.bound, backend=backend, level=int(level), engine=engine
-        )
-        self._inner = XorBitplaneCompressor(
-            bound=bound, backend=backend, level=level, engine=self._engine_impl
-        )
+        self._record_init(bound=self.bound, backend=backend, level=int(level))
+        self._inner = XorBitplaneCompressor(bound=bound, backend=backend, level=level)
 
     def compress(self, data: np.ndarray) -> bytes:
         """De-interleave (real, imag) pairs, then run the inner SZ codec."""

@@ -31,7 +31,7 @@ import struct
 import numpy as np
 
 from . import huffman, quantization
-from .engines import CodecEngine, resolve_engine
+from .engines import sz_reconstruct
 from .interface import (
     Compressor,
     CompressorError,
@@ -62,18 +62,15 @@ def compress_absolute_stream(
     max_bins: int,
     backend: str,
     level: int,
-    engine: str | CodecEngine | None = None,
 ) -> bytes:
     """Compress a float64 stream under an absolute error bound.
 
     Returns a payload (without the outer header) containing the Huffman-coded
     bounded delta codes, the escape positions and raw values, all passed
-    through the lossless backend.  ``engine`` selects the kernel engine for
-    quantization and Huffman packing (every engine emits the same bytes).
+    through the lossless backend.
     """
 
-    impl = resolve_engine(engine)
-    codes = impl.sz_quantize(array, bound)
+    codes = quantization.quantize(array, bound)
     deltas = np.empty_like(codes)
     if codes.size:
         deltas[0] = codes[0]
@@ -89,7 +86,7 @@ def compress_absolute_stream(
     bounded = np.where(predictable, deltas, half_bins)  # escape symbol
     escape_values = array[~predictable]
 
-    huff_blob = huffman.HuffmanCodec(engine=impl).encode(bounded.astype(np.int64))
+    huff_blob = huffman.encode(bounded.astype(np.int64))
     escape_blob = escape_values.astype("<f8").tobytes()
 
     payload = (
@@ -101,12 +98,9 @@ def compress_absolute_stream(
     return lossless_compress_bytes(payload, backend, level)
 
 
-def decompress_absolute_stream(
-    blob: bytes, count: int, backend: str, engine: str | CodecEngine | None = None
-) -> np.ndarray:
+def decompress_absolute_stream(blob: bytes, count: int, backend: str) -> np.ndarray:
     """Inverse of :func:`compress_absolute_stream`."""
 
-    impl = resolve_engine(engine)
     payload = lossless_decompress_bytes(blob, backend)
     offset = struct.calcsize("<dIQQ")
     if len(payload) < offset:
@@ -114,9 +108,7 @@ def decompress_absolute_stream(
     bound, max_bins, num_escapes, huff_len = struct.unpack_from("<dIQQ", payload, 0)
     if len(payload) < offset + huff_len + 8 * num_escapes:
         raise CompressorError("truncated SZ payload (streams)")
-    bounded = huffman.HuffmanCodec(engine=impl).decode(
-        payload[offset : offset + huff_len]
-    )
+    bounded = huffman.decode(payload[offset : offset + huff_len])
     offset += huff_len
     escape_values = np.frombuffer(
         payload, dtype="<f8", count=num_escapes, offset=offset
@@ -133,9 +125,7 @@ def decompress_absolute_stream(
             f"SZ stream decoded {escape_indices.size} escapes, "
             f"header claims {num_escapes}"
         )
-    # Rebuilding grid codes from bounded deltas + escape anchors is one of
-    # the engine hot loops (cumsum + per-segment re-anchoring + dequantize).
-    return impl.sz_reconstruct(bounded, escape_indices, escape_values, bound)
+    return sz_reconstruct(bounded, escape_indices, escape_values, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +145,6 @@ class SZCompressor(Compressor):
         (default relative, which is what the simulator uses).
     max_bins:
         Maximum number of quantization bins (65536 in SZ 2.1).
-    engine:
-        Kernel engine for the hot loops (``"numpy"``, ``"numba"`` or a
-        resolved :class:`~repro.compression.engines.CodecEngine`); all
-        engines are blob-for-blob identical.
     """
 
     name = "sz"
@@ -170,7 +156,6 @@ class SZCompressor(Compressor):
         max_bins: int = DEFAULT_QUANTIZATION_BINS,
         backend: str = "zlib",
         level: int = 6,
-        engine: str | CodecEngine | None = None,
     ) -> None:
         if mode is ErrorBoundMode.LOSSLESS:
             raise CompressorError("SZ is a lossy compressor; use LosslessCompressor")
@@ -186,7 +171,6 @@ class SZCompressor(Compressor):
             max_bins=self._max_bins,
             backend=backend,
             level=self._level,
-            engine=engine,
         )
 
     @property
@@ -199,19 +183,12 @@ class SZCompressor(Compressor):
 
     def _compress_abs(self, array: np.ndarray) -> bytes:
         payload = compress_absolute_stream(
-            array,
-            self.bound,
-            self._max_bins,
-            self._backend,
-            self._level,
-            engine=self._engine_impl,
+            array, self.bound, self._max_bins, self._backend, self._level
         )
         return pack_header(_TAG_ABS, array.size, b"") + payload
 
     def _decompress_abs(self, blob: bytes, count: int, offset: int) -> np.ndarray:
-        return decompress_absolute_stream(
-            blob[offset:], count, self._backend, engine=self._engine_impl
-        )
+        return decompress_absolute_stream(blob[offset:], count, self._backend)
 
     # -- relative mode (log transform) ----------------------------------------------
 
@@ -219,12 +196,7 @@ class SZCompressor(Compressor):
         log_mag, signs, zero_mask = quantization.log_transform(array)
         log_bound = quantization.relative_to_log_absolute(self.bound)
         body = compress_absolute_stream(
-            log_mag,
-            log_bound,
-            self._max_bins,
-            self._backend,
-            self._level,
-            engine=self._engine_impl,
+            log_mag, log_bound, self._max_bins, self._backend, self._level
         )
         sign_bits = np.packbits((signs < 0).astype(np.uint8))
         zero_bits = np.packbits(zero_mask.astype(np.uint8))
@@ -242,9 +214,7 @@ class SZCompressor(Compressor):
             raise CompressorError("truncated SZ blob (relative-mode streams)")
         body = blob[offset : offset + body_len]
         side = blob[offset + body_len : offset + body_len + side_len]
-        log_mag = decompress_absolute_stream(
-            body, count, self._backend, engine=self._engine_impl
-        )
+        log_mag = decompress_absolute_stream(body, count, self._backend)
         side_raw = lossless_decompress_bytes(side, self._backend)
         packed_len = (count + 7) // 8
         if len(side_raw) < 2 * packed_len:
@@ -273,12 +243,7 @@ class SZCompressor(Compressor):
             # with the same reader.  Decoders still accept the old layout:
             # they short-circuit on count == 0 without touching the payload.
             return pack_header(_TAG_ABS, 0, b"") + compress_absolute_stream(
-                array,
-                self.bound,
-                self._max_bins,
-                self._backend,
-                self._level,
-                engine=self._engine_impl,
+                array, self.bound, self._max_bins, self._backend, self._level
             )
         if self.mode is ErrorBoundMode.ABSOLUTE:
             return self._compress_abs(array)

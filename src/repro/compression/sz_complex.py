@@ -50,7 +50,6 @@ class SZComplexCompressor(Compressor):
         max_bins: int = COMPLEX_QUANTIZATION_BINS,
         backend: str = "zlib",
         level: int = 6,
-        engine: str | None = None,
     ) -> None:
         if mode is ErrorBoundMode.LOSSLESS:
             raise CompressorError("SZ-complex is a lossy compressor")
@@ -61,15 +60,9 @@ class SZComplexCompressor(Compressor):
             max_bins=int(max_bins),
             backend=backend,
             level=int(level),
-            engine=engine,
         )
         self._inner = SZCompressor(
-            bound=bound,
-            mode=mode,
-            max_bins=max_bins,
-            backend=backend,
-            level=level,
-            engine=self._engine_impl,
+            bound=bound, mode=mode, max_bins=max_bins, backend=backend, level=level
         )
 
     @property

@@ -58,27 +58,18 @@ class XorBitplaneCompressor(Compressor):
         Zstd).
     level:
         Lossless backend compression level.
-    engine:
-        Kernel engine for the leading-zero (un)packing hot loop (``"numpy"``,
-        ``"numba"``); all engines are blob-for-blob identical.
     """
 
     name = "xor-bitplane"
 
     def __init__(
-        self,
-        bound: float = 1e-3,
-        backend: str = "zlib",
-        level: int = 6,
-        engine: str | None = None,
+        self, bound: float = 1e-3, backend: str = "zlib", level: int = 6
     ) -> None:
         super().__init__(ErrorBoundMode.RELATIVE, bound)
         self._backend = backend
         self._level = int(level)
         self._keep_bytes = bitplane.bytes_to_keep(bound)
-        self._record_init(
-            bound=self.bound, backend=backend, level=self._level, engine=engine
-        )
+        self._record_init(bound=self.bound, backend=backend, level=self._level)
 
     @property
     def keep_bytes(self) -> int:
@@ -114,7 +105,7 @@ class XorBitplaneCompressor(Compressor):
         truncated = bitplane.truncate_bitplanes(working, keep_bits)
         words = truncated.view(np.uint64)
         xored = bitplane.xor_delta_encode(words)
-        packed_codes, suffix = self._engine_impl.pack_leading_zero(
+        packed_codes, suffix = bitplane.pack_leading_zero_stream(
             xored, self._keep_bytes
         )
         codes_blob = lossless_compress_bytes(packed_codes, self._backend, self._level)
@@ -153,7 +144,7 @@ class XorBitplaneCompressor(Compressor):
         ]
         packed_codes = lossless_decompress_bytes(codes_blob, self._backend)
         suffix = lossless_decompress_bytes(suffix_blob, self._backend)
-        xored = self._engine_impl.unpack_leading_zero(
+        xored = bitplane.unpack_leading_zero_stream(
             packed_codes, suffix, count, keep_bytes
         )
         words = bitplane.xor_delta_decode(xored)

@@ -31,7 +31,7 @@ import struct
 import numpy as np
 
 from . import quantization
-from .bitpack import unpack_bitfields
+from .bitpack import pack_bitfields, unpack_bitfields
 from .interface import (
     Compressor,
     CompressorError,
@@ -84,7 +84,6 @@ class ZFPLikeCompressor(Compressor):
         mode: ErrorBoundMode = ErrorBoundMode.ABSOLUTE,
         backend: str = "zlib",
         level: int = 6,
-        engine: str | None = None,
     ) -> None:
         if mode is ErrorBoundMode.LOSSLESS:
             raise CompressorError("ZFP-like is a lossy compressor")
@@ -92,11 +91,7 @@ class ZFPLikeCompressor(Compressor):
         self._backend = backend
         self._level = int(level)
         self._record_init(
-            bound=self.bound,
-            mode=mode,
-            backend=backend,
-            level=self._level,
-            engine=engine,
+            bound=self.bound, mode=mode, backend=backend, level=self._level
         )
 
     # -- fixed-point / embedded coding machinery ---------------------------------------
@@ -111,9 +106,13 @@ class ZFPLikeCompressor(Compressor):
         # Orthonormal transform: coefficient error equals value error in the
         # 2-norm; a per-coefficient quantization step of `bound` keeps the
         # reconstruction within ~2*bound per point, so use bound/2.
-        coeffs = blocks @ _DCT4.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = blocks @ _DCT4.T
         step = bound / 2.0
-        codes = np.rint(coeffs / step).astype(np.int64)
+        # quantize's pitch is twice its bound, so this is rint(coeffs / step)
+        # with SZ's refusal of non-finite values (a transform that overflowed
+        # included) and of codes past int64.
+        codes = quantization.quantize(coeffs.reshape(-1), step / 2.0)
 
         # Embedded coding stand-in: each block stores its coefficients with
         # exactly as many bit planes as its largest coefficient needs (ZFP's
@@ -121,7 +120,7 @@ class ZFPLikeCompressor(Compressor):
         # NOT run a dictionary coder afterwards, which is why it collapses on
         # spiky data — blocks with large high-frequency coefficients keep all
         # their planes).
-        zigzag = (np.abs(codes) * 2 - (codes < 0)).astype(np.uint64).reshape(-1)
+        zigzag = (np.abs(codes) * 2 - (codes < 0)).astype(np.uint64)
         per_block_max = zigzag.reshape(-1, BLOCK_SIZE).max(axis=1)
         widths = np.zeros(per_block_max.size, dtype=np.uint8)
         nonzero = per_block_max > 0
@@ -135,7 +134,7 @@ class ZFPLikeCompressor(Compressor):
         widths[too_small] += 1
 
         per_coeff_width = np.repeat(widths, BLOCK_SIZE).astype(np.int64)
-        packed, total_bits = self._engine_impl.pack_bitfields(zigzag, per_coeff_width)
+        packed, total_bits = pack_bitfields(zigzag, per_coeff_width)
 
         header = struct.pack("<dQQ", step, zigzag.size, total_bits)
         return header + widths.tobytes() + packed.tobytes()

@@ -40,9 +40,7 @@ class AdaptiveErrorController:
         self._config = config
         self._levels: list[float] = list(config.error_levels)
         self._lossless = LosslessCompressor(
-            backend=config.lossless_backend,
-            level=config.lossless_level,
-            engine=config.codec_engine,
+            backend=config.lossless_backend, level=config.lossless_level
         )
         self._lossy: dict[float, Compressor] = {}
         # level_index == -1 means "still lossless"; index i >= 0 means the
@@ -90,7 +88,6 @@ class AdaptiveErrorController:
                 bound=bound,
                 backend=self._config.lossless_backend,
                 level=self._config.lossless_level,
-                engine=self._config.codec_engine,
             )
         return self._lossy[bound]
 

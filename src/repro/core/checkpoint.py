@@ -60,7 +60,6 @@ def save_checkpoint(simulator: CompressedSimulator, path: str | Path) -> int:
         ),
         "lossy_compressor": config.lossy_compressor,
         "lossless_backend": config.lossless_backend,
-        "codec_engine": config.codec_engine,
         "error_levels": list(config.error_levels),
         "memory_budget_bytes": config.memory_budget_bytes,
         "track_fidelity_bound": config.track_fidelity_bound,
@@ -223,9 +222,6 @@ def load_checkpoint(
             lossless_backend=_meta_field(meta, "lossless_backend", path),
             # Absent in pre-1.1 checkpoints, which always tracked.
             track_fidelity_bound=meta.get("track_fidelity_bound", True),
-            # Absent in pre-engine checkpoints; blobs are engine-agnostic, so
-            # the default is safe for any checkpoint.
-            codec_engine=meta.get("codec_engine", "numpy"),
         )
     for key in ("gate_count", "fidelity_gate_bounds", "current_bound"):
         _meta_field(meta, key, path)

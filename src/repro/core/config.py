@@ -48,12 +48,6 @@ class SimulatorConfig:
         Backend for the lossless stage(s): "zlib", "lzma" or "bz2".
     lossless_level:
         Compression level passed to the lossless backend.
-    codec_engine:
-        Kernel engine for the codec hot loops: ``"numpy"`` (the default,
-        always available) or ``"numba"`` (JIT-compiled; falls back to numpy
-        with a one-time warning when numba is not installed).  Every engine
-        is blob-for-blob bit-identical, so this knob changes throughput only
-        — never results, checkpoints or blobs.
     use_block_cache:
         Enable the 64-line compressed block cache of Section 3.4.
     cache_lines:
@@ -133,7 +127,6 @@ class SimulatorConfig:
     lossy_compressor: str = "xor-bitplane"
     lossless_backend: str = "zlib"
     lossless_level: int = 6
-    codec_engine: str = "numpy"
     use_block_cache: bool = True
     cache_lines: int = 64
     cache_miss_disable_threshold: int = 256
@@ -162,13 +155,6 @@ class SimulatorConfig:
         if list(levels) != sorted(levels):
             raise ValueError("error_levels must be sorted from tightest to loosest")
         self.error_levels = levels
-        from ..compression.engines import KNOWN_ENGINES
-
-        if self.codec_engine not in KNOWN_ENGINES:
-            raise ValueError(
-                f"codec_engine must be one of {KNOWN_ENGINES}, "
-                f"got {self.codec_engine!r}"
-            )
         if self.cache_lines < 1:
             raise ValueError("cache_lines must be >= 1")
         if self.num_workers < 1:
@@ -214,6 +200,13 @@ class SimulatorConfig:
         ``"ranked"`` (one worker process per rank)."""
 
         return self._tier
+
+    @property
+    def codec_engine(self) -> str:
+        """Always ``"numpy"``; not a field (``codec_engine=...`` is a ``TypeError``)."""
+
+        # Read by benchmarks/e2e/e2e_trace.py (frozen); goes with that line.
+        return "numpy"
 
     def resolve_block_amplitudes(self, num_qubits: int, num_ranks: int) -> int:
         """Pick the block size for a given problem when not set explicitly.

@@ -142,7 +142,6 @@ class CompressedSimulator:
             bound=self._config.error_levels[0],
             backend=self._config.lossless_backend,
             level=self._config.lossless_level,
-            engine=self._config.codec_engine,
         )
         self._decompressors: dict[str, Compressor] = {
             lossless.name: lossless,

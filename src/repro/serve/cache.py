@@ -8,7 +8,7 @@ shot count, the observables and the statevector flag.
 
 Throughput-only knobs are deliberately **excluded** from the key
 (:data:`EXCLUDED_CONFIG_FIELDS`): the engine documents bit-identical
-results across executor tiers, worker counts, start methods, codec engines,
+results across executor tiers, worker counts, start methods,
 communication tiers and fault policies, so two requests differing only
 there *should* share a cache line.  Anything without that contract —
 error levels, compressor choices, fusion settings, block geometry — is in
@@ -53,7 +53,6 @@ EXCLUDED_CONFIG_FIELDS = (
     "executor",
     "mp_start_method",
     "comm",
-    "codec_engine",
     "fault_policy",
 )
 

@@ -1,9 +1,9 @@
 """Project-native static analysis: the ``repro`` contract linter.
 
 Seven PRs of growth piled up contracts that only fail at runtime — often
-only under fault injection: nopython-compilable engine kernels, typed
-:mod:`repro.errors` exceptions at the public surface, raw multiprocessing
-confined to the pool modules, released resources, seeded RNG everywhere.
+only under fault injection: typed :mod:`repro.errors` exceptions at the
+public surface, raw multiprocessing confined to the pool modules, released
+resources, seeded RNG everywhere.
 This package machine-checks them, one file at a time, with a self-contained
 stdlib-:mod:`ast` rule engine (the container cannot install third-party
 linters, the same constraint that shaped the docs builder).

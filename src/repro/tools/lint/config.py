@@ -41,8 +41,7 @@ DEFAULT_INCLUDE = (
 DEFAULT_EXCLUDE = ("docs/_site/*",)
 
 #: Per-rule path scopes.  A rule absent from this mapping applies to every
-#: linted file (fine for rules that only trigger on specific constructs,
-#: e.g. njit-purity fires only inside ``@njit`` functions).
+#: linted file.
 DEFAULT_RULE_PATHS: dict[str, tuple[str, ...]] = {
     # Library-quality contracts apply to the shipped package only: tests
     # may monkeypatch, raise builtins and skip docstrings by design, and

@@ -12,7 +12,6 @@ from . import (  # noqa: F401  (imported for their registration side effect)
     docstrings,
     error_taxonomy,
     mp_hygiene,
-    njit_purity,
     resource_hygiene,
     suppression_format,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "docstrings",
     "error_taxonomy",
     "mp_hygiene",
-    "njit_purity",
     "resource_hygiene",
     "suppression_format",
 ]

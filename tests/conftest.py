@@ -12,6 +12,7 @@ from repro.analysis.datasets import qaoa_state, supremacy_state
 from repro.compression import get_compressor
 from repro.core import SimulatorConfig
 from repro.core.procpool import live_pool_count
+import reference_kernels
 from tiers import TIERS, tier_config
 
 
@@ -47,22 +48,19 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(scope="module", params=["numpy", "numba"])
-def engine(request) -> str:
-    """Codec kernel engine name, parametrized over every known engine.
+@pytest.fixture(params=["numpy", "reference"])
+def kernels(request, monkeypatch) -> str:
+    """Which codec kernels run: the product's, or the sequential oracle's.
 
-    Module-scoped (flox idiom) so each test module using it — directly or via
-    :func:`make_codec` — runs once per engine.  The ``"numba"`` leg xfails,
-    rather than errors, on hosts without numba: the fallback path is covered
-    by the dedicated registry tests, not by re-running the whole suite
-    against what would silently be the numpy engine again.
+    ``"numpy"`` is the product as shipped.  ``"reference"`` patches the
+    plain-Python loops of :mod:`reference_kernels` over the six kernels the
+    codecs call, so a test using this fixture — directly or via
+    :func:`make_codec` — also pins the oracle itself to the golden blobs,
+    the round-trip properties and the truncation errors.
     """
 
-    if request.param == "numba":
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pytest.xfail("numba is not installed")
+    if request.param == "reference":
+        reference_kernels.install(monkeypatch)
     return request.param
 
 
@@ -70,8 +68,7 @@ def engine(request) -> str:
 def tier(request):
     """Config factory of one execution tier, parametrized over all of them.
 
-    Module-scoped like :func:`engine`, so a module using it runs once per
-    tier; ``tier(num_ranks=4, fusion_enabled=False)`` takes any
+    Module-scoped, so a module using it runs once per tier; ``tier(num_ranks=4, fusion_enabled=False)`` takes any
     :func:`tiers.tier_config` keyword.
     """
 
@@ -106,20 +103,18 @@ def codec_name(request) -> str:
     return request.param
 
 
-@pytest.fixture(scope="module")
-def make_codec(engine):
+@pytest.fixture
+def make_codec(kernels):
     """Factory instantiating a codec by registry name with laptop defaults.
 
     The lossless codec (either registry name) and fpzip (precision-driven)
     take no error bound; every other lossy codec gets the same mid-range
     relative/absolute bound so parametrized tests compare formats,
-    not tolerances.  Codecs are built with the current :func:`engine`
-    parameter (overridable per call), so every test module using this
-    factory exercises all engines.
+    not tolerances.  Depends on :func:`kernels`, so every test using this
+    factory runs on the product kernels and on the reference ones.
     """
 
     def _make(name: str, bound: float = 1e-3, **overrides):
-        overrides.setdefault("engine", engine)
         if name in ("lossless", "zstd", "fpzip"):
             return get_compressor(name, **overrides)
         return get_compressor(name, bound=bound, **overrides)

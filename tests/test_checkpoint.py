@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,9 @@ from repro.core import (
 )
 from repro.errors import CheckpointError
 from repro.resilience import resume_from_checkpoint
+from repro.core.checkpoint import read_checkpoint
 from repro.statevector import simulate_statevector, state_fidelity
+from tiers import tier_config
 
 
 def _config(**kwargs) -> SimulatorConfig:
@@ -112,6 +117,49 @@ class TestCheckpointRoundTrip:
         resumed = load_checkpoint(path)
         assert resumed.probability_of(0) == pytest.approx(1.0)
         assert resumed.gate_count == 0
+
+
+class TestCodecEngineKeyCompatibility:
+    """Files written by 1.1-1.8 carry ``"codec_engine"`` (``"numpy"`` or
+    ``"numba"``) in their metadata; 1.9.0 neither writes nor reads the key."""
+
+    @staticmethod
+    def _set_engine_key(path, engine) -> None:
+        """Rewrite the metadata JSON of the checkpoint at *path* in place."""
+
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+        meta = json.loads(raw[12 : 12 + meta_len])
+        assert "codec_engine" not in meta  # no longer written
+        if engine is not None:
+            meta["codec_engine"] = engine
+        blob = json.dumps(meta).encode()
+        path.write_bytes(
+            raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len :]
+        )
+
+    @pytest.mark.parametrize("tier", ["sequential", "ranked-comm"])
+    @pytest.mark.parametrize(
+        "engine", ["numpy", "numba", None], ids=["numpy", "numba", "absent"]
+    )
+    def test_file_loads_and_resumes_bit_identically(self, tier, engine, tmp_path):
+        gates = list(qft_circuit(7))
+        split = len(gates) // 2
+        with CompressedSimulator(7, tier_config(tier)) as full:
+            full.apply_circuit(gates)
+            expected = full.statevector()
+        path = tmp_path / "old.ckpt"
+        with CompressedSimulator(7, tier_config(tier)) as first:
+            first.apply_circuit(gates[:split])
+            save_checkpoint(first, path)
+        self._set_engine_key(path, engine)
+        assert read_checkpoint(path)[0].get("codec_engine") == engine
+        # The sequential leg rebuilds its config from the file's metadata.
+        config = None if tier == "sequential" else tier_config(tier)
+        with load_checkpoint(path, config=config) as resumed:
+            assert resumed.config.tier == ("sequential" if config is None else "ranked")
+            resumed.apply_circuit(gates[split:])
+            assert np.array_equal(resumed.statevector(), expected)
 
 
 class TestCheckpointRobustness:

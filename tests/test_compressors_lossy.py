@@ -91,12 +91,73 @@ class TestAbsoluteBound:
         recovered, _ = roundtrip(compressor, data)
         assert np.abs(recovered - data).max() <= bound * (1 + 1e-12)
 
+    def test_zfp_refuses_what_it_cannot_bound(self):
+        # Until 1.9.0 the coefficient quantizer cast rint(c / step) to int64
+        # unchecked: |x| / bound past 2^63 wrapped and decoded to garbage
+        # (absolute error 1e16 at bound 1e-3), nan/inf encoded silently.
+        compressor = get_compressor("zfp", bound=1e-3)
+        largest_exact = np.full(64, 1e15)
+        recovered = compressor.decompress(compressor.compress(largest_exact))
+        assert np.array_equal(recovered, largest_exact)
+        for value in (1e16, np.nan, np.inf):
+            with pytest.raises(CompressorError):
+                compressor.compress(np.full(64, value))
+
     def test_sz_absolute_on_smooth_data_compresses_well(self):
         x = np.linspace(0, 10, 1 << 14)
         data = np.sin(x)
         compressor = SZCompressor(bound=1e-4, mode=ErrorBoundMode.ABSOLUTE)
         _, record = roundtrip(compressor, data)
         assert record.ratio > 10
+
+
+def _adversarial_blocks() -> dict[str, np.ndarray]:
+    """4096-value blocks at the edges of float64 and of each codec's design."""
+
+    size = 4096
+    rng = np.random.default_rng(20190817)
+    signs = rng.choice([-1.0, 1.0], size)
+    spike = np.zeros(size)
+    spike[size // 3] = 0.7
+    return {
+        "plus_zero": np.zeros(size),
+        "minus_zero": -np.zeros(size),
+        "mixed_zeros": np.where(rng.random(size) < 0.5, 0.0, -0.0),
+        "denormals": np.arange(1, size + 1) * 5e-324,
+        "tiny_normal": rng.normal(0.0, 1e-300, size),
+        "dynamic_range": signs * 10.0 ** rng.uniform(-300, 300, size),
+        "amplitudes": signs * 10.0 ** rng.uniform(-30, 0, size),
+        "all_escape": rng.normal(0.0, 1e8, size),  # every SZ delta escapes
+        "constant": np.full(size, 0.25),
+        "alternating": np.where(np.arange(size) % 2 == 0, 1.0, -1.0),
+        "one_spike": spike,
+        "near_max": np.full(size, 1.7e308),
+    }
+
+
+class TestPointwiseBoundOnAdversarialBlocks:
+    """The paper's guarantee (Section 2.3) as a property: a round trip honours
+    the codec's declared pointwise bound or raises — never a silent violation."""
+
+    @pytest.mark.parametrize("block", sorted(_adversarial_blocks()))
+    @pytest.mark.parametrize("bound", [1e-5, 1e-3, 1e-1])
+    @pytest.mark.parametrize(
+        "name", ["xor-bitplane", "sz", "sz-complex", "reshuffle", "zfp"]
+    )
+    def test_round_trip_honours_the_bound_or_raises(self, name, bound, block):
+        data = _adversarial_blocks()[block]
+        compressor = get_compressor(name, bound=bound)
+        try:
+            recovered = compressor.decompress(compressor.compress(data))
+        except CompressorError:
+            return
+        allowed = (
+            bound * np.abs(data)
+            if compressor.mode is ErrorBoundMode.RELATIVE
+            else np.full(data.size, bound)
+        )
+        assert np.isfinite(recovered).all()
+        assert np.all(np.abs(recovered - data) <= allowed * (1 + 1e-9))
 
 
 class TestSolutionCBehaviour:

@@ -1,10 +1,10 @@
 """Unit tests for the canonical Huffman codec.
 
-The ``huff`` fixture builds the codec with the module-scoped ``engine``
-fixture from conftest, so every round-trip here runs once per kernel engine
-(the numba leg xfails when numba is not installed).
+The ``huff`` fixture depends on conftest's ``kernels`` fixture, so every
+round-trip here runs on the product kernels and again with the sequential
+reference loops of ``tests/reference_kernels.py`` patched in.
 
-Code-book construction is engine-independent and pinned differentially:
+Code-book construction is pinned differentially:
 ``_heap_build_lengths`` below is the heap-based builder every blob was
 produced by until the linear-time two-queue construction replaced it, kept
 verbatim as the reference the new ``huffman._build_lengths`` must match
@@ -28,11 +28,11 @@ from repro.compression import (
 from repro.compression.interface import CompressorError
 
 
-@pytest.fixture(scope="module")
-def huff(engine) -> huffman.HuffmanCodec:
-    """A Huffman codec bound to the current kernel engine."""
+@pytest.fixture
+def huff(kernels) -> huffman.HuffmanCodec:
+    """A Huffman codec running on the current ``kernels`` leg."""
 
-    return huffman.HuffmanCodec(engine=engine)
+    return huffman.HuffmanCodec()
 
 
 class TestRoundTrip:
@@ -84,8 +84,7 @@ class TestRoundTrip:
         codec = huffman.HuffmanCodec()
         assert np.array_equal(codec.decode(codec.encode(symbols)), symbols)
         assert np.array_equal(huffman.decode(codec.encode(symbols)), symbols)
-        # Cross-engine: module functions (default engine) read the fixture
-        # codec's blobs and vice versa.
+        # The module functions read the fixture codec's blobs and vice versa.
         assert np.array_equal(huffman.decode(huff.encode(symbols)), symbols)
         assert np.array_equal(huff.decode(huffman.encode(symbols)), symbols)
 
@@ -102,8 +101,8 @@ class TestTruncatedBlobs:
     @pytest.mark.parametrize(
         "mode", [ErrorBoundMode.RELATIVE, ErrorBoundMode.ABSOLUTE], ids=["rel", "abs"]
     )
-    def test_every_sz_prefix_raises_compressor_error(self, engine, mode, spiky_data):
-        codec = SZCompressor(bound=1e-3, mode=mode, engine=engine)
+    def test_every_sz_prefix_raises_compressor_error(self, kernels, mode, spiky_data):
+        codec = SZCompressor(bound=1e-3, mode=mode)
         blob = codec.compress(spiky_data[:300])
         for cut in range(len(blob)):
             with pytest.raises(CompressorError):

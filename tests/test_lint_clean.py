@@ -29,13 +29,12 @@ def test_repository_lints_clean(report):
     assert report.files_checked > 100  # the walk really covered the tree
 
 
-def test_rule_catalog_is_exactly_the_seven_rules(report):
+def test_rule_catalog_is_exactly_the_six_rules(report):
     assert set(report.rules_active) == set(all_rules()) == {
         "determinism",
         "docstring-coverage",
         "error-taxonomy",
         "mp-hygiene",
-        "njit-purity",
         "resource-hygiene",
         "suppression-format",
     }

@@ -428,70 +428,6 @@ class TestResourceHygiene:
 
 
 # ---------------------------------------------------------------------------
-# njit-purity
-# ---------------------------------------------------------------------------
-
-
-class TestNjitPurity:
-    def test_flags_object_mode_constructs(self):
-        report = run(
-            """\
-            import pickle
-
-            import numpy as np
-            from numba import njit
-
-            @njit(cache=True)
-            def kernel(values):
-                table = {}
-                blob = pickle.dumps(values)
-                return f"{np.sum(values)}"
-            """,
-            "njit-purity",
-        )
-        assert len(report.diagnostics) == 3
-        joined = "\n".join(messages(report))
-        assert "dict/set literals" in joined
-        assert "'pickle'" in joined
-        assert "f-strings" in joined
-
-    def test_numpy_math_locals_and_kernels_are_clean(self):
-        report = run(
-            """\
-            import math
-
-            import numpy as np
-            from numba import njit
-
-            @njit
-            def inner(values):
-                return np.abs(values)
-
-            @njit
-            def kernel(values, count):
-                total = 0.0
-                for index in range(count):
-                    total += math.sqrt(abs(values[index]))
-                partial = inner(values)
-                return total + partial.sum()
-            """,
-            "njit-purity",
-        )
-        assert report.diagnostics == []
-
-    def test_plain_functions_are_not_scanned(self):
-        report = run(
-            """\
-            def helper():
-                table = {}
-                return f"{table}"
-            """,
-            "njit-purity",
-        )
-        assert report.diagnostics == []
-
-
-# ---------------------------------------------------------------------------
 # Engine mechanics: suppressions, parse errors, report shape
 # ---------------------------------------------------------------------------
 
@@ -578,7 +514,7 @@ class TestConfigAndCli:
         test_rules = config.enabled_for("tests/test_cache.py")
         assert "docstring-coverage" in src_rules
         assert "docstring-coverage" not in test_rules
-        assert "njit-purity" in src_rules and "njit-purity" in test_rules
+        assert "suppression-format" in src_rules and "suppression-format" in test_rules
 
     def test_selected_rules_filtering(self):
         registry = frozenset({"a", "b", "c"})
@@ -595,7 +531,6 @@ class TestConfigAndCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "njit-purity",
             "error-taxonomy",
             "determinism",
             "mp-hygiene",
@@ -604,6 +539,11 @@ class TestConfigAndCli:
             "suppression-format",
         ):
             assert rule_id in out
+
+    def test_cli_selecting_a_removed_rule_is_a_usage_error(self, capsys):
+        # njit-purity went with the kernels it policed (1.9.0).
+        assert lint_main(["--select", "njit-purity"]) == 2
+        assert "unknown rule" in capsys.readouterr().err
 
     def test_cli_json_on_clean_file(self, tmp_path, capsys):
         target = tmp_path / "clean.py"

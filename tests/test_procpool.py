@@ -17,10 +17,8 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +34,6 @@ from repro.applications import (
 from repro.backends import BackendError
 from repro.backends.base import Backend
 from repro.compression import ErrorBoundMode, available_compressors, get_compressor
-from repro.compression.engines import EngineFallbackWarning
 from repro.compression.huffman import HuffmanCodec
 from repro.core import (
     CompressedSimulator,
@@ -88,12 +85,13 @@ class TestCodecPicklability:
         assert clone.compress(spiky_data) == codec.compress(spiky_data)
         assert clone.bound == codec.bound and clone.mode is codec.mode
 
-    def test_pickle_payload_is_constructor_sized(self, engine):
-        # The state must stay cheap: constructor arguments, not tables or the
-        # resolved engine (the codec rides every ranked gate message).
-        codecs = [get_compressor(name, engine=engine) for name in EVERY_CODEC_NAME]
-        for codec in codecs + [HuffmanCodec(engine=engine)]:
+    def test_pickle_payload_is_constructor_sized(self, kernels):
+        # The state must stay cheap: constructor arguments, not tables (the
+        # codec rides every ranked gate message).
+        codecs = [get_compressor(name) for name in EVERY_CODEC_NAME]
+        for codec in codecs + [HuffmanCodec()]:
             assert len(pickle.dumps(codec)) < 250, codec
+            assert "engine" not in codec.__getstate__(), codec
             assert all(
                 isinstance(value, (str, int, float, ErrorBoundMode))
                 for value in codec.__getstate__().values()
@@ -107,30 +105,7 @@ class TestCodecPicklability:
         assert type(clone) is type(codec)
         assert clone.compress(spiky_data) == blob
         assert np.array_equal(clone.decompress(blob), codec.decompress(blob))
-        assert (clone.mode, clone.bound, clone.engine) == (
-            codec.mode,
-            codec.bound,
-            "numpy",
-        )
-
-    @pytest.mark.parametrize(
-        "build",
-        [functools.partial(get_compressor, name) for name in EVERY_CODEC_NAME]
-        + [HuffmanCodec],
-        ids=EVERY_CODEC_NAME + ("huffman",),
-    )
-    def test_clone_reports_the_requested_engine(self, build):
-        # The requested name is what pickles — never the resolved instance,
-        # also not the one an outer codec hands its inner codec — so on a
-        # numba-less host the clone still asks for numba, and unpickling
-        # re-resolves without a second fallback warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EngineFallbackWarning)
-            codec = build(engine="numba")  # the one-time latch may fire here
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            clone = pickle.loads(pickle.dumps(codec))
-        assert clone.engine == codec.engine == "numba"
+        assert (clone.mode, clone.bound) == (codec.mode, codec.bound)
 
     def test_huffman_codec_pickles(self):
         codec = HuffmanCodec(window_bits=11)

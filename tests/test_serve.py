@@ -221,7 +221,6 @@ class TestCacheKey:
         base = cache_key(workload_circuit(0, 0), **self.request())
         for config in (
             SimulatorConfig(num_workers=4, executor="thread"),
-            SimulatorConfig(codec_engine="numpy"),
             SimulatorConfig(mp_start_method="spawn"),
         ):
             assert (

@@ -21,27 +21,7 @@ trend = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(trend)
 
 
-def _bench_payload(
-    decode_mb_s: float = 100.0, numba: bool = False, encode_mb_s: float = 50.0
-) -> dict:
-    engines = ["numba", "numpy"] if numba else ["numpy"]
-    results = {
-        "numpy": {
-            "huffman_decode_seconds": 0.5,
-            "huffman_encode_seconds": 0.4,
-            "sz_decode_seconds": 0.2,
-            # Deliberately differs from the legacy huffman_speedup-derived
-            # rate (2.0) so the override is observable.
-            "huffman_decode_msym_s": 2.5,
-        }
-    }
-    if numba:
-        results["numba"] = {
-            "huffman_decode_seconds": 0.1,
-            "huffman_encode_seconds": 0.1,
-            "sz_decode_seconds": 0.05,
-            "huffman_decode_msym_s": 10.0,
-        }
+def _bench_payload(decode_mb_s: float = 100.0, encode_mb_s: float = 50.0) -> dict:
     return {
         "meta": {
             "quick": False,
@@ -69,14 +49,6 @@ def _bench_payload(
                 "decode_mb_s": 2 * decode_mb_s,
             },
         ],
-        "engines": {
-            "available": engines,
-            "symbols": 1 << 20,
-            "block": 1 << 20,
-            "results": results,
-            "numba_decode_speedup": 5.0 if numba else None,
-            "floor": 3.0,
-        },
     }
 
 
@@ -88,20 +60,25 @@ def _record(decode_mb_s: float = 100.0, commit: str = "abc1234", **kwargs) -> di
 
 class TestSummarise:
     def test_extracts_per_codec_and_per_engine_series(self):
-        record = _record(numba=True)
+        # The Huffman rate keeps the series key "numpy" — the one engine
+        # there is, and the key the rows already in TREND.jsonl use.
+        record = _record()
         assert record["decode_mb_s"]["sz-rel@131072"] == 100.0
         assert record["decode_mb_s"]["huffman@131072"] == 200.0
         assert record["encode_mb_s"] == {"sz-rel@131072": 50.0, "huffman@131072": 80.0}
-        assert record["huffman_decode_msym_s"]["numba"] == 10.0
-        assert record["engines_available"] == ["numba", "numpy"]
+        assert record["huffman_decode_msym_s"] == {"numpy": 2.0}
+        assert "engines_available" not in record
         assert record["quick"] is False
         assert record["commit"] == "abc1234"
 
-    def test_engine_section_overrides_legacy_huffman_series(self):
-        # Both sections report a numpy Huffman decode rate; the engine matrix
-        # (which warmed up and pinned the engine explicitly) wins.
-        record = _record()
-        assert record["huffman_decode_msym_s"]["numpy"] == 2.5
+    def test_engines_section_of_an_old_bench_file_is_ignored(self):
+        # BENCH_codec.json files written before 1.9.0 carry an engine matrix.
+        payload = _bench_payload()
+        payload["engines"] = {
+            "available": ["numba", "numpy"],
+            "results": {"numba": {"huffman_decode_msym_s": 10.0}},
+        }
+        assert trend.summarise(payload, commit="abc1234", timestamp="t") == _record()
 
     def test_partial_bench_runs_summarise_cleanly(self):
         record = trend.summarise({"meta": {"quick": True}}, commit="x", timestamp="t")
@@ -121,14 +98,28 @@ class TestBaselineMatching:
         current = _record()
         quick = dict(_record(), quick=True)
         other_size = dict(_record(), huffman_symbols=1 << 16)
-        other_engines = _record(numba=True)
         other_host = dict(_record(), available_cpus=1)
-        assert (
-            trend.find_baseline(
-                [quick, other_size, other_engines, other_host], current
-            )
-            is None
+        assert trend.find_baseline([quick, other_size, other_host], current) is None
+
+    def test_rows_recorded_with_an_engine_set_still_load_and_match(self):
+        # The committed history predates 1.9.0: every codec row carries
+        # "engines_available", which is no longer an environment key.
+        committed = [
+            row
+            for row in trend.load_trend(trend.DEFAULT_TREND)
+            if row.get("kind", "codec") == "codec"
+        ]
+        assert committed and all(
+            row["engines_available"] == ["numpy"] for row in committed[:2]
         )
+        newest = committed[-1]
+        current = dict(
+            _record(),
+            **{key: newest[key] for key in trend.ENVIRONMENT_KEYS},
+        )
+        assert "engines_available" not in current
+        assert trend.find_baseline(committed, current) is newest
+        assert "numpy" in newest["huffman_decode_msym_s"]
 
     def test_empty_history(self):
         assert trend.find_baseline([], _record()) is None
@@ -164,8 +155,8 @@ class TestCompare:
         assert trend.compare(_record(200.0), _record(100.0), 0.30) == []
 
     def test_new_series_is_not_a_regression(self):
-        current, baseline = _record(numba=True), _record()
-        current["decode_mb_s"] = baseline["decode_mb_s"].copy()
+        current, baseline = _record(), _record()
+        current["decode_mb_s"]["zfp-abs@131072"] = 1.0
         assert trend.compare(current, baseline, 0.30) == []
 
 
