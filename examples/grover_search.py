@@ -54,7 +54,8 @@ def run_with_budget(circuit, state_fraction: float) -> None:
     print(f"compression ratio  : {ratio:.0f}x "
           f"(~{qubit_gain_from_ratio(ratio):.1f} extra simulable qubits)")
     print(f"fidelity bound     : {report.fidelity_lower_bound:.4f}")
-    print(f"cache              : {report.cache_hits} hits / {report.cache_misses} misses")
+    print(f"cache              : {report.cache_hits} hits / {report.cache_misses} misses "
+          f"/ {report.duplicate_tasks} same-plan duplicates")
     print(f"P(marked state)    : {simulator.probability_of(MARKED):.5f} "
           f"(theory {theory:.5f}, uniform baseline {1 / (1 << NUM_QUBITS):.7f})")
     print()

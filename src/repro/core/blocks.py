@@ -156,16 +156,6 @@ class ScratchPool:
 
         return len(self._buffers)
 
-    def buffer(self, index: int) -> np.ndarray:
-        """Return scratch buffer *index* (contents are stale until filled)."""
-
-        return self._buffers[index]
-
-    def load(self, index: int, values: np.ndarray) -> np.ndarray:
-        """Copy decompressed float64 data into buffer *index* as complex128."""
-
-        return self.fill(self._buffers[index], values)
-
     def fill(self, buffer: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Copy decompressed float64 data into a leased buffer as complex128."""
 

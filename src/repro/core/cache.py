@@ -9,11 +9,17 @@ on a hit.
 The paper's design: 64 cache lines per rank, least-recently-used replacement,
 a line holds ``(OP, CB1, CB2, CB1', CB2')``; the cache is disabled when the
 hit rate stays at zero (random circuits), so misses stop costing lookups.
+A line is keyed on exactly its head ``(OP, CB1, CB2)`` — the op key and the
+input blobs themselves, not digests of them — so a hit can only return the
+outputs of the same pattern, and Python hashes each blob once in its lifetime.
+
+Repeats *within* one gate plan never reach the cache: every tier groups a
+plan's byte-identical tasks first (:func:`repro.core.kernel.group_tasks`), so
+the cache serves only patterns that recur from one plan to a later one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -58,16 +64,11 @@ class CacheStats:
         }
 
 
-def _digest(blob: bytes | None) -> bytes:
-    """Short stable digest of a compressed blob (None for absent blocks)."""
-
-    if blob is None:
-        return b"\x00" * 16
-    return hashlib.blake2b(blob, digest_size=16).digest()
-
-
 class BlockCache:
-    """LRU cache keyed on (gate operation, compressed input blocks).
+    """LRU cache keyed on ``(op_key, blob1, blob2)`` exactly.
+
+    The simulator and every rank worker build it with the defaults, the
+    paper's constants; the parameters exist for unit tests and probes.
 
     Parameters
     ----------
@@ -84,7 +85,7 @@ class BlockCache:
             raise ValueError("cache must have at least one line")
         self._lines = int(lines)
         self._threshold = miss_disable_threshold
-        self._entries: "OrderedDict[bytes, tuple[bytes, bytes | None]]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, tuple[bytes, bytes | None]]" = OrderedDict()
         self.stats = CacheStats()
         # Lookups and insertions may come from the executor's worker threads;
         # one lock keeps the LRU order and the counters consistent.
@@ -102,24 +103,17 @@ class BlockCache:
 
         return not self.stats.disabled
 
-    def _key(self, op_key: tuple, blob1: bytes, blob2: bytes | None) -> bytes:
-        hasher = hashlib.blake2b(digest_size=20)
-        hasher.update(repr(op_key).encode())
-        hasher.update(_digest(blob1))
-        hasher.update(_digest(blob2))
-        return hasher.digest()
-
     def lookup(
         self, op_key: tuple, blob1: bytes, blob2: bytes | None
     ) -> tuple[bytes, bytes | None] | None:
         """Return the cached output blobs for this pattern, or ``None``."""
 
-        # Unlocked fast path: once disabled, lookups must stay free of the
-        # key hashing cost (the whole point of the disable rule).  The flag
-        # only ever flips False -> True, so a stale read is harmless.
+        # Unlocked fast path: once disabled, lookups must stay free (the
+        # whole point of the disable rule).  The flag only ever flips
+        # False -> True, so a stale read is harmless.
         if self.stats.disabled:
             return None
-        key = self._key(op_key, blob1, blob2)
+        key = (op_key, blob1, blob2)
         with self._mutex:
             if self.stats.disabled:
                 return None
@@ -150,7 +144,7 @@ class BlockCache:
 
         if self.stats.disabled:
             return
-        key = self._key(op_key, blob1, blob2)
+        key = (op_key, blob1, blob2)
         with self._mutex:
             if self.stats.disabled:
                 return
@@ -162,29 +156,8 @@ class BlockCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def record_shard_lookups(self, hits: int, misses: int) -> None:
-        """Fold worker-shard lookup outcomes into this cache's counters.
-
-        With the process and ranked tiers the lookups (and lines) live in
-        per-worker shards; this object stays in the simulator purely as the
-        aggregate stats sink the reports read, so shard outcomes are
-        accounted here without touching the line store or the disable rule
-        (each shard applies its own).
-        """
-
-        with self._mutex:
-            self.stats.hits += hits
-            self.stats.misses += misses
-
-    def clear(self) -> None:
-        """Drop all lines and re-enable the cache (counters are kept)."""
-
-        with self._mutex:
-            self._entries.clear()
-            self.stats.disabled = False
-
     def reset(self) -> None:
-        """Drop all lines AND zero the statistics (fresh-simulator state).
+        """Drop all lines, zero the statistics and re-enable the cache.
 
         Used by the batched-run reset so each circuit sees the same cache
         behaviour — including the miss-disable rule — as a fresh simulator.

@@ -49,12 +49,11 @@ class SimulatorConfig:
     lossless_level:
         Compression level passed to the lossless backend.
     use_block_cache:
-        Enable the 64-line compressed block cache of Section 3.4.
-    cache_lines:
-        Number of cache lines when the cache is enabled.
-    cache_miss_disable_threshold:
-        Disable the cache after this many consecutive misses with zero hits
-        (the paper disables it when the hit rate is "always zero").
+        Enable the compressed block cache of Section 3.4 with the paper's
+        constants: 64 lines (per rank on the ranked tier), disabled after
+        256 straight misses (the paper disables it when the hit rate is
+        "always zero").  It serves repeats across gate plans; repeats within
+        one plan are grouped before the cache on every tier.
     start_lossless:
         Begin with lossless compression and only escalate to lossy when the
         memory budget forces it (Section 3.7).  When ``False`` the simulator
@@ -128,8 +127,6 @@ class SimulatorConfig:
     lossless_backend: str = "zlib"
     lossless_level: int = 6
     use_block_cache: bool = True
-    cache_lines: int = 64
-    cache_miss_disable_threshold: int = 256
     start_lossless: bool = True
     track_fidelity_bound: bool = True
     fusion_enabled: bool = True
@@ -155,8 +152,6 @@ class SimulatorConfig:
         if list(levels) != sorted(levels):
             raise ValueError("error_levels must be sorted from tightest to loosest")
         self.error_levels = levels
-        if self.cache_lines < 1:
-            raise ValueError("cache_lines must be >= 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if self.executor not in ("thread", "process"):

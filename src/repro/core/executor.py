@@ -5,17 +5,19 @@ Every block task is one call to :meth:`repro.core.kernel.BlockKernel.run`
 *where* that call happens and commits its output blobs to the block store.
 
 :class:`TaskExecutor` runs the kernel in the parent process — inline, or on
-an optional thread pool: the tasks of one gate plan touch pairwise-disjoint
-(rank, block) sets (:meth:`GatePlan.independent_groups`), so they can run
-concurrently — each task leases its own scratch buffers from the shared
+an optional thread pool.  Either way it first groups the whole plan with
+:func:`~repro.core.kernel.group_tasks`: byte-identical tasks run once and
+their outputs go to every task of the group.  A plan stages each
+(rank, block) at most once, so the groups touch pairwise-disjoint blocks and
+can run concurrently — each leases its own scratch buffers from the shared
 :class:`~repro.core.blocks.ScratchPool`, and the block cache and report use
 internal locks.  The NumPy kernels and the zlib/lzma/bz2 backends release the
 GIL on block-sized payloads, which is where the wall-clock win comes from.
 
-With ``num_workers=1`` (the default) execution is exactly the seed's
-sequential loop.  Results are bit-identical either way: tasks write disjoint
-blocks, the compressors are deterministic pure functions of their input, and
-a cache hit returns the same bytes recomputation would produce.
+With ``num_workers=1`` (the default) the groups run one after another on the
+calling thread.  Results and counters are the same either way: groups write
+disjoint blocks, the compressors are deterministic pure functions of their
+input, and a cache hit returns the same bytes recomputation would produce.
 
 Communication accounting stays in the calling thread: the simulated
 communicator's modelled-time delta is order-dependent, so the executor
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable
 
 from ..compression.interface import Compressor
 from ..distributed.comm import SimulatedCommunicator
@@ -39,15 +40,10 @@ from ..distributed.exchange import BlockTask, GatePlan
 from .blocks import ScratchPool
 from .cache import BlockCache
 from .compressed_state import CompressedStateVector
-from .kernel import BlockKernel, BlockOp, TaskStats
+from .kernel import BlockKernel, BlockOp, TaskStats, group_tasks
 from .report import SimulationReport
 
 __all__ = ["TaskExecutor"]
-
-#: A task's kernel inputs (:meth:`TaskExecutor._inputs`) with the tasks that
-#: read exactly those bytes and block-index bits: one runs, the outputs go to
-#: all.
-TaskGroup = tuple[tuple, list[BlockTask]]
 
 
 class TaskExecutor:
@@ -151,58 +147,33 @@ class TaskExecutor:
         """Execute every task of *plan*, applying *op*'s steps."""
 
         self._account_exchanges(plan)
-        if self._num_workers == 1 or len(plan.tasks) < 2:
-            self._run_inline(
-                op, ((self._inputs(op, task), [task]) for task in plan.tasks)
-            )
+        state = self._state
+        per_rank = state.partition.blocks_per_rank
+        groups = group_tasks(
+            op,
+            (
+                (
+                    task,
+                    tuple(state.get_block(*buffer) for buffer in task.buffers),
+                    task.first[0] * per_rank + task.first[1],
+                )
+                for task in plan.tasks
+            ),
+        )
+        if self._num_workers == 1 or len(groups) < 2:
+            self._run_inline(op, groups)
             return
         pool = self._ensure_pool()
-        for wave in plan.independent_groups():
-            futures = [
-                (pool.submit(self._run_on_thread, op, inputs), tasks)
-                for inputs, tasks in self._dedupe_wave(op, wave)
-            ]
-            for future, tasks in futures:
-                self._commit(op, tasks, *future.result())
+        futures = [
+            (pool.submit(self._run_on_thread, op, inputs, len(tasks)), tasks)
+            for inputs, tasks in groups
+        ]
+        for future, tasks in futures:
+            self._commit(op, tasks, *future.result())
 
-    def _inputs(self, op: BlockOp, task: BlockTask) -> tuple:
-        """The positional kernel arguments of *task* after ``(op, stats)``:
-        the stored blobs it reads with their codec names and, for a
-        one-block task, the bits of its block's index that *op* reads."""
-
-        entry1 = self._state.get_block(*task.first)
-        if task.second is None:
-            rank, block = task.first
-            index = rank * self._state.partition.blocks_per_rank + block
-            return (
-                entry1.blob,
-                entry1.compressor,
-                None,
-                None,
-                None,
-                index & op.index_mask,
-            )
-        entry2 = self._state.get_block(*task.second)
-        return entry1.blob, entry1.compressor, entry2.blob, entry2.compressor
-
-    def _dedupe_wave(
-        self, op: BlockOp, wave: tuple[BlockTask, ...]
-    ) -> list[TaskGroup]:
-        """Group a wave's tasks by byte-identical kernel inputs.
-
-        This is the Section 3.4 redundancy the block cache exploits.  Running
-        duplicates concurrently would make every copy miss the cache and pay
-        a full round trip; instead one representative computes and the output
-        blobs fan out to the duplicates — the same total compressor work the
-        sequential path achieves via cache hits.
-        """
-
-        groups: dict[tuple, list[BlockTask]] = {}
-        for task in wave:
-            groups.setdefault(self._inputs(op, task), []).append(task)
-        return list(groups.items())
-
-    def _run_inline(self, op: BlockOp, groups: Iterable[TaskGroup]) -> None:
+    def _run_inline(
+        self, op: BlockOp, groups: list[tuple[tuple, list[BlockTask]]]
+    ) -> None:
         """Run task groups one after another on the calling thread.
 
         Each group commits before the next one runs, and the counters of the
@@ -212,18 +183,19 @@ class TaskExecutor:
         stats = TaskStats()
         try:
             for inputs, tasks in groups:
-                self._commit(op, tasks, *self._kernel.run(op, stats, *inputs))
+                outputs = self._kernel.run(op, stats, *inputs, copies=len(tasks))
+                self._commit(op, tasks, *outputs)
         finally:
             stats.fold_into(self._report)
 
     def _run_on_thread(
-        self, op: BlockOp, inputs: tuple
+        self, op: BlockOp, inputs: tuple, copies: int
     ) -> tuple[bytes, bytes | None]:
-        """Pool-thread body: one round trip; the caller commits the outputs."""
+        """Pool-thread body: one group's round trip; the caller commits."""
 
         stats = TaskStats()
         try:
-            return self._kernel.run(op, stats, *inputs)
+            return self._kernel.run(op, stats, *inputs, copies=copies)
         finally:
             stats.fold_into(self._report)
 
@@ -234,11 +206,7 @@ class TaskExecutor:
         out1: bytes,
         out2: bytes | None = None,
     ) -> None:
-        """Store a task group's output blobs (calling thread only).
-
-        ``tasks[0]`` is the task that ran; the rest are its byte-identical
-        duplicates, which count as executed tasks without a round trip.
-        """
+        """Store a task group's output blobs (calling thread only)."""
 
         for task in tasks:
             self._state.put_block(task.first[0], task.first[1], out1, op.compressor)
@@ -246,8 +214,6 @@ class TaskExecutor:
                 self._state.put_block(
                     task.second[0], task.second[1], out2, op.compressor
                 )
-        if len(tasks) > 1:
-            self._report.add_count("tasks_executed", len(tasks) - 1)
 
     def _account_exchanges(self, plan: GatePlan) -> None:
         """Record the plan's inter-rank block exchanges (Section 3.3).

@@ -16,7 +16,10 @@ Every execution tier calls it — the sequential and thread paths of
 :class:`~repro.core.executor.TaskExecutor` in the parent process and the
 rank workers of :mod:`repro.distributed.ranked` — so the tiers differ
 only in how blobs reach the kernel and where its outputs are stored, and
-bit-identity across tiers holds by construction.
+bit-identity across tiers holds by construction.  Every tier also groups a
+plan's tasks with :func:`group_tasks` first: tasks that read byte-identical
+inputs (the Section 3.4 redundancy) run once as one kernel call with
+``copies=``, and the block cache is left with the repeats *across* plans.
 
 A :class:`BlockOp` is all a block task needs to know about the gate or run; a
 :class:`TaskStats` collects what the round trips cost and is folded into the
@@ -27,17 +30,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
 from ..compression.interface import Compressor
 from ..statevector import ops
-from .blocks import ScratchPool
+from .blocks import CompressedBlock, ScratchPool
 from .cache import BlockCache
 from .report import SimulationReport
 
-__all__ = ["BlockOp", "TaskStats", "BlockKernel"]
+__all__ = ["BlockOp", "TaskStats", "BlockKernel", "group_tasks"]
+
+Task = TypeVar("Task")
 
 
 class BlockOp(NamedTuple):
@@ -75,12 +80,14 @@ class BlockOp(NamedTuple):
 class TaskStats:
     """What a run of block tasks cost: counters plus the three bucket seconds.
 
-    Cache hits and misses are the lookups the kernel's cache *counted* — a
-    self-disabled cache counts neither, exactly like :class:`BlockCache`'s
-    own statistics.
+    ``duplicates`` are tasks served by a byte-identical task of the same plan
+    (no cache lookup, no codec call).  Cache hits and misses are the lookups
+    the kernel's cache *counted* — a self-disabled cache counts neither,
+    exactly like :class:`BlockCache`'s own statistics.
     """
 
     tasks: int = 0
+    duplicates: int = 0
     decompress_calls: int = 0
     compress_calls: int = 0
     cache_hits: int = 0
@@ -94,20 +101,17 @@ class TaskStats:
         # tuple pickles in a fraction of a default dataclass's state dict.
         return (TaskStats, tuple(vars(self).values()))
 
-    def fold_into(
-        self, report: SimulationReport, shard_sink: BlockCache | None = None
-    ) -> None:
-        """Add these stats to *report* (thread-safe).
-
-        *shard_sink* is the parent-side :class:`BlockCache` that aggregates
-        worker-shard lookups; leave it ``None`` when the kernel looked up the
-        parent's own cache, which already counted them.
-        """
+    def fold_into(self, report: SimulationReport) -> None:
+        """Add these stats to *report* (thread-safe) — on every tier the
+        one way task counters and cache outcomes reach a report."""
 
         for counter, amount in (
             ("tasks_executed", self.tasks),
+            ("duplicate_tasks", self.duplicates),
             ("decompress_calls", self.decompress_calls),
             ("compress_calls", self.compress_calls),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
         ):
             if amount:
                 report.add_count(counter, amount)
@@ -115,8 +119,35 @@ class TaskStats:
             seconds = getattr(self, bucket)
             if seconds:
                 report.add_time(bucket, seconds)
-        if shard_sink is not None and (self.cache_hits or self.cache_misses):
-            shard_sink.record_shard_lookups(self.cache_hits, self.cache_misses)
+
+
+def group_tasks(
+    op: BlockOp, staged: Iterable[tuple[Task, tuple[CompressedBlock, ...], int]]
+) -> list[tuple[tuple, list[Task]]]:
+    """Group a plan's tasks by exactly what :meth:`BlockKernel.run` reads.
+
+    *staged* yields ``(task, entries, index)``: the caller's handle for a
+    task, the one or two stored blocks it stages and its block's global
+    index.  Tasks share a group when their blobs and codec names are equal
+    and, for one-block tasks, so are the bits of *index* that *op* reads.
+    Groups come back in first-seen order as ``(inputs, tasks)``: *inputs*
+    are the positional arguments of :meth:`BlockKernel.run` after
+    ``(op, stats)``; run them once with ``copies=len(tasks)`` and store the
+    outputs for every task.  This is safe because a plan stages each
+    (rank, block) at most once, so no task's inputs are another's outputs.
+    """
+
+    groups: dict[tuple, list[Task]] = {}
+    for task, entries, index in staged:
+        if len(entries) == 1:
+            (entry,) = entries
+            index &= op.index_mask
+            inputs = (entry.blob, entry.compressor, None, None, None, index)
+        else:
+            low, high = entries
+            inputs = (low.blob, low.compressor, high.blob, high.compressor)
+        groups.setdefault(inputs, []).append(task)
+    return list(groups.items())
 
 
 class BlockKernel:
@@ -190,6 +221,7 @@ class BlockKernel:
         name2: str | None = None,
         row: int | None = None,
         index: int = 0,
+        copies: int = 1,
     ) -> tuple[bytes, bytes | None]:
         """One block task: returns the output blobs ``(out1, out2)``.
 
@@ -215,10 +247,13 @@ class BlockKernel:
         the whole pair task's outputs bit for bit.  The cache key carries
         *row* so the two halves of one pair never alias each other's entries.
 
-        A cache hit makes no codec call and leases no scratch.
+        A cache hit makes no codec call and leases no scratch.  *copies* is
+        the size of the :func:`group_tasks` group this call serves: it counts
+        as that many tasks, all but one of them duplicates.
         """
 
-        stats.tasks += 1
+        stats.tasks += copies
+        stats.duplicates += copies - 1
         cache = self.cache
         if blob2 is None:
             op_key = op.op_key + (index & op.index_mask,)

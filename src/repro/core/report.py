@@ -35,6 +35,9 @@ class SimulationReport:
 
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Tasks served by a byte-identical task of the same plan: no cache
+    #: lookup, no codec call (:func:`repro.core.kernel.group_tasks`).
+    duplicate_tasks: int = 0
 
     #: Compressor / decompressor invocations (one per block round trip side).
     #: Gate fusion exists to shrink these; cache hits skip them entirely.
@@ -207,6 +210,7 @@ class SimulationReport:
             "block_exchanges": self.block_exchanges,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "duplicate_tasks": self.duplicate_tasks,
             "compress_calls": self.compress_calls,
             "decompress_calls": self.decompress_calls,
             "tasks_executed": self.tasks_executed,
@@ -238,7 +242,8 @@ class SimulationReport:
             f"  computation        : {breakdown['computation'] * 100:5.1f}%",
             f"communication volume : {self.communication_bytes / 2**20:.2f} MiB "
             f"in {self.block_exchanges} block exchanges",
-            f"cache                : {self.cache_hits} hits / {self.cache_misses} misses",
+            f"cache                : {self.cache_hits} hits / {self.cache_misses} misses"
+            f" / {self.duplicate_tasks} same-plan duplicates",
             f"compressor calls     : {self.compress_calls} compress / "
             f"{self.decompress_calls} decompress over {self.tasks_executed} tasks",
             f"min compression ratio: {self.min_compression_ratio:.2f}",

@@ -18,8 +18,10 @@ state vector stays compressed.  Per gate (Figure 2):
    tasks touch disjoint blocks; on the ranked tier
    :class:`~repro.distributed.ranked.RankedExecutor` ships them to the rank
    worker processes that own the blocks.
-   Each task is one :meth:`repro.core.kernel.BlockKernel.run`: the
-   compressed block cache is consulted; on a miss the block (or block pair)
+   Byte-identical tasks of the plan are grouped first
+   (:func:`repro.core.kernel.group_tasks`) and each group is one
+   :meth:`repro.core.kernel.BlockKernel.run`: the compressed block cache is
+   consulted for repeats of earlier plans; on a miss the block (or block pair)
    is decompressed into the scratch pool, the 2x2 unitary (each of a run's,
    in order) is applied with the vectorised kernels of
    :mod:`repro.statevector.ops`, and the result is recompressed with the
@@ -116,13 +118,10 @@ class CompressedSimulator:
             if ranked
             else ScratchPool(block_amplitudes, buffers=2 * self._config.num_workers)
         )
+        # The ranked tier's cache lines live in the rank workers (one shard
+        # per rank); the parent keeps none.
         self._cache = (
-            BlockCache(
-                lines=self._config.cache_lines,
-                miss_disable_threshold=self._config.cache_miss_disable_threshold,
-            )
-            if self._config.use_block_cache
-            else None
+            BlockCache() if self._config.use_block_cache and not ranked else None
         )
         self._fidelity = (
             FidelityTracker() if self._config.track_fidelity_bound else None
@@ -198,11 +197,7 @@ class CompressedSimulator:
             decompressors=self._decompressors,
             report=self._report,
             comm_sink=self._comm,
-            cache=self._cache,
-            cache_lines=self._config.cache_lines,
-            cache_miss_disable_threshold=(
-                self._config.cache_miss_disable_threshold
-            ),
+            cache_enabled=self._config.use_block_cache,
             start_method=self._config.mp_start_method,
             fault_policy=self._policy,
             pool_generation=self._ranked_generation,
@@ -254,7 +249,8 @@ class CompressedSimulator:
 
     @property
     def cache(self) -> BlockCache | None:
-        """The block-transform cache, or ``None`` when disabled."""
+        """The block-transform cache, or ``None`` when disabled — and on the
+        ranked tier, whose cache shards live in the rank workers."""
 
         return self._cache
 
@@ -648,9 +644,6 @@ class CompressedSimulator:
     def _sync_report(self) -> None:
         self._report.communication_bytes = self._comm.stats.bytes_sent
         self._report.block_exchanges = self._comm.stats.exchanges
-        if self._cache is not None:
-            self._report.cache_hits = self._cache.stats.hits
-            self._report.cache_misses = self._cache.stats.misses
         self._report.fidelity_lower_bound = (
             self._fidelity.lower_bound if self._fidelity is not None else None
         )

@@ -78,17 +78,16 @@ class GatePlan:
 
         return sum(len(task.buffers) for task in self.tasks)
 
+    # Kept only for benchmarks/e2e/e2e_trace.py (its ``exchange.waves``
+    # metric); no executor reads it.
     def independent_groups(self) -> tuple[tuple[BlockTask, ...], ...]:
         """Partition the tasks into waves of mutually independent tasks.
 
         Two tasks are independent when their (rank, block) buffer sets are
-        disjoint — they read and write different compressed blocks, so the
-        executor may run them concurrently.  Tasks of a single-gate plan are
-        pairwise disjoint by construction (every block appears in exactly one
-        pair), so such plans yield one wave.  Waves cut the task list at the
-        first buffer conflict, never hoisting a later task past a conflicting
-        earlier one, so executing waves in order preserves the plan's
-        sequential semantics even for plans that revisit a buffer.
+        disjoint.  :func:`plan_gate` stages every block at most once, so its
+        plans are always one wave.  Waves cut the task list at the first
+        buffer conflict, never hoisting a later task past a conflicting
+        earlier one.
         """
 
         waves: list[list[BlockTask]] = []

@@ -42,12 +42,14 @@ Results are bit-identical to the single-process simulator: every rank runs
 the exact same kernels and codecs on the exact same bytes, and the
 cross-rank half-pair update (the *row* form of
 :meth:`repro.core.kernel.BlockKernel.run`) evaluates element-for-element
-the same expression as the single-process pairwise kernel.  Within one
-rank's batch, byte-identical non-exchange tasks are computed once and fanned
-out (the same Section 3.4 redundancy the wave dedupe of the thread tier
-exploits); exchange tasks are never deduplicated — as over MPI, the
-communication happens regardless, and only the codec work is saved by the
-per-rank cache shard.
+the same expression as the single-process pairwise kernel.  Each rank groups
+the non-exchange tasks of its batch with the same
+:func:`~repro.core.kernel.group_tasks` pass every tier runs, so byte-identical
+tasks are computed once; exchange tasks are never grouped — as over MPI, the
+communication happens regardless, and only the codec work can be saved, by
+the rank's cache shard.  The shards are the only block caches of this tier:
+the parent keeps none, and their hits and misses reach the report with the
+rest of each reply's :class:`~repro.core.kernel.TaskStats`.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from ..compression.interface import Compressor
 from ..core.blocks import CompressedBlock, ScratchPool
 from ..core.compressed_state import CompressedStateVector, initial_rank_blocks
 from ..core.cache import BlockCache
-from ..core.kernel import BlockKernel, BlockOp, TaskStats
+from ..core.kernel import BlockKernel, BlockOp, TaskStats, group_tasks
 from ..core.procpool import ProcessPool, raise_worker_error
 from ..core.report import SimulationReport
 from ..errors import PoolProtocolError, ProcessCommTimeout
@@ -108,8 +110,8 @@ class RankWorker:
     decompressors:
         Compressor-name → instance map for decoding stored blobs (grows as
         escalated compressors arrive with gate messages).
-    cache_lines, cache_miss_disable_threshold, cache_enabled:
-        Block-cache shard configuration (mirrors the parent's).
+    cache_enabled:
+        Whether this rank keeps a block-cache shard (the paper's 64 lines).
     comm_timeout:
         Deadline of any single blocking communicator operation.
     pool_generation:
@@ -132,8 +134,6 @@ class RankWorker:
         num_ranks: int,
         block_amplitudes: int,
         decompressors: dict[str, Compressor],
-        cache_lines: int,
-        cache_miss_disable_threshold: int | None,
         cache_enabled: bool,
         comm_timeout: float,
         pool_generation: int,
@@ -157,9 +157,7 @@ class RankWorker:
         self._kernel = BlockKernel(
             dict(decompressors),
             ScratchPool(block_amplitudes, buffers=2),
-            BlockCache(cache_lines, cache_miss_disable_threshold)
-            if cache_enabled
-            else None,
+            BlockCache() if cache_enabled else None,
         )
 
     def close(self) -> None:
@@ -255,24 +253,18 @@ class RankWorker:
         ``("pair", block0, block1)`` for an intra-rank block pair, and
         ``("xchg", block, peer, row)`` for a cross-rank pair — the block is
         exchanged with *peer* through the communicator and only the *row*
-        half this rank owns is rewritten.  The exchange always happens (as it
-        would over MPI); only the codec round trip can be skipped by a cache
-        hit on ``(my blob, peer blob)``.
+        half this rank owns is rewritten.  A batch holds one kind only.  The
+        exchange always happens (as it would over MPI); only the codec round
+        trip can be skipped by a cache hit on ``(my blob, peer blob)``.
         """
 
         _, op, tasks = message
         kernel = self._kernel
         op = op._replace(compressor=kernel.compressor_for(op.compressor))
         stats = TaskStats()
-        first_index = self._rank * self._partition.blocks_per_rank
-        # Within one plan every block appears in exactly one task, so inputs
-        # seen earlier in the batch cannot have been rewritten: reusing the
-        # outputs of a task with byte-identical blobs (and, for a one-block
-        # task, the same index bits the op reads) is safe across the batch.
-        seen: dict[tuple, tuple[bytes, bytes | None]] = {}
-        for kind, *blocks in tasks:
-            if kind == "xchg":
-                block, peer, row = blocks
+        outputs: list[tuple[tuple[int, ...], tuple[bytes, bytes | None]]] = []
+        if tasks[0][0] == "xchg":
+            for _, block, peer, row in tasks:
                 entry = self._blocks[block]
                 peer_name, peer_blob = _unframe_blob(
                     self._comm.sendrecv_bytes(
@@ -282,20 +274,23 @@ class RankWorker:
                 outs = kernel.run(
                     op, stats, entry.blob, entry.compressor, peer_blob, peer_name, row
                 )
-                blocks = (block,)  # the peer rewrites its own half
-            else:
-                inputs = ()
-                for block in blocks:
-                    entry = self._blocks[block]
-                    inputs += (entry.blob, entry.compressor)
-                index = (first_index + blocks[0]) & op.index_mask
-                outs = seen.get(inputs + (index,))
-                if outs is None:
-                    outs = seen[inputs + (index,)] = kernel.run(
-                        op, stats, *inputs, index=index
+                outputs.append(((block,), outs))  # the peer rewrites its half
+        else:
+            first_index = self._rank * self._partition.blocks_per_rank
+            for inputs, group in group_tasks(
+                op,
+                (
+                    (
+                        blocks,
+                        tuple(self._blocks[block] for block in blocks),
+                        first_index + blocks[0],
                     )
-                else:
-                    stats.tasks += 1
+                    for _, *blocks in tasks
+                ),
+            ):
+                outs = kernel.run(op, stats, *inputs, copies=len(group))
+                outputs.extend((blocks, outs) for blocks in group)
+        for blocks, outs in outputs:
             for block, out in zip(blocks, outs):
                 self._blocks[block] = CompressedBlock(
                     blob=out, compressor=op.compressor.name, bound=op.compressor.bound
@@ -320,8 +315,9 @@ class RankedExecutor:
     gate hot path.
 
     Per gate, the plan's tasks are grouped by owning rank and shipped as one
-    batched message per rank; each reply carries the rank's codec timings,
-    cache-shard outcomes, slice footprint and cumulative communicator
+    batched message per rank; each reply carries the rank's
+    :class:`~repro.core.kernel.TaskStats` (codec timings, task, duplicate and
+    cache-shard counts), slice footprint and cumulative communicator
     counters, which are folded into the report — ``communication_seconds``
     grows by the *maximum* per-rank exchange-time delta of the gate (the
     critical path; the ranks communicate concurrently), while the codec
@@ -340,11 +336,8 @@ class RankedExecutor:
         :class:`~repro.distributed.comm.SimulatedCommunicator`, kept as the
         aggregate stats sink reports read
         (:func:`~repro.distributed.comm.aggregate_rank_stats` conventions).
-    cache:
-        The parent :class:`~repro.core.cache.BlockCache` stats sink, or
-        ``None`` when caching is off (shard outcomes are folded into it).
-    cache_lines, cache_miss_disable_threshold:
-        Per-rank cache shard configuration.
+    cache_enabled:
+        Whether every rank keeps a block-cache shard.
     start_method:
         ``multiprocessing`` start method for the rank workers.
     comm_timeout:
@@ -368,9 +361,7 @@ class RankedExecutor:
         decompressors: dict[str, Compressor],
         report: SimulationReport,
         comm_sink: SimulatedCommunicator,
-        cache: BlockCache | None,
-        cache_lines: int = 64,
-        cache_miss_disable_threshold: int | None = 256,
+        cache_enabled: bool,
         start_method: str | None = None,
         comm_timeout: float = 120.0,
         fault_policy=None,
@@ -379,7 +370,6 @@ class RankedExecutor:
         self._partition = partition
         self._report = report
         self._comm_sink = comm_sink
-        self._cache = cache
         num_ranks = partition.num_ranks
         # The workers hold the only open ends once the pool is up (or has
         # failed to come up): a socket is a descriptor, and this process may
@@ -393,9 +383,7 @@ class RankedExecutor:
                     num_ranks,
                     partition.block_amplitudes,
                     decompressors,
-                    cache_lines,
-                    cache_miss_disable_threshold,
-                    cache is not None,
+                    cache_enabled,
                     comm_timeout,
                     pool_generation,
                 ),
@@ -497,7 +485,7 @@ class RankedExecutor:
         for worker_id, reply in self._collect(pool, len(per_rank), "gate batch"):
             _, rank_bytes, stats, comm = reply
             self._rank_bytes[worker_id] = rank_bytes
-            stats.fold_into(self._report, self._cache)
+            stats.fold_into(self._report)
             # The rank's exchange-seconds delta, for critical-path comm time.
             previous = self._rank_comm[worker_id]["seconds"]["exchange"]
             comm_deltas.append(comm["seconds"]["exchange"] - previous)

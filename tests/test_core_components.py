@@ -3,6 +3,7 @@ fidelity and report."""
 
 from __future__ import annotations
 
+import dataclasses
 import platform
 import subprocess
 import sys
@@ -34,7 +35,16 @@ class TestSimulatorConfig:
         config = SimulatorConfig()
         assert config.error_levels == (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
         assert config.lossy_compressor == "xor-bitplane"
-        assert config.cache_lines == 64
+        # The cache runs at the paper's constants; they are not fields.
+        fields = {field.name for field in dataclasses.fields(SimulatorConfig)}
+        assert len(fields) == 16
+        assert not fields & {"cache_lines", "cache_miss_disable_threshold"}
+        cache = BlockCache()
+        assert cache.lines == 64
+        for miss in range(256):
+            assert cache.enabled
+            cache.lookup(("op", miss), b"x", None)
+        assert not cache.enabled
 
     def test_rejects_non_power_of_two_ranks(self):
         with pytest.raises(ValueError):
@@ -100,23 +110,27 @@ class TestBlockStore:
 
 
 class TestScratchPool:
-    def test_load_complex_roundtrip(self, rng):
+    def test_fill_complex_roundtrip(self, rng):
         pool = ScratchPool(block_amplitudes=16)
         values = rng.normal(size=32)  # float64 view of 16 complex amplitudes
-        buffer = pool.load(0, values)
-        assert buffer.dtype == np.complex128
-        assert np.array_equal(buffer.view(np.float64), values)
+        with pool.lease() as (leased,):
+            buffer = pool.fill(leased, values)
+            assert buffer is leased
+            assert buffer.dtype == np.complex128
+            assert np.array_equal(buffer.view(np.float64), values)
 
-    def test_load_wrong_size_rejected(self, rng):
+    def test_fill_wrong_size_rejected(self, rng):
         pool = ScratchPool(block_amplitudes=16)
-        with pytest.raises(ValueError):
-            pool.load(0, rng.normal(size=10))
+        with pool.lease() as (leased,), pytest.raises(ValueError):
+            pool.fill(leased, rng.normal(size=10))
 
     def test_buffers_are_reused(self):
-        pool = ScratchPool(block_amplitudes=4)
-        first = pool.buffer(0)
-        second = pool.buffer(0)
-        assert first is second
+        pool = ScratchPool(block_amplitudes=4, buffers=2)
+        with pool.lease(2) as first:
+            pass
+        with pool.lease(2) as second:
+            pass
+        assert {id(buffer) for buffer in first} == {id(buffer) for buffer in second}
 
     def test_needs_at_least_one_buffer(self):
         with pytest.raises(ValueError):
@@ -203,12 +217,31 @@ class TestBlockCache:
             cache.lookup(("op", i + 1), b"zzz", None)
         assert cache.enabled
 
-    def test_clear_reenables(self):
+    def test_reset_reenables_and_zeroes(self):
         cache = BlockCache(lines=2, miss_disable_threshold=1)
         cache.lookup(("op", 0), b"x", None)
         assert not cache.enabled
-        cache.clear()
+        cache.reset()
         assert cache.enabled
+        assert cache.stats.as_dict() == BlockCache().stats.as_dict()
+        cache.insert(("op", 0), b"x", None, b"r", None)
+        assert len(cache) == 1
+
+    def test_lines_are_keyed_on_exact_bytes(self):
+        cache = BlockCache(lines=4, miss_disable_threshold=None)
+        blob = bytes(range(64))
+        op_key = ("h", (5,), (), "lossless", 0b01)
+        cache.insert(op_key, blob, None, b"out", None)
+        # Equal bytes in a different object hit.
+        copy = bytes(bytearray(blob))
+        assert copy is not blob
+        assert cache.lookup(op_key, copy, None) == (b"out", None)
+        # One byte off misses; so does the op key with other index bits.
+        assert cache.lookup(op_key, blob[:-1] + b"\xff", None) is None
+        assert cache.lookup(op_key[:-1] + (0b11,), blob, None) is None
+        # The second blob is part of the key too.
+        assert cache.lookup(op_key, blob, blob) is None
+        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
 
     def test_hit_rate(self):
         cache = BlockCache(lines=2, miss_disable_threshold=None)

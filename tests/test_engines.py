@@ -349,4 +349,4 @@ class TestEnginePlumbing:
         with pytest.raises(AttributeError):
             SimulatorConfig().codec_engine = "numba"
         fields = {field.name for field in dataclasses.fields(SimulatorConfig)}
-        assert len(fields) == 18 and "codec_engine" not in fields
+        assert len(fields) == 16 and "codec_engine" not in fields

@@ -16,6 +16,10 @@ Pinned here:
   whose block/rank-level controls are set in its block's index, a diagonal on
   a non-local target as one scalar phase; every block of a dense reference
   comes out equal, and the cache key carries exactly the index bits read.
+* **Grouping** — :func:`group_tasks` groups by exactly the kernel's inputs
+  (blob bytes, codec names, the one-block index bits read) in first-seen
+  order, and one ``copies=n`` call counts n tasks, n - 1 duplicates, one
+  lookup and one round trip.
 * **Partial plans** — a corrupt blob mid-plan leaves the finished tasks
   committed and counted.
 * **Structure** — nothing else under ``core/`` or ``distributed/`` applies a
@@ -32,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.circuits import Gate, ghz_circuit, standard_gate
+from repro.circuits import Gate, QuantumCircuit, standard_gate
 from repro.compression import CompressorError, get_compressor
 from repro.core import (
     BlockCache,
@@ -41,7 +45,7 @@ from repro.core import (
     ScratchPool,
     SimulationReport,
 )
-from repro.core.kernel import BlockKernel, BlockOp, TaskStats
+from repro.core.kernel import BlockKernel, BlockOp, TaskStats, group_tasks
 from repro.statevector import ops
 
 BLOCK = 16
@@ -380,40 +384,99 @@ def test_one_block_steps_follow_the_block_index(rng):
 
 
 def test_task_stats_pickle_flat_and_fold():
-    stats = TaskStats(3, 4, 2, 1, 2, 0.25, 0.5, 0.125)
+    stats = TaskStats(6, 2, 4, 2, 1, 2, 0.25, 0.5, 0.125)
     constructor, args = stats.__reduce__()
-    assert constructor is TaskStats and args == (3, 4, 2, 1, 2, 0.25, 0.5, 0.125)
+    assert constructor is TaskStats and args == (6, 2, 4, 2, 1, 2, 0.25, 0.5, 0.125)
     assert pickle.loads(pickle.dumps(stats)) == stats
 
+    # Folding is the one way counters reach a report, cache outcomes included.
     report = SimulationReport()
-    sink = BlockCache()
     stats.fold_into(report)
-    assert (sink.stats.hits, sink.stats.misses) == (0, 0)
-    stats.fold_into(report, sink)
-    assert (report.tasks_executed, report.decompress_calls, report.compress_calls) == (
-        6,
-        8,
-        4,
-    )
+    stats.fold_into(report)
+    assert (
+        report.tasks_executed,
+        report.duplicate_tasks,
+        report.decompress_calls,
+        report.compress_calls,
+        report.cache_hits,
+        report.cache_misses,
+    ) == (12, 4, 8, 4, 2, 4)
     assert (
         report.decompression_seconds,
         report.computation_seconds,
         report.compression_seconds,
     ) == (0.5, 1.0, 0.25)
-    assert (sink.stats.hits, sink.stats.misses) == (1, 2)
+
+
+def _entry(blob: bytes, name: str = "lossless") -> CompressedBlock:
+    return CompressedBlock(blob=blob, compressor=name, bound=0.0)
+
+
+def test_group_tasks_keys_on_exactly_what_the_kernel_reads():
+    op = _step_op(STEPS[:1], get_compressor("lossless"))._replace(index_mask=0b010)
+    same = b"block"
+    staged = [
+        ("a", (_entry(same),), 0b000),
+        # Equal bytes in another object, an unread index bit: same group.
+        ("b", (_entry(bytes(bytearray(same))),), 0b101),
+        # A read index bit, a codec name, one byte: three new groups.
+        ("c", (_entry(same),), 0b010),
+        ("d", (_entry(same, "xor-bitplane"),), 0b000),
+        ("e", (_entry(b"blocK"),), 0b000),
+        ("f", (_entry(same),), 0b001),
+    ]
+    groups = group_tasks(op, staged)
+    assert [tasks for _, tasks in groups] == [["a", "b", "f"], ["c"], ["d"], ["e"]]
+    assert groups[0][0] == (same, "lossless", None, None, None, 0)
+    assert groups[1][0][-1] == 0b010
+
+    # Pairs: both blobs and both names, in order; the index is not read.
+    pair = (_entry(b"low"), _entry(b"high"))
+    groups = group_tasks(
+        op._replace(index_mask=0),
+        [("p", pair, 0), ("q", pair, 7), ("r", pair[::-1], 0)],
+    )
+    assert [tasks for _, tasks in groups] == [["p", "q"], ["r"]]
+    assert groups[0][0] == (b"low", "lossless", b"high", "lossless")
+
+
+@pytest.mark.parametrize("cache_kind", list(CACHES))
+def test_copies_count_tasks_and_duplicates_once(cache_kind, blocks):
+    reference, reference_op = _setup(None)[:2]
+    kernel, op, stored, output, scratch = _setup(CACHES[cache_kind]())
+    blob = stored.inner.compress(blocks[0].view(np.float64))
+    expected = reference.run(reference_op, TaskStats(), blob, stored.name)
+
+    stats = TaskStats()
+    assert kernel.run(op, stats, blob, stored.name, copies=3) == expected
+    assert (stats.tasks, stats.duplicates) == (3, 2)
+    assert (stats.decompress_calls, stats.compress_calls) == (1, 1)
+    assert (stored.decompress_calls, output.compress_calls, scratch.leases) == (
+        1,
+        1,
+        1,
+    )
+    counted = cache_kind == "enabled"
+    assert (stats.cache_hits, stats.cache_misses) == (0, 1 if counted else 0)
 
 
 def test_failure_mid_plan_keeps_finished_tasks(simulator_config):
     # 6 qubits over 2 ranks x 4 blocks: a local-qubit gate plans 8 tasks in
-    # rank-major order; the fifth one's blob is corrupt.
+    # rank-major order; the fifth one's blob is corrupt.  A product state
+    # with a distinct angle per qubit makes all eight blocks distinct, so
+    # every task is its own group.
     config = simulator_config(block_amplitudes=8, use_block_cache=False)
     gate = Gate("u", MATRIX, targets=(0,))
+    product = QuantumCircuit(6)
+    for qubit in range(6):
+        product.ry(0.3 + 0.4 * qubit, qubit)
     with CompressedSimulator(6, config) as clean, CompressedSimulator(
         6, config
     ) as simulator:
         for sim in (clean, simulator):
-            sim.apply_circuit(ghz_circuit(6))
+            sim.apply_circuit(product)
         clean.apply_gate(gate)
+        assert len({entry.blob for _, entry in simulator.state.iter_blocks()}) == 8
 
         before = {key: entry.blob for key, entry in simulator.state.iter_blocks()}
         entry = simulator.state.get_block(1, 0)

@@ -33,6 +33,7 @@ from repro.applications import (
 )
 from repro.backends import BackendError
 from repro.backends.base import Backend
+from repro.circuits import QuantumCircuit
 from repro.compression import ErrorBoundMode, available_compressors, get_compressor
 from repro.compression.huffman import HuffmanCodec
 from repro.core import (
@@ -237,34 +238,40 @@ class TestProcessSpellingIsTheRankedTier:
         )
         with CompressedSimulator(6, config) as simulator:
             report = simulator.apply_circuit(circuit)
-            # At most one shard lookup per task: byte-identical duplicates
-            # within a rank's batch are fanned out without one.
+            # At most one shard lookup per task, and none for a duplicate:
+            # byte-identical tasks within a rank's batch are grouped first.
             lookups = report.cache_hits + report.cache_misses
-            assert 0 < lookups <= report.tasks_executed
-            # Grover's recurring block patterns must produce shard hits.
+            assert 0 < lookups + report.duplicate_tasks <= report.tasks_executed
+            # Grover's recurring block patterns repeat within a plan
+            # (duplicates) and across plans (shard hits).
+            assert report.duplicate_tasks > 0
             assert report.cache_hits > 0
+            assert simulator.cache is None  # the shards are the only caches
             assert np.array_equal(simulator.statevector(), _final_state(6, circuit))
 
     def test_disabled_shards_stop_counting_misses(self):
         # Once a shard's miss rule disables it, its lookups are free and
         # uncounted — the parent must not keep accumulating misses (the
-        # sequential tier caps at the disable threshold too).
-        circuit = qft_benchmark_circuit(8)
+        # sequential tier caps at the disable threshold too).  Every gate
+        # has its own angle, so no pattern can recur: each rank's shard
+        # sees far more than 256 distinct misses and no hit.
+        circuit = QuantumCircuit(8)
+        for index in range(32):
+            circuit.ry(0.1 + 0.05 * index, index % 8)
         config = SimulatorConfig(
             num_ranks=2,
-            block_amplitudes=16,
+            block_amplitudes=4,
             num_workers=2,
             executor="process",
-            cache_miss_disable_threshold=1,
             fault_policy=NO_RECOVERY,
         )
         with CompressedSimulator(8, config) as simulator:
             report = simulator.apply_circuit(circuit)
-            # A shard's first lookup misses, which at this threshold
-            # disables it: one counted miss per rank, however many tasks.
+            # 256 counted misses per shard, however many tasks ran.
             assert report.cache_hits == 0
-            assert 0 < report.cache_misses <= config.num_ranks
-            assert report.tasks_executed > 10 * config.num_ranks
+            assert report.cache_misses == 256 * config.num_ranks
+            distinct = report.tasks_executed - report.duplicate_tasks
+            assert distinct > report.cache_misses
 
     def test_single_worker_runs_sequentially_without_a_pool(self):
         # num_workers=1 keeps the documented sequential contract: no worker

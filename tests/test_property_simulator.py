@@ -6,7 +6,9 @@ compression is amplitude-for-amplitude identical to the dense reference, and
 under lossy compression the measured fidelity never falls below the
 Π(1 - δ) bound the simulator reports.  With the default configuration
 (fusion on, lossless) "identical" means to the last bit, on every execution
-tier: a run applies its gates' own 2x2 steps in order.
+tier: a run applies its gates' own 2x2 steps in order.  And the two
+in-process tiers report the same work: both group a plan's byte-identical
+tasks before the block cache.
 
 The ``simulator_config`` factory fixture is session-scoped, which keeps it
 compatible with hypothesis's function-scoped-fixture health check.
@@ -18,11 +20,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits import QuantumCircuit
+from repro.circuits import QuantumCircuit, ghz_circuit
+from repro.circuits.fusion import form_runs
 from repro.core import CompressedSimulator
+from repro.distributed import Partition, plan_gate
 from repro.distributed.ranked import RankedExecutor
 from repro.statevector import simulate_statevector, state_fidelity
-from tiers import TIERS, tier_config
+from test_compressed_simulator import PARTITION_SHAPES
+from tiers import TIERS, report_counters, tier_config
 
 NUM_QUBITS = 6
 
@@ -30,11 +35,11 @@ _single_gates = ("h", "x", "y", "z", "s", "t", "sx")
 
 
 @st.composite
-def random_circuits(draw) -> QuantumCircuit:
+def random_circuits(draw, max_gates: int = 25) -> QuantumCircuit:
     """A random circuit mixing single-qubit, controlled and Toffoli gates."""
 
     circuit = QuantumCircuit(NUM_QUBITS)
-    num_gates = draw(st.integers(min_value=1, max_value=25))
+    num_gates = draw(st.integers(min_value=1, max_value=max_gates))
     for _ in range(num_gates):
         kind = draw(st.integers(min_value=0, max_value=3))
         qubits = draw(
@@ -195,3 +200,61 @@ class TestLossyFidelityBound:
         )
         # Norm can only shrink under magnitude-truncating compression.
         assert simulator.norm_squared() <= 1.0 + 1e-9
+
+
+class TestTierAccounting:
+    """Every tier groups a plan before the kernel, on the invariant that a
+    plan stages each (rank, block) at most once."""
+
+    @given(circuit=run_heavy_circuits(), shape=st.sampled_from(PARTITION_SHAPES))
+    @settings(max_examples=40, deadline=None)
+    def test_a_plan_stages_each_block_at_most_once(self, circuit, shape):
+        num_qubits, ranks, block = shape
+        partition = Partition(
+            num_qubits=num_qubits, num_ranks=ranks, block_amplitudes=block
+        )
+        for fused in (True, False):
+            gates = list(circuit)
+            for element in form_runs(gates, partition.offset_bits) if fused else gates:
+                staged = [
+                    buffer
+                    for task in plan_gate(partition, element).tasks
+                    for buffer in task.buffers
+                ]
+                assert len(staged) == len(set(staged))
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    @pytest.mark.parametrize("cache", [True, False])
+    @given(
+        circuit=st.one_of(random_circuits(max_gates=8), st.just(ghz_circuit(NUM_QUBITS))),
+        shape=st.sampled_from([(2, 16), (4, 8)]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_sequential_and_thread_report_the_same_work(
+        self, cache, fusion, circuit, shape
+    ):
+        # At most 8 elements of at most 8 groups each: the 64-line cache
+        # never evicts, so which pool thread looks up first cannot matter.
+        ranks, block = shape
+        reports = {}
+        for tier in ("sequential", "thread"):
+            config = tier_config(
+                tier,
+                num_ranks=ranks,
+                block_amplitudes=block,
+                use_block_cache=cache,
+                fusion_enabled=fusion,
+            )
+            with CompressedSimulator(NUM_QUBITS, config) as simulator:
+                report = simulator.apply_circuit(circuit)
+                reports[tier] = report_counters(report)
+                if cache:
+                    assert simulator.cache.stats.evictions == 0
+                    assert simulator.cache.stats.lookups == (
+                        report.cache_hits + report.cache_misses
+                    )
+                assert (
+                    report.cache_hits + report.cache_misses + report.duplicate_tasks
+                    <= report.tasks_executed
+                )
+        assert reports["thread"] == reports["sequential"]

@@ -27,6 +27,17 @@ def tier_config(
     )
 
 
+def report_counters(report) -> dict:
+    """``report.as_dict()`` without anything measured in seconds: what two
+    tiers running the same circuit must agree on exactly."""
+
+    return {
+        key: value
+        for key, value in report.as_dict().items()
+        if not key.endswith(("_seconds", "_fraction")) and key != "seconds_per_gate"
+    }
+
+
 def open_fd_count() -> int:
     """Descriptors this process holds open (Linux ``/proc``; the ranked
     tier's pipes and sockets are descriptors, and a leaked one per simulator
