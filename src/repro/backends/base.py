@@ -40,6 +40,7 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
+    "validate_request",
 ]
 
 
@@ -89,6 +90,53 @@ def available_backends() -> list[str]:
     """Sorted names of every registered backend."""
 
     return sorted(_REGISTRY)
+
+
+def validate_request(
+    circuits: Sequence[QuantumCircuit],
+    *,
+    shots: int,
+    observables: PauliObservable | Iterable[PauliObservable] | None,
+) -> tuple[PauliObservable, ...]:
+    """Check one request into the engine; return its observables as a tuple.
+
+    :meth:`Backend.run` and :meth:`repro.serve.SimulationService.submit`
+    both call this, so a request one accepts is a request the other accepts,
+    and a bad one fails with the same exception and message in both.
+    """
+
+    for circuit in circuits:
+        if not isinstance(circuit, QuantumCircuit):
+            raise TypeError(
+                f"expected QuantumCircuit, got {type(circuit).__name__}"
+            )
+    if shots < 0:
+        raise ValueError("shots must be non-negative")
+    if observables is None:
+        observables = ()
+    elif isinstance(observables, PauliObservable):
+        observables = (observables,)
+    observable_list = tuple(observables)
+    for observable in observable_list:
+        if not isinstance(observable, PauliObservable):
+            raise TypeError(
+                f"expected PauliObservable, got {type(observable).__name__}"
+            )
+    labels = [observable.label for observable in observable_list]
+    if len(set(labels)) != len(labels):
+        raise ValueError(
+            "observables must have unique labels (use with_label()); got "
+            f"{labels}"
+        )
+    for circuit in circuits:
+        for observable in observable_list:
+            if observable.num_qubits != circuit.num_qubits:
+                raise ValueError(
+                    f"observable {observable.label!r} acts on "
+                    f"{observable.num_qubits} qubits but circuit "
+                    f"{circuit.name!r} has {circuit.num_qubits}"
+                )
+    return observable_list
 
 
 class Backend(ABC):
@@ -159,26 +207,12 @@ class Backend(ABC):
         batch: list[QuantumCircuit] = [circuits] if single else list(circuits)
         if not batch:
             raise ValueError("run() needs at least one circuit")
-        for circuit in batch:
-            if not isinstance(circuit, QuantumCircuit):
-                raise TypeError(
-                    f"expected QuantumCircuit, got {type(circuit).__name__}"
-                )
-        if shots < 0:
-            raise ValueError("shots must be non-negative")
-        observable_list = self._normalise_observables(observables)
-        for circuit in batch:
-            for observable in observable_list:
-                if observable.num_qubits != circuit.num_qubits:
-                    raise ValueError(
-                        f"observable {observable.label!r} acts on "
-                        f"{observable.num_qubits} qubits but circuit "
-                        f"{circuit.name!r} has {circuit.num_qubits}"
-                    )
-
-        if parallel not in (None, "none", "process"):
+        observable_list = validate_request(
+            batch, shots=shots, observables=observables
+        )
+        if parallel not in (None, "process"):
             raise ValueError(
-                f"parallel must be None, 'none' or 'process', got {parallel!r}"
+                f"parallel must be None or 'process', got {parallel!r}"
             )
         if max_parallel is not None and max_parallel < 1:
             raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
@@ -201,49 +235,54 @@ class Backend(ABC):
             )
             return results[0] if single else ResultSet(results)
 
-        results: list[Result] = []
         session = self._open_session(**options)
         try:
-            for circuit, sequence in zip(batch, seed_sequences):
-                started = time.perf_counter()
-                result = self._execute(
+            results = [
+                self._run_one(
                     circuit,
-                    session=session,
+                    session,
                     shots=shots,
                     observables=observable_list,
-                    rng=np.random.default_rng(sequence),
+                    seed=seed,
+                    seed_sequence=sequence,
                     return_statevector=return_statevector,
                 )
-                result.metadata.setdefault(
-                    "wall_seconds", time.perf_counter() - started
-                )
-                result.metadata.setdefault("seed", seed)
-                results.append(result)
+                for circuit, sequence in zip(batch, seed_sequences)
+            ]
         finally:
             self._close_session(session)
         return results[0] if single else ResultSet(results)
 
-    @staticmethod
-    def _normalise_observables(
-        observables: PauliObservable | Iterable[PauliObservable] | None,
-    ) -> tuple[PauliObservable, ...]:
-        if observables is None:
-            return ()
-        if isinstance(observables, PauliObservable):
-            observables = (observables,)
-        observable_list = tuple(observables)
-        for observable in observable_list:
-            if not isinstance(observable, PauliObservable):
-                raise TypeError(
-                    f"expected PauliObservable, got {type(observable).__name__}"
-                )
-        labels = [observable.label for observable in observable_list]
-        if len(set(labels)) != len(labels):
-            raise ValueError(
-                "observables must have unique labels (use with_label()); got "
-                f"{labels}"
-            )
-        return observable_list
+    def _run_one(
+        self,
+        circuit: QuantumCircuit,
+        session: Any,
+        *,
+        shots: int,
+        observables: Sequence[PauliObservable],
+        seed: int | None,
+        seed_sequence: np.random.SeedSequence,
+        return_statevector: bool,
+    ) -> Result:
+        """Execute one circuit of a batch and stamp its wall-clock and seed.
+
+        The sequential loop of :meth:`run` and the process fan-out
+        (:mod:`repro.backends.parallel`) both call this, so a circuit's rng
+        stream and metadata do not depend on where it ran.
+        """
+
+        started = time.perf_counter()
+        result = self._execute(
+            circuit,
+            session=session,
+            shots=shots,
+            observables=observables,
+            rng=np.random.default_rng(seed_sequence),
+            return_statevector=return_statevector,
+        )
+        result.metadata.setdefault("wall_seconds", time.perf_counter() - started)
+        result.metadata.setdefault("seed", seed)
+        return result
 
     @staticmethod
     def _evaluate_observables(

@@ -19,10 +19,6 @@ sequential execution; only measured wall-clock metadata differs.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from ..circuits import QuantumCircuit
 from .result import Result
 
@@ -57,18 +53,15 @@ class _CircuitRunner:
             seed_sequence,
             return_statevector,
         ) = message
-        started = time.perf_counter()
-        result = self._engine._execute(
+        result = self._engine._run_one(
             circuit,
-            session=self._session,
+            self._session,
             shots=shots,
             observables=observables,
-            rng=np.random.default_rng(seed_sequence),
+            seed=self._seed,
+            seed_sequence=seed_sequence,
             return_statevector=return_statevector,
         )
-        # Mirror the sequential runner's metadata stamps exactly.
-        result.metadata.setdefault("wall_seconds", time.perf_counter() - started)
-        result.metadata.setdefault("seed", self._seed)
         return ("ok", index, result)
 
     def close(self) -> None:

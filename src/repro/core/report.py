@@ -71,7 +71,7 @@ class SimulationReport:
     rank_comm: list | None = None
 
     #: Fault-recovery accounting, or ``None`` when the run never recovered
-    #: from (or prepared for) a failure: retries, waves/gates replayed, time
+    #: from (or prepared for) a failure: retries, gates replayed, time
     #: lost re-executing, checkpoints written and pool restarts.  Fed by
     #: :meth:`record_recovery` from the resilience machinery.
     recovery: dict | None = None
@@ -119,7 +119,6 @@ class SimulationReport:
         self,
         *,
         retries: int = 0,
-        waves_replayed: int = 0,
         gates_replayed: int = 0,
         time_lost_seconds: float = 0.0,
         checkpoints_written: int = 0,
@@ -136,14 +135,12 @@ class SimulationReport:
             if self.recovery is None:
                 self.recovery = {
                     "retries": 0,
-                    "waves_replayed": 0,
                     "gates_replayed": 0,
                     "time_lost_seconds": 0.0,
                     "checkpoints_written": 0,
                     "restarts": 0,
                 }
             self.recovery["retries"] += retries
-            self.recovery["waves_replayed"] += waves_replayed
             self.recovery["gates_replayed"] += gates_replayed
             self.recovery["time_lost_seconds"] += time_lost_seconds
             self.recovery["checkpoints_written"] += checkpoints_written
@@ -260,7 +257,6 @@ class SimulationReport:
         if self.recovery is not None:
             lines.append(
                 f"recovery             : {self.recovery['retries']} retries, "
-                f"{self.recovery['waves_replayed']} waves / "
                 f"{self.recovery['gates_replayed']} gates replayed, "
                 f"{self.recovery['restarts']} restarts, "
                 f"{self.recovery['checkpoints_written']} checkpoints, "

@@ -552,7 +552,6 @@ class CompressedSimulator:
                     retries=1,
                     restarts=self._partition.num_ranks,
                     gates_replayed=replayed,
-                    waves_replayed=replayed,
                     time_lost_seconds=time.perf_counter() - lost_start,
                 )
         self._replay_log.append(gate)

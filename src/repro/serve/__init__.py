@@ -40,9 +40,9 @@ Quick start::
 
     asyncio.run(main())
 
-``python -m repro.serve`` runs a local demo (and a JSON-lines TCP server);
-``docs/serve.md`` documents the fairness model, the cache-key contract and
-the backpressure semantics.
+``tests/run_serve_soak.py`` drives a 500-job multi-tenant workload through
+the service; ``docs/serve.md`` documents the fairness model, the cache-key
+contract and the backpressure semantics.
 """
 
 from __future__ import annotations

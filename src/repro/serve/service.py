@@ -42,7 +42,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..backends import get_backend
-from ..backends.base import Backend
+from ..backends.base import validate_request
 from ..backends.compressed import _package_result
 from ..backends.observables import PauliObservable
 from ..backends.result import Result
@@ -51,6 +51,7 @@ from ..core.checkpoint import save_checkpoint
 from ..core.config import SimulatorConfig
 from ..errors import JobCancelledError, ServiceClosedError
 from ..resilience import resume_from_checkpoint
+from .cache import ResultCache, cache_key
 from .events import EventStream, JobEvent
 from .queue import FairScheduler
 
@@ -74,9 +75,6 @@ class ServiceConfig:
 
     Attributes
     ----------
-    backend:
-        Backend registry name.  Only ``"compressed"`` supports the
-        gate-stepped executor (progress, cancel, suspend) today.
     simulator_config:
         Default :class:`~repro.core.config.SimulatorConfig` for jobs that do
         not carry their own; ``None`` uses the engine default.
@@ -87,10 +85,8 @@ class ServiceConfig:
     max_pending_per_tenant / max_pending_total:
         Bounded-queue admission limits; past either, ``submit`` raises
         :class:`~repro.errors.ServiceOverloadedError`.
-    cache_enabled / cache_entries:
-        Content-addressed result cache toggle and LRU capacity.
-    default_tenant_weight:
-        Fair-share weight given to tenants first seen at ``submit`` time.
+    cache_entries:
+        LRU capacity of the content-addressed result cache.
     progress_interval:
         Fused gates applied between await points — the granularity of
         progress events, cancellation and suspension.
@@ -103,14 +99,11 @@ class ServiceConfig:
         every event history byte-reproducible.
     """
 
-    backend: str = "compressed"
     simulator_config: SimulatorConfig | None = None
     workers: int = 1
     max_pending_per_tenant: int = 64
     max_pending_total: int = 256
-    cache_enabled: bool = True
     cache_entries: int = 256
-    default_tenant_weight: int = 1
     progress_interval: int = 8
     checkpoint_dir: str | None = None
     clock: Callable[[], float] = time.monotonic
@@ -124,8 +117,6 @@ class ServiceConfig:
             raise ValueError("progress_interval must be >= 1")
         if self.cache_entries < 1:
             raise ValueError("cache_entries must be >= 1")
-        if self.default_tenant_weight < 1:
-            raise ValueError("default_tenant_weight must be >= 1")
 
 
 class Job:
@@ -212,25 +203,13 @@ class SimulationService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self._config = config or ServiceConfig()
-        self._backend: Backend = get_backend(self._config.backend)
-        if self._config.backend != "compressed":
-            raise ValueError(
-                "SimulationService requires the 'compressed' backend "
-                "(gate-stepped execution); got "
-                f"{self._config.backend!r}"
-            )
+        self._backend = get_backend("compressed")
         self._clock = self._config.clock
         self._scheduler = FairScheduler(
             max_pending_per_tenant=self._config.max_pending_per_tenant,
             max_pending_total=self._config.max_pending_total,
         )
-        from .cache import ResultCache
-
-        self._cache = (
-            ResultCache(self._config.cache_entries)
-            if self._config.cache_enabled
-            else None
-        )
+        self._cache = ResultCache(self._config.cache_entries)
         self._jobs: dict[str, Job] = {}
         #: ``(config-or-None, session)`` pairs — SimulatorConfig is not
         #: hashable, so session lookup is an equality scan (the config
@@ -347,11 +326,10 @@ class SimulationService:
     ) -> Job:
         """Admit one request to *tenant*'s queue and return its :class:`Job`.
 
-        Validation mirrors :meth:`repro.backends.base.Backend.run` (circuit
-        type, shot count, observable labels and widths), so a request the
+        Validation is :func:`repro.backends.base.validate_request`, the
+        check :meth:`repro.backends.base.Backend.run` makes, so a request the
         service accepts is a request the engine would accept.  An unknown
-        tenant is auto-registered with *weight* (default
-        ``ServiceConfig.default_tenant_weight``).  Raises
+        tenant is auto-registered with *weight* (default 1).  Raises
         :class:`~repro.errors.ServiceClosedError` unless the service is
         running, and :class:`~repro.errors.ServiceOverloadedError` when
         either queue bound is hit — a rejected submission leaves no trace.
@@ -363,25 +341,11 @@ class SimulationService:
                 tenant=tenant,
                 state=self._state,
             )
-        if not isinstance(circuit, QuantumCircuit):
-            raise TypeError(
-                f"expected QuantumCircuit, got {type(circuit).__name__}"
-            )
-        if shots < 0:
-            raise ValueError("shots must be non-negative")
-        observable_list = Backend._normalise_observables(observables)
-        for observable in observable_list:
-            if observable.num_qubits != circuit.num_qubits:
-                raise ValueError(
-                    f"observable {observable.label!r} acts on "
-                    f"{observable.num_qubits} qubits but circuit "
-                    f"{circuit.name!r} has {circuit.num_qubits}"
-                )
+        observable_list = validate_request(
+            (circuit,), shots=shots, observables=observables
+        )
         if tenant not in self._scheduler.tenants():
-            self._scheduler.register(
-                tenant,
-                self._config.default_tenant_weight if weight is None else weight,
-            )
+            self._scheduler.register(tenant, 1 if weight is None else weight)
         elif weight is not None and weight != self._scheduler.weight_of(tenant):
             raise ValueError(
                 f"tenant {tenant!r} is registered with weight "
@@ -497,7 +461,7 @@ class SimulationService:
             "jobs": dict(by_state),
             "dispatched": len(self._dispatch_order),
             "tenants": self._scheduler.snapshot(),
-            "cache": None if self._cache is None else self._cache.stats(),
+            "cache": self._cache.stats(),
         }
 
     def dispatch_order(self) -> tuple[str, ...]:
@@ -576,11 +540,7 @@ class SimulationService:
         started = self._clock()
         session = self._session_for(job.simulator_config)
         key = None
-        if (
-            self._cache is not None
-            and not job.was_resumed
-            and job._checkpoint_path is None
-        ):
+        if not job.was_resumed and job._checkpoint_path is None:
             key = self._cache_key_for(job, session)
             payload = self._cache.get(key)
             if payload is not None:
@@ -686,8 +646,6 @@ class SimulationService:
         """The job's content-addressed cache key (computed once)."""
 
         if job._cache_key is None:
-            from .cache import cache_key
-
             job._cache_key = cache_key(
                 job.circuit,
                 backend=self._backend.name,

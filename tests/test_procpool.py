@@ -434,6 +434,11 @@ class TestBatchFanout:
         with pytest.raises(ValueError, match="parallel"):
             repro.run(circuits[:2], parallel="threads")
 
+    def test_none_string_is_not_a_parallel_spelling(self, qaoa_batch):
+        _, circuits = qaoa_batch
+        with pytest.raises(ValueError, match="None or 'process'"):
+            repro.run(circuits[0], parallel="none")
+
     @pytest.mark.parametrize("bad_cap", [0, -4])
     def test_non_positive_max_parallel_rejected(self, qaoa_batch, bad_cap):
         _, circuits = qaoa_batch

@@ -263,6 +263,13 @@ class TestRankedRecovery:
                 ranked_config(policy, spelling), circuit
             )
         assert_bit_identical(statevector, counts, baseline)
+        assert set(recovery) == {
+            "retries",
+            "gates_replayed",
+            "time_lost_seconds",
+            "checkpoints_written",
+            "restarts",
+        }
         assert recovery["retries"] == 1
         assert recovery["restarts"] == 2  # the whole 2-rank pool is rebuilt
         assert recovery["checkpoints_written"] > 0

@@ -536,22 +536,33 @@ class TestServiceExecution:
         assert rerun.canonical_json() == cold.canonical_json()
 
     def test_submit_validation_mirrors_backend_run(self):
+        circuit = workload_circuit(0, 0)
+        observable = PauliObservable("Z" * circuit.num_qubits)
+        bad_requests = {
+            "non-circuit": ("not a circuit", {}),
+            "negative shots": (circuit, {"shots": -1}),
+            "wrong width": (circuit, {"observables": PauliObservable("ZZ")}),
+            "duplicate labels": (
+                circuit,
+                {"observables": [observable, observable]},
+            ),
+        }
+        expected = {}
+        for name, (request, options) in bad_requests.items():
+            with pytest.raises((TypeError, ValueError)) as excinfo:
+                repro.run(request, **options)
+            expected[name] = (type(excinfo.value), str(excinfo.value))
+
         async def scenario():
             service = SimulationService(ServiceConfig(clock=FakeClock()))
             await service.start()
             try:
-                with pytest.raises(TypeError):
-                    service.submit("not a circuit", tenant="a")
-                with pytest.raises(ValueError, match="non-negative"):
-                    service.submit(
-                        workload_circuit(0, 0), tenant="a", shots=-1
-                    )
-                with pytest.raises(ValueError, match="acts on"):
-                    service.submit(
-                        workload_circuit(0, 0),
-                        tenant="a",
-                        observables=PauliObservable("ZZ"),
-                    )
+                for name, (request, options) in bad_requests.items():
+                    error_type, message = expected[name]
+                    with pytest.raises(error_type) as excinfo:
+                        service.submit(request, tenant="a", **options)
+                    assert type(excinfo.value) is error_type, name
+                    assert str(excinfo.value) == message, name
             finally:
                 await service.close()
             with pytest.raises(ServiceClosedError) as excinfo:
@@ -559,6 +570,9 @@ class TestServiceExecution:
             assert excinfo.value.state == "closed"
 
         asyncio.run(scenario())
+        for removed in ("backend", "cache_enabled", "default_tenant_weight"):
+            with pytest.raises(TypeError):
+                ServiceConfig(**{removed: None})
 
     def test_drain_then_close_leaks_nothing(self):
         async def scenario():
