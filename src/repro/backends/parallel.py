@@ -28,11 +28,6 @@ __all__ = ["run_batch_in_processes"]
 class _CircuitRunner:
     """Warm per-process state: one backend engine plus one open session."""
 
-    #: Dominant message kind, consulted by the fault harness when arming
-    #: chaos injection (circuit fan-out is replay-safe: every circuit ships
-    #: its own seed sequence, so a respawned worker reproduces it exactly).
-    POOL_KIND = "circuit"
-
     def __init__(self, backend_name: str, options: dict, master_seed) -> None:
         from .base import get_backend
 
@@ -115,7 +110,9 @@ def run_batch_in_processes(
         num_workers,
         _CircuitRunner,
         init_args=(engine.name, options, seed),
-        fault_policy=policy,
+        # Circuit fan-out is replay-safe (every circuit ships its own seed
+        # sequence), so chaos may kill a worker whenever a retry follows.
+        chaos_kills=policy.max_retries > 0,
     ) as pool:
         # Round-robin assignment keeps each worker's per-width simulators
         # warm; the outstanding cap bounds pipe backlog so a worker busy

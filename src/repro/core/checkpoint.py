@@ -7,6 +7,13 @@ the partition geometry, the adaptive-controller state, the fidelity history
 and every compressed blob, written with a small self-describing binary format
 (no pickle, so a checkpoint cannot execute code when loaded).
 
+The same file suspends and resumes a job in flight (:mod:`repro.serve`):
+:func:`resume_from_checkpoint` puts a snapshot *into an existing simulator*
+of the same geometry, so a warm simulator keeps its executor, scratch pool
+and decompressors across the suspension and resuming pays only the block
+table rebuild; :func:`load_checkpoint` builds a simulator from the metadata
+and then calls it too.
+
 Parsing is fully bounds-checked: a truncated or scribbled file raises
 :class:`~repro.errors.CheckpointError` with the offending field named, never
 raw ``struct``/``json`` junk — recovery code probing a possibly-torn
@@ -22,11 +29,15 @@ import struct
 from pathlib import Path
 
 from .. import errors
-from ..resilience import resume_from_checkpoint
 from .config import SimulatorConfig
 from .simulator import CompressedSimulator
 
-__all__ = ["save_checkpoint", "load_checkpoint", "read_checkpoint"]
+__all__ = [
+    "save_checkpoint",
+    "load_checkpoint",
+    "read_checkpoint",
+    "resume_from_checkpoint",
+]
 
 _MAGIC = b"QCKPT001"
 
@@ -196,6 +207,48 @@ def _meta_field(meta: dict, key: str, path: Path):
             f"checkpoint metadata is missing required field {key!r}",
             path=str(path),
         ) from exc
+
+
+def resume_from_checkpoint(
+    simulator: CompressedSimulator, path: str | Path
+) -> int:
+    """Restore the checkpoint at *path* into an existing warm *simulator*.
+
+    The simulator must have the same geometry (qubits, ranks, block size)
+    the checkpoint was taken with; a mismatch raises
+    :class:`~repro.errors.CheckpointError` before any state is touched.  On
+    success the simulator holds the checkpointed compressed blocks with its
+    gate index, fidelity history and adaptive error level rewound to the
+    suspension point; applying the remaining gates continues the run
+    bit-identically.  Returns the restored gate index.
+    """
+
+    path = Path(path)
+    meta, blocks = read_checkpoint(path)
+    partition = simulator.partition
+    for field, expected in (
+        ("num_qubits", partition.num_qubits),
+        ("num_ranks", partition.num_ranks),
+        ("block_amplitudes", partition.block_amplitudes),
+    ):
+        value = meta.get(field)
+        if value != expected:
+            raise errors.CheckpointError(
+                f"checkpoint {field}={value} does not match the resuming "
+                f"simulator's {field}={expected}",
+                path=str(path),
+            )
+    expected_blocks = partition.num_ranks * partition.blocks_per_rank
+    if len(blocks) != expected_blocks:
+        raise errors.CheckpointError(
+            f"checkpoint holds {len(blocks)} blocks, partition expects "
+            f"{expected_blocks}",
+            path=str(path),
+        )
+
+    simulator.reset()
+    simulator.restore(meta, blocks)
+    return simulator.gate_count
 
 
 def load_checkpoint(

@@ -112,8 +112,7 @@ class SimulatorConfig:
         Recovery policy (:class:`repro.resilience.FaultPolicy`) of the run:
         retries and the in-run checkpoint interval.  ``None``
         resolves through
-        :func:`repro.resilience.resolve_fault_policy` — the
-        ``REPRO_FAULT_POLICY`` environment variable if set, a
+        :func:`repro.resilience.resolve_fault_policy` — a
         recovery-enabled default when a fault plan is active (the CI chaos
         job), and otherwise an inert policy that keeps the historical
         fail-fast behaviour.

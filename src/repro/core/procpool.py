@@ -34,6 +34,7 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 
 from .. import errors
+from ..resilience import faults
 
 __all__ = [
     "ProcessPool",
@@ -195,12 +196,11 @@ class ProcessPool:
     start_method:
         ``"fork"``, ``"spawn"``, ``"forkserver"`` or ``None`` for the
         platform default.
-    fault_policy:
-        Optional :class:`~repro.resilience.FaultPolicy` of the owning run.
-        The pool itself never retries — recovery belongs to its owner —
-        but the policy gates probabilistic chaos injection: chaos kills are
-        only armed when the policy can survive them (``max_retries > 0``).
-        Targeted fault-plan injections are always armed.
+    chaos_kills:
+        Whether an active fault plan's chaos mode may kill a worker of this
+        pool.  The pool itself never retries — recovery belongs to its
+        owner — so only an owner that re-dispatches a dead worker's work
+        sets it.  Targeted fault-plan injections are always armed.
     """
 
     def __init__(
@@ -211,7 +211,7 @@ class ProcessPool:
         *,
         worker_args: list[tuple] | None = None,
         start_method: str | None = None,
-        fault_policy=None,
+        chaos_kills: bool = False,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -226,16 +226,7 @@ class ProcessPool:
         self._state_factory = state_factory
         self._init_args = init_args
         self._worker_args = worker_args
-        from ..resilience import faults as _faults
-
-        chaos_allowed = bool(
-            fault_policy is not None and fault_policy.max_retries > 0
-        )
-        self._faults = _faults.arm_for_pool(
-            getattr(state_factory, "POOL_KIND", "task"),
-            num_workers,
-            chaos_allowed,
-        )
+        self._faults = faults.arm_for_pool(num_workers, chaos_kills)
         self._workers: list[_WorkerHandle] = []
         _LIVE_POOLS.add(self)
         try:

@@ -154,7 +154,6 @@ class CompressedSimulator:
         self._replay_log: list[Gate | Run] = []
         self._resilience_ckpt: Path | None = None
         self._ckpt_tempdir: str | None = None
-        self._ranked_generation = 0
         # Lazily computed config every fork of this simulator shares; see
         # fork() — rebuilding it per fork re-ran SimulatorConfig validation
         # once per X/Y observable per circuit in a batch.
@@ -199,8 +198,6 @@ class CompressedSimulator:
             comm_sink=self._comm,
             cache_enabled=self._config.use_block_cache,
             start_method=self._config.mp_start_method,
-            fault_policy=self._policy,
-            pool_generation=self._ranked_generation,
         )
         try:
             self._state = RankedStateVector(
@@ -593,10 +590,6 @@ class CompressedSimulator:
         # Fresh controller *before* rebuilding: the fresh workers' initial
         # blocks must be compressed as at the start of a failure-free run.
         self._controller = AdaptiveErrorController(self._config)
-        # Bump the pool generation so rebuilt rank workers do not re-arm
-        # injected comm faults from the environment (the replay would
-        # deterministically hit the same drop/delay and never converge).
-        self._ranked_generation += 1
         self._build_ranked(self._initial_basis_state)
         self.restore(meta, blocks)
 

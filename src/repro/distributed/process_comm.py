@@ -42,7 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from .. import errors
-from ..resilience import faults as _faults
+from ..resilience.faults import CommFaultState, DropComm
 from .comm import CommunicationStats
 
 __all__ = ["ProcessCommunicator", "rank_links"]
@@ -110,10 +110,10 @@ class ProcessCommunicator:
         Deadline in seconds for any single blocking operation; exceeding it
         raises :class:`ProcessCommTimeout` (a dead peer, not a slow one —
         block compression is bounded work).
-    pool_generation:
-        Rebuild count of the owning rank pool; forwarded to the fault
-        harness so injected comm faults only arm in generation 0 (see
-        :func:`repro.resilience.faults.arm_for_comm`).
+    fault_state:
+        The comm injections armed for this rank by
+        :func:`repro.resilience.faults.arm_for_comm` in the parent, or
+        ``None`` (no active plan).
 
     Attributes
     ----------
@@ -131,7 +131,7 @@ class ProcessCommunicator:
         num_ranks: int,
         links: dict[int, socket.socket],
         timeout: float = 120.0,
-        pool_generation: int = 0,
+        fault_state: CommFaultState | None = None,
     ) -> None:
         rank_bits = _rank_bits(num_ranks)
         if not 0 <= rank < num_ranks:
@@ -151,7 +151,7 @@ class ProcessCommunicator:
             link.setblocking(False)
         self.stats = CommunicationStats()
         self.op_seconds = {"exchange": 0.0, "allreduce": 0.0}
-        self._fault_state = _faults.arm_for_comm(self.rank, pool_generation)
+        self._fault_state = fault_state
 
     def sendrecv_bytes(self, peer: int, payload: bytes) -> bytes:
         """Exchange *payload* with *peer*; returns the peer's payload.
@@ -182,16 +182,15 @@ class ProcessCommunicator:
             )
         started = time.perf_counter()
         if self._fault_state is not None:
-            injected = self._fault_state.on_exchange(self.rank, peer)
+            injected = self._fault_state.on_exchange(peer)
+            if isinstance(injected, DropComm):
+                # A dropped link behaves exactly like a dead peer — the
+                # deadline error — without spending the wall-clock wait.
+                raise self._timed_out(
+                    peer, "sendrecv", self._timeout, "injected fault plan"
+                )
             if injected is not None:
-                action, seconds = injected
-                if action == "drop":
-                    # A dropped link behaves exactly like a dead peer — the
-                    # deadline error — without spending the wall-clock wait.
-                    raise self._timed_out(
-                        peer, "sendrecv", self._timeout, "injected fault plan"
-                    )
-                time.sleep(seconds)
+                time.sleep(injected.seconds)
         received = self._exchange(peer, payload, "sendrecv")
         self.stats.exchanges += 1
         self.stats.messages += 1

@@ -67,6 +67,7 @@ from ..core.kernel import BlockKernel, BlockOp, TaskStats, group_tasks
 from ..core.procpool import ProcessPool, raise_worker_error
 from ..core.report import SimulationReport
 from ..errors import PoolProtocolError, ProcessCommTimeout
+from ..resilience import faults
 from .comm import CommunicationStats, SimulatedCommunicator, aggregate_rank_stats
 from .exchange import GatePlan
 from .partition import Partition
@@ -114,19 +115,11 @@ class RankWorker:
         Whether this rank keeps a block-cache shard (the paper's 64 lines).
     comm_timeout:
         Deadline of any single blocking communicator operation.
-    pool_generation:
-        Rebuild count of the owning pool; generation > 0 (a recovery
-        rebuild) suppresses injected comm faults so replay converges.
-    rank, links:
-        This worker's rank index and its ends of the rank↔rank socket pairs
-        (appended per worker by the pool).
+    rank, links, fault_state:
+        This worker's rank index, its ends of the rank↔rank socket pairs and
+        the comm injections the parent armed for it (usually ``None``),
+        appended per worker by the pool.
     """
-
-    #: Dominant message kind, consulted by the fault harness when arming
-    #: chaos injection.  "gate" keeps rank pools out of probabilistic chaos
-    #: (rank death tears down the whole pool; dedicated deterministic tests
-    #: cover that recovery path instead).
-    POOL_KIND = "gate"
 
     def __init__(
         self,
@@ -136,9 +129,9 @@ class RankWorker:
         decompressors: dict[str, Compressor],
         cache_enabled: bool,
         comm_timeout: float,
-        pool_generation: int,
         rank: int,
         links: dict,
+        fault_state: faults.CommFaultState | None,
     ) -> None:
         self._rank = int(rank)
         self._partition = Partition(
@@ -151,7 +144,7 @@ class RankWorker:
             num_ranks,
             links,
             timeout=comm_timeout,
-            pool_generation=pool_generation,
+            fault_state=fault_state,
         )
         self._blocks: dict[int, CompressedBlock] = {}
         self._kernel = BlockKernel(
@@ -343,15 +336,13 @@ class RankedExecutor:
     comm_timeout:
         Deadline for any single blocking communicator operation inside the
         workers.
-    fault_policy:
-        Resolved :class:`~repro.resilience.FaultPolicy` of the run, forwarded
-        to the rank pool so targeted fault injections arm consistently.  Rank
-        death itself is recovered one level up (the simulator tears the pool
-        down and resumes from its last resilience checkpoint).
-    pool_generation:
-        Rebuild count of this executor: 0 for the initial build, incremented
-        by the simulator on every recovery rebuild.  Forwarded to the rank
-        workers so injected comm faults only arm in generation 0.
+
+    Injected comm faults are armed here, in the parent, one
+    :class:`~repro.resilience.faults.CommFaultState` per rank riding that
+    rank's worker arguments; arming spends them, so the executor the
+    simulator rebuilds after a failure runs clean.  Rank death itself is
+    recovered one level up (the simulator tears the pool down and resumes
+    from its last resilience checkpoint).
     """
 
     def __init__(
@@ -364,8 +355,6 @@ class RankedExecutor:
         cache_enabled: bool,
         start_method: str | None = None,
         comm_timeout: float = 120.0,
-        fault_policy=None,
-        pool_generation: int = 0,
     ) -> None:
         self._partition = partition
         self._report = report
@@ -385,11 +374,12 @@ class RankedExecutor:
                     decompressors,
                     cache_enabled,
                     comm_timeout,
-                    pool_generation,
                 ),
-                worker_args=list(enumerate(links)),
+                worker_args=[
+                    (rank, links[rank], faults.arm_for_comm(rank))
+                    for rank in range(num_ranks)
+                ],
                 start_method=start_method,
-                fault_policy=fault_policy,
             )
         self._rank_bytes = [0] * num_ranks
         self._rank_comm: list[dict] = [self._zero_comm() for _ in range(num_ranks)]

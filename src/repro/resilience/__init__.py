@@ -27,15 +27,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from . import faults
+
 __all__ = [
     "FaultPolicy",
     "resolve_fault_policy",
-    "resume_from_checkpoint",
 ]
-
-#: Environment variable holding a ``key=value,key=value`` fault policy spec
-#: (see :func:`resolve_fault_policy`).
-POLICY_ENV_VAR = "REPRO_FAULT_POLICY"
 
 
 @dataclass(frozen=True)
@@ -76,60 +73,25 @@ class FaultPolicy:
             raise ValueError("checkpoint_interval_waves must be >= 0")
 
 
-def _parse_policy_spec(spec: str) -> FaultPolicy:
-    """Parse a ``key=value,key=value`` policy spec (the env-var syntax).
-
-    Example: ``max_retries=2,checkpoint_interval_waves=8``.  Unknown
-    keys — typos, or keys a later version removed — raise
-    :class:`ValueError` so they fail loudly.
-    """
-
-    kwargs: dict[str, object] = {}
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ValueError(f"bad fault-policy entry {chunk!r} (want key=value)")
-        key, _, value = chunk.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in ("max_retries", "checkpoint_interval_waves"):
-            kwargs[key] = int(value)
-        elif key == "checkpoint_dir":
-            kwargs[key] = value
-        else:
-            raise ValueError(
-                f"unknown fault-policy key {key!r} (docs/migration.md lists "
-                "the keys removed since earlier versions)"
-            )
-    return FaultPolicy(**kwargs)
-
-
 def resolve_fault_policy(policy: "FaultPolicy | None") -> FaultPolicy:
     """Resolve the effective policy of a run.
 
-    Precedence: an explicit ``policy`` wins; otherwise the
-    ``REPRO_FAULT_POLICY`` environment variable (``key=value,...`` spec) is
-    parsed; otherwise, when a fault plan is active (installed or via
-    ``REPRO_FAULT_PLAN`` — e.g. the CI chaos job), a recovery-enabled
-    default (``max_retries=2``) applies so injected faults are survived
-    rather than fatal; otherwise the inert default policy.
+    An explicit ``policy`` wins; otherwise, when a fault plan is active
+    (installed or via ``REPRO_FAULT_PLAN`` — e.g. the CI chaos job), a
+    recovery-enabled default (``max_retries=2``) applies so injected faults
+    are survived rather than fatal; otherwise the inert default policy.
+    ``REPRO_FAULT_POLICY`` was removed in 1.12.0: while it is set, this
+    raises :class:`ValueError` instead of silently ignoring it.
     """
 
+    if "REPRO_FAULT_POLICY" in os.environ:
+        raise ValueError(
+            "REPRO_FAULT_POLICY was removed in 1.12.0: unset it and pass "
+            "SimulatorConfig(fault_policy=FaultPolicy(...)) instead "
+            "(see docs/migration.md)"
+        )
     if policy is not None:
         return policy
-    spec = os.environ.get(POLICY_ENV_VAR)
-    if spec:
-        return _parse_policy_spec(spec)
-    from . import faults
-
     if faults.get_active_plan() is not None:
         return FaultPolicy(max_retries=2)
     return FaultPolicy()
-
-
-# Imported last: suspend.py reaches (lazily) into repro.core.checkpoint,
-# which imports repro.core.simulator, which imports this package — every
-# name above must already be bound when that cycle re-enters here.
-from .suspend import resume_from_checkpoint  # noqa: E402

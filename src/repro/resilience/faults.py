@@ -12,12 +12,14 @@ faults fire at the same points.  There is no wall-clock or OS randomness in
 the trigger logic, so a failing chaos run can be replayed exactly by pinning
 the plan spec.
 
-The hooks are pulled by the machinery, not pushed: :class:`ProcessPool
-<repro.core.procpool.ProcessPool>` arms a :class:`PoolFaultState` per pool
-and consults it on every submit, and
-:class:`ProcessCommunicator <repro.distributed.process_comm.ProcessCommunicator>`
-arms a :class:`CommFaultState` per endpoint.  With no active plan every hook
-is ``None`` and the fast paths pay a single attribute check.
+Every injection is armed in the parent process, where the plan lives:
+:class:`ProcessPool <repro.core.procpool.ProcessPool>` arms a
+:class:`PoolFaultState` per pool and consults it on every submit, and
+:class:`RankedExecutor <repro.distributed.ranked.RankedExecutor>` arms a
+:class:`CommFaultState` per rank and ships it to that rank's worker with the
+rest of its constructor arguments — so fork and spawn behave alike.  With no
+active plan every hook is ``None`` and the fast paths pay a single attribute
+check.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 import os
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "KillWorker",
@@ -48,13 +50,6 @@ __all__ = [
 #: Environment variable holding a fault-plan spec (see :func:`parse_plan`).
 PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 
-#: Pool-worker kinds chaos mode may kill.  Targeted :class:`KillWorker`
-#: injections can name any kind; the probabilistic chaos mode stays away
-#: from rank workers ("gate"/"init"/...) because a rank kill tears down the
-#: whole ranked pool — a heavier recovery that dedicated tests cover
-#: deterministically instead.
-CHAOS_KILL_KINDS = ("circuit",)
-
 
 @dataclass(frozen=True)
 class KillWorker:
@@ -63,8 +58,7 @@ class KillWorker:
     Attributes
     ----------
     worker:
-        Target worker id within the pool; ``-1`` targets whichever worker
-        receives the triggering submission.
+        Target worker id within the pool.
     after:
         Fire on the N-th (1-based) submission matching this injection.
     kinds:
@@ -77,10 +71,10 @@ class KillWorker:
     kinds: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        """Reject counters that could never fire (``after`` is 1-based)."""
+        """Reject targets and counters that could never fire."""
 
-        if self.after < 1:
-            raise ValueError("KillWorker.after must be >= 1")
+        if self.worker < 0 or self.after < 1:
+            raise ValueError("KillWorker needs worker >= 0 and after >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,9 +88,9 @@ class DropComm:
     Attributes
     ----------
     rank / peer:
-        The (rank, peer) channel to break; ``peer=-1`` matches any peer.
+        The (rank, peer) channel to break.
     after:
-        Fire on the N-th (1-based) matching exchange at that endpoint.
+        Fire on the N-th (1-based) exchange with that peer at that endpoint.
     """
 
     rank: int
@@ -104,10 +98,10 @@ class DropComm:
     after: int = 1
 
     def __post_init__(self) -> None:
-        """Reject counters that could never fire (``after`` is 1-based)."""
+        """Reject channels and counters that could never fire."""
 
-        if self.after < 1:
-            raise ValueError("DropComm.after must be >= 1")
+        if self.peer < 0 or self.after < 1:
+            raise ValueError("DropComm needs peer >= 0 and after >= 1")
 
 
 @dataclass(frozen=True)
@@ -120,11 +114,11 @@ class DelayComm:
     Attributes
     ----------
     rank / peer:
-        The (rank, peer) channel to slow down; ``peer=-1`` matches any peer.
+        The (rank, peer) channel to slow down.
     seconds:
         Sleep applied before the exchange proceeds.
     after:
-        Fire on the N-th (1-based) matching exchange at that endpoint.
+        Fire on the N-th (1-based) exchange with that peer at that endpoint.
     """
 
     rank: int
@@ -133,10 +127,10 @@ class DelayComm:
     after: int = 1
 
     def __post_init__(self) -> None:
-        """Reject counters/delays that make no sense (``after`` is 1-based)."""
+        """Reject channels, counters and delays that make no sense."""
 
-        if self.after < 1:
-            raise ValueError("DelayComm.after must be >= 1")
+        if self.peer < 0 or self.after < 1:
+            raise ValueError("DelayComm needs peer >= 0 and after >= 1")
         if self.seconds < 0:
             raise ValueError("DelayComm.seconds must be >= 0")
 
@@ -151,7 +145,7 @@ class FaultPlan:
     pool (seeded by ``chaos_seed`` and a process-wide pool counter, so
     decisions are reproducible), one worker of a circuit fan-out pool is killed
     after a pseudorandomly chosen number of submissions.  Chaos kills are
-    only armed for pools whose fault policy enables retries, so opted-out
+    only armed for pools whose owner can recover from them, so opted-out
     runs are never sabotaged.
 
     Attributes
@@ -174,31 +168,18 @@ _installed_plan: FaultPlan | None = None
 #: Process-wide counter of pools armed so far; feeds the chaos decision
 #: stream so each pool in a run gets an independent but reproducible draw.
 _pool_counter = itertools.count()
-#: Targeted injections that already fired in this process (injection →
-#: fire count).  A pool rebuilt during recovery re-arms from the same plan;
-#: without this registry the same KillWorker would fire again on every
-#: respawned pool and a single planned fault would repeat forever.  Keyed by
-#: the (frozen, hashable) injection record itself so plans re-parsed from
-#: the environment variable count against the same entry.
-_fired: dict = {}
+#: Targeted injections already spent in this process: a kill when it fires,
+#: a comm fault when it is armed.  A pool rebuilt during recovery re-arms
+#: from the same plan; without this registry the same fault would fire again
+#: on every rebuilt pool and a single planned fault would repeat forever.
+#: Holds the (frozen, hashable) injection records themselves, so plans
+#: re-parsed from the environment variable spend the same entries.
+_spent: set = set()
 
 
-def _mark_fired(injection) -> None:
+def _spend(injection) -> None:
     with _lock:
-        _fired[injection] = _fired.get(injection, 0) + 1
-
-
-def _unfired(injections: list) -> list:
-    """Filter out plan injections whose fire budget is already spent."""
-
-    seen: dict = {}
-    out = []
-    with _lock:
-        for inj in injections:
-            seen[inj] = seen.get(inj, 0) + 1
-            if seen[inj] > _fired.get(inj, 0):
-                out.append(inj)
-    return out
+        _spent.add(injection)
 
 
 def _parse_kv(body: str) -> dict[str, str]:
@@ -226,6 +207,9 @@ def parse_plan(spec: str) -> FaultPlan:
     - ``delay:rank=1,peer=0,seconds=0.2,after=1``
     - ``chaos:prob=0.05,seed=11``
 
+    ``worker``, ``rank`` and ``peer`` have no default: an entry missing one
+    raises :class:`ValueError`.
+
     Example: ``REPRO_FAULT_PLAN="chaos:prob=0.04,seed=11"`` runs the suite
     under a 4%-per-pool seeded worker-kill plan.
     """
@@ -240,11 +224,17 @@ def parse_plan(spec: str) -> FaultPlan:
         kind, _, body = entry.partition(":")
         kind = kind.strip()
         kv = _parse_kv(body)
+
+        def required(key: str) -> int:
+            if key not in kv:
+                raise ValueError(f"fault-plan entry {entry!r} needs {key}=")
+            return int(kv[key])
+
         if kind == "kill":
             kinds = kv.get("kinds")
             injections.append(
                 KillWorker(
-                    worker=int(kv.get("worker", -1)),
+                    worker=required("worker"),
                     after=int(kv.get("after", 1)),
                     kinds=tuple(kinds.split("+")) if kinds else None,
                 )
@@ -252,16 +242,16 @@ def parse_plan(spec: str) -> FaultPlan:
         elif kind == "drop":
             injections.append(
                 DropComm(
-                    rank=int(kv["rank"]),
-                    peer=int(kv.get("peer", -1)),
+                    rank=required("rank"),
+                    peer=required("peer"),
                     after=int(kv.get("after", 1)),
                 )
             )
         elif kind == "delay":
             injections.append(
                 DelayComm(
-                    rank=int(kv["rank"]),
-                    peer=int(kv.get("peer", -1)),
+                    rank=required("rank"),
+                    peer=required("peer"),
                     seconds=float(kv.get("seconds", 0.1)),
                     after=int(kv.get("after", 1)),
                 )
@@ -281,23 +271,24 @@ def parse_plan(spec: str) -> FaultPlan:
 def install_plan(plan: FaultPlan) -> None:
     """Install ``plan`` process-wide (overrides the environment variable).
 
-    Installing also clears the fired-injection registry, so a freshly
-    installed plan always starts with its full fire budget.
+    Installing also clears the spent-injection registry, so a freshly
+    installed plan always starts with every injection armable.
     """
 
     global _installed_plan
     with _lock:
         _installed_plan = plan
-        _fired.clear()
+        _spent.clear()
 
 
 def clear_plan() -> None:
-    """Remove any installed plan (the environment variable applies again)."""
+    """Remove any installed plan (the environment variable applies again)
+    and clear the spent-injection registry."""
 
     global _installed_plan
     with _lock:
         _installed_plan = None
-        _fired.clear()
+        _spent.clear()
 
 
 @contextlib.contextmanager
@@ -336,96 +327,81 @@ class PoolFaultState:
     are cheap counter checks — no syscalls, no randomness at fire time.
     """
 
-    def __init__(
-        self,
-        kills: list[KillWorker],
-        tracked: frozenset = frozenset(),
-    ) -> None:
-        """Arm the given targeted injections for one pool.
-
-        ``tracked`` names the injections that came from the plan (as opposed
-        to per-pool chaos draws): when one of those fires it is recorded in
-        the process-wide fired registry so pools rebuilt during recovery do
-        not re-arm it.
-        """
+    def __init__(self, kills: list[KillWorker]) -> None:
+        """Arm the given kills (plan injections and chaos draws) for one pool."""
 
         self._kill_counters = [[inj, inj.after] for inj in kills]
-        self._tracked = tracked
 
     def on_submit(self, worker_id: int, kind: str) -> int | None:
         """Called before each submission; returns a worker id to kill, or None.
 
         Counts the submission against every armed :class:`KillWorker` whose
         worker/kinds filters match; the first counter reaching zero fires
-        (once) and names its victim — the targeted worker, or the submitting
-        worker for ``worker=-1`` entries.
+        (once, and is spent so a healed or rebuilt pool does not re-arm it)
+        and names its victim, the submitting worker.
         """
 
         for entry in self._kill_counters:
             inj, remaining = entry
-            if remaining <= 0:
-                continue
-            if inj.worker not in (-1, worker_id):
+            if remaining <= 0 or inj.worker != worker_id:
                 continue
             if inj.kinds is not None and kind not in inj.kinds:
                 continue
             entry[1] = remaining - 1
             if entry[1] == 0:
-                if inj in self._tracked:
-                    _mark_fired(inj)
-                return inj.worker if inj.worker >= 0 else worker_id
+                _spend(inj)
+                return worker_id
         return None
 
 
+@dataclass
 class CommFaultState:
-    """Per-endpoint comm fault triggers, consulted on every exchange."""
+    """One rank endpoint's armed comm injections, consulted on every exchange.
 
-    def __init__(self, drops: list[DropComm], delays: list[DelayComm]) -> None:
-        """Arm the drop/delay injections owned by one rank endpoint."""
+    Built in the parent by :func:`arm_for_comm` and pickled into the rank
+    worker with its other constructor arguments; the counters then run down
+    in the worker.
 
-        self._drop_counters = [[inj, inj.after] for inj in drops]
-        self._delay_counters = [[inj, inj.after] for inj in delays]
+    Attributes
+    ----------
+    injections:
+        The :class:`DropComm` / :class:`DelayComm` records of this rank.
+    remaining:
+        Matching exchanges left before each injection fires.
+    """
 
-    def on_exchange(self, rank: int, peer: int) -> tuple[str, float] | None:
+    injections: tuple
+    remaining: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        """Start every counter at its injection's ``after``."""
+
+        self.remaining = [inj.after for inj in self.injections]
+
+    def on_exchange(self, peer: int) -> DropComm | DelayComm | None:
         """Called at the top of an exchange with ``peer``.
 
-        Returns ``("drop", 0.0)`` to make the exchange hang to its deadline,
-        ``("delay", seconds)`` to slow it down, or ``None`` to proceed.
+        Counts the exchange against every injection on that channel and
+        returns the first one whose counter reaches zero (it fires once), or
+        ``None`` to proceed untouched.
         """
 
-        for entry in self._drop_counters:
-            inj, remaining = entry
-            if remaining <= 0 or inj.rank != rank:
+        for index, inj in enumerate(self.injections):
+            if inj.peer != peer or self.remaining[index] <= 0:
                 continue
-            if inj.peer not in (-1, peer):
-                continue
-            entry[1] = remaining - 1
-            if entry[1] == 0:
-                return ("drop", 0.0)
-        for entry in self._delay_counters:
-            inj, remaining = entry
-            if remaining <= 0 or inj.rank != rank:
-                continue
-            if inj.peer not in (-1, peer):
-                continue
-            entry[1] = remaining - 1
-            if entry[1] == 0:
-                return ("delay", inj.seconds)
+            self.remaining[index] -= 1
+            if self.remaining[index] == 0:
+                return inj
         return None
 
 
-def arm_for_pool(
-    kind: str, num_workers: int, chaos_allowed: bool
-) -> PoolFaultState | None:
+def arm_for_pool(num_workers: int, chaos_kills: bool) -> PoolFaultState | None:
     """Build the fault state of a new pool, or ``None`` with no active plan.
 
-    ``kind`` is the dominant message kind of the pool's workers ("circuit"
-    for batch runners, "gate" for rank pools, "task" for pools that declare
-    none) — it gates chaos mode to :data:`CHAOS_KILL_KINDS`.  ``chaos_allowed``
-    reflects the pool's fault policy: chaos kills are only scheduled when
-    the policy can actually recover from them (``max_retries > 0``), while
-    targeted injections are always armed (deterministic tests opt in
-    explicitly and assert the failure mode they want).
+    Targeted :class:`KillWorker` injections are always armed (deterministic
+    tests opt in explicitly and assert the failure mode they want).
+    ``chaos_kills`` is the pool owner's word that it recovers from a dead
+    worker; only then may chaos mode schedule a kill in this pool.
     """
 
     plan = get_active_plan()
@@ -435,54 +411,46 @@ def arm_for_pool(
     draw_index = next(_pool_counter)
     if plan is None:
         return None
-    kills = _unfired(
-        [inj for inj in plan.injections if isinstance(inj, KillWorker)]
-    )
-    tracked = frozenset(kills)
-    if (
-        chaos_allowed
-        and plan.chaos_seed is not None
-        and plan.chaos_kill_probability > 0.0
-        and kind in CHAOS_KILL_KINDS
-        and num_workers > 0
-    ):
+    with _lock:
+        kills = [
+            inj
+            for inj in plan.injections
+            if isinstance(inj, KillWorker) and inj not in _spent
+        ]
+    chaos = plan.chaos_seed is not None and plan.chaos_kill_probability > 0.0
+    if chaos_kills and chaos:
         rng = random.Random(f"{plan.chaos_seed}:{draw_index}")
         if rng.random() < plan.chaos_kill_probability:
             kills.append(
                 KillWorker(
                     worker=rng.randrange(num_workers),
                     after=1 + rng.randrange(24),
-                    kinds=CHAOS_KILL_KINDS,
                 )
             )
     if not kills:
         return None
-    return PoolFaultState(kills, tracked=tracked)
+    return PoolFaultState(kills)
 
 
-def arm_for_comm(rank: int, pool_generation: int = 0) -> CommFaultState | None:
-    """Build the comm fault state of one rank endpoint (or ``None``).
+def arm_for_comm(rank: int) -> CommFaultState | None:
+    """Arm the comm injections of one rank endpoint (or return ``None``).
 
-    ``pool_generation`` counts pool rebuilds during recovery.  Comm
-    injections only arm in generation 0: rank workers re-arm from the
-    environment in their own (fresh) processes, so without this gate a
-    rebuilt pool would deterministically replay straight into the same
-    drop/delay and recovery could never converge.  Rebuilt pools run clean.
+    Called in the parent once per rank when a rank pool is built.  Arming
+    spends the injections in the same process-wide registry that spends
+    fired kills, so a pool rebuilt during recovery finds nothing left to arm
+    and its replay runs clean.
     """
 
     plan = get_active_plan()
-    if plan is None or pool_generation > 0:
+    if plan is None:
         return None
-    drops = [
-        inj
-        for inj in plan.injections
-        if isinstance(inj, DropComm) and inj.rank == rank
-    ]
-    delays = [
-        inj
-        for inj in plan.injections
-        if isinstance(inj, DelayComm) and inj.rank == rank
-    ]
-    if not drops and not delays:
-        return None
-    return CommFaultState(drops, delays)
+    with _lock:
+        armed = tuple(
+            inj
+            for inj in plan.injections
+            if isinstance(inj, (DropComm, DelayComm))
+            and inj.rank == rank
+            and inj not in _spent
+        )
+        _spent.update(armed)
+    return CommFaultState(armed) if armed else None

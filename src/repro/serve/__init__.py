@@ -16,7 +16,7 @@ and fronts them with:
   :class:`~repro.core.report.SimulationReport` at gate-chunk boundaries
   (:mod:`repro.serve.events`);
 * **cancellation and checkpoint-based suspend/resume** of long jobs via the
-  resilience checkpoints (:mod:`repro.resilience.suspend`);
+  simulator checkpoints (:func:`repro.core.checkpoint.resume_from_checkpoint`);
 * explicit **backpressure** — bounded queues with typed
   :class:`~repro.errors.ServiceOverloadedError` rejection and a
   drain-and-close lifecycle that leaks no tasks, simulators or worker

@@ -47,10 +47,9 @@ from ..backends.compressed import _package_result
 from ..backends.observables import PauliObservable
 from ..backends.result import Result
 from ..circuits import QuantumCircuit
-from ..core.checkpoint import save_checkpoint
+from ..core.checkpoint import resume_from_checkpoint, save_checkpoint
 from ..core.config import SimulatorConfig
 from ..errors import JobCancelledError, ServiceClosedError
-from ..resilience import resume_from_checkpoint
 from .cache import ResultCache, cache_key
 from .events import EventStream, JobEvent
 from .queue import FairScheduler

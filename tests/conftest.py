@@ -12,6 +12,7 @@ from repro.analysis.datasets import qaoa_state, supremacy_state
 from repro.compression import get_compressor
 from repro.core import SimulatorConfig
 from repro.core.procpool import live_pool_count
+from repro.resilience import faults
 import reference_kernels
 from tiers import TIERS, tier_config
 
@@ -39,6 +40,21 @@ def _no_leaked_pools_or_segments(monkeypatch):
     yield created
     assert live_pool_count() == 0, "the test left a ProcessPool open"
     assert not created, f"the test created shared-memory segments: {created}"
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_fault_plan():
+    """Start and end every test with no installed plan and no spent injection.
+
+    Both are process-wide: a test that installs a plan, or spends an
+    injection of the environment's plan, must not leak either into the next
+    test.  ``REPRO_FAULT_PLAN`` is left alone, so the CI chaos job's plan
+    still applies to every test.
+    """
+
+    faults.clear_plan()
+    yield
+    faults.clear_plan()
 
 
 @pytest.fixture

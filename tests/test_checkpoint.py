@@ -16,8 +16,7 @@ from repro.core import (
     save_checkpoint,
 )
 from repro.errors import CheckpointError
-from repro.resilience import resume_from_checkpoint
-from repro.core.checkpoint import read_checkpoint
+from repro.core.checkpoint import read_checkpoint, resume_from_checkpoint
 from repro.statevector import simulate_statevector, state_fidelity
 from tiers import tier_config
 

@@ -46,7 +46,13 @@ from repro.core.kernel import TaskStats
 from repro.core.procpool import ProcessPool, live_pool_count
 from repro.distributed.ranked import RankedExecutor
 from repro.resilience import FaultPolicy
-from repro.resilience.faults import DelayComm, DropComm, FaultPlan, KillWorker
+from repro.resilience.faults import (
+    CommFaultState,
+    DelayComm,
+    DropComm,
+    FaultPlan,
+    KillWorker,
+)
 
 #: Pin for tests that assert exact failure propagation or exact cache
 #: counters: an inert policy keeps them deterministic even when the suite
@@ -125,11 +131,21 @@ class TestCodecPicklability:
 
 @pytest.mark.parametrize(
     "record",
-    [SimulatorConfig, FaultPolicy, FaultPlan, KillWorker, DropComm, DelayComm, TaskStats],
+    [
+        SimulatorConfig,
+        FaultPolicy,
+        FaultPlan,
+        KillWorker,
+        DropComm,
+        DelayComm,
+        CommFaultState,
+        TaskStats,
+    ],
 )
 def test_process_boundary_records_pickle_by_value(record):
-    # Config, policy, fault-plan entries and the per-task stats reply cross
-    # the parent↔worker pipe: plain-field dataclasses, or an explicit reduce.
+    # Config, policy, fault-plan entries, a rank's armed comm faults and the
+    # per-task stats reply cross the parent↔worker boundary: plain-field
+    # dataclasses, or an explicit reduce.
     assert dataclasses.is_dataclass(record) or "__reduce__" in vars(record)
 
 

@@ -10,10 +10,12 @@ itself (plan parsing, structured errors) is covered alongside.
 from __future__ import annotations
 
 import importlib
+import multiprocessing
 import os
 import pickle
 import signal
 import time
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -48,18 +50,25 @@ SHOTS = 64
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_plan(monkeypatch):
-    """Every test starts and ends with no active plan or policy override."""
+def _no_environment_plan(monkeypatch):
+    """Every test here sets up exactly the faults it asserts on.
+
+    An environment plan (the CI chaos job's) is removed; conftest resets
+    the installed plan and the spent-injection registry around every test.
+    """
 
     monkeypatch.delenv(faults.PLAN_ENV_VAR, raising=False)
-    monkeypatch.delenv("REPRO_FAULT_POLICY", raising=False)
-    faults.clear_plan()
-    yield
-    faults.clear_plan()
 
 
 #: The two spellings of the ranked tier (docs/migration.md).
 SPELLINGS = ("comm", "executor")
+
+#: Start methods a rank worker can come up under on this platform.
+START_METHODS = [
+    method
+    for method in ("fork", "spawn")
+    if method in multiprocessing.get_all_start_methods()
+]
 
 
 def ranked_config(policy=None, spelling="comm", **overrides) -> SimulatorConfig:
@@ -176,45 +185,34 @@ class TestFaultPolicy:
             FaultPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             FaultPolicy(checkpoint_interval_waves=-1)
-
-    def test_env_spec_is_parsed(self, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_FAULT_POLICY",
-            "max_retries=3,checkpoint_interval_waves=8,checkpoint_dir=/tmp/ckpt",
-        )
-        policy = resolve_fault_policy(None)
-        assert policy == FaultPolicy(
-            max_retries=3, checkpoint_interval_waves=8, checkpoint_dir="/tmp/ckpt"
-        )
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "retries=3",
-            "max_retries=2,degrade_to=thread",
-            "max_retries=2,backoff_base_seconds=0.1",
-            "max_retries=2,seed=7",
-        ],
-    )
-    def test_env_spec_rejects_unknown_and_removed_keys(self, monkeypatch, spec):
-        monkeypatch.setenv("REPRO_FAULT_POLICY", spec)
-        with pytest.raises(
-            ValueError, match=r"unknown fault-policy key .*docs/migration\.md"
-        ):
-            resolve_fault_policy(None)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError):  # removed in 1.4.0
             FaultPolicy(degrade_to=("thread",))
+
+    @pytest.mark.parametrize("policy", [None, FaultPolicy(max_retries=1)])
+    def test_removed_env_variable_names_the_migration_guide(
+        self, monkeypatch, policy
+    ):
+        monkeypatch.setenv("REPRO_FAULT_POLICY", "max_retries=3")
+        with pytest.raises(
+            ValueError, match=r"REPRO_FAULT_POLICY was removed .*docs/migration\.md"
+        ):
+            resolve_fault_policy(policy)
+        with pytest.raises(ValueError, match="REPRO_FAULT_POLICY"):
+            CompressedSimulator(NUM_QUBITS, SimulatorConfig(fault_policy=policy))
 
     def test_active_plan_enables_recovery_by_default(self):
         with faults.installed_plan(FaultPlan(chaos_seed=1)):
             policy = resolve_fault_policy(None)
         assert policy == FaultPolicy(max_retries=2)
 
-    def test_explicit_policy_wins_over_env_and_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_POLICY", "max_retries=9")
+    def test_config_policy_wins_over_plan(self):
+        # The two sources: SimulatorConfig.fault_policy, else the plan default.
+        policy = FaultPolicy(max_retries=1, checkpoint_interval_waves=8)
         with faults.installed_plan(FaultPlan(chaos_seed=1)):
-            policy = resolve_fault_policy(FaultPolicy(max_retries=1))
-        assert policy.max_retries == 1
+            configured = SimulatorConfig(fault_policy=policy).fault_policy
+            assert resolve_fault_policy(configured) == policy
+            unset = SimulatorConfig().fault_policy
+            assert resolve_fault_policy(unset) == FaultPolicy(max_retries=2)
 
 
 class TestPlanParsing:
@@ -240,6 +238,28 @@ class TestPlanParsing:
             parse_plan("corrupt:worker=0,after=2")
         with pytest.raises(ValueError):
             parse_plan("kill:worker=1,after=0")
+
+    def test_targets_have_no_wildcard(self):
+        # worker= and peer= name exactly one target; the -1 "any" is gone.
+        for spec in ("kill:after=2", "drop:rank=0,after=1", "delay:rank=1"):
+            with pytest.raises(ValueError, match="needs"):
+                parse_plan(spec)
+        with pytest.raises(ValueError):
+            KillWorker(worker=-1, after=1)
+        with pytest.raises(ValueError):
+            DropComm(rank=0, peer=-1)
+        with pytest.raises(ValueError):
+            DelayComm(rank=0, peer=-1, seconds=0.1)
+
+    def test_comm_injections_arm_once_in_the_parent(self):
+        drop = DropComm(rank=0, peer=1, after=2)
+        with faults.installed_plan(FaultPlan(injections=(drop,))):
+            assert faults.arm_for_comm(1) is None
+            state = faults.arm_for_comm(0)
+            # Armed means spent: a rebuilt pool finds nothing left to arm.
+            assert faults.arm_for_comm(0) is None
+        assert [state.on_exchange(1), state.on_exchange(1)] == [None, drop]
+        assert state.on_exchange(1) is None
 
     def test_env_plan_is_read_per_call(self, monkeypatch):
         assert faults.get_active_plan() is None
@@ -305,14 +325,21 @@ class TestRankedRecovery:
         assert report.escalations == expected.escalations
         assert report.final_error_bound == expected.final_error_bound
 
-    def test_comm_drop_is_recovered_once(self, circuit, baseline, monkeypatch):
-        # Environment-delivered plan: rank workers arm it in their own
-        # processes; the rebuilt (generation > 0) pool must run clean.
-        monkeypatch.setenv(faults.PLAN_ENV_VAR, "drop:rank=0,peer=1,after=4")
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_comm_drop_is_recovered_once(self, circuit, baseline, start_method):
+        # The parent arms the installed plan and ships it to rank 0, so a
+        # spawned worker sees it as a forked one does; arming spends it, so
+        # the rebuilt pool runs clean (one retry, no second timeout).
+        plan = FaultPlan(injections=(DropComm(rank=0, peer=1, after=4),))
         policy = FaultPolicy(max_retries=2, checkpoint_interval_waves=2)
-        statevector, counts, recovery = run_to_outcome(
-            ranked_config(policy), circuit
-        )
+        # A process's first spawn starts multiprocessing's resource tracker,
+        # whose pipe stays open for the process's life; start it before the
+        # descriptor count so the count sees only the simulator's own.
+        resource_tracker.ensure_running()
+        with faults.installed_plan(plan):
+            statevector, counts, recovery = run_to_outcome(
+                ranked_config(policy, mp_start_method=start_method), circuit
+            )
         assert_bit_identical(statevector, counts, baseline)
         assert recovery["retries"] == 1
         assert recovery["restarts"] == 2
@@ -330,12 +357,14 @@ class TestRankedRecovery:
         assert_bit_identical(statevector, counts, baseline)
         assert recovery is None or recovery["retries"] == 0
 
+    @pytest.mark.parametrize("start_method", START_METHODS)
     def test_comm_drop_fail_fast_carries_timeout_context(
-        self, circuit, monkeypatch
+        self, circuit, start_method
     ):
-        monkeypatch.setenv(faults.PLAN_ENV_VAR, "drop:rank=0,peer=1,after=4")
-        with CompressedSimulator(
-            NUM_QUBITS, ranked_config(FaultPolicy(max_retries=0))
+        plan = FaultPlan(injections=(DropComm(rank=0, peer=1, after=4),))
+        config = ranked_config(FaultPolicy(max_retries=0), mp_start_method=start_method)
+        with faults.installed_plan(plan), CompressedSimulator(
+            NUM_QUBITS, config
         ) as simulator:
             with pytest.raises(ProcessCommTimeout) as excinfo:
                 simulator.apply_circuit(circuit)

@@ -20,7 +20,7 @@ from repro.applications import qft_benchmark_circuit
 from repro.backends import PauliObservable
 from repro.circuits import standard_gate
 from repro.core import CompressedSimulator, load_checkpoint, save_checkpoint
-from repro.resilience import resume_from_checkpoint
+from repro.core.checkpoint import resume_from_checkpoint
 from tiers import tier_config
 
 NUM_QUBITS = 7
