@@ -88,8 +88,7 @@ def truncate_bitplanes(data: np.ndarray, keep_bits: int) -> np.ndarray:
     if keep_bits == 64:
         return data.copy()
     mask = np.uint64(~((1 << (64 - keep_bits)) - 1) & 0xFFFFFFFFFFFFFFFF)
-    truncated = bits & mask
-    return truncated.view(np.float64).copy()
+    return (bits & mask).view(np.float64)
 
 
 def truncation_table(value: float, max_mantissa_bits: int = 10) -> list[dict]:
@@ -147,29 +146,38 @@ def xor_delta_decode(xored: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.accumulate(xored)
 
 
+#: A word whose top ``i + 1`` bytes are zero is below ``_ZERO_BYTE_LIMITS[i]``.
+_ZERO_BYTE_LIMITS = tuple(np.uint64(1 << (56 - 8 * i)) for i in range(3))
+
+
 def leading_zero_bytes(xored: np.ndarray, keep_bytes: int) -> np.ndarray:
     """Number of leading zero bytes (big-endian order) of each XOR-ed word,
-    clamped to the two-bit code range ``[0, 3]`` used by Solution C."""
+    clamped to ``keep_bytes`` and to the two-bit code range ``[0, 3]`` used
+    by Solution C."""
 
-    byte_matrix = _word_bytes(xored, keep_bytes)
-    nonzero = byte_matrix != 0
-    # Index of the first non-zero byte per row; rows that are all zero get
-    # keep_bytes.
-    first_nonzero = np.where(
-        nonzero.any(axis=1), nonzero.argmax(axis=1), keep_bytes
-    )
-    return np.minimum(first_nonzero, 3).astype(np.uint8)
+    xored = np.ascontiguousarray(xored, dtype=np.uint64)
+    codes = np.zeros(xored.size, dtype=np.uint8)
+    for limit in _ZERO_BYTE_LIMITS[: min(keep_bytes, 3)]:
+        codes += (xored < limit).view(np.uint8)
+    return codes
 
 
-def _word_bytes(words: np.ndarray, keep_bytes: int) -> np.ndarray:
-    """View *words* as a ``(n, keep_bytes)`` big-endian byte matrix."""
+def _suffix_layout(keep_bytes: int) -> tuple[type, np.ndarray]:
+    """Word type holding the top *keep_bytes* bytes, and the mask table.
 
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    as_bytes = words[:, None].view(np.uint8).reshape(words.size, 8)
-    # words are little-endian in memory; big-endian (most significant first)
-    # ordering places the kept bytes in the leading columns.
-    big_endian = as_bytes[:, ::-1]
-    return big_endian[:, :keep_bytes]
+    Row ``c`` of the ``(4, width)`` table marks the big-endian bytes a word
+    with code ``c`` emits: columns ``c`` to ``keep_bytes - 1``.  Rows past
+    ``keep_bytes`` are empty, which is the unpacker's clamp of a code above
+    ``keep_bytes``.
+    """
+
+    word = np.uint32 if keep_bytes <= 4 else np.uint64
+    columns = np.arange(np.dtype(word).itemsize)
+    table = (columns >= np.arange(4)[:, None]) & (columns < keep_bytes)
+    return word, table
+
+
+_SUFFIX_LAYOUTS = {keep: _suffix_layout(keep) for keep in range(1, 9)}
 
 
 def pack_leading_zero_stream(xored: np.ndarray, keep_bytes: int) -> tuple[bytes, bytes]:
@@ -182,15 +190,16 @@ def pack_leading_zero_stream(xored: np.ndarray, keep_bytes: int) -> tuple[bytes,
 
     if not 1 <= keep_bytes <= 8:
         raise CompressorError("keep_bytes must be in [1, 8]")
+    xored = np.ascontiguousarray(xored, dtype=np.uint64)
     codes = leading_zero_bytes(xored, keep_bytes)
-    codes = np.minimum(codes, keep_bytes).astype(np.uint8)
-    byte_matrix = _word_bytes(xored, keep_bytes)
-    columns = np.arange(keep_bytes, dtype=np.uint8)[None, :]
-    keep_mask = columns >= codes[:, None]
-    suffix = byte_matrix[keep_mask]
-    # Pack the 2-bit codes, four per byte (MSB-first, same layout the
-    # unpackbits/packbits detour produced): extract both bits of each code
-    # directly instead of expanding all eight bit planes per byte.
+    word, table = _SUFFIX_LAYOUTS[keep_bytes]
+    width = np.dtype(word).itemsize
+    # One contiguous big-endian row of `width` bytes per word: the kept bytes
+    # are its leading columns, and the code's table row selects the suffix.
+    top = (xored >> np.uint64(64 - 8 * width)).astype(word, copy=False)
+    big_endian = top.byteswap().view(np.uint8)
+    suffix = np.compress(np.take(table, codes, axis=0).reshape(-1), big_endian)
+    # Pack the 2-bit codes, four per byte, MSB-first.
     code_bits = np.empty((codes.size, 2), dtype=np.uint8)
     code_bits[:, 0] = codes >> 1
     code_bits[:, 1] = codes & 1
@@ -203,28 +212,25 @@ def unpack_leading_zero_stream(
 ) -> np.ndarray:
     """Inverse of :func:`pack_leading_zero_stream`; returns uint64 XOR-ed words."""
 
-    if count == 0:
-        return np.zeros(0, dtype=np.uint64)
-    code_bits = np.unpackbits(
-        np.frombuffer(packed_codes, dtype=np.uint8), count=count * 2
-    ).reshape(count, 2)
+    if not 1 <= keep_bytes <= 8:
+        raise CompressorError("keep_bytes must be in [1, 8]")
+    code_bytes = np.frombuffer(packed_codes, dtype=np.uint8)
+    if code_bytes.size != (count + 3) // 4:
+        raise CompressorError(
+            f"code stream has {code_bytes.size} bytes, expected {(count + 3) // 4}"
+        )
+    code_bits = np.unpackbits(code_bytes, count=count * 2).reshape(count, 2)
     codes = (code_bits[:, 0] << 1) | code_bits[:, 1]
-    codes = np.minimum(codes, keep_bytes)
-
-    columns = np.arange(keep_bytes, dtype=np.uint8)[None, :]
-    keep_mask = columns >= codes[:, None]
-    byte_matrix = np.zeros((count, keep_bytes), dtype=np.uint8)
+    word, table = _SUFFIX_LAYOUTS[keep_bytes]
+    keep_mask = np.take(table, codes, axis=0).reshape(-1)
     suffix_array = np.frombuffer(suffix, dtype=np.uint8)
-    expected = int(keep_mask.sum())
+    expected = np.count_nonzero(keep_mask)
     if suffix_array.size != expected:
         raise CompressorError(
             f"suffix stream has {suffix_array.size} bytes, expected {expected}"
         )
-    byte_matrix[keep_mask] = suffix_array
-
-    # Rebuild the 64-bit words: kept bytes are the most significant ones.
-    full = np.zeros((count, 8), dtype=np.uint8)
-    full[:, :keep_bytes] = byte_matrix
-    # Convert from big-endian byte rows back to native uint64.
-    words = full[:, ::-1].copy().view(np.uint64).reshape(count)
-    return words
+    big_endian = np.zeros(keep_mask.size, dtype=np.uint8)
+    np.place(big_endian, keep_mask, suffix_array)
+    top = big_endian.view(word).byteswap().astype(np.uint64, copy=False)
+    # The kept bytes are the most significant ones of each 64-bit word.
+    return top << np.uint64(64 - 8 * np.dtype(word).itemsize)

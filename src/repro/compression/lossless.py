@@ -87,8 +87,11 @@ class LosslessCompressor(Compressor):
     backend:
         ``"zlib"`` (default), ``"lzma"`` or ``"bz2"``.
     level:
-        Backend compression level.  The default (6 for zlib) mirrors Zstd's
-        default speed/ratio trade-off.
+        Backend compression level.  The default, 6, is zlib's own default;
+        it only affects encoding (any level decodes any blob).  The simulator
+        passes ``SimulatorConfig.lossless_level`` instead, which defaults to
+        3, the highest of zlib's fast levels, as the paper runs Zstd at a
+        fast setting.
     """
 
     name = "lossless"

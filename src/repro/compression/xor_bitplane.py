@@ -147,8 +147,7 @@ class XorBitplaneCompressor(Compressor):
         xored = bitplane.unpack_leading_zero_stream(
             packed_codes, suffix, count, keep_bytes
         )
-        words = bitplane.xor_delta_decode(xored)
-        values = words.view(np.float64).copy()
+        values = bitplane.xor_delta_decode(xored).view(np.float64)
         if exc_count:
             exceptions = lossless_decompress_bytes(exc_blob, self._backend)
             exc_indices = np.frombuffer(exceptions, dtype="<u8", count=exc_count)

@@ -47,7 +47,16 @@ class SimulatorConfig:
     lossless_backend:
         Backend for the lossless stage(s): "zlib", "lzma" or "bz2".
     lossless_level:
-        Compression level passed to the lossless backend.
+        Compression level passed to the lossless backend, for lossless blocks
+        and for the final stage of the lossy codecs.  The paper runs Zstd at
+        a fast setting, and 3 is the highest of zlib's fast levels (1-3).
+        Measured on the end-to-end workloads (2-CPU host): levels 1, 2 and 3
+        ran within noise of each other over eleven seeds, and 3 kept the
+        most ratio.  Against level 6 on the same three seeds, level 3 cut
+        ``qaoa16_budget`` wall by 22 % and ``rcs16_seq`` by 35 %, for 1.0 %
+        and 7.3 % less ``min_ratio``.  The level only affects encoding: any
+        level decodes any blob, and checkpoints restore across levels.  Pass
+        ``6`` for the ratios of versions before 1.13.
     use_block_cache:
         Enable the compressed block cache of Section 3.4 with the paper's
         constants: 64 lines (per rank on the ranked tier), disabled after
@@ -124,7 +133,7 @@ class SimulatorConfig:
     error_levels: tuple[float, ...] = PAPER_ERROR_LEVELS
     lossy_compressor: str = "xor-bitplane"
     lossless_backend: str = "zlib"
-    lossless_level: int = 6
+    lossless_level: int = 3
     use_block_cache: bool = True
     start_lossless: bool = True
     track_fidelity_bound: bool = True

@@ -280,13 +280,12 @@ def unpack_leading_zero_stream(
 ) -> np.ndarray:
     """Sequential rebuild of the XOR-ed words from codes + suffixes."""
 
-    if count == 0:
-        return np.zeros(0, dtype=np.uint64)
+    if not 1 <= keep_bytes <= 8:
+        raise CompressorError("keep_bytes must be in [1, 8]")
     code_array = np.frombuffer(packed_codes, dtype=np.uint8)
-    if code_array.size * 8 < count * 2:
+    if code_array.size != (count + 3) // 4:
         raise CompressorError(
-            f"code stream has {code_array.size * 8} bits, "
-            f"expected at least {count * 2}"
+            f"code stream has {code_array.size} bytes, expected {(count + 3) // 4}"
         )
     suffix_array = np.frombuffer(suffix, dtype=np.uint8)
     words, expected = _unpack_leading_zero_kernel(

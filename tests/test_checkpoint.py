@@ -161,6 +161,32 @@ class TestCodecEngineKeyCompatibility:
             assert np.array_equal(resumed.statevector(), expected)
 
 
+class TestLosslessLevelCompatibility:
+    """Before 1.13.0 the simulator default was ``lossless_level=6``.  The level
+    is not in the file; blobs written at 6 load and resume under the new
+    default exactly as under the old one."""
+
+    @pytest.mark.parametrize("tier", ["sequential", "ranked-comm"])
+    @pytest.mark.parametrize("start_lossless", [True, False], ids=["lossless", "lossy"])
+    def test_level_6_file_resumes_bit_identically(self, tier, start_lossless, tmp_path):
+        gates = list(qft_circuit(7))
+        split = len(gates) // 2
+        old = tier_config(tier, lossless_level=6, start_lossless=start_lossless)
+        with CompressedSimulator(7, old) as full:
+            full.apply_circuit(gates)
+            expected = full.statevector()
+        path = tmp_path / "level6.ckpt"
+        with CompressedSimulator(7, old) as first:
+            first.apply_circuit(gates[:split])
+            save_checkpoint(first, path)
+        # The sequential leg rebuilds its config from the file's metadata.
+        config = None if tier == "sequential" else tier_config(tier)
+        with load_checkpoint(path, config=config) as resumed:
+            assert resumed.config.lossless_level == SimulatorConfig().lossless_level != 6
+            resumed.apply_circuit(gates[split:])
+            assert np.array_equal(resumed.statevector(), expected)
+
+
 class TestCheckpointRobustness:
     """Torn, scribbled or padded files must surface as CheckpointError.
 

@@ -62,3 +62,19 @@ class TestCommonCodecProperties:
         else:
             other = make_codec(codec_name, bound=1e-1)
         assert np.array_equal(other.decompress(blob), codec.decompress(blob))
+
+
+@pytest.mark.parametrize("name", ["lossless", "xor-bitplane", "sz"])
+def test_any_level_decodes_any_level(name, make_codec, spiky_data):
+    # The zlib level is an encoder setting only: a blob written at one level
+    # decodes bit-identically under a codec built at any other, and the
+    # decoded values do not depend on the level that wrote them.  This is
+    # what lets the simulator's default level move without touching old
+    # blobs or checkpoints.
+    levels = (1, 6, 9)
+    blobs = {level: make_codec(name, level=level).compress(spiky_data) for level in levels}
+    assert len(set(blobs.values())) > 1  # the level really changed the bytes
+    expected = make_codec(name).decompress(blobs[6]).tobytes()
+    for blob in blobs.values():
+        for level in levels:
+            assert make_codec(name, level=level).decompress(blob).tobytes() == expected

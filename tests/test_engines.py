@@ -245,7 +245,7 @@ class TestPackingConformance:
             with pytest.raises(ValueError, match="matching 1-D"):
                 pack(np.zeros(3, dtype=np.uint64), np.zeros(2, dtype=np.int64))
 
-    @pytest.mark.parametrize("keep_bytes", [1, 3, 5, 8])
+    @pytest.mark.parametrize("keep_bytes", range(1, 9))
     def test_leading_zero_round_trip_identical(self, keep_bytes, rng):
         # Words with realistic leading-zero distribution: shift a fraction of
         # them right so the 2-bit code histogram covers all four codes.
@@ -253,11 +253,35 @@ class TestPackingConformance:
         shifts = rng.integers(0, 5, size=4096).astype(np.uint64) * np.uint64(8)
         words >>= shifts
         words[::97] = 0  # all-zero words hit the clamp path
+        # The code boundaries (3, 2, 1 leading zero bytes) from either side.
+        boundaries = np.array(
+            [2**40 - 1, 2**40, 2**48 - 1, 2**48, 2**56 - 1, 2**56, 2**64 - 1, 1],
+            dtype=np.uint64,
+        )
+        # Words whose only set bytes lie below the kept ones: every kept byte
+        # is a leading zero, and the dropped bytes must not leak into the code.
+        below = np.uint64((1 << (8 * (8 - keep_bytes))) - 1)
+        hidden = rng.integers(0, 2**63, size=64, dtype=np.int64).astype(np.uint64) & below
+        words = np.concatenate([boundaries, words, hidden, boundaries[::-1]])
         packed, suffix = bitplane.pack_leading_zero_stream(words, keep_bytes)
         assert ref.pack_leading_zero_stream(words, keep_bytes) == (packed, suffix)
         out = bitplane.unpack_leading_zero_stream(packed, suffix, words.size, keep_bytes)
         out_ref = ref.unpack_leading_zero_stream(packed, suffix, words.size, keep_bytes)
         assert out.tobytes() == out_ref.tobytes()
+        assert np.array_equal(out, words & ~below)
+
+    def test_code_stream_of_the_wrong_length_raises(self, rng):
+        words = rng.integers(0, 2**20, size=9).astype(np.uint64)
+        for impl in (bitplane, ref):
+            packed, suffix = impl.pack_leading_zero_stream(words, 4)
+            assert len(packed) == 3  # ceil(9 / 4)
+            for codes in (b"", packed[:-1], packed + b"\x00"):
+                with pytest.raises(CompressorError, match="code stream has"):
+                    impl.unpack_leading_zero_stream(codes, suffix, words.size, 4)
+            with pytest.raises(CompressorError, match="code stream has"):
+                impl.unpack_leading_zero_stream(b"\x00", b"", 0, 4)
+            with pytest.raises(CompressorError, match="keep_bytes"):
+                impl.unpack_leading_zero_stream(packed, suffix, words.size, 9)
 
     def test_leading_zero_empty_and_errors(self, rng):
         words = rng.integers(0, 2**20, size=64).astype(np.uint64)
