@@ -5,9 +5,10 @@ recompress round trip dominating the runtime.  This bench quantifies the
 attacks this repo mounts on that bottleneck:
 
 * **Runs** — consecutive gates that can share one staging share one round
-  trip per block, their 2x2 steps applied in order: one-block gates (an
-  in-block target, or a diagonal 2x2 wherever its target lies — it needs no
-  partner block) whatever their controls, or gates on one non-local target
+  trip per block, their steps applied in order: one-block steps (an
+  in-block target, a diagonal 2x2 wherever its target lies — it needs no
+  partner block — or a ``cx · d · cx`` sandwich, one diagonal on
+  ``x_c ⊕ x_t``) whatever their controls, or gates on one non-local target
   under one set of non-local controls.  Measured as the reduction in compressor invocations on a QFT-style
   workload of per-qubit rotation chains, and counted with ``plan_gate`` as
   blob round trips (buffers staged) before and after run formation, for the
@@ -144,10 +145,13 @@ def test_run_formation_roundtrip_reduction(emit):
 
     The saving grows with the share of qubits that sit inside a block (6 and
     8 of 10 in quick mode, 10 and 12 of 14 at full size), so the floor is
-    asserted where at most two qubits select the block and rank.
+    asserted where at most two qubits select the block and rank.  QAOA's
+    cost layer is one ``cx · rz · cx`` sandwich per edge, each one diagonal
+    step, so its saving must be at least QFT's at both block sizes.
     """
 
     rows = []
+    reductions = {}
     for name, circuit in table2_circuits(NUM_QUBITS).items():
         gates = circuit.gates
         for block in RUN_TABLE_BLOCKS:
@@ -171,6 +175,9 @@ def test_run_formation_roundtrip_reduction(emit):
             assert after < before
             if name == "qft" and block == max(RUN_TABLE_BLOCKS):
                 assert before >= 2 * after
+            reductions[name, block] = before / after
+    for block in RUN_TABLE_BLOCKS:
+        assert reductions["qaoa", block] >= reductions["qft", block]
     emit(
         f"Blob round trips before/after run formation ({NUM_QUBITS} qubits, "
         f"{NUM_RANKS} ranks)",

@@ -71,10 +71,12 @@ class SimulatorConfig:
         Maintain the Π(1 - δ_i) lower bound on simulation fidelity.
     fusion_enabled:
         Run the grouping pass (:func:`repro.circuits.fusion.form_runs`)
-        before execution: consecutive gates that can share one staging —
-        one-block gates (an in-block target, or a diagonal 2x2 wherever its
-        target lies) whatever their controls, or gates on one non-local
-        target under one set of non-local controls — become a run whose 2x2
+        before execution: each ``cx(c, t) · d(t) · cx(c, t)`` sandwich with
+        ``d`` diagonal becomes one diagonal step (``d`` on ``x_c ⊕ x_t``),
+        and consecutive steps that can share one staging — one-block steps
+        (an in-block target, a diagonal 2x2 wherever its target lies, or
+        such a sandwich) whatever their controls, or gates on one non-local
+        target under one set of non-local controls — become a run whose
         steps are applied in order inside a single decompress/recompress
         round trip per block (or block pair).  **On by default** — nothing is
         reordered or multiplied, so lossless results equal the gate-by-gate
@@ -83,8 +85,8 @@ class SimulatorConfig:
         (the seed behaviour, the differential tests' reference).  Lossy
         results differ between the two settings because a run is quantised
         once instead of once per gate.  While ``memory_budget_bytes`` is set
-        and the state is still lossless, a run is taken gate by gate so the
-        budget is checked after each.
+        and the state is still lossless, a run is taken step by step so the
+        budget is checked after each (a sandwich stays one step).
     num_workers:
         Workers for independent block tasks of a gate plan.  ``1`` (the
         default) keeps the seed's sequential execution; larger values run

@@ -6,11 +6,16 @@ unitary — or, for a run of consecutive gates sharing one staging, each of
 its unitaries in order — and recompress at the current error bound.
 :class:`BlockKernel` is that loop.  It stages only what the element mixes: a
 pair of blocks for a mixing 2x2 on a target above the block boundary, one
-block for everything else — an in-block target, or a diagonal 2x2 wherever
-its target lies, which from inside one block is a single phase
-(:func:`repro.statevector.ops.apply_phase`).  A one-block task applies the
-steps whose block- and rank-level controls are set in its block's index, so
-one run may hold steps under different controls.
+block for everything else — an in-block target, a diagonal 2x2 wherever its
+target lies, or a parity phase (``cx · d · cx``, ``d`` on ``x_c ⊕ x_t``,
+:class:`~repro.circuits.fusion.ParityPhase`) wherever ``c`` and ``t`` lie.
+An in-block target is a 2x2 inside the block.  A diagonal above the block,
+or a parity phase, is a phase (:func:`repro.statevector.ops.apply_phase`):
+one scalar when its qubits all lie above the block, otherwise one per side of
+the in-block parity — a phase on one in-block qubit, or on the offsets where
+``x_c ⊕ x_t`` is 0 and where it is 1.  A one-block task applies the steps
+whose block- and rank-level controls are set in its block's index, so one run
+may hold steps under different controls.
 
 Every execution tier calls it — the sequential and thread paths of
 :class:`~repro.core.executor.TaskExecutor` in the parent process and the
@@ -49,11 +54,12 @@ class BlockOp(NamedTuple):
     """One schedule element — a gate or a :class:`~repro.circuits.fusion.Run`
     — as the block tasks of its plan see it.
 
-    The first four fields are parallel, one entry per step: step ``i``
-    applies ``matrices[i]`` to ``targets[i]`` under ``local_controls[i]`` on
-    the blocks ``block_controls[i]`` lets through.  A gate is one step.  The
-    fields are flat (one array, ints and tuples of ints) because the op rides
-    every ranked-tier gate message.
+    The first five fields are parallel, one entry per step: step ``i``
+    applies ``matrices[i]`` to ``targets[i]`` (a diagonal on the parity of
+    ``parities[i]``) under ``local_controls[i]`` on the blocks
+    ``block_controls[i]`` lets through.  A gate is one step.  The fields are
+    flat (one array, ints and tuples of ints) because the op rides every
+    ranked-tier gate message.
     """
 
     #: The 2x2 unitaries, stacked: shape ``(steps, 2, 2)``.
@@ -61,6 +67,11 @@ class BlockOp(NamedTuple):
     #: Target qubit per step (only read by one-block tasks; a pair task's
     #: steps share the target the plan paired the blocks on).
     targets: tuple[int, ...]
+    #: Per step, the qubit mask whose parity picks a diagonal's entry
+    #: (:func:`~repro.circuits.fusion.parity_of`): ``1 << target`` for a
+    #: gate, the ``c`` and ``t`` bits for a parity phase.  Only read by
+    #: one-block tasks.
+    parities: tuple[int, ...]
     #: Per step, the controls applied per amplitude inside the scratch buffers.
     local_controls: tuple[tuple[int, ...], ...]
     #: Per step, the block- and rank-level controls as a mask over the global
@@ -180,6 +191,7 @@ class BlockKernel:
         self._offset_bits = scratch.block_amplitudes.bit_length() - 1
         self._compressors: dict[str, Compressor] = {}
         self._masks: dict[tuple[int, ...], np.ndarray | None] = {}
+        self._parity_masks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def compressor_for(self, compressor: Compressor) -> Compressor:
         """Warm instance equal to *compressor* (keyed by ``describe()``).
@@ -211,6 +223,23 @@ class BlockKernel:
             )
         return self._masks[local_controls]
 
+    def _parity_masks_for(
+        self, local_controls: tuple[int, ...], bits: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets under *local_controls* whose in-block *bits* have even
+        and odd parity (the two sides of a parity phase)."""
+
+        key = (local_controls, bits)
+        if key not in self._parity_masks:
+            odd = ops.local_parity_mask(self.scratch.block_amplitudes, bits)
+            even = ~odd
+            controls = self._mask_for(local_controls)
+            if controls is not None:
+                even &= controls
+                odd &= controls
+            self._parity_masks[key] = (even, odd)
+        return self._parity_masks[key]
+
     def run(
         self,
         op: BlockOp,
@@ -232,10 +261,13 @@ class BlockKernel:
         (``rank * blocks_per_rank + block``; only the bits in
         ``op.index_mask`` are read): a step applies when all its
         ``block_controls`` bits are set in *index* — as a 2x2 on an in-block
-        target, or, for a diagonal on a target above the block, as the phase
-        ``m[b, b]`` of the target's bit ``b`` of *index* unless that is
-        exactly 1.  The cache key carries the bits read, since byte-identical
-        blocks on opposite sides of such a bit have different outputs.
+        target; for a diagonal whose parity bits all lie above the block, as
+        the phase ``m[b, b]`` of their parity ``b`` in *index* unless that is
+        exactly 1; and for a parity with in-block bits, as ``m[b, b]`` on the
+        offsets where those bits have even parity and the other entry where
+        they have odd.  The cache key carries the bits read, since
+        byte-identical blocks on opposite sides of such a bit have different
+        outputs.
 
         Two blobs are a block pair (*blob1* holds the target-bit-0
         amplitudes) and both are rewritten — unless *row* is given: then this
@@ -281,19 +313,31 @@ class BlockKernel:
             decoded = perf_counter()
             if not pair:
                 offset_bits = self._offset_bits
-                for matrix, target, controls, required in zip(
-                    op.matrices, op.targets, op.local_controls, op.block_controls
+                for matrix, target, parity, controls, required in zip(
+                    op.matrices,
+                    op.targets,
+                    op.parities,
+                    op.local_controls,
+                    op.block_controls,
                 ):
                     if index & required != required:
                         continue
-                    if target < offset_bits:
+                    local = parity & (1 << offset_bits) - 1
+                    if local and parity == 1 << target:  # an in-block target
                         ops.apply_controlled_single_qubit(
                             buffer1, matrix, target, controls
                         )
+                        continue
+                    if local:  # a parity with in-block bits: two sides
+                        even, odd = self._parity_masks_for(controls, local)
+                        # Reversing both axes swaps a diagonal's two entries.
+                        sides = ((even, matrix), (odd, matrix[::-1, ::-1]))
                     else:
-                        phase = ops.block_phase(matrix, target - offset_bits, index)
+                        sides = ((self._mask_for(controls), matrix),)
+                    for mask, entries in sides:
+                        phase = ops.block_phase(entries, parity >> offset_bits, index)
                         if phase is not None:
-                            ops.apply_phase(buffer1, phase, self._mask_for(controls))
+                            ops.apply_phase(buffer1, phase, mask)
             else:
                 low, high = (buffer2, buffer1) if row == 1 else (buffer1, buffer2)
                 last = len(op.matrices) - 1

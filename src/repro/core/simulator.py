@@ -4,9 +4,9 @@
 state vector stays compressed.  Per gate (Figure 2):
 
 0. (optional) The grouping pass (:func:`repro.circuits.fusion.form_runs`)
-   turns consecutive gates that can share one staging into runs, so each run
-   pays one block round trip instead of one per gate
-   (``SimulatorConfig.fusion_enabled``).
+   turns each ``cx · d · cx`` sandwich into one diagonal step and consecutive
+   steps that can share one staging into runs, so each run pays one block
+   round trip instead of one per gate (``SimulatorConfig.fusion_enabled``).
 1. The gate plan (:func:`repro.distributed.exchange.plan_gate`) lists which
    (rank, block) buffers must be staged, and which of them together: only a
    gate that mixes amplitude pairs across blocks (a non-diagonal 2x2 on a
@@ -46,7 +46,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
-from ..circuits.fusion import Run, constituents, form_runs, run_of
+from ..circuits.fusion import Run, Step, constituents, form_runs, parity_of, run_of
 from ..compression.interface import Compressor, get_compressor
 from ..distributed.comm import SimulatedCommunicator
 from ..distributed.exchange import plan_gate
@@ -151,7 +151,7 @@ class CompressedSimulator:
         # applied since the last resilience checkpoint, the path of that
         # checkpoint, and a lazily created temp directory for it when the
         # policy does not pin one.
-        self._replay_log: list[Gate | Run] = []
+        self._replay_log: list[Step | Run] = []
         self._resilience_ckpt: Path | None = None
         self._ckpt_tempdir: str | None = None
         # Lazily computed config every fork of this simulator shares; see
@@ -425,14 +425,15 @@ class CompressedSimulator:
 
     def prepare_gates(
         self, circuit: QuantumCircuit | Iterable[Gate]
-    ) -> list[Gate | Run]:
+    ) -> list[Step | Run]:
         """The exact schedule :meth:`apply_circuit` would execute.
 
         Runs the configured grouping pass (recording its statistics in the
-        report) and returns the resulting elements as a list: plain gates,
-        and a :class:`~repro.circuits.fusion.Run` for every stretch of two or
-        more consecutive gates that can share one staging under this
-        simulator's partition.  Stepping the returned list through
+        report) and returns the resulting elements as a list: plain gates, a
+        :class:`~repro.circuits.fusion.ParityPhase` for every ``cx · d · cx``
+        sandwich, and a :class:`~repro.circuits.fusion.Run` for every stretch
+        of two or more consecutive steps that can share one staging under
+        this simulator's partition.  Stepping the returned list through
         :meth:`apply_gate` one element at a time is bit-identical to a single
         :meth:`apply_circuit` call — this is the entry point for drivers that
         need control between elements (progress events, cancellation checks,
@@ -446,8 +447,9 @@ class CompressedSimulator:
             self._report.fusion_gates_out += len(gates)
         return gates
 
-    def apply_gate(self, gate: Gate | Run) -> None:
-        """Apply a single gate — or one run — to the compressed state.
+    def apply_gate(self, gate: Step | Run) -> None:
+        """Apply a single gate — or one parity phase or run — to the
+        compressed state.
 
         On the ranked tier with an active :class:`~repro.resilience.FaultPolicy`
         (``max_retries > 0`` or a checkpoint interval), a rank-worker death or
@@ -467,12 +469,12 @@ class CompressedSimulator:
         else:
             self._apply_gate_once(gate)
 
-    def _apply_gate_once(self, gate: Gate | Run) -> None:
+    def _apply_gate_once(self, gate: Step | Run) -> None:
         """One attempt at a schedule element.
 
         While a memory budget is set and the controller is still lossless,
-        any single gate can add a large share of the budget, so the footprint
-        has to be checked after each one: a run then goes gate by gate until
+        any single step can add a large share of the budget, so the footprint
+        has to be checked after each one: a run then goes step by step until
         the first escalation and finishes as one round trip from there (the
         rest is planned afresh: what is left of a pair run may be only its
         diagonals, a one-block run).
@@ -486,7 +488,7 @@ class CompressedSimulator:
             gate = run_of(steps)
         self._run_element(gate)
 
-    def _run_element(self, gate: Gate | Run) -> None:
+    def _run_element(self, gate: Step | Run) -> None:
         """Plan, execute, then commit the per-gate bookkeeping (counters,
         fidelity, escalation) — once per element, however many steps it has.
         The bookkeeping only runs after ``run_plan`` returns, so a failed
@@ -499,6 +501,7 @@ class CompressedSimulator:
         op = BlockOp(
             np.stack([step.matrix for step in steps]),
             tuple(step.target for step in steps),
+            tuple(parity_of(step) for step in steps),
             plan.local_controls,
             plan.block_controls,
             plan.index_mask,
@@ -529,7 +532,7 @@ class CompressedSimulator:
             or self._policy.checkpoint_interval_waves > 0
         )
 
-    def _apply_gate_resilient(self, gate: Gate | Run) -> None:
+    def _apply_gate_resilient(self, gate: Step | Run) -> None:
         """Apply one gate with the detect → contain → recover loop around it."""
 
         policy = self._policy

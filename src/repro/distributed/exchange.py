@@ -1,15 +1,17 @@
 """Gate-to-communication planning.
 
 Given a :class:`~repro.distributed.partition.Partition` and a schedule
-element (a gate, or a :class:`~repro.circuits.fusion.Run`), this module
-answers what the element needs staged:
+element (a gate, a :class:`~repro.circuits.fusion.ParityPhase`, or a
+:class:`~repro.circuits.fusion.Run`), this module answers what the element
+needs staged:
 
 * which (rank, block) buffers it touches at all — block- and rank-level
-  controls prune whole blocks and ranks, and a diagonal 2x2 skips the blocks
-  it multiplies by exactly 1;
+  controls prune whole blocks and ranks, and a diagonal step skips the
+  blocks it multiplies by exactly 1;
 * which of them have to be co-resident in scratch memory as a pair — only
-  those a step actually *mixes*: a diagonal gate never mixes an amplitude
-  pair, so wherever its target lies it plans one block at a time; and
+  those a step actually *mixes*: a diagonal gate or parity phase never mixes
+  an amplitude pair, so wherever its qubits lie it plans one block at a
+  time; and
 * which of those pairs require an inter-rank exchange.
 
 Keeping the planning separate from the execution makes the index arithmetic
@@ -21,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuits import Gate
-from ..circuits.fusion import Run, constituents
+from ..circuits.fusion import Run, Step, constituents, parity_of
 from ..statevector.ops import block_phase
 from .partition import Partition, QubitSegment
 
@@ -67,7 +68,8 @@ class GatePlan:
     #: by it; a one-block plan's kernel tests it per block and step.
     block_controls: tuple[int, ...]
     #: The block-index bits a one-block task's outcome depends on (every
-    #: step's ``block_controls`` and non-local target bit); 0 for pair plans.
+    #: step's ``block_controls`` and the block-index bits of its target or
+    #: parity, :func:`~repro.circuits.fusion.parity_of`); 0 for pair plans.
     index_mask: int
     #: Number of inter-rank block exchanges the plan implies.
     exchange_count: int
@@ -115,31 +117,35 @@ def _split_controls(
     return tuple(c for c in controls if c < offset_bits), mask
 
 
-def _acts_on(step: Gate, required: int, index: int, offset_bits: int) -> bool:
+def _acts_on(step: Step, required: int, index: int, offset_bits: int) -> bool:
     """Whether one-block *step* changes the block with global index *index*
     (the test :meth:`repro.core.kernel.BlockKernel.run` applies per step)."""
 
     if index & required != required:
         return False
-    target_bit = step.target - offset_bits
-    return target_bit < 0 or block_phase(step.matrix, target_bit, index) is not None
+    parity = parity_of(step)
+    if parity & ((1 << offset_bits) - 1):
+        return True  # an in-block target or parity bit: amplitudes differ
+    return block_phase(step.matrix, parity >> offset_bits, index) is not None
 
 
-def plan_gate(partition: Partition, gate: Gate | Run) -> GatePlan:
+def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
     """Build the :class:`GatePlan` for *gate* under *partition*.
 
     Control qubits in the block / rank segments prune whole blocks / ranks
     (Section 3.3's three control cases); local controls are left in the plan
     for the executor to apply as element masks.
 
-    An element whose every step is one-block — an in-block target, or a
-    diagonal 2x2 — plans as ``second=None`` tasks with no exchange (and
-    reports ``QubitSegment.LOCAL``), on exactly the blocks where at least one
-    step does something: all of the step's non-local control bits set in the
-    block's global index ``i`` and, for a diagonal on a non-local target,
-    ``m[b, b] != 1`` where ``b`` is the target's bit of ``i``.  Anything else
-    is a pair element: every step must share one non-local target and one set
-    of non-local controls, and it plans as that target's block pairs.
+    An element whose every step is one-block — an in-block target, a
+    diagonal 2x2, or a parity phase — plans as ``second=None`` tasks with no
+    exchange (and reports ``QubitSegment.LOCAL``), on exactly the blocks
+    where at least one step does something: all of the step's non-local
+    control bits set in the block's global index ``i`` and, for a diagonal
+    whose target (or parity) lies wholly above the block, ``m[b, b] != 1``
+    where ``b`` is the parity of those bits of ``i``.  Anything else is a
+    pair element: every step must be a gate, and all must share one
+    non-local target and one set of non-local controls; it plans as that
+    target's block pairs.
     """
 
     if gate.max_qubit() >= partition.num_qubits:
@@ -157,9 +163,7 @@ def plan_gate(partition: Partition, gate: Gate | Run) -> GatePlan:
     if all(step.target < offset or step.is_diagonal for step in steps):
         index_mask = 0
         for step, required in zip(steps, block_controls):
-            index_mask |= required
-            if step.target >= offset:
-                index_mask |= 1 << (step.target - offset)
+            index_mask |= required | parity_of(step) >> offset
         tasks = [
             BlockTask(divmod(index, per_rank), None, crosses_ranks=False)
             for index in range(partition.total_blocks)
@@ -179,13 +183,14 @@ def plan_gate(partition: Partition, gate: Gate | Run) -> GatePlan:
 
     target, required = steps[0].target, block_controls[0]
     if target < offset or any(
-        step.target != target or mask != required
+        parity_of(step) != 1 << target or mask != required
         for step, mask in zip(steps, block_controls)
     ):
         raise ValueError(
-            f"{gate.name} is not a run under this partition: every gate must "
-            "be one-block (an in-block target, or a diagonal 2x2), or all "
-            "must share one non-local target and one set of non-local controls"
+            f"{gate.name} is not a run under this partition: every step must "
+            "be one-block (an in-block target, a diagonal 2x2 or a parity "
+            "phase), or all must be gates sharing one non-local target and "
+            "one set of non-local controls"
         )
     target_bit = 1 << (target - offset)
     tasks = []

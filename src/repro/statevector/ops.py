@@ -29,6 +29,7 @@ __all__ = [
     "apply_single_qubit_pairwise_half",
     "apply_phase",
     "block_phase",
+    "local_parity_mask",
     "apply_controlled_single_qubit",
     "local_control_mask",
     "control_mask_indices",
@@ -173,7 +174,9 @@ def apply_phase(
     This is a diagonal gate on a target above the block boundary, seen from
     one block: every amplitude of the block has the same target bit ``b``, so
     the update is ``m[b, b] * x`` under the local-control mask — no partner
-    block is read.  It computes ``phase * x + 0.0`` so that it equals the
+    block is read.  A parity phase ``d`` on ``x_c ⊕ x_t`` is the same update
+    on the amplitudes of one parity (the mask, :func:`local_parity_mask`,
+    combined with the controls').  It computes ``phase * x + 0.0`` so that it equals the
     pairwise update's ``0 * partner + phase * x``:
 
     * scalar first, the operand order :func:`apply_single_qubit` uses
@@ -190,20 +193,38 @@ def apply_phase(
         vector[mask] = phase * vector[mask] + 0.0
 
 
-def block_phase(matrix: np.ndarray, target_bit: int, index: int) -> complex | None:
+def block_phase(matrix: np.ndarray, bits: int, index: int) -> complex | None:
     """The phase a diagonal *matrix* multiplies one whole block by, or
     ``None`` when it is exactly 1 and the block is left alone.
 
-    *target_bit* is the position of the gate's target in the global block
-    index *index* (the target lies above the block boundary, so every
-    amplitude of the block has the same target bit ``b``): the phase is
-    ``matrix[b, b]``.  Planner and kernel both ask here, so a block is staged
-    exactly when it is changed.
+    *bits* is a mask over the global block index *index*: the qubits above
+    the block boundary whose parity selects the diagonal entry, so every
+    amplitude of the block sees the same parity ``b`` of ``index & bits``
+    and the phase is ``matrix[b, b]``.  A diagonal gate on a non-local
+    target is the one-bit case; a parity phase ``d`` on ``x_c ⊕ x_t`` is
+    two bits (``0`` when both lie inside the block: ``b = 0``).  Planner and
+    kernel both ask here, so a block is staged exactly when it is changed.
     """
 
-    side = index >> target_bit & 1
+    side = (index & bits).bit_count() & 1
     phase = matrix[side, side]
     return None if phase == 1 else phase
+
+
+def local_parity_mask(size: int, bits: int) -> np.ndarray:
+    """Boolean mask over *size* block offsets whose *bits* have odd parity.
+
+    The in-block half of a parity phase: with the block-index parity ``b``
+    (:func:`block_phase`), offsets outside the mask take ``m[b, b]`` and
+    offsets inside it take the other diagonal entry.
+    """
+
+    offsets = np.arange(size, dtype=np.int64)
+    odd = np.zeros(size, dtype=bool)
+    for bit in range(bits.bit_length()):
+        if bits >> bit & 1:
+            odd ^= (offsets >> bit & 1).astype(bool)
+    return odd
 
 
 def local_control_mask(

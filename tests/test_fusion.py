@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.applications import qaoa_maxcut_circuit, random_regular_graph
 from repro.circuits import (
+    ParityPhase,
     QuantumCircuit,
     Run,
     form_runs,
@@ -27,7 +28,7 @@ from repro.circuits import (
     standard_gate,
 )
 from repro.circuits.fusion import constituents
-from repro.circuits.gates import GateError
+from repro.circuits.gates import X, GateError
 from repro.compression.interface import get_compressor
 from repro.core import BlockCache, CompressedSimulator
 from repro.distributed import Partition, QubitSegment, plan_gate
@@ -57,7 +58,7 @@ def fusion_heavy_circuits(draw) -> QuantumCircuit:
     circuit = QuantumCircuit(NUM_QUBITS)
     num_moves = draw(st.integers(min_value=1, max_value=12))
     for _ in range(num_moves):
-        kind = draw(st.integers(min_value=0, max_value=3))
+        kind = draw(st.integers(min_value=0, max_value=4))
         qubits = draw(st.permutations(range(NUM_QUBITS)).map(lambda p: p[:3]))
         if kind == 0:
             # A stretch of gates on one target: a run wherever the target lies.
@@ -68,8 +69,16 @@ def fusion_heavy_circuits(draw) -> QuantumCircuit:
             circuit.rz(theta, qubits[0])
         elif kind == 2:
             circuit.cx(qubits[0], qubits[1])
-        else:
+        elif kind == 3:
             circuit.ccx(qubits[0], qubits[1], qubits[2])
+        else:
+            # cx . d . cx: one parity-phase step, d under at most one control.
+            name = draw(st.sampled_from(("rz", "p", "z", "t")))
+            params = (0.4,) if name in ("rz", "p") else ()
+            controls = qubits[2:] if draw(st.booleans()) else ()
+            circuit.cx(qubits[0], qubits[1])
+            circuit.add(name, qubits[1], controls=controls, params=params)
+            circuit.cx(qubits[0], qubits[1])
     return circuit
 
 
@@ -86,9 +95,9 @@ PARTITION_SHAPES = [(1, 64), (1, 16), (2, 16), (4, 8), (8, 4)]
 
 
 def _keys(gate, local_qubits: int) -> tuple:
-    """The run keys a gate can take, preferred first (the rule, restated)."""
+    """The run keys a step can take, preferred first (the rule, restated)."""
 
-    if gate.target < local_qubits:
+    if isinstance(gate, ParityPhase) or gate.target < local_qubits:
         return (ONE_BLOCK,)
     pair = (gate.target, frozenset(c for c in gate.controls if c >= local_qubits))
     diagonal = gate.matrix[0, 1] == 0 == gate.matrix[1, 0]
@@ -101,6 +110,35 @@ def _run_key(steps, local_qubits: int):
     return _keys(steps[0], local_qubits)[0]
 
 
+def _sandwich_at(gates, index: int) -> bool:
+    """Whether ``gates[index:index + 3]`` is ``cx(c, t) . d(t) . cx(c, t)``
+    with ``d`` diagonal and ``c`` not among its controls (restated)."""
+
+    window = gates[index : index + 3]
+    if len(window) < 3:
+        return False
+    cx, d, again = window
+    return (
+        np.array_equal(cx.matrix, X)
+        and len(cx.controls) == 1
+        and again.key() == cx.key()
+        and d.target == cx.target
+        and d.matrix[0, 1] == 0 == d.matrix[1, 0]
+        and cx.controls[0] not in d.controls
+    )
+
+
+def _gates_of(elements) -> list:
+    """The source gates a schedule applies, a parity phase as its three."""
+
+    return [
+        gate
+        for element in elements
+        for step in constituents(element)
+        for gate in (step.gates if isinstance(step, ParityPhase) else (step,))
+    ]
+
+
 class TestRunFormation:
     @given(
         circuit=fusion_heavy_circuits(),
@@ -111,9 +149,14 @@ class TestRunFormation:
         gates = circuit.gates
         elements = form_runs(gates, local_qubits)
         # Never reordered, never dropped: the same gate objects, in order.
-        flat = [gate for element in elements for gate in constituents(element)]
+        flat = _gates_of(elements)
         assert len(flat) == len(gates)
         assert all(a is b for a, b in zip(flat, gates))
+        # Every sandwich, matched left to right, is one parity-phase step.
+        position = 0
+        for step in (s for element in elements for s in constituents(element)):
+            assert isinstance(step, ParityPhase) == _sandwich_at(gates, position)
+            position += 3 if isinstance(step, ParityPhase) else 1
         for element in elements:
             steps = constituents(element)
             assert isinstance(element, Run) == (len(steps) >= 2)
@@ -180,21 +223,82 @@ class TestRunFormation:
         assert run.gates == (h0, x1, under5, cz, t5, h0)
 
     def test_pair_run_takes_diagonals_and_other_local_controls(self):
-        # cx . rz . cx on non-local target 4: under a local control the
-        # sandwich is one pair round trip ...
+        # cx . rz . h on non-local target 4: under a local control the
+        # stretch is one pair round trip ...
         rz = standard_gate("rz", 4, params=(0.3,))
         cx = standard_gate("x", 4, controls=(1,))
-        (run,) = form_runs([cx, rz, cx, standard_gate("h", 4, controls=(0, 2))], 3)
-        assert len(run.gates) == 4
+        h = standard_gate("h", 4, controls=(0, 2))
+        (run,) = form_runs([cx, rz, h, cx], 3)
+        assert run.gates == (cx, rz, h, cx)
         # ... under a non-local control the plain rz cannot take the pair
         # key (its control set differs) and goes one-block between them;
         # the same rz under that control joins.
         outer = standard_gate("x", 4, controls=(5,))
-        assert len(form_runs([outer, rz, outer], 3)) == 3
+        outer_h = standard_gate("h", 4, controls=(5,))
+        assert len(form_runs([outer, rz, outer_h], 3)) == 3
         crz = standard_gate("rz", 4, controls=(5,), params=(0.3,))
         assert len(form_runs([outer, crz, outer], 3)) == 1
         # A diagonal never opens a pair run: it prefers one-block.
         assert [len(constituents(e)) for e in form_runs([rz, cx, rz], 3)] == [1, 2]
+
+    @pytest.mark.parametrize("control", [1, 5])  # in-block / non-local c
+    def test_sandwich_is_one_one_block_step(self, control):
+        # cx . rz . cx on non-local target 4 is rz on x_c xor x_4: one
+        # diagonal step, one block at a time, whatever c's locality.
+        rz = standard_gate("rz", 4, params=(0.3,))
+        cx = standard_gate("x", 4, controls=(control,))
+        (step,) = form_runs([cx, rz, cx], 3)
+        assert isinstance(step, ParityPhase) and step.gates == (cx, rz, cx)
+        assert step.parity == 1 << control | 1 << 4
+        assert step.matrix is rz.matrix and step.target == 4
+        assert step.controls == () and step.is_diagonal
+        plan = plan_gate(Partition(6, 4, 8), step)
+        assert plan.segment is QubitSegment.LOCAL and plan.exchange_count == 0
+        assert all(task.second is None for task in plan.tasks)
+        # Block index bits are qubits 3-5: t's bit, and c's when non-local.
+        assert plan.index_mask == (0b010 if control == 1 else 0b110)
+        # The steps around it join it in one one-block run, never a pair run.
+        h0, h4 = standard_gate("h", 0), standard_gate("h", 4)
+        (run,) = form_runs([h0, cx, rz, cx, h0], 3)
+        assert run.gates[0] is h0 is run.gates[2]
+        assert run.gates[1].gates == step.gates
+        assert [len(constituents(e)) for e in form_runs([h4, cx, rz, cx], 3)] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            # ccx . rz . ccx: two controls.
+            [
+                standard_gate("x", 4, controls=(1, 5)),
+                standard_gate("rz", 4, params=(0.3,)),
+                standard_gate("x", 4, controls=(1, 5)),
+            ],
+            # d controlled by c.
+            [
+                standard_gate("x", 4, controls=(5,)),
+                standard_gate("rz", 4, controls=(5,), params=(0.3,)),
+                standard_gate("x", 4, controls=(5,)),
+            ],
+            # Two different CXs.
+            [
+                standard_gate("x", 4, controls=(5,)),
+                standard_gate("rz", 4, params=(0.3,)),
+                standard_gate("x", 4, controls=(1,)),
+            ],
+            # A non-diagonal middle gate.
+            [
+                standard_gate("x", 4, controls=(5,)),
+                standard_gate("ry", 4, params=(0.3,)),
+                standard_gate("x", 4, controls=(5,)),
+            ],
+        ],
+        ids=["ccx-rz-ccx", "d-controlled-by-c", "different-cx", "mixing-middle"],
+    )
+    def test_what_is_not_a_sandwich_stays_three_steps(self, gates):
+        for local_qubits in (0, 3, 6):
+            elements = form_runs(gates, local_qubits)
+            steps = [step for e in elements for step in constituents(e)]
+            assert steps == gates
 
     def test_pair_run_ignores_control_order(self):
         first = standard_gate("x", 4, controls=(1, 5))
@@ -216,6 +320,15 @@ class TestRunFormation:
         assert run.key() not in (h.key(), t.key())
         assert Run((t, h)).key() != run.key()
         assert run.name == "run(h+t)" and run.max_qubit() == 0
+        # A parity phase keys on all three gates, apart from their run.
+        cx = standard_gate("x", 2, controls=(5,))
+        rz = standard_gate("rz", 2, params=(0.3,))
+        step = ParityPhase((cx, rz, cx))
+        assert step.key() == ("parity", cx.key(), rz.key(), cx.key())
+        assert step.key() not in (Run((cx, rz, cx)).key(), cx.key(), rz.key())
+        assert step.name == "parity(x+rz+x)" and step.max_qubit() == 5
+        with pytest.raises(GateError):
+            ParityPhase((cx, standard_gate("h", 2), cx))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +379,17 @@ class TestFusedPlanning:
             (standard_gate("h", 5), standard_gate("t", 0)),  # in-block, in a pair run
             (standard_gate("h", 5), standard_gate("h", 5, controls=(2,))),
             (standard_gate("h", 5), standard_gate("h", 4)),  # another rank target
+            # A parity phase on the pair's target never rides a pair.
+            (
+                standard_gate("h", 5),
+                ParityPhase(
+                    (
+                        standard_gate("x", 5, controls=(2,)),
+                        standard_gate("rz", 5, params=(0.3,)),
+                        standard_gate("x", 5, controls=(2,)),
+                    )
+                ),
+            ),
         ],
     )
     def test_plan_rejects_what_is_not_a_run_under_the_partition(self, first, second):
@@ -402,6 +526,80 @@ class TestDifferentialLossless:
             assert np.array_equal(state, states[False, 1])
 
 
+#: 7 qubits, 4 ranks, 8-amplitude blocks: where a qubit lies.
+SANDWICH_SEGMENTS = {"in-block": (0, 1, 2), "block": (3, 4), "rank": (5, 6)}
+
+
+def _sandwiches(circuit: QuantumCircuit, control: int) -> int:
+    """Append ``cx(control, t) . d(t) . cx(control, t)`` for a target in
+    every segment, each with ``d`` uncontrolled, under an in-block control
+    and under a non-local one; returns how many were appended."""
+
+    count = 0
+    for segment in SANDWICH_SEGMENTS.values():
+        target = next(q for q in segment if q != control)
+        spare = [q for q in range(7) if q not in (control, target)]
+        local = next(q for q in spare if q < 3)
+        outer = next(q for q in spare if q >= 3)
+        for name, controls in (("rz", ()), ("p", (local,)), ("rz", (outer,))):
+            circuit.cx(control, target)
+            circuit.add(name, target, controls=controls, params=(0.3 + 0.1 * count,))
+            circuit.cx(control, target)
+            count += 1
+    return count
+
+
+class TestSandwichesOnEveryTier:
+    """A parity-phase step is bit-identical to its three gates, wherever its
+    two qubits lie and whatever extra control ``d`` carries."""
+
+    def _check(self, tier, circuit: QuantumCircuit, sandwiches: int):
+        """Run *circuit* fused and gate by gate; returns the fused report."""
+
+        dense = simulate_statevector(circuit)
+        for fusion in (False, True):
+            config = tier(num_ranks=4, block_amplitudes=8, fusion_enabled=fusion)
+            with CompressedSimulator(7, config) as simulator:
+                steps = [
+                    step
+                    for element in simulator.prepare_gates(circuit)
+                    for step in constituents(element)
+                ]
+                parity_steps = sum(isinstance(step, ParityPhase) for step in steps)
+                assert parity_steps == (sandwiches if fusion else 0)
+                report = simulator.apply_circuit(circuit)
+                assert np.array_equal(simulator.statevector(), dense)
+        return report
+
+    @pytest.mark.parametrize("segment", list(SANDWICH_SEGMENTS))
+    def test_sandwich_at_every_locality_matches_dense_and_gate_by_gate(
+        self, tier, segment
+    ):
+        circuit = QuantumCircuit(7)
+        for qubit in range(7):
+            circuit.ry(0.2 + 0.3 * qubit, qubit)
+        count = _sandwiches(circuit, SANDWICH_SEGMENTS[segment][0])
+        for qubit in range(7):
+            circuit.h(qubit)
+        count += _sandwiches(circuit, SANDWICH_SEGMENTS[segment][-1])
+        self._check(tier, circuit, count)
+
+    def test_control_on_a_block_bit_keeps_identical_blocks_apart(self, tier):
+        # After h on every qubit all 16 blocks are byte-identical; c = 3 is a
+        # block-index bit, so blocks on its two sides must come out
+        # different — grouping and the cache key read that bit.
+        circuit = QuantumCircuit(7)
+        for qubit in range(7):
+            circuit.h(qubit)
+        for target in (0, 4, 6):
+            circuit.cx(3, target).rz(0.7, target).cx(3, target)
+        report = self._check(tier, circuit, 3)
+        # One run of the in-block h's, one per non-local h, one run of the
+        # three sandwiches.
+        assert report.gates_executed == 1 + 4 + 1
+        assert report.duplicate_tasks > 0
+
+
 class TestRunsLossless:
     def test_runs_share_round_trips(self, simulator_config):
         circuit = qft_circuit(NUM_QUBITS)
@@ -447,8 +645,7 @@ class TestRunsUnderBudget:
     """Lossless under a budget, a run is checked gate by gate."""
 
     def test_first_escalation_matches_gate_by_gate(self, simulator_config):
-        # The mixer layer of a depth-1 QAOA is one 12-gate run that takes the
-        # footprint from 2368 to 3024 bytes; the budget falls at its fifth gate.
+        # A depth-1 QAOA under a budget that falls inside one of its runs.
         graph = random_regular_graph(8, 3, seed=1)
         circuit = qaoa_maxcut_circuit(graph, [0.6], [0.4])
         config = simulator_config(
@@ -470,11 +667,15 @@ class TestRunsUnderBudget:
             # one: same event, same gate count, same footprint/ratio extremes.
             assert batched.controller.events[0] == stepped.controller.events[0]
             assert at_first["batched"] == at_first["stepped"] != []
-            # The budget bit inside the mixer run, not at an element boundary ...
+            # The budget bit inside a run, not at an element boundary ...
             index = batched.controller.events[0].gate_index
-            mixer = next(e for e in elements if isinstance(e, Run) and len(e.gates) == 12)
-            before = sum(len(constituents(e)) for e in elements[: elements.index(mixer)])
-            assert before < index < before + 12
+            before = 0
+            for run in elements:
+                if before + len(constituents(run)) >= index:
+                    break
+                before += len(constituents(run))
+            assert isinstance(run, Run)
+            assert before < index < before + len(run.gates)
             # ... and from there on runs are single round trips again.
             assert batched.gate_count < stepped.gate_count
             dense = simulate_statevector(circuit)

@@ -16,6 +16,9 @@ Pinned here:
   whose block/rank-level controls are set in its block's index, a diagonal on
   a non-local target as one scalar phase; every block of a dense reference
   comes out equal, and the cache key carries exactly the index bits read.
+  A parity phase (``cx · d · cx`` as one step) under a local control is
+  equal to its three gates on a dense vector in every block, wherever its
+  two qubits lie.
 * **Grouping** — :func:`group_tasks` groups by exactly the kernel's inputs
   (blob bytes, codec names, the one-block index bits read) in first-seen
   order, and one ``copies=n`` call counts n tasks, n - 1 duplicates, one
@@ -36,7 +39,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.circuits import Gate, QuantumCircuit, standard_gate
+from repro.circuits import Gate, ParityPhase, QuantumCircuit, standard_gate
+from repro.circuits.fusion import parity_of
 from repro.compression import CompressorError, get_compressor
 from repro.core import (
     BlockCache,
@@ -127,6 +131,7 @@ def _setup(cache):
     op = BlockOp(
         MATRIX[None],
         (2,),
+        (1 << 2,),
         (CONTROLS,),
         (0,),
         0,
@@ -247,8 +252,16 @@ STEPS = (
 def _step_op(steps, codec, describe="lossless"):
     matrices, targets, controls = zip(*steps)
     key = tuple(("u", (t,), c, m.tobytes()) for m, t, c in steps) + (describe,)
+    parities = tuple(1 << target for target in targets)
     return BlockOp(
-        np.stack(matrices), targets, controls, (0,) * len(steps), 0, codec, key
+        np.stack(matrices),
+        targets,
+        parities,
+        controls,
+        (0,) * len(steps),
+        0,
+        codec,
+        key,
     )
 
 
@@ -350,6 +363,7 @@ def test_one_block_steps_follow_the_block_index(rng):
     op = BlockOp(
         np.stack([gate.matrix for gate in gates]),
         (2, 5, 6),
+        (1 << 2, 1 << 5, 1 << 6),
         ((), (), (1,)),
         (0b001, 0, 0b001),
         0b111,
@@ -381,6 +395,63 @@ def test_one_block_steps_follow_the_block_index(rng):
     assert (stats.cache_hits, stats.cache_misses) == (0, 10)
     assert kernel.run(op, stats, blob, codec.name, index=0b11010) == (high, None)
     assert (stats.cache_hits, stats.cache_misses) == (1, 10)
+
+
+def _sandwich(control: int, diagonal: Gate) -> ParityPhase:
+    cx = standard_gate("x", diagonal.target, controls=(control,))
+    return ParityPhase((cx, diagonal, cx))
+
+
+def test_parity_steps_under_a_local_control_mask(rng):
+    # 7 qubits in 16-amplitude blocks: qubits 4-6 are bits 0-2 of the block
+    # index.  Three parity phases, each under local control 3: both qubits
+    # in the block (two masked phases), one in and one above (a phase on one
+    # in-block qubit, flipped by block bit 1), both above (one scalar).
+    steps = [
+        _sandwich(0, standard_gate("p", 2, controls=(3,), params=(0.9,))),
+        _sandwich(5, standard_gate("rz", 1, controls=(3,), params=(0.7,))),
+        _sandwich(4, standard_gate("rz", 6, controls=(3,), params=(-0.4,))),
+    ]
+    dense = rng.normal(size=128) + 1j * rng.normal(size=128)
+    expected = dense.copy()
+    for step in steps:
+        for gate in step.gates:
+            ops.apply_gate_to_vector(expected, gate)
+
+    codec = CountingCodec(get_compressor("lossless"))
+    kernel = BlockKernel(
+        {codec.name: codec}, ScratchPool(BLOCK, buffers=2), CACHES["enabled"]()
+    )
+    op = BlockOp(
+        np.stack([step.matrix for step in steps]),
+        tuple(step.target for step in steps),
+        tuple(parity_of(step) for step in steps),
+        ((3,),) * 3,
+        (0,) * 3,
+        0b111,
+        codec,
+        tuple(step.key() for step in steps) + ("lossless",),
+    )
+    assert op.parities == (0b101, 0b100010, 0b1010000)
+    stats = TaskStats()
+    for index in range(8):
+        block = dense[index * BLOCK : (index + 1) * BLOCK]
+        out, _ = kernel.run(
+            op, stats, codec.compress(block.view(np.float64)), codec.name, index=index
+        )
+        assert np.array_equal(
+            codec.decompress(out).view(np.complex128),
+            expected[index * BLOCK : (index + 1) * BLOCK],
+        )
+    assert (stats.cache_hits, stats.cache_misses) == (0, 8)
+
+    # One blob on both sides of qubit 5's bit: the in-block qubit's two
+    # phases swap, so two lines and two outputs.
+    blob = codec.compress(dense[:BLOCK].view(np.float64))
+    low, _ = kernel.run(op, stats, blob, codec.name, index=0b000)
+    high, _ = kernel.run(op, stats, blob, codec.name, index=0b010)
+    assert low != high
+    assert (stats.cache_hits, stats.cache_misses) == (0, 10)
 
 
 def test_task_stats_pickle_flat_and_fold():
