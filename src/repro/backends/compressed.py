@@ -21,7 +21,7 @@ from ..core.config import SimulatorConfig
 from ..core.simulator import CompressedSimulator
 from ..distributed.comm import SimulatedCommunicator
 from .base import Backend, register_backend
-from .observables import PauliObservable
+from .observables import DiagonalSums, PauliObservable
 from .result import Result
 
 __all__ = ["CompressedBackend"]
@@ -118,11 +118,28 @@ def _package_result(
     field-identical results for the same executed state: same rng
     consumption order (counts first, then rng-free observables and
     statevector), same report and metadata shape.
+
+    One :meth:`~repro.core.CompressedSimulator.block_reduction` covers the
+    sampler's block masses and every observable's diagonal terms, so each
+    block is decompressed once here (on the ranked tier, in its rank
+    worker), then again only if sampling hits it; X/Y terms still reduce
+    their own basis-changed forks.
     """
 
     report = simulator.report()
-    counts = simulator.sample_counts(shots, rng) if shots else None
-    expectations = Backend._evaluate_observables(observables, simulator)
+    zmasks = tuple(
+        sorted({zmask for obs in observables for zmask in obs.diagonal_zmasks})
+    )
+    if shots or zmasks:
+        masses, partials = simulator.block_reduction(zmasks)
+    counts = (
+        simulator.sample_counts(shots, rng, block_mass=masses) if shots else None
+    )
+    diagonal = DiagonalSums.of(masses, partials, zmasks) if zmasks else None
+    expectations = {
+        observable.label: observable._expectation_compressed(simulator, diagonal)
+        for observable in observables
+    } or None
     statevector = simulator.statevector() if return_statevector else None
     return Result(
         backend=backend_name,

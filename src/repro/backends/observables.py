@@ -9,9 +9,11 @@ the bit convention used everywhere else in this codebase (qubit ``i`` is bit
 ``expectation()`` accepts a dense vector, a :class:`DenseSimulator` or a
 :class:`CompressedSimulator` and never materialises the compressed state:
 
-* **Diagonal terms** (``I``/``Z`` only) are evaluated blockwise from the
-  per-block probabilities — ``Σ |a_j|² · (-1)^{popcount(j & zmask)}`` — one
-  decompressed block at a time.
+* **Diagonal terms** (``I``/``Z`` only) are evaluated blockwise —
+  ``Σ |a_j|² · (-1)^{popcount(j & zmask)}`` — by
+  :meth:`~repro.core.CompressedSimulator.block_reduction`: one decompress
+  and one in-block Walsh–Hadamard transform per block serve every term (on
+  the ranked tier, inside the rank workers).
 * **Off-diagonal terms** (containing ``X``/``Y``) are rotated into the Z
   basis first: the state is forked (compressed blobs are immutable, so a
   fork is just a new block table), the basis-change gates (``H`` for X,
@@ -25,7 +27,7 @@ representation instead of via ``statevector()``.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,25 +35,53 @@ from ..circuits.gates import standard_gate
 from ..core.simulator import CompressedSimulator
 from ..statevector import ops
 from ..statevector.dense import DenseSimulator
+from ..statevector.measurement import diagonal_partials
 
 __all__ = ["PauliObservable"]
 
 _VALID = frozenset("IXYZ")
 
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    """Bit parity (popcount mod 2) of each int64 element, vectorised."""
-
-    v = values.astype(np.int64, copy=True)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
+#: One rotation group: the ``((qubit, 'X'|'Y'), ...)`` basis-change signature
+#: (empty for the diagonal terms), then the coefficients and the Z masks of
+#: the terms sharing it.
+_Group = tuple[tuple[tuple[int, str], ...], tuple[float, ...], tuple[int, ...]]
 
 
-def _signs(indices: np.ndarray, zmask: int) -> np.ndarray:
-    """``(-1)^{popcount(index & zmask)}`` as float64 ±1 values."""
+class DiagonalSums(NamedTuple):
+    """A block reduction summed over the blocks: the state's mass and, per Z
+    mask, ``Σ_j |a_j|²·(-1)^{popcount(j & zmask)}``."""
 
-    return 1.0 - 2.0 * _parity(indices & zmask)
+    mass: float
+    sums: dict[int, float]
+
+    @classmethod
+    def of(
+        cls, masses: np.ndarray, partials: np.ndarray, zmasks: Sequence[int]
+    ) -> "DiagonalSums":
+        """Sum a :meth:`~repro.core.CompressedSimulator.block_reduction`'s
+        rows in their rank-major order — the same order on every tier, so
+        the sums are bit-identical across tiers."""
+
+        mass = float(masses.sum())
+        if mass <= 0.0:
+            raise ValueError("cannot take an expectation of a zero state")
+        return cls(mass, dict(zip(zmasks, partials.sum(axis=0).tolist())))
+
+    @classmethod
+    def reduce(
+        cls, simulator: CompressedSimulator, zmasks: Sequence[int]
+    ) -> "DiagonalSums":
+        """Reduce *simulator*'s blocks for *zmasks* and sum them."""
+
+        return cls.of(*simulator.block_reduction(zmasks), zmasks)
+
+    def value(self, coefficients: Sequence[float], zmasks: Sequence[int]) -> float:
+        """``Σ coeff · sum / mass`` over one group's terms."""
+
+        return sum(
+            coeff * self.sums[zmask] / self.mass
+            for coeff, zmask in zip(coefficients, zmasks)
+        )
 
 
 class PauliObservable:
@@ -72,8 +102,13 @@ class PauliObservable:
     def __init__(
         self, paulis: str, coefficient: float = 1.0, *, label: str | None = None
     ) -> None:
-        self._terms = self._validate_terms([(float(coefficient), paulis)])
+        self._set_terms(self._validate_terms([(float(coefficient), paulis)]))
         self._label = label
+
+    def _set_terms(self, terms: tuple[tuple[float, str], ...]) -> None:
+        # Terms are immutable, so their rotation groups are built once here.
+        self._terms = terms
+        self._groups = self._rotation_groups(terms)
 
     # -- construction ---------------------------------------------------------------
 
@@ -122,7 +157,7 @@ class PauliObservable:
         if isinstance(terms, Mapping):
             terms = [(coeff, paulis) for paulis, coeff in terms.items()]
         observable = cls.__new__(cls)
-        observable._terms = cls._validate_terms(terms)
+        observable._set_terms(cls._validate_terms(terms))
         observable._label = label
         return observable
 
@@ -188,6 +223,15 @@ class PauliObservable:
         return PauliObservable.from_terms(self._terms, label=label)
 
     @property
+    def diagonal_zmasks(self) -> tuple[int, ...]:
+        """Z masks of the terms that need no basis change (I/Z only)."""
+
+        for rotations, _coefficients, zmasks in self._groups:
+            if not rotations:
+                return zmasks
+        return ()
+
+    @property
     def is_diagonal(self) -> bool:
         """Whether every term is built from I/Z only (no basis change needed)."""
 
@@ -232,18 +276,17 @@ class PauliObservable:
 
     # -- evaluation helpers ----------------------------------------------------------
 
-    def _rotation_groups(
-        self,
-    ) -> dict[tuple[tuple[int, str], ...], list[tuple[float, int]]]:
+    @staticmethod
+    def _rotation_groups(terms: Sequence[tuple[float, str]]) -> tuple[_Group, ...]:
         """Group terms by basis-change signature.
 
-        Returns ``{((qubit, 'X'|'Y'), ...): [(coefficient, zmask), ...]}``
-        where *zmask* selects every non-identity position of the rotated
-        (now diagonal) term.  The empty signature holds the diagonal terms.
+        Each group is ``(rotations, coefficients, zmasks)``, where a term's
+        *zmask* selects every non-identity position of the rotated (now
+        diagonal) term.  The empty signature holds the diagonal terms.
         """
 
         groups: dict[tuple[tuple[int, str], ...], list[tuple[float, int]]] = {}
-        for coeff, paulis in self._terms:
+        for coeff, paulis in terms:
             rotations = tuple(
                 (qubit, char)
                 for qubit, char in enumerate(paulis)
@@ -254,7 +297,10 @@ class PauliObservable:
                 if char != "I":
                     zmask |= 1 << qubit
             groups.setdefault(rotations, []).append((coeff, zmask))
-        return groups
+        return tuple(
+            (rotations, *map(tuple, zip(*members)))
+            for rotations, members in groups.items()
+        )
 
     @staticmethod
     def _basis_change_gates(rotations: Sequence[tuple[int, str]]):
@@ -275,8 +321,8 @@ class PauliObservable:
         """``<ψ|O|ψ> / <ψ|ψ>`` on a dense vector or either simulator.
 
         The compressed path never calls ``statevector()``: diagonal terms
-        come from per-block probabilities, X/Y terms from basis-change gates
-        applied to a forked compressed state.  Normalising by the state's
+        come from one block reduction, X/Y terms from the same reduction of
+        a forked compressed state after its basis-change gates.  Normalising by the state's
         own mass keeps lossy-compression norm drift out of the value.
         """
 
@@ -296,55 +342,48 @@ class PauliObservable:
         norm = float(np.sum(np.abs(vector) ** 2))
         if norm <= 0.0:
             raise ValueError("cannot take an expectation of a zero state")
-        indices = np.arange(expected, dtype=np.int64)
         total = 0.0
-        for rotations, terms in self._rotation_groups().items():
+        for rotations, coefficients, zmasks in self._groups:
             if rotations:
                 rotated = vector.copy()
                 for gate in self._basis_change_gates(rotations):
                     ops.apply_single_qubit(rotated, gate.matrix, gate.target)
             else:
                 rotated = vector
-            probs = np.abs(rotated) ** 2
-            for coeff, zmask in terms:
-                total += coeff * float(probs @ _signs(indices, zmask))
+            # The whole vector is one block at base 0.
+            partials = diagonal_partials(np.abs(rotated) ** 2, 0, zmasks)
+            for coeff, partial in zip(coefficients, partials.tolist()):
+                total += coeff * partial
         return total / norm
 
-    def _expectation_compressed(self, simulator: CompressedSimulator) -> float:
+    def _expectation_compressed(
+        self,
+        simulator: CompressedSimulator,
+        diagonal: DiagonalSums | None = None,
+    ) -> float:
+        """The compressed path; *diagonal*, when given, is a reduction of
+        *simulator* already covering :attr:`diagonal_zmasks` (the backend
+        reduces once for every observable of a circuit)."""
+
         if simulator.num_qubits != self.num_qubits:
             raise ValueError(
                 f"observable acts on {self.num_qubits} qubits but the "
                 f"simulator has {simulator.num_qubits}"
             )
         total = 0.0
-        for rotations, terms in self._rotation_groups().items():
+        for rotations, coefficients, zmasks in self._groups:
             if rotations:
                 fork = simulator.fork()
                 try:
                     for gate in self._basis_change_gates(rotations):
                         fork.apply_gate(gate)
-                    total += self._diagonal_blockwise(fork, terms)
+                    total += DiagonalSums.reduce(fork, zmasks).value(
+                        coefficients, zmasks
+                    )
                 finally:
                     fork.close()
             else:
-                total += self._diagonal_blockwise(simulator, terms)
+                if diagonal is None:
+                    diagonal = DiagonalSums.reduce(simulator, zmasks)
+                total += diagonal.value(coefficients, zmasks)
         return total
-
-    @staticmethod
-    def _diagonal_blockwise(
-        simulator: CompressedSimulator, terms: Sequence[tuple[float, int]]
-    ) -> float:
-        """Σ coeff · Σ_j |a_j|²·(-1)^{popcount(j & zmask)}, one block at a time."""
-
-        mass = 0.0
-        accumulators = [0.0] * len(terms)
-        for base, probs in simulator.iter_block_probabilities():
-            mass += float(probs.sum())
-            indices = base + np.arange(probs.size, dtype=np.int64)
-            for index, (_coeff, zmask) in enumerate(terms):
-                accumulators[index] += float(probs @ _signs(indices, zmask))
-        if mass <= 0.0:
-            raise ValueError("cannot take an expectation of a zero state")
-        return sum(
-            coeff * acc / mass for (coeff, _zmask), acc in zip(terms, accumulators)
-        )

@@ -13,6 +13,7 @@ block.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 from ..compression.interface import Compressor, get_compressor
@@ -20,6 +21,8 @@ from ..compression.lossless import LosslessCompressor
 from .config import SimulatorConfig
 
 __all__ = ["EscalationEvent", "AdaptiveErrorController"]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -117,14 +120,22 @@ class AdaptiveErrorController:
             return False
         from_bound = self.current_bound
         self._level_index += 1
-        self._events.append(
-            EscalationEvent(
-                gate_index=gate_index,
-                from_bound=from_bound,
-                to_bound=self.current_bound,
-                footprint_bytes=footprint_bytes,
-                budget_bytes=self._config.memory_budget_bytes or 0,
-            )
+        event = EscalationEvent(
+            gate_index=gate_index,
+            from_bound=from_bound,
+            to_bound=self.current_bound,
+            footprint_bytes=footprint_bytes,
+            budget_bytes=self._config.memory_budget_bytes or 0,
+        )
+        self._events.append(event)
+        logger.info(
+            "error bound escalated at gate %d: %g -> %g "
+            "(footprint %d B over budget %d B)",
+            event.gate_index,
+            event.from_bound,
+            event.to_bound,
+            event.footprint_bytes,
+            event.budget_bytes,
         )
         return True
 

@@ -20,11 +20,14 @@ the cache serves only patterns that recur from one plan to a later one.
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 __all__ = ["CacheStats", "BlockCache"]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -127,6 +130,10 @@ class BlockCache:
                 ):
                     self.stats.disabled = True
                     self._entries.clear()
+                    logger.info(
+                        "block cache disabled itself: 0 hits in %d lookups",
+                        self.stats.misses,
+                    )
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1

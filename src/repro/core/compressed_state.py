@@ -11,16 +11,22 @@ the full dense vector.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..compression.interface import Compressor
 from ..distributed.comm import SimulatedCommunicator
 from ..distributed.partition import Partition
+from ..statevector.measurement import diagonal_partials
 from .blocks import BlockStore, CompressedBlock
 
-__all__ = ["CompressedStateVector", "initial_rank_blocks"]
+__all__ = [
+    "CompressedStateVector",
+    "decode_probabilities",
+    "initial_rank_blocks",
+    "reduce_blocks",
+]
 
 
 def initial_rank_blocks(
@@ -77,6 +83,45 @@ def initial_rank_blocks(
             blob=blob, compressor=compressor.name, bound=compressor.bound
         )
     return blocks, zero_blob
+
+
+def decode_probabilities(
+    entry: CompressedBlock, decompressors: dict[str, Compressor]
+) -> np.ndarray:
+    """``|a_i|^2`` for the amplitudes of one compressed block."""
+
+    values = decompressors[entry.compressor].decompress(entry.blob)
+    return np.abs(values.view(np.complex128)) ** 2
+
+
+def reduce_blocks(
+    blocks: Iterable[tuple[int, CompressedBlock]],
+    zmasks: Sequence[int],
+    decompressors: dict[str, Compressor],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mass and diagonal Pauli partials of each ``(base, block)``.
+
+    The single readout primitive: every block is decompressed once, its
+    mass is ``probs.sum()`` (what sampling draws blocks by) and its partials
+    are :func:`~repro.statevector.measurement.diagonal_partials` for
+    *zmasks*.  The parent-side state reduces its whole table with it and
+    each :class:`~repro.distributed.ranked.RankWorker` its own slice, so
+    both produce the same numbers for the same blobs.
+
+    Returns
+    -------
+    tuple
+        ``(masses, partials)``: shape ``(blocks,)`` and
+        ``(blocks, len(zmasks))``, rows in the order of *blocks*.
+    """
+
+    masses: list[float] = []
+    rows: list[np.ndarray] = []
+    for base, entry in blocks:
+        probs = decode_probabilities(entry, decompressors)
+        masses.append(probs.sum())
+        rows.append(diagonal_partials(probs, base, zmasks))
+    return np.array(masses, dtype=np.float64), np.array(rows)
 
 
 class CompressedStateVector:
@@ -237,18 +282,31 @@ class CompressedStateVector:
 
         per_rank = np.zeros(self._partition.num_ranks, dtype=np.float64)
         for (rank, _block), entry in self._store:
-            decompressor = decompressors[entry.compressor]
-            values = decompressor.decompress(entry.blob).view(np.complex128)
-            per_rank[rank] += float(np.sum(np.abs(values) ** 2))
+            probs = decode_probabilities(entry, decompressors)
+            per_rank[rank] += float(np.sum(probs))
         if self._comm is not None:
             return self._comm.allreduce_sum(per_rank)
         return float(per_rank.sum())
+
+    def reduce_blocks(
+        self, zmasks: Sequence[int], decompressors: dict[str, Compressor]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block masses and diagonal partials in rank-major order
+        (:func:`reduce_blocks` over the whole table)."""
+
+        partition = self._partition
+        return reduce_blocks(
+            (
+                (partition.global_index(rank, block, 0), entry)
+                for (rank, block), entry in self._store
+            ),
+            zmasks,
+            decompressors,
+        )
 
     def probabilities_of_block(
         self, rank: int, block: int, decompressors: dict[str, Compressor]
     ) -> np.ndarray:
         """``|a_i|^2`` for the amplitudes of one block."""
 
-        entry = self._store.get(rank, block)
-        values = decompressors[entry.compressor].decompress(entry.blob)
-        return np.abs(values.view(np.complex128)) ** 2
+        return decode_probabilities(self._store.get(rank, block), decompressors)

@@ -41,7 +41,7 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -669,56 +669,69 @@ class CompressedSimulator:
         probs = self._state.probabilities_of_block(rank, block, self._decompressors)
         return float(probs[offset])
 
+    def block_reduction(
+        self, zmasks: Sequence[int] = ()
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block mass and diagonal Pauli partials, one decompress per block.
+
+        Returns ``(masses, partials)`` in rank-major flat block order:
+        ``masses[i]`` is block *i*'s ``Σ|a|²`` and ``partials[i, t]`` its
+        ``Σ_j |a_j|²·(-1)^{popcount(j & zmasks[t])}``, from one in-block
+        Walsh–Hadamard transform whatever the number of terms
+        (:func:`~repro.core.compressed_state.reduce_blocks`).  This is the
+        readout primitive sampling and
+        :meth:`repro.backends.PauliObservable.expectation` build on; on the
+        ranked tier each rank reduces its own blocks and only the numbers
+        reach this process.
+        """
+
+        return self._state.reduce_blocks(tuple(zmasks), self._decompressors)
+
     def block_probabilities(self) -> np.ndarray:
         """Total probability mass per (rank, block), flattened in rank-major order."""
 
-        totals = np.zeros(self._partition.total_blocks, dtype=np.float64)
-        for index, (_base, probs) in enumerate(self.iter_block_probabilities()):
-            totals[index] = probs.sum()
-        return totals
-
-    def iter_block_probabilities(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(global_base_index, |a|^2 per offset)`` block by block.
-
-        This is the observable-evaluation primitive: one block is
-        decompressed at a time, in rank-major order, so diagonal Pauli
-        expectations can be accumulated without ever densifying the state
-        (:meth:`repro.backends.PauliObservable.expectation` builds on it).
-        """
-
-        for (rank, block), _entry in self._state.iter_blocks():
-            probs = self._state.probabilities_of_block(
-                rank, block, self._decompressors
-            )
-            yield self._partition.global_index(rank, block, 0), probs
+        return self.block_reduction()[0]
 
     def sample_counts(
-        self, shots: int, rng: np.random.Generator | None = None
+        self,
+        shots: int,
+        rng: np.random.Generator | None = None,
+        *,
+        block_mass: np.ndarray | None = None,
     ) -> dict[int, int]:
         """Sample basis states without ever materialising the full vector.
 
         A block is drawn from the per-block probability mass first, then an
         offset within the (decompressed) block — two-level alias-free
-        sampling that only decompresses the blocks actually hit.
+        sampling that only decompresses the blocks actually hit.  A caller
+        that already holds :meth:`block_probabilities` (from a
+        :meth:`block_reduction` it ran for observables) passes them as
+        *block_mass*, so only the hit blocks are decompressed here.
 
         Determinism contract: for a given compressed state and seeded *rng*,
         the returned counts are identical on every call.  The generator is
         consumed in a pinned order — one draw for the block choices, then one
-        draw per hit block in ascending flat block index (rank-major) — and
-        nothing here depends on ``num_workers``, which cannot change the
-        stored state (disjoint block writes, deterministic compressors).
-        Nor, under lossless compression, on ``fusion_enabled``: a run applies
-        its gates' own 2x2 steps in order, so the stored amplitudes are the
-        gate-by-gate schedule's bit for bit.  Lossy counts do differ between
-        the two settings, because a run is quantised once instead of once per
-        gate.
+        draw per hit block in ascending flat block index (rank-major).
+        Nothing here depends on the execution tier: every tier stores the
+        same blobs, and the masses are reduced by the same code wherever the
+        blocks live.  Nor, under lossless compression, on
+        ``fusion_enabled``: a run applies its gates' own 2x2 steps in order,
+        so the stored amplitudes are the gate-by-gate schedule's bit for bit.
+        Lossy counts do differ between the two settings, because a run is
+        quantised once instead of once per gate.
         """
 
         if shots < 0:
             raise ValueError("shots must be non-negative")
         if rng is None:
             rng = np.random.default_rng()
-        block_mass = self.block_probabilities()
+        if block_mass is None:
+            block_mass = self.block_probabilities()
+        elif block_mass.shape != (self._partition.total_blocks,):
+            raise ValueError(
+                f"block_mass needs one mass per block "
+                f"({self._partition.total_blocks}), got shape {block_mass.shape}"
+            )
         total = block_mass.sum()
         if total <= 0:
             raise ValueError("cannot sample from a zero state")
@@ -726,24 +739,22 @@ class CompressedSimulator:
         chosen_blocks = rng.choice(block_mass.size, size=shots, p=block_probs)
         counts: dict[int, int] = {}
         partition = self._partition
-        # np.unique returns its values sorted; the explicit sort pins the rng
-        # consumption order as a contract rather than an implementation detail.
-        for block_index in np.sort(np.unique(chosen_blocks)):
-            rank = int(block_index) // partition.blocks_per_rank
-            block = int(block_index) % partition.blocks_per_rank
-            probs = self._state.probabilities_of_block(rank, block, self._decompressors)
-            mass = probs.sum()
+        # np.unique returns the hit blocks in ascending order: the pinned rng
+        # consumption order.
+        hit_blocks, block_hits = np.unique(chosen_blocks, return_counts=True)
+        for block_index, n_hits in zip(hit_blocks.tolist(), block_hits.tolist()):
+            mass = block_mass[block_index]
             if mass <= 0:
                 continue
-            n_hits = int(np.sum(chosen_blocks == block_index))
+            rank, block = divmod(block_index, partition.blocks_per_rank)
+            probs = self._state.probabilities_of_block(rank, block, self._decompressors)
             offsets = rng.choice(probs.size, size=n_hits, p=probs / mass)
             base = partition.global_index(rank, block, 0)
             unique_offsets, offset_counts = np.unique(offsets, return_counts=True)
-            for offset, hits in zip(
-                unique_offsets.tolist(), offset_counts.tolist()
-            ):
-                key = base + int(offset)
-                counts[key] = counts.get(key, 0) + int(hits)
+            # Blocks are disjoint, so no key repeats across iterations.
+            counts.update(
+                zip((base + unique_offsets).tolist(), offset_counts.tolist())
+            )
         return counts
 
     def fidelity_vs(self, reference_state: np.ndarray) -> float:

@@ -15,9 +15,10 @@ Selected with ``SimulatorConfig(comm="process", num_ranks=...)`` — or its
 other spelling, ``executor="process", num_workers=num_ranks`` — and therefore
 reachable from ``repro.run(...)`` like every other execution mode.
 Two transports, each used for one thing: parent↔rank messages (gate batches,
-and the blobs of parent-side readout and restore) ride one control pipe per
-worker; rank↔rank block exchange goes over one connected socket pair per
-hypercube neighbour pair (:func:`~repro.distributed.process_comm.rank_links`).
+readout reductions, and the blobs of hit-block sampling, checkpoints and
+restore) ride one control pipe per worker; rank↔rank block exchange goes
+over one connected socket pair per hypercube neighbour pair
+(:func:`~repro.distributed.process_comm.rank_links`).
 Three classes cooperate:
 
 * :class:`RankWorker` — the warm per-process state of one rank (its block
@@ -34,9 +35,11 @@ Three classes cooperate:
   block table living in the rank workers.
 * :class:`RankedStateVector` — a
   :class:`~repro.core.compressed_state.CompressedStateVector` over that
-  store; parent-side state queries (sampling, statevector materialisation,
-  checkpointing) fetch blobs on demand, while norms run as a *real*
-  allreduce across the ranks.
+  store; block masses and diagonal observable partials are reduced in the
+  rank workers (numbers cross the pipes, not blobs), norms run as a *real*
+  allreduce across the ranks, and the remaining parent-side queries (the
+  hit blocks of sampling, statevector materialisation, checkpointing)
+  fetch blobs on demand.
 
 Results are bit-identical to the single-process simulator: every rank runs
 the exact same kernels and codecs on the exact same bytes, and the
@@ -55,13 +58,18 @@ rest of each reply's :class:`~repro.core.kernel.TaskStats`.
 from __future__ import annotations
 
 import os
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..compression.interface import Compressor
 from ..core.blocks import CompressedBlock, ScratchPool
-from ..core.compressed_state import CompressedStateVector, initial_rank_blocks
+from ..core.compressed_state import (
+    CompressedStateVector,
+    decode_probabilities,
+    initial_rank_blocks,
+    reduce_blocks,
+)
 from ..core.cache import BlockCache
 from ..core.kernel import BlockKernel, BlockOp, TaskStats, group_tasks
 from ..core.procpool import ProcessPool, raise_worker_error
@@ -171,8 +179,9 @@ class RankWorker:
         Message kinds: ``init`` (rebuild the slice to a basis state),
         ``gate`` (run this rank's batch of one gate plan's tasks), ``get`` /
         ``put`` (parent-side block access, the blob riding in the message),
-        ``norm`` (partial norm + real allreduce), ``reset``, ``ping`` and the
-        test hook ``die``.
+        ``norm`` (partial norm + real allreduce), ``reduce`` (per-block
+        masses and diagonal Pauli partials, numbers only), ``reset``,
+        ``ping`` and the test hook ``die``.
         """
 
         kind = message[0]
@@ -194,15 +203,23 @@ class RankWorker:
         if kind == "norm":
             partial = 0.0
             for block in range(self._partition.blocks_per_rank):
-                entry = self._blocks[block]
-                values = self._kernel.decompressors[
-                    entry.compressor
-                ].decompress(entry.blob)
-                partial += float(
-                    np.sum(np.abs(values.view(np.complex128)) ** 2)
+                probs = decode_probabilities(
+                    self._blocks[block], self._kernel.decompressors
                 )
+                partial += float(np.sum(probs))
             total = self._comm.allreduce_sum(partial)
             return ("norm-ok", total, self._comm_snapshot())
+        if kind == "reduce":
+            partition, blocks = self._partition, self._blocks
+            masses, partials = reduce_blocks(
+                (
+                    (partition.global_index(self._rank, block, 0), blocks[block])
+                    for block in range(partition.blocks_per_rank)
+                ),
+                message[1],
+                self._kernel.decompressors,
+            )
+            return ("reduce-ok", masses, partials)
         if kind == "reset":
             self._kernel.reset()
             self._comm.reset_stats()
@@ -606,6 +623,27 @@ class RankedExecutor:
         self._publish_comm()
         return float(total)
 
+    def reduce_blocks(self, zmasks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block masses and diagonal partials, reduced in the rank workers.
+
+        Each rank decodes its own blocks and replies with numbers only; the
+        rows are stacked in rank order, so the result is the rank-major table
+        the parent-side state would produce for the same blobs.
+        """
+
+        pool = self._require_pool()
+        zmasks = tuple(zmasks)
+        for rank in range(self._partition.num_ranks):
+            pool.submit(rank, ("reduce", zmasks))
+        replies = dict(
+            self._collect(pool, self._partition.num_ranks, "block reduction")
+        )
+        ranks = range(self._partition.num_ranks)
+        return (
+            np.concatenate([replies[rank][1] for rank in ranks]),
+            np.concatenate([replies[rank][2] for rank in ranks]),
+        )
+
     def compressed_bytes(self) -> int:
         """Cached total compressed size across all ranks."""
 
@@ -620,9 +658,9 @@ class RankedStateVector(CompressedStateVector):
     workers: initialisation broadcasts the basis state to them (each rank
     compresses its own slice — byte-identical to the parent-side path, the
     codecs being deterministic), block access and iteration are the
-    executor's ``get`` / ``put`` over the control pipes, and
-    :meth:`norm_squared` runs as a real allreduce across the ranks instead
-    of a parent-side loop.
+    executor's ``get`` / ``put`` over the control pipes,
+    :meth:`reduce_blocks` runs in the rank workers and :meth:`norm_squared`
+    as a real allreduce across the ranks instead of a parent-side loop.
     """
 
     def _initialise(self, compressor: Compressor, basis_state: int) -> None:
@@ -636,3 +674,14 @@ class RankedStateVector(CompressedStateVector):
         """
 
         return self._store.norm_squared()
+
+    def reduce_blocks(
+        self, zmasks: Sequence[int], decompressors: dict[str, Compressor]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block masses and diagonal partials, computed rank-locally.
+
+        As for :meth:`norm_squared`, *decompressors* is unused: only the
+        numbers cross the control pipes, never a blob.
+        """
+
+        return self._store.reduce_blocks(zmasks)

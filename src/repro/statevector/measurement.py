@@ -9,6 +9,8 @@ state collapse, expectation values and the pure-state fidelity of Eq. 9.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = [
@@ -18,6 +20,8 @@ __all__ = [
     "measure_qubit",
     "collapse_qubit",
     "expectation_z",
+    "walsh_hadamard",
+    "diagonal_partials",
     "state_fidelity",
     "normalize",
     "norm_error",
@@ -118,6 +122,57 @@ def expectation_z(state: np.ndarray, qubit: int) -> float:
 
     p_one = marginal_probability(state, qubit)
     return 1.0 - 2.0 * p_one
+
+
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh–Hadamard transform of a length-``2^k`` float vector.
+
+    Entry ``s`` of the result is ``Σ_j values[j] · (-1)^{popcount(j & s)}``.
+    Constant-geometry form: each of the ``k`` add/subtract passes pairs
+    adjacent entries and writes their sums to the first half, their
+    differences to the second, ping-ponging between *values* and one buffer
+    of the same size — so *values* is overwritten, and the returned array
+    is one of the two.
+    """
+
+    size = values.size
+    half = size // 2
+    src, dst = values, np.empty_like(values)
+    for _ in range(size.bit_length() - 1):
+        even, odd = src[0::2], src[1::2]
+        np.add(even, odd, out=dst[:half])
+        np.subtract(even, odd, out=dst[half:])
+        src, dst = dst, src
+    return src
+
+
+def diagonal_partials(
+    probs: np.ndarray, base: int, zmasks: Sequence[int]
+) -> np.ndarray:
+    """``Σ_j probs[j] · (-1)^{popcount((base + j) & zmask)}`` per *zmask*.
+
+    *probs* is one block of ``|a|²`` whose first entry is basis state *base*
+    (a multiple of the block size ``B``), and each *zmask* selects the
+    qubits of one diagonal Pauli term, so this is the block's share of every
+    term's expectation.  One :func:`walsh_hadamard` of the block serves every
+    term: the in-block bits of a mask index the spectrum, and the bits above
+    the block boundary see the same value for every amplitude, so they give
+    one sign per block — the bit-mask algebra of
+    :func:`repro.statevector.ops.block_phase`.  *probs* is overwritten.
+    """
+
+    if not zmasks:
+        return np.empty(0)
+    local = probs.size - 1
+    spectrum = walsh_hadamard(probs)
+    return np.array(
+        [
+            -spectrum[zmask & local]
+            if (base & zmask).bit_count() & 1
+            else spectrum[zmask & local]
+            for zmask in zmasks
+        ]
+    )
 
 
 def state_fidelity(state_a: np.ndarray, state_b: np.ndarray) -> float:

@@ -12,6 +12,12 @@ same bytes from the encoders, same float arithmetic in the decoders, the same
 
 Plain Python on purpose (slow, a few thousand elements per call); nothing
 under ``src/`` imports this module.
+
+The last three are readout oracles, the code the product's block reduction
+replaced: the per-term sign vector a diagonal Pauli term was evaluated with
+(``signs``, over ``parity``), and the sampler's loop that counted each hit
+block's shots with one comparison over all of them (``sample_counts``).
+They are not patch points; tests call them directly.
 """
 
 from __future__ import annotations
@@ -296,3 +302,54 @@ def unpack_leading_zero_stream(
             f"suffix stream has {suffix_array.size} bytes, expected {expected}"
         )
     return words
+
+
+def parity(values: np.ndarray) -> np.ndarray:
+    """Bit parity (popcount mod 2) of each int64 element."""
+
+    v = values.astype(np.int64, copy=True)
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return v & 1
+
+
+def signs(indices: np.ndarray, zmask: int) -> np.ndarray:
+    """``(-1)^{popcount(index & zmask)}`` as float64 ±1 values."""
+
+    return 1.0 - 2.0 * parity(indices & zmask)
+
+
+def sample_counts(simulator, shots: int, rng: np.random.Generator) -> dict[int, int]:
+    """Two-level sampling of a compressed simulator, block by block.
+
+    Decompresses every block for its mass, draws the blocks, then walks the
+    hit blocks in ascending order, counting each one's shots with
+    ``np.sum(chosen_blocks == block_index)`` and drawing its offsets: the
+    rng consumption order :meth:`CompressedSimulator.sample_counts` pins.
+    """
+
+    partition = simulator.partition
+    state, decompressors = simulator.state, simulator._decompressors
+
+    def probs_of(block_index: int) -> np.ndarray:
+        rank, block = divmod(block_index, partition.blocks_per_rank)
+        return state.probabilities_of_block(rank, block, decompressors)
+
+    block_mass = np.array(
+        [probs_of(index).sum() for index in range(partition.total_blocks)]
+    )
+    chosen_blocks = rng.choice(
+        block_mass.size, size=shots, p=block_mass / block_mass.sum()
+    )
+    counts: dict[int, int] = {}
+    for block_index in np.sort(np.unique(chosen_blocks)):
+        probs = probs_of(int(block_index))
+        mass = probs.sum()
+        if mass <= 0:
+            continue
+        n_hits = int(np.sum(chosen_blocks == block_index))
+        offsets = rng.choice(probs.size, size=n_hits, p=probs / mass)
+        base = int(block_index) * partition.block_amplitudes
+        for offset in offsets.tolist():
+            counts[base + offset] = counts.get(base + offset, 0) + 1
+    return counts

@@ -4,6 +4,7 @@ fidelity and report."""
 from __future__ import annotations
 
 import dataclasses
+import logging
 import platform
 import subprocess
 import sys
@@ -209,6 +210,15 @@ class TestBlockCache:
         assert len(cache) == 0
         assert cache.lookup(("op", 0), b"0", None) is None
 
+    def test_self_disable_is_logged_once(self, caplog):
+        cache = BlockCache(lines=4, miss_disable_threshold=3)
+        with caplog.at_level(logging.INFO, logger="repro.core.cache"):
+            for i in range(6):
+                cache.lookup(("op", i), b"x", None)
+        assert [record.getMessage() for record in caplog.records] == [
+            "block cache disabled itself: 0 hits in 3 lookups"
+        ]
+
     def test_no_disable_when_hits_exist(self):
         cache = BlockCache(lines=4, miss_disable_threshold=3)
         cache.insert(("op", 0), b"a", None, b"r", None)
@@ -288,6 +298,30 @@ class TestAdaptiveErrorController:
         assert not controller.maybe_escalate(2000, gate_index=4)
         assert len(controller.events) == 3
         assert controller.events[0].to_bound == 1e-5
+
+    def test_escalations_are_logged(self, caplog):
+        controller = AdaptiveErrorController(self._config(budget=1000))
+        with caplog.at_level(logging.INFO, logger="repro.core.adaptive"):
+            controller.maybe_escalate(500, gate_index=1)
+            controller.maybe_escalate(2000, gate_index=7)
+            controller.maybe_escalate(3000, gate_index=9)
+        assert [
+            (record.levelno, record.getMessage()) for record in caplog.records
+        ] == [
+            (
+                logging.INFO,
+                "error bound escalated at gate 7: 0 -> 1e-05 "
+                "(footprint 2000 B over budget 1000 B)",
+            ),
+            (
+                logging.INFO,
+                "error bound escalated at gate 9: 1e-05 -> 0.001 "
+                "(footprint 3000 B over budget 1000 B)",
+            ),
+        ]
+        # The library only emits; where records go is the application's call.
+        for name in ("repro", "repro.core", "repro.core.adaptive", "repro.core.cache"):
+            assert logging.getLogger(name).handlers == []
 
     def test_no_escalation_under_budget(self):
         controller = AdaptiveErrorController(self._config(budget=1000))

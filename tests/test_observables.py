@@ -3,14 +3,17 @@
 The compressed-path tests enforce the subsystem's headline property: the
 expectation value is computed blockwise on the compressed representation —
 ``statevector()`` is monkeypatched to raise, so any densifying regression
-fails loudly.
+fails loudly.  The block reduction underneath is checked against the
+per-term sign vectors it replaced (:mod:`reference_kernels`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_kernels
 import repro
 from repro import CompressedSimulator, PauliObservable, QuantumCircuit, SimulatorConfig
 from repro.applications import (
@@ -20,8 +23,11 @@ from repro.applications import (
     qaoa_maxcut_circuit,
     random_regular_graph,
 )
+from repro.backends.compressed import _CompressedSession, _package_result
 from repro.circuits import ghz_circuit
+from repro.compression.lossless import LosslessCompressor
 from repro.statevector import DenseSimulator, simulate_statevector
+from repro.statevector.measurement import diagonal_partials
 
 
 def forbid_statevector(monkeypatch):
@@ -197,6 +203,110 @@ class TestCompressedExpectation:
         PauliObservable("XXIII").expectation(simulator)
         blobs_after = [entry.blob for _key, entry in simulator.state.iter_blocks()]
         assert blobs_before == blobs_after
+
+
+@st.composite
+def blocks_and_masks(draw):
+    """A block of ``2^0``–``2^12`` probabilities at some block index, and Z
+    masks with bits on both sides of its boundary (the identity first)."""
+
+    offset_bits = draw(st.integers(min_value=0, max_value=12))
+    index = draw(st.integers(min_value=0, max_value=15))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    masks = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=(16 << offset_bits) - 1),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    probs = np.random.default_rng(seed).random(1 << offset_bits) ** 4
+    return probs, index << offset_bits, [0, *masks]
+
+
+class TestBlockReduction:
+    @given(blocks_and_masks())
+    @settings(max_examples=200, deadline=None)
+    def test_partials_match_the_sign_vectors(self, case):
+        probs, base, zmasks = case
+        partials = diagonal_partials(probs.copy(), base, zmasks)
+        indices = base + np.arange(probs.size, dtype=np.int64)
+        scale = probs.sum()
+        for zmask, partial in zip(zmasks, partials):
+            expected = probs @ reference_kernels.signs(indices, zmask)
+            assert abs(partial - expected) <= 1e-12 * scale
+
+    def test_identity_partial_is_the_mass(self):
+        probs = np.random.default_rng(3).random(64)
+        (partial,) = diagonal_partials(probs.copy(), 128, [0])
+        assert partial == pytest.approx(probs.sum(), rel=1e-15)
+
+    def test_rotation_groups_are_built_once(self, simulator_config, monkeypatch):
+        observable = PauliObservable.from_terms(
+            [(1.0, "ZZIII"), (0.5, "XIZII"), (0.25, "IIIYI")]
+        )
+        assert observable.diagonal_zmasks == (0b11,)
+
+        def rebuilt(_terms):
+            raise AssertionError("rotation groups rebuilt on evaluation")
+
+        monkeypatch.setattr(PauliObservable, "_rotation_groups", staticmethod(rebuilt))
+        circuit = QuantumCircuit(5).h(0).cx(0, 1).ry(0.4, 3)
+        with CompressedSimulator(
+            5, simulator_config(num_ranks=2, block_amplitudes=4)
+        ) as simulator:
+            simulator.apply_circuit(circuit)
+            for _ in range(2):
+                assert observable.expectation(simulator) == pytest.approx(
+                    observable.expectation(simulate_statevector(circuit)), abs=1e-12
+                )
+
+    def test_result_reads_each_block_once_plus_hit_blocks(
+        self, simulator_config, monkeypatch
+    ):
+        """``repro.run()``'s readout: one reduction for the sampler's masses
+        and every observable's diagonal terms, then only the hit blocks."""
+
+        graph = random_regular_graph(8, degree=3, seed=2)
+        circuit = qaoa_maxcut_circuit(graph, gammas=[0.4], betas=[0.3])
+        observables = [
+            maxcut_observable(graph),
+            PauliObservable.from_terms(
+                [(1.0, "ZIIIIIIZ"), (2.0, "IIIIIIII")], label="extra"
+            ),
+        ]
+        config = simulator_config(num_ranks=2, block_amplitudes=16)
+        with CompressedSimulator(8, config) as simulator:
+            simulator.apply_circuit(circuit)
+            decoded = []
+            original = LosslessCompressor.decompress
+
+            def counting(self, blob):
+                decoded.append(blob)
+                return original(self, blob)
+
+            monkeypatch.setattr(LosslessCompressor, "decompress", counting)
+            result = _package_result(
+                "compressed",
+                simulator,
+                _CompressedSession(config=config),
+                circuit,
+                shots=40,
+                observables=observables,
+                rng=np.random.default_rng(9),
+                return_statevector=False,
+            )
+            total_blocks = simulator.partition.total_blocks
+            hit_blocks = {key // 16 for key in result.counts}
+            assert len(decoded) == total_blocks + len(hit_blocks)
+            monkeypatch.setattr(LosslessCompressor, "decompress", original)
+            for observable in observables:
+                assert result.expectations[observable.label] == (
+                    observable.expectation(simulator)
+                )
+            assert result.counts == simulator.sample_counts(
+                40, np.random.default_rng(9)
+            )
 
 
 class TestQaoaAcceptance:
