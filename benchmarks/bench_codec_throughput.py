@@ -11,7 +11,10 @@ helpers.  This bench pins those wins to numbers:
   quantities, on the spiky amplitude model of Figure 9),
 * the table-driven Huffman decoder against a faithful copy of the seed's
   bit-by-bit decoder on a 2^20-symbol SZ-quantized stream (the acceptance
-  floor is 5x), and
+  floor is 5x),
+* the run-stepping code-book builder against the heap builder the blobs were
+  first produced by (``tests/test_huffman.py``'s oracle): same lengths, same
+  bytes, and what each costs, and
 * the ``TaskExecutor`` thread-scaling curve with the SZ codec on the hot
   path — NumPy kernels and zlib release the GIL, which is what
   ``num_workers`` > 1 feeds on.
@@ -29,6 +32,7 @@ import json
 import math
 import os
 import struct
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -45,6 +49,10 @@ from repro.compression import (
     quantization,
 )
 from repro.core import CompressedSimulator, SimulatorConfig, effective_cpu_count
+
+# The heap builder is the tests' oracle; time that function, not a copy.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_huffman import _heap_build_lengths  # noqa: E402
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -194,6 +202,61 @@ def test_huffman_decode_speedup_vs_seed(emit):
     )
     if not QUICK:
         assert speedup >= SPEEDUP_FLOOR
+
+
+def test_huffman_encode_vs_heap_builder(emit, monkeypatch):
+    """The run builder against the heap builder: identical lengths and bytes.
+
+    Two streams: one SZ block of the simulator (8192 delta codes, ~3k
+    distinct symbols, nearly all of them seen once) and a 2^16-symbol
+    wide-alphabet stream.  Mismatches fail the bench in every mode; the
+    times are recorded, not gated.
+    """
+
+    rng = np.random.default_rng(11)
+    streams = {
+        "sz block": np.rint(rng.laplace(0.0, 650.0, size=8192)).astype(np.int64),
+        "wide alphabet": _sz_quantized_stream(1 << 16),
+    }
+    repeats = 3 if QUICK else 20
+    rows = []
+    for name, symbols in streams.items():
+        unique, counts = np.unique(symbols, return_counts=True)
+        lengths = huffman._build_lengths(unique, counts)
+        assert np.array_equal(lengths, _heap_build_lengths(unique, counts)), name
+        run_s = _best_seconds(lambda: huffman._build_lengths(unique, counts), repeats)
+        heap_s = _best_seconds(lambda: _heap_build_lengths(unique, counts), repeats)
+        blob = huffman.encode(symbols)
+        encode_s = _best_seconds(lambda: huffman.encode(symbols), repeats)
+        with monkeypatch.context() as patch:
+            patch.setattr(huffman, "_build_lengths", _heap_build_lengths)
+            assert huffman.encode(symbols) == blob, name
+            heap_encode_s = _best_seconds(lambda: huffman.encode(symbols), repeats)
+        rows.append(
+            {
+                "stream": name,
+                "symbols": int(symbols.size),
+                "distinct": int(unique.size),
+                "distinct_counts": int(np.unique(counts).size),
+                "build_run_ms": run_s * 1e3,
+                "build_heap_ms": heap_s * 1e3,
+                "encode_ms": encode_s * 1e3,
+                "encode_heap_builder_ms": heap_encode_s * 1e3,
+            }
+        )
+    _merge_json("huffman_builder", rows)
+    emit(
+        "Huffman encode: run builder vs heap builder (identical lengths and bytes)",
+        format_table(
+            [
+                {
+                    key: f"{value:.3f}" if isinstance(value, float) else value
+                    for key, value in row.items()
+                }
+                for row in rows
+            ]
+        ),
+    )
 
 
 def test_codec_throughput_matrix(emit):

@@ -47,8 +47,10 @@ def _chunk_log2(total_bits: int, count: int) -> int:
     passes over a table as long as the stream's *bit* length (a few
     nanoseconds per bit per pass), so the two balance at a chunk of roughly
     ``48 / bits-per-symbol``: 4 symbols on the ~12-bit wide-alphabet streams
-    of the codec bench, 16 on the 1-2 bit streams the simulator's SZ blocks
-    produce, where the ladder would otherwise dominate.  Above 16 the
+    of the codec bench, 16 on near-constant 1-2 bit streams, where the ladder
+    would otherwise dominate.  The simulator's SZ blocks fall in between:
+    ``qft15_sz``'s measure 1 to 6.7 bits per symbol (4.6 on average), so
+    their chunks are 4 to 16.  Above 16 the
     wavefront's per-row overhead and the wider jump dtype cost more than the
     ladder saves.  The decoded indices do not depend on the choice.
     """

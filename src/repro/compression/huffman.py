@@ -6,7 +6,12 @@ This module provides a small, self-contained canonical-Huffman implementation
 used by :mod:`repro.compression.sz` and :mod:`repro.compression.sz_complex`.
 
 The codec owns the *format*: code-book construction, canonicalisation, wire
-(de)serialisation and code-book validation.  The hot loops are two calls:
+(de)serialisation and code-book validation.  Code-book construction is a
+two-queue merge that pairs whole runs of equal weight at once, so an SZ
+block's book (thousands of symbols, a handful of distinct counts) costs a
+few dozen Python iterations; the encoder's symbol-to-code dictionary is
+``np.unique``'s inverse indices mapped through the canonical order.  The hot
+loops are two calls:
 :func:`repro.compression.bitpack.pack_bitfields` packs the variable-width
 code words on encode, and
 :func:`repro.compression.engines.huffman_decode_indices` walks the bit
@@ -21,6 +26,7 @@ code stream.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,19 +54,30 @@ class _CodeBook:
     symbols: np.ndarray  # int64 symbols, sorted by (length, symbol)
     lengths: np.ndarray  # uint8 code lengths, same order
     codes: np.ndarray  # uint64 canonical code values, same order
+    order: np.ndarray  # each entry's position in the unsorted input
 
 
 def _build_lengths(symbols: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Return Huffman code lengths for each symbol given its frequency.
 
-    Linear-time two-queue construction after one stable sort: leaves are
-    consumed in ``(count, index)`` order, internal nodes from a FIFO — merged
-    weights never decrease, so the FIFO is sorted by construction.  On equal
-    weight a leaf goes before an internal node and internal nodes go in
-    creation order; that is the merge sequence of a min-heap keyed
-    ``(count, tie)`` with ``tie = index`` for leaves and ``n, n + 1, ...``
-    for internal nodes, which is what the wire format's code lengths (and so
-    every golden blob) were produced by.
+    Two-queue construction after one stable sort: leaves are consumed in
+    ``(count, index)`` order, internal nodes from a FIFO — merged weights
+    never decrease, so the FIFO is sorted by construction.  On equal weight a
+    leaf goes before an internal node and internal nodes go in creation
+    order; that is the merge sequence of a min-heap keyed ``(count, tie)``
+    with ``tie = index`` for leaves and ``n, n + 1, ...`` for internal nodes,
+    which is what the wire format's code lengths (and so every golden blob)
+    were produced by.
+
+    The merge loop steps by runs of equal weight, not by node.  While the
+    leaf head is no heavier than the FIFO head, the leaves of its run pair
+    with each other, ``run // 2`` nodes at once (each new node weighs twice
+    the run's weight, so it never cuts in); while the FIFO head is lighter,
+    the FIFO's own run pairs up the same way.  Single merges happen only at
+    run boundaries, so SZ's books (thousands of symbols, a handful of
+    distinct counts) take a few dozen iterations.  Every pick is recorded as
+    a run of picks from one queue; pick ``p`` is a child of node ``p // 2``,
+    and depths follow from the parent array by pointer doubling.
     """
 
     n = symbols.size
@@ -73,38 +90,67 @@ def _build_lengths(symbols: np.ndarray, counts: np.ndarray) -> np.ndarray:
     sentinel = int(counts.sum()) + 1
     leaf_weight.append(sentinel)
     merged_weight = [sentinel] * n
-    leaf_parent = [0] * n  # by sorted leaf position -> internal node
-    merged_parent = [0] * (n - 1)  # by internal node -> internal node
-    leaf = merged = 0
-    for node in range(n - 1):
-        # Take the two lightest queue heads, the leaf on a tie (the second
-        # pick is written out rather than looped: this is the hot loop).
+    from_leaf: list[bool] = []  # pick runs in pick order: source queue...
+    picks: list[int] = []  # ...and run length
+    leaf = merged = node = 0
+    while node < n - 1:
         light_leaf, light_merged = leaf_weight[leaf], merged_weight[merged]
         if light_leaf <= light_merged:
+            run_end = bisect_right(leaf_weight, light_leaf, leaf, n)
+            pairs = (run_end - leaf) // 2
+            if pairs:
+                merged_weight[node : node + pairs] = [2 * light_leaf] * pairs
+                from_leaf.append(True)
+                picks.append(2 * pairs)
+                leaf += 2 * pairs
+                node += pairs
+                continue
+        else:
+            run_end = bisect_right(merged_weight, light_merged, merged, node)
+            pairs = (run_end - merged) // 2
+            if pairs:
+                merged_weight[node : node + pairs] = [2 * light_merged] * pairs
+                from_leaf.append(False)
+                picks.append(2 * pairs)
+                merged += 2 * pairs
+                node += pairs
+                continue
+        # A run of one: take the two lightest queue heads, the leaf on a tie.
+        if light_leaf <= light_merged:
             weight = light_leaf
-            leaf_parent[leaf] = node
+            from_leaf.append(True)
             leaf += 1
             light_leaf = leaf_weight[leaf]
         else:
             weight = light_merged
-            merged_parent[merged] = node
+            from_leaf.append(False)
             merged += 1
             light_merged = merged_weight[merged]
         if light_leaf <= light_merged:
             merged_weight[node] = weight + light_leaf
-            leaf_parent[leaf] = node
+            from_leaf.append(True)
             leaf += 1
         else:
             merged_weight[node] = weight + light_merged
-            merged_parent[merged] = node
+            from_leaf.append(False)
             merged += 1
-    # A node's parent is created after it, so one reverse pass from the root
-    # (the last internal node, depth 0) sees every parent's depth first.
-    depth = [0] * (n - 1)
-    for node in range(n - 3, -1, -1):
-        depth[node] = depth[merged_parent[node]] + 1
+        picks += (1, 1)
+        node += 1
+    leaf_pick = np.repeat(from_leaf, picks)
+    leaf_parent = np.flatnonzero(leaf_pick) >> 1  # by sorted leaf position
+    # Pointer doubling on the internal nodes' parents, the root (the last
+    # node) its own parent: ``depth`` is each node's distance to
+    # ``ancestor``.  Parents are created in pick order, so depth never grows
+    # with the node index and node 0 is the last to reach the root.
+    root = n - 2
+    ancestor = np.append(np.flatnonzero(~leaf_pick) >> 1, root)
+    depth = np.ones(n - 1, dtype=np.int64)
+    depth[root] = 0
+    while ancestor[0] != root:
+        depth += depth[ancestor]
+        ancestor = ancestor[ancestor]
     lengths = np.empty(n, dtype=np.uint8)
-    lengths[order] = np.array(depth, dtype=np.int64)[leaf_parent] + 1
+    lengths[order] = depth[leaf_parent] + 1
     return lengths
 
 
@@ -123,14 +169,17 @@ def _canonicalize(symbols: np.ndarray, lengths: np.ndarray) -> _CodeBook:
     lengths = lengths[order]
     if symbols.size == 0:
         return _CodeBook(
-            symbols=symbols, lengths=lengths, codes=np.zeros(0, dtype=np.uint64)
+            symbols=symbols,
+            lengths=lengths,
+            codes=np.zeros(0, dtype=np.uint64),
+            order=order,
         )
     max_len = int(lengths[-1])
     spans = np.uint64(1) << (max_len - lengths).astype(np.uint64)
     left_justified = np.zeros(symbols.size, dtype=np.uint64)
     np.cumsum(spans[:-1], out=left_justified[1:])
     codes = left_justified >> (max_len - lengths).astype(np.uint64)
-    return _CodeBook(symbols=symbols, lengths=lengths, codes=codes)
+    return _CodeBook(symbols=symbols, lengths=lengths, codes=codes, order=order)
 
 
 class HuffmanCodec(ConstructorPickled):
@@ -159,16 +208,19 @@ class HuffmanCodec(ConstructorPickled):
         if symbols.size == 0:
             return header + struct.pack("<I", 0)
 
-        unique, counts = np.unique(symbols, return_counts=True)
-        book = _canonicalize(unique, _build_lengths(unique, counts))
+        unique, inverse, counts = np.unique(
+            symbols, return_inverse=True, return_counts=True
+        )
+        lengths = _build_lengths(unique, counts)
+        book = _canonicalize(unique, lengths)
 
-        # Dictionary: symbol -> (code, length) position via searchsorted on the
-        # symbol-sorted view of the book.
-        sym_order = np.argsort(book.symbols)
-        sorted_syms = book.symbols[sym_order]
-        positions = sym_order[np.searchsorted(sorted_syms, symbols)]
+        # Dictionary from np.unique's own sort: ``inverse`` is each symbol's
+        # index into ``unique``, and the book's ``order`` scatters the
+        # canonical codes back into that order.
+        code_of = np.empty_like(book.codes)
+        code_of[book.order] = book.codes
         packed, total_bits = pack_bitfields(
-            book.codes[positions], book.lengths[positions].astype(np.int64)
+            code_of[inverse], lengths.astype(np.int64)[inverse]
         )
 
         # Serialise the code book: number of entries, symbols, lengths.
@@ -226,13 +278,17 @@ class HuffmanCodec(ConstructorPickled):
             raise CompressorError("invalid Huffman code book (bad code length)")
         if float((2.0 ** -lengths.astype(np.float64)).sum()) > 1.0 + 1e-9:
             raise CompressorError("invalid Huffman code book (Kraft violation)")
-        book = _canonicalize(symbols, lengths)
 
         (total_bits,) = struct.unpack_from("<Q", blob, offset)
         offset += 8
         packed = np.frombuffer(blob, dtype=np.uint8, offset=offset)
         if packed.size * 8 < total_bits or total_bits == 0:
             raise CompressorError("Huffman stream exhausted prematurely")
+        # Every code is at least one bit, so a larger count is corrupt — and
+        # would size the decoder's per-symbol buffers from it.
+        if count > total_bits:
+            raise CompressorError("invalid Huffman blob (count exceeds stream bits)")
+        book = _canonicalize(symbols, lengths)
         return self._decode_stream(packed, int(total_bits), int(count), book)
 
     def _decode_stream(

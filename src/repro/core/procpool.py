@@ -25,6 +25,7 @@ backlog so a worker busy computing never deadlocks the dispatch loop.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import time
@@ -42,6 +43,8 @@ __all__ = [
     "live_pool_count",
     "MAX_OUTSTANDING",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Unanswered requests allowed per worker.  Two keeps a worker busy while the
 #: parent processes its previous reply without letting the pipe back up.
@@ -395,6 +398,12 @@ class ProcessPool:
             except OSError:  # pragma: no cover
                 pass
             self._workers[worker_id] = self._spawn_worker(worker_id)
+            logger.warning(
+                "respawned pool worker %d: pid %d died with exit code %s",
+                worker_id,
+                old.process.pid,
+                old.process.exitcode,
+            )
             respawned.append(worker_id)
         return respawned
 

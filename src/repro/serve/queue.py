@@ -24,11 +24,14 @@ caller needs to reason about backoff.
 from __future__ import annotations
 
 import heapq
+import logging
 from dataclasses import dataclass, field
 
 from ..errors import ServiceOverloadedError
 
 __all__ = ["FairScheduler", "TenantState"]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -128,22 +131,32 @@ class FairScheduler:
         state = self._tenants.get(tenant)
         if state is None:
             raise KeyError(f"unknown tenant {tenant!r}; register() it first")
+        rejection = None
         if self._total_pending >= self._max_total:
-            raise ServiceOverloadedError(
+            rejection = ServiceOverloadedError(
                 "service queue is full",
                 tenant=tenant,
                 pending=self._total_pending,
                 limit=self._max_total,
                 scope="total",
             )
-        if state.pending >= self._max_per_tenant:
-            raise ServiceOverloadedError(
+        elif state.pending >= self._max_per_tenant:
+            rejection = ServiceOverloadedError(
                 f"tenant {tenant!r} queue is full",
                 tenant=tenant,
                 pending=state.pending,
                 limit=self._max_per_tenant,
                 scope="tenant",
             )
+        if rejection is not None:
+            logger.info(
+                "rejected a job: %s queue full for tenant %r (%d pending, limit %d)",
+                rejection.scope,
+                tenant,
+                rejection.pending,
+                rejection.limit,
+            )
+            raise rejection
         heapq.heappush(state.heap, (-int(priority), self._seq, job))
         self._seq += 1
         state.submitted += 1

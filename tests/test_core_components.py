@@ -320,7 +320,14 @@ class TestAdaptiveErrorController:
             ),
         ]
         # The library only emits; where records go is the application's call.
-        for name in ("repro", "repro.core", "repro.core.adaptive", "repro.core.cache"):
+        for name in (
+            "repro",
+            "repro.core",
+            "repro.core.adaptive",
+            "repro.core.cache",
+            "repro.core.procpool",
+            "repro.serve.queue",
+        ):
             assert logging.getLogger(name).handlers == []
 
     def test_no_escalation_under_budget(self):

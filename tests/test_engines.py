@@ -102,8 +102,10 @@ class TestHuffmanConformance:
 
     def test_exhausted_stream_error_parity(self, use_reference):
         # Inflate the symbol count in the header so the bit stream runs dry
-        # mid-decode — inside the kernel, past the shared length check.
-        symbols = np.array([0, 1] * 100, dtype=np.int64)
+        # mid-decode — inside the kernel, past the shared length checks: the
+        # codes are 2 bits long, so 201 symbols still fit the 400-bit stream
+        # as far as the codec's ``count <= total_bits`` check can tell.
+        symbols = np.array([0, 1, 2, 3] * 50, dtype=np.int64)
         blob = bytearray(huffman.encode(symbols))
         blob[0:8] = struct.pack("<Q", 201)
         with pytest.raises(CompressorError, match="exhausted"):

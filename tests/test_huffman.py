@@ -6,14 +6,17 @@ reference loops of ``tests/reference_kernels.py`` patched in.
 
 Code-book construction is pinned differentially:
 ``_heap_build_lengths`` below is the heap-based builder every blob was
-produced by until the linear-time two-queue construction replaced it, kept
-verbatim as the reference the new ``huffman._build_lengths`` must match
-length for length.
+produced by until the two-queue construction replaced it, kept verbatim as
+the reference ``huffman._build_lengths`` must match length for length — at
+hypothesis sizes and at the sizes of the simulator's SZ books, where the
+builder pairs whole runs of equal counts at once.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +94,16 @@ class TestRoundTrip:
 
 class TestTruncatedBlobs:
     """Every proper prefix of a valid blob ends in the typed error."""
+
+    @pytest.mark.parametrize("count", [7, 10**6, 10**12, 2**62])
+    def test_inflated_count_raises_compressor_error(self, huff, count):
+        # Three 1-bit codes: any count above the stream's 3 bits is corrupt,
+        # and the large ones must be rejected before the decoder sizes its
+        # buffers from them (10^12 once asked for hundreds of GiB).
+        blob = bytearray(huff.encode(np.array([5, -5, 5], dtype=np.int64)))
+        blob[0:8] = struct.pack("<Q", count)
+        with pytest.raises(CompressorError, match="count exceeds"):
+            huff.decode(bytes(blob))
 
     def test_every_huffman_prefix_raises_compressor_error(self, huff):
         blob = huff.encode(np.arange(200, dtype=np.int64) % 37)
@@ -176,6 +189,25 @@ def _fibonacci(terms: int) -> list[int]:
     return weights[:terms]
 
 
+@st.composite
+def _sz_count_vectors(draw) -> np.ndarray:
+    """Counts of an SZ block's book: mostly 1s and 2s, a few heavy symbols.
+
+    The runs of 1s include lengths 2^k - 1, 2^k and 2^k + 1, where pairing a
+    run in bulk leaves one leaf over, none, or one again.
+    """
+
+    ones = draw(
+        st.integers(1000, 8000)
+        | st.sampled_from([2**k + d for k in (10, 11, 12) for d in (-1, 0, 1)])
+    )
+    twos = draw(st.integers(0, 600))
+    middling = draw(st.lists(st.integers(3, 7), max_size=60))
+    heavy = draw(st.lists(st.integers(8, 3000), max_size=6))
+    counts = np.array([1] * ones + [2] * twos + middling + heavy, dtype=np.int64)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(counts)
+
+
 _count_vectors = st.one_of(
     # all equal
     st.builds(lambda n, c: [c] * n, st.integers(1, 300), st.integers(1, 1000)),
@@ -187,16 +219,37 @@ _count_vectors = st.one_of(
     st.lists(st.integers(1, 10**6), min_size=1, max_size=300),
     # Fibonacci weights in any symbol order: the deepest possible tree
     st.permutations(_fibonacci(40)),
+    # SZ books at the simulator's size, where whole runs pair at once
+    _sz_count_vectors(),
 )
 
 
+@st.composite
+def _symbol_streams(draw) -> np.ndarray:
+    """Delta-code-like streams: near-constant to wide, 1 to 9000 symbols."""
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 9000))
+    scale = draw(st.sampled_from([0.2, 3.0, 60.0, 650.0, 5000.0]))
+    symbols = np.rint(rng.laplace(0.0, scale, size=size)).astype(np.int64)
+    # SZ's escape code on a few symbols.
+    symbols[rng.random(size) < draw(st.sampled_from([0.0, 0.01]))] = 32768
+    return symbols
+
+
 class TestBuilderMatchesHeapReference:
-    """The two-queue builder makes the heap builder's merge sequence."""
+    """The run builder makes the heap builder's merge sequence."""
 
     @given(counts=_count_vectors)
     @settings(max_examples=300, deadline=None)
     def test_generated_counts(self, counts):
         _assert_same_lengths(counts)
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_all_equal_runs_around_powers_of_two(self, k):
+        for size in (2**k - 1, 2**k, 2**k + 1):
+            _assert_same_lengths(np.ones(size, dtype=np.int64))
+            _assert_same_lengths(np.full(size, 3, dtype=np.int64))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tiny_alphabets(self, n):
@@ -229,3 +282,13 @@ class TestBuilderMatchesHeapReference:
         blob = huff.encode(symbols)
         monkeypatch.setattr(huffman, "_build_lengths", _heap_build_lengths)
         assert huff.encode(symbols) == blob
+
+    @given(symbols=_symbol_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_streams_encode_to_the_same_bytes(self, symbols):
+        # The whole encoder, dictionary included, against blobs built on the
+        # heap builder's lengths.
+        blob = huffman.encode(symbols)
+        with mock.patch.object(huffman, "_build_lengths", _heap_build_lengths):
+            assert huffman.encode(symbols) == blob
+        assert np.array_equal(huffman.decode(blob), symbols)

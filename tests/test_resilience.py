@@ -10,6 +10,7 @@ itself (plan parsing, structured errors) is covered alongside.
 from __future__ import annotations
 
 import importlib
+import logging
 import multiprocessing
 import os
 import pickle
@@ -496,4 +497,27 @@ class TestBoundedTeardown:
             assert pool.worker_pid(0) != survivor_pid
             # The replacement sits in the same seat and answers.
             assert pool.broadcast(("ping",)) == [("pong",), ("pong",)]
+
+    def test_heal_logs_each_respawned_worker(self, caplog):
+        with ProcessPool(3, _PingWorker) as pool:
+            dead = {worker: pool.worker_pid(worker) for worker in (0, 2)}
+            for pid in dead.values():
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while set(dead.values()) & {
+                child.pid for child in multiprocessing.active_children()
+            }:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            with caplog.at_level(logging.WARNING, logger="repro.core.procpool"):
+                assert pool.heal() == [0, 2]
+                assert pool.heal() == []
+        assert [(record.levelno, record.getMessage()) for record in caplog.records] == [
+            (
+                logging.WARNING,
+                f"respawned pool worker {worker}: pid {pid} died with exit code "
+                f"{-signal.SIGKILL}",
+            )
+            for worker, pid in dead.items()
+        ]
 

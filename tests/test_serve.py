@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -130,6 +131,28 @@ class TestFairScheduler:
         assert excinfo.value.limit == 3
         assert scheduler.pending() == 3
         assert scheduler.snapshot()["b"]["submitted"] == 1
+
+    def test_backpressure_rejections_are_logged(self, caplog):
+        scheduler = FairScheduler(max_pending_per_tenant=1, max_pending_total=2)
+        scheduler.register("a", 1)
+        scheduler.register("b", 1)
+        with caplog.at_level(logging.INFO, logger="repro.serve.queue"):
+            scheduler.submit("a", 0)
+            with pytest.raises(ServiceOverloadedError):
+                scheduler.submit("a", 1)
+            scheduler.submit("b", 0)
+            with pytest.raises(ServiceOverloadedError):
+                scheduler.submit("b", 1)
+        assert [(record.levelno, record.getMessage()) for record in caplog.records] == [
+            (
+                logging.INFO,
+                "rejected a job: tenant queue full for tenant 'a' (1 pending, limit 1)",
+            ),
+            (
+                logging.INFO,
+                "rejected a job: total queue full for tenant 'b' (2 pending, limit 2)",
+            ),
+        ]
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(data=st.data())
