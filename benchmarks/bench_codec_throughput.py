@@ -14,10 +14,7 @@ helpers.  This bench pins those wins to numbers:
   floor is 5x),
 * the run-stepping code-book builder against the heap builder the blobs were
   first produced by (``tests/test_huffman.py``'s oracle): same lengths, same
-  bytes, and what each costs, and
-* the ``TaskExecutor`` thread-scaling curve with the SZ codec on the hot
-  path — NumPy kernels and zlib release the GIL, which is what
-  ``num_workers`` > 1 feeds on.
+  bytes, and what each costs.
 
 Results land in ``benchmarks/results/BENCH_codec.json`` (machine-readable,
 one file per run) next to the human-readable ``.txt`` blocks.  Decode
@@ -40,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis import format_table
-from repro.circuits import QuantumCircuit
 from repro.compression import (
     ErrorBoundMode,
     SZCompressor,
@@ -48,7 +44,7 @@ from repro.compression import (
     huffman,
     quantization,
 )
-from repro.core import CompressedSimulator, SimulatorConfig, effective_cpu_count
+from repro.core import effective_cpu_count
 
 # The heap builder is the tests' oracle; time that function, not a copy.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -320,79 +316,3 @@ def test_codec_throughput_matrix(emit):
         ],
     )
     emit("Codec throughput (MB/s of raw float64 per wall second)", format_table(rows))
-
-
-def test_task_executor_thread_scaling(emit):
-    """Thread-scaling curve of the codec path through ``TaskExecutor``.
-
-    Two caveats the numbers must be read with, both recorded in the JSON:
-
-    * the curve is bounded by the CPUs actually available — on a single-CPU
-      runner it is flat by construction, and the test then only verifies
-      that results stay bit-identical across worker counts;
-    * of the codec stages, the zlib/lzma/bz2 backends release the GIL, but
-      NumPy *fancy-indexing gathers* — the heart of the table-driven Huffman
-      decoder — do not, so the SZ decode path stays mostly serial under
-      threads however many cores exist.  (A process pool or a nogil build is
-      the ROADMAP follow-up for that.)
-    """
-
-    num_qubits = 8 if QUICK else 12
-    block_amplitudes = 32 if QUICK else 256
-    circuit = QuantumCircuit(num_qubits, name="codec_scaling")
-    for layer in range(2):
-        for qubit in range(num_qubits):
-            circuit.h(qubit)
-            circuit.rz(0.3 * (qubit + 1 + layer), qubit)
-
-    def run(workers: int) -> tuple[float, np.ndarray]:
-        config = SimulatorConfig(
-            num_ranks=2,
-            block_amplitudes=block_amplitudes,
-            lossy_compressor="sz",
-            use_block_cache=False,
-            num_workers=workers,
-        )
-        with CompressedSimulator(num_qubits, config) as simulator:
-            start = time.perf_counter()
-            simulator.apply_circuit(circuit)
-            elapsed = time.perf_counter() - start
-            state = simulator.statevector()
-        return elapsed, state
-
-    run(1)  # warm-up (allocator, scratch pools, zlib)
-    results = {workers: run(workers) for workers in (1, 2, 4)}
-    base_state = results[1][1]
-    for workers, (_, state) in results.items():
-        assert np.allclose(base_state, state, atol=1e-10), workers
-
-    rows = [
-        {
-            "num_workers": workers,
-            "seconds": f"{seconds:.3f}",
-            "speedup": f"{results[1][0] / seconds:.2f}x",
-        }
-        for workers, (seconds, _) in results.items()
-    ]
-    available_cpus = effective_cpu_count()
-    _merge_json(
-        "thread_scaling",
-        {
-            "available_cpus": available_cpus,
-            "curve": [
-                {"num_workers": w, "seconds": s, "speedup": results[1][0] / s}
-                for w, (s, _) in results.items()
-            ],
-        },
-    )
-    emit(
-        f"TaskExecutor thread scaling, SZ codec path ({num_qubits} qubits, "
-        f"{len(circuit)} gates, {available_cpus} CPU(s) available)",
-        format_table(rows)
-        + (
-            "\nNOTE: single-CPU runner — the curve is flat by construction; "
-            "this run only checks cross-worker determinism."
-            if available_cpus == 1
-            else ""
-        ),
-    )

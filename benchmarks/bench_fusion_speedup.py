@@ -1,8 +1,8 @@
-"""Gate fusion + parallel block-task execution speedup.
+"""Gate fusion speedup.
 
 The paper's time breakdown (Table 2) shows the per-gate decompress → apply →
 recompress round trip dominating the runtime.  This bench quantifies the
-attacks this repo mounts on that bottleneck:
+attack this repo mounts on that bottleneck:
 
 * **Runs** — consecutive gates that can share one staging share one round
   trip per block, their steps applied in order: one-block steps (an
@@ -12,10 +12,8 @@ attacks this repo mounts on that bottleneck:
   under one set of non-local controls.  Measured as the reduction in compressor invocations on a QFT-style
   workload of per-qubit rotation chains, and counted with ``plan_gate`` as
   blob round trips (buffers staged) before and after run formation, for the
-  Table-2 circuits at two block sizes.
-* **Parallel tasks** — the disjoint-block tasks of a gate plan run on a
-  thread pool (``SimulatorConfig.num_workers``); zlib and the NumPy kernels
-  release the GIL on block-sized payloads.
+  Table-2 circuits at two block sizes, and as wall-clock against the seed's
+  gate-by-gate path.
 
 Set ``REPRO_BENCH_QUICK=1`` for a CI-sized smoke run.
 """
@@ -69,13 +67,12 @@ def chain_qft_circuit(num_qubits: int, layers: int) -> QuantumCircuit:
     return circuit
 
 
-def _run(circuit, num_qubits: int, *, fusion: bool, workers: int) -> dict:
+def _run(circuit, num_qubits: int, *, fusion: bool) -> dict:
     config = SimulatorConfig(
         num_ranks=NUM_RANKS,
         block_amplitudes=BLOCK_AMPLITUDES,
         use_block_cache=False,  # keep the round-trip accounting undiluted
         fusion_enabled=fusion,
-        num_workers=workers,
     )
     with CompressedSimulator(num_qubits, config) as simulator:
         start = time.perf_counter()
@@ -96,8 +93,8 @@ def test_fusion_roundtrip_reduction(emit):
     """Fusion must cut compressor invocations >= 2x on the chain workload."""
 
     circuit = chain_qft_circuit(NUM_QUBITS, LAYERS)
-    baseline = _run(circuit, NUM_QUBITS, fusion=False, workers=1)
-    with_fusion = _run(circuit, NUM_QUBITS, fusion=True, workers=1)
+    baseline = _run(circuit, NUM_QUBITS, fusion=False)
+    with_fusion = _run(circuit, NUM_QUBITS, fusion=True)
 
     reduction = baseline["compress_calls"] / max(1, with_fusion["compress_calls"])
     rows = [
@@ -185,39 +182,38 @@ def test_run_formation_roundtrip_reduction(emit):
     )
 
 
-def test_fusion_parallel_beats_sequential_seed_path(emit):
-    """Fusion + 4 workers must beat the seed's sequential path wall-clock."""
+def test_fusion_beats_sequential_seed_path(emit):
+    """Fusion must beat the seed's gate-by-gate path wall-clock."""
 
     circuit = chain_qft_circuit(NUM_QUBITS, LAYERS)
     # Warm-up run so allocator/zlib effects don't skew the comparison.
-    _run(circuit, NUM_QUBITS, fusion=False, workers=1)
+    _run(circuit, NUM_QUBITS, fusion=False)
 
-    sequential = _run(circuit, NUM_QUBITS, fusion=False, workers=1)
-    parallel = _run(circuit, NUM_QUBITS, fusion=True, workers=4)
+    seed = _run(circuit, NUM_QUBITS, fusion=False)
+    fused = _run(circuit, NUM_QUBITS, fusion=True)
 
-    speedup = sequential["seconds"] / max(1e-9, parallel["seconds"])
+    speedup = seed["seconds"] / max(1e-9, fused["seconds"])
     rows = [
         {
-            "mode": "seed (fusion off, 1 worker)",
-            "seconds": f"{sequential['seconds']:.3f}",
-            "tasks": sequential["tasks"],
+            "mode": "seed (fusion off)",
+            "seconds": f"{seed['seconds']:.3f}",
+            "tasks": seed["tasks"],
         },
         {
-            "mode": "fusion on, 4 workers",
-            "seconds": f"{parallel['seconds']:.3f}",
-            "tasks": parallel["tasks"],
+            "mode": "fusion on",
+            "seconds": f"{fused['seconds']:.3f}",
+            "tasks": fused["tasks"],
         },
     ]
     emit(
-        f"Fusion + parallel execution wall-clock ({NUM_QUBITS} qubits, "
-        f"{len(circuit)} gates)",
+        f"Fusion wall-clock ({NUM_QUBITS} qubits, {len(circuit)} gates)",
         format_table(rows) + f"\nspeedup: {speedup:.2f}x",
     )
 
-    assert np.array_equal(sequential["state"], parallel["state"])
+    assert np.array_equal(seed["state"], fused["state"])
     # The work counters shrink deterministically in every mode; the strict
     # wall-clock comparison is only enforced in the full-size run (quick mode
     # exists for CI smoke on shared runners, where timing is too noisy).
-    assert parallel["compress_calls"] * 2 <= sequential["compress_calls"]
+    assert fused["compress_calls"] * 2 <= seed["compress_calls"]
     if not QUICK:
-        assert parallel["seconds"] < sequential["seconds"]
+        assert fused["seconds"] < seed["seconds"]

@@ -1,28 +1,18 @@
-"""Thread executor scaling on a codec-bound workload, and the process pools.
+"""The two users of the worker-process pool.
 
-PR 2 left an honest caveat in the codec bench: NumPy fancy-index gathers —
-the heart of the table-driven Huffman decoder — hold the GIL, so
-``num_workers`` buys almost nothing on codec-bound (SZ-path) workloads under
-the *thread* executor.  This bench pins that ceiling to numbers, next to the
-two users of the worker-process pool:
-
-* wall-clock and speedup-vs-``num_workers=1`` curve for the thread executor
-  on a codec-bound QFT-style workload (SZ codec on the hot path, block cache
-  off so every task pays the full round trip), with bit-identity across
-  every worker count asserted in all modes,
 * the cost of in-run resilience checkpoints on the ranked tier (one worker
-  process per rank — the only process-parallel mechanism for one circuit;
-  its scaling curve is ``bench_fig16_node_scaling.py``), and
+  process per rank — the only parallel mechanism for one circuit; its
+  scaling curve is ``bench_fig16_node_scaling.py``), and
 * batched ``repro.run()`` fan-out: a 9-circuit QAOA angle grid executed
   sequentially and with ``parallel="process"``, results required identical
   up to measured wall-clock metadata.
 
 Results land in ``benchmarks/results/BENCH_parallel.json``;
 ``meta.available_cpus`` records which regime produced the numbers
-(affinity-aware, not raw ``os.cpu_count()``).  The
-``executor_scaling.curves.process`` key of earlier recordings is gone with
-the block-task process executor (v1.4.0): ``executor="process"`` is now a
-spelling of the ranked tier, whose width is ``num_ranks``.
+(affinity-aware, not raw ``os.cpu_count()``).  The ``executor_scaling``
+section of earlier recordings timed the thread tier, which went in v1.17.0:
+``num_workers > 1`` is now a spelling of the ranked tier, whose width is
+``num_ranks``.
 
 Set ``REPRO_BENCH_QUICK=1`` for a CI-sized smoke run.
 """
@@ -55,7 +45,6 @@ NUM_QUBITS = 8 if QUICK else 12
 BLOCK_AMPLITUDES = 32 if QUICK else 256
 LAYERS = 2 if QUICK else 4
 REPEATS = 1 if QUICK else 2
-WORKER_COUNTS = (1, 2, 4)
 QAOA_QUBITS = 8 if QUICK else 12
 FANOUT_WORKERS = 4
 #: In-run resilience checkpoint cadence sweep (waves between snapshots;
@@ -89,87 +78,6 @@ def codec_bound_circuit(num_qubits: int, layers: int) -> QuantumCircuit:
     return circuit
 
 
-def _run(circuit, *, workers: int) -> tuple[float, np.ndarray]:
-    """Best-of-``REPEATS`` wall-clock (noise on shared runners) + final state."""
-
-    config = SimulatorConfig(
-        num_ranks=2,
-        block_amplitudes=BLOCK_AMPLITUDES,
-        lossy_compressor="sz",
-        start_lossless=False,
-        use_block_cache=False,  # every task pays the full codec round trip
-        fusion_enabled=False,  # keep the gate count (and task count) fixed
-        num_workers=workers,
-    )
-    best = float("inf")
-    with CompressedSimulator(NUM_QUBITS, config) as simulator:
-        for _ in range(REPEATS):
-            simulator.reset()
-            start = time.perf_counter()
-            simulator.apply_circuit(circuit)
-            best = min(best, time.perf_counter() - start)
-        state = simulator.statevector()
-    return best, state
-
-
-def test_executor_scaling_curves(emit):
-    """Thread executor speedup curve; bit-identity enforced in all modes."""
-
-    circuit = codec_bound_circuit(NUM_QUBITS, LAYERS)
-    _run(circuit, workers=1)  # warm-up (allocator, zlib)
-
-    curve: dict[int, float] = {}
-    baseline_state: np.ndarray | None = None
-    for workers in WORKER_COUNTS:
-        curve[workers], state = _run(circuit, workers=workers)
-        if baseline_state is None:
-            baseline_state = state
-        else:
-            # The acceptance contract: every width, the same bytes-for-bytes
-            # final state.
-            assert np.array_equal(baseline_state, state), workers
-
-    baseline = curve[1]
-    available = effective_cpu_count()
-    _merge_json(
-        "executor_scaling",
-        {
-            "workload": {
-                "circuit": circuit.name,
-                "gates": len(circuit),
-                "codec": "sz",
-            },
-            "baseline_seconds": baseline,
-            "curves": {
-                "thread": [
-                    {
-                        "num_workers": workers,
-                        "seconds": seconds,
-                        "speedup": baseline / seconds,
-                    }
-                    for workers, seconds in curve.items()
-                ]
-            },
-        },
-    )
-    emit(
-        f"Thread executor scaling, codec-bound SZ workload ({NUM_QUBITS} qubits, "
-        f"{len(circuit)} gates, {available} CPU(s) available)",
-        format_table(
-            [
-                {
-                    "executor": "thread",
-                    "num_workers": workers,
-                    "seconds": f"{seconds:.3f}",
-                    "speedup": f"{baseline / seconds:.2f}x",
-                }
-                for workers, seconds in curve.items()
-            ]
-        )
-        + "\nbit-identity across all worker counts asserted",
-    )
-
-
 def test_recovery_overhead(emit):
     """Cost of in-run resilience checkpoints on the ranked tier.
 
@@ -181,7 +89,6 @@ def test_recovery_overhead(emit):
     """
 
     circuit = codec_bound_circuit(NUM_QUBITS, LAYERS)
-    _run(circuit, workers=1)  # warm-up (allocator, zlib)
     rows = []
     baseline_state: np.ndarray | None = None
     baseline_seconds: float | None = None

@@ -2,8 +2,8 @@
 
 Adapter over :class:`~repro.core.simulator.CompressedSimulator`.  The batch
 session keeps **one warm simulator per register width**: the first circuit of
-a width pays for partition setup, scratch-pool allocation and (with
-``num_workers > 1``) thread-pool spin-up; subsequent circuits of that width
+a width pays for partition setup, scratch-pool allocation and (on the
+ranked tier) rank-worker spin-up; subsequent circuits of that width
 just :meth:`~repro.core.simulator.CompressedSimulator.reset` the state and
 reuse everything — the throughput path for angle sweeps and benchmark
 batteries.

@@ -19,10 +19,14 @@ sequential execution; only measured wall-clock metadata differs.
 
 from __future__ import annotations
 
+import logging
+
 from ..circuits import QuantumCircuit
 from .result import Result
 
 __all__ = ["run_batch_in_processes"]
+
+logger = logging.getLogger(__name__)
 
 
 class _CircuitRunner:
@@ -167,9 +171,18 @@ def run_batch_in_processes(
                 restarted = pool.heal()
                 if not restarted:
                     raise  # nothing actually died — a stuck pool cannot heal
+                requeued = []
                 for dead_id in restarted:
                     lost = in_flight.pop(dead_id, {})
                     if lost:
                         queues.setdefault(dead_id, []).extend(lost.values())
                         outstanding -= len(lost)
+                        requeued.extend(lost)
+                logger.warning(
+                    "circuit fan-out retry %d: respawned workers %s, "
+                    "re-queued circuits %s",
+                    attempt,
+                    sorted(restarted),
+                    sorted(requeued),
+                )
     return results  # type: ignore[return-value]

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -121,28 +118,23 @@ def _keep_task_heap() -> None:
 
 
 class ScratchPool:
-    """Reusable decompression buffers (the MCDRAM staging area).
+    """The two reusable decompression buffers of a rank (the MCDRAM staging
+    area).
 
-    At most two blocks per rank are decompressed at any time (Figure 2); in
-    this single-process reproduction that means two shared ``complex128``
-    buffers of one block each, reused for every gate to avoid repeated
-    allocation in the hot loop.  When the simulator runs block tasks on
-    worker threads the pool is enlarged to two buffers per worker, and each
-    task checks its buffers out through :meth:`lease`.  Every process that
-    runs block tasks builds a pool first, so this is also where the heap
-    those tasks allocate from is told to stay (:func:`_keep_task_heap`).
+    At most two blocks per rank are decompressed at any time (Figure 2,
+    Eq. 8): one ``complex128`` buffer per block of a block pair, reused for
+    every gate to avoid repeated allocation in the hot loop.  Every process
+    that runs block tasks builds a pool first, so this is also where the
+    heap those tasks allocate from is told to stay (:func:`_keep_task_heap`).
     """
 
-    def __init__(self, block_amplitudes: int, buffers: int = 2) -> None:
-        if buffers < 1:
-            raise ValueError("need at least one scratch buffer")
+    def __init__(self, block_amplitudes: int) -> None:
         _keep_task_heap()
         self._block_amplitudes = int(block_amplitudes)
-        self._buffers = [
-            np.zeros(block_amplitudes, dtype=np.complex128) for _ in range(buffers)
-        ]
-        self._available = threading.Condition()
-        self._free = list(range(len(self._buffers)))
+        self.buffers = (
+            np.zeros(block_amplitudes, dtype=np.complex128),
+            np.zeros(block_amplitudes, dtype=np.complex128),
+        )
 
     @property
     def block_amplitudes(self) -> int:
@@ -150,14 +142,8 @@ class ScratchPool:
 
         return self._block_amplitudes
 
-    @property
-    def num_buffers(self) -> int:
-        """How many scratch buffers the pool owns."""
-
-        return len(self._buffers)
-
     def fill(self, buffer: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Copy decompressed float64 data into a leased buffer as complex128."""
+        """Copy decompressed float64 data into a scratch buffer as complex128."""
 
         view = values.view(np.complex128) if values.dtype == np.float64 else values
         if view.size != buffer.size:
@@ -166,27 +152,3 @@ class ScratchPool:
             )
         np.copyto(buffer, view)
         return buffer
-
-    @contextmanager
-    def lease(self, count: int = 1) -> Iterator[tuple[np.ndarray, ...]]:
-        """Check out *count* scratch buffers; blocks until enough are free.
-
-        All buffers of a task are acquired atomically (no incremental
-        hold-and-wait), so concurrent tasks can never deadlock as long as the
-        pool holds at least one task's worth of buffers.
-        """
-
-        if not 1 <= count <= len(self._buffers):
-            raise ValueError(
-                f"cannot lease {count} of {len(self._buffers)} scratch buffers"
-            )
-        with self._available:
-            while len(self._free) < count:
-                self._available.wait()
-            indices = [self._free.pop() for _ in range(count)]
-        try:
-            yield tuple(self._buffers[index] for index in indices)
-        finally:
-            with self._available:
-                self._free.extend(indices)
-                self._available.notify_all()

@@ -21,7 +21,6 @@ the cache serves only patterns that recur from one plan to a later one.
 from __future__ import annotations
 
 import logging
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -90,9 +89,6 @@ class BlockCache:
         self._threshold = miss_disable_threshold
         self._entries: "OrderedDict[tuple, tuple[bytes, bytes | None]]" = OrderedDict()
         self.stats = CacheStats()
-        # Lookups and insertions may come from the executor's worker threads;
-        # one lock keeps the LRU order and the counters consistent.
-        self._mutex = threading.RLock()
 
     @property
     def lines(self) -> int:
@@ -111,33 +107,27 @@ class BlockCache:
     ) -> tuple[bytes, bytes | None] | None:
         """Return the cached output blobs for this pattern, or ``None``."""
 
-        # Unlocked fast path: once disabled, lookups must stay free (the
-        # whole point of the disable rule).  The flag only ever flips
-        # False -> True, so a stale read is harmless.
         if self.stats.disabled:
             return None
         key = (op_key, blob1, blob2)
-        with self._mutex:
-            if self.stats.disabled:
-                return None
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                if (
-                    self._threshold is not None
-                    and self.stats.hits == 0
-                    and self.stats.misses >= self._threshold
-                ):
-                    self.stats.disabled = True
-                    self._entries.clear()
-                    logger.info(
-                        "block cache disabled itself: 0 hits in %d lookups",
-                        self.stats.misses,
-                    )
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
+        entry = self._entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            if (
+                self._threshold is not None
+                and self.stats.hits == 0
+                and self.stats.misses >= self._threshold
+            ):
+                self.stats.disabled = True
+                self._entries.clear()
+                logger.info(
+                    "block cache disabled itself: 0 hits in %d lookups",
+                    self.stats.misses,
+                )
+            return None
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        return entry
 
     def insert(
         self,
@@ -152,16 +142,13 @@ class BlockCache:
         if self.stats.disabled:
             return
         key = (op_key, blob1, blob2)
-        with self._mutex:
-            if self.stats.disabled:
-                return
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = (out1, out2)
-            self.stats.insertions += 1
-            while len(self._entries) > self._lines:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        self._entries[key] = (out1, out2)
+        self.stats.insertions += 1
+        while len(self._entries) > self._lines:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     def reset(self) -> None:
         """Drop all lines, zero the statistics and re-enable the cache.
@@ -170,10 +157,8 @@ class BlockCache:
         behaviour — including the miss-disable rule — as a fresh simulator.
         """
 
-        with self._mutex:
-            self._entries.clear()
-            self.stats = CacheStats()
+        self._entries.clear()
+        self.stats = CacheStats()
 
     def __len__(self) -> int:
-        with self._mutex:
-            return len(self._entries)
+        return len(self._entries)

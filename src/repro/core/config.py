@@ -88,20 +88,12 @@ class SimulatorConfig:
         and the state is still lossless, a run is taken step by step so the
         budget is checked after each (a sandwich stays one step).
     num_workers:
-        Workers for independent block tasks of a gate plan.  ``1`` (the
-        default) keeps the seed's sequential execution; larger values run
-        disjoint-block tasks concurrently on the tier chosen by
-        ``executor``.  On the ranked tier the workers *are* the ranks, so
-        only ``1`` or ``num_ranks`` is accepted.  Results are bit-identical
-        regardless of the setting.
+        ``1`` (the default) runs on the tier ``comm`` selects; any larger
+        value is a spelling of the ranked tier described under ``comm``,
+        whose workers *are* the ranks, so it must equal ``num_ranks``.
     executor:
-        Parallel tier for block tasks when ``num_workers > 1``: ``"thread"``
-        (the default; a thread pool in this process, which scales only where
-        the codecs drop the GIL — zlib does, NumPy fancy-index gathers do
-        not) or ``"process"``, a spelling of the ranked tier described under
-        ``comm`` (one worker process per rank, so it requires
-        ``num_workers == num_ranks``).  With ``num_workers=1`` either value
-        is the sequential path.
+        ``"thread"`` (the default) or ``"process"``; validated, but it
+        selects nothing: ``num_workers`` alone picks the tier.
     mp_start_method:
         ``multiprocessing`` start method for the ranked tier's rank workers:
         ``"fork"``, ``"spawn"``, ``"forkserver"`` or ``None`` for the
@@ -116,9 +108,9 @@ class SimulatorConfig:
         moving real compressed blobs between ranks over socket pairs
         (:mod:`repro.distributed.ranked`).  Results are
         bit-identical across both tiers.  The ranked tier is the only
-        process-parallel mechanism and is scaled with ``num_ranks``;
-        :attr:`tier` reports which of ``"sequential"``, ``"thread"`` or
-        ``"ranked"`` the three fields above resolve to.
+        parallel mechanism and is scaled with ``num_ranks``; :attr:`tier`
+        reports which of ``"sequential"`` or ``"ranked"`` ``comm`` and
+        ``num_workers`` resolve to.
     fault_policy:
         Recovery policy (:class:`repro.resilience.FaultPolicy`) of the run:
         retries and the in-run checkpoint interval.  ``None``
@@ -141,6 +133,8 @@ class SimulatorConfig:
     track_fidelity_bound: bool = True
     fusion_enabled: bool = True
     num_workers: int = 1
+    # Read by the frozen rcs16_thread2 / rcs16_process2 workloads of
+    # benchmarks/e2e; goes with them.
     executor: str = "thread"
     mp_start_method: str | None = None
     comm: str = "simulated"
@@ -162,8 +156,6 @@ class SimulatorConfig:
         if list(levels) != sorted(levels):
             raise ValueError("error_levels must be sorted from tightest to loosest")
         self.error_levels = levels
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         if self.executor not in ("thread", "process"):
             raise ValueError(
                 f"executor must be 'thread' or 'process', got {self.executor!r}"
@@ -176,19 +168,15 @@ class SimulatorConfig:
             raise ValueError(
                 f"comm must be 'simulated' or 'process', got {self.comm!r}"
             )
-        ranked = self.comm == "process" or (
-            self.executor == "process" and self.num_workers > 1
-        )
-        if ranked and self.num_workers not in (1, self.num_ranks):
+        if self.num_workers not in (1, self.num_ranks):
             raise ValueError(
-                "the ranked tier (comm='process' or executor='process') runs "
+                "the ranked tier (comm='process' or num_workers > 1) runs "
                 f"one worker process per rank: num_workers={self.num_workers} "
                 f"must be 1 or equal num_ranks={self.num_ranks}; scale it "
                 "with num_ranks instead (see docs/migration.md)"
             )
-        self._tier = (
-            "ranked" if ranked else "thread" if self.num_workers > 1 else "sequential"
-        )
+        ranked = self.comm == "process" or self.num_workers > 1
+        self._tier = "ranked" if ranked else "sequential"
         if self.fault_policy is not None:
             from ..resilience import FaultPolicy
 
@@ -201,8 +189,7 @@ class SimulatorConfig:
     @property
     def tier(self) -> str:
         """The execution tier this config selects, derived at validation:
-        ``"sequential"``, ``"thread"`` (``num_workers`` pool threads) or
-        ``"ranked"`` (one worker process per rank)."""
+        ``"sequential"`` or ``"ranked"`` (one worker process per rank)."""
 
         return self._tier
 

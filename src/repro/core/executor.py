@@ -4,35 +4,17 @@ Every block task is one call to :meth:`repro.core.kernel.BlockKernel.run`
 (cache lookup, decompress, apply, recompress); the executor here decides only
 *where* that call happens and commits its output blobs to the block store.
 
-:class:`TaskExecutor` runs the kernel in the parent process — inline, or on
-an optional thread pool.  Either way it first groups the whole plan with
-:func:`~repro.core.kernel.group_tasks`: byte-identical tasks run once and
-their outputs go to every task of the group.  A plan stages each
-(rank, block) at most once, so the groups touch pairwise-disjoint blocks and
-can run concurrently — each leases its own scratch buffers from the shared
-:class:`~repro.core.blocks.ScratchPool`, and the block cache and report use
-internal locks.  The NumPy kernels and the zlib/lzma/bz2 backends release the
-GIL on block-sized payloads, which is where the wall-clock win comes from.
+:class:`TaskExecutor` runs the kernel on the calling thread.  It first
+groups the whole plan with :func:`~repro.core.kernel.group_tasks`:
+byte-identical tasks run once and their outputs go to every task of the
+group, one group after another.
 
-With ``num_workers=1`` (the default) the groups run one after another on the
-calling thread.  Results and counters are the same either way: groups write
-disjoint blocks, the compressors are deterministic pure functions of their
-input, and a cache hit returns the same bytes recomputation would produce.
-
-Communication accounting stays in the calling thread: the simulated
-communicator's modelled-time delta is order-dependent, so the executor
-accounts every cross-rank exchange of the plan up front, before dispatch.
-The block store is written from the calling thread too (:meth:`_commit`).
-
-The process-parallel transport is the ranked tier
+The parallel transport is the ranked tier
 (:class:`repro.distributed.ranked.RankedExecutor`): one worker process per
 rank, each owning its slice of the blocks and running the same kernel.
 """
 
 from __future__ import annotations
-
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from ..compression.interface import Compressor
 from ..distributed.comm import SimulatedCommunicator
@@ -54,18 +36,15 @@ class TaskExecutor:
     state:
         The compressed state whose blocks the tasks read and write.
     scratch:
-        Shared scratch pool; must hold at least two buffers per worker so a
-        block-pair task can always lease both of its buffers atomically.
+        The two scratch buffers block tasks are staged in.
     cache:
-        Optional compressed block cache (Section 3.4); must be thread-safe.
+        Optional compressed block cache (Section 3.4).
     decompressors:
         Compressor-name → instance map used to decode stored blobs.
     report:
-        Time/counter accumulator; must be thread-safe.
+        Time/counter accumulator.
     comm:
-        Simulated communicator for cross-rank exchanges (main thread only).
-    num_workers:
-        Thread-pool width; ``1`` executes sequentially with no pool at all.
+        Simulated communicator for cross-rank exchanges.
     """
 
     def __init__(
@@ -77,34 +56,17 @@ class TaskExecutor:
         decompressors: dict[str, Compressor],
         report: SimulationReport,
         comm: SimulatedCommunicator,
-        num_workers: int = 1,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if num_workers > 1 and scratch.num_buffers < 2 * num_workers:
-            raise ValueError(
-                f"scratch pool has {scratch.num_buffers} buffers; "
-                f"{num_workers} workers need {2 * num_workers}"
-            )
         self._state = state
         self._kernel = BlockKernel(decompressors, scratch, cache)
         self._report = report
         self._comm = comm
-        self._num_workers = int(num_workers)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_guard = threading.Lock()
-
-    @property
-    def num_workers(self) -> int:
-        """How many pool threads execute block tasks (1 = sequential)."""
-
-        return self._num_workers
 
     def reset_workers(self) -> None:
         """Restore fresh-simulator worker state between batched circuits.
 
-        Pool threads keep no per-worker state, so this is a no-op; the
-        ranked executor clears every rank's block-cache shard and
+        This executor keeps no per-worker state, so this is a no-op;
+        the ranked executor clears every rank's block-cache shard and
         warm-compressor map here.
         """
 
@@ -112,34 +74,19 @@ class TaskExecutor:
         """Point the executor at a fresh report accumulator.
 
         Called by :meth:`CompressedSimulator.reset` between batched circuits
-        so each circuit gets its own report while the executor (and its
-        worker pool) stays warm.
+        so each circuit gets its own report while the executor stays warm.
         """
 
         self._report = report
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent; sequential mode is a no-op)."""
-
-        with self._pool_guard:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Nothing to release; the ranked executor stops its rank workers."""
 
     def __enter__(self) -> "TaskExecutor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_guard:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._num_workers,
-                    thread_name_prefix="repro-block-task",
-                )
-            return self._pool
 
     # -- plan execution ---------------------------------------------------------------
 
@@ -160,42 +107,14 @@ class TaskExecutor:
                 for task in plan.tasks
             ),
         )
-        if self._num_workers == 1 or len(groups) < 2:
-            self._run_inline(op, groups)
-            return
-        pool = self._ensure_pool()
-        futures = [
-            (pool.submit(self._run_on_thread, op, inputs, len(tasks)), tasks)
-            for inputs, tasks in groups
-        ]
-        for future, tasks in futures:
-            self._commit(op, tasks, *future.result())
-
-    def _run_inline(
-        self, op: BlockOp, groups: list[tuple[tuple, list[BlockTask]]]
-    ) -> None:
-        """Run task groups one after another on the calling thread.
-
-        Each group commits before the next one runs, and the counters of the
-        groups that finished reach the report even when a later one raises.
-        """
-
         stats = TaskStats()
         try:
+            # Each group commits before the next one runs, and the counters
+            # of the groups that finished reach the report even when a later
+            # one raises.
             for inputs, tasks in groups:
                 outputs = self._kernel.run(op, stats, *inputs, copies=len(tasks))
                 self._commit(op, tasks, *outputs)
-        finally:
-            stats.fold_into(self._report)
-
-    def _run_on_thread(
-        self, op: BlockOp, inputs: tuple, copies: int
-    ) -> tuple[bytes, bytes | None]:
-        """Pool-thread body: one group's round trip; the caller commits."""
-
-        stats = TaskStats()
-        try:
-            return self._kernel.run(op, stats, *inputs, copies=copies)
         finally:
             stats.fold_into(self._report)
 
@@ -206,7 +125,7 @@ class TaskExecutor:
         out1: bytes,
         out2: bytes | None = None,
     ) -> None:
-        """Store a task group's output blobs (calling thread only)."""
+        """Store a task group's output blobs."""
 
         for task in tasks:
             self._state.put_block(task.first[0], task.first[1], out1, op.compressor)
@@ -218,9 +137,8 @@ class TaskExecutor:
     def _account_exchanges(self, plan: GatePlan) -> None:
         """Record the plan's inter-rank block exchanges (Section 3.3).
 
-        Each rank ships its compressed block to the other before the update;
-        the modelled-seconds delta must be observed serially, so this runs in
-        the calling thread before any task is dispatched.
+        Each rank ships its compressed block to the other before the update,
+        so this runs before any task of the plan.
         """
 
         for task in plan.tasks:

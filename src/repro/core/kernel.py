@@ -17,9 +17,9 @@ the in-block parity — a phase on one in-block qubit, or on the offsets where
 whose block- and rank-level controls are set in its block's index, so one run
 may hold steps under different controls.
 
-Every execution tier calls it — the sequential and thread paths of
-:class:`~repro.core.executor.TaskExecutor` in the parent process and the
-rank workers of :mod:`repro.distributed.ranked` — so the tiers differ
+Both execution tiers call it — :class:`~repro.core.executor.TaskExecutor`
+in the parent process and the rank workers of
+:mod:`repro.distributed.ranked` — so the tiers differ
 only in how blobs reach the kernel and where its outputs are stored, and
 bit-identity across tiers holds by construction.  Every tier also groups a
 plan's tasks with :func:`group_tasks` first: tasks that read byte-identical
@@ -113,7 +113,7 @@ class TaskStats:
         return (TaskStats, tuple(vars(self).values()))
 
     def fold_into(self, report: SimulationReport) -> None:
-        """Add these stats to *report* (thread-safe) — on every tier the
+        """Add these stats to *report* — on every tier the
         one way task counters and cache outcomes reach a report."""
 
         for counter, amount in (
@@ -171,12 +171,10 @@ class BlockKernel:
         with the caller (not copied): :meth:`compressor_for` registers new
         decoders in it.
     scratch:
-        Pool the staging buffers are leased from; two buffers per concurrent
-        :meth:`run` caller.
+        The two buffers a block (or block pair) is staged in.
     cache:
         Optional compressed block cache (Section 3.4) — the simulator's own
-        in the parent, a private shard in a worker.  Must be thread-safe when
-        :meth:`run` is called from several threads.
+        in the parent, a private shard in a worker.
     """
 
     def __init__(
@@ -279,9 +277,9 @@ class BlockKernel:
         the whole pair task's outputs bit for bit.  The cache key carries
         *row* so the two halves of one pair never alias each other's entries.
 
-        A cache hit makes no codec call and leases no scratch.  *copies* is
-        the size of the :func:`group_tasks` group this call serves: it counts
-        as that many tasks, all but one of them duplicates.
+        A cache hit makes no codec call and stages nothing in scratch.
+        *copies* is the size of the :func:`group_tasks` group this call
+        serves: it counts as that many tasks, all but one of them duplicates.
         """
 
         stats.tasks += copies
@@ -301,62 +299,52 @@ class BlockKernel:
         pair = blob2 is not None
         scratch = self.scratch
         compress = op.compressor.compress
-        with scratch.lease(2 if pair else 1) as buffers:
-            start = perf_counter()
-            buffer1 = scratch.fill(
-                buffers[0], self.decompressors[name1].decompress(blob1)
-            )
-            if pair:
-                buffer2 = scratch.fill(
-                    buffers[1], self.decompressors[name2].decompress(blob2)
-                )
-            decoded = perf_counter()
-            if not pair:
-                offset_bits = self._offset_bits
-                for matrix, target, parity, controls, required in zip(
-                    op.matrices,
-                    op.targets,
-                    op.parities,
-                    op.local_controls,
-                    op.block_controls,
-                ):
-                    if index & required != required:
-                        continue
-                    local = parity & (1 << offset_bits) - 1
-                    if local and parity == 1 << target:  # an in-block target
-                        ops.apply_controlled_single_qubit(
-                            buffer1, matrix, target, controls
-                        )
-                        continue
-                    if local:  # a parity with in-block bits: two sides
-                        even, odd = self._parity_masks_for(controls, local)
-                        # Reversing both axes swaps a diagonal's two entries.
-                        sides = ((even, matrix), (odd, matrix[::-1, ::-1]))
-                    else:
-                        sides = ((self._mask_for(controls), matrix),)
-                    for mask, entries in sides:
-                        phase = ops.block_phase(entries, parity >> offset_bits, index)
-                        if phase is not None:
-                            ops.apply_phase(buffer1, phase, mask)
-            else:
-                low, high = (buffer2, buffer1) if row == 1 else (buffer1, buffer2)
-                last = len(op.matrices) - 1
-                for step, (matrix, controls) in enumerate(
-                    zip(op.matrices, op.local_controls)
-                ):
-                    mask = self._mask_for(controls)
-                    if row is None or step < last:
-                        ops.apply_single_qubit_pairwise_masked(
-                            low, high, matrix, mask
-                        )
-                    else:
-                        ops.apply_single_qubit_pairwise_half(
-                            low, high, matrix, row, mask
-                        )
-            applied = perf_counter()
-            out1 = compress(buffer1.view(np.float64))
-            out2 = compress(buffer2.view(np.float64)) if pair and row is None else None
-            done = perf_counter()
+        buffer1, buffer2 = scratch.buffers
+        start = perf_counter()
+        scratch.fill(buffer1, self.decompressors[name1].decompress(blob1))
+        if pair:
+            scratch.fill(buffer2, self.decompressors[name2].decompress(blob2))
+        decoded = perf_counter()
+        if not pair:
+            offset_bits = self._offset_bits
+            for matrix, target, parity, controls, required in zip(
+                op.matrices,
+                op.targets,
+                op.parities,
+                op.local_controls,
+                op.block_controls,
+            ):
+                if index & required != required:
+                    continue
+                local = parity & (1 << offset_bits) - 1
+                if local and parity == 1 << target:  # an in-block target
+                    ops.apply_controlled_single_qubit(buffer1, matrix, target, controls)
+                    continue
+                if local:  # a parity with in-block bits: two sides
+                    even, odd = self._parity_masks_for(controls, local)
+                    # Reversing both axes swaps a diagonal's two entries.
+                    sides = ((even, matrix), (odd, matrix[::-1, ::-1]))
+                else:
+                    sides = ((self._mask_for(controls), matrix),)
+                for mask, entries in sides:
+                    phase = ops.block_phase(entries, parity >> offset_bits, index)
+                    if phase is not None:
+                        ops.apply_phase(buffer1, phase, mask)
+        else:
+            low, high = (buffer2, buffer1) if row == 1 else (buffer1, buffer2)
+            last = len(op.matrices) - 1
+            for step, (matrix, controls) in enumerate(
+                zip(op.matrices, op.local_controls)
+            ):
+                mask = self._mask_for(controls)
+                if row is None or step < last:
+                    ops.apply_single_qubit_pairwise_masked(low, high, matrix, mask)
+                else:
+                    ops.apply_single_qubit_pairwise_half(low, high, matrix, row, mask)
+        applied = perf_counter()
+        out1 = compress(buffer1.view(np.float64))
+        out2 = compress(buffer2.view(np.float64)) if pair and row is None else None
+        done = perf_counter()
         stats.decompression += decoded - start
         stats.computation += applied - decoded
         stats.compression += done - applied

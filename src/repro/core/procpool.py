@@ -1,10 +1,8 @@
 """Persistent process pool: warm workers, one control pipe each.
 
-The thread pool of :class:`~repro.core.executor.TaskExecutor` only scales
-where the hot loop drops the GIL, and PR 2 measured that the table-driven
-codec path does not: NumPy fancy-index gathers hold the GIL, so codec-bound
-workloads stay serial however many worker threads exist.  This module is the
-substrate of the fix — a pool of *processes*, each holding warm state
+Threads in one process only scale where the hot loop drops the GIL, and
+the table-driven codec path does not (NumPy fancy-index gathers hold it), so
+parallel work here runs in a pool of *processes*, each holding warm state
 initialised once and fed through one pipe per worker: ``submit`` sends the
 message tuple as given and ``recv_any`` returns the reply as the worker sent
 it, compressed blobs included.  A pipe delivers in order, so replies need no

@@ -9,7 +9,6 @@ while the compressed simulator executes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 __all__ = ["SimulationReport"]
@@ -77,31 +76,23 @@ class SimulationReport:
     recovery: dict | None = None
 
     _buckets: dict = field(default_factory=dict, repr=False)
-    #: Guards the accumulators: with ``num_workers > 1`` timers and counters
-    #: are fed from the executor's worker threads.  Time buckets then sum
-    #: CPU-style across threads (they can exceed wall-clock time).
-    _mutex: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
-    )
 
     # -- accumulation -----------------------------------------------------------------
 
     def add_time(self, bucket: str, seconds: float) -> None:
-        """Add *seconds* to the named time bucket (thread-safe)."""
+        """Add *seconds* to the named time bucket."""
 
         attr = f"{bucket}_seconds"
         if not hasattr(self, attr):
             raise KeyError(f"unknown time bucket {bucket!r}")
-        with self._mutex:
-            setattr(self, attr, getattr(self, attr) + seconds)
+        setattr(self, attr, getattr(self, attr) + seconds)
 
     def add_count(self, counter: str, amount: int = 1) -> None:
-        """Thread-safe increment of an integer counter field."""
+        """Increment an integer counter field."""
 
         if not isinstance(getattr(self, counter, None), int):
             raise KeyError(f"unknown counter {counter!r}")
-        with self._mutex:
-            setattr(self, counter, getattr(self, counter) + amount)
+        setattr(self, counter, getattr(self, counter) + amount)
 
     def observe_ratio(self, ratio: float) -> None:
         """Track the worst (minimum) compression ratio seen so far."""
@@ -124,27 +115,26 @@ class SimulationReport:
         checkpoints_written: int = 0,
         restarts: int = 0,
     ) -> None:
-        """Thread-safe accumulation into the :attr:`recovery` section.
+        """Accumulate into the :attr:`recovery` section.
 
         The section is created lazily on first call, so reports of runs that
         never exercised recovery keep ``recovery is None`` (and their JSON
         stays unchanged).
         """
 
-        with self._mutex:
-            if self.recovery is None:
-                self.recovery = {
-                    "retries": 0,
-                    "gates_replayed": 0,
-                    "time_lost_seconds": 0.0,
-                    "checkpoints_written": 0,
-                    "restarts": 0,
-                }
-            self.recovery["retries"] += retries
-            self.recovery["gates_replayed"] += gates_replayed
-            self.recovery["time_lost_seconds"] += time_lost_seconds
-            self.recovery["checkpoints_written"] += checkpoints_written
-            self.recovery["restarts"] += restarts
+        if self.recovery is None:
+            self.recovery = {
+                "retries": 0,
+                "gates_replayed": 0,
+                "time_lost_seconds": 0.0,
+                "checkpoints_written": 0,
+                "restarts": 0,
+            }
+        self.recovery["retries"] += retries
+        self.recovery["gates_replayed"] += gates_replayed
+        self.recovery["time_lost_seconds"] += time_lost_seconds
+        self.recovery["checkpoints_written"] += checkpoints_written
+        self.recovery["restarts"] += restarts
 
     # -- derived quantities --------------------------------------------------------------
 

@@ -13,9 +13,8 @@ state vector stays compressed.  Per gate (Figure 2):
    target above the block boundary) needs a partner block, chosen by the
    target qubit's index segment; the control qubits prune blocks.
 2. The executor of the configured tier (``SimulatorConfig.tier``) runs the
-   plan's tasks — :class:`~repro.core.executor.TaskExecutor` sequentially by
-   default or concurrently on a thread pool (``num_workers``), since the
-   tasks touch disjoint blocks; on the ranked tier
+   plan's tasks — :class:`~repro.core.executor.TaskExecutor` in this process
+   by default; on the ranked tier
    :class:`~repro.distributed.ranked.RankedExecutor` ships them to the rank
    worker processes that own the blocks.
    Byte-identical tasks of the plan are grouped first
@@ -35,6 +34,7 @@ state vector stays compressed.  Per gate (Figure 2):
 
 from __future__ import annotations
 
+import logging
 import os
 import shutil
 import tempfile
@@ -64,6 +64,8 @@ from .kernel import BlockOp
 from .report import SimulationReport
 
 __all__ = ["CompressedSimulator"]
+
+logger = logging.getLogger(__name__)
 
 
 class CompressedSimulator:
@@ -108,16 +110,10 @@ class CompressedSimulator:
         )
         self._comm = comm or SimulatedCommunicator(self._config.num_ranks)
         self._controller = AdaptiveErrorController(self._config)
-        # Two scratch buffers per worker *thread*: every block-pair task
-        # leases its own pair, so parallel tasks never share a staging
-        # buffer.  Rank workers own *all* staging (parent-side state queries
+        # Rank workers own *all* staging (parent-side state queries
         # allocate fresh arrays), so the ranked parent keeps no pool at all.
         ranked = self._config.tier == "ranked"
-        self._scratch = (
-            None
-            if ranked
-            else ScratchPool(block_amplitudes, buffers=2 * self._config.num_workers)
-        )
+        self._scratch = None if ranked else ScratchPool(block_amplitudes)
         # The ranked tier's cache lines live in the rank workers (one shard
         # per rank); the parent keeps none.
         self._cache = (
@@ -177,7 +173,6 @@ class CompressedSimulator:
             decompressors=self._decompressors,
             report=self._report,
             comm=self._comm,
-            num_workers=self._config.num_workers,
         )
         self._gate_index = 0
 
@@ -286,9 +281,9 @@ class CompressedSimulator:
     # -- lifecycle ----------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the executor's workers — threads or processes (idempotent;
-        a no-op for the sequential thread tier) — and any temporary
-        resilience-checkpoint directory this simulator created."""
+        """Release the ranked tier's worker processes (idempotent; a no-op
+        for the sequential tier) and any temporary resilience-checkpoint
+        directory this simulator created."""
 
         self._executor.close()
         if self._ckpt_tempdir is not None:
@@ -316,7 +311,7 @@ class CompressedSimulator:
         constructed simulator with the same config: the adaptive controller,
         fidelity tracker, block cache, communicator statistics and the report
         all start over.  What survives is the expensive machinery — the
-        executor (and its thread pool), the scratch pool and the decompressor
+        executor (and its rank workers), the scratch pool and the decompressor
         instances — which is what makes batched runs over same-width circuits
         cheap (:class:`repro.backends.CompressedBackend` calls this between
         circuits).
@@ -348,9 +343,9 @@ class CompressedSimulator:
         The copy shares nothing mutable with the original: the compressed
         blobs are immutable ``bytes``, so copying the state is just
         rebuilding the block table (construction itself compresses one
-        reusable zero block).  The fork always runs single-worker — it
-        exists for short side computations, so it never pays for a thread
-        pool or a per-worker scratch pool — and its adaptive controller is
+        reusable zero block).  The fork always runs on the sequential tier —
+        it exists for short side computations, so it never pays for rank
+        worker processes — and its adaptive controller is
         forced to the original's current error level so further gates
         compress with the same bound.  Used by
         :meth:`repro.backends.PauliObservable.expectation` to evaluate X/Y
@@ -363,13 +358,11 @@ class CompressedSimulator:
             if config.tier != "sequential":
                 # Forks exist for short side computations: always local,
                 # single-worker, simulated-communication — even when the
-                # parent runs on the thread or ranked tier.  Derived once
-                # per simulator: dataclasses.replace re-runs the full config
+                # parent runs on the ranked tier.  Derived once per
+                # simulator: dataclasses.replace re-runs the full config
                 # validation, which must not execute per fork (batched runs
                 # fork once per X/Y observable per circuit).
-                config = replace(
-                    config, num_workers=1, executor="thread", comm="simulated"
-                )
+                config = replace(config, num_workers=1, comm="simulated")
             self._fork_config = config
         clone = CompressedSimulator(self._num_qubits, config)
         clone.restore(
@@ -455,9 +448,12 @@ class CompressedSimulator:
         (``max_retries > 0`` or a checkpoint interval), a rank-worker death or
         communicator timeout is *recovered* instead of raised: the rank pool
         is torn down and rebuilt, the state reloads from the last in-run
-        resilience checkpoint (or the initial state), the gates since then
-        replay, and this gate retries — bit-identical to a failure-free run
-        because every layer below is deterministic.
+        resilience checkpoint (the initial state when none was written yet),
+        the gates since then replay, and this gate retries — bit-identical to
+        a failure-free run because every layer below is deterministic.  A
+        checkpoint that no longer reads back raises
+        :class:`~repro.errors.CheckpointError`: the replay log no longer
+        holds the gates before it, so nothing else could rebuild the state.
         """
 
         if gate.max_qubit() >= self._num_qubits:
@@ -542,12 +538,19 @@ class CompressedSimulator:
             try:
                 self._apply_gate_once(gate)
                 break
-            except (WorkerCrashedError, ProcessCommTimeout):
+            except (WorkerCrashedError, ProcessCommTimeout) as error:
                 if attempt >= policy.max_retries:
                     raise
                 attempt += 1
                 lost_start = time.perf_counter()
                 replayed = self._recover_ranked()
+                logger.warning(
+                    "ranked retry %d at gate %d after %s: %d gates replayed",
+                    attempt,
+                    index_before,
+                    type(error).__name__,
+                    replayed,
+                )
                 self._report.record_recovery(
                     retries=1,
                     restarts=self._partition.num_ranks,
@@ -569,7 +572,9 @@ class CompressedSimulator:
         3. :meth:`restore` the last resilience checkpoint — blocks into the
            fresh rank workers, parent-side bookkeeping (gate index, fidelity
            history, escalation count, adaptive-controller level) rewound —
-           or the start of the run when none was written yet.
+           or the start of the run when none was written yet.  A checkpoint
+           that does not read back raises
+           :class:`~repro.errors.CheckpointError`.
         4. Replay the gates applied since the checkpoint through the normal
            per-gate path, which re-runs the same compressor bounds and
            escalation decisions (everything below is deterministic).
@@ -581,14 +586,7 @@ class CompressedSimulator:
 
         meta, blocks = {}, ()
         if self._resilience_ckpt is not None:
-            # A torn/corrupt snapshot falls back to replay-from-start rather
-            # than failing the recovery.
-            try:
-                meta, blocks = read_checkpoint(self._resilience_ckpt)
-            # repro-lint: disable=error-taxonomy -- recovery path: a torn
-            # checkpoint degrades to replay-from-start, never fails recovery
-            except Exception:
-                pass
+            meta, blocks = read_checkpoint(self._resilience_ckpt)
 
         # Fresh controller *before* rebuilding: the fresh workers' initial
         # blocks must be compressed as at the start of a failure-free run.
@@ -629,7 +627,13 @@ class CompressedSimulator:
         from .checkpoint import save_checkpoint
 
         path = self._resilience_checkpoint_path()
-        save_checkpoint(self, path)
+        written = save_checkpoint(self, path)
+        logger.info(
+            "in-run checkpoint at gate %d: %d bytes to %s",
+            self._gate_index,
+            written,
+            path,
+        )
         self._resilience_ckpt = path
         self._replay_log.clear()
         self._report.record_recovery(checkpoints_written=1)

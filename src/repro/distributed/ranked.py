@@ -12,7 +12,7 @@ between rank processes through
 socket-pair stand-in for an MPI communicator.
 
 Selected with ``SimulatorConfig(comm="process", num_ranks=...)`` — or its
-other spelling, ``executor="process", num_workers=num_ranks`` — and therefore
+other spelling, ``num_workers=num_ranks`` — and therefore
 reachable from ``repro.run(...)`` like every other execution mode.
 Two transports, each used for one thing: parent↔rank messages (gate batches,
 readout reductions, and the blobs of hit-block sampling, checkpoints and
@@ -157,7 +157,7 @@ class RankWorker:
         self._blocks: dict[int, CompressedBlock] = {}
         self._kernel = BlockKernel(
             dict(decompressors),
-            ScratchPool(block_amplitudes, buffers=2),
+            ScratchPool(block_amplitudes),
             BlockCache() if cache_enabled else None,
         )
 
@@ -314,7 +314,7 @@ class RankedExecutor:
     Duck-types the executor surface
     :class:`~repro.core.simulator.CompressedSimulator` relies on
     (:meth:`run_plan`, :meth:`close`, :meth:`rebind_report`,
-    :meth:`reset_workers`, :attr:`num_workers`) but owns the state: one
+    :meth:`reset_workers`) but owns the state: one
     persistent :class:`~repro.core.procpool.ProcessPool` worker per rank,
     reached over that worker's control pipe; the socket pairs the rank
     endpoints exchange blocks over are created here, handed to the workers
@@ -331,7 +331,7 @@ class RankedExecutor:
     counters, which are folded into the report — ``communication_seconds``
     grows by the *maximum* per-rank exchange-time delta of the gate (the
     critical path; the ranks communicate concurrently), while the codec
-    buckets sum CPU-style across ranks exactly like the thread tier.
+    buckets sum CPU-style across ranks.
 
     Parameters
     ----------
@@ -410,12 +410,6 @@ class RankedExecutor:
         }
 
     # -- executor surface -------------------------------------------------------------
-
-    @property
-    def num_workers(self) -> int:
-        """Pool width — one worker process per rank."""
-
-        return self._partition.num_ranks
 
     @property
     def pool(self) -> ProcessPool | None:

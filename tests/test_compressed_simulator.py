@@ -230,7 +230,7 @@ class TestDiagonalGatesAboveTheBlock:
         # Eight byte-identical non-zero blocks, then phases that depend on
         # which side of qubits 4, 5 and 6 a block lies: one task's output
         # must not be handed to another with the same bytes (the block cache,
-        # the thread tier's wave dedupe, the rank worker's batch dedupe).
+        # the plan's task grouping, the rank worker's batch dedupe).
         uniform = QuantumCircuit(7).h(0).h(1).h(4).h(5).h(6)
         phases = QuantumCircuit(7).cz(0, 4).cz(1, 5).cp(0.3, 5, 6).rz(0.7, 4).t(6)
         config = tier_config(tier, fusion_enabled=fusion)

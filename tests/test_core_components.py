@@ -114,28 +114,22 @@ class TestScratchPool:
     def test_fill_complex_roundtrip(self, rng):
         pool = ScratchPool(block_amplitudes=16)
         values = rng.normal(size=32)  # float64 view of 16 complex amplitudes
-        with pool.lease() as (leased,):
-            buffer = pool.fill(leased, values)
-            assert buffer is leased
-            assert buffer.dtype == np.complex128
-            assert np.array_equal(buffer.view(np.float64), values)
+        buffer = pool.fill(pool.buffers[0], values)
+        assert buffer is pool.buffers[0]
+        assert buffer.dtype == np.complex128
+        assert np.array_equal(buffer.view(np.float64), values)
 
     def test_fill_wrong_size_rejected(self, rng):
         pool = ScratchPool(block_amplitudes=16)
-        with pool.lease() as (leased,), pytest.raises(ValueError):
-            pool.fill(leased, rng.normal(size=10))
-
-    def test_buffers_are_reused(self):
-        pool = ScratchPool(block_amplitudes=4, buffers=2)
-        with pool.lease(2) as first:
-            pass
-        with pool.lease(2) as second:
-            pass
-        assert {id(buffer) for buffer in first} == {id(buffer) for buffer in second}
-
-    def test_needs_at_least_one_buffer(self):
         with pytest.raises(ValueError):
-            ScratchPool(4, buffers=0)
+            pool.fill(pool.buffers[0], rng.normal(size=10))
+
+    def test_two_buffers_per_rank(self):
+        # Eq. 8: at most two decompressed blocks per rank at any time.
+        pool = ScratchPool(block_amplitudes=4)
+        assert len(pool.buffers) == 2
+        assert pool.buffers[0] is not pool.buffers[1]
+        assert all(buffer.shape == (4,) for buffer in pool.buffers)
 
     @pytest.mark.skipif(
         platform.libc_ver()[0] != "glibc", reason="the heap is told to stay via glibc"

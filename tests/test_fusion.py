@@ -2,7 +2,7 @@
 
 The differential harness is the safety net for the gate-grouping / scheduling
 code: random circuits run through the compressed simulator with fusion
-on/off and ``num_workers`` 1/4 must agree with the dense reference — bit for
+on/off, sequential and ranked, must agree with the dense reference — bit for
 bit under lossless compression, since a run (consecutive gates sharing one
 round trip) multiplies nothing and reorders nothing — and within the tracked
 fidelity lower bound under every lossy compressor family.  While a memory
@@ -33,7 +33,6 @@ from repro.compression.interface import get_compressor
 from repro.core import BlockCache, CompressedSimulator
 from repro.distributed import Partition, QubitSegment, plan_gate
 from repro.statevector import simulate_statevector
-from tiers import report_counters
 
 NUM_QUBITS = 6
 
@@ -494,7 +493,7 @@ class TestDifferentialLossless:
     @given(circuit=fusion_heavy_circuits())
     @settings(max_examples=12, deadline=None)
     @pytest.mark.parametrize("fusion", [False, True])
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["sequential", "ranked"])
     def test_matches_dense(self, circuit, fusion, workers, simulator_config):
         config = simulator_config(
             num_ranks=2, block_amplitudes=8, fusion_enabled=fusion, num_workers=workers
@@ -505,14 +504,14 @@ class TestDifferentialLossless:
             assert np.array_equal(simulator.statevector(), dense)
             assert simulator.norm_squared() == pytest.approx(1.0, abs=1e-9)
 
-    def test_worker_count_and_fusion_are_bit_identical(self, simulator_config):
-        # num_workers cannot change the stored state at all (disjoint block
-        # writes, deterministic compressors), and a run applies its gates'
-        # own 2x2 steps in order, so neither can fusion.
+    def test_tier_and_fusion_are_bit_identical(self, simulator_config):
+        # The tier cannot change the stored state at all (the same kernel,
+        # deterministic compressors), and a run applies its gates' own 2x2
+        # steps in order, so neither can fusion.
         circuit = _chain_circuit(NUM_QUBITS)
         states: dict[tuple[bool, int], np.ndarray] = {}
         for fusion in (False, True):
-            for workers in (1, 4):
+            for workers in (1, 2):
                 config = simulator_config(
                     num_ranks=2,
                     block_amplitudes=8,
@@ -700,7 +699,7 @@ class TestDifferentialLossy:
         self, circuit, compressor_name, simulator_config
     ):
         bounds = []
-        for fusion, workers in ((False, 1), (True, 4)):
+        for fusion, workers in ((False, 1), (True, 2)):
             config = simulator_config(
                 num_ranks=2,
                 block_amplitudes=16,
@@ -785,14 +784,14 @@ class TestSampleCountsDeterminism:
         second = simulator.sample_counts(500, np.random.default_rng(99))
         assert first == second
 
-    def test_identical_counts_across_num_workers_and_fusion(self, simulator_config):
-        # Neither num_workers (disjoint writes, deterministic compressors)
-        # nor, under lossless compression, fusion (a run applies its gates'
-        # own steps in order) can change the stored blocks, so a seeded
+    def test_identical_counts_across_tiers_and_fusion(self, simulator_config):
+        # Neither the tier (the same kernel, deterministic compressors) nor,
+        # under lossless compression, fusion (a run applies its gates' own
+        # steps in order) can change the stored blocks, so a seeded
         # generator must yield the same counts for every combination.
         counts = []
         for fusion in (False, True):
-            for workers in (1, 4):
+            for workers in (1, 2):
                 config = simulator_config(
                     num_ranks=2,
                     block_amplitudes=16,
@@ -848,20 +847,14 @@ class TestCacheWithRunOpKeys:
         assert cache.lookup(self._op_key(run_b, compressor), blob, None) is None
 
     def test_hit_miss_accounting_with_fusion_enabled(self, simulator_config):
-        # GHZ keeps blocks identical.  Both the inline and the thread path
-        # group each plan's identical tasks before the cache, so the reports
-        # agree counter for counter, and each mirrors its cache's own counts.
-        reports = {}
-        for workers in (1, 4):
-            config = simulator_config(
-                num_ranks=2, block_amplitudes=16, fusion_enabled=True, num_workers=workers
-            )
-            with CompressedSimulator(8, config) as simulator:
-                report = simulator.apply_circuit(ghz_circuit(8))
-                cache = simulator.cache
-                assert cache is not None
-                assert cache.stats.hits == report.cache_hits
-                assert cache.stats.misses == report.cache_misses
-                reports[workers] = report_counters(report)
-        assert reports[1]["duplicate_tasks"] > 0
-        assert reports[4] == reports[1]
+        # GHZ keeps blocks identical.  Each plan's identical tasks are
+        # grouped before the cache, and the report mirrors the cache's own
+        # counts.
+        config = simulator_config(num_ranks=2, block_amplitudes=16, fusion_enabled=True)
+        with CompressedSimulator(8, config) as simulator:
+            report = simulator.apply_circuit(ghz_circuit(8))
+            cache = simulator.cache
+            assert cache is not None
+            assert cache.stats.hits == report.cache_hits
+            assert cache.stats.misses == report.cache_misses
+        assert report.duplicate_tasks > 0

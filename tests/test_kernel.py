@@ -34,6 +34,7 @@ from __future__ import annotations
 import ast
 import pickle
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from repro.core import (
     CompressedSimulator,
     ScratchPool,
     SimulationReport,
+    SimulatorConfig,
 )
 from repro.core.kernel import BlockKernel, BlockOp, TaskStats, group_tasks
 from repro.statevector import ops
@@ -83,13 +85,13 @@ class CountingCodec:
 
 
 class CountingScratch(ScratchPool):
-    """Scratch pool that counts leases."""
+    """Scratch pool that counts the blocks staged in it."""
 
-    leases = 0
+    fills = 0
 
-    def lease(self, count: int = 1):
-        self.leases += 1
-        return super().lease(count)
+    def fill(self, buffer, values):
+        self.fills += 1
+        return super().fill(buffer, values)
 
 
 def _disabled_cache() -> BlockCache:
@@ -126,7 +128,7 @@ def _setup(cache):
 
     stored = CountingCodec(get_compressor("lossless"))
     output = CountingCodec(get_compressor("xor-bitplane", bound=1e-3))
-    scratch = CountingScratch(BLOCK, buffers=2)
+    scratch = CountingScratch(BLOCK)
     kernel = BlockKernel({stored.name: stored, output.name: output}, scratch, cache)
     op = BlockOp(
         MATRIX[None],
@@ -196,7 +198,7 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
         decompressions,
         compressions,
     )
-    assert scratch.leases == 1
+    assert scratch.fills == decompressions
 
     # The same task again: a live cache answers it without touching a codec
     # or the scratch pool; without one (or once self-disabled) it recomputes.
@@ -214,7 +216,7 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
         repeats * decompressions,
         repeats * compressions,
     )
-    assert scratch.leases == repeats
+    assert scratch.fills == repeats * decompressions
     if cache_kind == "disabled":
         # A self-disabled shard counts neither hit nor miss.
         assert (cache.stats.hits, cache.stats.misses) == counted_before
@@ -269,7 +271,7 @@ def _step_op(steps, codec, describe="lossless"):
 def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
     def lossless_kernel(cache):
         codec = CountingCodec(get_compressor("lossless"))
-        scratch = CountingScratch(BLOCK, buffers=2)
+        scratch = CountingScratch(BLOCK)
         return BlockKernel({codec.name: codec}, scratch, cache), codec, scratch
 
     blob = get_compressor("lossless").compress(blocks[0].view(np.float64))
@@ -291,14 +293,14 @@ def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
     stats = TaskStats()
     assert kernel.run(op, stats, blob, codec.name) == (chained, None)
     assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (1, 1, 1)
-    assert (codec.decompress_calls, codec.compress_calls, scratch.leases) == (1, 1, 1)
+    assert (codec.decompress_calls, codec.compress_calls, scratch.fills) == (1, 1, 1)
 
     # Again: a live cache answers from the run's line without a codec call;
     # the line is the run's own, not any constituent's or a prefix's.
     assert kernel.run(op, stats, blob, codec.name) == (chained, None)
     hit = cache_kind == "enabled"
     assert stats.tasks == 2
-    assert (codec.decompress_calls, codec.compress_calls, scratch.leases) == (
+    assert (codec.decompress_calls, codec.compress_calls, scratch.fills) == (
         (1, 1, 1) if hit else (2, 2, 2)
     )
     assert (stats.cache_hits, stats.cache_misses) == ((1, 1) if hit else (0, 0))
@@ -310,7 +312,7 @@ def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
 
 def test_multi_step_pair_equals_chained_pairs_and_its_own_halves(blocks):
     codec = CountingCodec(get_compressor("lossless"))
-    kernel = BlockKernel({codec.name: codec}, CountingScratch(BLOCK, buffers=2))
+    kernel = BlockKernel({codec.name: codec}, CountingScratch(BLOCK))
     # Same steps, all on one target above the block: the masks differ per step.
     steps = [(matrix, 5, controls) for matrix, _, controls in STEPS]
     pair = [
@@ -359,7 +361,7 @@ def test_one_block_steps_follow_the_block_index(rng):
 
     codec = CountingCodec(get_compressor("lossless"))
     cache = CACHES["enabled"]()
-    kernel = BlockKernel({codec.name: codec}, ScratchPool(BLOCK, buffers=2), cache)
+    kernel = BlockKernel({codec.name: codec}, ScratchPool(BLOCK), cache)
     op = BlockOp(
         np.stack([gate.matrix for gate in gates]),
         (2, 5, 6),
@@ -420,7 +422,7 @@ def test_parity_steps_under_a_local_control_mask(rng):
 
     codec = CountingCodec(get_compressor("lossless"))
     kernel = BlockKernel(
-        {codec.name: codec}, ScratchPool(BLOCK, buffers=2), CACHES["enabled"]()
+        {codec.name: codec}, ScratchPool(BLOCK), CACHES["enabled"]()
     )
     op = BlockOp(
         np.stack([step.matrix for step in steps]),
@@ -522,7 +524,7 @@ def test_copies_count_tasks_and_duplicates_once(cache_kind, blocks):
     assert kernel.run(op, stats, blob, stored.name, copies=3) == expected
     assert (stats.tasks, stats.duplicates) == (3, 2)
     assert (stats.decompress_calls, stats.compress_calls) == (1, 1)
-    assert (stored.decompress_calls, output.compress_calls, scratch.leases) == (
+    assert (stored.decompress_calls, output.compress_calls, scratch.fills) == (
         1,
         1,
         1,
@@ -606,3 +608,32 @@ class TestStructure:
             "BlockCache",
         }
         assert not imported & forbidden
+
+    def test_no_threads_in_the_kernel_packages(self):
+        # One block task at a time per process: the rank workers are the
+        # parallel tier, so nothing under core/ or distributed/ needs a
+        # thread, a pool of them or a lock.
+        importers = set()
+        for package in ("core", "distributed"):
+            for path in (SRC / package).rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    else:
+                        continue
+                    if any(
+                        module.split(".")[0] == "threading"
+                        or module.startswith("concurrent")
+                        for module in modules
+                    ):
+                        importers.add(path.relative_to(SRC).as_posix())
+        assert importers == set()
+
+    def test_parallel_workers_start_no_thread(self):
+        threads = threading.active_count()
+        config = SimulatorConfig(num_ranks=2, block_amplitudes=16, num_workers=2)
+        with CompressedSimulator(6, config) as simulator:
+            simulator.apply_circuit(QuantumCircuit(6).h(0).cx(0, 5).h(3))
+            assert threading.active_count() == threads

@@ -1,12 +1,12 @@
-"""Process parallelism: the message pool, the ``executor="process"`` spelling
-of the ranked tier, the batch fan-out and codec picklability.
+"""Process parallelism: the message pool, the ``num_workers`` spellings of
+the ranked tier, the batch fan-out and codec picklability.
 
 Three contracts are pinned here:
 
-* **One mechanism** — ``executor="process", num_workers=num_ranks`` is the
-  ranked tier (:mod:`tests.test_ranked` covers the tier itself): same
-  executor and byte-identical compressed states as ``comm="process"``, the
-  thread executor and the sequential path, fork *and* spawn.
+* **One mechanism** — ``num_workers=num_ranks``, with or without
+  ``executor="process"``, is the ranked tier (:mod:`tests.test_ranked`
+  covers the tier itself): same executor and byte-identical compressed
+  states as ``comm="process"`` and the sequential path, fork *and* spawn.
 * **Fan-out** — ``repro.run(..., parallel="process")`` equals the sequential
   batch, JSON for JSON.
 * **Cheap picklability** — every codec ships to workers as constructor
@@ -175,13 +175,14 @@ class TestMessagePool:
 
 
 # ---------------------------------------------------------------------------
-# executor="process": a spelling of the ranked tier
+# num_workers=num_ranks: a spelling of the ranked tier
 # ---------------------------------------------------------------------------
 
 
 class TestProcessSpellingIsTheRankedTier:
-    """``executor="process", num_workers=num_ranks`` and ``comm="process"``
-    select one mechanism: same tier, same executor, same bits."""
+    """``comm="process"``, ``num_workers=num_ranks`` and
+    ``executor="process", num_workers=num_ranks`` select one mechanism: same
+    tier, same executor, same bits."""
 
     @pytest.mark.parametrize("budget", [None, 3_000])
     def test_same_tier_same_executor_same_bits(self, budget):
@@ -191,9 +192,9 @@ class TestProcessSpellingIsTheRankedTier:
         outcomes = {}
         for spelling, options in (
             ("sequential", {}),
-            ("thread", dict(num_workers=4)),
-            ("executor", dict(num_workers=2, executor="process")),
             ("comm", dict(comm="process")),
+            ("workers", dict(num_workers=2)),
+            ("executor", dict(num_workers=2, executor="process")),
         ):
             config = SimulatorConfig(
                 num_ranks=2, block_amplitudes=16, memory_budget_bytes=budget, **options
@@ -209,12 +210,10 @@ class TestProcessSpellingIsTheRankedTier:
                     report.min_compression_ratio,
                     report.escalations,
                 )
-        assert outcomes["executor"] == outcomes["comm"]
-        assert outcomes["executor"][:3] == ("ranked", RankedExecutor, True)
+        assert outcomes["executor"] == outcomes["workers"] == outcomes["comm"]
+        assert outcomes["comm"][:3] == ("ranked", RankedExecutor, True)
         assert outcomes["sequential"][:3] == ("sequential", TaskExecutor, False)
-        assert outcomes["thread"][:3] == ("thread", TaskExecutor, False)
-        assert outcomes["executor"][3:] == outcomes["sequential"][3:]
-        assert outcomes["thread"][3:] == outcomes["sequential"][3:]
+        assert outcomes["comm"][3:] == outcomes["sequential"][3:]
         # The budget must actually bite (workers then pick up the escalated
         # compressor instances gate by gate).
         assert (outcomes["sequential"][-1] > 0) == (budget is not None)
@@ -313,7 +312,6 @@ class TestProcessSpellingIsTheRankedTier:
             clone = simulator.fork()
             try:
                 assert clone.config.tier == "sequential"
-                assert clone.config.executor == "thread"
                 assert np.array_equal(clone.statevector(), simulator.statevector())
             finally:
                 clone.close()

@@ -292,8 +292,7 @@ class TestLifecycle:
         with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
             simulator.apply_circuit(circuit)
             clone = simulator.fork()
-            assert clone.config.comm == "simulated"
-            assert clone.config.executor == "thread"
+            assert clone.config.tier == "sequential"
             assert np.array_equal(
                 clone.statevector().view(np.uint64),
                 simulator.statevector().view(np.uint64),
@@ -479,18 +478,21 @@ class TestFailureAndValidation:
             (dict(num_ranks=4), "sequential"),
             (dict(executor="process"), "sequential"),
             (dict(num_ranks=2, executor="process", num_workers=1), "sequential"),
-            (dict(num_workers=3), "thread"),
-            (dict(num_ranks=2, num_workers=3), "thread"),
             (dict(comm="process"), "ranked"),
             (dict(num_ranks=4, comm="process"), "ranked"),
             (dict(num_ranks=4, comm="process", num_workers=4), "ranked"),
             (dict(num_ranks=2, comm="process", executor="process"), "ranked"),
             (dict(num_ranks=2, executor="process", num_workers=2), "ranked"),
+            (dict(num_ranks=2, num_workers=2), "ranked"),
+            (dict(num_ranks=2, executor="thread", num_workers=2), "ranked"),
             (
                 dict(num_ranks=2, comm="process", executor="process", num_workers=2),
                 "ranked",
             ),
             # The ranks are the workers: any other width is refused.
+            (dict(num_workers=4), None),
+            (dict(num_workers=0), None),
+            (dict(num_ranks=2, num_workers=3), None),
             (dict(executor="process", num_workers=4), None),
             (dict(num_ranks=2, executor="process", num_workers=4), None),
             (dict(num_ranks=4, executor="process", num_workers=3), None),
@@ -500,13 +502,13 @@ class TestFailureAndValidation:
     )
     def test_tier_validation_table(self, options, tier):
         if tier is None:
-            with pytest.raises(ValueError, match="num_ranks"):
+            with pytest.raises(ValueError, match=r"num_ranks.*docs/migration\.md"):
                 SimulatorConfig(**options)
             return
         config = SimulatorConfig(**options)
         assert config.tier == tier
         with pytest.raises(AttributeError):
-            config.tier = "thread"
+            config.tier = "sequential"
 
     def test_unknown_comm_rejected(self):
         with pytest.raises(ValueError, match="comm"):

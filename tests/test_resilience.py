@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro import errors
-from repro.applications import qft_benchmark_circuit
+from repro.applications import qft_benchmark_circuit, random_supremacy_circuit
 from repro.backends import PauliObservable
 from repro.core import CompressedSimulator, SimulatorConfig, load_checkpoint
 from repro.core.checkpoint import read_checkpoint
@@ -43,7 +43,7 @@ from repro.resilience.faults import (
     KillWorker,
     parse_plan,
 )
-from tiers import open_fd_count, tier_config
+from tiers import RANKED, open_fd_count, tier_config
 
 NUM_QUBITS = 6
 BLOCK = 16
@@ -61,9 +61,6 @@ def _no_environment_plan(monkeypatch):
     monkeypatch.delenv(faults.PLAN_ENV_VAR, raising=False)
 
 
-#: The two spellings of the ranked tier (docs/migration.md).
-SPELLINGS = ("comm", "executor")
-
 #: Start methods a rank worker can come up under on this platform.
 START_METHODS = [
     method
@@ -72,9 +69,9 @@ START_METHODS = [
 ]
 
 
-def ranked_config(policy=None, spelling="comm", **overrides) -> SimulatorConfig:
+def ranked_config(policy=None, spelling="ranked-comm", **overrides) -> SimulatorConfig:
     return tier_config(
-        f"ranked-{spelling}", block_amplitudes=BLOCK, fault_policy=policy, **overrides
+        spelling, block_amplitudes=BLOCK, fault_policy=policy, **overrides
     )
 
 
@@ -271,7 +268,9 @@ class TestPlanParsing:
 
 
 class TestRankedRecovery:
-    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @pytest.mark.parametrize(
+        "spelling", RANKED, ids=lambda spelling: spelling.removeprefix("ranked-")
+    )
     def test_rank_kill_resumes_from_checkpoint_bit_identically(
         self, circuit, baseline, spelling
     ):
@@ -408,6 +407,66 @@ class TestRankedRecovery:
             )
         assert recovered.expectations == reference.expectations
 
+    @pytest.mark.parametrize(
+        "injection, error",
+        [
+            (KillWorker(worker=1, after=6, kinds=("gate",)), WorkerCrashedError),
+            (DropComm(rank=0, peer=1, after=4), ProcessCommTimeout),
+        ],
+        ids=["kill", "drop"],
+    )
+    def test_recovery_points_are_logged(
+        self, circuit, baseline, tmp_path, caplog, injection, error
+    ):
+        policy = FaultPolicy(
+            max_retries=2, checkpoint_interval_waves=2, checkpoint_dir=str(tmp_path)
+        )
+        with faults.installed_plan(FaultPlan(injections=(injection,))):
+            with caplog.at_level(logging.INFO, logger="repro.core.simulator"):
+                statevector, counts, recovery = run_to_outcome(
+                    ranked_config(policy), circuit
+                )
+        assert_bit_identical(statevector, counts, baseline)
+        records = [r for r in caplog.records if r.name == "repro.core.simulator"]
+        retries = [r for r in records if r.levelno == logging.WARNING]
+        assert len(retries) == recovery["retries"] == 1
+        message = retries[0].getMessage()
+        assert message.startswith("ranked retry 1 at gate ")
+        assert message.endswith(
+            f"after {error.__name__}: {recovery['gates_replayed']} gates replayed"
+        )
+        checkpoints = [r for r in records if r.levelno == logging.INFO]
+        assert len(checkpoints) == recovery["checkpoints_written"]
+        path = tmp_path / "resilience.ckpt"
+        assert checkpoints[-1].getMessage().endswith(
+            f"{path.stat().st_size} bytes to {path}"
+        )
+        assert all(
+            r.getMessage().startswith("in-run checkpoint at gate ") for r in checkpoints
+        )
+
+    def test_corrupt_checkpoint_fails_recovery_with_a_typed_error(self, tmp_path):
+        # The replay log holds only the gates since the last checkpoint, so
+        # a checkpoint that no longer reads back leaves nothing to rebuild
+        # the state from: recovery must raise, not replay those gates onto
+        # the initial state and report success.
+        circuit = random_supremacy_circuit(2, 4, depth=10, seed=5)
+        policy = FaultPolicy(
+            max_retries=1, checkpoint_interval_waves=3, checkpoint_dir=str(tmp_path)
+        )
+        with CompressedSimulator(8, ranked_config(policy)) as simulator:
+            schedule = simulator.prepare_gates(circuit)
+            half = len(schedule) // 2
+            for element in schedule[:half]:
+                simulator.apply_gate(element)
+            assert simulator.report().recovery["checkpoints_written"] > 0
+            checkpoint = tmp_path / "resilience.ckpt"
+            checkpoint.write_bytes(checkpoint.read_bytes()[:40])
+            os.kill(simulator.executor.pool.worker_pid(0), signal.SIGKILL)
+            with pytest.raises(CheckpointError):
+                for element in schedule[half:]:
+                    simulator.apply_gate(element)
+
     def test_midrun_checkpoint_resumes_bit_identically(self, tmp_path):
         # The in-run resilience checkpoint is a plain QCKPT001 file: loading
         # it and replaying the remaining gates must land on the same state
@@ -462,6 +521,30 @@ class TestBatchFanOut:
                 max_parallel=2,
             )
         assert [r.counts for r in recovered] == [r.counts for r in reference]
+
+
+    def test_fan_out_retry_is_logged(self, caplog):
+        circuits = [qft_benchmark_circuit(NUM_QUBITS, seed=s) for s in range(4)]
+        plan = FaultPlan(
+            injections=(KillWorker(worker=0, after=2, kinds=("circuit",)),)
+        )
+        with faults.installed_plan(plan), caplog.at_level(
+            logging.WARNING, logger="repro.backends.parallel"
+        ):
+            repro.run(
+                circuits, shots=SHOTS, seed=11, parallel="process", max_parallel=2
+            )
+        records = [r for r in caplog.records if r.name == "repro.backends.parallel"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        attempt, workers, circuits_requeued = records[0].args
+        assert (attempt, workers) == (1, [0])
+        # Worker 0 holds the even circuits; the kill lands after it took
+        # some, so what it had not answered goes back on its queue.
+        assert circuits_requeued and all(i % 2 == 0 for i in circuits_requeued)
+        assert records[0].getMessage() == (
+            f"circuit fan-out retry 1: respawned workers [0], "
+            f"re-queued circuits {circuits_requeued}"
+        )
 
 
 class _PingWorker:

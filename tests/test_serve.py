@@ -243,7 +243,7 @@ class TestCacheKey:
     def test_throughput_knobs_share_the_key(self):
         base = cache_key(workload_circuit(0, 0), **self.request())
         for config in (
-            SimulatorConfig(num_workers=4, executor="thread"),
+            SimulatorConfig(comm="process", executor="process"),
             SimulatorConfig(mp_start_method="spawn"),
         ):
             assert (

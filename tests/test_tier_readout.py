@@ -8,8 +8,8 @@ the blocks live, for a lossless state and for one a memory budget escalated
 to a lossy bound.  On the ranked tier the block reduction (masses and
 diagonal partials) runs in the rank workers and only numbers cross the
 control pipes; sampling's hit blocks, forks, checkpoints and restores pull or
-push blobs through them (``RankedExecutor.get`` / ``put``).  On the other
-tiers all of it reads the parent-side block table.
+push blobs through them (``RankedExecutor.get`` / ``put``).  On the
+sequential tier all of it reads the parent-side block table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.circuits import standard_gate
 from repro.core import CompressedSimulator, load_checkpoint, save_checkpoint
 from repro.core.checkpoint import resume_from_checkpoint
 from repro.distributed.ranked import RankedExecutor
-from tiers import tier_config
+from tiers import RANKED, tier_config
 
 NUM_QUBITS = 7
 OBSERVABLE = PauliObservable.from_terms(
@@ -144,7 +144,7 @@ def test_reused_masses_sample_the_same_counts(live):
         live.sample_counts(10, block_mass=masses[:-1])
 
 
-@pytest.mark.parametrize("spelling", ["ranked-comm", "ranked-executor"])
+@pytest.mark.parametrize("spelling", RANKED)
 def test_ranked_reduction_fetches_only_hit_blocks(spelling, state, monkeypatch):
     """The observable and mass pass ships no blob to the parent; sampling
     fetches each hit block once, and nothing else."""
