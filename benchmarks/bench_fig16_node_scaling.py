@@ -10,9 +10,9 @@ modes:
   (amplitudes per rank, hence decompress/compute/recompress volume) halves
   with every doubling of ranks while the communication volume per rank stays
   roughly constant, so the modelled critical-path time — measured
-  single-rank per-block cost plus the
-  :class:`~repro.distributed.SimulatedCommunicator` bandwidth model — shows
-  sub-ideal speedup exactly as the paper observes.  The Hadamard workload is
+  single-rank per-block cost plus this bench's interconnect model
+  (:func:`_modelled_comm_seconds`, applied to the traffic the report
+  counts) — shows sub-ideal speedup exactly as the paper observes.  The Hadamard workload is
   kept as a labelled row without the scaling assertions: every block of its
   state is identical, so grouping runs each plan's kernel once however many
   ranks there are, and its modelled compute term does not shrink.
@@ -26,10 +26,9 @@ modes:
   the figure's communication floor.
 
 Both modes run through the backend registry (``get_backend("compressed")``)
-— the modelled mode injecting its custom bandwidth-modelled communicator via
-the ``comm=`` session option, the real mode selecting the ranked tier via
-``SimulatorConfig(comm="process")`` — so even this bench exercises the same
-code path as every other ``repro.run()`` workload.
+— the modelled mode on the default sequential tier, the real mode selecting
+the ranked tier via ``SimulatorConfig(comm="process")`` — so even this bench
+exercises the same code path as every other ``repro.run()`` workload.
 
 Results land in ``benchmarks/results/BENCH_fig16.json``.  Set
 ``REPRO_BENCH_QUICK=1`` for a CI-sized smoke run.
@@ -45,7 +44,6 @@ from repro.analysis import format_table
 from repro.applications import hadamard_scaling_circuit, random_supremacy_circuit
 from repro.backends import get_backend
 from repro.core import SimulatorConfig, effective_cpu_count
-from repro.distributed import SimulatedCommunicator
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -80,14 +78,27 @@ def _merge_json(section: str, payload) -> None:
     JSON_PATH.write_text(json.dumps(data, indent=2))
 
 
+def _modelled_comm_seconds(report: dict) -> float:
+    """Modelled interconnect time of the traffic *report* counts.
+
+    Every block exchange is two messages (one each way) and the report
+    counts their bytes, so the model is bytes over bandwidth plus one
+    latency per message.
+    """
+
+    return (
+        report["communication_bytes"] / BANDWIDTH
+        + 2 * report["block_exchanges"] * LATENCY
+    )
+
+
 def _modelled_run(circuit, num_ranks: int) -> dict:
-    comm = SimulatedCommunicator(num_ranks, bandwidth_bytes_per_s=BANDWIDTH, latency_s=LATENCY)
     config = SimulatorConfig(
         num_ranks=num_ranks,
         block_amplitudes=(1 << NUM_QUBITS) // num_ranks // 4,
         use_block_cache=False,
     )
-    result = get_backend("compressed").run(circuit, config=config, comm=comm)
+    result = get_backend("compressed").run(circuit, config=config)
     report = result.report
     # Critical path per rank: the measured sequential work divided across
     # ranks (perfectly parallel part) plus the modelled communication time.
@@ -99,7 +110,7 @@ def _modelled_run(circuit, num_ranks: int) -> dict:
     return {
         "ranks": num_ranks,
         "sequential_seconds": result.metadata["wall_seconds"],
-        "modelled_parallel_seconds": compute + comm.modelled_seconds,
+        "modelled_parallel_seconds": compute + _modelled_comm_seconds(report),
         "communication_bytes": report["communication_bytes"],
     }
 

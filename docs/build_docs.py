@@ -69,7 +69,7 @@ API_SECTIONS = [
     ]),
     ("distributed", "repro.distributed", [
         "repro.distributed", "repro.distributed.partition",
-        "repro.distributed.comm", "repro.distributed.process_comm",
+        "repro.distributed.process_comm",
         "repro.distributed.exchange", "repro.distributed.ranked",
     ]),
     ("core", "repro.core", [

@@ -200,7 +200,7 @@ class Backend(ABC):
             batch size clamped to the effective CPU count).
         options:
             Engine-specific session options (the compressed backend accepts
-            ``config=SimulatorConfig(...)`` and ``comm=...``).
+            ``config=SimulatorConfig(...)``).
         """
 
         single = isinstance(circuits, QuantumCircuit)

@@ -19,7 +19,6 @@ import numpy as np
 from ..circuits import QuantumCircuit
 from ..core.config import SimulatorConfig
 from ..core.simulator import CompressedSimulator
-from ..distributed.comm import SimulatedCommunicator
 from .base import Backend, register_backend
 from .observables import DiagonalSums, PauliObservable
 from .result import Result
@@ -38,16 +37,9 @@ class _CompressedSession:
     one-warm-simulator-per-width behaviour; the :mod:`repro.serve` job
     executor holds one lease per in-flight job, so two interleaved jobs of
     the same width never share mutable state.
-
-    ``comm`` lets benches with a modelled interconnect (fig16) inject their
-    own :class:`~repro.distributed.comm.SimulatedCommunicator` through the
-    registry instead of hand-building simulators; it is shared by every
-    simulator of the session and reset between circuits like the rest of
-    the per-circuit state.
     """
 
     config: SimulatorConfig
-    comm: SimulatedCommunicator | None = None
     _idle: dict[int, list[CompressedSimulator]] = field(default_factory=dict)
     _leased: list[CompressedSimulator] = field(default_factory=list)
 
@@ -64,7 +56,7 @@ class _CompressedSession:
             simulator = stack.pop()
             simulator.reset()
         else:
-            simulator = CompressedSimulator(num_qubits, self.config, comm=self.comm)
+            simulator = CompressedSimulator(num_qubits, self.config)
         self._leased.append(simulator)
         return simulator
 
@@ -165,11 +157,9 @@ class CompressedBackend(Backend):
     name = "compressed"
 
     def _open_session(
-        self,
-        config: SimulatorConfig | None = None,
-        comm: SimulatedCommunicator | None = None,
+        self, config: SimulatorConfig | None = None
     ) -> _CompressedSession:
-        return _CompressedSession(config=config or SimulatorConfig(), comm=comm)
+        return _CompressedSession(config=config or SimulatorConfig())
 
     def _close_session(self, session: _CompressedSession) -> None:
         session.close()

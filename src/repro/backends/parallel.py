@@ -19,6 +19,7 @@ sequential execution; only measured wall-clock metadata differs.
 
 from __future__ import annotations
 
+import inspect
 import logging
 
 from ..circuits import QuantumCircuit
@@ -97,14 +98,9 @@ def run_batch_in_processes(
             f"{type(engine).__name__} is not registered under "
             f"{engine.name!r} (register it with @register_backend)"
         )
-    if options.get("comm") is not None:
-        # Each worker would mutate its own unpickled copy, silently leaving
-        # the caller's communicator statistics at zero — refuse rather than
-        # mis-account (the fig16-style comm= option is a sequential feature).
-        raise BackendError(
-            "parallel='process' cannot share a caller-supplied communicator "
-            "across worker processes; drop comm= or run the batch sequentially"
-        )
+    # A session option the engine does not take fails here, with the
+    # signature's own TypeError, instead of killing every worker it reaches.
+    inspect.signature(engine._open_session).bind(**options)
 
     policy = resolve_fault_policy(None)
     cap = effective_cpu_count() if max_parallel is None else max_parallel

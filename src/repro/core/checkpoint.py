@@ -12,7 +12,10 @@ The same file suspends and resumes a job in flight (:mod:`repro.serve`):
 of the same geometry, so a warm simulator keeps its executor, scratch pool
 and decompressors across the suspension and resuming pays only the block
 table rebuild; :func:`load_checkpoint` builds a simulator from the metadata
-and then calls it too.
+and restores the same parsed file into it.  Both log one INFO record on
+``repro.core.checkpoint`` per restore; in-run recovery restores through
+:meth:`~repro.core.simulator.CompressedSimulator.restore` directly and logs
+its retry on ``repro.core.simulator`` instead.
 
 Parsing is fully bounds-checked: a truncated or scribbled file raises
 :class:`~repro.errors.CheckpointError` with the offending field named, never
@@ -24,6 +27,7 @@ type to decide whether a snapshot is usable.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import struct
 from pathlib import Path
@@ -38,6 +42,8 @@ __all__ = [
     "read_checkpoint",
     "resume_from_checkpoint",
 ]
+
+logger = logging.getLogger(__name__)
 
 _MAGIC = b"QCKPT001"
 
@@ -224,7 +230,17 @@ def resume_from_checkpoint(
     """
 
     path = Path(path)
-    meta, blocks = read_checkpoint(path)
+    return _resume(simulator, path, *read_checkpoint(path))
+
+
+def _resume(
+    simulator: CompressedSimulator, path: Path, meta: dict, blocks: list[tuple]
+) -> int:
+    """Check the parsed checkpoint of *path* against *simulator*'s geometry,
+    then restore it there; returns the restored gate index.  The one restore
+    path of :func:`resume_from_checkpoint` and :func:`load_checkpoint`, so a
+    file is parsed once per restore."""
+
     partition = simulator.partition
     for field, expected in (
         ("num_qubits", partition.num_qubits),
@@ -248,6 +264,12 @@ def resume_from_checkpoint(
 
     simulator.reset()
     simulator.restore(meta, blocks)
+    logger.info(
+        "restored checkpoint %s at gate %d (%d blocks)",
+        path,
+        simulator.gate_count,
+        len(blocks),
+    )
     return simulator.gate_count
 
 
@@ -263,7 +285,7 @@ def load_checkpoint(
     """
 
     path = Path(path)
-    meta, _ = read_checkpoint(path)
+    meta, blocks = read_checkpoint(path)
 
     if config is None:
         config = SimulatorConfig(
@@ -283,7 +305,7 @@ def load_checkpoint(
         _meta_field(meta, "num_qubits", path), config=config
     )
     try:
-        resume_from_checkpoint(simulator, path)
+        _resume(simulator, path, meta, blocks)
     except BaseException:
         simulator.close()
         raise

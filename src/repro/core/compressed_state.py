@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..compression.interface import Compressor
-from ..distributed.comm import SimulatedCommunicator
 from ..distributed.partition import Partition
 from ..statevector.measurement import diagonal_partials
 from .blocks import BlockStore, CompressedBlock
@@ -134,9 +133,6 @@ class CompressedStateVector:
     compressor:
         Compressor used for the *initial* blocks (usually the lossless one —
         the adaptive controller swaps in lossy compressors later).
-    comm:
-        Optional communicator used to account for the collective operations
-        (norm computations) a distributed implementation would need.
     initial_basis_state:
         Basis state to initialise to (default ``|0...0>``).
     store:
@@ -148,13 +144,11 @@ class CompressedStateVector:
         self,
         partition: Partition,
         compressor: Compressor,
-        comm: SimulatedCommunicator | None = None,
         initial_basis_state: int = 0,
         store: BlockStore | None = None,
     ) -> None:
         self._partition = partition
         self._store = BlockStore(partition) if store is None else store
-        self._comm = comm
         self.reset(compressor, initial_basis_state)
 
     def _initialise(self, compressor: Compressor, basis_state: int) -> None:
@@ -271,22 +265,6 @@ class CompressedStateVector:
             start = partition.global_index(rank, block, 0)
             state[start : start + partition.block_amplitudes] = values
         return state
-
-    def norm_squared(self, decompressors: dict[str, Compressor]) -> float:
-        """Sum of squared magnitudes, computed blockwise (never densifying).
-
-        When a communicator is attached the per-rank partial sums go through
-        ``allreduce_sum`` so the collective traffic is accounted for, exactly
-        as an MPI implementation would do it.
-        """
-
-        per_rank = np.zeros(self._partition.num_ranks, dtype=np.float64)
-        for (rank, _block), entry in self._store:
-            probs = decode_probabilities(entry, decompressors)
-            per_rank[rank] += float(np.sum(probs))
-        if self._comm is not None:
-            return self._comm.allreduce_sum(per_rank)
-        return float(per_rank.sum())
 
     def reduce_blocks(
         self, zmasks: Sequence[int], decompressors: dict[str, Compressor]

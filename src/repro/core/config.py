@@ -101,8 +101,8 @@ class SimulatorConfig:
     comm:
         Communication tier for the ``num_ranks`` partition.  ``"simulated"``
         (the default) keeps every rank's blocks in one process and only
-        *accounts* the traffic a distributed run would generate
-        (:class:`~repro.distributed.comm.SimulatedCommunicator`);
+        *counts* the block exchanges a distributed run would make, in the
+        report's ``block_exchanges`` / ``communication_bytes``;
         ``"process"`` selects the ranked tier: each rank is a persistent
         worker process owning its partition slice, with entangling gates
         moving real compressed blobs between ranks over socket pairs

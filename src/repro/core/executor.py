@@ -17,7 +17,6 @@ rank, each owning its slice of the blocks and running the same kernel.
 from __future__ import annotations
 
 from ..compression.interface import Compressor
-from ..distributed.comm import SimulatedCommunicator
 from ..distributed.exchange import BlockTask, GatePlan
 from .blocks import ScratchPool
 from .cache import BlockCache
@@ -42,9 +41,8 @@ class TaskExecutor:
     decompressors:
         Compressor-name → instance map used to decode stored blobs.
     report:
-        Time/counter accumulator.
-    comm:
-        Simulated communicator for cross-rank exchanges.
+        Time/counter accumulator; also the ledger of the plan's cross-rank
+        block exchanges.
     """
 
     def __init__(
@@ -55,12 +53,10 @@ class TaskExecutor:
         cache: BlockCache | None,
         decompressors: dict[str, Compressor],
         report: SimulationReport,
-        comm: SimulatedCommunicator,
     ) -> None:
         self._state = state
         self._kernel = BlockKernel(decompressors, scratch, cache)
         self._report = report
-        self._comm = comm
 
     def reset_workers(self) -> None:
         """Restore fresh-simulator worker state between batched circuits.
@@ -135,19 +131,19 @@ class TaskExecutor:
                 )
 
     def _account_exchanges(self, plan: GatePlan) -> None:
-        """Record the plan's inter-rank block exchanges (Section 3.3).
+        """Count the plan's inter-rank block exchanges (Section 3.3).
 
         Each rank ships its compressed block to the other before the update,
-        so this runs before any task of the plan.
+        so this runs before any task of the plan.  Nothing crosses a process
+        boundary here, so the exchange adds no communication seconds: it
+        counts once, and as two messages of the larger block's bytes.
         """
 
+        report = self._report
         for task in plan.tasks:
             if not task.crosses_ranks or task.second is None:
                 continue
             entry1 = self._state.get_block(*task.first)
             entry2 = self._state.get_block(*task.second)
-            before = self._comm.modelled_seconds
-            self._comm.exchange_blocks(
-                task.first[0], task.second[0], max(entry1.nbytes, entry2.nbytes)
-            )
-            self._report.add_time("communication", self._comm.modelled_seconds - before)
+            report.block_exchanges += 1
+            report.communication_bytes += 2 * max(entry1.nbytes, entry2.nbytes)

@@ -107,6 +107,16 @@ def raise_worker_error(reply: tuple, context: str) -> None:
     raise exc from errors.ReproError(detail)  # pragma: no cover - py3.10 path
 
 
+def _release(process) -> None:
+    """Close a reaped worker's process handle, which holds the descriptors of
+    its sentinel pipe.  Without this they live as long as the handle does,
+    and a :class:`WorkerCrashedError` traceback a caller keeps holds the
+    handle until the cyclic garbage collector runs."""
+
+    if process.exitcode is not None:
+        process.close()
+
+
 # ---------------------------------------------------------------------------
 # Worker main loop
 # ---------------------------------------------------------------------------
@@ -402,6 +412,7 @@ class ProcessPool:
                 old.process.pid,
                 old.process.exitcode,
             )
+            _release(old.process)
             respawned.append(worker_id)
         return respawned
 
@@ -434,6 +445,7 @@ class ProcessPool:
                 worker.conn.close()
             except OSError:  # pragma: no cover
                 pass
+            _release(worker.process)
 
     def __enter__(self) -> "ProcessPool":
         return self

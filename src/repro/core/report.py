@@ -62,11 +62,13 @@ class SimulationReport:
     escalations: int = 0
 
     #: Per-rank communicator counters of the ranked tier
-    #: (``SimulatorConfig.comm="process"``): one dict per rank with the
-    #: :class:`~repro.distributed.comm.CommunicationStats` fields this
-    #: endpoint sent plus measured ``exchange_seconds`` /
-    #: ``allreduce_seconds``.  ``None`` when communication is simulated (the
-    #: aggregate counters above then carry the modelled traffic).
+    #: (``SimulatorConfig.comm="process"``): one dict per rank — ``rank``
+    #: plus the :class:`~repro.distributed.process_comm.CommunicationStats`
+    #: of what that endpoint sent (``messages``, ``bytes_sent``,
+    #: ``exchanges``) and its measured ``exchange_seconds``.  Their sums are
+    #: ``communication_bytes`` and twice ``block_exchanges``.  ``None`` on
+    #: the sequential tier, which counts the same exchanges (two messages
+    #: of the larger block each) without measuring any time.
     rank_comm: list | None = None
 
     #: Fault-recovery accounting, or ``None`` when the run never recovered

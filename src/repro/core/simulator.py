@@ -25,8 +25,9 @@ state vector stays compressed.  Per gate (Figure 2):
    in order) is applied with the vectorised kernels of
    :mod:`repro.statevector.ops`, and the result is recompressed with the
    compressor chosen by the adaptive error controller.
-3. Inter-rank tasks account their block exchange with the simulated
-   communicator; every task updates the time-breakdown report.
+3. Inter-rank tasks count their block exchange in the report — measured
+   over real sockets on the ranked tier, counted on the sequential one; every
+   task updates the time-breakdown report.
 4. After the gate, the memory footprint (Eq. 8) is compared against the
    budget and the error bound escalates if needed; the fidelity tracker
    records the bound that was in force.
@@ -48,7 +49,6 @@ import numpy as np
 from ..circuits import Gate, QuantumCircuit
 from ..circuits.fusion import Run, Step, constituents, form_runs, parity_of, run_of
 from ..compression.interface import Compressor, get_compressor
-from ..distributed.comm import SimulatedCommunicator
 from ..distributed.exchange import plan_gate
 from ..distributed.partition import Partition, QubitSegment
 from ..errors import ProcessCommTimeout, WorkerCrashedError
@@ -78,9 +78,6 @@ class CompressedSimulator:
     config:
         :class:`~repro.core.config.SimulatorConfig`; defaults are laptop-scale
         equivalents of the paper's setup.
-    comm:
-        Optional pre-built :class:`SimulatedCommunicator` (for benches that
-        model interconnect bandwidth); one is created automatically otherwise.
     initial_basis_state:
         Basis state to start from (default ``|0...0>``, as in the paper's
         benchmarks).
@@ -90,7 +87,6 @@ class CompressedSimulator:
         self,
         num_qubits: int,
         config: SimulatorConfig | None = None,
-        comm: SimulatedCommunicator | None = None,
         initial_basis_state: int = 0,
     ) -> None:
         if num_qubits < 1:
@@ -108,7 +104,6 @@ class CompressedSimulator:
             num_ranks=self._config.num_ranks,
             block_amplitudes=block_amplitudes,
         )
-        self._comm = comm or SimulatedCommunicator(self._config.num_ranks)
         self._controller = AdaptiveErrorController(self._config)
         # Rank workers own *all* staging (parent-side state queries
         # allocate fresh arrays), so the ranked parent keeps no pool at all.
@@ -163,7 +158,6 @@ class CompressedSimulator:
         self._state = CompressedStateVector(
             partition=self._partition,
             compressor=self._initial_compressor(),
-            comm=self._comm,
             initial_basis_state=initial_basis_state,
         )
         self._executor = TaskExecutor(
@@ -172,7 +166,6 @@ class CompressedSimulator:
             cache=self._cache,
             decompressors=self._decompressors,
             report=self._report,
-            comm=self._comm,
         )
         self._gate_index = 0
 
@@ -190,7 +183,6 @@ class CompressedSimulator:
             partition=self._partition,
             decompressors=self._decompressors,
             report=self._report,
-            comm_sink=self._comm,
             cache_enabled=self._config.use_block_cache,
             start_method=self._config.mp_start_method,
         )
@@ -198,7 +190,6 @@ class CompressedSimulator:
             self._state = RankedStateVector(
                 partition=self._partition,
                 compressor=self._initial_compressor(),
-                comm=self._comm,
                 initial_basis_state=initial_basis_state,
                 store=ranked,
             )
@@ -232,12 +223,6 @@ class CompressedSimulator:
         """The compressed state vector being evolved."""
 
         return self._state
-
-    @property
-    def comm(self) -> SimulatedCommunicator:
-        """The inter-rank communicator (records MPI-equivalent traffic)."""
-
-        return self._comm
 
     @property
     def cache(self) -> BlockCache | None:
@@ -309,7 +294,7 @@ class CompressedSimulator:
 
         Behaviour after a reset is indistinguishable from a freshly
         constructed simulator with the same config: the adaptive controller,
-        fidelity tracker, block cache, communicator statistics and the report
+        fidelity tracker, block cache, communication counters and the report
         all start over.  What survives is the expensive machinery — the
         executor (and its rank workers), the scratch pool and the decompressor
         instances — which is what makes batched runs over same-width circuits
@@ -319,7 +304,6 @@ class CompressedSimulator:
 
         self._controller = AdaptiveErrorController(self._config)
         self._state.reset(self._initial_compressor(), initial_basis_state)
-        self._comm.reset()
         if self._cache is not None:
             self._cache.reset()
         self._fidelity = (
@@ -357,7 +341,7 @@ class CompressedSimulator:
             config = self._config
             if config.tier != "sequential":
                 # Forks exist for short side computations: always local,
-                # single-worker, simulated-communication — even when the
+                # single-worker, in-process communication — even when the
                 # parent runs on the ranked tier.  Derived once per
                 # simulator: dataclasses.replace re-runs the full config
                 # validation, which must not execute per fork (batched runs
@@ -641,8 +625,6 @@ class CompressedSimulator:
     # -- report plumbing ----------------------------------------------------------------------
 
     def _sync_report(self) -> None:
-        self._report.communication_bytes = self._comm.stats.bytes_sent
-        self._report.block_exchanges = self._comm.stats.exchanges
         self._report.fidelity_lower_bound = (
             self._fidelity.lower_bound if self._fidelity is not None else None
         )
@@ -662,9 +644,10 @@ class CompressedSimulator:
         return self._state.to_statevector(self._decompressors)
 
     def norm_squared(self) -> float:
-        """Blockwise Σ|a_i|² (should stay ≈1 up to compression error)."""
+        """Σ|a_i|² (should stay ≈1 up to compression error): the sum of the
+        per-block masses of :meth:`block_reduction`."""
 
-        return self._state.norm_squared(self._decompressors)
+        return float(self.block_reduction()[0].sum())
 
     def probability_of(self, basis_state: int) -> float:
         """Probability of one basis state, touching only its block."""

@@ -3,21 +3,17 @@
 Reproduces the paper's distribution model (Figure 3, Section 3.3): the state
 is split over ranks and blocks (:mod:`~repro.distributed.partition`), gates
 are planned into per-block tasks and inter-rank exchanges
-(:mod:`~repro.distributed.exchange`), and the communication layer comes in
-two interchangeable tiers — the traffic-accounting
-:class:`SimulatedCommunicator` and the real socket-pair
-:class:`ProcessCommunicator` behind the multi-rank execution tier of
-:mod:`~repro.distributed.ranked` (``SimulatorConfig(comm="process")``).
+(:mod:`~repro.distributed.exchange`), and the multi-rank execution tier of
+:mod:`~repro.distributed.ranked` (``SimulatorConfig(comm="process")``) moves
+real blobs between rank processes over the socket-pair
+:class:`ProcessCommunicator`.  Either way the simulator's
+:class:`~repro.core.report.SimulationReport` is the one ledger of the
+inter-rank traffic.
 """
 
 from .partition import Partition, QubitSegment
-from .comm import (
-    CommunicationStats,
-    SimulatedCommunicator,
-    aggregate_rank_stats,
-)
 from .exchange import BlockTask, GatePlan, plan_gate
-from .process_comm import ProcessCommunicator, rank_links
+from .process_comm import CommunicationStats, ProcessCommunicator, rank_links
 
 #: Names that live in :mod:`repro.distributed.ranked`, which imports from
 #: :mod:`repro.core` and therefore cannot load eagerly here (``repro.core``
@@ -36,9 +32,7 @@ def __getattr__(name: str):
 __all__ = [
     "Partition",
     "QubitSegment",
-    "SimulatedCommunicator",
     "CommunicationStats",
-    "aggregate_rank_stats",
     "ProcessCommunicator",
     "rank_links",
     "RankedExecutor",

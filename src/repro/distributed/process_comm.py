@@ -11,11 +11,12 @@ rank-segment target qubit flips exactly one rank bit
 creates every pair with :func:`rank_links` before the rank workers start and
 keeps none of them.
 
-* **Block exchange** (``sendrecv_bytes``): a length-prefixed frame each way
-  over the pair's non-blocking link; one loop advances both directions, so
-  two payloads larger than the kernel socket buffer cannot block each other.
-* **Allreduce**: a recursive-doubling allgather over the same links, then one
-  sum in ascending rank order — every rank returns the bit-identical float.
+The one operation is the block exchange (``sendrecv_bytes``): a
+length-prefixed frame each way over the pair's non-blocking link; one loop
+advances both directions, so two payloads larger than the kernel socket
+buffer cannot block each other.  An ``mpi4py`` endpoint would implement that
+call alone (``MPI.Comm.sendrecv``) to let the ranked tier span nodes (parked,
+see ROADMAP).
 
 Buffering, ordering and wake-ups are the kernel's.  A wait spins briefly
 (the ranks run in lock step, so the peer is usually microseconds away), then
@@ -25,10 +26,9 @@ link raises the same typed error at once.  Peer death is *not* detected
 through end-of-file (under fork every rank inherits every end): the deadline
 and the parent pool's dead-worker detection remain the contract.
 
-Accounting mirrors :class:`~repro.distributed.comm.SimulatedCommunicator`,
-field by field after :func:`~repro.distributed.comm.aggregate_rank_stats`:
-each endpoint counts what it sent, an allreduce the ``log2(r)`` eight-byte
-messages of the recursive-doubling model (the number of exchanges it makes).
+Each endpoint counts what it sent in its :class:`CommunicationStats`; the
+ranked executor sums them into the simulator's report
+(:meth:`~repro.distributed.ranked.RankedExecutor.run_plan`).
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ import contextlib
 import select
 import socket
 import time
+from dataclasses import asdict, dataclass
 from typing import Iterator
-
-import numpy as np
 
 from .. import errors
 from ..resilience.faults import CommFaultState, DropComm
-from .comm import CommunicationStats
 
-__all__ = ["ProcessCommunicator", "rank_links"]
+__all__ = ["CommunicationStats", "ProcessCommunicator", "rank_links"]
 
 #: Bytes of the little-endian length prefix of every frame.
 _HEADER_BYTES = 8
@@ -53,6 +51,25 @@ _HEADER_BYTES = 8
 #: Fruitless send/receive attempts (a few hundred microseconds) before a wait
 #: stops spinning and sleeps in ``select``, which carries the deadline.
 _SPIN_ATTEMPTS = 200
+
+
+@dataclass
+class CommunicationStats:
+    """What one rank endpoint sent, and the seconds it spent exchanging.
+
+    One :meth:`ProcessCommunicator.sendrecv_bytes` is one ``exchanges`` tick,
+    one message and the payload's bytes at *each* of its two endpoints.
+    """
+
+    messages: int = 0
+    bytes_sent: int = 0
+    exchanges: int = 0
+    exchange_seconds: float = 0.0
+
+    def as_dict(self) -> dict:
+        """Counters as a plain JSON-serialisable mapping."""
+
+        return asdict(self)
 
 
 def _rank_bits(num_ranks: int) -> int:
@@ -118,11 +135,8 @@ class ProcessCommunicator:
     Attributes
     ----------
     stats:
-        :class:`~repro.distributed.comm.CommunicationStats` of what *this*
-        rank sent (the endpoint convention
-        :func:`~repro.distributed.comm.aggregate_rank_stats` folds).
-    op_seconds:
-        Seconds spent blocked, per kind (``"exchange"``, ``"allreduce"``).
+        :class:`CommunicationStats` of what *this* rank sent, and the seconds
+        it spent in :meth:`sendrecv_bytes`.
     """
 
     def __init__(
@@ -144,13 +158,11 @@ class ProcessCommunicator:
             )
         self.rank = int(rank)
         self.num_ranks = int(num_ranks)
-        self._rank_bits = rank_bits
         self._timeout = float(timeout)
         self._links = dict(links)
         for link in self._links.values():
             link.setblocking(False)
         self.stats = CommunicationStats()
-        self.op_seconds = {"exchange": 0.0, "allreduce": 0.0}
         self._fault_state = fault_state
 
     def sendrecv_bytes(self, peer: int, payload: bytes) -> bytes:
@@ -186,50 +198,17 @@ class ProcessCommunicator:
             if isinstance(injected, DropComm):
                 # A dropped link behaves exactly like a dead peer — the
                 # deadline error — without spending the wall-clock wait.
-                raise self._timed_out(
-                    peer, "sendrecv", self._timeout, "injected fault plan"
-                )
+                raise self._timed_out(peer, self._timeout, "injected fault plan")
             if injected is not None:
                 time.sleep(injected.seconds)
-        received = self._exchange(peer, payload, "sendrecv")
+        received = self._exchange(peer, payload)
         self.stats.exchanges += 1
         self.stats.messages += 1
         self.stats.bytes_sent += len(payload)
-        self.op_seconds["exchange"] += time.perf_counter() - started
+        self.stats.exchange_seconds += time.perf_counter() - started
         return received
 
-    def allreduce_sum(self, value: float) -> float:
-        """Global sum of one float contribution per rank.
-
-        Round ``k`` swaps, with neighbour ``rank ^ 2**k``, the ``2**k``
-        contributions each side holds so far; after the last round every
-        rank sums the same array in ascending rank order.  Accounting
-        charges the recursive-doubling model of
-        :meth:`~repro.distributed.comm.SimulatedCommunicator.allreduce_sum`
-        (per endpoint: ``log2(r)`` messages of 8 bytes), so aggregated real
-        stats match the simulated ones field by field.  A round whose partner
-        does not answer by the deadline raises :class:`ProcessCommTimeout`.
-        """
-
-        started = time.perf_counter()
-        values = np.zeros(self.num_ranks, dtype=np.float64)
-        values[self.rank] = float(value)
-        for bit in range(self._rank_bits):
-            width = 1 << bit
-            mine = self.rank & -width  # first of the ranks gathered so far
-            theirs = mine ^ width
-            held = values[mine : mine + width].tobytes()
-            values[theirs : theirs + width] = np.frombuffer(
-                self._exchange(self.rank ^ width, held, "allreduce"), np.float64
-            )
-        rounds = max(1, self._rank_bits)
-        self.stats.allreduces += 1
-        self.stats.messages += rounds
-        self.stats.bytes_sent += 8 * rounds
-        self.op_seconds["allreduce"] += time.perf_counter() - started
-        return float(values.sum())
-
-    def _exchange(self, peer: int, payload: bytes, op: str) -> bytes:
+    def _exchange(self, peer: int, payload: bytes) -> bytes:
         """Send one frame to *peer* and receive one, both under one deadline."""
 
         link = self._links[peer]
@@ -269,27 +248,21 @@ class ProcessCommunicator:
                     select.select(reading, [link] if outgoing else [], [], remaining)
         except OSError as exc:  # TimeoutError and link resets alike
             elapsed = time.perf_counter() - started
-            raise self._timed_out(peer, op, elapsed, exc) from exc
+            raise self._timed_out(peer, elapsed, exc) from exc
         return bytes(incoming)
 
-    def _timed_out(self, peer: int, op: str, elapsed: float, why: object):
-        """The typed error of an *op* with *peer* that cannot complete."""
+    def _timed_out(self, peer: int, elapsed: float, why: object):
+        """The typed error of an exchange with *peer* that cannot complete."""
 
         return errors.ProcessCommTimeout(
-            f"rank {self.rank}: {op} with rank {peer} incomplete after {elapsed:.2f}s"
+            f"rank {self.rank}: sendrecv with rank {peer} incomplete after {elapsed:.2f}s"
             f" (deadline {self._timeout:.0f}s; {why}; peer process dead?)",
             rank=self.rank,
             peer=peer,
-            op=op,
+            op="sendrecv",
             elapsed_seconds=elapsed,
             timeout_seconds=self._timeout,
         )
-
-    def reset_stats(self) -> None:
-        """Zero this endpoint's counters and measured seconds."""
-
-        self.stats.reset()
-        self.op_seconds = dict.fromkeys(self.op_seconds, 0.0)
 
     def close(self) -> None:
         """Close this endpoint's links (idempotent)."""

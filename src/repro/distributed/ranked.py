@@ -30,16 +30,17 @@ Three classes cooperate:
   tasks to their owning ranks as **one batched message per rank** (amortising
   IPC over the whole plan), then folds the per-rank codec/cache/communication
   statistics into the simulator's
-  :class:`~repro.core.report.SimulationReport`; its ``get`` / ``put`` /
+  :class:`~repro.core.report.SimulationReport`, the one ledger of the
+  traffic the ranks measured; its ``get`` / ``put`` /
   iteration are the :class:`~repro.core.blocks.BlockStore` surface over the
   block table living in the rank workers.
 * :class:`RankedStateVector` — a
   :class:`~repro.core.compressed_state.CompressedStateVector` over that
-  store; block masses and diagonal observable partials are reduced in the
-  rank workers (numbers cross the pipes, not blobs), norms run as a *real*
-  allreduce across the ranks, and the remaining parent-side queries (the
-  hit blocks of sampling, statevector materialisation, checkpointing)
-  fetch blobs on demand.
+  store; block masses and diagonal observable partials (and with them the
+  norm) are reduced in the rank workers — numbers cross the pipes, not
+  blobs — and the remaining parent-side queries (the hit blocks of
+  sampling, statevector materialisation, checkpointing) fetch blobs on
+  demand.
 
 Results are bit-identical to the single-process simulator: every rank runs
 the exact same kernels and codecs on the exact same bytes, and the
@@ -66,7 +67,6 @@ from ..compression.interface import Compressor
 from ..core.blocks import CompressedBlock, ScratchPool
 from ..core.compressed_state import (
     CompressedStateVector,
-    decode_probabilities,
     initial_rank_blocks,
     reduce_blocks,
 )
@@ -76,10 +76,9 @@ from ..core.procpool import ProcessPool, raise_worker_error
 from ..core.report import SimulationReport
 from ..errors import PoolProtocolError, ProcessCommTimeout
 from ..resilience import faults
-from .comm import CommunicationStats, SimulatedCommunicator, aggregate_rank_stats
 from .exchange import GatePlan
 from .partition import Partition
-from .process_comm import ProcessCommunicator, rank_links
+from .process_comm import CommunicationStats, ProcessCommunicator, rank_links
 
 __all__ = ["RankWorker", "RankedExecutor", "RankedStateVector"]
 
@@ -179,8 +178,8 @@ class RankWorker:
         Message kinds: ``init`` (rebuild the slice to a basis state),
         ``gate`` (run this rank's batch of one gate plan's tasks), ``get`` /
         ``put`` (parent-side block access, the blob riding in the message),
-        ``norm`` (partial norm + real allreduce), ``reduce`` (per-block
-        masses and diagonal Pauli partials, numbers only), ``reset``,
+        ``reduce`` (per-block masses and diagonal Pauli partials, numbers
+        only), ``reset``,
         ``ping`` and the test hook ``die``.
         """
 
@@ -200,15 +199,6 @@ class RankWorker:
                 blob=blob, compressor=name, bound=bound
             )
             return ("put-ok", self._rank_bytes())
-        if kind == "norm":
-            partial = 0.0
-            for block in range(self._partition.blocks_per_rank):
-                probs = decode_probabilities(
-                    self._blocks[block], self._kernel.decompressors
-                )
-                partial += float(np.sum(probs))
-            total = self._comm.allreduce_sum(partial)
-            return ("norm-ok", total, self._comm_snapshot())
         if kind == "reduce":
             partition, blocks = self._partition, self._blocks
             masses, partials = reduce_blocks(
@@ -222,21 +212,13 @@ class RankWorker:
             return ("reduce-ok", masses, partials)
         if kind == "reset":
             self._kernel.reset()
-            self._comm.reset_stats()
+            self._comm.stats = CommunicationStats()
             return ("reset-ok",)
         if kind == "ping":
             return ("pong",)
         if kind == "die":  # test hook for the rank-death path
             os._exit(19)
         raise ValueError(f"unknown rank-worker message {kind!r}")
-
-    def _comm_snapshot(self) -> dict:
-        """Cumulative communicator counters and seconds for this endpoint."""
-
-        return {
-            "stats": self._comm.stats.as_dict(),
-            "seconds": self._comm.op_seconds,
-        }
 
     # -- state initialisation ---------------------------------------------------------
 
@@ -305,7 +287,7 @@ class RankWorker:
                 self._blocks[block] = CompressedBlock(
                     blob=out, compressor=op.compressor.name, bound=op.compressor.bound
                 )
-        return ("gate-ok", self._rank_bytes(), stats, self._comm_snapshot())
+        return ("gate-ok", self._rank_bytes(), stats, self._comm.stats.as_dict())
 
 
 class RankedExecutor:
@@ -327,11 +309,12 @@ class RankedExecutor:
     Per gate, the plan's tasks are grouped by owning rank and shipped as one
     batched message per rank; each reply carries the rank's
     :class:`~repro.core.kernel.TaskStats` (codec timings, task, duplicate and
-    cache-shard counts), slice footprint and cumulative communicator
-    counters, which are folded into the report — ``communication_seconds``
-    grows by the *maximum* per-rank exchange-time delta of the gate (the
-    critical path; the ranks communicate concurrently), while the codec
-    buckets sum CPU-style across ranks.
+    cache-shard counts), slice footprint and cumulative
+    :class:`~repro.distributed.process_comm.CommunicationStats`, which are
+    folded into the report — ``communication_seconds`` grows by the
+    *maximum* per-rank exchange-time delta of the gate (the critical path;
+    the ranks communicate concurrently), while the codec buckets sum
+    CPU-style across ranks.
 
     Parameters
     ----------
@@ -341,11 +324,6 @@ class RankedExecutor:
         Name → instance map seeded into every rank worker.
     report:
         The simulator's report accumulator.
-    comm_sink:
-        The simulator's parent-side
-        :class:`~repro.distributed.comm.SimulatedCommunicator`, kept as the
-        aggregate stats sink reports read
-        (:func:`~repro.distributed.comm.aggregate_rank_stats` conventions).
     cache_enabled:
         Whether every rank keeps a block-cache shard.
     start_method:
@@ -368,14 +346,12 @@ class RankedExecutor:
         partition: Partition,
         decompressors: dict[str, Compressor],
         report: SimulationReport,
-        comm_sink: SimulatedCommunicator,
         cache_enabled: bool,
         start_method: str | None = None,
         comm_timeout: float = 120.0,
     ) -> None:
         self._partition = partition
         self._report = report
-        self._comm_sink = comm_sink
         num_ranks = partition.num_ranks
         # The workers hold the only open ends once the pool is up (or has
         # failed to come up): a socket is a descriptor, and this process may
@@ -399,15 +375,8 @@ class RankedExecutor:
                 start_method=start_method,
             )
         self._rank_bytes = [0] * num_ranks
-        self._rank_comm: list[dict] = [self._zero_comm() for _ in range(num_ranks)]
+        self._rank_comm = [CommunicationStats().as_dict()] * num_ranks
         self._publish_comm()
-
-    @staticmethod
-    def _zero_comm() -> dict:
-        return {
-            "stats": CommunicationStats().as_dict(),
-            "seconds": {"exchange": 0.0, "allreduce": 0.0},
-        }
 
     # -- executor surface -------------------------------------------------------------
 
@@ -433,7 +402,7 @@ class RankedExecutor:
 
         if self._pool is not None:
             self._pool.broadcast(("reset",))
-        self._rank_comm = [self._zero_comm() for _ in self._rank_comm]
+        self._rank_comm = [CommunicationStats().as_dict()] * len(self._rank_comm)
         self._publish_comm()
 
     def close(self, join_timeout: float = 3.0) -> None:
@@ -488,29 +457,24 @@ class RankedExecutor:
             self._rank_bytes[worker_id] = rank_bytes
             stats.fold_into(self._report)
             # The rank's exchange-seconds delta, for critical-path comm time.
-            previous = self._rank_comm[worker_id]["seconds"]["exchange"]
-            comm_deltas.append(comm["seconds"]["exchange"] - previous)
+            previous = self._rank_comm[worker_id]["exchange_seconds"]
+            comm_deltas.append(comm["exchange_seconds"] - previous)
             self._rank_comm[worker_id] = comm
         self._report.add_time("communication", max(comm_deltas))
         self._publish_comm()
 
     def _publish_comm(self) -> None:
-        """Refresh the parent sink and report view of the per-rank counters."""
+        """Write the per-rank counters and their aggregate into the report.
 
-        aggregate = aggregate_rank_stats(
-            entry["stats"] for entry in self._rank_comm
-        )
-        sink = self._comm_sink.stats
-        sink.messages = aggregate.messages
-        sink.bytes_sent = aggregate.bytes_sent
-        sink.exchanges = aggregate.exchanges
-        sink.allreduces = aggregate.allreduces
-        self._report.rank_comm = [
-            {"rank": rank, **entry["stats"], **{
-                f"{kind}_seconds": seconds
-                for kind, seconds in entry["seconds"].items()
-            }}
-            for rank, entry in enumerate(self._rank_comm)
+        Each endpoint counted what it sent, so bytes sum over the ranks, and
+        every pairwise exchange ticked at both of its endpoints.
+        """
+
+        report, per_rank = self._report, self._rank_comm
+        report.communication_bytes = sum(entry["bytes_sent"] for entry in per_rank)
+        report.block_exchanges = sum(entry["exchanges"] for entry in per_rank) // 2
+        report.rank_comm = [
+            {"rank": rank, **entry} for rank, entry in enumerate(per_rank)
         ]
 
     # -- the block store RankedStateVector holds ---------------------------------------
@@ -601,22 +565,6 @@ class RankedExecutor:
         for worker_id, reply in replies:
             self._rank_bytes[worker_id] = reply[1]
 
-    def norm_squared(self) -> float:
-        """Blockwise Σ|a_i|² via a *real* allreduce across the rank workers."""
-
-        pool = self._require_pool()
-        for rank in range(self._partition.num_ranks):
-            pool.submit(rank, ("norm",))
-        total: float | None = None
-        for worker_id, reply in self._collect(
-            pool, self._partition.num_ranks, "norm"
-        ):
-            _, value, comm = reply
-            self._rank_comm[worker_id] = comm
-            total = value if total is None else total
-        self._publish_comm()
-        return float(total)
-
     def reduce_blocks(self, zmasks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Per-block masses and diagonal partials, reduced in the rank workers.
 
@@ -652,30 +600,20 @@ class RankedStateVector(CompressedStateVector):
     workers: initialisation broadcasts the basis state to them (each rank
     compresses its own slice — byte-identical to the parent-side path, the
     codecs being deterministic), block access and iteration are the
-    executor's ``get`` / ``put`` over the control pipes,
-    :meth:`reduce_blocks` runs in the rank workers and :meth:`norm_squared`
-    as a real allreduce across the ranks instead of a parent-side loop.
+    executor's ``get`` / ``put`` over the control pipes, and
+    :meth:`reduce_blocks` runs in the rank workers.
     """
 
     def _initialise(self, compressor: Compressor, basis_state: int) -> None:
         self._store.broadcast_init(compressor, basis_state)
-
-    def norm_squared(self, decompressors: dict[str, Compressor]) -> float:
-        """Σ|a_i|² computed rank-locally and combined by a real allreduce.
-
-        The *decompressors* argument of the base signature is unused — each
-        rank decodes its own blocks with its own warm map.
-        """
-
-        return self._store.norm_squared()
 
     def reduce_blocks(
         self, zmasks: Sequence[int], decompressors: dict[str, Compressor]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-block masses and diagonal partials, computed rank-locally.
 
-        As for :meth:`norm_squared`, *decompressors* is unused: only the
-        numbers cross the control pipes, never a blob.
+        *decompressors* is unused — each rank decodes its own blocks with its
+        own warm map, and only the numbers cross the control pipes.
         """
 
         return self._store.reduce_blocks(zmasks)

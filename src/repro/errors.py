@@ -112,7 +112,8 @@ class ProcessCommTimeout(ReproError):
     peer:
         The peer rank it was exchanging with.
     op:
-        The communicator operation (``"sendrecv"`` or ``"allreduce"``).
+        The communicator operation: ``"sendrecv"``, the block exchange, is
+        the only one.
     elapsed_seconds:
         How long the endpoint actually waited.
     timeout_seconds:

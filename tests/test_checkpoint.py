@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import struct
 
 import numpy as np
@@ -108,6 +109,46 @@ class TestCheckpointRoundTrip:
         path.write_bytes(b"definitely not a checkpoint")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_load_parses_the_file_once(self, tmp_path, monkeypatch):
+        # The config and the blocks come from one read: a file replaced
+        # right after it was parsed cannot mix into the restore.
+        from repro.core import checkpoint
+
+        simulator = CompressedSimulator(7, _config())
+        simulator.apply_circuit(qft_circuit(7))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(simulator, path)
+        other = CompressedSimulator(7, _config(num_ranks=4, block_amplitudes=8))
+        reads = []
+
+        def read_then_replace(target):
+            parsed = read_checkpoint(target)
+            reads.append(target)
+            save_checkpoint(other, target)
+            return parsed
+
+        monkeypatch.setattr(checkpoint, "read_checkpoint", read_then_replace)
+        loaded = load_checkpoint(path)
+        assert reads == [path]
+        assert loaded.partition.num_ranks == 2
+        assert loaded.gate_count == simulator.gate_count
+        assert np.array_equal(loaded.statevector(), simulator.statevector())
+
+    def test_restores_are_logged(self, tmp_path, caplog):
+        simulator = CompressedSimulator(6, _config())
+        simulator.apply_circuit(qft_circuit(6))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(simulator, path)
+        gates, blocks = simulator.gate_count, simulator.partition.total_blocks
+        with caplog.at_level(logging.INFO, logger="repro.core.checkpoint"):
+            warm = load_checkpoint(path)
+            resume_from_checkpoint(warm, path)
+        message = f"restored checkpoint {path} at gate {gates} ({blocks} blocks)"
+        assert [
+            (record.name, record.levelname, record.getMessage())
+            for record in caplog.records
+        ] == [("repro.core.checkpoint", "INFO", message)] * 2
 
     def test_checkpoint_of_fresh_simulator(self, tmp_path):
         simulator = CompressedSimulator(6, _config())

@@ -1,19 +1,15 @@
-"""Communicator conformance: simulated vs process-backed implementations.
+"""Communicator conformance: :class:`ProcessCommunicator` endpoints over
+:func:`rank_links` socket pairs.
 
-One scripted traffic pattern runs against both communication tiers —
-:class:`SimulatedCommunicator` (accounting only) and
-:class:`ProcessCommunicator` endpoints over :func:`rank_links` socket pairs —
-and the suite asserts they agree on
+One scripted traffic pattern of pairwise exchanges runs over the endpoints,
+and the suite asserts
 
 * exchange semantics: each peer of a ``sendrecv_bytes`` pair receives
-  exactly the bytes the other sent (trivially true for the simulated tier,
-  which moves no payloads), and allreduce returns the bit-identical float on
-  every rank, and
-* stats accounting: after :func:`aggregate_rank_stats` folds the
-  per-endpoint counters onto the simulated conventions, every
-  :class:`CommunicationStats` field matches the simulated run of the same
-  script (both tiers charge collectives with the same recursive-doubling
-  volume model; see ``process_comm``'s module docstring).
+  exactly the bytes the other sent, and
+* stats accounting: each endpoint's :class:`CommunicationStats` counts what
+  that rank sent — one exchange, one message and the payload's bytes per
+  ``sendrecv_bytes`` (the ranked executor sums them into the report; the
+  tier-level ledger is covered by ``tests/test_ranked.py``).
 
 The endpoints are exercised from threads of this test process and from
 spawned processes — a connected socket does not care which address space
@@ -30,16 +26,9 @@ import signal
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.distributed import (
-    CommunicationStats,
-    ProcessCommunicator,
-    SimulatedCommunicator,
-    aggregate_rank_stats,
-    rank_links,
-)
+from repro.distributed import CommunicationStats, ProcessCommunicator, rank_links
 from repro.errors import ProcessCommTimeout
 
 #: Far above the kernel's socket buffer (~200 KiB): the sender cannot finish
@@ -134,73 +123,76 @@ def _send_big_forever(links) -> None:
 PAYLOAD_SIZE = 96
 
 
-def _conformance_script_simulated(num_ranks: int) -> CommunicationStats:
-    """The scripted traffic pattern, run through the accounting tier."""
+def _pairs(num_ranks: int) -> tuple[tuple[int, int], ...]:
+    """The exchanging rank pairs of the scripted pattern, in order."""
 
-    comm = SimulatedCommunicator(num_ranks)
-    for rank_a, rank_b in ((0, 1),) if num_ranks == 2 else ((0, 1), (2, 3), (0, 2)):
-        comm.exchange_blocks(rank_a, rank_b, PAYLOAD_SIZE)
-    comm.allreduce_sum([float(r + 1) for r in range(num_ranks)])
-    return comm.stats
+    return ((0, 1),) if num_ranks == 2 else ((0, 1), (2, 3), (0, 2))
 
 
-def _conformance_script_process(endpoint: ProcessCommunicator):
-    """The same pattern, run for real from one endpoint's perspective."""
+def _conformance_script(endpoint: ProcessCommunicator) -> list[bytes]:
+    """The scripted pattern from one endpoint's perspective; returns what
+    this rank received, in order."""
 
-    num_ranks = endpoint.num_ranks
     rank = endpoint.rank
-    pairs = ((0, 1),) if num_ranks == 2 else ((0, 1), (2, 3), (0, 2))
     received = []
-    for rank_a, rank_b in pairs:
-        if rank == rank_a:
-            received.append(endpoint.sendrecv_bytes(rank_b, _payload(rank, PAYLOAD_SIZE)))
-        elif rank == rank_b:
-            received.append(endpoint.sendrecv_bytes(rank_a, _payload(rank, PAYLOAD_SIZE)))
-    total = endpoint.allreduce_sum(float(rank + 1))
-    return received, total
+    for rank_a, rank_b in _pairs(endpoint.num_ranks):
+        if rank in (rank_a, rank_b):
+            peer = rank_b if rank == rank_a else rank_a
+            received.append(endpoint.sendrecv_bytes(peer, _payload(rank, PAYLOAD_SIZE)))
+    return received
+
+
+def _expected_stats(num_ranks: int) -> list[dict]:
+    """Per endpoint: one exchange, one message and its payload per pair it
+    is in, whatever the peer sent."""
+
+    expected = []
+    for rank in range(num_ranks):
+        count = sum(rank in pair for pair in _pairs(num_ranks))
+        stats = CommunicationStats(count, count * PAYLOAD_SIZE, count)
+        expected.append(stats.as_dict())
+    return _counters(expected)
+
+
+def _counters(stats: list[dict]) -> list[dict]:
+    """*stats* without the measured seconds."""
+
+    return [
+        {key: value for key, value in entry.items() if key != "exchange_seconds"}
+        for entry in stats
+    ]
 
 
 class TestConformance:
-    """Same script, both tiers, field-by-field stats parity."""
+    """The scripted pattern: payloads delivered, each endpoint counting what
+    it sent."""
 
     @pytest.mark.parametrize("num_ranks", [2, 4])
-    def test_stats_parity(self, num_ranks):
-        simulated = _conformance_script_simulated(num_ranks)
-        _, per_rank = _run_process_script(num_ranks, _conformance_script_process)
-        aggregated = aggregate_rank_stats(per_rank)
-        assert aggregated.as_dict() == simulated.as_dict()
+    def test_endpoint_stats_count_what_each_rank_sent(self, num_ranks):
+        _, per_rank = _run_process_script(num_ranks, _conformance_script)
+        assert _counters(per_rank) == _expected_stats(num_ranks)
+        assert all(entry["exchange_seconds"] > 0 for entry in per_rank)
 
     @pytest.mark.parametrize("num_ranks", [2, 4])
     def test_payload_delivery(self, num_ranks):
-        results, _ = _run_process_script(num_ranks, _conformance_script_process)
-        pairs = ((0, 1),) if num_ranks == 2 else ((0, 1), (2, 3), (0, 2))
-        for rank_a, rank_b in pairs:
-            received_by_a, _ = results[rank_a]
-            received_by_b, _ = results[rank_b]
+        results, _ = _run_process_script(num_ranks, _conformance_script)
+        for rank_a, rank_b in _pairs(num_ranks):
             # Each side of the pair received exactly the peer's payload.
-            assert _payload(rank_b, PAYLOAD_SIZE) in received_by_a
-            assert _payload(rank_a, PAYLOAD_SIZE) in received_by_b
-
-    @pytest.mark.parametrize("num_ranks", [2, 4])
-    def test_allreduce_value_matches_simulated(self, num_ranks):
-        values = [float(r + 1) for r in range(num_ranks)]
-        expected = SimulatedCommunicator(num_ranks).allreduce_sum(values)
-        results, _ = _run_process_script(num_ranks, _conformance_script_process)
-        totals = {total for _, total in results}
-        # Every rank returns the bit-identical global sum.
-        assert totals == {expected}
+            assert _payload(rank_b, PAYLOAD_SIZE) in results[rank_a]
+            assert _payload(rank_a, PAYLOAD_SIZE) in results[rank_b]
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_parity_with_one_process_per_rank(self, start_method):
         # The same script with the endpoints in real processes: the links
-        # cross Process(args=...) under both start methods.
+        # cross Process(args=...) under both start methods, and the results
+        # and counters are the in-process ones.
         results, per_rank = _run_script_in_processes(
-            4, _conformance_script_process, start_method
+            4, _conformance_script, start_method
         )
-        simulated = _conformance_script_simulated(4)
-        assert aggregate_rank_stats(per_rank).as_dict() == simulated.as_dict()
-        assert {total for _, total in results} == {10.0}
-        assert results[0][0] == [_payload(1, PAYLOAD_SIZE), _payload(2, PAYLOAD_SIZE)]
+        threaded, _ = _run_process_script(4, _conformance_script)
+        assert results == threaded
+        assert _counters(per_rank) == _expected_stats(4)
+        assert results[0] == [_payload(1, PAYLOAD_SIZE), _payload(2, PAYLOAD_SIZE)]
 
 
 class TestProcessCommunicator:
@@ -231,6 +223,59 @@ class TestProcessCommunicator:
 
         results, _ = _run_process_script(2, script)
         assert results == [b"", b""]
+
+    def test_repeated_exchanges_stay_in_step(self):
+        # Back-to-back frames on the same links, alternating between the two
+        # rank bits, with sizes that end a frame mid-buffer (0, 1, 7) or span
+        # many socket buffers: every round must get exactly its own payload.
+        sizes = [0, 1, 300_000, 7, PAYLOAD_SIZE, 0]
+
+        def round_payload(rank, round_index):
+            return bytes([round_index]) * 3 + _payload(rank, sizes[round_index])
+
+        def script(endpoint):
+            received = []
+            for round_index in range(len(sizes)):
+                peer = endpoint.rank ^ (1 << (round_index % 2))
+                received.append(
+                    endpoint.sendrecv_bytes(peer, round_payload(endpoint.rank, round_index))
+                )
+            return received
+
+        results, stats = _run_process_script(4, script)
+        for rank in range(4):
+            assert results[rank] == [
+                round_payload(rank ^ (1 << (round_index % 2)), round_index)
+                for round_index in range(len(sizes))
+            ]
+        rounds, sent = len(sizes), sum(3 + size for size in sizes)
+        expected = CommunicationStats(rounds, sent, rounds).as_dict()
+        assert _counters(stats) == _counters([expected] * 4)
+
+    def test_failed_exchange_is_not_counted(self):
+        # The ledger counts exchanges that happened: one that raised leaves
+        # the endpoint's stats untouched.
+        with rank_links(2) as links:
+            endpoint = ProcessCommunicator(0, 2, links[0], timeout=30.0)
+            links[1][0].close()
+            with pytest.raises(ProcessCommTimeout):
+                endpoint.sendrecv_bytes(1, _payload(0, PAYLOAD_SIZE))
+            assert endpoint.stats == CommunicationStats()
+
+    def test_single_rank_group_has_no_links(self):
+        with rank_links(1) as links:
+            assert links == [{}]
+            endpoint = ProcessCommunicator(0, 1, links[0])
+            with pytest.raises(ValueError, match="self"):
+                endpoint.sendrecv_bytes(0, b"x")
+            endpoint.close()
+
+    def test_zero_ranks_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            with rank_links(0):
+                pass
+        with pytest.raises(ValueError, match="power of two"):
+            ProcessCommunicator(0, 0, {})
 
     def test_asymmetric_payload_sizes(self):
         def script(endpoint):
@@ -313,41 +358,10 @@ class TestProcessCommunicator:
             if victim.is_alive():
                 victim.kill()
                 victim.join()
-
-    def test_allreduce_times_out_without_peers(self):
-        with rank_links(2) as links:
-            endpoint = ProcessCommunicator(1, 2, links[1], timeout=0.3)
-            with pytest.raises(ProcessCommTimeout, match="allreduce"):
-                endpoint.allreduce_sum(1.0)
-
-    @pytest.mark.parametrize("num_ranks", [4, 8])
-    def test_allreduce_is_one_value_on_every_rank(self, num_ranks):
-        # Contributions whose sum depends on the order of addition: every
-        # rank must add them in ascending rank order, like numpy does here.
-        values = [0.1 * (rank + 1) ** 3 + 1e-9 * rank for rank in range(num_ranks)]
-
-        def script(endpoint):
-            return endpoint.allreduce_sum(values[endpoint.rank])
-
-        results, _ = _run_process_script(num_ranks, script)
-        assert set(results) == {float(np.array(values).sum())}
-
-    def test_repeated_collectives_stay_in_step(self):
-        def script(endpoint):
-            totals = []
-            for round_index in range(5):
-                totals.append(
-                    endpoint.allreduce_sum(float(endpoint.rank + round_index))
-                )
-            return totals
-
-        results, stats = _run_process_script(4, script)
-        expected = [
-            float(sum(rank + round_index for rank in range(4)))
-            for round_index in range(5)
-        ]
-        assert all(result == expected for result in results)
-        assert all(entry["allreduces"] == 5 for entry in stats)
+            # The handle's sentinel pipe must not wait for the cyclic
+            # collector (the error's traceback reaches this frame), or it
+            # lands in a later test's descriptor count.
+            victim.close()
 
     def test_links_reject_bad_geometry(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -363,28 +377,3 @@ class TestProcessCommunicator:
                 ProcessCommunicator(1, 4, links[0])
             with pytest.raises(ValueError, match="neighbour"):
                 ProcessCommunicator(0, 4, {1: links[0][1]})
-
-
-class TestAggregateRankStats:
-    def test_exchange_convention_mapping(self):
-        a = CommunicationStats(messages=1, bytes_sent=100, exchanges=1)
-        b = CommunicationStats(messages=1, bytes_sent=60, exchanges=1)
-        total = aggregate_rank_stats([a, b])
-        assert total.messages == 2
-        assert total.bytes_sent == 160
-        assert total.exchanges == 1
-
-    def test_collectives_counted_once(self):
-        per_rank = [
-            CommunicationStats(messages=2, bytes_sent=16, allreduces=1)
-            for _ in range(4)
-        ]
-        total = aggregate_rank_stats(per_rank)
-        assert total.allreduces == 1
-        assert total.messages == 8
-
-    def test_accepts_dicts(self):
-        stats = CommunicationStats(messages=3, bytes_sent=7, exchanges=2)
-        total = aggregate_rank_stats([stats.as_dict(), stats])
-        assert total.messages == 6
-        assert total.exchanges == 2

@@ -1,62 +1,29 @@
-"""Unit tests for the simulated communicator and the gate planner."""
+"""Unit tests for the gate planner."""
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
 
 from repro.circuits import standard_gate
-from repro.distributed import (
-    Partition,
-    QubitSegment,
-    SimulatedCommunicator,
-    plan_gate,
-)
+import repro.distributed
+from repro.core import CompressedSimulator
+from repro.distributed import Partition, ProcessCommunicator, QubitSegment, plan_gate
 
 
-class TestSimulatedCommunicator:
-    def test_exchange_blocks_counts_both_directions(self):
-        comm = SimulatedCommunicator(2)
-        comm.exchange_blocks(0, 1, 256)
-        assert comm.stats.exchanges == 1
-        assert comm.stats.messages == 2
-        assert comm.stats.bytes_sent == 512
-
-    def test_rank_range_checked(self):
-        comm = SimulatedCommunicator(2)
-        with pytest.raises(ValueError):
-            comm.exchange_blocks(0, 5, 10)
-
-    def test_allreduce_sum(self):
-        comm = SimulatedCommunicator(4)
-        total = comm.allreduce_sum([1.0, 2.0, 3.0, 4.0])
-        assert total == 10.0
-        assert comm.stats.allreduces == 1
-        assert comm.stats.bytes_sent > 0
-
-    def test_allreduce_wrong_length(self):
-        comm = SimulatedCommunicator(4)
-        with pytest.raises(ValueError):
-            comm.allreduce_sum([1.0, 2.0])
-
-    def test_bandwidth_model_accumulates_time(self):
-        comm = SimulatedCommunicator(2, bandwidth_bytes_per_s=1e6, latency_s=1e-3)
-        comm.exchange_blocks(0, 1, 500_000)
-        # 1 MB at 1 MB/s = 1 s, plus 2 messages * 1 ms latency.
-        assert comm.modelled_seconds == pytest.approx(1.002)
-
-    def test_reset(self):
-        comm = SimulatedCommunicator(2, bandwidth_bytes_per_s=1e6)
-        comm.exchange_blocks(0, 1, 100)
-        comm.allreduce_sum([1.0, 2.0])
-        comm.reset()
-        assert comm.stats.bytes_sent == 0
-        assert comm.stats.allreduces == 0
-        assert comm.modelled_seconds == 0.0
-
-    def test_invalid_rank_count(self):
-        with pytest.raises(ValueError):
-            SimulatedCommunicator(0)
+def test_the_report_is_the_only_traffic_ledger():
+    # The parent-side communicator that duplicated the report's counters,
+    # its modelled interconnect and the norm allreduce are gone (v1.18.0).
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.distributed.comm")
+    for name in ("SimulatedCommunicator", "aggregate_rank_stats"):
+        assert not hasattr(repro.distributed, name)
+    assert not hasattr(ProcessCommunicator, "allreduce_sum")
+    assert not hasattr(CompressedSimulator, "comm")
+    with pytest.raises(TypeError, match="comm"):
+        CompressedSimulator(4, comm=object())
 
 
 class TestGatePlanner:

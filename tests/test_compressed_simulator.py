@@ -17,7 +17,6 @@ import pytest
 from repro.applications import grover_circuit
 from repro.circuits import QuantumCircuit, ghz_circuit, qft_circuit, uniform_superposition
 from repro.core import CompressedSimulator
-from repro.distributed import SimulatedCommunicator
 from repro.statevector import simulate_statevector, state_fidelity
 from tiers import TIERS, tier_config
 
@@ -274,12 +273,16 @@ class TestCommunicationAccounting:
         assert report.block_exchanges == 0
         assert report.communication_bytes == 0
 
-    def test_bandwidth_model_produces_communication_time(self, simulator_config):
-        comm = SimulatedCommunicator(4, bandwidth_bytes_per_s=1e6, latency_s=1e-4)
-        config = simulator_config(num_ranks=4, block_amplitudes=8)
-        simulator = CompressedSimulator(7, config, comm=comm)
+    def test_sequential_exchanges_add_no_communication_time(self, simulator_config):
+        # Nothing crosses a process boundary on the sequential tier: the
+        # report counts the exchanges and their bytes, and no seconds.
+        simulator = CompressedSimulator(
+            7, simulator_config(num_ranks=4, block_amplitudes=8)
+        )
         report = simulator.apply_circuit(QuantumCircuit(7).h(6))
-        assert report.communication_seconds > 0
+        assert report.block_exchanges == 8
+        assert report.communication_bytes > 0
+        assert report.communication_seconds == 0
 
 
 class TestStateQueries:

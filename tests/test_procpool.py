@@ -430,18 +430,15 @@ class TestBatchFanout:
         repro.run(circuits[:2], shots=10, seed=1, parallel="process", max_parallel=2)
         assert _no_leaked_pools_or_segments == []
 
-    def test_caller_supplied_comm_rejected(self, qaoa_batch):
-        # Workers would mutate unpickled copies, silently zeroing the
-        # caller's communicator statistics — must refuse instead.
-        from repro.distributed import SimulatedCommunicator
 
+    @pytest.mark.parametrize("parallel", [None, "process"])
+    def test_unknown_session_option_is_a_type_error(self, qaoa_batch, parallel):
+        # The compressed session takes config= only (a caller-built
+        # communicator is gone): the signature rejects anything else, in
+        # the parent, before a worker starts.
         _, circuits = qaoa_batch
-        with pytest.raises(BackendError, match="communicator"):
-            repro.run(
-                circuits[:2],
-                parallel="process",
-                comm=SimulatedCommunicator(1, bandwidth_bytes_per_s=1e9),
-            )
+        with pytest.raises(TypeError, match="comm"):
+            repro.run(circuits[:2], parallel=parallel, comm=object())
 
     def test_invalid_parallel_value_rejected(self, qaoa_batch):
         _, circuits = qaoa_batch

@@ -33,7 +33,7 @@ from repro.distributed import plan_gate
 from repro.errors import PoolProtocolError, WorkerCrashedError
 from repro.resilience import FaultPolicy
 from repro.statevector import simulate_statevector
-from tiers import open_fd_count, tier_config
+from tiers import RANKED, open_fd_count, tier_config
 
 NUM_QUBITS = 8
 BLOCK = 16
@@ -165,13 +165,19 @@ class TestRealCommunication:
         assert report.communication_seconds > 0
         assert report.as_dict()["rank_comm"] == per_rank
 
-    def test_norm_runs_a_real_allreduce(self):
-        with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
-            before = simulator.report().as_dict()["rank_comm"]
-            assert all(entry["allreduces"] == 0 for entry in before)
-            assert simulator.norm_squared() == pytest.approx(1.0)
-            after = simulator.report().rank_comm
-            assert all(entry["allreduces"] == 1 for entry in after)
+    def test_norm_is_the_block_reduction_on_every_tier(self, tier):
+        # One readout path: the norm is the sum of the per-block masses,
+        # reduced wherever the blocks live, and reading it moves no traffic.
+        with CompressedSimulator(NUM_QUBITS, tier(num_ranks=4)) as simulator:
+            simulator.apply_circuit(entangling_circuit())
+            before = simulator.report().as_dict()
+            norm = simulator.norm_squared()
+            assert norm == simulator.block_probabilities().sum()
+            assert norm == pytest.approx(1.0)
+            assert simulator.report().as_dict()["rank_comm"] == before["rank_comm"]
+            assert simulator.report().communication_bytes == before[
+                "communication_bytes"
+            ]
 
     def test_local_only_circuit_moves_no_bytes(self):
         # Every target below the block boundary: no rank-segment gates, so
@@ -193,38 +199,80 @@ class TestRealCommunication:
         circuit.cp(0.2, 5, 7)
         with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
             report = simulator.apply_circuit(circuit)
-            assert simulator.comm.stats.exchanges == 0
-            assert simulator.comm.stats.bytes_sent == 0
             assert report.block_exchanges == 0
+            assert report.communication_bytes == 0
+            assert report.communication_seconds == 0
             assert all(entry["exchanges"] == 0 for entry in report.rank_comm)
             assert np.array_equal(
                 simulator.statevector(), simulate_statevector(circuit)
             )
 
-    def test_exchanges_are_the_plans_exchange_counts(self):
+    @pytest.mark.parametrize("spelling", RANKED)
+    def test_exchanges_are_the_plans_exchange_counts(self, spelling):
         # One exchange per block per rank-target element that mixes; the
-        # diagonal rank-target elements between them add none.
+        # diagonal rank-target elements between them add none.  Both tiers
+        # count the same exchanges in the report; their bytes follow each
+        # tier's rule, replayed here from the blocks of the sequential run
+        # (the states, hence the blobs, are bit-identical).
         circuit = QuantumCircuit(NUM_QUBITS).h(0).h(7).t(7).cx(0, 6).rz(0.3, 6)
         circuit.cz(6, 7).h(1).cp(0.4, 1, 7).h(6).sx(7)
-        with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
-            plans = [
-                plan_gate(simulator.partition, element)
-                for element in simulator.prepare_gates(circuit)
-            ]
-            crossing = [plan for plan in plans if plan.exchange_count]
-            assert 0 < len(crossing) < len(plans)
-            for plan in crossing:
-                assert plan.exchange_count == len(plan.tasks) == 8
-            simulator.apply_circuit(circuit)
-            assert simulator.comm.stats.exchanges == sum(
-                plan.exchange_count for plan in plans
-            )
+        counted_bytes = sent_bytes = 0
+        with CompressedSimulator(
+            NUM_QUBITS, SimulatorConfig(num_ranks=4, block_amplitudes=BLOCK)
+        ) as sequential:
+            plans = []
+            for element in sequential.prepare_gates(circuit):
+                plan = plan_gate(sequential.partition, element)
+                plans.append(plan)
+                for task in plan.tasks:
+                    if not task.crosses_ranks:
+                        continue
+                    pair = [sequential.state.get_block(*buffer) for buffer in task.buffers]
+                    # Sequential: two messages of the larger blob.  Ranked:
+                    # each endpoint sends its own blob, framed with its
+                    # codec name (2-byte length prefix).
+                    counted_bytes += 2 * max(entry.nbytes for entry in pair)
+                    sent_bytes += sum(
+                        entry.nbytes + 2 + len(entry.compressor) for entry in pair
+                    )
+                sequential.apply_gate(element)
+            seq_report = sequential.report()
+        crossing = [plan for plan in plans if plan.exchange_count]
+        assert 0 < len(crossing) < len(plans)
+        for plan in crossing:
+            assert plan.exchange_count == len(plan.tasks) == 8
+        exchanges = sum(plan.exchange_count for plan in plans)
+        assert seq_report.block_exchanges == exchanges
+        assert seq_report.communication_bytes == counted_bytes
+        assert seq_report.communication_seconds == 0
+        with CompressedSimulator(
+            NUM_QUBITS, tier_config(spelling, num_ranks=4, block_amplitudes=BLOCK)
+        ) as simulator:
+            report = simulator.apply_circuit(circuit)
+            assert report.block_exchanges == seq_report.block_exchanges
+            assert report.communication_bytes == sent_bytes
+            assert report.communication_seconds > 0
             assert np.array_equal(
                 simulator.statevector(), simulate_statevector(circuit)
             )
 
 
 class TestLifecycle:
+    def test_reset_restarts_the_ledger_on_every_tier(self, tier):
+        # The report is the only traffic ledger, and reset() replaces it:
+        # the counters restart at zero and a rerun counts the same traffic.
+        circuit = entangling_circuit()
+        with CompressedSimulator(NUM_QUBITS, tier(num_ranks=4)) as simulator:
+            first = simulator.apply_circuit(circuit)
+            counted = (first.block_exchanges, first.communication_bytes)
+            assert counted[0] > 0
+            simulator.reset()
+            report = simulator.report()
+            assert (report.block_exchanges, report.communication_bytes) == (0, 0)
+            assert report.communication_seconds == 0
+            again = simulator.apply_circuit(circuit)
+            assert (again.block_exchanges, again.communication_bytes) == counted
+
     def test_reset_reproduces_fresh_simulator(self):
         circuit = entangling_circuit()
         with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:

@@ -9,6 +9,7 @@ itself (plan parsing, structured errors) is covered alongside.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import logging
 import multiprocessing
@@ -384,6 +385,27 @@ class TestRankedRecovery:
                     simulator.apply_circuit(circuit)
         assert excinfo.value.worker_id == 0
         assert excinfo.value.pid is not None
+
+    def test_a_kept_crash_error_holds_no_descriptor(self, circuit):
+        # The error's traceback reaches the dead worker's process handle.
+        # Closing the pool closes that handle, so its sentinel pipe is not
+        # left to the cyclic collector, which used to free it in the middle
+        # of a later test's descriptor count.
+        plan = FaultPlan(
+            injections=(KillWorker(worker=0, after=5, kinds=("gate",)),)
+        )
+        config = ranked_config(FaultPolicy(max_retries=0))
+        gc.disable()
+        try:
+            open_before = open_fd_count()
+            with faults.installed_plan(plan):
+                with CompressedSimulator(NUM_QUBITS, config) as simulator:
+                    with pytest.raises(WorkerCrashedError) as excinfo:
+                        simulator.apply_circuit(circuit)
+            assert open_fd_count() == open_before
+        finally:
+            gc.enable()
+        assert excinfo.value.worker_id == 0
 
     def test_observables_identical_under_rank_kill(self, circuit):
         observable = PauliObservable("XZ" + "I" * (NUM_QUBITS - 2))
