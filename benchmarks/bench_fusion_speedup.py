@@ -9,7 +9,9 @@ attack this repo mounts on that bottleneck:
   in-block target, a diagonal 2x2 wherever its target lies — it needs no
   partner block — or a ``cx · d · cx`` sandwich, one diagonal on
   ``x_c ⊕ x_t``) whatever their controls, or gates on one non-local target
-  under one set of non-local controls.  Measured as the reduction in compressor invocations on a QFT-style
+  under one set of non-local controls — with every one-block step next to
+  them riding along when that set is empty, since such a pair stages every
+  block.  Measured as the reduction in compressor invocations on a QFT-style
   workload of per-qubit rotation chains, and counted with ``plan_gate`` as
   blob round trips (buffers staged) before and after run formation, for the
   Table-2 circuits at two block sizes, and as wall-clock against the seed's

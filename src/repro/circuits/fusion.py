@@ -22,14 +22,19 @@ those stretches in one pass, asking of each gate what it actually mixes:
   form one run *whatever their controls*; block- and rank-level controls
   (and the block-index bits of a diagonal's target or parity) only decide,
   per block, which of the run's steps apply there.
-* Any other gate — a mixing 2x2 on a target above the block boundary — opens
+* Any other gate — a mixing 2x2 on a target above the block boundary — needs
   a **pair** run keyed on its target and its non-local controls: such gates
   update the same amplitude pairs of the same block pairs.  Gates with that
   key join it whatever their *local* controls are (those are per-amplitude
-  masks inside the staged pair), and so does a diagonal gate with that key
-  (a :class:`ParityPhase` never does: it is not a 2x2 on one target).
+  masks inside the staged pair), and so does a diagonal gate with that key.
+* A pair run whose key has **no non-local controls** stages every block of
+  the state, so every one-block step next to it rides the same round trip:
+  a one-block step joins such an open pair run, and a mixing step with such
+  a key takes over an open one-block run.  A pair run under non-local
+  controls stages only some blocks and takes no one-block step it could not
+  take by key.
 
-A step joins the open run when the run's key is one it can take; otherwise it
+A step joins the open run when one of these rules lets it; otherwise it
 opens a run under the key it prefers (one-block for a diagonal).  The pass is
 purely syntactic (no commutation analysis, no reordering), and a run keeps
 its steps separate — nothing is multiplied.  A :class:`ParityPhase` computes
@@ -159,10 +164,12 @@ class Run:
     """Two or more consecutive steps sharing one block round trip.
 
     Either every constituent is one-block (an in-block target, a diagonal
-    2x2, or a :class:`ParityPhase`), or all are gates that share one
-    non-local target and one set of non-local controls; :func:`repro.distributed.exchange.plan_gate` checks this
-    against the partition it plans for.  The simulator treats a run as one
-    schedule element — one executed gate, one recompression — and applies the
+    2x2, or a :class:`ParityPhase`), or the run stages block pairs: its
+    mixing gates share one non-local target and one set of non-local
+    controls, and when that set is empty any one-block step may ride along.
+    :func:`repro.distributed.exchange.plan_gate` checks this against the
+    partition it plans for.  The simulator treats a run as one schedule
+    element — one executed gate, one recompression — and applies the
     constituents one after another.
     """
 
@@ -218,6 +225,13 @@ def _keys(step: Step, local_qubits: int) -> tuple:
     return (ONE_BLOCK, pair) if step.is_diagonal else (pair,)
 
 
+def _stages_every_block(key: object) -> bool:
+    """Whether a run open under *key* stages every block: a one-block run,
+    or a pair run without non-local controls."""
+
+    return key is ONE_BLOCK or (bool(key) and not key[1])
+
+
 def _steps(gates: Sequence[Gate]) -> Iterator[Step]:
     """*gates* in order, each ``cx · d · cx`` sandwich as one
     :class:`ParityPhase` (matched left to right, never overlapping)."""
@@ -238,7 +252,7 @@ def form_runs(gates: Sequence[Gate], local_qubits: int) -> list[Step | Run]:
     *local_qubits* is the partition's ``offset_bits``: targets below it lie
     inside a block.  Each ``cx · d · cx`` sandwich becomes one
     :class:`ParityPhase` first.  Steps are never reordered; a step that
-    cannot take the open run's key (see the module docstring) ends it, and a
+    cannot join the open run (see the module docstring) ends it, and a
     stretch of one stays the plain step.
     """
 
@@ -246,7 +260,13 @@ def form_runs(gates: Sequence[Gate], local_qubits: int) -> list[Step | Run]:
     open_key: object = ()  # no step's key
     for step in _steps(gates):
         keys = _keys(step, local_qubits)
-        if open_key not in keys:
+        if open_key in keys or (
+            keys[0] is ONE_BLOCK and _stages_every_block(open_key)
+        ):
+            pass  # its own key, or a one-block step riding an open pair run
+        elif open_key is ONE_BLOCK and _stages_every_block(keys[0]):
+            open_key = keys[0]  # a mixing step takes the one-block run over
+        else:
             open_key = keys[0]
             stretches.append([])
         stretches[-1].append(step)

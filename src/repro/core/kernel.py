@@ -15,7 +15,10 @@ one scalar when its qubits all lie above the block, otherwise one per side of
 the in-block parity — a phase on one in-block qubit, or on the offsets where
 ``x_c ⊕ x_t`` is 0 and where it is 1.  A one-block task applies the steps
 whose block- and rank-level controls are set in its block's index, so one run
-may hold steps under different controls.
+may hold steps under different controls.  A pair run without non-local
+controls also carries *riders* — one-block steps between its steps on the
+pair's target — which the pair task applies to each staged block at that
+block's own index, exactly as a one-block task would.
 
 Both execution tiers call it — :class:`~repro.core.executor.TaskExecutor`
 in the parent process and the rank workers of
@@ -64,22 +67,24 @@ class BlockOp(NamedTuple):
 
     #: The 2x2 unitaries, stacked: shape ``(steps, 2, 2)``.
     matrices: np.ndarray
-    #: Target qubit per step (only read by one-block tasks; a pair task's
-    #: steps share the target the plan paired the blocks on).
+    #: Target qubit per step.
     targets: tuple[int, ...]
     #: Per step, the qubit mask whose parity picks a diagonal's entry
     #: (:func:`~repro.circuits.fusion.parity_of`): ``1 << target`` for a
-    #: gate, the ``c`` and ``t`` bits for a parity phase.  Only read by
-    #: one-block tasks.
+    #: gate, the ``c`` and ``t`` bits for a parity phase.  A pair task applies
+    #: the steps whose parity is ``1 << pair_target`` pairwise.
     parities: tuple[int, ...]
     #: Per step, the controls applied per amplitude inside the scratch buffers.
     local_controls: tuple[tuple[int, ...], ...]
     #: Per step, the block- and rank-level controls as a mask over the global
-    #: block index (:attr:`~repro.distributed.exchange.GatePlan.block_controls`);
-    #: only read by one-block tasks — a pair plan is already pruned by it.
+    #: block index (:attr:`~repro.distributed.exchange.GatePlan.block_controls`).
     block_controls: tuple[int, ...]
-    #: The block-index bits a one-block task's outcome depends on.
+    #: The block-index bits a task's outcome depends on
+    #: (:attr:`~repro.distributed.exchange.GatePlan.index_mask`).
     index_mask: int
+    #: The non-local target a pair task's blocks are paired on; ``None`` for
+    #: a one-block element.
+    pair_target: int | None
     #: Compressor for the output blobs (the controller's current level).
     compressor: Compressor
     #: Block-cache ``OP`` field: the gate's key — or the run's, one gate key
@@ -138,9 +143,9 @@ def group_tasks(
     """Group a plan's tasks by exactly what :meth:`BlockKernel.run` reads.
 
     *staged* yields ``(task, entries, index)``: the caller's handle for a
-    task, the one or two stored blocks it stages and its block's global
-    index.  Tasks share a group when their blobs and codec names are equal
-    and, for one-block tasks, so are the bits of *index* that *op* reads.
+    task, the one or two stored blocks it stages and its first block's
+    global index.  Tasks share a group when their blobs and codec names are
+    equal and so are the bits of *index* that *op* reads.
     Groups come back in first-seen order as ``(inputs, tasks)``: *inputs*
     are the positional arguments of :meth:`BlockKernel.run` after
     ``(op, stats)``; run them once with ``copies=len(tasks)`` and store the
@@ -152,11 +157,11 @@ def group_tasks(
     for task, entries, index in staged:
         if len(entries) == 1:
             (entry,) = entries
-            index &= op.index_mask
-            inputs = (entry.blob, entry.compressor, None, None, None, index)
+            blobs = (entry.blob, entry.compressor, None, None)
         else:
             low, high = entries
-            inputs = (low.blob, low.compressor, high.blob, high.compressor)
+            blobs = (low.blob, low.compressor, high.blob, high.compressor)
+        inputs = blobs + (None, index & op.index_mask)
         groups.setdefault(inputs, []).append(task)
     return list(groups.items())
 
@@ -253,29 +258,30 @@ class BlockKernel:
         """One block task: returns the output blobs ``(out1, out2)``.
 
         Every step of *op* is applied in order between one decompress and
-        one compress per blob.
+        one compress per blob.  Only the bits of *index* in
+        ``op.index_mask`` are read.
 
         One blob is a one-block update of the block with global index *index*
-        (``rank * blocks_per_rank + block``; only the bits in
-        ``op.index_mask`` are read): a step applies when all its
-        ``block_controls`` bits are set in *index* — as a 2x2 on an in-block
-        target; for a diagonal whose parity bits all lie above the block, as
-        the phase ``m[b, b]`` of their parity ``b`` in *index* unless that is
-        exactly 1; and for a parity with in-block bits, as ``m[b, b]`` on the
-        offsets where those bits have even parity and the other entry where
-        they have odd.  The cache key carries the bits read, since
+        (``rank * blocks_per_rank + block``): each step goes through
+        :meth:`_apply_step`.  The cache key carries the bits read, since
         byte-identical blocks on opposite sides of such a bit have different
         outputs.
 
-        Two blobs are a block pair (*blob1* holds the target-bit-0
-        amplitudes) and both are rewritten — unless *row* is given: then this
-        is one rank's half of a cross-rank pair, *blob1* is the block this
-        rank owns, *blob2* the peer's, *row* says which side of the pair
-        *blob1* is, and only ``out1`` is produced (``out2`` is ``None``).
-        Both ranks of such a pair stage the same two buffers and run the same
-        steps, the last one only for the half they keep, so the halves equal
-        the whole pair task's outputs bit for bit.  The cache key carries
-        *row* so the two halves of one pair never alias each other's entries.
+        Two blobs are a block pair: *blob1* holds the amplitudes whose
+        ``op.pair_target`` bit is 0, *blob2* their partners, and *index* is
+        the first one's global index.  A step on the pair's target (parity
+        ``1 << op.pair_target``) updates the amplitude pairs where its block
+        controls are set in *index*; every other step is a rider, applied
+        through :meth:`_apply_step` to each buffer at its own index.  Both
+        blobs are rewritten — unless *row* is given: then this is one rank's
+        half of a cross-rank pair, *blob1* is the block this rank owns,
+        *blob2* the peer's, *row* says which side of the pair *blob1* is
+        (*index* is still the target-bit-0 block's), and only ``out1`` is
+        produced (``out2`` is ``None``).
+        Both ranks of such a pair stage the same two buffers and run every
+        step on both, so the half each keeps equals the whole pair task's
+        output bit for bit.  The cache key carries *row* so the two halves
+        of one pair never alias each other's entries.
 
         A cache hit makes no codec call and stages nothing in scratch.
         *copies* is the size of the :func:`group_tasks` group this call
@@ -285,10 +291,9 @@ class BlockKernel:
         stats.tasks += copies
         stats.duplicates += copies - 1
         cache = self.cache
-        if blob2 is None:
-            op_key = op.op_key + (index & op.index_mask,)
-        else:
-            op_key = op.op_key if row is None else op.op_key + ("xchg", row)
+        op_key = op.op_key + (index & op.index_mask,)
+        if row is not None:
+            op_key += ("xchg", row)
         if cache is not None and cache.enabled:
             cached = cache.lookup(op_key, blob1, blob2)
             if cached is not None:
@@ -305,42 +310,25 @@ class BlockKernel:
         if pair:
             scratch.fill(buffer2, self.decompressors[name2].decompress(blob2))
         decoded = perf_counter()
+        steps = zip(
+            op.matrices, op.targets, op.parities, op.local_controls, op.block_controls
+        )
         if not pair:
-            offset_bits = self._offset_bits
-            for matrix, target, parity, controls, required in zip(
-                op.matrices,
-                op.targets,
-                op.parities,
-                op.local_controls,
-                op.block_controls,
-            ):
-                if index & required != required:
-                    continue
-                local = parity & (1 << offset_bits) - 1
-                if local and parity == 1 << target:  # an in-block target
-                    ops.apply_controlled_single_qubit(buffer1, matrix, target, controls)
-                    continue
-                if local:  # a parity with in-block bits: two sides
-                    even, odd = self._parity_masks_for(controls, local)
-                    # Reversing both axes swaps a diagonal's two entries.
-                    sides = ((even, matrix), (odd, matrix[::-1, ::-1]))
-                else:
-                    sides = ((self._mask_for(controls), matrix),)
-                for mask, entries in sides:
-                    phase = ops.block_phase(entries, parity >> offset_bits, index)
-                    if phase is not None:
-                        ops.apply_phase(buffer1, phase, mask)
+            for step in steps:
+                self._apply_step(buffer1, index, *step)
         else:
             low, high = (buffer2, buffer1) if row == 1 else (buffer1, buffer2)
-            last = len(op.matrices) - 1
-            for step, (matrix, controls) in enumerate(
-                zip(op.matrices, op.local_controls)
-            ):
-                mask = self._mask_for(controls)
-                if row is None or step < last:
-                    ops.apply_single_qubit_pairwise_masked(low, high, matrix, mask)
-                else:
-                    ops.apply_single_qubit_pairwise_half(low, high, matrix, row, mask)
+            pair_parity = 1 << op.pair_target
+            high_index = index | pair_parity >> self._offset_bits
+            for step in steps:
+                matrix, _, parity, controls, required = step
+                if parity != pair_parity:
+                    self._apply_step(low, index, *step)
+                    self._apply_step(high, high_index, *step)
+                elif index & required == required:
+                    ops.apply_single_qubit_pairwise_masked(
+                        low, high, matrix, self._mask_for(controls)
+                    )
         applied = perf_counter()
         out1 = compress(buffer1.view(np.float64))
         out2 = compress(buffer2.view(np.float64)) if pair and row is None else None
@@ -354,3 +342,42 @@ class BlockKernel:
         if cache is not None:
             cache.insert(op_key, blob1, blob2, out1, out2)
         return out1, out2
+
+    def _apply_step(
+        self,
+        buffer: np.ndarray,
+        index: int,
+        matrix: np.ndarray,
+        target: int,
+        parity: int,
+        controls: tuple[int, ...],
+        required: int,
+    ) -> None:
+        """Apply one one-block step to *buffer*, the block with global index
+        *index*, in place.
+
+        The step applies when all its *required* block-control bits are set
+        in *index* — as a 2x2 on an in-block target; for a diagonal whose
+        parity bits all lie above the block, as the phase ``m[b, b]`` of
+        their parity ``b`` in *index* unless that is exactly 1; and for a
+        parity with in-block bits, as ``m[b, b]`` on the offsets where those
+        bits have even parity and the other entry where they have odd.
+        """
+
+        if index & required != required:
+            return
+        offset_bits = self._offset_bits
+        local = parity & (1 << offset_bits) - 1
+        if local and parity == 1 << target:  # an in-block target
+            ops.apply_controlled_single_qubit(buffer, matrix, target, controls)
+            return
+        if local:  # a parity with in-block bits: two sides
+            even, odd = self._parity_masks_for(controls, local)
+            # Reversing both axes swaps a diagonal's two entries.
+            sides = ((even, matrix), (odd, matrix[::-1, ::-1]))
+        else:
+            sides = ((self._mask_for(controls), matrix),)
+        for mask, entries in sides:
+            phase = ops.block_phase(entries, parity >> offset_bits, index)
+            if phase is not None:
+                ops.apply_phase(buffer, phase, mask)

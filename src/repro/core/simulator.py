@@ -456,8 +456,8 @@ class CompressedSimulator:
         any single step can add a large share of the budget, so the footprint
         has to be checked after each one: a run then goes step by step until
         the first escalation and finishes as one round trip from there (the
-        rest is planned afresh: what is left of a pair run may be only its
-        diagonals, a one-block run).
+        rest is planned afresh: what is left of a pair run may hold no
+        mixing step, a one-block run).
         """
 
         if isinstance(gate, Run) and self._config.memory_budget_bytes is not None:
@@ -485,6 +485,7 @@ class CompressedSimulator:
             plan.local_controls,
             plan.block_controls,
             plan.index_mask,
+            plan.pair_target,
             compressor,
             gate.key() + (compressor.describe(),),
         )

@@ -11,7 +11,8 @@ needs staged:
 * which of them have to be co-resident in scratch memory as a pair — only
   those a step actually *mixes*: a diagonal gate or parity phase never mixes
   an amplitude pair, so wherever its qubits lie it plans one block at a
-  time; and
+  time, and when it rides a pair run it is applied to each staged block of
+  the pair on its own; and
 * which of those pairs require an inter-rank exchange.
 
 Keeping the planning separate from the execution makes the index arithmetic
@@ -22,6 +23,7 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..circuits.fusion import Run, Step, constituents, parity_of
 from ..statevector.ops import block_phase
@@ -65,12 +67,17 @@ class GatePlan:
     #: Per step, its block- and rank-level controls as a mask over the global
     #: block index ``rank * blocks_per_rank + block`` (a non-local qubit ``q``
     #: is bit ``q - offset_bits``).  A pair plan's tasks are already pruned
-    #: by it; a one-block plan's kernel tests it per block and step.
+    #: by its pair steps' mask; the kernel tests it per block and step.
     block_controls: tuple[int, ...]
-    #: The block-index bits a one-block task's outcome depends on (every
-    #: step's ``block_controls`` and the block-index bits of its target or
-    #: parity, :func:`~repro.circuits.fusion.parity_of`); 0 for pair plans.
+    #: The block-index bits a task reads: every step's ``block_controls``,
+    #: and the block-index bits of each one-block step's target or parity
+    #: (:func:`~repro.circuits.fusion.parity_of`) — every step of a one-block
+    #: plan, the riders of a pair plan.  A pair plan without riders reads
+    #: only its controls, which are set in every task's index.
     index_mask: int
+    #: The non-local target a pair plan pairs its blocks on; ``None`` for a
+    #: one-block plan.
+    pair_target: int | None
     #: Number of inter-rank block exchanges the plan implies.
     exchange_count: int
 
@@ -129,6 +136,23 @@ def _acts_on(step: Step, required: int, index: int, offset_bits: int) -> bool:
     return block_phase(step.matrix, parity >> offset_bits, index) is not None
 
 
+def _is_one_block(step: Step, offset_bits: int) -> bool:
+    """Whether *step* can be applied to one block on its own: an in-block
+    target, or a diagonal (a gate's 2x2 or a parity phase) anywhere."""
+
+    return step.target < offset_bits or step.is_diagonal
+
+
+def _mask_of(steps: Iterable[tuple[Step, int]], offset_bits: int) -> int:
+    """The block-index bits the one-block ``(step, block_controls)`` pairs
+    *steps* read (see :attr:`GatePlan.index_mask`)."""
+
+    mask = 0
+    for step, required in steps:
+        mask |= required | parity_of(step) >> offset_bits
+    return mask
+
+
 def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
     """Build the :class:`GatePlan` for *gate* under *partition*.
 
@@ -143,9 +167,13 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
     control bits set in the block's global index ``i`` and, for a diagonal
     whose target (or parity) lies wholly above the block, ``m[b, b] != 1``
     where ``b`` is the parity of those bits of ``i``.  Anything else is a
-    pair element: every step must be a gate, and all must share one
-    non-local target and one set of non-local controls; it plans as that
-    target's block pairs.
+    pair element on the non-local target ``T`` of its first mixing gate,
+    planned as ``T``'s block pairs under that gate's non-local controls.
+    Its *pair steps* are the gates on ``T`` under those same controls — a
+    diagonal on ``T`` among them — and every mixing gate must be one.  The
+    other steps are *riders*: one-block steps applied to each staged block
+    on its own, allowed only when the pair has no non-local controls (then
+    every block is staged).
     """
 
     if gate.max_qubit() >= partition.num_qubits:
@@ -160,10 +188,7 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
     local_controls = tuple(local for local, _ in split)
     block_controls = tuple(required for _, required in split)
 
-    if all(step.target < offset or step.is_diagonal for step in steps):
-        index_mask = 0
-        for step, required in zip(steps, block_controls):
-            index_mask |= required | parity_of(step) >> offset
+    if all(_is_one_block(step, offset) for step in steps):
         tasks = [
             BlockTask(divmod(index, per_rank), None, crosses_ranks=False)
             for index in range(partition.total_blocks)
@@ -177,20 +202,30 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
             tuple(tasks),
             local_controls,
             block_controls,
-            index_mask,
+            _mask_of(zip(steps, block_controls), offset),
+            pair_target=None,
             exchange_count=0,
         )
 
-    target, required = steps[0].target, block_controls[0]
-    if target < offset or any(
-        parity_of(step) != 1 << target or mask != required
+    target, required = next(
+        (step.target, mask)
         for step, mask in zip(steps, block_controls)
+        if not _is_one_block(step, offset)
+    )
+    riders = [
+        (step, mask)
+        for step, mask in zip(steps, block_controls)
+        if parity_of(step) != 1 << target or mask != required
+    ]
+    if riders and (
+        required or not all(_is_one_block(step, offset) for step, _ in riders)
     ):
         raise ValueError(
             f"{gate.name} is not a run under this partition: every step must "
             "be one-block (an in-block target, a diagonal 2x2 or a parity "
-            "phase), or all must be gates sharing one non-local target and "
-            "one set of non-local controls"
+            "phase), or the mixing gates must share one non-local target and "
+            "one set of non-local controls, and other one-block steps may "
+            "join them only when that set is empty"
         )
     target_bit = 1 << (target - offset)
     tasks = []
@@ -206,6 +241,7 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
         tuple(tasks),
         local_controls,
         block_controls,
-        index_mask=0,
+        required | _mask_of(riders, offset),
+        pair_target=target,
         exchange_count=sum(task.crosses_ranks for task in tasks),
     )

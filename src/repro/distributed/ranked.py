@@ -245,9 +245,11 @@ class RankWorker:
         ``("pair", block0, block1)`` for an intra-rank block pair, and
         ``("xchg", block, peer, row)`` for a cross-rank pair — the block is
         exchanged with *peer* through the communicator and only the *row*
-        half this rank owns is rewritten.  A batch holds one kind only.  The
-        exchange always happens (as it would over MPI); only the codec round
-        trip can be skipped by a cache hit on ``(my blob, peer blob)``.
+        half this rank owns is rewritten.  A batch holds one kind only; the
+        kernel gets each task's global block index, a pair's target-bit-0
+        one.  The exchange always happens (as it would over MPI); only the
+        codec round trip can be skipped by a cache hit on ``(my blob, peer
+        blob)``.
         """
 
         _, op, tasks = message
@@ -255,6 +257,7 @@ class RankWorker:
         op = op._replace(compressor=kernel.compressor_for(op.compressor))
         stats = TaskStats()
         outputs: list[tuple[tuple[int, ...], tuple[bytes, bytes | None]]] = []
+        per_rank = self._partition.blocks_per_rank
         if tasks[0][0] == "xchg":
             for _, block, peer, row in tasks:
                 entry = self._blocks[block]
@@ -263,12 +266,22 @@ class RankWorker:
                         peer, _frame_blob(entry.compressor, entry.blob)
                     )
                 )
+                # The pair's blocks share a local index; the target-bit-0 one
+                # lives on the row-0 rank.
+                index = (self._rank if row == 0 else peer) * per_rank + block
                 outs = kernel.run(
-                    op, stats, entry.blob, entry.compressor, peer_blob, peer_name, row
+                    op,
+                    stats,
+                    entry.blob,
+                    entry.compressor,
+                    peer_blob,
+                    peer_name,
+                    row,
+                    index,
                 )
                 outputs.append(((block,), outs))  # the peer rewrites its half
         else:
-            first_index = self._rank * self._partition.blocks_per_rank
+            first_index = self._rank * per_rank
             for inputs, group in group_tasks(
                 op,
                 (

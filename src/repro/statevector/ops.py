@@ -26,7 +26,6 @@ __all__ = [
     "apply_single_qubit",
     "apply_single_qubit_pairwise",
     "apply_single_qubit_pairwise_masked",
-    "apply_single_qubit_pairwise_half",
     "apply_phase",
     "block_phase",
     "local_parity_mask",
@@ -114,56 +113,6 @@ def apply_single_qubit_pairwise_masked(
     b = vector_y[mask]
     vector_x[mask] = u00 * a + u01 * b
     vector_y[mask] = u10 * a + u11 * b
-
-
-def apply_single_qubit_pairwise_half(
-    vector_low: np.ndarray,
-    vector_high: np.ndarray,
-    matrix: np.ndarray,
-    row: int,
-    mask: np.ndarray | None = None,
-) -> None:
-    """Update only one side of a cross-buffer pair, in place.
-
-    This is the distributed (multi-rank) form of
-    :func:`apply_single_qubit_pairwise_masked`: for a gate whose target qubit
-    lies in the rank index segment, each rank holds only one half of every
-    amplitude pair, receives the peer half over the communicator, and may
-    update only the half it owns.  ``row=0`` rewrites ``vector_low`` (the
-    target-bit-0 block), ``row=1`` rewrites ``vector_high``; the other buffer
-    is read-only peer data.
-
-    Parameters
-    ----------
-    vector_low, vector_high:
-        Equal-length complex128 blocks holding the target-bit-0 / target-bit-1
-        amplitudes of the pairs.
-    matrix:
-        The 2x2 unitary.
-    row:
-        Which output row to compute (0 or 1) — i.e. which of the two buffers
-        this rank owns.
-    mask:
-        Optional boolean mask restricting the update to offsets whose local
-        control bits are all 1 (``None`` = uncontrolled).
-
-    The arithmetic is element-for-element the expression
-    :func:`apply_single_qubit_pairwise_masked` evaluates for the same row, so
-    a rank-split execution stays bit-identical to a single-process one.
-    """
-
-    if vector_low.shape != vector_high.shape:
-        raise ValueError("paired vectors must have identical shapes")
-    if row not in (0, 1):
-        raise ValueError(f"row must be 0 or 1, got {row}")
-    u_a, u_b = matrix[row, 0], matrix[row, 1]
-    out = vector_low if row == 0 else vector_high
-    if mask is None:
-        out[:] = u_a * vector_low + u_b * vector_high
-        return
-    a = vector_low[mask]
-    b = vector_high[mask]
-    out[mask] = u_a * a + u_b * b
 
 
 def apply_phase(

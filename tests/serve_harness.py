@@ -143,9 +143,11 @@ def _soak_request(tenant_index: int, job_index: int):
 async def _run_soak(num_jobs: int, kill_after: int) -> dict:
     """Submit *num_jobs* across the weighted tenants and verify everything."""
 
+    # Qubits 3 and 4 above 8-amplitude blocks: each process-tier job is five
+    # schedule elements, so the injected kill lands mid-soak.
     process_config = SimulatorConfig(
         num_ranks=2,
-        block_amplitudes=16,
+        block_amplitudes=8,
         num_workers=2,
         executor="process",
     )

@@ -33,6 +33,7 @@ from repro.compression.interface import get_compressor
 from repro.core import BlockCache, CompressedSimulator
 from repro.distributed import Partition, QubitSegment, plan_gate
 from repro.statevector import simulate_statevector
+from tiers import tier_config
 
 NUM_QUBITS = 6
 
@@ -103,10 +104,29 @@ def _keys(gate, local_qubits: int) -> tuple:
     return (ONE_BLOCK, pair) if diagonal else (pair,)
 
 
-def _run_key(steps, local_qubits: int):
-    """The key a stretch was opened under: its first gate's preferred one."""
+def _joined_key(key, step, local_qubits: int):
+    """The key of a run open under *key* once *step* joins it, or ``None``
+    when it cannot: a step joins under a key it can take; a one-block step
+    also rides a pair run without non-local controls, and a mixing step
+    whose pair key has none takes a one-block run over (restated)."""
 
-    return _keys(steps[0], local_qubits)[0]
+    keys = _keys(step, local_qubits)
+    stages_every_block = key == ONE_BLOCK or (key is not None and not key[1])
+    if key in keys or (keys[0] == ONE_BLOCK and stages_every_block):
+        return key
+    if key == ONE_BLOCK and not keys[0][1]:
+        return keys[0]
+    return None
+
+
+def _run_key(steps, local_qubits: int):
+    """The key a stretch ends under: its first step's preferred one, carried
+    through each later step (``None`` if one could not have joined)."""
+
+    key = _keys(steps[0], local_qubits)[0]
+    for step in steps[1:]:
+        key = _joined_key(key, step, local_qubits)
+    return key
 
 
 def _sandwich_at(gates, index: int) -> bool:
@@ -159,15 +179,13 @@ class TestRunFormation:
         for element in elements:
             steps = constituents(element)
             assert isinstance(element, Run) == (len(steps) >= 2)
-            # Valid: every step can take the key the run was opened under.
-            key = _run_key(steps, local_qubits)
-            assert all(key in _keys(step, local_qubits) for step in steps)
+            # Valid: every step could join the run as it stood.
+            assert _run_key(steps, local_qubits) is not None
         # Maximal under the rule as written: the next element's first gate
-        # could not have taken the open run's key.
+        # could not have joined the run before it.
         for left, right in zip(elements, elements[1:]):
-            assert _run_key(constituents(left), local_qubits) not in _keys(
-                constituents(right)[0], local_qubits
-            )
+            key = _run_key(constituents(left), local_qubits)
+            assert _joined_key(key, constituents(right)[0], local_qubits) is None
 
     @given(circuit=fusion_heavy_circuits())
     @settings(max_examples=30, deadline=None)
@@ -178,13 +196,17 @@ class TestRunFormation:
                 steps = constituents(element)
                 plan = plan_gate(partition, element)
                 assert len(plan.local_controls) == len(steps)
-                one_block = _run_key(steps, partition.offset_bits) == ONE_BLOCK
-                assert one_block == all(task.second is None for task in plan.tasks)
-                if one_block:
+                key = _run_key(steps, partition.offset_bits)
+                assert (key == ONE_BLOCK) == all(
+                    task.second is None for task in plan.tasks
+                )
+                if key == ONE_BLOCK:
                     assert plan.segment is QubitSegment.LOCAL
                     assert plan.exchange_count == 0
+                    assert plan.pair_target is None
                 else:
-                    assert plan.segment is partition.segment_of(steps[0].target)
+                    assert plan.pair_target == key[0]
+                    assert plan.segment is partition.segment_of(key[0])
 
     def test_chain_circuit_schedule(self):
         circuit = _chain_circuit(4)  # 4 chains of 4 + 3 entanglers
@@ -192,26 +214,56 @@ class TestRunFormation:
         assert len(form_runs(circuit.gates, 4)) == 1
         # Nothing in-block: each chain is a pair run opened by its ``h`` that
         # the diagonal ``t``/``rz``/``s`` join; the three controlled phases
-        # are diagonal, so whatever their targets they form one one-block run.
+        # are one-block whatever their targets, so they ride the last
+        # chain's pair run, which has no non-local controls.
         elements = form_runs(circuit.gates, 0)
-        assert [len(constituents(e)) for e in elements] == [4, 4, 4, 4, 3]
+        assert [len(constituents(e)) for e in elements] == [4, 4, 4, 7]
         assert elements[0].name == "run(h+t+rz+s)"
-        assert elements[-1].name == "run(p+p+p)"
+        assert elements[-1].name == "run(h+t+rz+s+p+p+p)"
 
     @pytest.mark.parametrize(
-        "second",
+        "first, second",
         [
-            standard_gate("h", 5),  # another non-local target
-            standard_gate("z", 4, controls=(5,)),  # a diagonal, other outer controls
-            standard_gate("h", 4, controls=(5,)),  # another outer control set
-            standard_gate("h", 0),  # an in-block target
+            (standard_gate("x", 4), standard_gate("h", 5)),  # another pair target
+            (standard_gate("x", 4), standard_gate("h", 4, controls=(5,))),
+            # Next to a pair run under a non-local control, no one-block step:
+            (standard_gate("x", 4, controls=(5,)), standard_gate("h", 0)),
+            (standard_gate("x", 4, controls=(5,)), standard_gate("t", 5)),
+            # a diagonal on the pair's target under other outer controls.
+            (standard_gate("x", 4, controls=(5,)), standard_gate("z", 4)),
         ],
     )
-    def test_never_merges_across_a_change_of_staging(self, second):
-        first = standard_gate("x", 4)
+    def test_never_merges_across_a_change_of_staging(self, first, second):
         for gates in ([first, second], [second, first]):
             elements = form_runs(gates, 3)
             assert all(a is b for a, b in zip(elements, gates))
+
+    def test_one_block_steps_ride_a_pair_run_without_outer_controls(self):
+        # Non-local target 4 under local qubits 0-2: the pair stages every
+        # block, so an in-block gate (under an outer control), a diagonal
+        # under an outer control, and a parity phase ride it on either side.
+        x4 = standard_gate("x", 4, controls=(1,))
+        h0 = standard_gate("h", 0, controls=(5,))
+        cz = standard_gate("z", 4, controls=(3,))
+        cx = standard_gate("x", 4, controls=(5,))
+        phase = [cx, standard_gate("rz", 4, params=(0.3,)), cx]
+        gates = [h0, cz, *phase, x4, *phase, cz, h0]
+        (run,) = form_runs(gates, 3)
+        assert [step.name for step in run.gates] == [
+            "h",
+            "z",
+            "parity(x+rz+x)",
+            "x",
+            "parity(x+rz+x)",
+            "z",
+            "h",
+        ]
+        # The one-block steps before it opened a one-block run that x4 took
+        # over; a second pair target ends the run, and one-block steps after
+        # that ride the new pair.
+        h5 = standard_gate("h", 5)
+        elements = form_runs([h0, x4, cz, h5, h0], 3)
+        assert [len(constituents(e)) for e in elements] == [3, 2]
 
     def test_one_block_gates_merge_across_targets_and_outer_controls(self):
         h0, x1 = standard_gate("h", 0), standard_gate("x", 1, controls=(2,))
@@ -237,8 +289,10 @@ class TestRunFormation:
         assert len(form_runs([outer, rz, outer_h], 3)) == 3
         crz = standard_gate("rz", 4, controls=(5,), params=(0.3,))
         assert len(form_runs([outer, crz, outer], 3)) == 1
-        # A diagonal never opens a pair run: it prefers one-block.
-        assert [len(constituents(e)) for e in form_runs([rz, cx, rz], 3)] == [1, 2]
+        # A diagonal never opens a pair run: it prefers one-block, and a
+        # mixing gate without non-local controls takes that run over.
+        (run,) = form_runs([rz, cx, rz], 3)
+        assert run.gates == (rz, cx, rz)
 
     @pytest.mark.parametrize("control", [1, 5])  # in-block / non-local c
     def test_sandwich_is_one_one_block_step(self, control):
@@ -256,12 +310,17 @@ class TestRunFormation:
         assert all(task.second is None for task in plan.tasks)
         # Block index bits are qubits 3-5: t's bit, and c's when non-local.
         assert plan.index_mask == (0b010 if control == 1 else 0b110)
-        # The steps around it join it in one one-block run, never a pair run.
+        # The one-block steps around it join it in one one-block run; after
+        # a pair run without non-local controls it rides that run, after one
+        # under a non-local control it opens its own.
         h0, h4 = standard_gate("h", 0), standard_gate("h", 4)
         (run,) = form_runs([h0, cx, rz, cx, h0], 3)
         assert run.gates[0] is h0 is run.gates[2]
         assert run.gates[1].gates == step.gates
-        assert [len(constituents(e)) for e in form_runs([h4, cx, rz, cx], 3)] == [1, 1]
+        assert [len(constituents(e)) for e in form_runs([h4, cx, rz, cx], 3)] == [2]
+        outer_h4 = standard_gate("h", 4, controls=(3,) if control == 5 else (5,))
+        elements = form_runs([outer_h4, cx, rz, cx], 3)
+        assert [len(constituents(e)) for e in elements] == [1, 1]
 
     @pytest.mark.parametrize(
         "gates",
@@ -306,7 +365,11 @@ class TestRunFormation:
         assert run.gates == (first, second)
 
     def test_run_of_one_is_the_gate_itself(self):
-        gates = [standard_gate("h", 0), standard_gate("h", 5), standard_gate("x", 1)]
+        gates = [
+            standard_gate("h", 4),
+            standard_gate("h", 5),
+            standard_gate("x", 4, controls=(3,)),
+        ]
         elements = form_runs(gates, 3)
         assert all(a is b for a, b in zip(elements, gates))
         with pytest.raises(GateError):
@@ -362,7 +425,9 @@ class TestFusedPlanning:
         assert plan.segment is single.segment is not QubitSegment.LOCAL
         assert plan.tasks == single.tasks == plan_gate(partition, third).tasks
         assert plan.local_controls == ((1,), (), (0, 1))
-        assert plan.index_mask == 0
+        # No riders: the tasks read only the run's controls, set in each.
+        assert plan.pair_target == target
+        assert plan.index_mask == 0b0101 == plan.block_controls[0]
         # One exchange per block pair for the whole run.
         assert plan.exchange_count == single.exchange_count
         assert plan.exchange_count == (len(plan.tasks) if target == 5 else 0)
@@ -370,22 +435,22 @@ class TestFusedPlanning:
     @pytest.mark.parametrize(
         "first, second",
         [
-            (standard_gate("h", 0), standard_gate("h", 3)),  # block-segment target
-            (standard_gate("h", 0), standard_gate("h", 5)),  # rank-segment target
-            (standard_gate("h", 3), standard_gate("z", 2)),  # a diagonal elsewhere
-            (standard_gate("h", 3), standard_gate("z", 3, controls=(2,))),
             (standard_gate("h", 3), standard_gate("h", 2)),  # another block target
-            (standard_gate("h", 5), standard_gate("t", 0)),  # in-block, in a pair run
             (standard_gate("h", 5), standard_gate("h", 5, controls=(2,))),
             (standard_gate("h", 5), standard_gate("h", 4)),  # another rank target
-            # A parity phase on the pair's target never rides a pair.
+            # A pair under a non-local control never takes a rider: not an
+            # in-block gate, a diagonal elsewhere, one on its target under
+            # other controls, or a parity phase on its target.
+            (standard_gate("h", 5, controls=(2,)), standard_gate("t", 0)),
+            (standard_gate("h", 5, controls=(2,)), standard_gate("z", 3)),
+            (standard_gate("h", 5, controls=(2,)), standard_gate("z", 5)),
             (
-                standard_gate("h", 5),
+                standard_gate("h", 5, controls=(2,)),
                 ParityPhase(
                     (
-                        standard_gate("x", 5, controls=(2,)),
+                        standard_gate("x", 5, controls=(0,)),
                         standard_gate("rz", 5, params=(0.3,)),
-                        standard_gate("x", 5, controls=(2,)),
+                        standard_gate("x", 5, controls=(0,)),
                     )
                 ),
             ),
@@ -397,6 +462,46 @@ class TestFusedPlanning:
             plan_gate(partition, Run((first, second)))
         with pytest.raises(ValueError, match="not a run"):
             plan_gate(partition, Run((second, first)))
+
+    @pytest.mark.parametrize(
+        "pair, rider, index_mask",
+        [
+            (standard_gate("h", 3), standard_gate("h", 0), 0),  # in-block
+            (standard_gate("h", 5), standard_gate("t", 0), 0),
+            # An in-block gate under block control 3 reads bit 1.
+            (standard_gate("h", 5), standard_gate("x", 0, controls=(3, 1)), 0b0010),
+            # A diagonal on block qubit 2 reads bit 0 for its entry.
+            (standard_gate("h", 3), standard_gate("z", 2), 0b0001),
+            # A diagonal on the pair's target under control 2: both bits.
+            (standard_gate("h", 3), standard_gate("z", 3, controls=(2,)), 0b0011),
+            # A parity phase on x_2 xor x_5, the pair's target: bits 0 and 3.
+            (
+                standard_gate("h", 5),
+                ParityPhase(
+                    (
+                        standard_gate("x", 5, controls=(2,)),
+                        standard_gate("rz", 5, params=(0.3,)),
+                        standard_gate("x", 5, controls=(2,)),
+                    )
+                ),
+                0b1001,
+            ),
+        ],
+    )
+    def test_riders_plan_as_the_pair_reading_their_own_bits(
+        self, pair, rider, index_mask
+    ):
+        # Qubits 0-1 local, 2-3 block, 4-5 rank: block index bits 0-3 are
+        # qubits 2-5.  A rider changes nothing of the pair's staging; the
+        # plan's index mask is exactly the bits the rider reads.
+        partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
+        single = plan_gate(partition, pair)
+        for steps in ((pair, rider), (rider, pair), (rider, pair, rider)):
+            plan = plan_gate(partition, Run(steps))
+            assert plan.tasks == single.tasks and plan.segment is single.segment
+            assert plan.exchange_count == single.exchange_count
+            assert plan.pair_target == pair.target
+            assert plan.index_mask == index_mask
 
     def test_one_block_run_plans_the_blocks_a_step_acts_on(self):
         # Qubits 0-1 local, 2-3 block, 4-5 rank; global block index bits are
@@ -593,10 +698,61 @@ class TestSandwichesOnEveryTier:
         for target in (0, 4, 6):
             circuit.cx(3, target).rz(0.7, target).cx(3, target)
         report = self._check(tier, circuit, 3)
-        # One run of the in-block h's, one per non-local h, one run of the
-        # three sandwiches.
-        assert report.gates_executed == 1 + 4 + 1
+        # The in-block h's and the h on qubit 3 that takes them over, the h
+        # on qubits 4 and 5, and the h on qubit 6 the three sandwiches ride.
+        assert report.gates_executed == 1 + 1 + 1 + 1
         assert report.duplicate_tasks > 0
+
+
+class TestRidersOnEveryTier:
+    """One-block steps riding a pair run are applied to each staged block at
+    its own index, on an intra-rank pair and on a cross-rank (row) pair."""
+
+    @pytest.mark.parametrize("target", [4, 6], ids=["intra-rank", "cross-rank"])
+    def test_riders_around_a_pair_step_match_dense_on_every_tier(self, tier, target):
+        # 7 qubits, 4 ranks, 8-amplitude blocks: qubits 0-2 in-block, 3-4
+        # block, 5-6 rank.  *other* is a non-local qubit off the target.
+        other = 3 if target == 6 else 5
+        circuit = QuantumCircuit(7)
+        for qubit in range(7):
+            circuit.ry(0.2 + 0.3 * qubit, qubit)
+        # A pair under a non-local control takes no rider: the riders after
+        # it open a one-block run that the uncontrolled pair step takes over.
+        circuit.add("ry", target, controls=(other,), params=(0.5,))
+
+        def riders(angle: float) -> None:
+            # An in-block gate under the pair's target bit, diagonals under a
+            # block control (one on the pair's target), and a parity phase
+            # on x_1 xor x_target.
+            circuit.add("ry", 1, controls=(target, 0), params=(angle,))
+            circuit.add("p", 2, controls=(other,), params=(angle,))
+            circuit.cp(angle + 0.1, other, target)
+            circuit.cx(1, target).rz(angle + 0.2, target).cx(1, target)
+
+        riders(0.3)
+        circuit.h(target)
+        riders(0.7)
+        circuit.ry(0.9, target)
+
+        dense = simulate_statevector(circuit)
+        rider_names = ["ry", "p", "p", "parity(x+rz+x)"]
+        blobs = {}
+        for name, config in (
+            ("sequential", tier_config("sequential", 4, 8)),
+            ("tier", tier(num_ranks=4, block_amplitudes=8)),
+        ):
+            with CompressedSimulator(7, config) as simulator:
+                elements = simulator.prepare_gates(circuit)
+                names = [step.name for step in constituents(elements[-1])]
+                assert names == rider_names + ["h"] + rider_names + ["ry"]
+                simulator.apply_circuit(circuit)
+                state = simulator.statevector()
+                assert np.array_equal(state.view(np.float64), dense.view(np.float64))
+                blobs[name] = [
+                    (entry.blob, entry.compressor)
+                    for _, entry in simulator.state.iter_blocks()
+                ]
+        assert blobs["tier"] == blobs["sequential"]
 
 
 class TestRunsLossless:

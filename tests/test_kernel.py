@@ -19,8 +19,11 @@ Pinned here:
   A parity phase (``cx · d · cx`` as one step) under a local control is
   equal to its three gates on a dense vector in every block, wherever its
   two qubits lie.
+* **Riders** — a pair task applies its one-block steps to each staged block
+  at that block's own index: both blocks of every pair, and each rank's
+  half of a cross-rank pair, equal a dense reference.
 * **Grouping** — :func:`group_tasks` groups by exactly the kernel's inputs
-  (blob bytes, codec names, the one-block index bits read) in first-seen
+  (blob bytes, codec names, the index bits the op reads) in first-seen
   order, and one ``copies=n`` call counts n tasks, n - 1 duplicates, one
   lookup and one round trip.
 * **Partial plans** — a corrupt blob mid-plan leaves the finished tasks
@@ -40,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.circuits import Gate, ParityPhase, QuantumCircuit, standard_gate
+from repro.circuits import Gate, ParityPhase, QuantumCircuit, Run, standard_gate
 from repro.circuits.fusion import parity_of
 from repro.compression import CompressorError, get_compressor
 from repro.core import (
@@ -52,6 +55,7 @@ from repro.core import (
     SimulatorConfig,
 )
 from repro.core.kernel import BlockKernel, BlockOp, TaskStats, group_tasks
+from repro.distributed import Partition, plan_gate
 from repro.statevector import ops
 
 BLOCK = 16
@@ -124,7 +128,8 @@ def blocks(rng):
 
 
 def _setup(cache):
-    """(kernel, op, stored-codec, output-codec, scratch) around *cache*."""
+    """(kernel, op, stored-codec, output-codec, scratch) around *cache*: the
+    op is one in-block step; :func:`_paired` is the same 2x2 above the block."""
 
     stored = CountingCodec(get_compressor("lossless"))
     output = CountingCodec(get_compressor("xor-bitplane", bound=1e-3))
@@ -137,10 +142,21 @@ def _setup(cache):
         (CONTROLS,),
         (0,),
         0,
+        None,
         output,
         ("u", (2,), CONTROLS, "xor@1e-3"),
     )
     return kernel, op, stored, output, scratch
+
+
+def _paired(op: BlockOp, target: int = 5) -> BlockOp:
+    """*op*'s one step on non-local *target*: a block-pair op."""
+
+    return op._replace(targets=(target,), parities=(1 << target,), pair_target=target)
+
+
+def _op_for(shape: str, op: BlockOp) -> BlockOp:
+    return op if SHAPES[shape][0] == 1 else _paired(op)
 
 
 def _reference(shape, blocks, stored, output):
@@ -156,11 +172,11 @@ def _reference(shape, blocks, stored, output):
     mask = ops.local_control_mask(BLOCK, CONTROLS)
     if count == 1:
         ops.apply_controlled_single_qubit(buffers[0], MATRIX, 2, CONTROLS)
-    elif row is None:
-        ops.apply_single_qubit_pairwise_masked(buffers[0], buffers[1], MATRIX, mask)
     else:
-        low, high = buffers if row == 0 else buffers[::-1]
-        ops.apply_single_qubit_pairwise_half(low, high, MATRIX, row, mask)
+        # A half-pair task stages its own block first: the full pairwise
+        # update, then only the own half is kept.
+        low, high = buffers[::-1] if row == 1 else buffers
+        ops.apply_single_qubit_pairwise_masked(low, high, MATRIX, mask)
     outs = [output.compress(buffer.view(np.float64)) for buffer in buffers]
     if count == 1 or row is not None:
         return outs[0], None
@@ -176,6 +192,7 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
 
     cache = CACHES[cache_kind]()
     kernel, op, stored, output, scratch = _setup(cache)
+    op = _op_for(shape, op)
     inputs = []
     for block in blocks[:count]:
         inputs += [stored.inner.compress(block.view(np.float64)), stored.name]
@@ -226,6 +243,7 @@ def test_half_pair_rows_never_alias(blocks):
     # Byte-identical halves (a uniform state) are the case where only the
     # row in the key tells the two halves' cache lines apart.
     kernel, op, stored, _output, _scratch = _setup(CACHES["enabled"]())
+    op = _paired(op)
     blob = stored.inner.compress(blocks[0].view(np.float64))
     stats = TaskStats()
     out_row0, _ = kernel.run(op, stats, blob, stored.name, blob, stored.name, 0)
@@ -251,7 +269,7 @@ STEPS = (
 )
 
 
-def _step_op(steps, codec, describe="lossless"):
+def _step_op(steps, codec, describe="lossless", pair_target=None):
     matrices, targets, controls = zip(*steps)
     key = tuple(("u", (t,), c, m.tobytes()) for m, t, c in steps) + (describe,)
     parities = tuple(1 << target for target in targets)
@@ -262,6 +280,7 @@ def _step_op(steps, codec, describe="lossless"):
         controls,
         (0,) * len(steps),
         0,
+        pair_target,
         codec,
         key,
     )
@@ -323,11 +342,13 @@ def test_multi_step_pair_equals_chained_pairs_and_its_own_halves(blocks):
 
     chained, chained_stats = pair, TaskStats()
     for step in steps:
-        low, high = kernel.run(_step_op([step], codec), chained_stats, *chained)
+        low, high = kernel.run(
+            _step_op([step], codec, pair_target=5), chained_stats, *chained
+        )
         chained = [low, codec.name, high, codec.name]
     assert (chained_stats.decompress_calls, chained_stats.compress_calls) == (6, 6)
 
-    op = _step_op(steps, codec)
+    op = _step_op(steps, codec, pair_target=5)
     calls = (codec.decompress_calls, codec.compress_calls)
     stats = TaskStats()
     whole = kernel.run(op, stats, *pair)
@@ -369,6 +390,7 @@ def test_one_block_steps_follow_the_block_index(rng):
         ((), (), (1,)),
         (0b001, 0, 0b001),
         0b111,
+        None,
         codec,
         tuple(gate.key() for gate in gates) + ("lossless",),
     )
@@ -431,6 +453,7 @@ def test_parity_steps_under_a_local_control_mask(rng):
         ((3,),) * 3,
         (0,) * 3,
         0b111,
+        None,
         codec,
         tuple(step.key() for step in steps) + ("lossless",),
     )
@@ -454,6 +477,60 @@ def test_parity_steps_under_a_local_control_mask(rng):
     high, _ = kernel.run(op, stats, blob, codec.name, index=0b010)
     assert low != high
     assert (stats.cache_hits, stats.cache_misses) == (0, 10)
+
+
+def test_pair_riders_apply_at_each_blocks_own_index(rng):
+    # 7 qubits in 16-amplitude blocks: qubits 4-6 are bits 0-2 of the block
+    # index.  An h on qubit 5 pairs blocks i and i | 0b010; riders before and
+    # after it read both sides' own indices: an in-block 2x2 under qubit 5,
+    # a cz(4 -> 6), and rz on x_1 xor x_5.  The t on qubit 5 is a pair step.
+    steps = [
+        Gate("u", MATRIX, targets=(2,), controls=(5,)),
+        standard_gate("z", 6, controls=(4,)),
+        standard_gate("h", 5),
+        _sandwich(1, standard_gate("rz", 5, params=(0.7,))),
+        standard_gate("t", 5),
+    ]
+    dense = rng.normal(size=128) + 1j * rng.normal(size=128)
+    expected = dense.copy()
+    for step in steps:
+        for gate in step.gates if isinstance(step, ParityPhase) else (step,):
+            ops.apply_gate_to_vector(expected, gate)
+
+    codec = CountingCodec(get_compressor("lossless"))
+    kernel = BlockKernel({codec.name: codec}, ScratchPool(BLOCK), CACHES["enabled"]())
+    plan = plan_gate(Partition(7, 1, BLOCK), Run(tuple(steps)))
+    assert plan.pair_target == 5 and plan.index_mask == 0b111
+    op = BlockOp(
+        np.stack([step.matrix for step in steps]),
+        tuple(step.target for step in steps),
+        tuple(parity_of(step) for step in steps),
+        plan.local_controls,
+        plan.block_controls,
+        plan.index_mask,
+        plan.pair_target,
+        codec,
+        Run(tuple(steps)).key() + ("lossless",),
+    )
+
+    def blob(index: int) -> bytes:
+        block = dense[index * BLOCK : (index + 1) * BLOCK]
+        return codec.compress(block.view(np.float64))
+
+    stats = TaskStats()
+    for task in plan.tasks:
+        low, high = (rank * 8 + block for rank, block in task.buffers)
+        pair = (blob(low), codec.name, blob(high), codec.name)
+        outs = kernel.run(op, stats, *pair, index=low)
+        for index, out in zip((low, high), outs):
+            assert np.array_equal(
+                codec.decompress(out).view(np.complex128),
+                expected[index * BLOCK : (index + 1) * BLOCK],
+            )
+        # Each rank of a cross-rank pair keeps its half of the same update.
+        assert kernel.run(op, stats, *pair, 0, low) == (outs[0], None)
+        assert kernel.run(op, stats, *pair[2:], *pair[:2], 1, low) == (outs[1], None)
+    assert (stats.cache_hits, stats.cache_misses) == (0, 12)
 
 
 def test_task_stats_pickle_flat_and_fold():
@@ -503,14 +580,16 @@ def test_group_tasks_keys_on_exactly_what_the_kernel_reads():
     assert groups[0][0] == (same, "lossless", None, None, None, 0)
     assert groups[1][0][-1] == 0b010
 
-    # Pairs: both blobs and both names, in order; the index is not read.
+    # Pairs: both blobs and both names, in order, and the index bits their
+    # riders read.
     pair = (_entry(b"low"), _entry(b"high"))
-    groups = group_tasks(
-        op._replace(index_mask=0),
-        [("p", pair, 0), ("q", pair, 7), ("r", pair[::-1], 0)],
-    )
+    staged = [("p", pair, 0), ("q", pair, 7), ("r", pair[::-1], 0)]
+    groups = group_tasks(op._replace(index_mask=0), staged)
     assert [tasks for _, tasks in groups] == [["p", "q"], ["r"]]
-    assert groups[0][0] == (b"low", "lossless", b"high", "lossless")
+    assert groups[0][0] == (b"low", "lossless", b"high", "lossless", None, 0)
+    groups = group_tasks(op._replace(index_mask=0b100), staged)
+    assert [tasks for _, tasks in groups] == [["p"], ["q"], ["r"]]
+    assert groups[1][0][-1] == 0b100
 
 
 @pytest.mark.parametrize("cache_kind", list(CACHES))

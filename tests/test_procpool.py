@@ -243,6 +243,9 @@ class TestProcessSpellingIsTheRankedTier:
         assert np.array_equal(sequential, process)
 
     def test_shard_cache_stats_reach_the_report(self):
+        # Gate by gate: Grover's redundancy is per gate (Section 3.4), and
+        # with runs every element here pairs across the ranks, whose
+        # exchange tasks are never grouped.
         circuit = grover_circuit(6, marked=5, iterations=2)
         config = SimulatorConfig(
             num_ranks=2,
@@ -250,6 +253,7 @@ class TestProcessSpellingIsTheRankedTier:
             num_workers=2,
             executor="process",
             fault_policy=NO_RECOVERY,
+            fusion_enabled=False,
         )
         with CompressedSimulator(6, config) as simulator:
             report = simulator.apply_circuit(circuit)

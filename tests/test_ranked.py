@@ -210,12 +210,14 @@ class TestRealCommunication:
     @pytest.mark.parametrize("spelling", RANKED)
     def test_exchanges_are_the_plans_exchange_counts(self, spelling):
         # One exchange per block per rank-target element that mixes; the
-        # diagonal rank-target elements between them add none.  Both tiers
-        # count the same exchanges in the report; their bytes follow each
-        # tier's rule, replayed here from the blocks of the sequential run
-        # (the states, hence the blobs, are bit-identical).
-        circuit = QuantumCircuit(NUM_QUBITS).h(0).h(7).t(7).cx(0, 6).rz(0.3, 6)
-        circuit.cz(6, 7).h(1).cp(0.4, 1, 7).h(6).sx(7)
+        # diagonal rank-target steps add none, whether they ride a pair run
+        # or — after a pair under a non-local control (cx(5, 4), which stays
+        # inside each rank) — form a one-block element of their own.  Both
+        # tiers count the same exchanges in the report; their bytes follow
+        # each tier's rule, replayed here from the blocks of the sequential
+        # run (the states, hence the blobs, are bit-identical).
+        circuit = QuantumCircuit(NUM_QUBITS).h(0).h(7).t(7).cx(5, 4).rz(0.3, 6)
+        circuit.cz(6, 7).cx(5, 4).cx(0, 6).h(1).cp(0.4, 1, 7).h(6).sx(7)
         counted_bytes = sent_bytes = 0
         with CompressedSimulator(
             NUM_QUBITS, SimulatorConfig(num_ranks=4, block_amplitudes=BLOCK)
@@ -450,13 +452,15 @@ class TestFailureAndValidation:
     def test_multi_step_batch_survives_a_rank_death(self, budget):
         # Qubits 0-3 sit inside a 16-amplitude block: the circuit opens with
         # a four-step local run and forms more between its block- and
-        # rank-level gates.  Under the budget the lossless runs go gate by
+        # rank-level gates (each under the other's control, so no one-block
+        # step rides them).  Under the budget the lossless runs go gate by
         # gate, so one element advances the gate index by several — the
         # resilience checkpoints must still fall between elements.
         from repro.resilience import faults
         from repro.resilience.faults import FaultPlan, KillWorker
 
-        circuit = QuantumCircuit(6).h(0).cx(0, 1).rx(0.3, 2).ccx(1, 2, 3).h(5).h(4)
+        circuit = QuantumCircuit(6).h(0).cx(0, 1).rx(0.3, 2).ccx(1, 2, 3)
+        circuit.add("h", 5, controls=(4,)).add("h", 4, controls=(5,))
         circuit.cx(5, 0).cx(5, 1).t(2).cx(4, 2).ry(0.7, 3).cx(3, 0).h(1)
         options = dict(num_ranks=2, block_amplitudes=16, memory_budget_bytes=budget)
         with CompressedSimulator(6, SimulatorConfig(**options)) as reference:

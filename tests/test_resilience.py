@@ -275,10 +275,12 @@ class TestRankedRecovery:
     def test_rank_kill_resumes_from_checkpoint_bit_identically(
         self, circuit, baseline, spelling
     ):
+        # The QFT's schedule is 4 or 5 elements, each on both ranks: rank 1
+        # dies on the fourth, after the checkpoint at the second.
         plan = FaultPlan(
-            injections=(KillWorker(worker=1, after=6, kinds=("gate",)),)
+            injections=(KillWorker(worker=1, after=4, kinds=("gate",)),)
         )
-        policy = FaultPolicy(max_retries=2, checkpoint_interval_waves=4)
+        policy = FaultPolicy(max_retries=2, checkpoint_interval_waves=2)
         with faults.installed_plan(plan):
             statevector, counts, recovery = run_to_outcome(
                 ranked_config(policy, spelling), circuit
@@ -310,7 +312,7 @@ class TestRankedRecovery:
         assert expected.escalations > 0
 
         plan = FaultPlan(
-            injections=(KillWorker(worker=1, after=30, kinds=("gate",)),)
+            injections=(KillWorker(worker=1, after=26, kinds=("gate",)),)
         )
         policy = FaultPolicy(max_retries=2, checkpoint_interval_waves=4)
         with faults.installed_plan(plan), CompressedSimulator(
@@ -375,7 +377,7 @@ class TestRankedRecovery:
 
     def test_fail_fast_policy_raises_with_context(self, circuit):
         plan = FaultPlan(
-            injections=(KillWorker(worker=0, after=5, kinds=("gate",)),)
+            injections=(KillWorker(worker=0, after=4, kinds=("gate",)),)
         )
         with faults.installed_plan(plan):
             with CompressedSimulator(
@@ -392,7 +394,7 @@ class TestRankedRecovery:
         # left to the cyclic collector, which used to free it in the middle
         # of a later test's descriptor count.
         plan = FaultPlan(
-            injections=(KillWorker(worker=0, after=5, kinds=("gate",)),)
+            injections=(KillWorker(worker=0, after=4, kinds=("gate",)),)
         )
         config = ranked_config(FaultPolicy(max_retries=0))
         gc.disable()
@@ -416,7 +418,7 @@ class TestRankedRecovery:
             config=SimulatorConfig(num_ranks=2, block_amplitudes=BLOCK),
         )
         plan = FaultPlan(
-            injections=(KillWorker(worker=1, after=6, kinds=("gate",)),)
+            injections=(KillWorker(worker=1, after=4, kinds=("gate",)),)
         )
         with faults.installed_plan(plan):
             recovered = repro.run(
@@ -424,15 +426,16 @@ class TestRankedRecovery:
                 backend="compressed",
                 observables=observable,
                 config=ranked_config(
-                    FaultPolicy(max_retries=2, checkpoint_interval_waves=4)
+                    FaultPolicy(max_retries=2, checkpoint_interval_waves=2)
                 ),
             )
+        assert recovered.report["recovery"]["retries"] == 1
         assert recovered.expectations == reference.expectations
 
     @pytest.mark.parametrize(
         "injection, error",
         [
-            (KillWorker(worker=1, after=6, kinds=("gate",)), WorkerCrashedError),
+            (KillWorker(worker=1, after=4, kinds=("gate",)), WorkerCrashedError),
             (DropComm(rank=0, peer=1, after=4), ProcessCommTimeout),
         ],
         ids=["kill", "drop"],

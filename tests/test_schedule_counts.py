@@ -7,7 +7,8 @@ each one decompress → apply → recompress over its tasks — and
 The numbers pinned here are those of the e2e workloads ``rcs16_*`` and
 ``qft15_sz`` (``benchmarks/e2e``, seed 11); with every diagonal gate staged
 pairwise and ending the surrounding run they were 103 elements / 4064 tasks /
-288 exchanges and 53 / 214 / 64.
+288 exchanges and 53 / 214 / 64, and before one-block steps rode pair runs
+without non-local controls 27 / 1152 / 128 and 16 / 72 / 12.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from repro.distributed import Partition, plan_gate
         (
             random_supremacy_circuit(4, 4, depth=16, seed=11),
             Partition(16, 2, 1024),
-            27,
-            1152,
+            18,
+            576,
             128,
             4,
         ),
-        (qft_circuit(15), Partition(15, 2, 4096), 16, 72, 12, 3),
+        (qft_circuit(15), Partition(15, 2, 4096), 6, 24, 8, 2),
     ],
     ids=["rcs16", "qft15"],
 )
