@@ -24,7 +24,10 @@ Both execution tiers call it — :class:`~repro.core.executor.TaskExecutor`
 in the parent process and the rank workers of
 :mod:`repro.distributed.ranked` — so the tiers differ
 only in how blobs reach the kernel and where its outputs are stored, and
-bit-identity across tiers holds by construction.  Every tier also groups a
+bit-identity across tiers holds by construction.  A pair has one path on
+every tier: a cross-rank pair is one call on one of its two ranks, which
+receives the peer's input blob and sends back the peer's output blob.
+Every tier also groups a
 plan's tasks with :func:`group_tasks` first: tasks that read byte-identical
 inputs (the Section 3.4 redundancy) run once as one kernel call with
 ``copies=``, and the block cache is left with the repeats *across* plans.
@@ -161,7 +164,7 @@ def group_tasks(
         else:
             low, high = entries
             blobs = (low.blob, low.compressor, high.blob, high.compressor)
-        inputs = blobs + (None, index & op.index_mask)
+        inputs = blobs + (index & op.index_mask,)
         groups.setdefault(inputs, []).append(task)
     return list(groups.items())
 
@@ -251,7 +254,6 @@ class BlockKernel:
         name1: str,
         blob2: bytes | None = None,
         name2: str | None = None,
-        row: int | None = None,
         index: int = 0,
         copies: int = 1,
     ) -> tuple[bytes, bytes | None]:
@@ -273,15 +275,8 @@ class BlockKernel:
         ``1 << op.pair_target``) updates the amplitude pairs where its block
         controls are set in *index*; every other step is a rider, applied
         through :meth:`_apply_step` to each buffer at its own index.  Both
-        blobs are rewritten — unless *row* is given: then this is one rank's
-        half of a cross-rank pair, *blob1* is the block this rank owns,
-        *blob2* the peer's, *row* says which side of the pair *blob1* is
-        (*index* is still the target-bit-0 block's), and only ``out1`` is
-        produced (``out2`` is ``None``).
-        Both ranks of such a pair stage the same two buffers and run every
-        step on both, so the half each keeps equals the whole pair task's
-        output bit for bit.  The cache key carries *row* so the two halves
-        of one pair never alias each other's entries.
+        blobs are rewritten.  A cross-rank pair is the same call, made once
+        by whichever of its two ranks owns it.
 
         A cache hit makes no codec call and stages nothing in scratch.
         *copies* is the size of the :func:`group_tasks` group this call
@@ -292,8 +287,6 @@ class BlockKernel:
         stats.duplicates += copies - 1
         cache = self.cache
         op_key = op.op_key + (index & op.index_mask,)
-        if row is not None:
-            op_key += ("xchg", row)
         if cache is not None and cache.enabled:
             cached = cache.lookup(op_key, blob1, blob2)
             if cached is not None:
@@ -317,27 +310,26 @@ class BlockKernel:
             for step in steps:
                 self._apply_step(buffer1, index, *step)
         else:
-            low, high = (buffer2, buffer1) if row == 1 else (buffer1, buffer2)
             pair_parity = 1 << op.pair_target
             high_index = index | pair_parity >> self._offset_bits
             for step in steps:
                 matrix, _, parity, controls, required = step
                 if parity != pair_parity:
-                    self._apply_step(low, index, *step)
-                    self._apply_step(high, high_index, *step)
+                    self._apply_step(buffer1, index, *step)
+                    self._apply_step(buffer2, high_index, *step)
                 elif index & required == required:
                     ops.apply_single_qubit_pairwise_masked(
-                        low, high, matrix, self._mask_for(controls)
+                        buffer1, buffer2, matrix, self._mask_for(controls)
                     )
         applied = perf_counter()
         out1 = compress(buffer1.view(np.float64))
-        out2 = compress(buffer2.view(np.float64)) if pair and row is None else None
+        out2 = compress(buffer2.view(np.float64)) if pair else None
         done = perf_counter()
         stats.decompression += decoded - start
         stats.computation += applied - decoded
         stats.compression += done - applied
         stats.decompress_calls += 2 if pair else 1
-        stats.compress_calls += 1 if out2 is None else 2
+        stats.compress_calls += 2 if pair else 1
 
         if cache is not None:
             cache.insert(op_key, blob1, blob2, out1, out2)

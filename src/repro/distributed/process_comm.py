@@ -57,8 +57,9 @@ _SPIN_ATTEMPTS = 200
 class CommunicationStats:
     """What one rank endpoint sent, and the seconds it spent exchanging.
 
-    One :meth:`ProcessCommunicator.sendrecv_bytes` is one ``exchanges`` tick,
-    one message and the payload's bytes at *each* of its two endpoints.
+    One :meth:`ProcessCommunicator.sendrecv_bytes` is one message and the
+    payload's bytes at *each* of its two endpoints; ``exchanges`` counts the
+    block pairs the calls were made for (by default one per call).
     """
 
     messages: int = 0
@@ -165,12 +166,14 @@ class ProcessCommunicator:
         self.stats = CommunicationStats()
         self._fault_state = fault_state
 
-    def sendrecv_bytes(self, peer: int, payload: bytes) -> bytes:
+    def sendrecv_bytes(self, peer: int, payload: bytes, pairs: int = 1) -> bytes:
         """Exchange *payload* with *peer*; returns the peer's payload.
 
         The symmetric block exchange of Section 3.3 (third bullet): both
         ranks of a pair call it with matching *peer* arguments and each
-        returns the bytes the other sent.
+        returns the bytes the other sent.  *pairs* is the number of block
+        pairs this frame opens the exchange of, added to ``exchanges`` once
+        the call completes; a frame that carries results back passes 0.
 
         Raises
         ------
@@ -202,7 +205,7 @@ class ProcessCommunicator:
             if injected is not None:
                 time.sleep(injected.seconds)
         received = self._exchange(peer, payload)
-        self.stats.exchanges += 1
+        self.stats.exchanges += pairs
         self.stats.messages += 1
         self.stats.bytes_sent += len(payload)
         self.stats.exchange_seconds += time.perf_counter() - started

@@ -43,17 +43,18 @@ Three classes cooperate:
   demand.
 
 Results are bit-identical to the single-process simulator: every rank runs
-the exact same kernels and codecs on the exact same bytes, and the
-cross-rank half-pair update (the *row* form of
-:meth:`repro.core.kernel.BlockKernel.run`) evaluates element-for-element
-the same expression as the single-process pairwise kernel.  Each rank groups
-the non-exchange tasks of its batch with the same
+the exact same kernels and codecs on the exact same bytes.  A cross-rank pair
+is computed once, by one of its two ranks, with the same pair call of
+:meth:`repro.core.kernel.BlockKernel.run` the sequential tier makes: the two
+ranks split their shared pairs, each receives the input blob of the pairs it
+computes and returns the peer's output blob (:meth:`RankWorker._run_gate`).
+Each rank groups the non-exchange tasks of its batch with the same
 :func:`~repro.core.kernel.group_tasks` pass every tier runs, so byte-identical
 tasks are computed once; exchange tasks are never grouped — as over MPI, the
 communication happens regardless, and only the codec work can be saved, by
-the rank's cache shard.  The shards are the only block caches of this tier:
-the parent keeps none, and their hits and misses reach the report with the
-rest of each reply's :class:`~repro.core.kernel.TaskStats`.
+the owning rank's cache shard.  The shards are the only block caches of this
+tier: the parent keeps none, and their hits and misses reach the report with
+the rest of each reply's :class:`~repro.core.kernel.TaskStats`.
 """
 
 from __future__ import annotations
@@ -243,43 +244,55 @@ class RankWorker:
 
         Task descriptors: ``("one", block)`` for a one-block update,
         ``("pair", block0, block1)`` for an intra-rank block pair, and
-        ``("xchg", block, peer, row)`` for a cross-rank pair — the block is
-        exchanged with *peer* through the communicator and only the *row*
-        half this rank owns is rewritten.  A batch holds one kind only; the
-        kernel gets each task's global block index, a pair's target-bit-0
-        one.  The exchange always happens (as it would over MPI); only the
-        codec round trip can be skipped by a cache hit on ``(my blob, peer
-        blob)``.
+        ``("xchg", block, peer)`` for a cross-rank pair of this rank's
+        *block* and the same local block of *peer*.  A batch holds one kind
+        only; the kernel gets each task's global block index, a pair's
+        target-bit-0 one, whose block lives on the lower of the two ranks.
+
+        Both ranks of a cross-rank pair list their pairs in the same order
+        and take them two at a time: the lower rank owns a chunk's first
+        pair, the upper rank its second.  The first exchange sends the peer
+        this rank's input blob of the pair the peer owns; each rank then
+        runs the pair it owns through the kernel's ordinary pair path, and
+        the second exchange returns the peer's output blob.  An odd last
+        chunk is the same two exchanges with one side empty.  So every pair
+        is computed once, a rank holds at most one foreign blob at a time,
+        and only the codec round trip can be skipped, by a cache hit on the
+        owner's shard.
         """
 
         _, op, tasks = message
         kernel = self._kernel
         op = op._replace(compressor=kernel.compressor_for(op.compressor))
         stats = TaskStats()
-        outputs: list[tuple[tuple[int, ...], tuple[bytes, bytes | None]]] = []
+        outputs: list[tuple[tuple[int, ...], tuple[bytes | None, ...]]] = []
         per_rank = self._partition.blocks_per_rank
         if tasks[0][0] == "xchg":
-            for _, block, peer, row in tasks:
-                entry = self._blocks[block]
-                peer_name, peer_blob = _unframe_blob(
-                    self._comm.sendrecv_bytes(
-                        peer, _frame_blob(entry.compressor, entry.blob)
-                    )
-                )
-                # The pair's blocks share a local index; the target-bit-0 one
-                # lives on the row-0 rank.
-                index = (self._rank if row == 0 else peer) * per_rank + block
-                outs = kernel.run(
-                    op,
-                    stats,
-                    entry.blob,
-                    entry.compressor,
-                    peer_blob,
-                    peer_name,
-                    row,
-                    index,
-                )
-                outputs.append(((block,), outs))  # the peer rewrites its half
+            peer = tasks[0][2]
+            row = int(self._rank > peer)  # 0: this rank holds target-bit-0 blocks
+            for start in range(0, len(tasks), 2):
+                chunk = tasks[start : start + 2]
+                owned = chunk[row][1] if row < len(chunk) else None
+                lent = chunk[1 - row][1] if 1 - row < len(chunk) else None
+                payload = b""
+                if lent is not None:
+                    entry = self._blocks[lent]
+                    payload = _frame_blob(entry.compressor, entry.blob)
+                received = self._comm.sendrecv_bytes(peer, payload, pairs=len(chunk))
+                payload = b""
+                if owned is not None:
+                    entry = self._blocks[owned]
+                    mine = (entry.blob, entry.compressor)
+                    peer_name, peer_blob = _unframe_blob(received)
+                    theirs = (peer_blob, peer_name)
+                    low, high = (mine, theirs) if row == 0 else (theirs, mine)
+                    index = min(self._rank, peer) * per_rank + owned
+                    outs = kernel.run(op, stats, *low, *high, index=index)
+                    outputs.append(((owned,), (outs[row],)))
+                    payload = _frame_blob(op.compressor.name, outs[1 - row])
+                received = self._comm.sendrecv_bytes(peer, payload, pairs=0)
+                if lent is not None:
+                    outputs.append(((lent,), (_unframe_blob(received)[1],)))
         else:
             first_index = self._rank * per_rank
             for inputs, group in group_tasks(
@@ -454,12 +467,8 @@ class RankedExecutor:
                 )
             else:
                 peer_rank = task.second[0]
-                per_rank.setdefault(rank, []).append(
-                    ("xchg", block, peer_rank, 0)
-                )
-                per_rank.setdefault(peer_rank, []).append(
-                    ("xchg", block, rank, 1)
-                )
+                per_rank.setdefault(rank, []).append(("xchg", block, peer_rank))
+                per_rank.setdefault(peer_rank, []).append(("xchg", block, rank))
         if not per_rank:
             return
         for rank, tasks in per_rank.items():
@@ -480,7 +489,7 @@ class RankedExecutor:
         """Write the per-rank counters and their aggregate into the report.
 
         Each endpoint counted what it sent, so bytes sum over the ranks, and
-        every pairwise exchange ticked at both of its endpoints.
+        every cross-rank pair ticked at both of its ranks.
         """
 
         report, per_rank = self._report, self._rank_comm

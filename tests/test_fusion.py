@@ -706,7 +706,7 @@ class TestSandwichesOnEveryTier:
 
 class TestRidersOnEveryTier:
     """One-block steps riding a pair run are applied to each staged block at
-    its own index, on an intra-rank pair and on a cross-rank (row) pair."""
+    its own index, on an intra-rank pair and on a cross-rank pair."""
 
     @pytest.mark.parametrize("target", [4, 6], ids=["intra-rank", "cross-rank"])
     def test_riders_around_a_pair_step_match_dense_on_every_tier(self, tier, target):

@@ -2,16 +2,14 @@
 
 Pinned here:
 
-* **Bytes and counters** — one-block, block-pair and cross-rank half-pair
-  tasks, with no cache, a live cache and a self-disabled cache, give blobs
-  byte-equal to a hand-written decompress → ops → compress reference and
-  the exact :class:`TaskStats`.
-* **Half-pair keys** — the two halves of one pair never alias in the cache.
+* **Bytes and counters** — one-block and block-pair tasks, with no cache,
+  a live cache and a self-disabled cache, give blobs byte-equal to a
+  hand-written decompress → ops → compress reference and the exact
+  :class:`TaskStats`.  A cross-rank pair is the same block-pair call.
 * **Multi-step ops** — a k-step one-block task is byte-equal to k chained
   one-step tasks under lossless compression, at one decompress, one compress
   and one task; a hit on the run's key makes no codec call.  A k-step pair
-  task likewise (one decompress pair, one compress pair), and the two ``row``
-  halves of a k-step cross-rank task are the whole pair task's two outputs.
+  task likewise (one decompress pair, one compress pair).
 * **One-block steps above the block** — a one-block task applies the steps
   whose block/rank-level controls are set in its block's index, a diagonal on
   a non-local target as one scalar phase; every block of a dense reference
@@ -20,8 +18,8 @@ Pinned here:
   equal to its three gates on a dense vector in every block, wherever its
   two qubits lie.
 * **Riders** — a pair task applies its one-block steps to each staged block
-  at that block's own index: both blocks of every pair, and each rank's
-  half of a cross-rank pair, equal a dense reference.
+  at that block's own index: both blocks of every pair equal a dense
+  reference.
 * **Grouping** — :func:`group_tasks` groups by exactly the kernel's inputs
   (blob bytes, codec names, the index bits the op reads) in first-seen
   order, and one ``copies=n`` call counts n tasks, n - 1 duplicates, one
@@ -111,12 +109,10 @@ CACHES = {
     "disabled": _disabled_cache,
 }
 
-#: shape -> (number of input blobs, row, decompress calls, compress calls)
+#: shape -> (number of input blobs, decompress calls, compress calls)
 SHAPES = {
-    "one": (1, None, 1, 1),
-    "pair": (2, None, 2, 2),
-    "half-row0": (2, 0, 2, 1),
-    "half-row1": (2, 1, 2, 1),
+    "one": (1, 1, 1),
+    "pair": (2, 2, 2),
 }
 
 
@@ -162,7 +158,7 @@ def _op_for(shape: str, op: BlockOp) -> BlockOp:
 def _reference(shape, blocks, stored, output):
     """Hand-written decompress -> ops -> compress for one task shape."""
 
-    count, row, _, _ = SHAPES[shape]
+    count, _, _ = SHAPES[shape]
     buffers = [
         stored.decompress(stored.compress(block.view(np.float64)))
         .view(np.complex128)
@@ -173,12 +169,9 @@ def _reference(shape, blocks, stored, output):
     if count == 1:
         ops.apply_controlled_single_qubit(buffers[0], MATRIX, 2, CONTROLS)
     else:
-        # A half-pair task stages its own block first: the full pairwise
-        # update, then only the own half is kept.
-        low, high = buffers[::-1] if row == 1 else buffers
-        ops.apply_single_qubit_pairwise_masked(low, high, MATRIX, mask)
+        ops.apply_single_qubit_pairwise_masked(*buffers, MATRIX, mask)
     outs = [output.compress(buffer.view(np.float64)) for buffer in buffers]
-    if count == 1 or row is not None:
+    if count == 1:
         return outs[0], None
     return outs[0], outs[1]
 
@@ -186,7 +179,7 @@ def _reference(shape, blocks, stored, output):
 @pytest.mark.parametrize("cache_kind", list(CACHES))
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_round_trip_matches_reference(shape, cache_kind, blocks):
-    count, row, decompressions, compressions = SHAPES[shape]
+    count, decompressions, compressions = SHAPES[shape]
     reference_codecs = _setup(None)[2:4]
     expected = _reference(shape, blocks, *reference_codecs)
 
@@ -202,7 +195,7 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
     )
 
     stats = TaskStats()
-    assert kernel.run(op, stats, *inputs, row=row) == expected
+    assert kernel.run(op, stats, *inputs) == expected
     counted = cache_kind == "enabled"
     assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (
         1,
@@ -219,7 +212,7 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
 
     # The same task again: a live cache answers it without touching a codec
     # or the scratch pool; without one (or once self-disabled) it recomputes.
-    assert kernel.run(op, stats, *inputs, row=row) == expected
+    assert kernel.run(op, stats, *inputs) == expected
     repeats = 1 if counted else 2
     assert stats.tasks == 2
     assert (stats.decompress_calls, stats.compress_calls) == (
@@ -237,27 +230,6 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
     if cache_kind == "disabled":
         # A self-disabled shard counts neither hit nor miss.
         assert (cache.stats.hits, cache.stats.misses) == counted_before
-
-
-def test_half_pair_rows_never_alias(blocks):
-    # Byte-identical halves (a uniform state) are the case where only the
-    # row in the key tells the two halves' cache lines apart.
-    kernel, op, stored, _output, _scratch = _setup(CACHES["enabled"]())
-    op = _paired(op)
-    blob = stored.inner.compress(blocks[0].view(np.float64))
-    stats = TaskStats()
-    out_row0, _ = kernel.run(op, stats, blob, stored.name, blob, stored.name, 0)
-    out_row1, _ = kernel.run(op, stats, blob, stored.name, blob, stored.name, 1)
-    pair0, pair1 = kernel.run(op, stats, blob, stored.name, blob, stored.name)
-    assert (stats.cache_hits, stats.cache_misses) == (0, 3)
-    assert out_row0 != out_row1
-    # Each half is the matching side of the whole-pair update.
-    assert (out_row0, out_row1) == (pair0, pair1)
-    assert kernel.run(op, stats, blob, stored.name, blob, stored.name, 1) == (
-        out_row1,
-        None,
-    )
-    assert stats.cache_hits == 1
 
 
 #: (matrix, target, local controls) of a three-step run on one 16-amplitude
@@ -329,7 +301,7 @@ def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
         assert (stats.cache_hits, stats.cache_misses) == (1, 3)
 
 
-def test_multi_step_pair_equals_chained_pairs_and_its_own_halves(blocks):
+def test_multi_step_pair_equals_chained_pairs(blocks):
     codec = CountingCodec(get_compressor("lossless"))
     kernel = BlockKernel({codec.name: codec}, CountingScratch(BLOCK))
     # Same steps, all on one target above the block: the masks differ per step.
@@ -359,11 +331,6 @@ def test_multi_step_pair_equals_chained_pairs_and_its_own_halves(blocks):
         2,
     )
 
-    # Each rank of a cross-rank pair stages its own block first, then the
-    # peer's, and keeps only its half.
-    assert kernel.run(op, stats, *pair, row=0) == (whole[0], None)
-    assert kernel.run(op, stats, *pair[2:], *pair[:2], row=1) == (whole[1], None)
-    assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (3, 6, 4)
 
 
 def test_one_block_steps_follow_the_block_index(rng):
@@ -527,10 +494,10 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
                 codec.decompress(out).view(np.complex128),
                 expected[index * BLOCK : (index + 1) * BLOCK],
             )
-        # Each rank of a cross-rank pair keeps its half of the same update.
-        assert kernel.run(op, stats, *pair, 0, low) == (outs[0], None)
-        assert kernel.run(op, stats, *pair[2:], *pair[:2], 1, low) == (outs[1], None)
-    assert (stats.cache_hits, stats.cache_misses) == (0, 12)
+        # The key carries the index bits the riders read: the same pair at
+        # the same index is a hit.
+        assert kernel.run(op, stats, *pair, index=low) == outs
+    assert (stats.cache_hits, stats.cache_misses) == (4, 4)
 
 
 def test_task_stats_pickle_flat_and_fold():
@@ -577,7 +544,7 @@ def test_group_tasks_keys_on_exactly_what_the_kernel_reads():
     ]
     groups = group_tasks(op, staged)
     assert [tasks for _, tasks in groups] == [["a", "b", "f"], ["c"], ["d"], ["e"]]
-    assert groups[0][0] == (same, "lossless", None, None, None, 0)
+    assert groups[0][0] == (same, "lossless", None, None, 0)
     assert groups[1][0][-1] == 0b010
 
     # Pairs: both blobs and both names, in order, and the index bits their
@@ -586,7 +553,7 @@ def test_group_tasks_keys_on_exactly_what_the_kernel_reads():
     staged = [("p", pair, 0), ("q", pair, 7), ("r", pair[::-1], 0)]
     groups = group_tasks(op._replace(index_mask=0), staged)
     assert [tasks for _, tasks in groups] == [["p", "q"], ["r"]]
-    assert groups[0][0] == (b"low", "lossless", b"high", "lossless", None, 0)
+    assert groups[0][0] == (b"low", "lossless", b"high", "lossless", 0)
     groups = group_tasks(op._replace(index_mask=0b100), staged)
     assert [tasks for _, tasks in groups] == [["p"], ["q"], ["r"]]
     assert groups[1][0][-1] == 0b100

@@ -37,6 +37,7 @@ SHARED_WORK = (
     "fusion_gates_in",
     "fusion_gates_out",
     "block_exchanges",
+    "tasks_executed",
     "escalations",
     "min_compression_ratio",
     "peak_footprint_bytes",
@@ -246,9 +247,10 @@ class TestTierAccounting:
     def test_sequential_and_ranked_report_the_same_work(
         self, cache, fusion, circuit, shape
     ):
-        # Task, duplicate, codec-call and cache counters differ by design:
-        # the two halves of a cross-rank pair are never grouped, and each
-        # rank keeps its own cache shard.  Everything else is the same work.
+        # Every pair is computed once on every tier, so the task counts
+        # agree.  Duplicate, codec-call and cache counters differ by design:
+        # exchange tasks are never grouped, and each rank keeps its own cache
+        # shard.  Everything else is the same work.
         ranks, block = shape
         reports = {}
         for tier in ("sequential", "ranked-comm"):

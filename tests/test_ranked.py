@@ -9,6 +9,7 @@ report carries real (not modelled) communication statistics.
 
 from __future__ import annotations
 
+import collections
 import functools
 import multiprocessing
 import os
@@ -29,9 +30,10 @@ from repro.core import (
     save_checkpoint,
 )
 from repro.core.blocks import CompressedBlock
-from repro.distributed import plan_gate
+from repro.distributed import RankedExecutor, plan_gate
 from repro.errors import PoolProtocolError, WorkerCrashedError
-from repro.resilience import FaultPolicy
+from repro.resilience import FaultPolicy, faults
+from repro.resilience.faults import DropComm, FaultPlan
 from repro.statevector import simulate_statevector
 from tiers import RANKED, open_fd_count, tier_config
 
@@ -219,6 +221,11 @@ class TestRealCommunication:
         circuit = QuantumCircuit(NUM_QUBITS).h(0).h(7).t(7).cx(5, 4).rz(0.3, 6)
         circuit.cz(6, 7).cx(5, 4).cx(0, 6).h(1).cp(0.4, 1, 7).h(6).sx(7)
         counted_bytes = sent_bytes = 0
+
+        def framed(entry) -> int:
+            # A blob framed with its codec name (2-byte length prefix).
+            return entry.nbytes + 2 + len(entry.compressor)
+
         with CompressedSimulator(
             NUM_QUBITS, SimulatorConfig(num_ranks=4, block_amplitudes=BLOCK)
         ) as sequential:
@@ -226,18 +233,27 @@ class TestRealCommunication:
             for element in sequential.prepare_gates(circuit):
                 plan = plan_gate(sequential.partition, element)
                 plans.append(plan)
+                positions: dict[tuple[int, int], int] = {}
+                lenders = []
                 for task in plan.tasks:
                     if not task.crosses_ranks:
                         continue
                     pair = [sequential.state.get_block(*buffer) for buffer in task.buffers]
-                    # Sequential: two messages of the larger blob.  Ranked:
-                    # each endpoint sends its own blob, framed with its
-                    # codec name (2-byte length prefix).
+                    # Sequential: two messages of the larger blob.
                     counted_bytes += 2 * max(entry.nbytes for entry in pair)
-                    sent_bytes += sum(
-                        entry.nbytes + 2 + len(entry.compressor) for entry in pair
-                    )
+                    # Ranked: two ranks take their pairs in plan order, the
+                    # lower rank owning the even ones and the upper rank the
+                    # odd ones; the other rank sends its framed input and is
+                    # sent its framed output.
+                    ranks = (task.first[0], task.second[0])
+                    position = positions[ranks] = positions.get(ranks, -1) + 1
+                    lender = task.buffers[1 - position % 2]
+                    lenders.append(lender)
+                    sent_bytes += framed(sequential.state.get_block(*lender))
                 sequential.apply_gate(element)
+                sent_bytes += sum(
+                    framed(sequential.state.get_block(*lender)) for lender in lenders
+                )
             seq_report = sequential.report()
         crossing = [plan for plan in plans if plan.exchange_count]
         assert 0 < len(crossing) < len(plans)
@@ -257,6 +273,132 @@ class TestRealCommunication:
             assert np.array_equal(
                 simulator.statevector(), simulate_statevector(circuit)
             )
+
+
+def split_pairs_circuit(num_qubits: int) -> QuantumCircuit:
+    """Cross-rank pair elements of every batch length, with riders.
+
+    On 8-amplitude blocks and 4 blocks per rank (qubits 0-2 in-block, 3-4
+    block, 5 and up rank), two ranks share 4 pairs under an uncontrolled
+    pair run (two full chunks), 2 under one block control (one full chunk)
+    and 1 under two (an odd chunk: one side of each message is empty).  The
+    uncontrolled runs carry riders: in-block gates, a diagonal under a block
+    control and a parity phase on the pair's target.
+    """
+
+    circuit = QuantumCircuit(num_qubits)
+    for qubit in range(num_qubits):
+        circuit.ry(0.2 + 0.3 * qubit, qubit)
+    for target in range(5, num_qubits):
+        circuit.h(target)
+        circuit.add("ry", 1, controls=(target,), params=(0.3,))
+        circuit.add("p", 2, controls=(3,), params=(0.5,))
+        circuit.cx(0, target).rz(0.6, target).cx(0, target)
+        circuit.add("ry", target, controls=(4,), params=(0.7,))
+        circuit.add("ry", target, controls=(3, 4), params=(0.9,))
+        circuit.add("ry", target, controls=(3, 4), params=(-0.4,))
+    return circuit
+
+
+def split_config(tier, num_ranks: int, **overrides) -> SimulatorConfig:
+    return tier(num_ranks=num_ranks, block_amplitudes=8, **overrides)
+
+
+def split_qubits(num_ranks: int) -> int:
+    return 5 + num_ranks.bit_length() - 1
+
+
+class TestExchangeProtocol:
+    """The two ranks of a cross-rank pair split their shared pairs: each
+    computes the pairs it owns and returns the peer's output blob."""
+
+    @pytest.mark.parametrize("num_ranks", [2, 4, 8])
+    def test_ranks_split_their_pairs_and_match_the_sequential_blobs(
+        self, tier, num_ranks, monkeypatch
+    ):
+        # A lossy codec, so equal blobs mean equal codec inputs, not only
+        # equal values.  Each crossing plan's batch reply carries the rank's
+        # task count: the pairs it computed.
+        batches = []
+        run_plan, collect = RankedExecutor.run_plan, RankedExecutor._collect
+
+        def recording_run_plan(self, op, plan):
+            batches.append((plan, {}))
+            run_plan(self, op, plan)
+
+        def recording_collect(self, pool, expected, context):
+            replies = collect(self, pool, expected, context)
+            if context == "gate batch":
+                batches[-1][1].update((rank, reply[2].tasks) for rank, reply in replies)
+            return replies
+
+        monkeypatch.setattr(RankedExecutor, "run_plan", recording_run_plan)
+        monkeypatch.setattr(RankedExecutor, "_collect", recording_collect)
+        num_qubits = split_qubits(num_ranks)
+        circuit = split_pairs_circuit(num_qubits)
+        config = split_config(tier, num_ranks, start_lossless=False)
+        ranked = config.tier == "ranked"
+        blobs, reports = {}, {}
+        for name, config in (
+            ("sequential", tier_config("sequential", num_ranks, 8, start_lossless=False)),
+            ("tier", config),
+        ):
+            with CompressedSimulator(num_qubits, config) as simulator:
+                reports[name] = simulator.apply_circuit(circuit)
+                blobs[name] = final_blobs(simulator)
+        assert blobs["tier"] == blobs["sequential"]
+        assert all(entry[1] != "lossless" for entry in blobs["tier"])
+        for counter in ("block_exchanges", "tasks_executed", "gates_executed"):
+            assert getattr(reports["tier"], counter) == getattr(
+                reports["sequential"], counter
+            )
+        assert bool(batches) == ranked
+
+        lengths = collections.Counter()
+        for plan, tasks in batches:
+            if not plan.exchange_count:
+                continue
+            shared = collections.Counter(
+                (task.first[0], task.second[0]) for task in plan.tasks
+            )
+            assert sum(shared.values()) == plan.exchange_count == len(plan.tasks)
+            for (lower, upper), count in shared.items():
+                lengths[count] += 1
+                # The lower rank owns each chunk's first pair, so it owns
+                # the odd pair out.
+                assert tasks[lower] + tasks[upper] == count
+                assert tasks[lower] - tasks[upper] == count % 2
+        if ranked:
+            assert set(lengths) == {1, 2, 4}
+
+    def test_a_dropped_return_message_recovers_bit_identically(self, tier):
+        # Rank 0's frames to rank 1 alternate a lent input and a returned
+        # output.  The first crossing element shares at least two pairs
+        # between them, so its 4th frame is the return of its second chunk.
+        num_qubits = split_qubits(4)
+        circuit = split_pairs_circuit(num_qubits)
+        with CompressedSimulator(
+            num_qubits, tier_config("sequential", 4, 8)
+        ) as reference:
+            first = next(
+                plan
+                for element in reference.prepare_gates(circuit)
+                if (plan := plan_gate(reference.partition, element)).exchange_count
+            )
+            reference.apply_circuit(circuit)
+            expected = final_blobs(reference)
+        assert sum(task.first[0] == 0 and task.second[0] == 1 for task in first.tasks) >= 2
+
+        plan = FaultPlan(injections=(DropComm(rank=0, peer=1, after=4),))
+        policy = FaultPolicy(max_retries=2, checkpoint_interval_waves=2)
+        config = split_config(tier, 4, fault_policy=policy)
+        with faults.installed_plan(plan), CompressedSimulator(
+            num_qubits, config
+        ) as simulator:
+            report = simulator.apply_circuit(circuit)
+            assert final_blobs(simulator) == expected
+        retries = (report.recovery or {}).get("retries", 0)
+        assert retries == (1 if config.tier == "ranked" else 0)
 
 
 class TestLifecycle:
