@@ -30,6 +30,7 @@ __all__ = [
     "Gate",
     "GateError",
     "is_unitary",
+    "is_exactly_diagonal",
     "I",
     "X",
     "Y",
@@ -72,6 +73,13 @@ def is_unitary(matrix: np.ndarray, atol: float = _ATOL) -> bool:
         return False
     identity = np.eye(matrix.shape[0], dtype=np.complex128)
     return bool(np.allclose(matrix.conj().T @ matrix, identity, atol=atol))
+
+
+def is_exactly_diagonal(matrix: np.ndarray) -> bool:
+    """Return ``True`` when the 2x2 *matrix* is exactly diagonal: it never
+    mixes a pair, so each side is only multiplied by its own entry."""
+
+    return bool(matrix[0, 1] == 0 == matrix[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,7 @@ class Gate:
     def is_diagonal(self) -> bool:
         """True when the 2x2 is exactly diagonal: it never mixes a pair."""
 
-        return bool(self.matrix[0, 1] == 0 == self.matrix[1, 0])
+        return is_exactly_diagonal(self.matrix)
 
     @property
     def num_qubits(self) -> int:

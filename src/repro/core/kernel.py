@@ -9,13 +9,16 @@ pair of blocks for a mixing 2x2 on a target above the block boundary, one
 block for everything else — an in-block target, a diagonal 2x2 wherever its
 target lies, or a parity phase (``cx · d · cx``, ``d`` on ``x_c ⊕ x_t``,
 :class:`~repro.circuits.fusion.ParityPhase`) wherever ``c`` and ``t`` lie.
-An in-block target is a 2x2 inside the block.  A diagonal above the block,
+An in-block target is a 2x2 inside the block on two strided views, and an
+exactly diagonal one is a phase on the side(s) whose entry is not exactly 1
+(:func:`repro.statevector.ops.apply_diagonal`).  A diagonal above the block,
 or a parity phase, is a phase (:func:`repro.statevector.ops.apply_phase`):
 one scalar when its qubits all lie above the block, otherwise one per side of
 the in-block parity — a phase on one in-block qubit, or on the offsets where
-``x_c ⊕ x_t`` is 0 and where it is 1.  A one-block task applies the steps
-whose block- and rank-level controls are set in its block's index, so one run
-may hold steps under different controls.  A pair run without non-local
+``x_c ⊕ x_t`` is 0 and where it is 1.  Every phase equals the 2x2's values;
+a zero's sign may differ (``apply_phase``'s contract).  A one-block task
+applies the steps whose block- and rank-level controls are set in its
+block's index, so one run may hold steps under different controls.  A pair run without non-local
 controls also carries *riders* — one-block steps between its steps on the
 pair's target — which the pair task applies to each staged block at that
 block's own index, exactly as a one-block task would.
@@ -45,6 +48,7 @@ from typing import Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
+from ..circuits.gates import is_exactly_diagonal
 from ..compression.interface import Compressor
 from ..statevector import ops
 from .blocks import CompressedBlock, ScratchPool
@@ -349,11 +353,14 @@ class BlockKernel:
         *index*, in place.
 
         The step applies when all its *required* block-control bits are set
-        in *index* — as a 2x2 on an in-block target; for a diagonal whose
+        in *index* — as a 2x2 on an in-block target, or, when that 2x2 is
+        exactly diagonal, as a phase on the side(s) whose entry is not
+        exactly 1 (the side at 1 keeps its bytes); for a diagonal whose
         parity bits all lie above the block, as the phase ``m[b, b]`` of
         their parity ``b`` in *index* unless that is exactly 1; and for a
         parity with in-block bits, as ``m[b, b]`` on the offsets where those
-        bits have even parity and the other entry where they have odd.
+        bits have even parity and the other entry where they have odd.  A
+        phase equals the 2x2's values; a zero's sign may differ.
         """
 
         if index & required != required:
@@ -361,7 +368,10 @@ class BlockKernel:
         offset_bits = self._offset_bits
         local = parity & (1 << offset_bits) - 1
         if local and parity == 1 << target:  # an in-block target
-            ops.apply_controlled_single_qubit(buffer, matrix, target, controls)
+            if is_exactly_diagonal(matrix):
+                ops.apply_diagonal(buffer, matrix, target, controls)
+            else:
+                ops.apply_controlled_single_qubit(buffer, matrix, target, controls)
             return
         if local:  # a parity with in-block bits: two sides
             even, odd = self._parity_masks_for(controls, local)

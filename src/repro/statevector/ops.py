@@ -10,15 +10,24 @@ is a power of two.  They are shared by
 
 * the dense reference simulator (:mod:`repro.statevector.dense`), which calls
   them on the full ``2^n`` vector, and
-* the compressed simulator (:mod:`repro.core.simulator`), which calls them on
+* the block kernel (:mod:`repro.core.kernel`), which calls them on
   decompressed 1- or 2-block scratch buffers where the "local qubit" index has
   already been translated to a block-local bit position.
 
 Following the HPC-Python guidance, all pair selection is done with reshapes
-and strided views — no Python-level loops over amplitudes.
+and strided views — no Python-level loops over amplitudes: a (controlled) 2x2
+reshapes the vector so its target and every control is a length-2 axis, and
+indexes the two sides as views.  An exactly diagonal 2x2 (:func:`apply_diagonal`)
+is a phase on the side(s) whose entry is not exactly 1; like every phase here
+(:func:`apply_phase`) it equals the 2x2's values, and a zero's sign may differ.
+The kernel's other updates — a block pair's 2x2 under local controls, a
+phase above the block under local controls, a parity phase — select
+amplitudes with boolean masks.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,44 +39,76 @@ __all__ = [
     "block_phase",
     "local_parity_mask",
     "apply_controlled_single_qubit",
+    "apply_diagonal",
     "local_control_mask",
     "control_mask_indices",
     "apply_gate_to_vector",
 ]
 
 
-def _validate_vector(state: np.ndarray) -> int:
-    """Return ``log2(len(state))`` after validating shape and dtype."""
+@lru_cache(maxsize=256)
+def _slab(
+    size: int, target: int, controls: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The strided layout of a (controlled) 2x2 on a *size*-amplitude vector.
+
+    Returns ``(shape, low, high)``: reshaped to *shape*, the vector has one
+    length-2 axis per bit of *target* and *controls*, and indexing it with
+    *low* / *high* (basic indices, so views) selects the amplitudes whose
+    control bits are all 1 and whose target bit is 0 / 1.  The layout is a
+    pure function of its arguments, so it is built — and validated — once.
+    """
+
+    if size == 0 or size & (size - 1):
+        raise ValueError(f"state vector length {size} is not a power of two")
+    num_qubits = size.bit_length() - 1
+    if not 0 <= target < num_qubits:
+        raise ValueError(f"qubit {target} out of range for {num_qubits}-qubit state")
+    for control in controls:
+        if not 0 <= control < num_qubits:
+            raise ValueError(
+                f"control qubit {control} out of range for {num_qubits}-qubit state"
+            )
+        if control == target:
+            raise ValueError("control qubit equals target qubit")
+    shape: list[int] = []
+    low: list = []
+    high: list = []
+    above = num_qubits
+    for bit in sorted({target, *controls}, reverse=True):
+        shape += [1 << (above - bit - 1), 2]
+        low += [slice(None), 0 if bit == target else 1]
+        high += [slice(None), 1]
+        above = bit
+    shape.append(1 << above)
+    low.append(slice(None))
+    high.append(slice(None))
+    return tuple(shape), tuple(low), tuple(high)
+
+
+def _sides(
+    state: np.ndarray, target: int, controls: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the amplitudes a 2x2 on *target* under *controls* pairs up:
+    those with the target bit 0 and their partners with it 1."""
 
     if state.ndim != 1:
         raise ValueError("state vector must be one-dimensional")
-    size = state.shape[0]
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"state vector length {size} is not a power of two")
-    return size.bit_length() - 1
+    shape, low, high = _slab(state.shape[0], target, controls)
+    view = state.reshape(shape)
+    return view[low], view[high]
 
 
 def apply_single_qubit(state: np.ndarray, matrix: np.ndarray, qubit: int) -> None:
     """Apply a 2x2 *matrix* to bit position *qubit* of *state*, in place.
 
-    The vector is viewed as a ``(high, 2, low)`` tensor where ``low = 2**qubit``;
-    axis 1 then enumerates the qubit value, and the update is two fused
-    scalar-vector multiply-adds over contiguous slabs.
+    The uncontrolled :func:`apply_controlled_single_qubit`: the vector is
+    viewed as a ``(high, 2, low)`` tensor where ``low = 2**qubit``, axis 1
+    enumerates the qubit value, and the update is two fused scalar-vector
+    multiply-adds over its two sides.
     """
 
-    num_qubits = _validate_vector(state)
-    if not 0 <= qubit < num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
-    low = 1 << qubit
-    view = state.reshape(-1, 2, low)
-    a = view[:, 0, :]
-    b = view[:, 1, :]
-    u00, u01 = matrix[0, 0], matrix[0, 1]
-    u10, u11 = matrix[1, 0], matrix[1, 1]
-    new_a = u00 * a + u01 * b
-    new_b = u10 * a + u11 * b
-    view[:, 0, :] = new_a
-    view[:, 1, :] = new_b
+    apply_controlled_single_qubit(state, matrix, qubit, ())
 
 
 def apply_single_qubit_pairwise(
@@ -125,15 +166,20 @@ def apply_phase(
     the update is ``m[b, b] * x`` under the local-control mask — no partner
     block is read.  A parity phase ``d`` on ``x_c ⊕ x_t`` is the same update
     on the amplitudes of one parity (the mask, :func:`local_parity_mask`,
-    combined with the controls').  It computes ``phase * x + 0.0`` so that it equals the
-    pairwise update's ``0 * partner + phase * x``:
+    combined with the controls').
+
+    It computes ``phase * x + 0.0``.  The contract with the pairwise update
+    ``phase * x + 0 * partner`` is *equal values; a zero's sign may differ*:
+    where ``phase * x`` and ``0 * partner`` are both ``-0.0`` the pairwise
+    sum is ``-0.0`` and this is ``+0.0``.  Every phase in this module
+    (:func:`apply_diagonal` too) holds that contract.
 
     * scalar first, the operand order :func:`apply_single_qubit` uses
       (``u00 * a``) — NumPy's SIMD complex multiply is fused and not
       operand-symmetric, ``x * phase`` can differ in the last bit;
-    * ``+ 0.0`` turns the ``-0.0`` of e.g. ``(-1+0j) * (0+0j)`` into the
-      ``+0.0`` the pairwise sum yields, so an all-zero block stays
-      byte-equal to its compressor's zero blob.
+    * ``+ 0.0`` turns the ``-0.0`` of e.g. ``(-1+0j) * (0+0j)`` into
+      ``+0.0``, so an all-zero block stays byte-equal to its compressor's
+      zero blob.
     """
 
     if mask is None:
@@ -214,46 +260,44 @@ def apply_controlled_single_qubit(
     qubit: int,
     control_qubits: tuple[int, ...],
 ) -> None:
-    """Apply *matrix* to *qubit* only where every control bit is 1, in place."""
+    """Apply *matrix* to *qubit* only where every control bit is 1, in place.
 
-    if not control_qubits:
-        apply_single_qubit(state, matrix, qubit)
-        return
-    num_qubits = _validate_vector(state)
-    if not 0 <= qubit < num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
-    for control in control_qubits:
-        if not 0 <= control < num_qubits:
-            raise ValueError(
-                f"control qubit {control} out of range for {num_qubits}-qubit state"
-            )
-        if control == qubit:
-            raise ValueError("control qubit equals target qubit")
+    The pairs are two strided views of *state* (:func:`_slab`) and the update
+    is ``u00 * a + u01 * b``, ``u10 * a + u11 * b`` over them.
+    """
 
-    size = state.shape[0]
-    target_bit = 1 << qubit
-    control_mask = 0
-    for control in control_qubits:
-        control_mask |= 1 << control
-
-    # Indices whose target bit is 0 and all control bits are 1.
-    indices = np.arange(size, dtype=np.int64)
-    selector = ((indices & control_mask) == control_mask) & ((indices & target_bit) == 0)
-    idx0 = indices[selector]
-    idx1 = idx0 | target_bit
-
-    a = state[idx0]
-    b = state[idx1]
+    a, b = _sides(state, qubit, tuple(control_qubits))
     u00, u01 = matrix[0, 0], matrix[0, 1]
     u10, u11 = matrix[1, 0], matrix[1, 1]
-    state[idx0] = u00 * a + u01 * b
-    state[idx1] = u10 * a + u11 * b
+    new_a = u00 * a + u01 * b
+    new_b = u10 * a + u11 * b
+    a[...] = new_a
+    b[...] = new_b
+
+
+def apply_diagonal(
+    state: np.ndarray,
+    matrix: np.ndarray,
+    qubit: int,
+    controls: tuple[int, ...],
+) -> None:
+    """Apply an exactly diagonal *matrix* to *qubit* where every control bit
+    is 1, in place.
+
+    Only a side whose entry is not exactly 1 is touched: :func:`apply_phase`
+    on that side's strided view, with its contract — the values equal
+    :func:`apply_controlled_single_qubit`'s, a zero's sign may differ.
+    A side at 1 keeps its bytes, ``-0.0`` included, where the 2x2 would
+    rewrite it as ``1 * x + 0 * partner``.
+    """
+
+    for side, x in enumerate(_sides(state, qubit, tuple(controls))):
+        phase = matrix[side, side]
+        if phase != 1:
+            apply_phase(x, phase)
 
 
 def apply_gate_to_vector(state: np.ndarray, gate) -> None:
     """Apply a :class:`repro.circuits.Gate` to a full state vector, in place."""
 
-    if gate.controls:
-        apply_controlled_single_qubit(state, gate.matrix, gate.target, gate.controls)
-    else:
-        apply_single_qubit(state, gate.matrix, gate.target)
+    apply_controlled_single_qubit(state, gate.matrix, gate.target, gate.controls)

@@ -18,6 +18,10 @@ replaced: the per-term sign vector a diagonal Pauli term was evaluated with
 (``signs``, over ``parity``), and the sampler's loop that counted each hit
 block's shots with one comparison over all of them (``sample_counts``).
 They are not patch points; tests call them directly.
+
+The controlled 2x2 update (``apply_controlled_single_qubit``) is the gate
+kernel the product's strided slab views replaced: it selects the amplitude
+pairs with index arrays.  It is not a patch point either.
 """
 
 from __future__ import annotations
@@ -353,3 +357,31 @@ def sample_counts(simulator, shots: int, rng: np.random.Generator) -> dict[int, 
         for offset in offsets.tolist():
             counts[base + offset] = counts.get(base + offset, 0) + 1
     return counts
+
+
+def apply_controlled_single_qubit(
+    state: np.ndarray,
+    matrix: np.ndarray,
+    qubit: int,
+    control_qubits: tuple[int, ...],
+) -> None:
+    """Apply *matrix* to *qubit* where every control bit is 1, in place, on
+    the pairs an index array selects (``u00 * a + u01 * b`` and
+    ``u10 * a + u11 * b``, the product's operand order)."""
+
+    target_bit = 1 << qubit
+    control_mask = 0
+    for control in control_qubits:
+        control_mask |= 1 << control
+    indices = np.arange(state.shape[0], dtype=np.int64)
+    selector = ((indices & control_mask) == control_mask) & (
+        (indices & target_bit) == 0
+    )
+    idx0 = indices[selector]
+    idx1 = idx0 | target_bit
+    a = state[idx0]
+    b = state[idx1]
+    u00, u01 = matrix[0, 0], matrix[0, 1]
+    u10, u11 = matrix[1, 0], matrix[1, 1]
+    state[idx0] = u00 * a + u01 * b
+    state[idx1] = u10 * a + u11 * b

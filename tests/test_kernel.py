@@ -388,6 +388,78 @@ def test_one_block_steps_follow_the_block_index(rng):
     assert (stats.cache_hits, stats.cache_misses) == (1, 10)
 
 
+#: In-block diagonals on a 256-amplitude block (bits 0-7): gate mnemonic,
+#: parameters, target, local controls.
+DIAGONALS = [
+    ("z", (), 3, ()),
+    ("s", (), 0, ()),
+    ("t", (), 7, ()),
+    ("p", (1.1,), 5, ()),
+    ("rz", (0.37,), 2, ()),
+    ("z", (), 1, (6,)),  # cz
+    ("p", (-2.3,), 6, (0,)),  # cp
+    ("p", (0.9,), 4, (7, 1)),  # two local controls, above and below
+]
+
+
+def _diagonal_block(rng, size: int) -> np.ndarray:
+    """Random amplitudes with signed zeros and subnormals in both parts."""
+
+    block = rng.normal(size=size) + 1j * rng.normal(size=size)
+    parts = block.view(np.float64)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310])
+    chosen = rng.random(parts.size) < 0.3
+    parts[chosen] = rng.choice(specials, size=int(chosen.sum()))
+    return block
+
+
+@pytest.mark.parametrize("name, params, target, controls", DIAGONALS)
+def test_in_block_diagonal_is_a_phase_on_the_side_it_moves(
+    name, params, target, controls, rng
+):
+    size = 256
+    gate = standard_gate(name, target, controls=controls, params=params)
+    assert gate.is_diagonal
+    matrix = gate.matrix
+    kernel = BlockKernel({}, ScratchPool(size))
+    step = (matrix, target, 1 << target, controls, 0)
+
+    block = _diagonal_block(rng, size)
+    expected = block.copy()
+    ops.apply_controlled_single_qubit(expected, matrix, target, controls)
+    out = block.copy()
+    kernel._apply_step(out, 0, *step)
+    # The 2x2 formula's values, zeros of either sign alike.
+    assert np.array_equal(out.view(np.float64), expected.view(np.float64))
+
+    # Amplitudes a control leaves alone and the side whose entry is exactly
+    # 1 keep their bytes, -0.0 included.
+    offsets = np.arange(size)
+    bit = offsets >> target & 1
+    moved = np.ones(size, dtype=bool)
+    for control in controls:
+        moved &= (offsets >> control & 1).astype(bool)
+    for side in (0, 1):
+        if matrix[side, side] == 1:
+            moved &= bit != side
+    kept = ~moved
+    assert out[kept].tobytes() == block[kept].tobytes()
+    if name != "rz":  # rz has no entry at 1: every amplitude moves
+        assert (np.signbit(block[kept].real) & (block[kept].real == 0)).any()
+
+    # An all-zero block stays the compressor's zero blob.
+    codec = get_compressor("lossless")
+    zeros = np.zeros(size, dtype=np.complex128)
+    zero_blob = codec.compress(zeros.view(np.float64))
+    kernel._apply_step(zeros, 0, *step)
+    assert codec.compress(zeros.view(np.float64)) == zero_blob
+
+    # A block control not set in the block's index: nothing changes.
+    untouched = block.copy()
+    kernel._apply_step(untouched, 0b10, matrix, target, 1 << target, controls, 0b1)
+    assert untouched.tobytes() == block.tobytes()
+
+
 def _sandwich(control: int, diagonal: Gate) -> ParityPhase:
     cx = standard_gate("x", diagonal.target, controls=(control,))
     return ParityPhase((cx, diagonal, cx))
