@@ -57,6 +57,9 @@ RANK_COUNTS = (4, 8, 16) if QUICK else (4, 8, 16, 32)
 #: Rank counts for the real-exchange mode: every rank is a live worker
 #: process, so the ladder stays within what a single node launches quickly.
 REAL_RANK_COUNTS = (2, 4) if QUICK else (2, 4, 8)
+#: Timed runs per rank count in the modelled mode; the fastest is kept, so a
+#: scheduling hiccup on one run does not bend the speedup curve.
+REPEATS = 3
 #: Modelled interconnect: generous bandwidth so communication is a correction,
 #: not the dominant term (as on Theta's Aries network).
 BANDWIDTH = 2e9
@@ -142,8 +145,35 @@ def _real_exchange_run(num_ranks: int) -> dict:
     }
 
 
+def _best_per_rank_count(circuit) -> list[dict]:
+    """The fastest modelled run of each rank count over :data:`REPEATS`
+    rounds (the timed fields each at their minimum).
+
+    One untimed run first, so the first rank count does not carry the
+    one-time costs of the first call; then each round sweeps every rank
+    count, so a slow stretch of the host lands on all of them alike instead
+    of on one.
+    """
+
+    _modelled_run(circuit, RANK_COUNTS[0])
+    runs: dict[int, list[dict]] = {ranks: [] for ranks in RANK_COUNTS}
+    for _ in range(REPEATS):
+        for ranks in RANK_COUNTS:
+            runs[ranks].append(_modelled_run(circuit, ranks))
+    return [
+        {
+            **rows[0],
+            "sequential_seconds": min(row["sequential_seconds"] for row in rows),
+            "modelled_parallel_seconds": min(
+                row["modelled_parallel_seconds"] for row in rows
+            ),
+        }
+        for rows in runs.values()
+    ]
+
+
 def _modelled_rows(workload: str, circuit) -> list[dict]:
-    results = [_modelled_run(circuit, ranks) for ranks in RANK_COUNTS]
+    results = _best_per_rank_count(circuit)
     baseline = results[0]["modelled_parallel_seconds"]
     return [
         {
@@ -172,7 +202,8 @@ def test_fig16_node_scaling(benchmark, emit):
         "\nreproduced shape (rcs16): monotone speedup that falls short of ideal"
         "\nbecause communication does not shrink with the per-rank state."
         "\nhadamard: degenerate, not asserted - every block is identical, so each"
-        "\nplan's kernel runs once whatever the rank count.",
+        "\nplan's kernel runs once whatever the rank count."
+        f"\nseconds: fastest of {REPEATS} interleaved rounds after one untimed run.",
     )
     _merge_json("modelled", rows)
     _merge_json("modelled_hadamard", hadamard_rows)

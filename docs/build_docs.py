@@ -75,7 +75,7 @@ API_SECTIONS = [
     ("core", "repro.core", [
         "repro.core", "repro.core.simulator", "repro.core.config",
         "repro.core.compressed_state", "repro.core.blocks",
-        "repro.core.kernel", "repro.core.executor", "repro.core.procpool",
+        "repro.core.kernel", "repro.core.procpool",
         "repro.core.cache",
         "repro.core.adaptive", "repro.core.fidelity", "repro.core.report",
         "repro.core.checkpoint",

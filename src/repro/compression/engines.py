@@ -68,7 +68,8 @@ def _cached_arange(size: int) -> np.ndarray:
     Decode is called once per block, and the arange is the same every time —
     caching it saves one full allocation + fill pass per call.  The cache is
     only ever swapped for a larger array (an atomic rebind under the GIL), so
-    concurrent decodes on executor threads each see a consistent array.
+    concurrent decodes each see a consistent array: the simulator starts no
+    thread, but a codec is public API and may be called from user threads.
     """
 
     global _ARANGE_CACHE
@@ -85,8 +86,9 @@ def _scratch(name: str, size: int, dtype: np.dtype) -> np.ndarray:
 
     The decoder's big flat work arrays are the same shape on every call for a
     given block size; reusing them avoids an allocation plus a page-fault
-    pass per call.  Thread-local storage keeps concurrent decodes on
-    :class:`~repro.core.executor.TaskExecutor` worker threads independent.
+    pass per call.  Thread-local storage keeps concurrent decodes
+    independent: the simulator starts no thread, but a codec is public API
+    and may be called from user threads.
     """
 
     buffers = getattr(_SCRATCH, "buffers", None)

@@ -71,7 +71,7 @@ class ErrorBoundMode(enum.Enum):
 class ConstructorPickled:
     """Pickle as the constructor arguments; derived state is rebuilt on load.
 
-    A codec crosses a process boundary on every ranked ``("gate", op,
+    A codec crosses a process boundary on every ranked ``("gate", op, peer,
     tasks)`` message, so its payload must stay constructor-sized.  The
     constructor hands its arguments to :meth:`_record_init`; the one pair of
     pickle hooks below returns and replays them.

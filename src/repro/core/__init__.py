@@ -1,12 +1,11 @@
 """Core contribution: the compressed-state full-circuit simulator."""
 
 from .adaptive import AdaptiveErrorController, EscalationEvent
-from .blocks import BlockStore, CompressedBlock, ScratchPool
+from .blocks import CompressedBlock, ScratchPool
 from .cache import BlockCache, CacheStats
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compressed_state import CompressedStateVector
 from .config import PAPER_BLOCK_AMPLITUDES, SimulatorConfig
-from .executor import TaskExecutor
 from .procpool import ProcessPool, effective_cpu_count
 from .fidelity import FidelityTracker, fidelity_curve, fidelity_lower_bound
 from .report import SimulationReport
@@ -14,7 +13,6 @@ from .simulator import CompressedSimulator
 
 __all__ = [
     "CompressedSimulator",
-    "TaskExecutor",
     "ProcessPool",
     "effective_cpu_count",
     "CompressedStateVector",
@@ -25,7 +23,6 @@ __all__ = [
     "EscalationEvent",
     "BlockCache",
     "CacheStats",
-    "BlockStore",
     "CompressedBlock",
     "ScratchPool",
     "FidelityTracker",

@@ -1,10 +1,11 @@
 """Compressed block storage and decompression scratch buffers.
 
-The state vector never exists in full: every rank's slice is held as a list
-of compressed blobs (:class:`BlockStore`), and at most two blocks per rank
-are ever decompressed at the same time into reusable scratch buffers
-(:class:`ScratchPool`) — the role MCDRAM plays in the paper's Theta runs
-(Section 3.2).
+The state vector never exists in full: every block is held as a compressed
+blob (:class:`CompressedBlock`, in the block table of
+:class:`~repro.core.compressed_state.CompressedStateVector` or of a rank
+worker), and at most two blocks per rank are ever decompressed at the same
+time into reusable scratch buffers (:class:`ScratchPool`) — the role MCDRAM
+plays in the paper's Theta runs (Section 3.2).
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compression.interface import Compressor
-from ..distributed.partition import Partition
-
-__all__ = ["CompressedBlock", "BlockStore", "ScratchPool"]
+__all__ = ["CompressedBlock", "ScratchPool"]
 
 
 @dataclass
@@ -36,52 +34,6 @@ class CompressedBlock:
         """Size of the compressed payload in bytes."""
 
         return len(self.blob)
-
-
-class BlockStore:
-    """All compressed blocks of the distributed state, indexed by (rank, block)."""
-
-    def __init__(self, partition: Partition) -> None:
-        self._partition = partition
-        self._blocks: list[list[CompressedBlock | None]] = [
-            [None] * partition.blocks_per_rank for _ in range(partition.num_ranks)
-        ]
-
-    @property
-    def partition(self) -> Partition:
-        """The rank/block partition this store is laid out for."""
-
-        return self._partition
-
-    def get(self, rank: int, block: int) -> CompressedBlock:
-        """The compressed block at (*rank*, *block*); KeyError if unset."""
-
-        entry = self._blocks[rank][block]
-        if entry is None:
-            raise KeyError(f"block ({rank}, {block}) has not been initialised")
-        return entry
-
-    def put(self, rank: int, block: int, compressed: CompressedBlock) -> None:
-        """Replace the compressed block at (*rank*, *block*)."""
-
-        self._blocks[rank][block] = compressed
-
-    def __iter__(self):
-        for rank in range(self._partition.num_ranks):
-            for block in range(self._partition.blocks_per_rank):
-                yield (rank, block), self.get(rank, block)
-
-    # -- memory accounting ---------------------------------------------------------
-
-    def compressed_bytes(self) -> int:
-        """Total bytes of all compressed blobs."""
-
-        return sum(
-            entry.nbytes
-            for per_rank in self._blocks
-            for entry in per_rank
-            if entry is not None
-        )
 
 
 #: glibc ``mallopt`` parameters and the values :func:`_keep_task_heap` sets:

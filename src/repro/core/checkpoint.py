@@ -9,8 +9,8 @@ and every compressed blob, written with a small self-describing binary format
 
 The same file suspends and resumes a job in flight (:mod:`repro.serve`):
 :func:`resume_from_checkpoint` puts a snapshot *into an existing simulator*
-of the same geometry, so a warm simulator keeps its executor, scratch pool
-and decompressors across the suspension and resuming pays only the block
+of the same geometry, so a warm simulator keeps its state object (rank
+workers, scratch pool) and decompressors across the suspension and resuming pays only the block
 table rebuild; :func:`load_checkpoint` builds a simulator from the metadata
 and restores the same parsed file into it.  Both log one INFO record on
 ``repro.core.checkpoint`` per restore; in-run recovery restores through

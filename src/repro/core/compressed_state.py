@@ -3,10 +3,12 @@
 :class:`CompressedStateVector` is the data structure at the heart of the
 paper: the ``2^n`` amplitudes are split over simulated ranks and blocks
 (:class:`~repro.distributed.partition.Partition`) and every block is held
-compressed (:class:`~repro.core.blocks.BlockStore`).  Blocks are decompressed
-only transiently — either into the scratch pool while a gate updates them, or
-on demand when the user asks for probabilities, norms or (for small systems)
-the full dense vector.
+compressed in one table keyed by global block index.  It is also the
+sequential tier: it runs each gate plan on its own table
+(:meth:`CompressedStateVector.run_plan`).  Blocks are decompressed only
+transiently — either into the scratch pool while a gate updates them, or on
+demand when the user asks for probabilities, norms or (for small systems) the
+full dense vector.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..compression.interface import Compressor
+from ..distributed.exchange import GatePlan
 from ..distributed.partition import Partition
 from ..statevector.measurement import diagonal_partials
-from .blocks import BlockStore, CompressedBlock
+from .blocks import CompressedBlock, ScratchPool
+from .cache import BlockCache
+from .kernel import BlockKernel, BlockOp, TaskStats
+from .report import SimulationReport
 
 __all__ = [
     "CompressedStateVector",
@@ -37,7 +43,7 @@ def initial_rank_blocks(
 ) -> tuple[dict[int, CompressedBlock], bytes | None]:
     """Build one rank's slice of ``|basis_state>`` as compressed blocks.
 
-    The single source of truth for state initialisation: the parent-side
+    The single source of truth for state initialisation: the sequential
     :class:`CompressedStateVector` builds every rank's slice with it, and
     each :class:`~repro.distributed.ranked.RankWorker` builds its own — the
     compressors are deterministic, so both paths produce byte-identical
@@ -61,13 +67,15 @@ def initial_rank_blocks(
     Returns
     -------
     tuple
-        ``(blocks, zero_blob)`` — block index → :class:`CompressedBlock`
-        for this rank, and the zero blob for reuse on the next rank (still
-        ``None`` when every block of this rank held the basis state).
+        ``(blocks, zero_blob)`` — global block index → :class:`CompressedBlock`
+        for this rank's blocks in ascending order, and the zero blob for reuse
+        on the next rank (still ``None`` when every block of this rank held
+        the basis state).
     """
 
     target_rank, target_block, target_offset = partition.locate(basis_state)
     zero_block = np.zeros(partition.block_amplitudes, dtype=np.complex128)
+    first = rank * partition.blocks_per_rank
     blocks: dict[int, CompressedBlock] = {}
     for block in range(partition.blocks_per_rank):
         if rank == target_rank and block == target_block:
@@ -78,7 +86,7 @@ def initial_rank_blocks(
             if zero_blob is None:
                 zero_blob = compressor.compress(zero_block.view(np.float64))
             blob = zero_blob
-        blocks[block] = CompressedBlock(
+        blocks[first + block] = CompressedBlock(
             blob=blob, compressor=compressor.name, bound=compressor.bound
         )
     return blocks, zero_blob
@@ -103,7 +111,7 @@ def reduce_blocks(
     The single readout primitive: every block is decompressed once, its
     mass is ``probs.sum()`` (what sampling draws blocks by) and its partials
     are :func:`~repro.statevector.measurement.diagonal_partials` for
-    *zmasks*.  The parent-side state reduces its whole table with it and
+    *zmasks*.  The sequential state reduces its whole table with it and
     each :class:`~repro.distributed.ranked.RankWorker` its own slice, so
     both produce the same numbers for the same blobs.
 
@@ -124,7 +132,13 @@ def reduce_blocks(
 
 
 class CompressedStateVector:
-    """State vector stored as compressed blocks.
+    """State vector stored as compressed blocks, and the sequential tier that
+    runs gate plans on them.
+
+    The block table is a list indexed by global block index (``rank *
+    blocks_per_rank + block``); the state's own
+    :class:`~repro.core.kernel.BlockKernel` (scratch pool, optional block
+    cache, decoder map) runs every plan on it in this process.
 
     Parameters
     ----------
@@ -135,9 +149,11 @@ class CompressedStateVector:
         the adaptive controller swaps in lossy compressors later).
     initial_basis_state:
         Basis state to initialise to (default ``|0...0>``).
-    store:
-        The block table; a parent-side :class:`BlockStore` unless given (the
-        ranked tier passes the executor that proxies to its rank workers).
+    decompressors:
+        Compressor-name → instance map that decodes stored blobs; shared,
+        not copied, so a decoder registered by its owner reaches every query.
+    cache_enabled:
+        Whether plans go through a compressed block cache (Section 3.4).
     """
 
     def __init__(
@@ -145,35 +161,50 @@ class CompressedStateVector:
         partition: Partition,
         compressor: Compressor,
         initial_basis_state: int = 0,
-        store: BlockStore | None = None,
+        *,
+        decompressors: dict[str, Compressor],
+        cache_enabled: bool,
     ) -> None:
         self._partition = partition
-        self._store = BlockStore(partition) if store is None else store
+        self._decompressors = decompressors
+        self._kernel = BlockKernel(
+            decompressors,
+            ScratchPool(partition.block_amplitudes),
+            BlockCache() if cache_enabled else None,
+        )
+        self._blocks: list[CompressedBlock] = []
         self.reset(compressor, initial_basis_state)
 
-    def _initialise(self, compressor: Compressor, basis_state: int) -> None:
+    def reset(self, compressor: Compressor, initial_basis_state: int = 0) -> None:
+        """Re-initialise every block to ``|initial_basis_state>`` and empty
+        the block cache: a fresh state, its scratch pool and decoders kept
+        (the batched-run reset path).  An out-of-range basis state raises
+        ``ValueError`` (:meth:`~repro.distributed.partition.Partition.locate`)
+        and leaves the blocks as they were."""
+
         partition = self._partition
+        blocks: list[CompressedBlock] = []
         zero_blob: bytes | None = None
         for rank in range(partition.num_ranks):
-            blocks, zero_blob = initial_rank_blocks(
-                partition, compressor, basis_state, rank, zero_blob
+            rank_blocks, zero_blob = initial_rank_blocks(
+                partition, compressor, initial_basis_state, rank, zero_blob
             )
-            for block, entry in blocks.items():
-                self._store.put(rank, block, entry)
+            blocks.extend(rank_blocks.values())
+        self._blocks = blocks
+        self._kernel.reset()
 
-    def reset(self, compressor: Compressor, initial_basis_state: int = 0) -> None:
-        """Re-initialise every block to ``|initial_basis_state>`` in place.
+    def close(self) -> None:
+        """Nothing to release; the ranked state stops its rank workers."""
 
-        The partition geometry and block table survive, so holders of a
-        reference (the simulator's executor in particular) keep working —
-        this is the batched-run reset path.
-        """
+    def new_report(self) -> SimulationReport:
+        """An empty report for this state's geometry."""
 
-        if not 0 <= initial_basis_state < self._partition.total_amplitudes:
-            raise ValueError(
-                f"initial basis state {initial_basis_state} out of range"
-            )
-        self._initialise(compressor, initial_basis_state)
+        partition = self._partition
+        return SimulationReport(
+            num_qubits=partition.num_qubits,
+            num_ranks=partition.num_ranks,
+            block_amplitudes=partition.block_amplitudes,
+        )
 
     # -- structural accessors ---------------------------------------------------------
 
@@ -184,57 +215,97 @@ class CompressedStateVector:
         return self._partition
 
     @property
-    def store(self) -> BlockStore:
-        """The underlying compressed-block store."""
-
-        return self._store
-
-    @property
     def num_qubits(self) -> int:
         """Number of qubits the state vector represents."""
 
         return self._partition.num_qubits
 
+    @property
+    def cache(self) -> BlockCache | None:
+        """The compressed block cache plans go through, or ``None``."""
+
+        return self._kernel.cache
+
     # -- block-level access -------------------------------------------------------------
+
+    def _index(self, rank: int, block: int) -> int:
+        """Global block index of (*rank*, *block*); IndexError off the grid."""
+
+        partition = self._partition
+        if not (
+            0 <= rank < partition.num_ranks and 0 <= block < partition.blocks_per_rank
+        ):
+            raise IndexError(f"no block ({rank}, {block}) in this partition")
+        return rank * partition.blocks_per_rank + block
 
     def get_block(self, rank: int, block: int) -> CompressedBlock:
         """The compressed block at (*rank*, *block*)."""
 
-        return self._store.get(rank, block)
+        return self._blocks[self._index(rank, block)]
 
-    def put_block(
-        self, rank: int, block: int, blob: bytes, compressor: Compressor
-    ) -> None:
-        """Store *blob* at (*rank*, *block*), tagged with its codec name."""
+    def put_block(self, rank: int, block: int, entry: CompressedBlock) -> None:
+        """Replace the compressed block at (*rank*, *block*)."""
 
-        self._store.put(
-            rank,
-            block,
-            CompressedBlock(blob=blob, compressor=compressor.name, bound=compressor.bound),
-        )
+        self._blocks[self._index(rank, block)] = entry
 
     def iter_blocks(self) -> Iterator[tuple[tuple[int, int], CompressedBlock]]:
-        """Iterate ``((rank, block), CompressedBlock)`` over every block."""
+        """Iterate ``((rank, block), CompressedBlock)`` over every block, in
+        rank-major order (:meth:`get_block` per block)."""
 
-        return iter(self._store)
+        for rank in range(self._partition.num_ranks):
+            for block in range(self._partition.blocks_per_rank):
+                yield (rank, block), self.get_block(rank, block)
+
+    # -- plan execution -------------------------------------------------------------
+
+    def run_plan(self, op: BlockOp, plan: GatePlan, report: SimulationReport) -> None:
+        """Execute every task of *plan* on the block table, applying *op*'s
+        steps, and fold what it cost into *report*.
+
+        Each cross-rank pair first counts its block exchange (Section 3.3):
+        each rank would ship its compressed block to the other, so the
+        exchange counts once, as two messages of the larger block's bytes,
+        and adds no communication seconds — nothing crosses a process
+        boundary here.
+        """
+
+        blocks, per_rank = self._blocks, self._partition.blocks_per_rank
+        tasks = []
+        for task in plan.tasks:
+            first = task.first[0] * per_rank + task.first[1]
+            if task.second is None:
+                tasks.append((first,))
+                continue
+            second = task.second[0] * per_rank + task.second[1]
+            tasks.append((first, second))
+            if task.crosses_ranks:
+                report.block_exchanges += 1
+                report.communication_bytes += 2 * max(
+                    blocks[first].nbytes, blocks[second].nbytes
+                )
+        stats = TaskStats()
+        try:
+            self._kernel.run_tasks(op, stats, blocks, tasks)
+        finally:
+            stats.fold_into(report)
 
     # -- memory accounting ----------------------------------------------------------------
 
     def compressed_bytes(self) -> int:
         """Total compressed footprint across every rank."""
 
-        return self._store.compressed_bytes()
+        return sum(entry.nbytes for entry in self._blocks)
 
     def footprint_bytes(self) -> int:
         """Eq. 8: compressed blocks plus two decompressed blocks per rank."""
 
         scratch = 2 * self._partition.block_bytes * self._partition.num_ranks
-        return self._store.compressed_bytes() + scratch
+        return self.compressed_bytes() + scratch
 
     def compression_ratio(self) -> float:
         """Uncompressed size over compressed size (higher is better)."""
 
-        compressed = self._store.compressed_bytes()
+        compressed = self.compressed_bytes()
         if compressed == 0:
             return float("inf")
         return self._partition.uncompressed_bytes() / compressed
@@ -246,12 +317,8 @@ class CompressedStateVector:
 
     # -- state-level queries -----------------------------------------------------------------
 
-    def to_statevector(self, decompressors: dict[str, Compressor]) -> np.ndarray:
-        """Materialise the full dense state vector (small systems only).
-
-        ``decompressors`` maps compressor names to instances able to decode
-        blocks produced by them (the simulator provides this).
-        """
+    def to_statevector(self) -> np.ndarray:
+        """Materialise the full dense state vector (small systems only)."""
 
         partition = self._partition
         if partition.num_qubits > 26:
@@ -259,32 +326,28 @@ class CompressedStateVector:
                 "refusing to materialise a state vector above 26 qubits"
             )
         state = np.empty(partition.total_amplitudes, dtype=np.complex128)
-        for (rank, block), entry in self._store:
-            decompressor = decompressors[entry.compressor]
+        for (rank, block), entry in self.iter_blocks():
+            decompressor = self._decompressors[entry.compressor]
             values = decompressor.decompress(entry.blob).view(np.complex128)
             start = partition.global_index(rank, block, 0)
             state[start : start + partition.block_amplitudes] = values
         return state
 
-    def reduce_blocks(
-        self, zmasks: Sequence[int], decompressors: dict[str, Compressor]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def reduce_blocks(self, zmasks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Per-block masses and diagonal partials in rank-major order
         (:func:`reduce_blocks` over the whole table)."""
 
-        partition = self._partition
+        offset_bits = self._partition.offset_bits
         return reduce_blocks(
             (
-                (partition.global_index(rank, block, 0), entry)
-                for (rank, block), entry in self._store
+                (index << offset_bits, entry)
+                for index, entry in enumerate(self._blocks)
             ),
             zmasks,
-            decompressors,
+            self._decompressors,
         )
 
-    def probabilities_of_block(
-        self, rank: int, block: int, decompressors: dict[str, Compressor]
-    ) -> np.ndarray:
+    def probabilities_of_block(self, rank: int, block: int) -> np.ndarray:
         """``|a_i|^2`` for the amplitudes of one block."""
 
-        return decode_probabilities(self._store.get(rank, block), decompressors)
+        return decode_probabilities(self.get_block(rank, block), self._decompressors)

@@ -156,6 +156,15 @@ class SimulatorConfig:
         if list(levels) != sorted(levels):
             raise ValueError("error_levels must be sorted from tightest to loosest")
         self.error_levels = levels
+        if not 0 <= self.lossless_level <= 9:
+            raise ValueError(
+                f"lossless_level must be 0-9 (zlib's range), got {self.lossless_level}"
+            )
+        if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
+            raise ValueError(
+                "memory_budget_bytes must be positive or None, got "
+                f"{self.memory_budget_bytes}"
+            )
         if self.executor not in ("thread", "process"):
             raise ValueError(
                 f"executor must be 'thread' or 'process', got {self.executor!r}"

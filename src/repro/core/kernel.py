@@ -23,28 +23,28 @@ controls also carries *riders* — one-block steps between its steps on the
 pair's target — which the pair task applies to each staged block at that
 block's own index, exactly as a one-block task would.
 
-Both execution tiers call it — :class:`~repro.core.executor.TaskExecutor`
-in the parent process and the rank workers of
-:mod:`repro.distributed.ranked` — so the tiers differ
-only in how blobs reach the kernel and where its outputs are stored, and
-bit-identity across tiers holds by construction.  A pair has one path on
-every tier: a cross-rank pair is one call on one of its two ranks, which
+Both execution tiers call it — the sequential
+:class:`~repro.core.compressed_state.CompressedStateVector` in the parent
+process and the rank workers of :mod:`repro.distributed.ranked` — so the
+tiers differ only in where the block table lives, and bit-identity across
+tiers holds by construction.  Both hand a plan's tasks to the same
+:meth:`BlockKernel.run_tasks`, which groups them with :func:`group_tasks`
+first: tasks that read byte-identical inputs (the Section 3.4 redundancy) run
+once as one kernel call with ``copies=``, and the block cache is left with
+the repeats *across* plans.  A pair has one path on every tier: a cross-rank
+pair is one :meth:`BlockKernel.run` call on one of its two ranks, which
 receives the peer's input blob and sends back the peer's output blob.
-Every tier also groups a
-plan's tasks with :func:`group_tasks` first: tasks that read byte-identical
-inputs (the Section 3.4 redundancy) run once as one kernel call with
-``copies=``, and the block cache is left with the repeats *across* plans.
 
 A :class:`BlockOp` is all a block task needs to know about the gate or run; a
 :class:`TaskStats` collects what the round trips cost and is folded into the
-:class:`~repro.core.report.SimulationReport` by whichever transport ran them.
+:class:`~repro.core.report.SimulationReport` by whichever tier ran them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, NamedTuple, TypeVar
+from typing import Iterable, MutableMapping, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -225,6 +225,34 @@ class BlockKernel:
         if self.cache is not None:
             self.cache.reset()
         self._compressors.clear()
+
+    def run_tasks(
+        self,
+        op: BlockOp,
+        stats: TaskStats,
+        table: MutableMapping[int, CompressedBlock] | list[CompressedBlock],
+        tasks: Iterable[tuple[int, ...]],
+    ) -> None:
+        """Run a plan's tasks on *table* and store their outputs in it.
+
+        *table* maps a global block index (``rank * blocks_per_rank +
+        block``) to its stored block; each task is the global index of the
+        one block it updates, or of a pair's two blocks, target bit 0 first.
+        The tasks are grouped with :func:`group_tasks`, each group is one
+        :meth:`run`, and its outputs are stored for every task of the group
+        before the next group runs, so when a group raises, the groups before
+        it stay committed and counted in *stats*.
+        """
+
+        name, bound = op.compressor.name, op.compressor.bound
+        staged = (
+            (task, tuple(table[index] for index in task), task[0]) for task in tasks
+        )
+        for inputs, group in group_tasks(op, staged):
+            outputs = self.run(op, stats, *inputs, copies=len(group))
+            for task in group:
+                for index, blob in zip(task, outputs):
+                    table[index] = CompressedBlock(blob, name, bound)
 
     def _mask_for(self, local_controls: tuple[int, ...]) -> np.ndarray | None:
         if local_controls not in self._masks:

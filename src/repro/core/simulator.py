@@ -12,13 +12,14 @@ state vector stays compressed.  Per gate (Figure 2):
    gate that mixes amplitude pairs across blocks (a non-diagonal 2x2 on a
    target above the block boundary) needs a partner block, chosen by the
    target qubit's index segment; the control qubits prune blocks.
-2. The executor of the configured tier (``SimulatorConfig.tier``) runs the
-   plan's tasks — :class:`~repro.core.executor.TaskExecutor` in this process
-   by default; on the ranked tier
-   :class:`~repro.distributed.ranked.RankedExecutor` ships them to the rank
-   worker processes that own the blocks.
+2. The state of the configured tier (``SimulatorConfig.tier``) runs the
+   plan's tasks on the blocks it holds —
+   :class:`~repro.core.compressed_state.CompressedStateVector` in this
+   process by default; on the ranked tier
+   :class:`~repro.distributed.ranked.RankedStateVector` ships them to the
+   rank worker processes that own the blocks.
    Byte-identical tasks of the plan are grouped first
-   (:func:`repro.core.kernel.group_tasks`) and each group is one
+   (:meth:`repro.core.kernel.BlockKernel.run_tasks`) and each group is one
    :meth:`repro.core.kernel.BlockKernel.run`: the compressed block cache is
    consulted for repeats of earlier plans; on a miss the block (or block pair)
    is decompressed into the scratch pool, the 2x2 unitary (each of a run's,
@@ -54,11 +55,10 @@ from ..distributed.partition import Partition, QubitSegment
 from ..errors import ProcessCommTimeout, WorkerCrashedError
 from ..resilience import resolve_fault_policy
 from .adaptive import AdaptiveErrorController
-from .blocks import CompressedBlock, ScratchPool
+from .blocks import CompressedBlock
 from .cache import BlockCache
 from .compressed_state import CompressedStateVector
 from .config import SimulatorConfig
-from .executor import TaskExecutor
 from .fidelity import FidelityTracker
 from .kernel import BlockOp
 from .report import SimulationReport
@@ -105,22 +105,8 @@ class CompressedSimulator:
             block_amplitudes=block_amplitudes,
         )
         self._controller = AdaptiveErrorController(self._config)
-        # Rank workers own *all* staging (parent-side state queries
-        # allocate fresh arrays), so the ranked parent keeps no pool at all.
-        ranked = self._config.tier == "ranked"
-        self._scratch = None if ranked else ScratchPool(block_amplitudes)
-        # The ranked tier's cache lines live in the rank workers (one shard
-        # per rank); the parent keeps none.
-        self._cache = (
-            BlockCache() if self._config.use_block_cache and not ranked else None
-        )
         self._fidelity = (
             FidelityTracker() if self._config.track_fidelity_bound else None
-        )
-        self._report = SimulationReport(
-            num_qubits=num_qubits,
-            num_ranks=self._config.num_ranks,
-            block_amplitudes=block_amplitudes,
         )
 
         # Decompression needs an instance of the same compressor class that
@@ -150,53 +136,35 @@ class CompressedSimulator:
         # once per X/Y observable per circuit in a batch.
         self._fork_config: SimulatorConfig | None = None
 
-        if ranked:
-            self._build_ranked(initial_basis_state)
-            self._gate_index = 0
-            return
-
-        self._state = CompressedStateVector(
-            partition=self._partition,
-            compressor=self._initial_compressor(),
-            initial_basis_state=initial_basis_state,
-        )
-        self._executor = TaskExecutor(
-            state=self._state,
-            scratch=self._scratch,
-            cache=self._cache,
-            decompressors=self._decompressors,
-            report=self._report,
-        )
+        self._build_state(initial_basis_state)
+        self._report = self._state.new_report()
         self._gate_index = 0
 
-    def _build_ranked(self, initial_basis_state: int) -> None:
-        """(Re)build the ranked tier: one worker process per rank, each
-        holding its partition slice, with real inter-rank block exchange over
-        socket pairs.  Imported lazily to keep the repro.distributed package
-        import-light.  Called from ``__init__`` and again from
+    def _build_state(self, initial_basis_state: int) -> None:
+        """Build the configured tier's state, which holds the blocks and
+        runs plans on them: :class:`CompressedStateVector` in this process,
+        or on the ranked tier a
+        :class:`~repro.distributed.ranked.RankedStateVector` over one worker
+        process per rank (imported lazily to keep the repro.distributed
+        package import-light).  Called from ``__init__`` and again from
         :meth:`_recover_ranked` after a rank death tears the pool down.
         """
 
-        from ..distributed.ranked import RankedExecutor, RankedStateVector
-
-        ranked = RankedExecutor(
+        tier_args = dict(
             partition=self._partition,
+            compressor=self._initial_compressor(),
+            initial_basis_state=initial_basis_state,
             decompressors=self._decompressors,
-            report=self._report,
             cache_enabled=self._config.use_block_cache,
-            start_method=self._config.mp_start_method,
         )
-        try:
+        if self._config.tier == "ranked":
+            from ..distributed.ranked import RankedStateVector
+
             self._state = RankedStateVector(
-                partition=self._partition,
-                compressor=self._initial_compressor(),
-                initial_basis_state=initial_basis_state,
-                store=ranked,
+                **tier_args, start_method=self._config.mp_start_method
             )
-        except BaseException:
-            ranked.close()
-            raise
-        self._executor = ranked
+        else:
+            self._state = CompressedStateVector(**tier_args)
 
     # -- public accessors -----------------------------------------------------------
 
@@ -229,7 +197,7 @@ class CompressedSimulator:
         """The block-transform cache, or ``None`` when disabled — and on the
         ranked tier, whose cache shards live in the rank workers."""
 
-        return self._cache
+        return self._state.cache
 
     @property
     def controller(self) -> AdaptiveErrorController:
@@ -256,13 +224,6 @@ class CompressedSimulator:
 
         return self._gate_index
 
-    @property
-    def executor(self) -> TaskExecutor:
-        """The executor running block plans (:class:`TaskExecutor`, or the
-        ranked tier's :class:`~repro.distributed.ranked.RankedExecutor`)."""
-
-        return self._executor
-
     # -- lifecycle ----------------------------------------------------------------------
 
     def close(self) -> None:
@@ -270,7 +231,7 @@ class CompressedSimulator:
         for the sequential tier) and any temporary resilience-checkpoint
         directory this simulator created."""
 
-        self._executor.close()
+        self._state.close()
         if self._ckpt_tempdir is not None:
             shutil.rmtree(self._ckpt_tempdir, ignore_errors=True)
             self._ckpt_tempdir = None
@@ -295,8 +256,8 @@ class CompressedSimulator:
         Behaviour after a reset is indistinguishable from a freshly
         constructed simulator with the same config: the adaptive controller,
         fidelity tracker, block cache, communication counters and the report
-        all start over.  What survives is the expensive machinery — the
-        executor (and its rank workers), the scratch pool and the decompressor
+        all start over.  What survives is the expensive machinery — the state
+        object (and its rank workers), the scratch pool and the decompressor
         instances — which is what makes batched runs over same-width circuits
         cheap (:class:`repro.backends.CompressedBackend` calls this between
         circuits).
@@ -304,18 +265,10 @@ class CompressedSimulator:
 
         self._controller = AdaptiveErrorController(self._config)
         self._state.reset(self._initial_compressor(), initial_basis_state)
-        if self._cache is not None:
-            self._cache.reset()
         self._fidelity = (
             FidelityTracker() if self._config.track_fidelity_bound else None
         )
-        self._report = SimulationReport(
-            num_qubits=self._num_qubits,
-            num_ranks=self._config.num_ranks,
-            block_amplitudes=self._partition.block_amplitudes,
-        )
-        self._executor.rebind_report(self._report)
-        self._executor.reset_workers()
+        self._report = self._state.new_report()
         self._gate_index = 0
         # Any in-run resilience checkpoint describes the pre-reset state.
         self._replay_log.clear()
@@ -372,7 +325,7 @@ class CompressedSimulator:
         """
 
         for rank, block, name, bound, blob in blocks:
-            self._state.store.put(
+            self._state.put_block(
                 rank, block, CompressedBlock(blob=blob, compressor=name, bound=bound)
             )
         self._gate_index = int(meta.get("gate_count", 0))
@@ -489,7 +442,7 @@ class CompressedSimulator:
             compressor,
             gate.key() + (compressor.describe(),),
         )
-        self._executor.run_plan(op, plan)
+        self._state.run_plan(op, plan, self._report)
 
         self._gate_index += 1
         self._report.gates_executed = self._gate_index
@@ -550,7 +503,7 @@ class CompressedSimulator:
 
         Returns the number of gates replayed.  The sequence is:
 
-        1. Close the (partially dead) executor with a short join timeout —
+        1. Close the (partially dead) state with a short join timeout —
            surviving ranks may be blocked in an exchange with the dead peer
            and need the SIGTERM escalation.
         2. Rebuild the pool (fresh workers, fresh rank↔rank links).
@@ -567,7 +520,7 @@ class CompressedSimulator:
 
         from .checkpoint import read_checkpoint
 
-        self._executor.close(join_timeout=0.5)
+        self._state.close(join_timeout=0.5)
 
         meta, blocks = {}, ()
         if self._resilience_ckpt is not None:
@@ -576,7 +529,7 @@ class CompressedSimulator:
         # Fresh controller *before* rebuilding: the fresh workers' initial
         # blocks must be compressed as at the start of a failure-free run.
         self._controller = AdaptiveErrorController(self._config)
-        self._build_ranked(self._initial_basis_state)
+        self._build_state(self._initial_basis_state)
         self.restore(meta, blocks)
 
         replay = list(self._replay_log)
@@ -642,7 +595,7 @@ class CompressedSimulator:
     def statevector(self) -> np.ndarray:
         """Materialise the dense state (small registers only)."""
 
-        return self._state.to_statevector(self._decompressors)
+        return self._state.to_statevector()
 
     def norm_squared(self) -> float:
         """Σ|a_i|² (should stay ≈1 up to compression error): the sum of the
@@ -654,8 +607,7 @@ class CompressedSimulator:
         """Probability of one basis state, touching only its block."""
 
         rank, block, offset = self._partition.locate(basis_state)
-        probs = self._state.probabilities_of_block(rank, block, self._decompressors)
-        return float(probs[offset])
+        return float(self._state.probabilities_of_block(rank, block)[offset])
 
     def block_reduction(
         self, zmasks: Sequence[int] = ()
@@ -673,7 +625,7 @@ class CompressedSimulator:
         reach this process.
         """
 
-        return self._state.reduce_blocks(tuple(zmasks), self._decompressors)
+        return self._state.reduce_blocks(tuple(zmasks))
 
     def block_probabilities(self) -> np.ndarray:
         """Total probability mass per (rank, block), flattened in rank-major order."""
@@ -735,7 +687,7 @@ class CompressedSimulator:
             if mass <= 0:
                 continue
             rank, block = divmod(block_index, partition.blocks_per_rank)
-            probs = self._state.probabilities_of_block(rank, block, self._decompressors)
+            probs = self._state.probabilities_of_block(rank, block)
             offsets = rng.choice(probs.size, size=n_hits, p=probs / mass)
             base = partition.global_index(rank, block, 0)
             unique_offsets, offset_counts = np.unique(offsets, return_counts=True)

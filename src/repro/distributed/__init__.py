@@ -18,7 +18,7 @@ from .process_comm import CommunicationStats, ProcessCommunicator, rank_links
 #: Names that live in :mod:`repro.distributed.ranked`, which imports from
 #: :mod:`repro.core` and therefore cannot load eagerly here (``repro.core``
 #: itself imports this package first).  PEP 562 resolves them on first use.
-_RANKED_EXPORTS = ("RankedExecutor", "RankedStateVector", "RankWorker")
+_RANKED_EXPORTS = ("RankedStateVector", "RankWorker")
 
 
 def __getattr__(name: str):
@@ -35,7 +35,6 @@ __all__ = [
     "CommunicationStats",
     "ProcessCommunicator",
     "rank_links",
-    "RankedExecutor",
     "RankedStateVector",
     "RankWorker",
     "BlockTask",

@@ -56,8 +56,8 @@ class BlockTask:
 
 @dataclass(frozen=True)
 class GatePlan:
-    """Everything the executor needs to run one gate, or one
-    :class:`~repro.circuits.fusion.Run`, over the block store."""
+    """Everything a tier's state needs to run one gate, or one
+    :class:`~repro.circuits.fusion.Run`, over its blocks."""
 
     segment: QubitSegment
     tasks: tuple[BlockTask, ...]
@@ -88,7 +88,7 @@ class GatePlan:
         return sum(len(task.buffers) for task in self.tasks)
 
     # Kept only for benchmarks/e2e/e2e_trace.py (its ``exchange.waves``
-    # metric); no executor reads it.
+    # metric); no tier reads it.
     def independent_groups(self) -> tuple[tuple[BlockTask, ...], ...]:
         """Partition the tasks into waves of mutually independent tasks.
 
@@ -158,7 +158,7 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
 
     Control qubits in the block / rank segments prune whole blocks / ranks
     (Section 3.3's three control cases); local controls are left in the plan
-    for the executor to apply as element masks.
+    for the block kernel to apply as element masks.
 
     An element whose every step is one-block — an in-block target, a
     diagonal 2x2, or a parity phase — plans as ``second=None`` tasks with no

@@ -27,8 +27,8 @@ through end-of-file (under fork every rank inherits every end): the deadline
 and the parent pool's dead-worker detection remain the contract.
 
 Each endpoint counts what it sent in its :class:`CommunicationStats`; the
-ranked executor sums them into the simulator's report
-(:meth:`~repro.distributed.ranked.RankedExecutor.run_plan`).
+ranked state sums them into the simulator's report
+(:meth:`~repro.distributed.ranked.RankedStateVector.run_plan`).
 """
 
 from __future__ import annotations

@@ -19,28 +19,26 @@ readout reductions, and the blobs of hit-block sampling, checkpoints and
 restore) ride one control pipe per worker; rank↔rank block exchange goes
 over one connected socket pair per hypercube neighbour pair
 (:func:`~repro.distributed.process_comm.rank_links`).
-Three classes cooperate:
+Two classes cooperate:
 
 * :class:`RankWorker` — the warm per-process state of one rank (its block
   slice, its :class:`~repro.core.kernel.BlockKernel` and its communicator
   endpoint), driven through the :class:`~repro.core.procpool.ProcessPool`
   message loop.
-* :class:`RankedExecutor` — the parent-side driver *and* block store.  Per
-  gate it distributes the :class:`~repro.distributed.exchange.GatePlan`'s
-  tasks to their owning ranks as **one batched message per rank** (amortising
-  IPC over the whole plan), then folds the per-rank codec/cache/communication
-  statistics into the simulator's
-  :class:`~repro.core.report.SimulationReport`, the one ledger of the
-  traffic the ranks measured; its ``get`` / ``put`` /
-  iteration are the :class:`~repro.core.blocks.BlockStore` surface over the
-  block table living in the rank workers.
-* :class:`RankedStateVector` — a
-  :class:`~repro.core.compressed_state.CompressedStateVector` over that
-  store; block masses and diagonal observable partials (and with them the
-  norm) are reduced in the rank workers — numbers cross the pipes, not
-  blobs — and the remaining parent-side queries (the hit blocks of
-  sampling, statevector materialisation, checkpointing) fetch blobs on
-  demand.
+* :class:`RankedStateVector` — the parent-side state: a
+  :class:`~repro.core.compressed_state.CompressedStateVector` whose blocks
+  live in the rank workers, and the driver of its
+  :class:`~repro.core.procpool.ProcessPool`.  Per gate it distributes the
+  :class:`~repro.distributed.exchange.GatePlan`'s tasks to their owning
+  ranks as **one batched message per rank** (amortising IPC over the whole
+  plan), then folds the per-rank codec/cache/communication statistics into
+  the simulator's :class:`~repro.core.report.SimulationReport`, the one
+  ledger of the traffic the ranks measured.  Block masses and diagonal
+  observable partials (and with them the norm) are reduced in the rank
+  workers — numbers cross the pipes, not blobs — and the remaining
+  parent-side queries (the hit blocks of sampling, statevector
+  materialisation, checkpointing) fetch blobs on demand
+  (:meth:`RankedStateVector.get_block` / :meth:`RankedStateVector.put_block`).
 
 Results are bit-identical to the single-process simulator: every rank runs
 the exact same kernels and codecs on the exact same bytes.  A cross-rank pair
@@ -48,10 +46,10 @@ is computed once, by one of its two ranks, with the same pair call of
 :meth:`repro.core.kernel.BlockKernel.run` the sequential tier makes: the two
 ranks split their shared pairs, each receives the input blob of the pairs it
 computes and returns the peer's output blob (:meth:`RankWorker._run_gate`).
-Each rank groups the non-exchange tasks of its batch with the same
-:func:`~repro.core.kernel.group_tasks` pass every tier runs, so byte-identical
-tasks are computed once; exchange tasks are never grouped — as over MPI, the
-communication happens regardless, and only the codec work can be saved, by
+Each rank runs the non-exchange tasks of its batch through the same
+:meth:`~repro.core.kernel.BlockKernel.run_tasks` the sequential state runs,
+so byte-identical tasks are computed once; exchange tasks are never
+grouped — as over MPI, the communication happens regardless, and only the codec work can be saved, by
 the owning rank's cache shard.  The shards are the only block caches of this
 tier: the parent keeps none, and their hits and misses reach the report with
 the rest of each reply's :class:`~repro.core.kernel.TaskStats`.
@@ -60,7 +58,7 @@ the rest of each reply's :class:`~repro.core.kernel.TaskStats`.
 from __future__ import annotations
 
 import os
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +70,7 @@ from ..core.compressed_state import (
     reduce_blocks,
 )
 from ..core.cache import BlockCache
-from ..core.kernel import BlockKernel, BlockOp, TaskStats, group_tasks
+from ..core.kernel import BlockKernel, BlockOp, TaskStats
 from ..core.procpool import ProcessPool, raise_worker_error
 from ..core.report import SimulationReport
 from ..errors import PoolProtocolError, ProcessCommTimeout
@@ -81,7 +79,7 @@ from .exchange import GatePlan
 from .partition import Partition
 from .process_comm import CommunicationStats, ProcessCommunicator, rank_links
 
-__all__ = ["RankWorker", "RankedExecutor", "RankedStateVector"]
+__all__ = ["RankWorker", "RankedStateVector"]
 
 
 def _frame_blob(name: str, blob: bytes) -> bytes:
@@ -102,8 +100,8 @@ def _unframe_blob(payload: bytes) -> tuple[str, bytes]:
 class RankWorker:
     """Warm per-process state of one simulated-MPI rank.
 
-    Owns the rank's slice of the compressed state (``block index →``
-    :class:`~repro.core.blocks.CompressedBlock`), a
+    Owns the rank's slice of the compressed state (global block index →
+    :class:`~repro.core.blocks.CompressedBlock`, in ascending order), a
     :class:`~repro.core.kernel.BlockKernel` (decompressor map seeded from
     the parent's, two scratch buffers, warm compressors, an optional
     :class:`~repro.core.cache.BlockCache` shard) and the rank's
@@ -176,12 +174,13 @@ class RankWorker:
     def handle(self, message: tuple) -> tuple:
         """Serve one control message; returns the reply tuple.
 
-        Message kinds: ``init`` (rebuild the slice to a basis state),
-        ``gate`` (run this rank's batch of one gate plan's tasks), ``get`` /
-        ``put`` (parent-side block access, the blob riding in the message),
-        ``reduce`` (per-block masses and diagonal Pauli partials, numbers
-        only), ``reset``,
-        ``ping`` and the test hook ``die``.
+        Message kinds: ``init`` (a fresh rank: empty cache shard, no warm
+        compressors, zero comm counters, the slice rebuilt to a basis
+        state), ``gate`` (run this rank's batch of one gate plan's tasks),
+        ``get`` / ``put`` (parent-side block access by global block index,
+        the blob riding in the message), ``reduce`` (per-block masses and
+        diagonal Pauli partials, numbers only), ``ping`` and the test hook
+        ``die``.
         """
 
         kind = message[0]
@@ -189,65 +188,49 @@ class RankWorker:
             return self._run_gate(message)
         if kind == "init":
             _, compressor, basis_state = message
-            self._init_state(compressor, basis_state)
+            self._kernel.reset()
+            self._comm.stats = CommunicationStats()
+            compressor = self._kernel.compressor_for(compressor)
+            self._blocks, _ = initial_rank_blocks(
+                self._partition, compressor, basis_state, self._rank
+            )
             return ("init-ok", self._rank_bytes())
         if kind == "get":
             entry = self._blocks[message[1]]
             return ("block", entry.blob, entry.compressor, entry.bound)
         if kind == "put":
-            _, block, name, bound, blob = message
-            self._blocks[block] = CompressedBlock(
-                blob=blob, compressor=name, bound=bound
-            )
+            _, index, name, bound, blob = message
+            self._blocks[index] = CompressedBlock(blob, name, bound)
             return ("put-ok", self._rank_bytes())
         if kind == "reduce":
-            partition, blocks = self._partition, self._blocks
+            offset_bits = self._partition.offset_bits
             masses, partials = reduce_blocks(
                 (
-                    (partition.global_index(self._rank, block, 0), blocks[block])
-                    for block in range(partition.blocks_per_rank)
+                    (index << offset_bits, entry)
+                    for index, entry in self._blocks.items()
                 ),
                 message[1],
                 self._kernel.decompressors,
             )
             return ("reduce-ok", masses, partials)
-        if kind == "reset":
-            self._kernel.reset()
-            self._comm.stats = CommunicationStats()
-            return ("reset-ok",)
         if kind == "ping":
             return ("pong",)
         if kind == "die":  # test hook for the rank-death path
             os._exit(19)
         raise ValueError(f"unknown rank-worker message {kind!r}")
 
-    # -- state initialisation ---------------------------------------------------------
-
-    def _init_state(self, compressor: Compressor, basis_state: int) -> None:
-        """(Re)build this rank's slice as its part of ``|basis_state>``.
-
-        Delegates to the same
-        :func:`~repro.core.compressed_state.initial_rank_blocks` the
-        parent-side state uses, so the slices are byte-identical to a
-        single-process initialisation by construction.
-        """
-
-        compressor = self._kernel.compressor_for(compressor)
-        self._blocks, _ = initial_rank_blocks(
-            self._partition, compressor, basis_state, self._rank
-        )
-
     # -- gate execution ---------------------------------------------------------------
 
     def _run_gate(self, message: tuple) -> tuple:
         """Run this rank's batch of one gate plan's tasks.
 
-        Task descriptors: ``("one", block)`` for a one-block update,
-        ``("pair", block0, block1)`` for an intra-rank block pair, and
-        ``("xchg", block, peer)`` for a cross-rank pair of this rank's
-        *block* and the same local block of *peer*.  A batch holds one kind
-        only; the kernel gets each task's global block index, a pair's
-        target-bit-0 one, whose block lives on the lower of the two ranks.
+        ``("gate", op, None, tasks)`` holds one-block and intra-rank pair
+        tasks as tuples of global block indices, run through
+        :meth:`~repro.core.kernel.BlockKernel.run_tasks` like the sequential
+        state's.  ``("gate", op, peer, blocks)`` holds cross-rank pairs: this
+        rank's local *blocks*, each paired with the same local block of
+        *peer*; the kernel gets each pair's target-bit-0 global index, whose
+        block lives on the lower of the two ranks.
 
         Both ranks of a cross-rank pair list their pairs in the same order
         and take them two at a time: the lower rank owns a chunk's first
@@ -261,81 +244,73 @@ class RankWorker:
         owner's shard.
         """
 
-        _, op, tasks = message
+        _, op, peer, tasks = message
         kernel = self._kernel
         op = op._replace(compressor=kernel.compressor_for(op.compressor))
         stats = TaskStats()
-        outputs: list[tuple[tuple[int, ...], tuple[bytes | None, ...]]] = []
-        per_rank = self._partition.blocks_per_rank
-        if tasks[0][0] == "xchg":
-            peer = tasks[0][2]
-            row = int(self._rank > peer)  # 0: this rank holds target-bit-0 blocks
-            for start in range(0, len(tasks), 2):
-                chunk = tasks[start : start + 2]
-                owned = chunk[row][1] if row < len(chunk) else None
-                lent = chunk[1 - row][1] if 1 - row < len(chunk) else None
-                payload = b""
-                if lent is not None:
-                    entry = self._blocks[lent]
-                    payload = _frame_blob(entry.compressor, entry.blob)
-                received = self._comm.sendrecv_bytes(peer, payload, pairs=len(chunk))
-                payload = b""
-                if owned is not None:
-                    entry = self._blocks[owned]
-                    mine = (entry.blob, entry.compressor)
-                    peer_name, peer_blob = _unframe_blob(received)
-                    theirs = (peer_blob, peer_name)
-                    low, high = (mine, theirs) if row == 0 else (theirs, mine)
-                    index = min(self._rank, peer) * per_rank + owned
-                    outs = kernel.run(op, stats, *low, *high, index=index)
-                    outputs.append(((owned,), (outs[row],)))
-                    payload = _frame_blob(op.compressor.name, outs[1 - row])
-                received = self._comm.sendrecv_bytes(peer, payload, pairs=0)
-                if lent is not None:
-                    outputs.append(((lent,), (_unframe_blob(received)[1],)))
+        if peer is None:
+            kernel.run_tasks(op, stats, self._blocks, tasks)
         else:
-            first_index = self._rank * per_rank
-            for inputs, group in group_tasks(
-                op,
-                (
-                    (
-                        blocks,
-                        tuple(self._blocks[block] for block in blocks),
-                        first_index + blocks[0],
-                    )
-                    for _, *blocks in tasks
-                ),
-            ):
-                outs = kernel.run(op, stats, *inputs, copies=len(group))
-                outputs.extend((blocks, outs) for blocks in group)
-        for blocks, outs in outputs:
-            for block, out in zip(blocks, outs):
-                self._blocks[block] = CompressedBlock(
-                    blob=out, compressor=op.compressor.name, bound=op.compressor.bound
-                )
+            self._exchange_pairs(op, stats, peer, tasks)
         return ("gate-ok", self._rank_bytes(), stats, self._comm.stats.as_dict())
 
+    def _exchange_pairs(
+        self, op: BlockOp, stats: TaskStats, peer: int, blocks: tuple[int, ...]
+    ) -> None:
+        """Compute this rank's share of the cross-rank pairs with *peer* (the
+        protocol :meth:`_run_gate` describes) and store every output."""
 
-class RankedExecutor:
-    """Parent-side driver of the multi-rank execution tier.
+        per_rank = self._partition.blocks_per_rank
+        base, low_base = self._rank * per_rank, min(self._rank, peer) * per_rank
+        row = int(self._rank > peer)  # 0: this rank holds target-bit-0 blocks
+        name, bound = op.compressor.name, op.compressor.bound
+        for start in range(0, len(blocks), 2):
+            chunk = blocks[start : start + 2]
+            owned = chunk[row] if row < len(chunk) else None
+            lent = chunk[1 - row] if 1 - row < len(chunk) else None
+            payload = b""
+            if lent is not None:
+                entry = self._blocks[base + lent]
+                payload = _frame_blob(entry.compressor, entry.blob)
+            received = self._comm.sendrecv_bytes(peer, payload, pairs=len(chunk))
+            payload = b""
+            if owned is not None:
+                entry = self._blocks[base + owned]
+                mine = (entry.blob, entry.compressor)
+                peer_name, peer_blob = _unframe_blob(received)
+                theirs = (peer_blob, peer_name)
+                low, high = (mine, theirs) if row == 0 else (theirs, mine)
+                outs = self._kernel.run(op, stats, *low, *high, index=low_base + owned)
+                self._blocks[base + owned] = CompressedBlock(outs[row], name, bound)
+                payload = _frame_blob(name, outs[1 - row])
+            received = self._comm.sendrecv_bytes(peer, payload, pairs=0)
+            if lent is not None:
+                self._blocks[base + lent] = CompressedBlock(
+                    _unframe_blob(received)[1], name, bound
+                )
 
-    Duck-types the executor surface
-    :class:`~repro.core.simulator.CompressedSimulator` relies on
-    (:meth:`run_plan`, :meth:`close`, :meth:`rebind_report`,
-    :meth:`reset_workers`) but owns the state: one
-    persistent :class:`~repro.core.procpool.ProcessPool` worker per rank,
-    reached over that worker's control pipe; the socket pairs the rank
-    endpoints exchange blocks over are created here, handed to the workers
-    and closed on this side before the constructor returns.  It is also the
-    :class:`~repro.core.blocks.BlockStore` of the
-    :class:`RankedStateVector` (:meth:`get`, :meth:`put`, iteration,
-    :meth:`compressed_bytes`): one blob per request rides the pipe, off the
-    gate hot path.
 
-    Per gate, the plan's tasks are grouped by owning rank and shipped as one
-    batched message per rank; each reply carries the rank's
-    :class:`~repro.core.kernel.TaskStats` (codec timings, task, duplicate and
-    cache-shard counts), slice footprint and cumulative
+class RankedStateVector(CompressedStateVector):
+    """A :class:`~repro.core.compressed_state.CompressedStateVector` whose
+    blocks live in rank worker processes, and the parent-side driver of
+    those workers.
+
+    One persistent :class:`~repro.core.procpool.ProcessPool` worker per rank
+    (:class:`RankWorker`), reached over that worker's control pipe; the
+    socket pairs the rank endpoints exchange blocks over are created here,
+    handed to the workers and closed on this side before the constructor
+    returns.  Initialisation and :meth:`reset` broadcast the basis state
+    (each rank compresses its own slice — byte-identical to the sequential
+    path, the codecs being deterministic); :meth:`get_block` /
+    :meth:`put_block` move one blob per request over the pipes, off the gate
+    hot path; :meth:`reduce_blocks` runs in the rank workers.  The parent
+    keeps no scratch pool and no block cache: the rank workers own all
+    staging and the cache shards.
+
+    Per gate, :meth:`run_plan` groups the plan's tasks by owning rank and
+    ships them as one batched message per rank; each reply carries the
+    rank's :class:`~repro.core.kernel.TaskStats` (codec timings, task,
+    duplicate and cache-shard counts), slice footprint and cumulative
     :class:`~repro.distributed.process_comm.CommunicationStats`, which are
     folded into the report — ``communication_seconds`` grows by the
     *maximum* per-rank exchange-time delta of the gate (the critical path;
@@ -344,14 +319,10 @@ class RankedExecutor:
 
     Parameters
     ----------
-    partition:
-        The rank/block decomposition (defines the pool width).
-    decompressors:
-        Name → instance map seeded into every rank worker.
-    report:
-        The simulator's report accumulator.
-    cache_enabled:
-        Whether every rank keeps a block-cache shard.
+    partition, compressor, initial_basis_state, decompressors, cache_enabled:
+        As for :class:`~repro.core.compressed_state.CompressedStateVector`;
+        *decompressors* seeds every rank worker's map and decodes the blobs
+        the parent fetches, and *cache_enabled* gives every rank a shard.
     start_method:
         ``multiprocessing`` start method for the rank workers.
     comm_timeout:
@@ -360,24 +331,27 @@ class RankedExecutor:
 
     Injected comm faults are armed here, in the parent, one
     :class:`~repro.resilience.faults.CommFaultState` per rank riding that
-    rank's worker arguments; arming spends them, so the executor the
-    simulator rebuilds after a failure runs clean.  Rank death itself is
-    recovered one level up (the simulator tears the pool down and resumes
-    from its last resilience checkpoint).
+    rank's worker arguments; arming spends them, so the state the simulator
+    rebuilds after a failure runs clean.  Rank death itself is recovered one
+    level up (the simulator tears the pool down and resumes from its last
+    resilience checkpoint).
     """
 
+    # The block table, kernel and scratch pool of the base class live in the
+    # rank workers, so its constructor is not run here.
     def __init__(
         self,
-        *,
         partition: Partition,
+        compressor: Compressor,
+        initial_basis_state: int = 0,
+        *,
         decompressors: dict[str, Compressor],
-        report: SimulationReport,
         cache_enabled: bool,
         start_method: str | None = None,
         comm_timeout: float = 120.0,
     ) -> None:
         self._partition = partition
-        self._report = report
+        self._decompressors = decompressors
         num_ranks = partition.num_ranks
         # The workers hold the only open ends once the pool is up (or has
         # failed to come up): a socket is a descriptor, and this process may
@@ -401,10 +375,11 @@ class RankedExecutor:
                 start_method=start_method,
             )
         self._rank_bytes = [0] * num_ranks
-        self._rank_comm = [CommunicationStats().as_dict()] * num_ranks
-        self._publish_comm()
-
-    # -- executor surface -------------------------------------------------------------
+        try:
+            self.reset(compressor, initial_basis_state)
+        except BaseException:
+            self.close()
+            raise
 
     @property
     def pool(self) -> ProcessPool | None:
@@ -412,24 +387,24 @@ class RankedExecutor:
 
         return self._pool
 
-    def rebind_report(self, report: SimulationReport) -> None:
-        """Point the executor at a fresh report accumulator (batched reset)."""
+    @property
+    def cache(self) -> None:
+        """``None``: the block-cache shards live in the rank workers."""
 
-        self._report = report
-        self._publish_comm()
+        return None
 
-    def reset_workers(self) -> None:
-        """Clear every rank's cache shard, warm compressors and comm counters.
+    def reset(self, compressor: Compressor, initial_basis_state: int = 0) -> None:
+        """Re-initialise every rank's slice to ``|initial_basis_state>`` and
+        restart every rank's cache shard, warm compressors and comm counters,
+        keeping the rank processes (the batched-run reset path)."""
 
-        Called between batched circuits so each circuit sees fresh-simulator
-        behaviour while the rank processes (and their block slices, already
-        re-initialised through :meth:`RankedStateVector.reset`) stay warm.
-        """
-
-        if self._pool is not None:
-            self._pool.broadcast(("reset",))
-        self._rank_comm = [CommunicationStats().as_dict()] * len(self._rank_comm)
-        self._publish_comm()
+        pool = self._require_pool()
+        num_ranks = self._partition.num_ranks
+        for rank in range(num_ranks):
+            pool.submit(rank, ("init", compressor, initial_basis_state))
+        for worker_id, reply in self._collect(pool, num_ranks, "state initialisation"):
+            self._rank_bytes[worker_id] = reply[1]
+        self._rank_comm = [CommunicationStats().as_dict()] * num_ranks
 
     def close(self, join_timeout: float = 3.0) -> None:
         """Shut down the rank workers (idempotent).
@@ -444,67 +419,70 @@ class RankedExecutor:
         if pool is not None:
             pool.close(join_timeout=join_timeout)
 
-    def __enter__(self) -> "RankedExecutor":
-        return self
+    def new_report(self) -> SimulationReport:
+        """An empty report carrying every rank's (zero) comm counters."""
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        report = super().new_report()
+        self._publish_comm(report)
+        return report
 
     # -- plan execution ---------------------------------------------------------------
 
-    def run_plan(self, op: BlockOp, plan: GatePlan) -> None:
-        """Distribute one gate's or run's plan across the ranks."""
+    def run_plan(self, op: BlockOp, plan: GatePlan, report: SimulationReport) -> None:
+        """Distribute one gate's or run's plan across the ranks and fold
+        the replies into *report*."""
 
         pool = self._require_pool()
-        per_rank: dict[int, list[tuple]] = {}
+        per_rank = self._partition.blocks_per_rank
+        batches: dict[int, list] = {}
+        peers: dict[int, int] = {}
         for task in plan.tasks:
-            rank, block = task.first
-            if task.second is None:
-                per_rank.setdefault(rank, []).append(("one", block))
-            elif not task.crosses_ranks:
-                per_rank.setdefault(rank, []).append(
-                    ("pair", block, task.second[1])
-                )
+            (rank, block), second = task.first, task.second
+            if task.crosses_ranks:
+                peer = second[0]
+                batches.setdefault(rank, []).append(block)
+                batches.setdefault(peer, []).append(block)
+                peers[rank], peers[peer] = peer, rank
+            elif second is None:
+                batches.setdefault(rank, []).append((rank * per_rank + block,))
             else:
-                peer_rank = task.second[0]
-                per_rank.setdefault(rank, []).append(("xchg", block, peer_rank))
-                per_rank.setdefault(peer_rank, []).append(("xchg", block, rank))
-        if not per_rank:
-            return
-        for rank, tasks in per_rank.items():
-            pool.submit(rank, ("gate", op, tuple(tasks)))
-        comm_deltas = []
-        for worker_id, reply in self._collect(pool, len(per_rank), "gate batch"):
+                batches.setdefault(rank, []).append(
+                    (rank * per_rank + block, second[0] * per_rank + second[1])
+                )
+        for rank, tasks in batches.items():
+            pool.submit(rank, ("gate", op, peers.get(rank), tuple(tasks)))
+        comm_deltas = [0.0]
+        for worker_id, reply in self._collect(pool, len(batches), "gate batch"):
             _, rank_bytes, stats, comm = reply
             self._rank_bytes[worker_id] = rank_bytes
-            stats.fold_into(self._report)
+            stats.fold_into(report)
             # The rank's exchange-seconds delta, for critical-path comm time.
             previous = self._rank_comm[worker_id]["exchange_seconds"]
             comm_deltas.append(comm["exchange_seconds"] - previous)
             self._rank_comm[worker_id] = comm
-        self._report.add_time("communication", max(comm_deltas))
-        self._publish_comm()
+        report.add_time("communication", max(comm_deltas))
+        self._publish_comm(report)
 
-    def _publish_comm(self) -> None:
-        """Write the per-rank counters and their aggregate into the report.
+    def _publish_comm(self, report: SimulationReport) -> None:
+        """Write the per-rank counters and their aggregate into *report*.
 
         Each endpoint counted what it sent, so bytes sum over the ranks, and
         every cross-rank pair ticked at both of its ranks.
         """
 
-        report, per_rank = self._report, self._rank_comm
+        per_rank = self._rank_comm
         report.communication_bytes = sum(entry["bytes_sent"] for entry in per_rank)
         report.block_exchanges = sum(entry["exchanges"] for entry in per_rank) // 2
         report.rank_comm = [
             {"rank": rank, **entry} for rank, entry in enumerate(per_rank)
         ]
 
-    # -- the block store RankedStateVector holds ---------------------------------------
+    # -- the rank-worker protocol ----------------------------------------------------
 
     def _require_pool(self) -> ProcessPool:
         if self._pool is None:
             raise PoolProtocolError(
-                "the ranked executor is closed; state now lives nowhere — "
+                "the ranked state is closed; its blocks now live nowhere — "
                 "rebuild the simulator"
             )
         return self._pool
@@ -556,86 +534,44 @@ class RankedExecutor:
             )
         return reply
 
-    def get(self, rank: int, block: int) -> CompressedBlock:
+    # -- block-level access ---------------------------------------------------------
+
+    def get_block(self, rank: int, block: int) -> CompressedBlock:
         """Pull one compressed block out of its owning rank worker."""
 
-        _, blob, name, bound = self._request(rank, ("get", block))
+        _, blob, name, bound = self._request(rank, ("get", self._index(rank, block)))
         return CompressedBlock(blob=blob, compressor=name, bound=bound)
 
-    def put(self, rank: int, block: int, entry: CompressedBlock) -> None:
+    def put_block(self, rank: int, block: int, entry: CompressedBlock) -> None:
         """Push one compressed block into its owning rank worker."""
 
+        index = self._index(rank, block)
         reply = self._request(
-            rank, ("put", block, entry.compressor, entry.bound, entry.blob)
+            rank, ("put", index, entry.compressor, entry.bound, entry.blob)
         )
         self._rank_bytes[rank] = reply[1]
 
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], CompressedBlock]]:
-        for rank in range(self._partition.num_ranks):
-            for block in range(self._partition.blocks_per_rank):
-                yield (rank, block), self.get(rank, block)
+    def compressed_bytes(self) -> int:
+        """Total compressed size across all ranks, as the last replies left it."""
 
-    def broadcast_init(self, compressor: Compressor, basis_state: int) -> None:
-        """(Re)initialise every rank's slice to ``|basis_state>``."""
-
-        pool = self._require_pool()
-        for rank in range(self._partition.num_ranks):
-            pool.submit(rank, ("init", compressor, basis_state))
-        replies = self._collect(
-            pool, self._partition.num_ranks, "state initialisation"
-        )
-        for worker_id, reply in replies:
-            self._rank_bytes[worker_id] = reply[1]
+        return sum(self._rank_bytes)
 
     def reduce_blocks(self, zmasks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Per-block masses and diagonal partials, reduced in the rank workers.
 
-        Each rank decodes its own blocks and replies with numbers only; the
-        rows are stacked in rank order, so the result is the rank-major table
-        the parent-side state would produce for the same blobs.
+        Each rank decodes its own blocks with its own warm map and replies
+        with numbers only; the rows are stacked in rank order, so the result
+        is the rank-major table the sequential state would produce for the
+        same blobs.
         """
 
         pool = self._require_pool()
         zmasks = tuple(zmasks)
-        for rank in range(self._partition.num_ranks):
+        num_ranks = self._partition.num_ranks
+        for rank in range(num_ranks):
             pool.submit(rank, ("reduce", zmasks))
-        replies = dict(
-            self._collect(pool, self._partition.num_ranks, "block reduction")
-        )
-        ranks = range(self._partition.num_ranks)
+        replies = dict(self._collect(pool, num_ranks, "block reduction"))
         return (
-            np.concatenate([replies[rank][1] for rank in ranks]),
-            np.concatenate([replies[rank][2] for rank in ranks]),
+            np.concatenate([replies[rank][1] for rank in range(num_ranks)]),
+            np.concatenate([replies[rank][2] for rank in range(num_ranks)]),
         )
-
-    def compressed_bytes(self) -> int:
-        """Cached total compressed size across all ranks."""
-
-        return sum(self._rank_bytes)
-
-
-class RankedStateVector(CompressedStateVector):
-    """A :class:`~repro.core.compressed_state.CompressedStateVector` whose
-    blocks live in the rank worker processes.
-
-    Built with ``store=`` the :class:`RankedExecutor` owning the rank
-    workers: initialisation broadcasts the basis state to them (each rank
-    compresses its own slice — byte-identical to the parent-side path, the
-    codecs being deterministic), block access and iteration are the
-    executor's ``get`` / ``put`` over the control pipes, and
-    :meth:`reduce_blocks` runs in the rank workers.
-    """
-
-    def _initialise(self, compressor: Compressor, basis_state: int) -> None:
-        self._store.broadcast_init(compressor, basis_state)
-
-    def reduce_blocks(
-        self, zmasks: Sequence[int], decompressors: dict[str, Compressor]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block masses and diagonal partials, computed rank-locally.
-
-        *decompressors* is unused — each rank decodes its own blocks with its
-        own warm map, and only the numbers cross the control pipes.
-        """
-
-        return self._store.reduce_blocks(zmasks)

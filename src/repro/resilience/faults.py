@@ -15,7 +15,7 @@ the plan spec.
 Every injection is armed in the parent process, where the plan lives:
 :class:`ProcessPool <repro.core.procpool.ProcessPool>` arms a
 :class:`PoolFaultState` per pool and consults it on every submit, and
-:class:`RankedExecutor <repro.distributed.ranked.RankedExecutor>` arms a
+:class:`RankedStateVector <repro.distributed.ranked.RankedStateVector>` arms a
 :class:`CommFaultState` per rank and ships it to that rank's worker with the
 rest of its constructor arguments — so fork and spawn behave alike.  With no
 active plan every hook is ``None`` and the fast paths pay a single attribute

@@ -333,11 +333,11 @@ def sample_counts(simulator, shots: int, rng: np.random.Generator) -> dict[int, 
     """
 
     partition = simulator.partition
-    state, decompressors = simulator.state, simulator._decompressors
+    state = simulator.state
 
     def probs_of(block_index: int) -> np.ndarray:
         rank, block = divmod(block_index, partition.blocks_per_rank)
-        return state.probabilities_of_block(rank, block, decompressors)
+        return state.probabilities_of_block(rank, block)
 
     block_mass = np.array(
         [probs_of(index).sum() for index in range(partition.total_blocks)]

@@ -18,7 +18,6 @@ from repro.compression import LosslessCompressor, XorBitplaneCompressor
 from repro.core import (
     AdaptiveErrorController,
     BlockCache,
-    BlockStore,
     CompressedBlock,
     CompressedStateVector,
     FidelityTracker,
@@ -59,6 +58,35 @@ class TestSimulatorConfig:
         with pytest.raises(ValueError):
             SimulatorConfig(error_levels=(0.0, 1e-3))
 
+    @pytest.mark.parametrize("level", [42, -5, -1, 10])
+    def test_rejects_a_codec_level_zlib_cannot_run(self, level):
+        # Accepted, 42, -5 and 10 failed only at the first compress: a raw
+        # zlib.error, on the ranked tier inside a rank worker.  zlib's -1
+        # alias for its default goes too: one 0-9 range for every backend.
+        with pytest.raises(ValueError, match="lossless_level"):
+            SimulatorConfig(lossless_level=level)
+        with pytest.raises(ValueError, match="lossless_level"):
+            SimulatorConfig(comm="process", num_ranks=2, lossless_level=level)
+        assert SimulatorConfig(lossless_level=0).lossless_level == 0
+        assert SimulatorConfig(lossless_level=9).lossless_level == 9
+
+    @pytest.mark.parametrize("budget", [-1, 0])
+    def test_rejects_a_budget_that_cannot_hold_anything(self, budget):
+        # Accepted, a non-positive budget escalated on the first gate.
+        with pytest.raises(ValueError, match="memory_budget_bytes"):
+            SimulatorConfig(memory_budget_bytes=budget)
+        assert SimulatorConfig(memory_budget_bytes=1).memory_budget_bytes == 1
+
+    def test_run_rejects_invalid_codec_settings_before_any_work(self):
+        circuit = repro.QuantumCircuit(3).h(0).cx(0, 1)
+        with pytest.raises(ValueError, match="lossless_level"):
+            repro.run(circuit, config=SimulatorConfig(lossless_level=42))
+        with pytest.raises(ValueError, match="memory_budget_bytes"):
+            repro.run(circuit, config=SimulatorConfig(memory_budget_bytes=-1))
+        base = SimulatorConfig(num_ranks=2)
+        with pytest.raises(ValueError, match="lossless_level"):
+            dataclasses.replace(base, lossless_level=-5)
+
     def test_rejects_bad_block_amplitudes(self):
         with pytest.raises(ValueError):
             SimulatorConfig(block_amplitudes=3)
@@ -79,31 +107,50 @@ class TestSimulatorConfig:
             config.resolve_block_amplitudes(12, 4)
 
 
-class TestBlockStore:
+class TestStateBlockTable:
+    """The sequential state's block table, keyed by global block index."""
+
     def setup_method(self):
         self.partition = Partition(num_qubits=6, num_ranks=2, block_amplitudes=8)
-        self.store = BlockStore(self.partition)
+        codec = LosslessCompressor()
+        self.state = CompressedStateVector(
+            self.partition,
+            codec,
+            decompressors={codec.name: codec},
+            cache_enabled=False,
+        )
 
     def test_put_get_roundtrip(self):
         block = CompressedBlock(blob=b"abc", compressor="lossless", bound=0.0)
-        self.store.put(1, 2, block)
-        assert self.store.get(1, 2).blob == b"abc"
+        self.state.put_block(1, 2, block)
+        assert self.state.get_block(1, 2).blob == b"abc"
+        table = list(self.state.iter_blocks())
+        assert table[1 * self.partition.blocks_per_rank + 2] == ((1, 2), block)
 
-    def test_get_uninitialised_raises(self):
-        with pytest.raises(KeyError):
-            self.store.get(0, 0)
+    def test_every_block_is_set_and_off_grid_raises(self):
+        # The table is built whole at construction: no block is ever unset,
+        # and a (rank, block) outside the partition is an error, not another
+        # rank's block.
+        table = list(self.state.iter_blocks())
+        assert [key for key, _ in table] == [
+            (rank, block) for rank in range(2) for block in range(4)
+        ]
+        assert all(isinstance(entry, CompressedBlock) for _, entry in table)
+        for rank, block in ((2, 0), (0, 4), (-1, 0), (0, -1)):
+            with pytest.raises(IndexError):
+                self.state.get_block(rank, block)
 
     def test_memory_accounting(self):
         for rank in range(2):
             for block in range(self.partition.blocks_per_rank):
-                self.store.put(
+                self.state.put_block(
                     rank, block, CompressedBlock(b"x" * 10, "lossless", 0.0)
                 )
-        assert self.store.compressed_bytes() == 10 * self.partition.total_blocks
+        assert self.state.compressed_bytes() == 10 * self.partition.total_blocks
 
     def test_state_footprint_is_eq8(self):
-        state = CompressedStateVector(self.partition, LosslessCompressor())
         expected_scratch = 2 * self.partition.block_bytes * 2
+        state = self.state
         assert state.footprint_bytes() == state.compressed_bytes() + expected_scratch
         assert state.compression_ratio() == pytest.approx(
             self.partition.uncompressed_bytes() / state.compressed_bytes()
@@ -165,6 +212,92 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             check=True,
         )
         assert int(done.stdout) < 1000
+
+
+class _RecordingLibc:
+    """Stands in for ``ctypes.CDLL(None)``: records every ``mallopt`` call."""
+
+    calls: list[tuple[int, int]] = []
+
+    def __init__(self, name):
+        assert name is None  # the process's own symbols
+
+    def mallopt(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return 1
+
+
+class _NoLibc:
+    def __init__(self, name):
+        raise OSError("no libc handle")
+
+
+class _NotGlibc:
+    """A C library without ``mallopt``."""
+
+    def __init__(self, name):
+        pass
+
+
+@pytest.fixture
+def fresh_task_heap(monkeypatch):
+    """``_keep_task_heap`` runs once per process (``functools.cache``):
+    clear it around the test so each test sees a process that has not set
+    the thresholds yet, and record ``mallopt`` instead of calling it."""
+
+    from repro.core import blocks
+
+    blocks._keep_task_heap.cache_clear()
+    monkeypatch.setattr(_RecordingLibc, "calls", [])
+    monkeypatch.setattr(blocks.ctypes, "CDLL", _RecordingLibc)
+    yield blocks
+    blocks._keep_task_heap.cache_clear()
+
+
+class TestKeepTaskHeap:
+    """Every process that runs block tasks builds a :class:`ScratchPool`
+    first, and that sets glibc's two heap thresholds once per process."""
+
+    @staticmethod
+    def _state():
+        codec = LosslessCompressor()
+        partition = Partition(num_qubits=4, num_ranks=1, block_amplitudes=4)
+        return CompressedStateVector(
+            partition, codec, decompressors={codec.name: codec}, cache_enabled=True
+        )
+
+    @staticmethod
+    def _rank_worker():
+        from repro.distributed.ranked import RankWorker
+
+        codec = LosslessCompressor()
+        worker = RankWorker(4, 1, 4, {codec.name: codec}, True, 1.0, 0, {}, None)
+        worker.close()
+        return worker
+
+    @pytest.mark.parametrize("first", ["state", "rank_worker"])
+    def test_thresholds_set_once_per_process(self, fresh_task_heap, first):
+        blocks = fresh_task_heap
+        builders = {"state": self._state, "rank_worker": self._rank_worker}
+        builders[first]()
+        expected = [
+            (blocks._M_MMAP_THRESHOLD, blocks._MMAP_THRESHOLD_BYTES),
+            (blocks._M_TRIM_THRESHOLD, blocks._TRIM_THRESHOLD_BYTES),
+        ]
+        assert _RecordingLibc.calls == expected
+        # Whatever is built next in the same process sets nothing again.
+        for build in builders.values():
+            build()
+        assert _RecordingLibc.calls == expected
+
+    @pytest.mark.parametrize("libc", [_NoLibc, _NotGlibc])
+    def test_without_glibc_it_is_a_no_op(self, fresh_task_heap, monkeypatch, libc):
+        blocks = fresh_task_heap
+        monkeypatch.setattr(blocks.ctypes, "CDLL", libc)
+        state = self._state()
+        assert state.to_statevector()[0] == 1.0
+        self._rank_worker()
+        assert _RecordingLibc.calls == []
 
 
 class TestBlockCache:

@@ -671,7 +671,7 @@ def test_failure_mid_plan_keeps_finished_tasks(simulator_config):
 
         before = {key: entry.blob for key, entry in simulator.state.iter_blocks()}
         entry = simulator.state.get_block(1, 0)
-        simulator.state.store.put(
+        simulator.state.put_block(
             1,
             0,
             CompressedBlock(

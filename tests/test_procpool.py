@@ -5,7 +5,7 @@ Three contracts are pinned here:
 
 * **One mechanism** — ``num_workers=num_ranks``, with or without
   ``executor="process"``, is the ranked tier (:mod:`tests.test_ranked`
-  covers the tier itself): same executor and byte-identical compressed
+  covers the tier itself): same state class and byte-identical compressed
   states as ``comm="process"`` and the sequential path, fork *and* spawn.
 * **Fan-out** — ``repro.run(..., parallel="process")`` equals the sequential
   batch, JSON for JSON.
@@ -38,13 +38,13 @@ from repro.compression import ErrorBoundMode, available_compressors, get_compres
 from repro.compression.huffman import HuffmanCodec
 from repro.core import (
     CompressedSimulator,
+    CompressedStateVector,
     SimulatorConfig,
-    TaskExecutor,
     effective_cpu_count,
 )
 from repro.core.kernel import TaskStats
 from repro.core.procpool import ProcessPool, live_pool_count
-from repro.distributed.ranked import RankedExecutor
+from repro.distributed.ranked import RankedStateVector
 from repro.resilience import FaultPolicy
 from repro.resilience.faults import (
     CommFaultState,
@@ -182,7 +182,7 @@ class TestMessagePool:
 class TestProcessSpellingIsTheRankedTier:
     """``comm="process"``, ``num_workers=num_ranks`` and
     ``executor="process", num_workers=num_ranks`` select one mechanism: same
-    tier, same executor, same bits."""
+    tier, same state class, same bits."""
 
     @pytest.mark.parametrize("budget", [None, 3_000])
     def test_same_tier_same_executor_same_bits(self, budget):
@@ -203,7 +203,7 @@ class TestProcessSpellingIsTheRankedTier:
                 report = simulator.apply_circuit(circuit)
                 outcomes[spelling] = (
                     config.tier,
-                    type(simulator.executor),
+                    type(simulator.state),
                     bool(report.rank_comm),
                     simulator.statevector().tobytes(),
                     report.peak_footprint_bytes,
@@ -211,8 +211,12 @@ class TestProcessSpellingIsTheRankedTier:
                     report.escalations,
                 )
         assert outcomes["executor"] == outcomes["workers"] == outcomes["comm"]
-        assert outcomes["comm"][:3] == ("ranked", RankedExecutor, True)
-        assert outcomes["sequential"][:3] == ("sequential", TaskExecutor, False)
+        assert outcomes["comm"][:3] == ("ranked", RankedStateVector, True)
+        assert outcomes["sequential"][:3] == (
+            "sequential",
+            CompressedStateVector,
+            False,
+        )
         assert outcomes["comm"][3:] == outcomes["sequential"][3:]
         # The budget must actually bite (workers then pick up the escalated
         # compressor instances gate by gate).
@@ -303,7 +307,7 @@ class TestProcessSpellingIsTheRankedTier:
         assert config.tier == "sequential"
         with CompressedSimulator(7, config) as simulator:
             simulator.apply_circuit(circuit)
-            assert type(simulator.executor) is TaskExecutor
+            assert type(simulator.state) is CompressedStateVector
             assert live_pool_count() == 0
             assert np.array_equal(sequential, simulator.statevector())
 

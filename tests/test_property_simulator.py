@@ -24,7 +24,7 @@ from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.circuits.fusion import form_runs
 from repro.core import CompressedSimulator
 from repro.distributed import Partition, plan_gate
-from repro.distributed.ranked import RankedExecutor
+from repro.distributed.ranked import RankedStateVector
 from repro.statevector import simulate_statevector, state_fidelity
 from test_compressed_simulator import PARTITION_SHAPES
 from tiers import TIERS, tier_config, tier_of
@@ -156,7 +156,7 @@ class TestLosslessEquivalence:
                     assert report.gates_executed == report.fusion_gates_out
                     ranked = tier != "sequential"
                     assert config.tier == tier_of(tier)
-                    assert isinstance(simulator.executor, RankedExecutor) == ranked
+                    assert isinstance(simulator.state, RankedStateVector) == ranked
                     assert bool(report.rank_comm) == ranked
         dense = simulate_statevector(circuit)
         assert np.array_equal(_bits(states[True]), _bits(dense))

@@ -30,7 +30,7 @@ from repro.core import (
     save_checkpoint,
 )
 from repro.core.blocks import CompressedBlock
-from repro.distributed import RankedExecutor, plan_gate
+from repro.distributed import RankedStateVector, plan_gate
 from repro.errors import PoolProtocolError, WorkerCrashedError
 from repro.resilience import FaultPolicy, faults
 from repro.resilience.faults import DropComm, FaultPlan
@@ -320,11 +320,11 @@ class TestExchangeProtocol:
         # equal values.  Each crossing plan's batch reply carries the rank's
         # task count: the pairs it computed.
         batches = []
-        run_plan, collect = RankedExecutor.run_plan, RankedExecutor._collect
+        run_plan, collect = RankedStateVector.run_plan, RankedStateVector._collect
 
-        def recording_run_plan(self, op, plan):
+        def recording_run_plan(self, op, plan, report):
             batches.append((plan, {}))
-            run_plan(self, op, plan)
+            run_plan(self, op, plan, report)
 
         def recording_collect(self, pool, expected, context):
             replies = collect(self, pool, expected, context)
@@ -332,8 +332,8 @@ class TestExchangeProtocol:
                 batches[-1][1].update((rank, reply[2].tasks) for rank, reply in replies)
             return replies
 
-        monkeypatch.setattr(RankedExecutor, "run_plan", recording_run_plan)
-        monkeypatch.setattr(RankedExecutor, "_collect", recording_collect)
+        monkeypatch.setattr(RankedStateVector, "run_plan", recording_run_plan)
+        monkeypatch.setattr(RankedStateVector, "_collect", recording_collect)
         num_qubits = split_qubits(num_ranks)
         circuit = split_pairs_circuit(num_qubits)
         config = split_config(tier, num_ranks, start_lossless=False)
@@ -515,8 +515,8 @@ class TestLifecycle:
 
 
 class TestParentReadout:
-    """``RankedExecutor.get`` / ``put``: one blob per request, riding the
-    owning rank's control pipe."""
+    """``RankedStateVector.get_block`` / ``put_block``: one blob per request,
+    riding the owning rank's control pipe."""
 
     #: Empty, minimal, one byte past the 64 KiB pipe buffer, and far past it.
     SIZES = (0, 1, (64 << 10) + 1, 4 << 20)
@@ -528,32 +528,32 @@ class TestParentReadout:
         rng = np.random.default_rng(17)
         config = ranked_config(num_ranks=2, mp_start_method=start_method)
         with CompressedSimulator(NUM_QUBITS, config) as simulator:
-            store = simulator.state.store
-            assert store is simulator.executor  # no pass-through layer between
+            state = simulator.state
+            assert isinstance(state, RankedStateVector)
             for block, size in enumerate(self.SIZES):
                 blob = rng.bytes(size)
                 rank = block % 2
-                store.put(rank, block, CompressedBlock(blob, "opaque", 0.25))
-                entry = store.get(rank, block)
+                state.put_block(rank, block, CompressedBlock(blob, "opaque", 0.25))
+                entry = state.get_block(rank, block)
                 assert (entry.blob, entry.compressor, entry.bound) == (
                     blob,
                     "opaque",
                     0.25,
                 )
             # The parent's cached footprint followed every put.
-            assert store.compressed_bytes() == sum(
-                entry.nbytes for _key, entry in store
+            assert state.compressed_bytes() == sum(
+                entry.nbytes for _key, entry in state.iter_blocks()
             )
 
     def test_rank_killed_between_gets_raises_promptly(self):
         config = ranked_config(num_ranks=2, fault_policy=FaultPolicy(max_retries=0))
         with CompressedSimulator(NUM_QUBITS, config) as simulator:
-            store = simulator.executor
-            store.get(1, 0)
-            os.kill(store.pool.worker_pid(1), signal.SIGKILL)
+            state = simulator.state
+            state.get_block(1, 0)
+            os.kill(state.pool.worker_pid(1), signal.SIGKILL)
             start = time.monotonic()
             with pytest.raises(WorkerCrashedError) as excinfo:
-                store.get(1, 0)
+                state.get_block(1, 0)
             assert time.monotonic() - start < 10.0
             assert excinfo.value.worker_id == 1
 
@@ -584,7 +584,7 @@ class TestFailureAndValidation:
         config = ranked_config(fault_policy=FaultPolicy(max_retries=0))
         with CompressedSimulator(NUM_QUBITS, config) as simulator:
             simulator.apply_circuit(circuit)
-            simulator.executor.pool.submit(2, ("die",))
+            simulator.state.pool.submit(2, ("die",))
             start = time.monotonic()
             with pytest.raises(WorkerCrashedError):
                 simulator.apply_gate(standard_gate("h", NUM_QUBITS - 1))
@@ -615,7 +615,7 @@ class TestFailureAndValidation:
         inert = FaultPolicy(max_retries=0)
         config = SimulatorConfig(comm="process", fault_policy=inert, **options)
         with CompressedSimulator(6, config) as simulator:
-            pool = simulator.executor.pool
+            pool = simulator.state.pool
             sent, submit = [], pool.submit
 
             def recording(worker_id, message):
@@ -654,12 +654,12 @@ class TestFailureAndValidation:
         # queued replies undrained — a later request would mis-unpack a
         # stale reply (e.g. norm_squared returning a byte count).
         with CompressedSimulator(NUM_QUBITS, ranked_config()) as simulator:
-            executor = simulator.executor
-            pool = executor.pool or executor._require_pool()
+            state = simulator.state
+            pool = state.pool or state._require_pool()
             pool.submit(0, ("bogus-kind",))
             pool.submit(1, ("ping",))
             with pytest.raises(ValueError, match="bogus-kind"):
-                executor._collect(pool, 2, "test dispatch")
+                state._collect(pool, 2, "test dispatch")
             # The protocol stayed in sync: real collectives still work.
             with pytest.raises(PoolProtocolError, match="no outstanding"):
                 pool.recv_any()

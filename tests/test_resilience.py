@@ -487,7 +487,7 @@ class TestRankedRecovery:
             assert simulator.report().recovery["checkpoints_written"] > 0
             checkpoint = tmp_path / "resilience.ckpt"
             checkpoint.write_bytes(checkpoint.read_bytes()[:40])
-            os.kill(simulator.executor.pool.worker_pid(0), signal.SIGKILL)
+            os.kill(simulator.state.pool.worker_pid(0), signal.SIGKILL)
             with pytest.raises(CheckpointError):
                 for element in schedule[half:]:
                     simulator.apply_gate(element)

@@ -8,7 +8,7 @@ the blocks live, for a lossless state and for one a memory budget escalated
 to a lossy bound.  On the ranked tier the block reduction (masses and
 diagonal partials) runs in the rank workers and only numbers cross the
 control pipes; sampling's hit blocks, forks, checkpoints and restores pull or
-push blobs through them (``RankedExecutor.get`` / ``put``).  On the
+push blobs through them (``RankedStateVector.get_block`` / ``put_block``).  On the
 sequential tier all of it reads the parent-side block table.
 """
 
@@ -25,7 +25,7 @@ from repro.backends import PauliObservable
 from repro.circuits import standard_gate
 from repro.core import CompressedSimulator, load_checkpoint, save_checkpoint
 from repro.core.checkpoint import resume_from_checkpoint
-from repro.distributed.ranked import RankedExecutor
+from repro.distributed.ranked import RankedStateVector
 from tiers import RANKED, tier_config
 
 NUM_QUBITS = 7
@@ -150,13 +150,13 @@ def test_ranked_reduction_fetches_only_hit_blocks(spelling, state, monkeypatch):
     fetches each hit block once, and nothing else."""
 
     fetched: list[tuple[int, int]] = []
-    original = RankedExecutor.get
+    original = RankedStateVector.get_block
 
     def counting_get(self, rank, block):
         fetched.append((rank, block))
         return original(self, rank, block)
 
-    monkeypatch.setattr(RankedExecutor, "get", counting_get)
+    monkeypatch.setattr(RankedStateVector, "get_block", counting_get)
     with run_circuit(functools.partial(tier_config, spelling), state) as live:
         masses, _partials = live.block_reduction(DIAGONAL.diagonal_zmasks)
         DIAGONAL.expectation(live)
