@@ -110,11 +110,16 @@ def _modelled_run(circuit, num_ranks: int) -> dict:
         + report["decompression_seconds"]
         + report["computation_seconds"]
     ) / num_ranks
+    comm = _modelled_comm_seconds(report)
     return {
         "ranks": num_ranks,
         "sequential_seconds": result.metadata["wall_seconds"],
-        "modelled_parallel_seconds": compute + _modelled_comm_seconds(report),
+        "modelled_parallel_seconds": compute + comm,
+        "compute_seconds": compute,
+        "modelled_comm_seconds": comm,
+        "tasks_per_rank": report["tasks_executed"] / num_ranks,
         "communication_bytes": report["communication_bytes"],
+        "block_exchanges": report["block_exchanges"],
     }
 
 
@@ -167,6 +172,7 @@ def _best_per_rank_count(circuit) -> list[dict]:
             "modelled_parallel_seconds": min(
                 row["modelled_parallel_seconds"] for row in rows
             ),
+            "compute_seconds": min(row["compute_seconds"] for row in rows),
         }
         for rows in runs.values()
     ]
@@ -186,6 +192,25 @@ def _modelled_rows(workload: str, circuit) -> list[dict]:
     ]
 
 
+def _stalled_term(rows: list[dict]) -> str:
+    """Which modelled term shrinks least over the last rank doubling."""
+
+    last, before = rows[-1], rows[-2]
+    ratios = {
+        term: last[term] / before[term]
+        for term in ("compute_seconds", "modelled_comm_seconds")
+    }
+    stalled = max(ratios, key=ratios.get)
+    return (
+        f"{before['ranks']} -> {last['ranks']} ranks: compute x"
+        f"{ratios['compute_seconds']:.2f}, modelled comm x"
+        f"{ratios['modelled_comm_seconds']:.2f}; {stalled} stops shrinking"
+        f" (tasks per rank {before['tasks_per_rank']:.0f} ->"
+        f" {last['tasks_per_rank']:.0f}, one block "
+        f"{(1 << NUM_QUBITS) // last['ranks'] // 4} amplitudes)."
+    )
+
+
 def test_fig16_node_scaling(benchmark, emit):
     rcs = random_supremacy_circuit(4, 4, depth=16, seed=11)
     rows = _modelled_rows("rcs16", rcs)
@@ -203,6 +228,9 @@ def test_fig16_node_scaling(benchmark, emit):
         "\nbecause communication does not shrink with the per-rank state."
         "\nhadamard: degenerate, not asserted - every block is identical, so each"
         "\nplan's kernel runs once whatever the rank count."
+        "\nmodelled_parallel_seconds = compute_seconds (measured codec + kernel"
+        "\nseconds / ranks) + modelled_comm_seconds (counted traffic, modelled link)."
+        f"\nrcs16, {_stalled_term(rows)}"
         f"\nseconds: fastest of {REPEATS} interleaved rounds after one untimed run.",
     )
     _merge_json("modelled", rows)

@@ -1,11 +1,11 @@
-"""Compressed block storage and decompression scratch buffers.
+"""Compressed block storage and the decompression scratch buffer.
 
 The state vector never exists in full: every block is held as a compressed
 blob (:class:`CompressedBlock`, in the block table of
 :class:`~repro.core.compressed_state.CompressedStateVector` or of a rank
 worker), and at most two blocks per rank are ever decompressed at the same
-time into reusable scratch buffers (:class:`ScratchPool`) — the role MCDRAM
-plays in the paper's Theta runs (Section 3.2).
+time, side by side in one reusable scratch buffer (:class:`ScratchPool`) —
+the role MCDRAM plays in the paper's Theta runs (Section 3.2).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ _TRIM_THRESHOLD_BYTES = 32 << 20
 def _keep_task_heap() -> None:
     """Stop glibc handing a block task's temporaries back to the kernel.
 
-    The scratch buffers below cover the decompressed blocks, but the codecs
+    The scratch buffer below covers the decompressed blocks, but the codecs
     allocate a dozen block-sized NumPy temporaries per round trip and free
     them together.  With glibc's defaults (free heap top beyond 128 KiB is
     trimmed, requests from 128 KiB up are ``mmap``-ed) that memory is
@@ -70,32 +70,31 @@ def _keep_task_heap() -> None:
 
 
 class ScratchPool:
-    """The two reusable decompression buffers of a rank (the MCDRAM staging
-    area).
+    """The reusable decompression buffer of a rank (the MCDRAM staging area).
 
     At most two blocks per rank are decompressed at any time (Figure 2,
-    Eq. 8): one ``complex128`` buffer per block of a block pair, reused for
-    every gate to avoid repeated allocation in the hot loop.  Every process
-    that runs block tasks builds a pool first, so this is also where the
-    heap those tasks allocate from is told to stay (:func:`_keep_task_heap`).
+    Eq. 8): one ``complex128`` buffer of two blocks, reused for every gate to
+    avoid repeated allocation in the hot loop.  A task stages its one block
+    in the first half, or a block pair in both halves — one virtual block
+    whose top bit is the pair's target.  Every process that runs block tasks
+    builds a pool first, so this is also where the heap those tasks allocate
+    from is told to stay (:func:`_keep_task_heap`).
     """
 
     def __init__(self, block_amplitudes: int) -> None:
         _keep_task_heap()
         self._block_amplitudes = int(block_amplitudes)
-        self.buffers = (
-            np.zeros(block_amplitudes, dtype=np.complex128),
-            np.zeros(block_amplitudes, dtype=np.complex128),
-        )
+        self.buffer = np.zeros(2 * block_amplitudes, dtype=np.complex128)
 
     @property
     def block_amplitudes(self) -> int:
-        """Amplitudes per block (the size every scratch buffer is cut to)."""
+        """Amplitudes per block (the size each staged slice of the buffer is)."""
 
         return self._block_amplitudes
 
     def fill(self, buffer: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Copy decompressed float64 data into a scratch buffer as complex128."""
+        """Copy decompressed float64 data into *buffer*, one block-sized slice
+        of the scratch buffer, as complex128."""
 
         view = values.view(np.complex128) if values.dtype == np.float64 else values
         if view.size != buffer.size:

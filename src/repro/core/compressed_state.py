@@ -272,16 +272,12 @@ class CompressedStateVector:
         blocks, per_rank = self._blocks, self._partition.blocks_per_rank
         tasks = []
         for task in plan.tasks:
-            first = task.first[0] * per_rank + task.first[1]
-            if task.second is None:
-                tasks.append((first,))
-                continue
-            second = task.second[0] * per_rank + task.second[1]
-            tasks.append((first, second))
+            indices = tuple(rank * per_rank + block for rank, block in task.buffers)
+            tasks.append(indices)
             if task.crosses_ranks:
                 report.block_exchanges += 1
                 report.communication_bytes += 2 * max(
-                    blocks[first].nbytes, blocks[second].nbytes
+                    blocks[index].nbytes for index in indices
                 )
         stats = TaskStats()
         try:

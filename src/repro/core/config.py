@@ -35,7 +35,7 @@ class SimulatorConfig:
         enough blocks per rank to exercise the blocked code path.
     memory_budget_bytes:
         Total budget for all compressed blocks plus the two decompressed
-        scratch buffers per rank (Eq. 8).  ``None`` disables the adaptive
+        scratch blocks per rank (Eq. 8).  ``None`` disables the adaptive
         escalation (the simulator still compresses, it just never has to give
         up accuracy).
     error_levels:

@@ -9,19 +9,27 @@ pair of blocks for a mixing 2x2 on a target above the block boundary, one
 block for everything else — an in-block target, a diagonal 2x2 wherever its
 target lies, or a parity phase (``cx · d · cx``, ``d`` on ``x_c ⊕ x_t``,
 :class:`~repro.circuits.fusion.ParityPhase`) wherever ``c`` and ``t`` lie.
-An in-block target is a 2x2 inside the block on two strided views, and an
-exactly diagonal one is a phase on the side(s) whose entry is not exactly 1
-(:func:`repro.statevector.ops.apply_diagonal`).  A diagonal above the block,
-or a parity phase, is a phase (:func:`repro.statevector.ops.apply_phase`):
-one scalar when its qubits all lie above the block, otherwise one per side of
-the in-block parity — a phase on one in-block qubit, or on the offsets where
-``x_c ⊕ x_t`` is 0 and where it is 1.  Every phase equals the 2x2's values;
-a zero's sign may differ (``apply_phase``'s contract).  A one-block task
-applies the steps whose block- and rank-level controls are set in its
-block's index, so one run may hold steps under different controls.  A pair run without non-local
-controls also carries *riders* — one-block steps between its steps on the
-pair's target — which the pair task applies to each staged block at that
-block's own index, exactly as a one-block task would.
+
+A task's blobs are decompressed side by side into one scratch buffer, a
+*virtual block* whose bit above the block is the pair's target (Eq. 6–7: a
+gate on that target mixes each amplitude with its partner in the other
+block).  The planner has already written every step over that buffer
+(:class:`~repro.distributed.exchange.GatePlan`), so each step takes the one
+path :meth:`BlockKernel._apply_step`, chosen by how many of the buffer's
+bits its parity has.  None: a diagonal whose qubits all lie above the
+buffer, one scalar phase (:func:`repro.statevector.ops.apply_phase`).  One:
+a 2x2 on that bit on two strided views — a pair's 2x2 on the top bit — or,
+exactly diagonal, a phase on the side(s) whose entry is not exactly 1
+(:func:`repro.statevector.ops.apply_diagonal`), the entries swapped when the
+parity's bits above the buffer are odd.  Two or more: a parity phase on the
+offsets where those bits are even and where they are odd.  Every phase
+equals the 2x2's values; a zero's sign may differ (``apply_phase``'s
+contract).  A step applies to a task whose block index has its block- and
+rank-level controls set, so one run may hold steps under different
+controls, and a pair run without non-local controls may carry *riders* —
+one-block steps between its steps on the pair's target — which read each
+half of the buffer at that block's own index, exactly as a one-block task
+would.
 
 Both execution tiers call it — the sequential
 :class:`~repro.core.compressed_state.CompressedStateVector` in the parent
@@ -64,9 +72,10 @@ class BlockOp(NamedTuple):
     """One schedule element — a gate or a :class:`~repro.circuits.fusion.Run`
     — as the block tasks of its plan see it.
 
-    The first five fields are parallel, one entry per step: step ``i``
-    applies ``matrices[i]`` to ``targets[i]`` (a diagonal on the parity of
-    ``parities[i]``) under ``local_controls[i]`` on the blocks
+    The first five fields are parallel, one entry per step, and written over
+    a task's virtual block (:class:`~repro.distributed.exchange.GatePlan`):
+    step ``i`` applies ``matrices[i]`` on the parity of ``local_parities[i]``
+    and ``block_parities[i]`` under ``local_controls[i]`` on the blocks
     ``block_controls[i]`` lets through.  A gate is one step.  The fields are
     flat (one array, ints and tuples of ints) because the op rides every
     ranked-tier gate message.
@@ -74,14 +83,13 @@ class BlockOp(NamedTuple):
 
     #: The 2x2 unitaries, stacked: shape ``(steps, 2, 2)``.
     matrices: np.ndarray
-    #: Target qubit per step.
-    targets: tuple[int, ...]
-    #: Per step, the qubit mask whose parity picks a diagonal's entry
-    #: (:func:`~repro.circuits.fusion.parity_of`): ``1 << target`` for a
-    #: gate, the ``c`` and ``t`` bits for a parity phase.  A pair task applies
-    #: the steps whose parity is ``1 << pair_target`` pairwise.
-    parities: tuple[int, ...]
-    #: Per step, the controls applied per amplitude inside the scratch buffers.
+    #: Per step, the virtual-block bits of its target or parity
+    #: (:attr:`~repro.distributed.exchange.GatePlan.local_parities`).
+    local_parities: tuple[int, ...]
+    #: Per step, the rest of its parity as a mask over the global block index
+    #: (:attr:`~repro.distributed.exchange.GatePlan.block_parities`).
+    block_parities: tuple[int, ...]
+    #: Per step, the controls applied per amplitude inside the virtual block.
     local_controls: tuple[tuple[int, ...], ...]
     #: Per step, the block- and rank-level controls as a mask over the global
     #: block index (:attr:`~repro.distributed.exchange.GatePlan.block_controls`).
@@ -89,9 +97,6 @@ class BlockOp(NamedTuple):
     #: The block-index bits a task's outcome depends on
     #: (:attr:`~repro.distributed.exchange.GatePlan.index_mask`).
     index_mask: int
-    #: The non-local target a pair task's blocks are paired on; ``None`` for
-    #: a one-block element.
-    pair_target: int | None
     #: Compressor for the output blobs (the controller's current level).
     compressor: Compressor
     #: Block-cache ``OP`` field: the gate's key — or the run's, one gate key
@@ -155,22 +160,24 @@ def group_tasks(
     equal and so are the bits of *index* that *op* reads.
     Groups come back in first-seen order as ``(inputs, tasks)``: *inputs*
     are the positional arguments of :meth:`BlockKernel.run` after
-    ``(op, stats)``; run them once with ``copies=len(tasks)`` and store the
-    outputs for every task.  This is safe because a plan stages each
-    (rank, block) at most once, so no task's inputs are another's outputs.
+    ``(op, stats)`` — the ``(blob, name)`` tuple and the read index bits;
+    run them once with ``copies=len(tasks)`` and store the outputs for every
+    task.  This is safe because a plan stages each (rank, block) at most
+    once, so no task's inputs are another's outputs.
     """
 
     groups: dict[tuple, list[Task]] = {}
     for task, entries, index in staged:
-        if len(entries) == 1:
-            (entry,) = entries
-            blobs = (entry.blob, entry.compressor, None, None)
-        else:
-            low, high = entries
-            blobs = (low.blob, low.compressor, high.blob, high.compressor)
-        inputs = blobs + (index & op.index_mask,)
-        groups.setdefault(inputs, []).append(task)
+        blobs = tuple((entry.blob, entry.compressor) for entry in entries)
+        groups.setdefault((blobs, index & op.index_mask), []).append(task)
     return list(groups.items())
+
+
+def _cache_line(blobs: tuple[bytes, ...]) -> tuple[bytes, bytes | None]:
+    """*blobs* as one half of a cache line ``(OP, CB1, CB2, CB1', CB2')``:
+    ``CB2`` is ``None`` for a one-block task."""
+
+    return (blobs + (None,))[:2]
 
 
 class BlockKernel:
@@ -183,7 +190,7 @@ class BlockKernel:
         with the caller (not copied): :meth:`compressor_for` registers new
         decoders in it.
     scratch:
-        The two buffers a block (or block pair) is staged in.
+        The pool whose buffer a block (or block pair) is staged in.
     cache:
         Optional compressed block cache (Section 3.4) — the simulator's own
         in the parent, a private shard in a worker.
@@ -198,9 +205,8 @@ class BlockKernel:
         self.decompressors = decompressors
         self.scratch = scratch
         self.cache = cache
-        self._offset_bits = scratch.block_amplitudes.bit_length() - 1
         self._compressors: dict[str, Compressor] = {}
-        self._masks: dict[tuple[int, ...], np.ndarray | None] = {}
+        self._masks: dict[tuple, np.ndarray | None] = {}
         self._parity_masks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def compressor_for(self, compressor: Compressor) -> Compressor:
@@ -254,24 +260,26 @@ class BlockKernel:
                 for index, blob in zip(task, outputs):
                     table[index] = CompressedBlock(blob, name, bound)
 
-    def _mask_for(self, local_controls: tuple[int, ...]) -> np.ndarray | None:
-        if local_controls not in self._masks:
-            self._masks[local_controls] = ops.local_control_mask(
-                self.scratch.block_amplitudes, local_controls
-            )
-        return self._masks[local_controls]
+    def _mask_for(
+        self, size: int, local_controls: tuple[int, ...]
+    ) -> np.ndarray | None:
+        key = (size, local_controls)
+        if key not in self._masks:
+            self._masks[key] = ops.local_control_mask(size, local_controls)
+        return self._masks[key]
 
     def _parity_masks_for(
-        self, local_controls: tuple[int, ...], bits: int
+        self, size: int, local_controls: tuple[int, ...], bits: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The offsets under *local_controls* whose in-block *bits* have even
-        and odd parity (the two sides of a parity phase)."""
+        """The offsets of a *size*-amplitude buffer under *local_controls*
+        whose *bits* have even and odd parity (the two sides of a parity
+        phase)."""
 
-        key = (local_controls, bits)
+        key = (size, local_controls, bits)
         if key not in self._parity_masks:
-            odd = ops.local_parity_mask(self.scratch.block_amplitudes, bits)
+            odd = ops.local_parity_mask(size, bits)
             even = ~odd
-            controls = self._mask_for(local_controls)
+            controls = self._mask_for(size, local_controls)
             if controls is not None:
                 even &= controls
                 odd &= controls
@@ -282,33 +290,23 @@ class BlockKernel:
         self,
         op: BlockOp,
         stats: TaskStats,
-        blob1: bytes,
-        name1: str,
-        blob2: bytes | None = None,
-        name2: str | None = None,
+        inputs: tuple[tuple[bytes, str], ...],
         index: int = 0,
         copies: int = 1,
-    ) -> tuple[bytes, bytes | None]:
-        """One block task: returns the output blobs ``(out1, out2)``.
+    ) -> tuple[bytes, ...]:
+        """One block task: returns one output blob per ``(blob, name)`` of
+        *inputs*.
 
-        Every step of *op* is applied in order between one decompress and
-        one compress per blob.  Only the bits of *index* in
-        ``op.index_mask`` are read.
-
-        One blob is a one-block update of the block with global index *index*
-        (``rank * blocks_per_rank + block``): each step goes through
-        :meth:`_apply_step`.  The cache key carries the bits read, since
-        byte-identical blocks on opposite sides of such a bit have different
-        outputs.
-
-        Two blobs are a block pair: *blob1* holds the amplitudes whose
-        ``op.pair_target`` bit is 0, *blob2* their partners, and *index* is
-        the first one's global index.  A step on the pair's target (parity
-        ``1 << op.pair_target``) updates the amplitude pairs where its block
-        controls are set in *index*; every other step is a rider, applied
-        through :meth:`_apply_step` to each buffer at its own index.  Both
-        blobs are rewritten.  A cross-rank pair is the same call, made once
-        by whichever of its two ranks owns it.
+        *inputs* are the task's blocks in virtual-block order — one block,
+        or a pair with its target bit 0 first — and *index* is the first
+        one's global index (``rank * blocks_per_rank + block``); only its
+        bits in ``op.index_mask`` are read, and the cache key carries them,
+        since byte-identical blocks on opposite sides of such a bit have
+        different outputs.  The blobs are decompressed side by side into the
+        scratch buffer, every step of *op* goes through :meth:`_apply_step`
+        on that virtual block in order, and each block is recompressed.  A
+        cross-rank pair is the same call, made once by whichever of its two
+        ranks owns it.
 
         A cache hit makes no codec call and stages nothing in scratch.
         *copies* is the size of the :func:`group_tasks` group this call
@@ -319,95 +317,90 @@ class BlockKernel:
         stats.duplicates += copies - 1
         cache = self.cache
         op_key = op.op_key + (index & op.index_mask,)
+        line = _cache_line(tuple(blob for blob, _ in inputs))
         if cache is not None and cache.enabled:
-            cached = cache.lookup(op_key, blob1, blob2)
+            cached = cache.lookup(op_key, *line)
             if cached is not None:
                 stats.cache_hits += 1
-                return cached
+                return cached[: len(inputs)]
             stats.cache_misses += 1
 
-        pair = blob2 is not None
         scratch = self.scratch
         compress = op.compressor.compress
-        buffer1, buffer2 = scratch.buffers
+        size = scratch.block_amplitudes
+        buffer = scratch.buffer[: len(inputs) * size]
+        blocks = buffer.reshape(len(inputs), size)
         start = perf_counter()
-        scratch.fill(buffer1, self.decompressors[name1].decompress(blob1))
-        if pair:
-            scratch.fill(buffer2, self.decompressors[name2].decompress(blob2))
+        for block, (blob, name) in zip(blocks, inputs):
+            scratch.fill(block, self.decompressors[name].decompress(blob))
         decoded = perf_counter()
-        steps = zip(
-            op.matrices, op.targets, op.parities, op.local_controls, op.block_controls
-        )
-        if not pair:
-            for step in steps:
-                self._apply_step(buffer1, index, *step)
-        else:
-            pair_parity = 1 << op.pair_target
-            high_index = index | pair_parity >> self._offset_bits
-            for step in steps:
-                matrix, _, parity, controls, required = step
-                if parity != pair_parity:
-                    self._apply_step(buffer1, index, *step)
-                    self._apply_step(buffer2, high_index, *step)
-                elif index & required == required:
-                    ops.apply_single_qubit_pairwise_masked(
-                        buffer1, buffer2, matrix, self._mask_for(controls)
-                    )
+        for step in zip(
+            op.matrices,
+            op.local_parities,
+            op.block_parities,
+            op.local_controls,
+            op.block_controls,
+        ):
+            self._apply_step(buffer, index, *step)
         applied = perf_counter()
-        out1 = compress(buffer1.view(np.float64))
-        out2 = compress(buffer2.view(np.float64)) if pair else None
+        outputs = tuple(compress(block.view(np.float64)) for block in blocks)
         done = perf_counter()
         stats.decompression += decoded - start
         stats.computation += applied - decoded
         stats.compression += done - applied
-        stats.decompress_calls += 2 if pair else 1
-        stats.compress_calls += 2 if pair else 1
+        stats.decompress_calls += len(inputs)
+        stats.compress_calls += len(inputs)
 
         if cache is not None:
-            cache.insert(op_key, blob1, blob2, out1, out2)
-        return out1, out2
+            cache.insert(op_key, *line, *_cache_line(outputs))
+        return outputs
 
     def _apply_step(
         self,
         buffer: np.ndarray,
         index: int,
         matrix: np.ndarray,
-        target: int,
-        parity: int,
+        local_parity: int,
+        block_parity: int,
         controls: tuple[int, ...],
         required: int,
     ) -> None:
-        """Apply one one-block step to *buffer*, the block with global index
-        *index*, in place.
+        """Apply one step to *buffer*, the virtual block whose first block
+        has global index *index*, in place.
 
         The step applies when all its *required* block-control bits are set
-        in *index* — as a 2x2 on an in-block target, or, when that 2x2 is
-        exactly diagonal, as a phase on the side(s) whose entry is not
-        exactly 1 (the side at 1 keeps its bytes); for a diagonal whose
-        parity bits all lie above the block, as the phase ``m[b, b]`` of
-        their parity ``b`` in *index* unless that is exactly 1; and for a
-        parity with in-block bits, as ``m[b, b]`` on the offsets where those
-        bits have even parity and the other entry where they have odd.  A
-        phase equals the 2x2's values; a zero's sign may differ.
+        in *index*.  Its parity ``b`` over the bits of *block_parity* set in
+        *index* picks the diagonal entry ``m[b, b]`` every amplitude starts
+        from, and *local_parity* says where in *buffer* the other one lies:
+
+        * no bit — one scalar phase ``m[b, b]`` unless it is exactly 1;
+        * one bit — a 2x2 on it, or, when the 2x2 is exactly diagonal, a
+          phase on the side(s) whose entry is not exactly 1 (the side at 1
+          keeps its bytes), the entries swapped when ``b`` is 1;
+        * two or more — ``m[b, b]`` on the offsets where those bits have
+          even parity and the other entry where they have odd.
+
+        A phase equals the 2x2's values; a zero's sign may differ.
         """
 
         if index & required != required:
             return
-        offset_bits = self._offset_bits
-        local = parity & (1 << offset_bits) - 1
-        if local and parity == 1 << target:  # an in-block target
-            if is_exactly_diagonal(matrix):
-                ops.apply_diagonal(buffer, matrix, target, controls)
-            else:
-                ops.apply_controlled_single_qubit(buffer, matrix, target, controls)
-            return
-        if local:  # a parity with in-block bits: two sides
-            even, odd = self._parity_masks_for(controls, local)
+        if local_parity & (local_parity - 1):  # two or more bits: two sides
+            even, odd = self._parity_masks_for(buffer.size, controls, local_parity)
             # Reversing both axes swaps a diagonal's two entries.
             sides = ((even, matrix), (odd, matrix[::-1, ::-1]))
+        elif local_parity:  # one bit
+            bit = local_parity.bit_length() - 1
+            if not is_exactly_diagonal(matrix):
+                ops.apply_controlled_single_qubit(buffer, matrix, bit, controls)
+            elif (index & block_parity).bit_count() & 1:
+                ops.apply_diagonal(buffer, matrix[::-1, ::-1], bit, controls)
+            else:
+                ops.apply_diagonal(buffer, matrix, bit, controls)
+            return
         else:
-            sides = ((self._mask_for(controls), matrix),)
+            sides = ((self._mask_for(buffer.size, controls), matrix),)
         for mask, entries in sides:
-            phase = ops.block_phase(entries, parity >> offset_bits, index)
+            phase = ops.block_phase(entries, block_parity, index)
             if phase is not None:
                 ops.apply_phase(buffer, phase, mask)

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
-from ..circuits.fusion import Run, Step, constituents, form_runs, parity_of, run_of
+from ..circuits.fusion import Run, Step, constituents, form_runs, run_of
 from ..compression.interface import Compressor, get_compressor
 from ..distributed.exchange import plan_gate
 from ..distributed.partition import Partition, QubitSegment
@@ -433,12 +433,11 @@ class CompressedSimulator:
         steps = constituents(gate)
         op = BlockOp(
             np.stack([step.matrix for step in steps]),
-            tuple(step.target for step in steps),
-            tuple(parity_of(step) for step in steps),
+            plan.local_parities,
+            plan.block_parities,
             plan.local_controls,
             plan.block_controls,
             plan.index_mask,
-            plan.pair_target,
             compressor,
             gate.key() + (compressor.describe(),),
         )

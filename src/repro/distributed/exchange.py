@@ -11,13 +11,18 @@ needs staged:
 * which of them have to be co-resident in scratch memory as a pair — only
   those a step actually *mixes*: a diagonal gate or parity phase never mixes
   an amplitude pair, so wherever its qubits lie it plans one block at a
-  time, and when it rides a pair run it is applied to each staged block of
-  the pair on its own; and
-* which of those pairs require an inter-rank exchange.
+  time, and when it rides a pair run it reads each staged block at that
+  block's own index;
+* which of those pairs require an inter-rank exchange; and
+* where each step's qubits land: a task's blocks are staged side by side as
+  one *virtual block* (:class:`GatePlan`), the staged target as the bit
+  above the block, so every step — a pair's 2x2 included — is an in-block
+  step there, and what is left of its controls and parity is a mask over
+  the global block index.
 
 Keeping the planning separate from the execution makes the index arithmetic
 (the trickiest part of Section 3.3) directly unit-testable against a dense
-reference.
+reference, and leaves the kernel one step path with no qubit arithmetic.
 """
 
 from __future__ import annotations
@@ -57,27 +62,38 @@ class BlockTask:
 @dataclass(frozen=True)
 class GatePlan:
     """Everything a tier's state needs to run one gate, or one
-    :class:`~repro.circuits.fusion.Run`, over its blocks."""
+    :class:`~repro.circuits.fusion.Run`, over its blocks.
+
+    A task stages its blocks side by side in one scratch buffer, a *virtual
+    block* of ``2^k`` blocks for ``k = len(staged)``: bit ``i`` of an offset
+    is qubit ``i`` below ``offset_bits``, and bit ``offset_bits + i`` is the
+    staged non-local target ``staged[i]``.  The per-step fields are written
+    over that buffer and the global block index of the task's first block,
+    so the kernel never maps a qubit itself.
+    """
 
     segment: QubitSegment
     tasks: tuple[BlockTask, ...]
-    #: Per step (a single gate is a one-step plan), the controls that must be
-    #: applied per-amplitude inside the scratch buffers.
+    #: The non-local targets a task stages, in virtual-bit order: one for a
+    #: pair plan, none for a one-block plan.
+    staged: tuple[int, ...]
+    #: Per step (a single gate is a one-step plan), the virtual-block bits of
+    #: its target or parity (:func:`~repro.circuits.fusion.parity_of`).
+    local_parities: tuple[int, ...]
+    #: Per step, the rest of its parity as a mask over the global block index
+    #: ``rank * blocks_per_rank + block`` (a non-local qubit ``q`` is bit
+    #: ``q - offset_bits``); a staged target is never in it.
+    block_parities: tuple[int, ...]
+    #: Per step, the controls that must be applied per amplitude inside the
+    #: virtual block — a control on a staged target among them.
     local_controls: tuple[tuple[int, ...], ...]
-    #: Per step, its block- and rank-level controls as a mask over the global
-    #: block index ``rank * blocks_per_rank + block`` (a non-local qubit ``q``
-    #: is bit ``q - offset_bits``).  A pair plan's tasks are already pruned
-    #: by its pair steps' mask; the kernel tests it per block and step.
+    #: Per step, its other controls as a mask over the global block index.
+    #: A pair plan's tasks are already pruned by its pair steps' mask; the
+    #: kernel tests it per task and step.
     block_controls: tuple[int, ...]
-    #: The block-index bits a task reads: every step's ``block_controls``,
-    #: and the block-index bits of each one-block step's target or parity
-    #: (:func:`~repro.circuits.fusion.parity_of`) — every step of a one-block
-    #: plan, the riders of a pair plan.  A pair plan without riders reads
-    #: only its controls, which are set in every task's index.
+    #: The block-index bits a task reads: every step's ``block_controls`` and
+    #: ``block_parities``.
     index_mask: int
-    #: The non-local target a pair plan pairs its blocks on; ``None`` for a
-    #: one-block plan.
-    pair_target: int | None
     #: Number of inter-rank block exchanges the plan implies.
     exchange_count: int
 
@@ -111,29 +127,26 @@ class GatePlan:
         return tuple(tuple(wave) for wave in waves)
 
 
-def _split_controls(
-    controls: tuple[int, ...], offset_bits: int
+def _split(
+    qubits: Iterable[int], offset_bits: int, staged: tuple[int, ...]
 ) -> tuple[tuple[int, ...], int]:
-    """Split control qubits into the local ones and a mask of the others
-    over the global block index (see :attr:`GatePlan.block_controls`)."""
+    """Split *qubits* into virtual-block bits (see :class:`GatePlan`) and a
+    mask of the others over the global block index."""
 
-    mask = 0
-    for control in controls:
-        if control >= offset_bits:
-            mask |= 1 << (control - offset_bits)
-    return tuple(c for c in controls if c < offset_bits), mask
+    local, mask = [], 0
+    for qubit in qubits:
+        if qubit < offset_bits:
+            local.append(qubit)
+        elif qubit in staged:
+            local.append(offset_bits + staged.index(qubit))
+        else:
+            mask |= 1 << (qubit - offset_bits)
+    return tuple(local), mask
 
 
-def _acts_on(step: Step, required: int, index: int, offset_bits: int) -> bool:
-    """Whether one-block *step* changes the block with global index *index*
-    (the test :meth:`repro.core.kernel.BlockKernel.run` applies per step)."""
-
-    if index & required != required:
-        return False
+def _parity_bits(step: Step) -> list[int]:
     parity = parity_of(step)
-    if parity & ((1 << offset_bits) - 1):
-        return True  # an in-block target or parity bit: amplitudes differ
-    return block_phase(step.matrix, parity >> offset_bits, index) is not None
+    return [qubit for qubit in range(parity.bit_length()) if parity >> qubit & 1]
 
 
 def _is_one_block(step: Step, offset_bits: int) -> bool:
@@ -143,14 +156,18 @@ def _is_one_block(step: Step, offset_bits: int) -> bool:
     return step.target < offset_bits or step.is_diagonal
 
 
-def _mask_of(steps: Iterable[tuple[Step, int]], offset_bits: int) -> int:
-    """The block-index bits the one-block ``(step, block_controls)`` pairs
-    *steps* read (see :attr:`GatePlan.index_mask`)."""
+def _acts_on(
+    step: Step, local_parity: int, block_parity: int, required: int, index: int
+) -> bool:
+    """Whether a one-block plan's *step* changes the block with global index
+    *index* (the test :meth:`repro.core.kernel.BlockKernel._apply_step`
+    applies)."""
 
-    mask = 0
-    for step, required in steps:
-        mask |= required | parity_of(step) >> offset_bits
-    return mask
+    if index & required != required:
+        return False
+    if local_parity:
+        return True  # amplitudes inside the block differ
+    return block_phase(step.matrix, block_parity, index) is not None
 
 
 def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
@@ -161,19 +178,21 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
     for the block kernel to apply as element masks.
 
     An element whose every step is one-block — an in-block target, a
-    diagonal 2x2, or a parity phase — plans as ``second=None`` tasks with no
-    exchange (and reports ``QubitSegment.LOCAL``), on exactly the blocks
-    where at least one step does something: all of the step's non-local
-    control bits set in the block's global index ``i`` and, for a diagonal
-    whose target (or parity) lies wholly above the block, ``m[b, b] != 1``
-    where ``b`` is the parity of those bits of ``i``.  Anything else is a
-    pair element on the non-local target ``T`` of its first mixing gate,
-    planned as ``T``'s block pairs under that gate's non-local controls.
-    Its *pair steps* are the gates on ``T`` under those same controls — a
-    diagonal on ``T`` among them — and every mixing gate must be one.  The
-    other steps are *riders*: one-block steps applied to each staged block
-    on its own, allowed only when the pair has no non-local controls (then
-    every block is staged).
+    diagonal 2x2, or a parity phase — stages nothing above the block: it
+    plans as ``second=None`` tasks with no exchange (and reports
+    ``QubitSegment.LOCAL``), on exactly the blocks where at least one step
+    does something: all of the step's non-local control bits set in the
+    block's global index ``i`` and, for a diagonal whose target (or parity)
+    lies wholly above the block, ``m[b, b] != 1`` where ``b`` is the parity
+    of those bits of ``i``.  Anything else is a pair element that stages the
+    non-local target ``T`` of its first mixing gate, planned as ``T``'s
+    block pairs under that gate's non-local controls.  Its *pair steps* are
+    the gates on ``T`` under those same controls — a diagonal on ``T`` among
+    them — and every mixing gate must be one.  The other steps are
+    *riders*: one-block steps, allowed only when the pair has no non-local
+    controls (then every block is staged).  Every step, pair step or rider,
+    is written over the task's virtual block (:class:`GatePlan`), where
+    ``T`` is the bit above the block.
     """
 
     if gate.max_qubit() >= partition.num_qubits:
@@ -184,41 +203,39 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
     steps = constituents(gate)
     offset = partition.offset_bits
     per_rank = partition.blocks_per_rank
-    split = [_split_controls(step.controls, offset) for step in steps]
-    local_controls = tuple(local for local, _ in split)
-    block_controls = tuple(required for _, required in split)
+    mixing = [i for i, step in enumerate(steps) if not _is_one_block(step, offset)]
+    staged = (steps[mixing[0]].target,) if mixing else ()
+    parities = [_split(_parity_bits(step), offset, staged) for step in steps]
+    controls = [_split(step.controls, offset, staged) for step in steps]
+    local_parities = tuple(sum(1 << bit for bit in bits) for bits, _ in parities)
+    block_parities = tuple(mask for _, mask in parities)
+    local_controls = tuple(local for local, _ in controls)
+    block_controls = tuple(mask for _, mask in controls)
+    index_mask = 0
+    for required, bits in zip(block_controls, block_parities):
+        index_mask |= required | bits
+    fields = (
+        local_parities, block_parities, local_controls, block_controls, index_mask
+    )
+    per_step = list(zip(steps, local_parities, block_parities, block_controls))
 
-    if all(_is_one_block(step, offset) for step in steps):
+    if not staged:
         tasks = [
             BlockTask(divmod(index, per_rank), None, crosses_ranks=False)
             for index in range(partition.total_blocks)
-            if any(
-                _acts_on(step, required, index, offset)
-                for step, required in zip(steps, block_controls)
-            )
+            if any(_acts_on(*step, index) for step in per_step)
         ]
         return GatePlan(
-            QubitSegment.LOCAL,
-            tuple(tasks),
-            local_controls,
-            block_controls,
-            _mask_of(zip(steps, block_controls), offset),
-            pair_target=None,
-            exchange_count=0,
+            QubitSegment.LOCAL, tuple(tasks), staged, *fields, exchange_count=0
         )
 
-    target, required = next(
-        (step.target, mask)
-        for step, mask in zip(steps, block_controls)
-        if not _is_one_block(step, offset)
-    )
-    riders = [
-        (step, mask)
-        for step, mask in zip(steps, block_controls)
-        if parity_of(step) != 1 << target or mask != required
-    ]
+    (target,) = staged
+    required = block_controls[mixing[0]]
+    # A pair step is a gate on the staged bit alone under the pair's controls.
+    pair_step = [1 << offset, 0, required]
+    riders = [step for step, *mapped in per_step if mapped != pair_step]
     if riders and (
-        required or not all(_is_one_block(step, offset) for step, _ in riders)
+        required or not all(_is_one_block(step, offset) for step in riders)
     ):
         raise ValueError(
             f"{gate.name} is not a run under this partition: every step must "
@@ -239,9 +256,7 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
     return GatePlan(
         partition.segment_of(target),
         tuple(tasks),
-        local_controls,
-        block_controls,
-        required | _mask_of(riders, offset),
-        pair_target=target,
+        staged,
+        *fields,
         exchange_count=sum(task.crosses_ranks for task in tasks),
     )

@@ -42,10 +42,11 @@ Two classes cooperate:
 
 Results are bit-identical to the single-process simulator: every rank runs
 the exact same kernels and codecs on the exact same bytes.  A cross-rank pair
-is computed once, by one of its two ranks, with the same pair call of
-:meth:`repro.core.kernel.BlockKernel.run` the sequential tier makes: the two
-ranks split their shared pairs, each receives the input blob of the pairs it
-computes and returns the peer's output blob (:meth:`RankWorker._run_gate`).
+is computed once, by one of its two ranks, with the same
+:meth:`repro.core.kernel.BlockKernel.run` call the sequential tier makes: the
+two ranks split their shared pairs, each receives the input blob of the pairs
+it computes, stages it beside its own as one virtual block, and returns the
+peer's output blob (:meth:`RankWorker._run_gate`).
 Each rank runs the non-exchange tasks of its batch through the same
 :meth:`~repro.core.kernel.BlockKernel.run_tasks` the sequential state runs,
 so byte-identical tasks are computed once; exchange tasks are never
@@ -103,8 +104,8 @@ class RankWorker:
     Owns the rank's slice of the compressed state (global block index →
     :class:`~repro.core.blocks.CompressedBlock`, in ascending order), a
     :class:`~repro.core.kernel.BlockKernel` (decompressor map seeded from
-    the parent's, two scratch buffers, warm compressors, an optional
-    :class:`~repro.core.cache.BlockCache` shard) and the rank's
+    the parent's, a scratch buffer of two blocks, warm compressors, an
+    optional :class:`~repro.core.cache.BlockCache` shard) and the rank's
     :class:`~repro.distributed.process_comm.ProcessCommunicator` endpoint.
     Constructed once per worker process by the pool; every control message
     is served by :meth:`handle`.
@@ -236,9 +237,10 @@ class RankWorker:
         and take them two at a time: the lower rank owns a chunk's first
         pair, the upper rank its second.  The first exchange sends the peer
         this rank's input blob of the pair the peer owns; each rank then
-        runs the pair it owns through the kernel's ordinary pair path, and
-        the second exchange returns the peer's output blob.  An odd last
-        chunk is the same two exchanges with one side empty.  So every pair
+        stages the pair it owns — its own blob and the borrowed one, target
+        bit 0 first — as one virtual block through the same kernel call as
+        any pair, and the second exchange returns the peer's output blob.
+        An odd last chunk is the same two exchanges with one side empty.  So every pair
         is computed once, a rank holds at most one foreign blob at a time,
         and only the codec round trip can be skipped, by a cache hit on the
         owner's shard.
@@ -280,7 +282,7 @@ class RankWorker:
                 peer_name, peer_blob = _unframe_blob(received)
                 theirs = (peer_blob, peer_name)
                 low, high = (mine, theirs) if row == 0 else (theirs, mine)
-                outs = self._kernel.run(op, stats, *low, *high, index=low_base + owned)
+                outs = self._kernel.run(op, stats, (low, high), index=low_base + owned)
                 self._blocks[base + owned] = CompressedBlock(outs[row], name, bound)
                 payload = _frame_blob(name, outs[1 - row])
             received = self._comm.sendrecv_bytes(peer, payload, pairs=0)
@@ -437,17 +439,15 @@ class RankedStateVector(CompressedStateVector):
         batches: dict[int, list] = {}
         peers: dict[int, int] = {}
         for task in plan.tasks:
-            (rank, block), second = task.first, task.second
+            rank, block = task.first
             if task.crosses_ranks:
-                peer = second[0]
+                peer = task.second[0]
                 batches.setdefault(rank, []).append(block)
                 batches.setdefault(peer, []).append(block)
                 peers[rank], peers[peer] = peer, rank
-            elif second is None:
-                batches.setdefault(rank, []).append((rank * per_rank + block,))
             else:
                 batches.setdefault(rank, []).append(
-                    (rank * per_rank + block, second[0] * per_rank + second[1])
+                    tuple(owner * per_rank + local for owner, local in task.buffers)
                 )
         for rank, tasks in batches.items():
             pool.submit(rank, ("gate", op, peers.get(rank), tuple(tasks)))

@@ -16,8 +16,6 @@ from .ops import (
     apply_controlled_single_qubit,
     apply_gate_to_vector,
     apply_single_qubit,
-    apply_single_qubit_pairwise,
-    control_mask_indices,
 )
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "normalize",
     "norm_error",
     "apply_single_qubit",
-    "apply_single_qubit_pairwise",
     "apply_controlled_single_qubit",
     "apply_gate_to_vector",
-    "control_mask_indices",
 ]

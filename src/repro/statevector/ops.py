@@ -10,9 +10,12 @@ is a power of two.  They are shared by
 
 * the dense reference simulator (:mod:`repro.statevector.dense`), which calls
   them on the full ``2^n`` vector, and
-* the block kernel (:mod:`repro.core.kernel`), which calls them on
-  decompressed 1- or 2-block scratch buffers where the "local qubit" index has
-  already been translated to a block-local bit position.
+* the block kernel (:mod:`repro.core.kernel`), which calls them on a
+  *virtual block*: the one or two decompressed blocks of a task side by side
+  in one scratch buffer, where the planner has already translated each qubit
+  to a bit of that buffer — an in-block qubit to its own bit, a staged
+  non-local target to the bit above the block.  A block pair's 2x2 is then
+  an ordinary 2x2 on the buffer's top bit.
 
 Following the HPC-Python guidance, all pair selection is done with reshapes
 and strided views — no Python-level loops over amplitudes: a (controlled) 2x2
@@ -20,9 +23,9 @@ reshapes the vector so its target and every control is a length-2 axis, and
 indexes the two sides as views.  An exactly diagonal 2x2 (:func:`apply_diagonal`)
 is a phase on the side(s) whose entry is not exactly 1; like every phase here
 (:func:`apply_phase`) it equals the 2x2's values, and a zero's sign may differ.
-The kernel's other updates — a block pair's 2x2 under local controls, a
-phase above the block under local controls, a parity phase — select
-amplitudes with boolean masks.
+The kernel's other updates — a phase above the block under local controls,
+a parity phase on two or more bits of the buffer — select amplitudes with
+boolean masks.
 """
 
 from __future__ import annotations
@@ -33,15 +36,12 @@ import numpy as np
 
 __all__ = [
     "apply_single_qubit",
-    "apply_single_qubit_pairwise",
-    "apply_single_qubit_pairwise_masked",
     "apply_phase",
     "block_phase",
     "local_parity_mask",
     "apply_controlled_single_qubit",
     "apply_diagonal",
     "local_control_mask",
-    "control_mask_indices",
     "apply_gate_to_vector",
 ]
 
@@ -111,51 +111,6 @@ def apply_single_qubit(state: np.ndarray, matrix: np.ndarray, qubit: int) -> Non
     apply_controlled_single_qubit(state, matrix, qubit, ())
 
 
-def apply_single_qubit_pairwise(
-    vector_x: np.ndarray, vector_y: np.ndarray, matrix: np.ndarray
-) -> None:
-    """Apply a 2x2 *matrix* across two equal-length vectors, in place.
-
-    ``vector_x`` holds the amplitudes whose target-qubit bit is 0 and
-    ``vector_y`` the amplitudes whose bit is 1 (the two decompressed blocks of
-    Figure 2 when the target qubit lies above the block boundary).
-    """
-
-    if vector_x.shape != vector_y.shape:
-        raise ValueError("paired vectors must have identical shapes")
-    u00, u01 = matrix[0, 0], matrix[0, 1]
-    u10, u11 = matrix[1, 0], matrix[1, 1]
-    new_x = u00 * vector_x + u01 * vector_y
-    new_y = u10 * vector_x + u11 * vector_y
-    vector_x[:] = new_x
-    vector_y[:] = new_y
-
-
-def apply_single_qubit_pairwise_masked(
-    vector_x: np.ndarray,
-    vector_y: np.ndarray,
-    matrix: np.ndarray,
-    mask: np.ndarray | None,
-) -> None:
-    """Pairwise 2x2 update restricted to the amplitudes *mask* selects.
-
-    This is the cross-buffer update of a controlled gate whose controls lie
-    in the local index segment: only offsets whose control bits are all 1
-    participate.  ``mask=None`` is the uncontrolled case.  Every tier reaches
-    it through the one block kernel, so all apply bit-identical arithmetic.
-    """
-
-    if mask is None:
-        apply_single_qubit_pairwise(vector_x, vector_y, matrix)
-        return
-    u00, u01 = matrix[0, 0], matrix[0, 1]
-    u10, u11 = matrix[1, 0], matrix[1, 1]
-    a = vector_x[mask]
-    b = vector_y[mask]
-    vector_x[mask] = u00 * a + u01 * b
-    vector_y[mask] = u10 * a + u11 * b
-
-
 def apply_phase(
     vector: np.ndarray, phase: complex, mask: np.ndarray | None = None
 ) -> None:
@@ -168,9 +123,9 @@ def apply_phase(
     on the amplitudes of one parity (the mask, :func:`local_parity_mask`,
     combined with the controls').
 
-    It computes ``phase * x + 0.0``.  The contract with the pairwise update
+    It computes ``phase * x + 0.0``.  The contract with the 2x2 update
     ``phase * x + 0 * partner`` is *equal values; a zero's sign may differ*:
-    where ``phase * x`` and ``0 * partner`` are both ``-0.0`` the pairwise
+    where ``phase * x`` and ``0 * partner`` are both ``-0.0`` the 2x2's
     sum is ``-0.0`` and this is ``+0.0``.  Every phase in this module
     (:func:`apply_diagonal` too) holds that contract.
 
@@ -239,19 +194,6 @@ def local_control_mask(
         control_bits |= 1 << control
     offsets = np.arange(size, dtype=np.int64)
     return (offsets & control_bits) == control_bits
-
-
-def control_mask_indices(
-    size: int, controls_mask: int, controls_value: int
-) -> np.ndarray:
-    """Return indices ``i`` in ``[0, size)`` with ``i & mask == value``.
-
-    Used to restrict updates to amplitudes whose control bits are set
-    (Eq. 7).  Vectorised over the index range.
-    """
-
-    indices = np.arange(size, dtype=np.int64)
-    return indices[(indices & controls_mask) == controls_value]
 
 
 def apply_controlled_single_qubit(

@@ -21,7 +21,11 @@ They are not patch points; tests call them directly.
 
 The controlled 2x2 update (``apply_controlled_single_qubit``) is the gate
 kernel the product's strided slab views replaced: it selects the amplitude
-pairs with index arrays.  It is not a patch point either.
+pairs with index arrays.  The pairwise update
+(``apply_single_qubit_pairwise_masked``) is the block-pair kernel the
+product's virtual block replaced: a 2x2 across two separate blocks, where the
+product stages the pair side by side and applies an ordinary 2x2 on the
+buffer's top bit.  Neither is a patch point.
 """
 
 from __future__ import annotations
@@ -385,3 +389,32 @@ def apply_controlled_single_qubit(
     u10, u11 = matrix[1, 0], matrix[1, 1]
     state[idx0] = u00 * a + u01 * b
     state[idx1] = u10 * a + u11 * b
+
+
+def apply_single_qubit_pairwise_masked(
+    vector_x: np.ndarray,
+    vector_y: np.ndarray,
+    matrix: np.ndarray,
+    mask: np.ndarray | None,
+) -> None:
+    """Apply *matrix* across two equal-length blocks where *mask* is set, in
+    place: ``vector_x`` holds the amplitudes whose target bit is 0,
+    ``vector_y`` their partners (Figure 2's block pair), and *mask* selects
+    the offsets whose local control bits are all 1 (``None``: every offset).
+    ``u00 * a + u01 * b`` and ``u10 * a + u11 * b``, the product's operand
+    order."""
+
+    if vector_x.shape != vector_y.shape:
+        raise ValueError("paired vectors must have identical shapes")
+    u00, u01 = matrix[0, 0], matrix[0, 1]
+    u10, u11 = matrix[1, 0], matrix[1, 1]
+    if mask is None:
+        new_x = u00 * vector_x + u01 * vector_y
+        new_y = u10 * vector_x + u11 * vector_y
+        vector_x[:] = new_x
+        vector_y[:] = new_y
+        return
+    a = vector_x[mask]
+    b = vector_y[mask]
+    vector_x[mask] = u00 * a + u01 * b
+    vector_y[mask] = u10 * a + u11 * b

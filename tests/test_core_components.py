@@ -161,22 +161,23 @@ class TestScratchPool:
     def test_fill_complex_roundtrip(self, rng):
         pool = ScratchPool(block_amplitudes=16)
         values = rng.normal(size=32)  # float64 view of 16 complex amplitudes
-        buffer = pool.fill(pool.buffers[0], values)
-        assert buffer is pool.buffers[0]
+        half = pool.buffer[16:]
+        buffer = pool.fill(half, values)
+        assert buffer is half
         assert buffer.dtype == np.complex128
-        assert np.array_equal(buffer.view(np.float64), values)
+        assert np.array_equal(pool.buffer[16:].view(np.float64), values)
 
     def test_fill_wrong_size_rejected(self, rng):
         pool = ScratchPool(block_amplitudes=16)
         with pytest.raises(ValueError):
-            pool.fill(pool.buffers[0], rng.normal(size=10))
+            pool.fill(pool.buffer[:16], rng.normal(size=10))
 
-    def test_two_buffers_per_rank(self):
-        # Eq. 8: at most two decompressed blocks per rank at any time.
+    def test_two_blocks_per_rank(self):
+        # Eq. 8: at most two decompressed blocks per rank at any time, side
+        # by side in one buffer.
         pool = ScratchPool(block_amplitudes=4)
-        assert len(pool.buffers) == 2
-        assert pool.buffers[0] is not pool.buffers[1]
-        assert all(buffer.shape == (4,) for buffer in pool.buffers)
+        assert pool.buffer.shape == (8,)
+        assert pool.buffer.dtype == np.complex128
 
     @pytest.mark.skipif(
         platform.libc_ver()[0] != "glibc", reason="the heap is told to stay via glibc"

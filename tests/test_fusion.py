@@ -203,9 +203,9 @@ class TestRunFormation:
                 if key == ONE_BLOCK:
                     assert plan.segment is QubitSegment.LOCAL
                     assert plan.exchange_count == 0
-                    assert plan.pair_target is None
+                    assert plan.staged == ()
                 else:
-                    assert plan.pair_target == key[0]
+                    assert plan.staged == (key[0],)
                     assert plan.segment is partition.segment_of(key[0])
 
     def test_chain_circuit_schedule(self):
@@ -426,7 +426,7 @@ class TestFusedPlanning:
         assert plan.tasks == single.tasks == plan_gate(partition, third).tasks
         assert plan.local_controls == ((1,), (), (0, 1))
         # No riders: the tasks read only the run's controls, set in each.
-        assert plan.pair_target == target
+        assert plan.staged == (target,)
         assert plan.index_mask == 0b0101 == plan.block_controls[0]
         # One exchange per block pair for the whole run.
         assert plan.exchange_count == single.exchange_count
@@ -472,9 +472,10 @@ class TestFusedPlanning:
             (standard_gate("h", 5), standard_gate("x", 0, controls=(3, 1)), 0b0010),
             # A diagonal on block qubit 2 reads bit 0 for its entry.
             (standard_gate("h", 3), standard_gate("z", 2), 0b0001),
-            # A diagonal on the pair's target under control 2: both bits.
-            (standard_gate("h", 3), standard_gate("z", 3, controls=(2,)), 0b0011),
-            # A parity phase on x_2 xor x_5, the pair's target: bits 0 and 3.
+            # A diagonal on the pair's target under control 2: bit 0 (the
+            # target is the staged, virtual bit, read inside the buffer).
+            (standard_gate("h", 3), standard_gate("z", 3, controls=(2,)), 0b0001),
+            # A parity phase on x_2 xor x_5, the pair's target: bit 0.
             (
                 standard_gate("h", 5),
                 ParityPhase(
@@ -484,7 +485,7 @@ class TestFusedPlanning:
                         standard_gate("x", 5, controls=(2,)),
                     )
                 ),
-                0b1001,
+                0b0001,
             ),
         ],
     )
@@ -493,14 +494,15 @@ class TestFusedPlanning:
     ):
         # Qubits 0-1 local, 2-3 block, 4-5 rank: block index bits 0-3 are
         # qubits 2-5.  A rider changes nothing of the pair's staging; the
-        # plan's index mask is exactly the bits the rider reads.
+        # plan's index mask is exactly the bits the rider reads from the
+        # block index (the pair's target it reads inside the virtual block).
         partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
         single = plan_gate(partition, pair)
         for steps in ((pair, rider), (rider, pair), (rider, pair, rider)):
             plan = plan_gate(partition, Run(steps))
             assert plan.tasks == single.tasks and plan.segment is single.segment
             assert plan.exchange_count == single.exchange_count
-            assert plan.pair_target == pair.target
+            assert plan.staged == (pair.target,)
             assert plan.index_mask == index_mask
 
     def test_one_block_run_plans_the_blocks_a_step_acts_on(self):

@@ -4,8 +4,10 @@ Pinned here:
 
 * **Bytes and counters** — one-block and block-pair tasks, with no cache,
   a live cache and a self-disabled cache, give blobs byte-equal to a
-  hand-written decompress → ops → compress reference and the exact
-  :class:`TaskStats`.  A cross-rank pair is the same block-pair call.
+  hand-written decompress → ops → compress reference — for a pair, the
+  pairwise oracle on two separate blocks (:mod:`reference_kernels`) — and
+  the exact :class:`TaskStats`.  A cross-rank pair is the same block-pair
+  call.
 * **Multi-step ops** — a k-step one-block task is byte-equal to k chained
   one-step tasks under lossless compression, at one decompress, one compress
   and one task; a hit on the run's key makes no codec call.  A k-step pair
@@ -17,9 +19,9 @@ Pinned here:
   A parity phase (``cx · d · cx`` as one step) under a local control is
   equal to its three gates on a dense vector in every block, wherever its
   two qubits lie.
-* **Riders** — a pair task applies its one-block steps to each staged block
-  at that block's own index: both blocks of every pair equal a dense
-  reference.
+* **Riders** — a pair task applies its one-block steps over the virtual
+  block, each half at its block's own index: both blocks of every pair
+  equal a dense reference.
 * **Grouping** — :func:`group_tasks` groups by exactly the kernel's inputs
   (blob bytes, codec names, the index bits the op reads) in first-seen
   order, and one ``copies=n`` call counts n tasks, n - 1 duplicates, one
@@ -41,8 +43,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_kernels
 from repro.circuits import Gate, ParityPhase, QuantumCircuit, Run, standard_gate
-from repro.circuits.fusion import parity_of
 from repro.compression import CompressorError, get_compressor
 from repro.core import (
     BlockCache,
@@ -133,22 +135,25 @@ def _setup(cache):
     kernel = BlockKernel({stored.name: stored, output.name: output}, scratch, cache)
     op = BlockOp(
         MATRIX[None],
-        (2,),
         (1 << 2,),
+        (0,),
         (CONTROLS,),
         (0,),
         0,
-        None,
         output,
         ("u", (2,), CONTROLS, "xor@1e-3"),
     )
     return kernel, op, stored, output, scratch
 
 
-def _paired(op: BlockOp, target: int = 5) -> BlockOp:
-    """*op*'s one step on non-local *target*: a block-pair op."""
+#: The bit above a block: a staged non-local target's bit in the virtual block.
+TOP = BLOCK.bit_length() - 1
 
-    return op._replace(targets=(target,), parities=(1 << target,), pair_target=target)
+
+def _paired(op: BlockOp) -> BlockOp:
+    """*op*'s one step on a staged non-local target: a block-pair op."""
+
+    return op._replace(local_parities=(1 << TOP,))
 
 
 def _op_for(shape: str, op: BlockOp) -> BlockOp:
@@ -167,13 +172,14 @@ def _reference(shape, blocks, stored, output):
     ]
     mask = ops.local_control_mask(BLOCK, CONTROLS)
     if count == 1:
-        ops.apply_controlled_single_qubit(buffers[0], MATRIX, 2, CONTROLS)
+        reference_kernels.apply_controlled_single_qubit(
+            buffers[0], MATRIX, 2, CONTROLS
+        )
     else:
-        ops.apply_single_qubit_pairwise_masked(*buffers, MATRIX, mask)
-    outs = [output.compress(buffer.view(np.float64)) for buffer in buffers]
-    if count == 1:
-        return outs[0], None
-    return outs[0], outs[1]
+        reference_kernels.apply_single_qubit_pairwise_masked(
+            *buffers, MATRIX, mask
+        )
+    return tuple(output.compress(buffer.view(np.float64)) for buffer in buffers)
 
 
 @pytest.mark.parametrize("cache_kind", list(CACHES))
@@ -186,16 +192,17 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
     cache = CACHES[cache_kind]()
     kernel, op, stored, output, scratch = _setup(cache)
     op = _op_for(shape, op)
-    inputs = []
-    for block in blocks[:count]:
-        inputs += [stored.inner.compress(block.view(np.float64)), stored.name]
+    inputs = tuple(
+        (stored.inner.compress(block.view(np.float64)), stored.name)
+        for block in blocks[:count]
+    )
     # ("is not None": an empty BlockCache is falsy through __len__.)
     counted_before = (
         (cache.stats.hits, cache.stats.misses) if cache is not None else None
     )
 
     stats = TaskStats()
-    assert kernel.run(op, stats, *inputs) == expected
+    assert kernel.run(op, stats, inputs) == expected
     counted = cache_kind == "enabled"
     assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (
         1,
@@ -212,7 +219,7 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
 
     # The same task again: a live cache answers it without touching a codec
     # or the scratch pool; without one (or once self-disabled) it recomputes.
-    assert kernel.run(op, stats, *inputs) == expected
+    assert kernel.run(op, stats, inputs) == expected
     repeats = 1 if counted else 2
     assert stats.tasks == 2
     assert (stats.decompress_calls, stats.compress_calls) == (
@@ -232,8 +239,8 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
         assert (cache.stats.hits, cache.stats.misses) == counted_before
 
 
-#: (matrix, target, local controls) of a three-step run on one 16-amplitude
-#: block: uncontrolled, controlled, and a repeat target.
+#: (matrix, bit, local controls) of a three-step run on one 16-amplitude
+#: block: uncontrolled, controlled, and a repeat bit.
 STEPS = (
     (MATRIX, 2, ()),
     (MATRIX.conj().T, 0, (1, 3)),
@@ -241,18 +248,19 @@ STEPS = (
 )
 
 
-def _step_op(steps, codec, describe="lossless", pair_target=None):
-    matrices, targets, controls = zip(*steps)
-    key = tuple(("u", (t,), c, m.tobytes()) for m, t, c in steps) + (describe,)
-    parities = tuple(1 << target for target in targets)
+def _step_op(steps, codec, describe="lossless"):
+    """A BlockOp of ``(matrix, bit, local controls)`` steps on bits of the
+    virtual block (:data:`TOP` for a pair's target)."""
+
+    matrices, bits, controls = zip(*steps)
+    key = tuple(("u", (b,), c, m.tobytes()) for m, b, c in steps) + (describe,)
     return BlockOp(
         np.stack(matrices),
-        targets,
-        parities,
+        tuple(1 << bit for bit in bits),
+        (0,) * len(steps),
         controls,
         (0,) * len(steps),
         0,
-        pair_target,
         codec,
         key,
     )
@@ -270,8 +278,8 @@ def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
     chained_kernel, codec, _ = lossless_kernel(None)
     chained, chained_stats = blob, TaskStats()
     for step in STEPS:
-        chained, _ = chained_kernel.run(
-            _step_op([step], codec), chained_stats, chained, codec.name
+        (chained,) = chained_kernel.run(
+            _step_op([step], codec), chained_stats, ((chained, codec.name),)
         )
     assert (chained_stats.tasks, codec.decompress_calls, codec.compress_calls) == (
         3,
@@ -282,13 +290,13 @@ def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
     kernel, codec, scratch = lossless_kernel(CACHES[cache_kind]())
     op = _step_op(STEPS, codec)
     stats = TaskStats()
-    assert kernel.run(op, stats, blob, codec.name) == (chained, None)
+    assert kernel.run(op, stats, ((blob, codec.name),)) == (chained,)
     assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (1, 1, 1)
     assert (codec.decompress_calls, codec.compress_calls, scratch.fills) == (1, 1, 1)
 
     # Again: a live cache answers from the run's line without a codec call;
     # the line is the run's own, not any constituent's or a prefix's.
-    assert kernel.run(op, stats, blob, codec.name) == (chained, None)
+    assert kernel.run(op, stats, ((blob, codec.name),)) == (chained,)
     hit = cache_kind == "enabled"
     assert stats.tasks == 2
     assert (codec.decompress_calls, codec.compress_calls, scratch.fills) == (
@@ -297,7 +305,7 @@ def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
     assert (stats.cache_hits, stats.cache_misses) == ((1, 1) if hit else (0, 0))
     if hit:
         for shorter in (STEPS[:1], STEPS[:2]):
-            kernel.run(_step_op(shorter, codec), stats, blob, codec.name)
+            kernel.run(_step_op(shorter, codec), stats, ((blob, codec.name),))
         assert (stats.cache_hits, stats.cache_misses) == (1, 3)
 
 
@@ -305,26 +313,22 @@ def test_multi_step_pair_equals_chained_pairs(blocks):
     codec = CountingCodec(get_compressor("lossless"))
     kernel = BlockKernel({codec.name: codec}, CountingScratch(BLOCK))
     # Same steps, all on one target above the block: the masks differ per step.
-    steps = [(matrix, 5, controls) for matrix, _, controls in STEPS]
-    pair = [
-        part
-        for block in blocks
-        for part in (codec.inner.compress(block.view(np.float64)), codec.name)
-    ]
+    steps = [(matrix, TOP, controls) for matrix, _, controls in STEPS]
+    pair = tuple(
+        (codec.inner.compress(block.view(np.float64)), codec.name) for block in blocks
+    )
 
     chained, chained_stats = pair, TaskStats()
     for step in steps:
-        low, high = kernel.run(
-            _step_op([step], codec, pair_target=5), chained_stats, *chained
-        )
-        chained = [low, codec.name, high, codec.name]
+        outs = kernel.run(_step_op([step], codec), chained_stats, chained)
+        chained = tuple((out, codec.name) for out in outs)
     assert (chained_stats.decompress_calls, chained_stats.compress_calls) == (6, 6)
 
-    op = _step_op(steps, codec, pair_target=5)
+    op = _step_op(steps, codec)
     calls = (codec.decompress_calls, codec.compress_calls)
     stats = TaskStats()
-    whole = kernel.run(op, stats, *pair)
-    assert whole == (chained[0], chained[2])
+    whole = kernel.run(op, stats, pair)
+    assert whole == tuple(blob for blob, _ in chained)
     assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (1, 2, 2)
     assert (codec.decompress_calls - calls[0], codec.compress_calls - calls[1]) == (
         2,
@@ -352,12 +356,11 @@ def test_one_block_steps_follow_the_block_index(rng):
     kernel = BlockKernel({codec.name: codec}, ScratchPool(BLOCK), cache)
     op = BlockOp(
         np.stack([gate.matrix for gate in gates]),
-        (2, 5, 6),
-        (1 << 2, 1 << 5, 1 << 6),
+        (1 << 2, 0, 0),
+        (0, 0b010, 0b100),
         ((), (), (1,)),
         (0b001, 0, 0b001),
         0b111,
-        None,
         codec,
         tuple(gate.key() for gate in gates) + ("lossless",),
     )
@@ -365,11 +368,10 @@ def test_one_block_steps_follow_the_block_index(rng):
     for index in range(8):
         block = dense[index * BLOCK : (index + 1) * BLOCK]
         # Bits above the mask are not read.
-        out, none = kernel.run(
-            op, stats, codec.compress(block.view(np.float64)), codec.name,
+        (out,) = kernel.run(
+            op, stats, ((codec.compress(block.view(np.float64)), codec.name),),
             index=index | 0b1000,
         )
-        assert none is None
         assert np.array_equal(
             codec.decompress(out).view(np.complex128),
             expected[index * BLOCK : (index + 1) * BLOCK],
@@ -380,11 +382,11 @@ def test_one_block_steps_follow_the_block_index(rng):
     # left the 4-line cache), two outputs; the same bits again hit whatever
     # the bits outside the mask say.
     blob = codec.compress(dense[:BLOCK].view(np.float64))
-    low, _ = kernel.run(op, stats, blob, codec.name, index=0b000)
-    high, _ = kernel.run(op, stats, blob, codec.name, index=0b010)
+    (low,) = kernel.run(op, stats, ((blob, codec.name),), index=0b000)
+    (high,) = kernel.run(op, stats, ((blob, codec.name),), index=0b010)
     assert low == blob != high
     assert (stats.cache_hits, stats.cache_misses) == (0, 10)
-    assert kernel.run(op, stats, blob, codec.name, index=0b11010) == (high, None)
+    assert kernel.run(op, stats, ((blob, codec.name),), index=0b11010) == (high,)
     assert (stats.cache_hits, stats.cache_misses) == (1, 10)
 
 
@@ -422,7 +424,7 @@ def test_in_block_diagonal_is_a_phase_on_the_side_it_moves(
     assert gate.is_diagonal
     matrix = gate.matrix
     kernel = BlockKernel({}, ScratchPool(size))
-    step = (matrix, target, 1 << target, controls, 0)
+    step = (matrix, 1 << target, 0, controls, 0)
 
     block = _diagonal_block(rng, size)
     expected = block.copy()
@@ -456,7 +458,7 @@ def test_in_block_diagonal_is_a_phase_on_the_side_it_moves(
 
     # A block control not set in the block's index: nothing changes.
     untouched = block.copy()
-    kernel._apply_step(untouched, 0b10, matrix, target, 1 << target, controls, 0b1)
+    kernel._apply_step(untouched, 0b10, matrix, 1 << target, 0, controls, 0b1)
     assert untouched.tobytes() == block.tobytes()
 
 
@@ -487,21 +489,22 @@ def test_parity_steps_under_a_local_control_mask(rng):
     )
     op = BlockOp(
         np.stack([step.matrix for step in steps]),
-        tuple(step.target for step in steps),
-        tuple(parity_of(step) for step in steps),
+        (0b101, 0b10, 0),
+        (0, 0b010, 0b101),
         ((3,),) * 3,
         (0,) * 3,
         0b111,
-        None,
         codec,
         tuple(step.key() for step in steps) + ("lossless",),
     )
-    assert op.parities == (0b101, 0b100010, 0b1010000)
+    plan = plan_gate(Partition(7, 1, BLOCK), Run(tuple(steps)))
+    assert (plan.local_parities, plan.block_parities) == op[1:3]
     stats = TaskStats()
     for index in range(8):
         block = dense[index * BLOCK : (index + 1) * BLOCK]
-        out, _ = kernel.run(
-            op, stats, codec.compress(block.view(np.float64)), codec.name, index=index
+        (out,) = kernel.run(
+            op, stats, ((codec.compress(block.view(np.float64)), codec.name),),
+            index=index,
         )
         assert np.array_equal(
             codec.decompress(out).view(np.complex128),
@@ -512,8 +515,8 @@ def test_parity_steps_under_a_local_control_mask(rng):
     # One blob on both sides of qubit 5's bit: the in-block qubit's two
     # phases swap, so two lines and two outputs.
     blob = codec.compress(dense[:BLOCK].view(np.float64))
-    low, _ = kernel.run(op, stats, blob, codec.name, index=0b000)
-    high, _ = kernel.run(op, stats, blob, codec.name, index=0b010)
+    (low,) = kernel.run(op, stats, ((blob, codec.name),), index=0b000)
+    (high,) = kernel.run(op, stats, ((blob, codec.name),), index=0b010)
     assert low != high
     assert (stats.cache_hits, stats.cache_misses) == (0, 10)
 
@@ -522,12 +525,14 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
     # 7 qubits in 16-amplitude blocks: qubits 4-6 are bits 0-2 of the block
     # index.  An h on qubit 5 pairs blocks i and i | 0b010; riders before and
     # after it read both sides' own indices: an in-block 2x2 under qubit 5,
-    # a cz(4 -> 6), and rz on x_1 xor x_5.  The t on qubit 5 is a pair step.
+    # a cz(4 -> 6), rz on x_1 xor x_5, and rz on x_6 xor x_5 (one bit of the
+    # buffer, flipped by block bit 2).  The t on qubit 5 is a pair step.
     steps = [
         Gate("u", MATRIX, targets=(2,), controls=(5,)),
         standard_gate("z", 6, controls=(4,)),
         standard_gate("h", 5),
         _sandwich(1, standard_gate("rz", 5, params=(0.7,))),
+        _sandwich(6, standard_gate("rz", 5, params=(-0.4,))),
         standard_gate("t", 5),
     ]
     dense = rng.normal(size=128) + 1j * rng.normal(size=128)
@@ -539,15 +544,20 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
     codec = CountingCodec(get_compressor("lossless"))
     kernel = BlockKernel({codec.name: codec}, ScratchPool(BLOCK), CACHES["enabled"]())
     plan = plan_gate(Partition(7, 1, BLOCK), Run(tuple(steps)))
-    assert plan.pair_target == 5 and plan.index_mask == 0b111
+    # Qubit 5 is the virtual block's bit 4: the riders' control on it is a
+    # local control there, x_1 xor x_5 two bits of the buffer, and x_6 xor
+    # x_5 one bit plus block bit 2.
+    assert plan.staged == (5,) and plan.index_mask == 0b101
+    assert plan.local_parities == (1 << 2, 0, 1 << 4, 0b10010, 1 << 4, 1 << 4)
+    assert plan.block_parities == (0, 0b100, 0, 0, 0b100, 0)
+    assert plan.local_controls[0] == (4,) and plan.block_controls[0] == 0
     op = BlockOp(
         np.stack([step.matrix for step in steps]),
-        tuple(step.target for step in steps),
-        tuple(parity_of(step) for step in steps),
+        plan.local_parities,
+        plan.block_parities,
         plan.local_controls,
         plan.block_controls,
         plan.index_mask,
-        plan.pair_target,
         codec,
         Run(tuple(steps)).key() + ("lossless",),
     )
@@ -559,8 +569,8 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
     stats = TaskStats()
     for task in plan.tasks:
         low, high = (rank * 8 + block for rank, block in task.buffers)
-        pair = (blob(low), codec.name, blob(high), codec.name)
-        outs = kernel.run(op, stats, *pair, index=low)
+        pair = ((blob(low), codec.name), (blob(high), codec.name))
+        outs = kernel.run(op, stats, pair, index=low)
         for index, out in zip((low, high), outs):
             assert np.array_equal(
                 codec.decompress(out).view(np.complex128),
@@ -568,7 +578,7 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
             )
         # The key carries the index bits the riders read: the same pair at
         # the same index is a hit.
-        assert kernel.run(op, stats, *pair, index=low) == outs
+        assert kernel.run(op, stats, pair, index=low) == outs
     assert (stats.cache_hits, stats.cache_misses) == (4, 4)
 
 
@@ -616,7 +626,7 @@ def test_group_tasks_keys_on_exactly_what_the_kernel_reads():
     ]
     groups = group_tasks(op, staged)
     assert [tasks for _, tasks in groups] == [["a", "b", "f"], ["c"], ["d"], ["e"]]
-    assert groups[0][0] == (same, "lossless", None, None, 0)
+    assert groups[0][0] == (((same, "lossless"),), 0)
     assert groups[1][0][-1] == 0b010
 
     # Pairs: both blobs and both names, in order, and the index bits their
@@ -625,7 +635,7 @@ def test_group_tasks_keys_on_exactly_what_the_kernel_reads():
     staged = [("p", pair, 0), ("q", pair, 7), ("r", pair[::-1], 0)]
     groups = group_tasks(op._replace(index_mask=0), staged)
     assert [tasks for _, tasks in groups] == [["p", "q"], ["r"]]
-    assert groups[0][0] == (b"low", "lossless", b"high", "lossless", 0)
+    assert groups[0][0] == (((b"low", "lossless"), (b"high", "lossless")), 0)
     groups = group_tasks(op._replace(index_mask=0b100), staged)
     assert [tasks for _, tasks in groups] == [["p"], ["q"], ["r"]]
     assert groups[1][0][-1] == 0b100
@@ -636,10 +646,10 @@ def test_copies_count_tasks_and_duplicates_once(cache_kind, blocks):
     reference, reference_op = _setup(None)[:2]
     kernel, op, stored, output, scratch = _setup(CACHES[cache_kind]())
     blob = stored.inner.compress(blocks[0].view(np.float64))
-    expected = reference.run(reference_op, TaskStats(), blob, stored.name)
+    expected = reference.run(reference_op, TaskStats(), ((blob, stored.name),))
 
     stats = TaskStats()
-    assert kernel.run(op, stats, blob, stored.name, copies=3) == expected
+    assert kernel.run(op, stats, ((blob, stored.name),), copies=3) == expected
     assert (stats.tasks, stats.duplicates) == (3, 2)
     assert (stats.decompress_calls, stats.compress_calls) == (1, 1)
     assert (stored.decompress_calls, output.compress_calls, scratch.fills) == (

@@ -626,12 +626,13 @@ class TestFailureAndValidation:
             simulator.apply_circuit(circuit)
             assert final_blobs(simulator) == expected
         to_rank1 = [m for worker_id, m in sent if worker_id == 1 and m[0] == "gate"]
-        multi = [i for i, m in enumerate(to_rank1) if len(m[1].targets) > 1]
+        multi = [i for i, m in enumerate(to_rank1) if len(m[1].local_parities) > 1]
         assert multi
         for index in multi:
             op = to_rank1[index][1]
-            assert op.matrices.shape == (len(op.targets), 2, 2)
-            assert len(op.local_controls) == len(op.targets) == len(op.op_key) - 1
+            steps = len(op.local_parities)
+            assert op.matrices.shape == (steps, 2, 2)
+            assert len(op.local_controls) == steps == len(op.op_key) - 1
 
         # Rank 1 dies on its last multi-step batch: rebuild, reload the last
         # in-run checkpoint, replay whole elements, finish bit-identically.

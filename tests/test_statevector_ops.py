@@ -1,7 +1,8 @@
 """Unit tests for the vectorised gate kernels (repro.statevector.ops).
 
 The controlled 2x2 update is compared byte for byte with the index-array
-kernel it replaced (:mod:`reference_kernels`).
+kernel it replaced, and a 2x2 on the top bit of two blocks side by side with
+the pairwise block-pair kernel (:mod:`reference_kernels`).
 """
 
 from __future__ import annotations
@@ -161,27 +162,72 @@ class TestControlledMatchesIndexArrays:
         assert state.tobytes() == expected.tobytes()
 
 
+#: Local controls of a block-pair 2x2, as a function of the buffer's top
+#: bit: none, the lowest in-block bit, and the lowest and highest.
+PAIR_CONTROLS = {
+    "uncontrolled": lambda top: (),
+    "lowest": lambda top: (0,),
+    "lowest-and-highest": lambda top: (0, top - 1),
+}
+
+
 class TestPairwiseKernel:
-    def test_matches_full_vector_update(self, rng):
-        # Applying U to the top qubit of a 2-block state should equal the
-        # pairwise kernel applied to the two halves.
-        num_qubits = 6
-        state = _random_state(num_qubits, rng)
-        top = num_qubits - 1
-        expected = state.copy()
-        ops.apply_single_qubit(expected, gates.SX, top)
+    """Two blocks side by side are one buffer whose top bit is the pair's
+    target: a 2x2 on that bit is the pairwise update of the two blocks, the
+    identity the block kernel's virtual block rests on."""
 
-        half = state.size // 2
-        x = state[:half].copy()
-        y = state[half:].copy()
-        ops.apply_single_qubit_pairwise(x, y, gates.SX)
-        assert np.allclose(np.concatenate([x, y]), expected, atol=1e-12)
+    @staticmethod
+    def _pair(rng, size: int) -> np.ndarray:
+        """Two *size*-amplitude blocks side by side, with zeros of both signs."""
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ops.apply_single_qubit_pairwise(
-                np.zeros(4, dtype=complex), np.zeros(8, dtype=complex), gates.H
-            )
+        pair = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
+        parts = pair.view(np.float64)
+        zeros = rng.random(parts.size) < 0.25
+        parts[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        return pair
+
+    @staticmethod
+    def _oracle(pair: np.ndarray, matrix: np.ndarray, controls) -> np.ndarray:
+        size = pair.size // 2
+        offsets = np.arange(size)
+        mask = None  # uncontrolled: the oracle's unmasked form
+        for control in controls:
+            bit = (offsets >> control & 1).astype(bool)
+            mask = bit if mask is None else mask & bit
+        out = pair.copy()
+        reference_kernels.apply_single_qubit_pairwise_masked(
+            out[:size], out[size:], matrix, mask
+        )
+        return out
+
+    @pytest.mark.parametrize("controls_of", list(PAIR_CONTROLS))
+    @pytest.mark.parametrize("top", [4, 10, 16])
+    def test_top_bit_2x2_is_the_pairwise_update_bit_for_bit(
+        self, top, controls_of, rng
+    ):
+        # Entries that are not powers of two, so an operand-order change in
+        # the complex multiply shows in the last bit.
+        matrix = gates.u3(0.7, 0.3, -1.1)
+        controls = PAIR_CONTROLS[controls_of](top)
+        pair = self._pair(rng, 1 << top)
+        assert (np.signbit(pair.real) & (pair.real == 0)).any()
+        expected = self._oracle(pair, matrix, controls)
+        ops.apply_controlled_single_qubit(pair, matrix, top, controls)
+        assert np.array_equal(pair.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("controls_of", list(PAIR_CONTROLS))
+    @pytest.mark.parametrize("name, params", [("t", ()), ("rz", (0.37,))])
+    def test_top_bit_diagonal_equals_the_pairwise_update(
+        self, name, params, controls_of, rng
+    ):
+        # A phase's contract: equal values, a zero's sign may differ.
+        top = 10
+        controls = PAIR_CONTROLS[controls_of](top)
+        matrix = standard_gate(name, top, params=params).matrix
+        pair = self._pair(rng, 1 << top)
+        expected = self._oracle(pair, matrix, controls)
+        ops.apply_diagonal(pair, matrix, top, controls)
+        assert np.array_equal(pair, expected)
 
 
 class TestApplyPhase:
@@ -229,16 +275,6 @@ class TestApplyPhase:
         for phase in (gates.Z[1, 1], gates.phase(2.0)[1, 1], gates.rz(-1.0)[0, 0]):
             ops.apply_phase(block, phase, ops.local_control_mask(16, controls))
             assert block.tobytes() == bytes(16 * 16)
-
-
-class TestControlMaskIndices:
-    def test_selects_expected_indices(self):
-        indices = ops.control_mask_indices(16, 0b0101, 0b0101)
-        assert all((i & 0b0101) == 0b0101 for i in indices)
-        assert len(indices) == 4
-
-    def test_zero_mask_selects_everything(self):
-        assert len(ops.control_mask_indices(8, 0, 0)) == 8
 
 
 class TestApplyGateToVector:
