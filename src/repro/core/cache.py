@@ -9,9 +9,12 @@ on a hit.
 The paper's design: 64 cache lines per rank, least-recently-used replacement,
 a line holds ``(OP, CB1, CB2, CB1', CB2')``; the cache is disabled when the
 hit rate stays at zero (random circuits), so misses stop costing lookups.
-A line is keyed on exactly its head ``(OP, CB1, CB2)`` — the op key and the
-input blobs themselves, not digests of them — so a hit can only return the
-outputs of the same pattern, and Python hashes each blob once in its lifetime.
+Here a line holds a task's k input blobs and its k output blobs, whatever k
+the task staged — one block, a pair, or more — and is keyed on exactly its
+head ``(OP, (CB1, ..., CBk))``: the op key and the input blobs themselves, not
+digests of them.  So a hit can only return the outputs of the same pattern, a
+one-block line never answers a pair with the same first blob, and Python
+hashes each blob once in its lifetime.
 
 Repeats *within* one gate plan never reach the cache: every tier groups a
 plan's byte-identical tasks first (:func:`repro.core.kernel.group_tasks`), so
@@ -67,7 +70,7 @@ class CacheStats:
 
 
 class BlockCache:
-    """LRU cache keyed on ``(op_key, blob1, blob2)`` exactly.
+    """LRU cache keyed on ``(op_key, (blob1, ..., blobk))`` exactly.
 
     The simulator and every rank worker build it with the defaults, the
     paper's constants; the parameters exist for unit tests and probes.
@@ -87,7 +90,7 @@ class BlockCache:
             raise ValueError("cache must have at least one line")
         self._lines = int(lines)
         self._threshold = miss_disable_threshold
-        self._entries: "OrderedDict[tuple, tuple[bytes, bytes | None]]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, tuple[bytes, ...]]" = OrderedDict()
         self.stats = CacheStats()
 
     @property
@@ -102,14 +105,13 @@ class BlockCache:
 
         return not self.stats.disabled
 
-    def lookup(
-        self, op_key: tuple, blob1: bytes, blob2: bytes | None
-    ) -> tuple[bytes, bytes | None] | None:
-        """Return the cached output blobs for this pattern, or ``None``."""
+    def lookup(self, op_key: tuple, *blobs: bytes) -> tuple[bytes, ...] | None:
+        """Return the cached output blobs for the input *blobs* under
+        *op_key*, or ``None``."""
 
         if self.stats.disabled:
             return None
-        key = (op_key, blob1, blob2)
+        key = (op_key, blobs)
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -129,22 +131,17 @@ class BlockCache:
         self.stats.hits += 1
         return entry
 
-    def insert(
-        self,
-        op_key: tuple,
-        blob1: bytes,
-        blob2: bytes | None,
-        out1: bytes,
-        out2: bytes | None,
-    ) -> None:
-        """Store the output blobs for this pattern (LRU eviction)."""
+    def insert(self, op_key: tuple, *line: bytes) -> None:
+        """Store a line: *line* is the k input blobs, then the k output blobs
+        (LRU eviction)."""
 
         if self.stats.disabled:
             return
-        key = (op_key, blob1, blob2)
+        k = len(line) // 2
+        key = (op_key, line[:k])
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = (out1, out2)
+        self._entries[key] = line[k:]
         self.stats.insertions += 1
         while len(self._entries) > self._lines:
             self._entries.popitem(last=False)

@@ -18,12 +18,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..compression.interface import Compressor
-from ..distributed.exchange import GatePlan
+from ..distributed.exchange import BlockOp, GatePlan
 from ..distributed.partition import Partition
 from ..statevector.measurement import diagonal_partials
 from .blocks import CompressedBlock, ScratchPool
 from .cache import BlockCache
-from .kernel import BlockKernel, BlockOp, TaskStats
+from .kernel import BlockKernel, TaskStats
 from .report import SimulationReport
 
 __all__ = [
@@ -269,19 +269,15 @@ class CompressedStateVector:
         boundary here.
         """
 
-        blocks, per_rank = self._blocks, self._partition.blocks_per_rank
-        tasks = []
-        for task in plan.tasks:
-            indices = tuple(rank * per_rank + block for rank, block in task.buffers)
-            tasks.append(indices)
-            if task.crosses_ranks:
-                report.block_exchanges += 1
-                report.communication_bytes += 2 * max(
-                    blocks[index].nbytes for index in indices
-                )
+        blocks = self._blocks
+        if plan.exchange_count:
+            report.block_exchanges += plan.exchange_count
+            report.communication_bytes += sum(
+                2 * max(blocks[index].nbytes for index in task) for task in plan.tasks
+            )
         stats = TaskStats()
         try:
-            self._kernel.run_tasks(op, stats, blocks, tasks)
+            self._kernel.run_tasks(op, stats, blocks, plan.tasks)
         finally:
             stats.fold_into(report)
 

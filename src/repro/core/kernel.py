@@ -43,21 +43,25 @@ the repeats *across* plans.  A pair has one path on every tier: a cross-rank
 pair is one :meth:`BlockKernel.run` call on one of its two ranks, which
 receives the peer's input blob and sends back the peer's output blob.
 
-A :class:`BlockOp` is all a block task needs to know about the gate or run; a
+A :class:`~repro.distributed.exchange.BlockOp` (built by the planner,
+re-exported here) is all a block task needs to know about the gate or run; a
 :class:`TaskStats` collects what the round trips cost and is folded into the
-:class:`~repro.core.report.SimulationReport` by whichever tier ran them.
+:class:`~repro.core.report.SimulationReport` by whichever tier ran them.  A
+task's cache line is its op key plus its k input blobs, then its k output
+blobs — one block or two, whatever the plan staged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, MutableMapping, NamedTuple, TypeVar
+from typing import Iterable, MutableMapping, TypeVar
 
 import numpy as np
 
 from ..circuits.gates import is_exactly_diagonal
 from ..compression.interface import Compressor
+from ..distributed.exchange import BlockOp
 from ..statevector import ops
 from .blocks import CompressedBlock, ScratchPool
 from .cache import BlockCache
@@ -66,42 +70,6 @@ from .report import SimulationReport
 __all__ = ["BlockOp", "TaskStats", "BlockKernel", "group_tasks"]
 
 Task = TypeVar("Task")
-
-
-class BlockOp(NamedTuple):
-    """One schedule element — a gate or a :class:`~repro.circuits.fusion.Run`
-    — as the block tasks of its plan see it.
-
-    The first five fields are parallel, one entry per step, and written over
-    a task's virtual block (:class:`~repro.distributed.exchange.GatePlan`):
-    step ``i`` applies ``matrices[i]`` on the parity of ``local_parities[i]``
-    and ``block_parities[i]`` under ``local_controls[i]`` on the blocks
-    ``block_controls[i]`` lets through.  A gate is one step.  The fields are
-    flat (one array, ints and tuples of ints) because the op rides every
-    ranked-tier gate message.
-    """
-
-    #: The 2x2 unitaries, stacked: shape ``(steps, 2, 2)``.
-    matrices: np.ndarray
-    #: Per step, the virtual-block bits of its target or parity
-    #: (:attr:`~repro.distributed.exchange.GatePlan.local_parities`).
-    local_parities: tuple[int, ...]
-    #: Per step, the rest of its parity as a mask over the global block index
-    #: (:attr:`~repro.distributed.exchange.GatePlan.block_parities`).
-    block_parities: tuple[int, ...]
-    #: Per step, the controls applied per amplitude inside the virtual block.
-    local_controls: tuple[tuple[int, ...], ...]
-    #: Per step, the block- and rank-level controls as a mask over the global
-    #: block index (:attr:`~repro.distributed.exchange.GatePlan.block_controls`).
-    block_controls: tuple[int, ...]
-    #: The block-index bits a task's outcome depends on
-    #: (:attr:`~repro.distributed.exchange.GatePlan.index_mask`).
-    index_mask: int
-    #: Compressor for the output blobs (the controller's current level).
-    compressor: Compressor
-    #: Block-cache ``OP`` field: the gate's key — or the run's, one gate key
-    #: per step — plus ``compressor.describe()``.
-    op_key: tuple
 
 
 @dataclass
@@ -162,7 +130,7 @@ def group_tasks(
     are the positional arguments of :meth:`BlockKernel.run` after
     ``(op, stats)`` — the ``(blob, name)`` tuple and the read index bits;
     run them once with ``copies=len(tasks)`` and store the outputs for every
-    task.  This is safe because a plan stages each (rank, block) at most
+    task.  This is safe because a plan stages each block at most
     once, so no task's inputs are another's outputs.
     """
 
@@ -171,13 +139,6 @@ def group_tasks(
         blobs = tuple((entry.blob, entry.compressor) for entry in entries)
         groups.setdefault((blobs, index & op.index_mask), []).append(task)
     return list(groups.items())
-
-
-def _cache_line(blobs: tuple[bytes, ...]) -> tuple[bytes, bytes | None]:
-    """*blobs* as one half of a cache line ``(OP, CB1, CB2, CB1', CB2')``:
-    ``CB2`` is ``None`` for a one-block task."""
-
-    return (blobs + (None,))[:2]
 
 
 class BlockKernel:
@@ -317,12 +278,12 @@ class BlockKernel:
         stats.duplicates += copies - 1
         cache = self.cache
         op_key = op.op_key + (index & op.index_mask,)
-        line = _cache_line(tuple(blob for blob, _ in inputs))
+        blobs = tuple(blob for blob, _ in inputs)
         if cache is not None and cache.enabled:
-            cached = cache.lookup(op_key, *line)
+            cached = cache.lookup(op_key, *blobs)
             if cached is not None:
                 stats.cache_hits += 1
-                return cached[: len(inputs)]
+                return cached
             stats.cache_misses += 1
 
         scratch = self.scratch
@@ -352,7 +313,7 @@ class BlockKernel:
         stats.compress_calls += len(inputs)
 
         if cache is not None:
-            cache.insert(op_key, *line, *_cache_line(outputs))
+            cache.insert(op_key, *blobs, *outputs)
         return outputs
 
     def _apply_step(

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
-from ..circuits.fusion import Run, Step, constituents, form_runs, run_of
+from ..circuits.fusion import Run, Step, form_runs, run_of
 from ..compression.interface import Compressor, get_compressor
 from ..distributed.exchange import plan_gate
 from ..distributed.partition import Partition, QubitSegment
@@ -60,7 +60,6 @@ from .cache import BlockCache
 from .compressed_state import CompressedStateVector
 from .config import SimulatorConfig
 from .fidelity import FidelityTracker
-from .kernel import BlockOp
 from .report import SimulationReport
 
 __all__ = ["CompressedSimulator"]
@@ -430,16 +429,8 @@ class CompressedSimulator:
 
         plan = plan_gate(self._partition, gate)
         compressor = self._controller.compressor()
-        steps = constituents(gate)
-        op = BlockOp(
-            np.stack([step.matrix for step in steps]),
-            plan.local_parities,
-            plan.block_parities,
-            plan.local_controls,
-            plan.block_controls,
-            plan.index_mask,
-            compressor,
-            gate.key() + (compressor.describe(),),
+        op = plan.op._replace(
+            compressor=compressor, op_key=plan.op.op_key + (compressor.describe(),)
         )
         self._state.run_plan(op, plan, self._report)
 

@@ -12,7 +12,7 @@ inter-rank traffic.
 """
 
 from .partition import Partition, QubitSegment
-from .exchange import BlockTask, GatePlan, plan_gate
+from .exchange import BlockOp, GatePlan, plan_gate
 from .process_comm import CommunicationStats, ProcessCommunicator, rank_links
 
 #: Names that live in :mod:`repro.distributed.ranked`, which imports from
@@ -37,7 +37,7 @@ __all__ = [
     "rank_links",
     "RankedStateVector",
     "RankWorker",
-    "BlockTask",
+    "BlockOp",
     "GatePlan",
     "plan_gate",
 ]

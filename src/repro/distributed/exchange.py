@@ -5,20 +5,21 @@ element (a gate, a :class:`~repro.circuits.fusion.ParityPhase`, or a
 :class:`~repro.circuits.fusion.Run`), this module answers what the element
 needs staged:
 
-* which (rank, block) buffers it touches at all — block- and rank-level
-  controls prune whole blocks and ranks, and a diagonal step skips the
-  blocks it multiplies by exactly 1;
+* which blocks it touches at all — block- and rank-level controls prune
+  whole blocks and ranks, and a diagonal step skips the blocks it multiplies
+  by exactly 1;
 * which of them have to be co-resident in scratch memory as a pair — only
   those a step actually *mixes*: a diagonal gate or parity phase never mixes
   an amplitude pair, so wherever its qubits lie it plans one block at a
   time, and when it rides a pair run it reads each staged block at that
   block's own index;
-* which of those pairs require an inter-rank exchange; and
-* where each step's qubits land: a task's blocks are staged side by side as
-  one *virtual block* (:class:`GatePlan`), the staged target as the bit
-  above the block, so every step — a pair's 2x2 included — is an in-block
-  step there, and what is left of its controls and parity is a mask over
-  the global block index.
+* whether those pairs require inter-rank exchanges (all of them or none);
+  and
+* where each step's qubits land (:class:`BlockOp`): a task's blocks are
+  staged side by side as one *virtual block* (:class:`GatePlan`), the staged
+  target as the bit above the block, so every step — a pair's 2x2 included
+  — is an in-block step there, and what is left of its controls and parity
+  is a mask over the global block index.
 
 Keeping the planning separate from the execution makes the index arithmetic
 (the trickiest part of Section 3.3) directly unit-testable against a dense
@@ -28,57 +29,37 @@ reference, and leaves the kernel one step path with no qubit arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from ..circuits.fusion import Run, Step, constituents, parity_of
+from ..compression.interface import Compressor
 from ..statevector.ops import block_phase
 from .partition import Partition, QubitSegment
 
-__all__ = ["BlockTask", "GatePlan", "plan_gate"]
+__all__ = ["BlockOp", "GatePlan", "plan_gate"]
 
 
-@dataclass(frozen=True)
-class BlockTask:
-    """One unit of work: decompress the listed buffers, update, recompress.
+class BlockOp(NamedTuple):
+    """One schedule element — a gate or a :class:`~repro.circuits.fusion.Run`
+    — as the block tasks of its plan see it.
 
-    ``first`` is always present; ``second`` is ``None`` for one-block
-    elements (the pair lives inside one block, or the gate is diagonal and
-    mixes no pair).  Each buffer is identified by ``(rank, block)``.
+    The first five fields are parallel, one entry per step, and written over
+    a task's virtual block (:class:`GatePlan`): step ``i`` applies
+    ``matrices[i]`` on the parity of ``local_parities[i]`` and
+    ``block_parities[i]`` under ``local_controls[i]`` on the blocks
+    ``block_controls[i]`` lets through.  A gate is one step.  The fields are
+    flat (one array, ints and tuples of ints) because the op rides every
+    ranked-tier gate message.  :func:`plan_gate` leaves ``compressor`` unset
+    (``None``); the simulator sets it and appends its ``describe()`` to
+    ``op_key`` before running the plan.
     """
 
-    first: tuple[int, int]
-    second: tuple[int, int] | None
-    crosses_ranks: bool
-
-    @property
-    def buffers(self) -> tuple[tuple[int, int], ...]:
-        """The (rank, block) buffers this task stages (one or two)."""
-
-        if self.second is None:
-            return (self.first,)
-        return (self.first, self.second)
-
-
-@dataclass(frozen=True)
-class GatePlan:
-    """Everything a tier's state needs to run one gate, or one
-    :class:`~repro.circuits.fusion.Run`, over its blocks.
-
-    A task stages its blocks side by side in one scratch buffer, a *virtual
-    block* of ``2^k`` blocks for ``k = len(staged)``: bit ``i`` of an offset
-    is qubit ``i`` below ``offset_bits``, and bit ``offset_bits + i`` is the
-    staged non-local target ``staged[i]``.  The per-step fields are written
-    over that buffer and the global block index of the task's first block,
-    so the kernel never maps a qubit itself.
-    """
-
-    segment: QubitSegment
-    tasks: tuple[BlockTask, ...]
-    #: The non-local targets a task stages, in virtual-bit order: one for a
-    #: pair plan, none for a one-block plan.
-    staged: tuple[int, ...]
-    #: Per step (a single gate is a one-step plan), the virtual-block bits of
-    #: its target or parity (:func:`~repro.circuits.fusion.parity_of`).
+    #: The 2x2 unitaries, stacked: shape ``(steps, 2, 2)``.
+    matrices: np.ndarray
+    #: Per step, the virtual-block bits of its target or parity
+    #: (:func:`~repro.circuits.fusion.parity_of`).
     local_parities: tuple[int, ...]
     #: Per step, the rest of its parity as a mask over the global block index
     #: ``rank * blocks_per_rank + block`` (a non-local qubit ``q`` is bit
@@ -94,36 +75,65 @@ class GatePlan:
     #: The block-index bits a task reads: every step's ``block_controls`` and
     #: ``block_parities``.
     index_mask: int
-    #: Number of inter-rank block exchanges the plan implies.
+    #: Compressor for the output blobs (the controller's current level).
+    compressor: Compressor
+    #: Block-cache ``OP`` field: the gate's key — or the run's, one gate key
+    #: per step — plus ``compressor.describe()`` once the simulator sets it.
+    op_key: tuple
+
+
+@dataclass(frozen=True)
+class GatePlan:
+    """Everything a tier's state needs to run one gate, or one
+    :class:`~repro.circuits.fusion.Run`, over its blocks.
+
+    Each task is the tuple of global block indices (``rank *
+    blocks_per_rank + block``) it stages, in virtual-block order: ``(i,)``,
+    or a pair ``(i, i | target_bit)``.  A task stages its blocks side by
+    side in one scratch buffer, a *virtual block* of ``2^k`` blocks for
+    ``k = len(staged)``: bit ``i`` of an offset is qubit ``i`` below
+    ``offset_bits``, and bit ``offset_bits + i`` is the staged non-local
+    target ``staged[i]``.  :attr:`op`'s per-step fields are written over
+    that buffer and the global block index of the task's first block, so the
+    kernel never maps a qubit itself.
+    """
+
+    segment: QubitSegment
+    tasks: tuple[tuple[int, ...], ...]
+    #: The non-local targets a task stages, in virtual-bit order: one for a
+    #: pair plan, none for a one-block plan.
+    staged: tuple[int, ...]
+    #: The element's steps as every task applies them.
+    op: BlockOp
+    #: Number of inter-rank block exchanges: every task of a RANK-segment
+    #: pair plan crosses ranks, no task of any other plan does.
     exchange_count: int
 
     @property
     def touched_buffers(self) -> int:
         """Total buffer stagings the plan implies (cache misses pay these)."""
 
-        return sum(len(task.buffers) for task in self.tasks)
+        return sum(len(task) for task in self.tasks)
 
     # Kept only for benchmarks/e2e/e2e_trace.py (its ``exchange.waves``
     # metric); no tier reads it.
-    def independent_groups(self) -> tuple[tuple[BlockTask, ...], ...]:
+    def independent_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Partition the tasks into waves of mutually independent tasks.
 
-        Two tasks are independent when their (rank, block) buffer sets are
-        disjoint.  :func:`plan_gate` stages every block at most once, so its
-        plans are always one wave.  Waves cut the task list at the first
-        buffer conflict, never hoisting a later task past a conflicting
-        earlier one.
+        Two tasks are independent when their block index sets are disjoint.
+        :func:`plan_gate` stages every block at most once, so its plans are
+        always one wave.  Waves cut the task list at the first block
+        conflict, never hoisting a later task past a conflicting earlier one.
         """
 
-        waves: list[list[BlockTask]] = []
-        used: set[tuple[int, int]] = set()
+        waves: list[list[tuple[int, ...]]] = []
+        used: set[int] = set()
         for task in self.tasks:
-            buffers = set(task.buffers)
-            if not waves or used & buffers:
+            if not waves or used.intersection(task):
                 waves.append([])
                 used = set()
             waves[-1].append(task)
-            used |= buffers
+            used.update(task)
         return tuple(tuple(wave) for wave in waves)
 
 
@@ -179,14 +189,15 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
 
     An element whose every step is one-block — an in-block target, a
     diagonal 2x2, or a parity phase — stages nothing above the block: it
-    plans as ``second=None`` tasks with no exchange (and reports
+    plans as one-block tasks ``(i,)`` with no exchange (and reports
     ``QubitSegment.LOCAL``), on exactly the blocks where at least one step
     does something: all of the step's non-local control bits set in the
     block's global index ``i`` and, for a diagonal whose target (or parity)
     lies wholly above the block, ``m[b, b] != 1`` where ``b`` is the parity
     of those bits of ``i``.  Anything else is a pair element that stages the
     non-local target ``T`` of its first mixing gate, planned as ``T``'s
-    block pairs under that gate's non-local controls.  Its *pair steps* are
+    block pairs ``(i, i | target_bit)`` under that gate's non-local
+    controls.  Its *pair steps* are
     the gates on ``T`` under those same controls — a diagonal on ``T`` among
     them — and every mixing gate must be one.  The other steps are
     *riders*: one-block steps, allowed only when the pair has no non-local
@@ -202,32 +213,35 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
         )
     steps = constituents(gate)
     offset = partition.offset_bits
-    per_rank = partition.blocks_per_rank
     mixing = [i for i, step in enumerate(steps) if not _is_one_block(step, offset)]
     staged = (steps[mixing[0]].target,) if mixing else ()
     parities = [_split(_parity_bits(step), offset, staged) for step in steps]
     controls = [_split(step.controls, offset, staged) for step in steps]
     local_parities = tuple(sum(1 << bit for bit in bits) for bits, _ in parities)
     block_parities = tuple(mask for _, mask in parities)
-    local_controls = tuple(local for local, _ in controls)
     block_controls = tuple(mask for _, mask in controls)
     index_mask = 0
     for required, bits in zip(block_controls, block_parities):
         index_mask |= required | bits
-    fields = (
-        local_parities, block_parities, local_controls, block_controls, index_mask
+    op = BlockOp(
+        np.stack([step.matrix for step in steps]),
+        local_parities,
+        block_parities,
+        tuple(local for local, _ in controls),
+        block_controls,
+        index_mask,
+        compressor=None,
+        op_key=gate.key(),
     )
     per_step = list(zip(steps, local_parities, block_parities, block_controls))
 
     if not staged:
-        tasks = [
-            BlockTask(divmod(index, per_rank), None, crosses_ranks=False)
+        tasks = tuple(
+            (index,)
             for index in range(partition.total_blocks)
             if any(_acts_on(*step, index) for step in per_step)
-        ]
-        return GatePlan(
-            QubitSegment.LOCAL, tuple(tasks), staged, *fields, exchange_count=0
         )
+        return GatePlan(QubitSegment.LOCAL, tasks, staged, op, exchange_count=0)
 
     (target,) = staged
     required = block_controls[mixing[0]]
@@ -245,18 +259,13 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
             "join them only when that set is empty"
         )
     target_bit = 1 << (target - offset)
-    tasks = []
-    for index in range(partition.total_blocks):
-        # The pair's blocks differ only in the target bit, which no control
-        # can be, so testing the controls on the bit-0 block covers both.
-        if index & target_bit or index & required != required:
-            continue
-        first, second = divmod(index, per_rank), divmod(index | target_bit, per_rank)
-        tasks.append(BlockTask(first, second, crosses_ranks=first[0] != second[0]))
-    return GatePlan(
-        partition.segment_of(target),
-        tuple(tasks),
-        staged,
-        *fields,
-        exchange_count=sum(task.crosses_ranks for task in tasks),
+    # The pair's blocks differ only in the target bit, which no control can
+    # be, so testing the controls on the bit-0 block covers both.
+    tasks = tuple(
+        (index, index | target_bit)
+        for index in range(partition.total_blocks)
+        if not index & target_bit and index & required == required
     )
+    segment = partition.segment_of(target)
+    exchanges = len(tasks) if segment is QubitSegment.RANK else 0
+    return GatePlan(segment, tasks, staged, op, exchanges)

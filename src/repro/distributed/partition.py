@@ -149,27 +149,6 @@ class Partition:
             return QubitSegment.BLOCK
         return QubitSegment.RANK
 
-    def local_bit(self, qubit: int) -> int:
-        """Bit position of a LOCAL qubit within the block offset."""
-
-        if self.segment_of(qubit) is not QubitSegment.LOCAL:
-            raise ValueError(f"qubit {qubit} is not a local qubit")
-        return qubit
-
-    def block_bit(self, qubit: int) -> int:
-        """Bit position of a BLOCK qubit within the block index."""
-
-        if self.segment_of(qubit) is not QubitSegment.BLOCK:
-            raise ValueError(f"qubit {qubit} is not a block qubit")
-        return qubit - self.offset_bits
-
-    def rank_bit(self, qubit: int) -> int:
-        """Bit position of a RANK qubit within the rank index."""
-
-        if self.segment_of(qubit) is not QubitSegment.RANK:
-            raise ValueError(f"qubit {qubit} is not a rank qubit")
-        return qubit - (self.num_qubits - self.rank_bits)
-
     # -- index arithmetic --------------------------------------------------------------
 
     def global_index(self, rank: int, block: int, offset: int) -> int:
@@ -194,34 +173,6 @@ class Partition:
         block = (global_index >> self.offset_bits) & (self.blocks_per_rank - 1)
         rank = global_index >> (self.num_qubits - self.rank_bits)
         return rank, block, offset
-
-    def rank_of(self, global_index: int) -> int:
-        """The rank owning a global amplitude index."""
-
-        return self.locate(global_index)[0]
-
-    # -- pair enumeration ---------------------------------------------------------------
-
-    def block_pairs(self, qubit: int) -> list[tuple[int, int]]:
-        """For a BLOCK qubit, all (block0, block1) pairs within a rank.
-
-        ``block0`` has the qubit's block bit equal to 0, ``block1`` equal to 1.
-        """
-
-        bit = 1 << self.block_bit(qubit)
-        return [
-            (block, block | bit)
-            for block in range(self.blocks_per_rank)
-            if not block & bit
-        ]
-
-    def rank_pairs(self, qubit: int) -> list[tuple[int, int]]:
-        """For a RANK qubit, all (rank0, rank1) pairs that must exchange blocks."""
-
-        bit = 1 << self.rank_bit(qubit)
-        return [
-            (rank, rank | bit) for rank in range(self.num_ranks) if not rank & bit
-        ]
 
     # -- validation helpers -----------------------------------------------------------
 

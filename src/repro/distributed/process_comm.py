@@ -6,8 +6,8 @@ the address space of the rank that owns them.  Each rank of the
 :mod:`repro.distributed.ranked` tier holds one :class:`ProcessCommunicator`
 whose *links* are one end each of a ``socket.socketpair()`` per hypercube
 neighbour ``rank ^ 2**k`` — the only pairs a gate plan can generate, since a
-rank-segment target qubit flips exactly one rank bit
-(:meth:`repro.distributed.partition.Partition.rank_pairs`).  The parent
+rank-segment target qubit flips exactly one rank bit of a pair task's block
+indices (:func:`repro.distributed.exchange.plan_gate`).  The parent
 creates every pair with :func:`rank_links` before the rank workers start and
 keeps none of them.
 

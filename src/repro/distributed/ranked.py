@@ -71,12 +71,12 @@ from ..core.compressed_state import (
     reduce_blocks,
 )
 from ..core.cache import BlockCache
-from ..core.kernel import BlockKernel, BlockOp, TaskStats
+from ..core.kernel import BlockKernel, TaskStats
 from ..core.procpool import ProcessPool, raise_worker_error
 from ..core.report import SimulationReport
 from ..errors import PoolProtocolError, ProcessCommTimeout
 from ..resilience import faults
-from .exchange import GatePlan
+from .exchange import BlockOp, GatePlan
 from .partition import Partition
 from .process_comm import CommunicationStats, ProcessCommunicator, rank_links
 
@@ -439,16 +439,14 @@ class RankedStateVector(CompressedStateVector):
         batches: dict[int, list] = {}
         peers: dict[int, int] = {}
         for task in plan.tasks:
-            rank, block = task.first
-            if task.crosses_ranks:
-                peer = task.second[0]
+            rank, block = divmod(task[0], per_rank)
+            if plan.exchange_count:
+                peer = task[1] // per_rank
                 batches.setdefault(rank, []).append(block)
                 batches.setdefault(peer, []).append(block)
                 peers[rank], peers[peer] = peer, rank
             else:
-                batches.setdefault(rank, []).append(
-                    tuple(owner * per_rank + local for owner, local in task.buffers)
-                )
+                batches.setdefault(rank, []).append(task)
         for rank, tasks in batches.items():
             pool.submit(rank, ("gate", op, peers.get(rank), tuple(tasks)))
         comm_deltas = [0.0]

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 
 import numpy as np
 import pytest
 
 from repro.circuits import standard_gate
+import repro.core.kernel
 import repro.distributed
-from repro.core import CompressedSimulator
-from repro.distributed import Partition, ProcessCommunicator, QubitSegment, plan_gate
+from repro.core import CompressedSimulator, SimulatorConfig
+from repro.distributed import (
+    GatePlan,
+    Partition,
+    ProcessCommunicator,
+    QubitSegment,
+    plan_gate,
+)
 
 
 def test_the_report_is_the_only_traffic_ledger():
@@ -26,6 +34,20 @@ def test_the_report_is_the_only_traffic_ledger():
         CompressedSimulator(4, comm=object())
 
 
+def test_a_plan_is_index_tasks_plus_its_op():
+    # The task type, the plan's own copy of the op's per-step fields and the
+    # Partition helpers nothing called are gone (v1.24.0).
+    assert not hasattr(repro.distributed, "BlockTask")
+    assert "BlockTask" not in repro.distributed.__all__
+    assert repro.distributed.BlockOp is repro.core.kernel.BlockOp
+    fields = {field.name for field in dataclasses.fields(GatePlan)}
+    assert fields == {"segment", "tasks", "staged", "op", "exchange_count"}
+    for name in (
+        "local_bit", "block_bit", "rank_bit", "rank_of", "block_pairs", "rank_pairs"
+    ):
+        assert not hasattr(Partition, name)
+
+
 class TestGatePlanner:
     def setup_method(self):
         # 8 qubits, 4 ranks, 16-amplitude blocks:
@@ -37,30 +59,35 @@ class TestGatePlanner:
         plan = plan_gate(self.partition, standard_gate("h", 2))
         assert plan.segment is QubitSegment.LOCAL
         assert len(plan.tasks) == self.partition.total_blocks
-        assert all(task.second is None for task in plan.tasks)
+        assert plan.tasks == tuple((i,) for i in range(self.partition.total_blocks))
         assert plan.exchange_count == 0
 
     def test_block_gate_pairs_blocks_within_rank(self):
         plan = plan_gate(self.partition, standard_gate("h", 4))
         assert plan.segment is QubitSegment.BLOCK
         assert len(plan.tasks) == self.partition.num_ranks * 2  # 4 blocks -> 2 pairs
-        for task in plan.tasks:
-            (r1, b1), (r2, b2) = task.first, task.second
+        per_rank = self.partition.blocks_per_rank
+        for first, second in plan.tasks:
+            (r1, b1), (r2, b2) = divmod(first, per_rank), divmod(second, per_rank)
             assert r1 == r2
             assert b2 == b1 | 1  # block bit 0
-            assert not task.crosses_ranks
+        assert plan.exchange_count == 0
 
     def test_rank_gate_pairs_ranks_and_counts_exchanges(self):
         plan = plan_gate(self.partition, standard_gate("h", 6))
         assert plan.segment is QubitSegment.RANK
-        assert all(task.crosses_ranks for task in plan.tasks)
+        per_rank = self.partition.blocks_per_rank
+        # Qubit 6 is rank bit 0: every pair joins rank r to rank r | 1.
+        for first, second in plan.tasks:
+            assert second == first | 1 << 2
+            assert second // per_rank == first // per_rank | 1 != first // per_rank
         # 4 ranks -> 2 rank pairs, each exchanging every one of 4 blocks.
         assert len(plan.tasks) == 2 * 4
         assert plan.exchange_count == 8
 
     def test_local_control_is_deferred_to_executor(self):
         plan = plan_gate(self.partition, standard_gate("x", 5, controls=(1,)))
-        assert plan.local_controls == ((1,),)
+        assert plan.op.local_controls == ((1,),)
         # No pruning happened: control is below the block boundary.
         assert len(plan.tasks) == self.partition.num_ranks * 2
 
@@ -69,29 +96,53 @@ class TestGatePlanner:
         plan = plan_gate(self.partition, standard_gate("x", 0, controls=(4,)))
         assert plan.segment is QubitSegment.LOCAL
         assert len(plan.tasks) == self.partition.total_blocks // 2
-        for task in plan.tasks:
-            _, block = task.first
+        for (index,) in plan.tasks:
+            _, block = divmod(index, self.partition.blocks_per_rank)
             assert block & 0b01
 
     def test_rank_control_prunes_half_the_ranks(self):
         plan = plan_gate(self.partition, standard_gate("x", 0, controls=(6,)))
         assert len(plan.tasks) == self.partition.total_blocks // 2
-        for task in plan.tasks:
-            rank, _ = task.first
+        for (index,) in plan.tasks:
+            rank, _ = divmod(index, self.partition.blocks_per_rank)
             assert rank & 0b01
 
     def test_toffoli_with_mixed_controls(self):
         # Controls: one local (qubit 2), one rank-level (qubit 7); target block-level.
         gate = standard_gate("x", 5, controls=(2, 7))
         plan = plan_gate(self.partition, gate)
-        assert plan.local_controls == ((2,),)
-        for task in plan.tasks:
-            rank, _ = task.first
+        assert plan.op.local_controls == ((2,),)
+        for first, _ in plan.tasks:
+            rank, _ = divmod(first, self.partition.blocks_per_rank)
             assert rank & 0b10  # rank bit 1 (qubit 7) must be set
 
     def test_gate_outside_partition_rejected(self):
         with pytest.raises(ValueError):
             plan_gate(self.partition, standard_gate("h", 9))
+
+    @pytest.mark.parametrize("qubit", [2, 4, 6])  # local / block / rank target
+    def test_the_plan_builds_the_op_the_simulator_runs(self, qubit, monkeypatch):
+        # Everything but the compressor: the simulator sets it and appends
+        # its describe() to the key, and changes nothing else.
+        gate = standard_gate("ry", qubit, controls=(1, 5), params=(0.3,))
+        plan = plan_gate(self.partition, gate)
+        assert np.array_equal(plan.op.matrices, gate.matrix[None])
+        assert plan.op.compressor is None and plan.op.op_key == gate.key()
+        ran = []
+        config = SimulatorConfig(num_ranks=4, block_amplitudes=16)
+        with CompressedSimulator(8, config) as simulator:
+            run_plan = simulator.state.run_plan
+            monkeypatch.setattr(
+                simulator.state,
+                "run_plan",
+                lambda op, plan, report: ran.append(op) or run_plan(op, plan, report),
+            )
+            simulator.apply_gate(gate)
+        (op,) = ran
+        describe = op.compressor.describe()
+        assert op.op_key == plan.op.op_key + (describe,)
+        assert op._replace(compressor=None, op_key=gate.key())[1:] == plan.op[1:]
+        assert np.array_equal(op.matrices, plan.op.matrices)
 
     def test_touched_buffers_property(self):
         local = plan_gate(self.partition, standard_gate("h", 0))

@@ -43,7 +43,7 @@ class TestSimulatorConfig:
         assert cache.lines == 64
         for miss in range(256):
             assert cache.enabled
-            cache.lookup(("op", miss), b"x", None)
+            cache.lookup(("op", miss), b"x")
         assert not cache.enabled
 
     def test_rejects_non_power_of_two_ranks(self):
@@ -310,82 +310,104 @@ class TestBlockCache:
 
     def test_miss_on_different_operation(self):
         cache = BlockCache(lines=4)
-        cache.insert(("h", 0), b"in1", None, b"out1", None)
-        assert cache.lookup(("x", 0), b"in1", None) is None
+        cache.insert(("h", 0), b"in1", b"out1")
+        assert cache.lookup(("x", 0), b"in1") is None
 
     def test_miss_on_different_blob(self):
         cache = BlockCache(lines=4)
-        cache.insert(("h", 0), b"in1", None, b"out1", None)
-        assert cache.lookup(("h", 0), b"in2", None) is None
+        cache.insert(("h", 0), b"in1", b"out1")
+        assert cache.lookup(("h", 0), b"in2") is None
 
     def test_lru_eviction(self):
         cache = BlockCache(lines=2, miss_disable_threshold=None)
-        cache.insert(("op", 1), b"a", None, b"ra", None)
-        cache.insert(("op", 2), b"b", None, b"rb", None)
-        cache.lookup(("op", 1), b"a", None)  # touch "a" so "b" is LRU
-        cache.insert(("op", 3), b"c", None, b"rc", None)
-        assert cache.lookup(("op", 2), b"b", None) is None  # evicted
-        assert cache.lookup(("op", 1), b"a", None) is not None
+        cache.insert(("op", 1), b"a", b"ra")
+        cache.insert(("op", 2), b"b", b"rb")
+        cache.lookup(("op", 1), b"a")  # touch "a" so "b" is LRU
+        cache.insert(("op", 3), b"c", b"rc")
+        assert cache.lookup(("op", 2), b"b") is None  # evicted
+        assert cache.lookup(("op", 1), b"a") is not None
         assert cache.stats.evictions == 1
 
     def test_auto_disable_after_pure_misses(self):
         cache = BlockCache(lines=4, miss_disable_threshold=5)
         for i in range(5):
-            assert cache.lookup(("op", i), f"{i}".encode(), None) is None
+            assert cache.lookup(("op", i), f"{i}".encode()) is None
         assert not cache.enabled
         # Once disabled, inserts and lookups are no-ops.
-        cache.insert(("op", 0), b"0", None, b"r", None)
+        cache.insert(("op", 0), b"0", b"r")
         assert len(cache) == 0
-        assert cache.lookup(("op", 0), b"0", None) is None
+        assert cache.lookup(("op", 0), b"0") is None
 
     def test_self_disable_is_logged_once(self, caplog):
         cache = BlockCache(lines=4, miss_disable_threshold=3)
         with caplog.at_level(logging.INFO, logger="repro.core.cache"):
             for i in range(6):
-                cache.lookup(("op", i), b"x", None)
+                cache.lookup(("op", i), b"x")
         assert [record.getMessage() for record in caplog.records] == [
             "block cache disabled itself: 0 hits in 3 lookups"
         ]
 
     def test_no_disable_when_hits_exist(self):
         cache = BlockCache(lines=4, miss_disable_threshold=3)
-        cache.insert(("op", 0), b"a", None, b"r", None)
-        cache.lookup(("op", 0), b"a", None)
+        cache.insert(("op", 0), b"a", b"r")
+        cache.lookup(("op", 0), b"a")
         for i in range(10):
-            cache.lookup(("op", i + 1), b"zzz", None)
+            cache.lookup(("op", i + 1), b"zzz")
         assert cache.enabled
 
     def test_reset_reenables_and_zeroes(self):
         cache = BlockCache(lines=2, miss_disable_threshold=1)
-        cache.lookup(("op", 0), b"x", None)
+        cache.lookup(("op", 0), b"x")
         assert not cache.enabled
         cache.reset()
         assert cache.enabled
         assert cache.stats.as_dict() == BlockCache().stats.as_dict()
-        cache.insert(("op", 0), b"x", None, b"r", None)
+        cache.insert(("op", 0), b"x", b"r")
         assert len(cache) == 1
 
     def test_lines_are_keyed_on_exact_bytes(self):
         cache = BlockCache(lines=4, miss_disable_threshold=None)
         blob = bytes(range(64))
         op_key = ("h", (5,), (), "lossless", 0b01)
-        cache.insert(op_key, blob, None, b"out", None)
+        cache.insert(op_key, blob, b"out")
         # Equal bytes in a different object hit.
         copy = bytes(bytearray(blob))
         assert copy is not blob
-        assert cache.lookup(op_key, copy, None) == (b"out", None)
+        assert cache.lookup(op_key, copy) == (b"out",)
         # One byte off misses; so does the op key with other index bits.
-        assert cache.lookup(op_key, blob[:-1] + b"\xff", None) is None
-        assert cache.lookup(op_key[:-1] + (0b11,), blob, None) is None
+        assert cache.lookup(op_key, blob[:-1] + b"\xff") is None
+        assert cache.lookup(op_key[:-1] + (0b11,), blob) is None
         # The second blob is part of the key too.
         assert cache.lookup(op_key, blob, blob) is None
         assert (cache.stats.hits, cache.stats.misses) == (1, 3)
 
+    def test_a_line_holds_any_number_of_blocks(self):
+        # k inputs then k outputs: a four-block line round-trips whole.
+        cache = BlockCache(lines=4, miss_disable_threshold=None)
+        inputs = tuple(f"in{i}".encode() for i in range(4))
+        outputs = tuple(f"out{i}".encode() for i in range(4))
+        cache.insert(("run", 0), *inputs, *outputs)
+        assert cache.lookup(("run", 0), *inputs) == outputs
+        assert cache.lookup(("run", 0), *inputs[:2]) is None
+        assert cache.lookup(("run", 0), *inputs[:3], b"other") is None
+        assert (cache.stats.hits, cache.stats.misses) == (1, 2)
+
+    def test_a_one_block_line_never_answers_a_pair(self):
+        # Same op, same first blob: the one-block line and the pair line are
+        # two lines, and each answers only its own width.
+        cache = BlockCache(lines=4, miss_disable_threshold=None)
+        cache.insert(("h", 0), b"a", b"b", b"pa", b"pb")
+        assert cache.lookup(("h", 0), b"a") is None
+        cache.insert(("h", 0), b"a", b"single")
+        assert cache.lookup(("h", 0), b"a") == (b"single",)
+        assert cache.lookup(("h", 0), b"a", b"b") == (b"pa", b"pb")
+        assert len(cache) == 2
+
     def test_hit_rate(self):
         cache = BlockCache(lines=2, miss_disable_threshold=None)
-        cache.insert(("op", 0), b"a", None, b"r", None)
-        cache.lookup(("op", 0), b"a", None)
-        cache.lookup(("op", 0), b"zz", None)
+        cache.insert(("op", 0), b"a", b"r")
+        cache.lookup(("op", 0), b"a")
+        cache.lookup(("op", 0), b"zz")
         assert cache.stats.hit_rate == pytest.approx(0.5)
         assert cache.stats.as_dict()["hits"] == 1
 

@@ -195,11 +195,9 @@ class TestRunFormation:
             for element in form_runs(circuit.gates, partition.offset_bits):
                 steps = constituents(element)
                 plan = plan_gate(partition, element)
-                assert len(plan.local_controls) == len(steps)
+                assert len(plan.op.local_controls) == len(steps)
                 key = _run_key(steps, partition.offset_bits)
-                assert (key == ONE_BLOCK) == all(
-                    task.second is None for task in plan.tasks
-                )
+                assert (key == ONE_BLOCK) == all(len(task) == 1 for task in plan.tasks)
                 if key == ONE_BLOCK:
                     assert plan.segment is QubitSegment.LOCAL
                     assert plan.exchange_count == 0
@@ -307,9 +305,9 @@ class TestRunFormation:
         assert step.controls == () and step.is_diagonal
         plan = plan_gate(Partition(6, 4, 8), step)
         assert plan.segment is QubitSegment.LOCAL and plan.exchange_count == 0
-        assert all(task.second is None for task in plan.tasks)
+        assert all(len(task) == 1 for task in plan.tasks)
         # Block index bits are qubits 3-5: t's bit, and c's when non-local.
-        assert plan.index_mask == (0b010 if control == 1 else 0b110)
+        assert plan.op.index_mask == (0b010 if control == 1 else 0b110)
         # The one-block steps around it join it in one one-block run; after
         # a pair run without non-local controls it rides that run, after one
         # under a non-local control it opens its own.
@@ -409,7 +407,7 @@ class TestFusedPlanning:
         assert plan.segment is QubitSegment.LOCAL
         assert plan.tasks == plan_gate(partition, first).tasks
         assert plan.tasks == plan_gate(partition, second).tasks
-        assert plan.local_controls == ((1,), ())
+        assert plan.op.local_controls == ((1,), ())
         assert plan.exchange_count == 0
 
     @pytest.mark.parametrize("target", [3, 5])  # block / rank segment
@@ -424,10 +422,10 @@ class TestFusedPlanning:
         single = plan_gate(partition, first)
         assert plan.segment is single.segment is not QubitSegment.LOCAL
         assert plan.tasks == single.tasks == plan_gate(partition, third).tasks
-        assert plan.local_controls == ((1,), (), (0, 1))
+        assert plan.op.local_controls == ((1,), (), (0, 1))
         # No riders: the tasks read only the run's controls, set in each.
         assert plan.staged == (target,)
-        assert plan.index_mask == 0b0101 == plan.block_controls[0]
+        assert plan.op.index_mask == 0b0101 == plan.op.block_controls[0]
         # One exchange per block pair for the whole run.
         assert plan.exchange_count == single.exchange_count
         assert plan.exchange_count == (len(plan.tasks) if target == 5 else 0)
@@ -503,7 +501,7 @@ class TestFusedPlanning:
             assert plan.tasks == single.tasks and plan.segment is single.segment
             assert plan.exchange_count == single.exchange_count
             assert plan.staged == (pair.target,)
-            assert plan.index_mask == index_mask
+            assert plan.op.index_mask == index_mask
 
     def test_one_block_run_plans_the_blocks_a_step_acts_on(self):
         # Qubits 0-1 local, 2-3 block, 4-5 rank; global block index bits are
@@ -515,21 +513,20 @@ class TestFusedPlanning:
         cx = standard_gate("x", 0, controls=(2, 1))
         plan = plan_gate(partition, Run((cz, t4, cx)))
         assert plan.segment is QubitSegment.LOCAL and plan.exchange_count == 0
-        assert plan.local_controls == ((), (), (1,))
-        assert plan.block_controls == (0b0010, 0, 0b0001)
-        assert plan.index_mask == 0b1111
+        assert plan.op.local_controls == ((), (), (1,))
+        assert plan.op.block_controls == (0b0010, 0, 0b0001)
+        assert plan.op.index_mask == 0b1111
         touched = [
             index
             for index in range(16)
             if index & 0b1010 == 0b1010 or index & 0b0100 or index & 0b0001
         ]
-        assert [task.first for task in plan.tasks] == [divmod(i, 4) for i in touched]
-        assert all(task.second is None for task in plan.tasks)
+        assert plan.tasks == tuple((index,) for index in touched)
         # rz has no unit entry: it touches every block; z only the bit-1 half.
         rz = plan_gate(partition, standard_gate("rz", 5, params=(0.4,)))
-        assert len(rz.tasks) == 16 and rz.index_mask == 0b1000
+        assert len(rz.tasks) == 16 and rz.op.index_mask == 0b1000
         z = plan_gate(partition, standard_gate("z", 5))
-        assert [task.first[0] for task in z.tasks] == [2] * 4 + [3] * 4
+        assert [index // 4 for (index,) in z.tasks] == [2] * 4 + [3] * 4
 
     @pytest.mark.parametrize("target", [3, 5])
     def test_all_diagonal_suffix_of_a_pair_run_plans_one_block(self, target):
@@ -547,7 +544,7 @@ class TestFusedPlanning:
         suffix = plan_gate(partition, Run(tuple(gates[1:])))
         assert suffix.segment is QubitSegment.LOCAL
         assert suffix.exchange_count == 0 and len(suffix.tasks) == 16
-        assert all(task.second is None for task in suffix.tasks)
+        assert all(len(task) == 1 for task in suffix.tasks)
 
     @pytest.mark.parametrize("target", [0, 3, 5])
     def test_independent_groups_cover_and_are_disjoint(self, target):
@@ -558,8 +555,8 @@ class TestFusedPlanning:
         for wave in waves:
             used: set = set()
             for task in wave:
-                assert not used & set(task.buffers)
-                used |= set(task.buffers)
+                assert not used & set(task)
+                used |= set(task)
             seen.extend(wave)
         # Single-gate plans touch every block exactly once: one wave.
         assert len(waves) == 1
@@ -981,14 +978,11 @@ class TestCacheWithRunOpKeys:
         blob = b"compressed-block"
         cache = BlockCache(lines=8, miss_disable_threshold=None)
 
-        cache.insert(self._op_key(run, compressor), blob, None, b"run-out", None)
+        cache.insert(self._op_key(run, compressor), blob, b"run-out")
         # Neither constituent may alias the run's line (or each other).
-        assert cache.lookup(self._op_key(h, compressor), blob, None) is None
-        assert cache.lookup(self._op_key(t, compressor), blob, None) is None
-        assert cache.lookup(self._op_key(run, compressor), blob, None) == (
-            b"run-out",
-            None,
-        )
+        assert cache.lookup(self._op_key(h, compressor), blob) is None
+        assert cache.lookup(self._op_key(t, compressor), blob) is None
+        assert cache.lookup(self._op_key(run, compressor), blob) == (b"run-out",)
         assert cache.stats.hits == 1
         assert cache.stats.misses == 2
         assert cache.stats.insertions == 1
@@ -1000,9 +994,9 @@ class TestCacheWithRunOpKeys:
         assert run_a.name == run_b.name
         cache = BlockCache(lines=8, miss_disable_threshold=None)
         blob = b"block"
-        cache.insert(self._op_key(run_a, compressor), blob, None, b"out-a", None)
+        cache.insert(self._op_key(run_a, compressor), blob, b"out-a")
         # Same mnemonics, different step matrix: must miss.
-        assert cache.lookup(self._op_key(run_b, compressor), blob, None) is None
+        assert cache.lookup(self._op_key(run_b, compressor), blob) is None
 
     def test_hit_miss_accounting_with_fusion_enabled(self, simulator_config):
         # GHZ keeps blocks identical.  Each plan's identical tasks are

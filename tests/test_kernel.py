@@ -100,7 +100,7 @@ class CountingScratch(ScratchPool):
 
 def _disabled_cache() -> BlockCache:
     cache = BlockCache(lines=4, miss_disable_threshold=1)
-    assert cache.lookup(("warm-up",), b"x", None) is None
+    assert cache.lookup(("warm-up",), b"x") is None
     assert not cache.enabled
     return cache
 
@@ -237,6 +237,24 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
     if cache_kind == "disabled":
         # A self-disabled shard counts neither hit nor miss.
         assert (cache.stats.hits, cache.stats.misses) == counted_before
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_a_task_caches_one_line_of_its_own_width(shape, blocks):
+    # A line is the task's k input blobs then its k output blobs, keyed on
+    # the op key plus the read index bits: no padding for a one-block task.
+    cache = CACHES["enabled"]()
+    kernel, op, stored, _, _ = _setup(cache)
+    op = _op_for(shape, op)
+    count = SHAPES[shape][0]
+    blobs = tuple(
+        stored.inner.compress(block.view(np.float64)) for block in blocks[:count]
+    )
+    outputs = kernel.run(op, TaskStats(), tuple((blob, stored.name) for blob in blobs))
+    assert len(outputs) == count and len(cache) == 1
+    assert cache.lookup(op.op_key + (0,), *blobs) == outputs
+    assert cache.lookup(op.op_key + (0,), *blobs, *blobs) is None
+    assert cache.lookup(op.op_key + (0,), *blobs[:1], None) is None
 
 
 #: (matrix, bit, local controls) of a three-step run on one 16-amplitude
@@ -498,7 +516,7 @@ def test_parity_steps_under_a_local_control_mask(rng):
         tuple(step.key() for step in steps) + ("lossless",),
     )
     plan = plan_gate(Partition(7, 1, BLOCK), Run(tuple(steps)))
-    assert (plan.local_parities, plan.block_parities) == op[1:3]
+    assert (plan.op.local_parities, plan.op.block_parities) == op[1:3]
     stats = TaskStats()
     for index in range(8):
         block = dense[index * BLOCK : (index + 1) * BLOCK]
@@ -547,20 +565,16 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
     # Qubit 5 is the virtual block's bit 4: the riders' control on it is a
     # local control there, x_1 xor x_5 two bits of the buffer, and x_6 xor
     # x_5 one bit plus block bit 2.
-    assert plan.staged == (5,) and plan.index_mask == 0b101
-    assert plan.local_parities == (1 << 2, 0, 1 << 4, 0b10010, 1 << 4, 1 << 4)
-    assert plan.block_parities == (0, 0b100, 0, 0, 0b100, 0)
-    assert plan.local_controls[0] == (4,) and plan.block_controls[0] == 0
-    op = BlockOp(
-        np.stack([step.matrix for step in steps]),
-        plan.local_parities,
-        plan.block_parities,
-        plan.local_controls,
-        plan.block_controls,
-        plan.index_mask,
-        codec,
-        Run(tuple(steps)).key() + ("lossless",),
-    )
+    assert plan.staged == (5,) and plan.op.index_mask == 0b101
+    assert plan.op.local_parities == (1 << 2, 0, 1 << 4, 0b10010, 1 << 4, 1 << 4)
+    assert plan.op.block_parities == (0, 0b100, 0, 0, 0b100, 0)
+    assert plan.op.local_controls[0] == (4,) and plan.op.block_controls[0] == 0
+    # The planner builds the op but for its compressor, which the simulator
+    # sets along with the compressor's part of the key.
+    assert np.array_equal(plan.op.matrices, np.stack([step.matrix for step in steps]))
+    assert plan.op.compressor is None
+    assert plan.op.op_key == Run(tuple(steps)).key()
+    op = plan.op._replace(compressor=codec, op_key=plan.op.op_key + ("lossless",))
 
     def blob(index: int) -> bytes:
         block = dense[index * BLOCK : (index + 1) * BLOCK]
@@ -568,7 +582,7 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
 
     stats = TaskStats()
     for task in plan.tasks:
-        low, high = (rank * 8 + block for rank, block in task.buffers)
+        low, high = task
         pair = ((blob(low), codec.name), (blob(high), codec.name))
         outs = kernel.run(op, stats, pair, index=low)
         for index, out in zip((low, high), outs):

@@ -66,23 +66,6 @@ class TestSegmentClassification:
             partition.segment_of(q) is QubitSegment.LOCAL for q in range(5)
         )
 
-    def test_bit_position_helpers(self):
-        partition = Partition(num_qubits=10, num_ranks=4, block_amplitudes=64)
-        assert partition.local_bit(3) == 3
-        assert partition.block_bit(6) == 0
-        assert partition.block_bit(7) == 1
-        assert partition.rank_bit(8) == 0
-        assert partition.rank_bit(9) == 1
-
-    def test_bit_position_helpers_reject_wrong_segment(self):
-        partition = Partition(num_qubits=10, num_ranks=4, block_amplitudes=64)
-        with pytest.raises(ValueError):
-            partition.local_bit(7)
-        with pytest.raises(ValueError):
-            partition.block_bit(2)
-        with pytest.raises(ValueError):
-            partition.rank_bit(6)
-
     def test_out_of_range_qubit(self):
         partition = Partition(num_qubits=10, num_ranks=4, block_amplitudes=64)
         with pytest.raises(ValueError):
@@ -107,39 +90,16 @@ class TestIndexArithmetic:
         with pytest.raises(ValueError):
             partition.global_index(0, 0, 8)
 
-    def test_rank_of_matches_contiguous_layout(self):
-        partition = Partition(num_qubits=6, num_ranks=4, block_amplitudes=4)
-        # Rank k owns global indices [k*16, (k+1)*16).
-        for global_index in range(64):
-            assert partition.rank_of(global_index) == global_index // 16
-
 
 class TestPairEnumeration:
-    def test_block_pairs_cover_all_blocks_once(self):
-        partition = Partition(num_qubits=10, num_ranks=2, block_amplitudes=32)
-        for qubit in (5, 6, 7, 8):  # block-segment qubits
-            if partition.segment_of(qubit) is not QubitSegment.BLOCK:
-                continue
-            pairs = partition.block_pairs(qubit)
-            flattened = [b for pair in pairs for b in pair]
-            assert sorted(flattened) == list(range(partition.blocks_per_rank))
-            bit = 1 << partition.block_bit(qubit)
-            for b0, b1 in pairs:
-                assert b1 == b0 | bit
-                assert not b0 & bit
-
-    def test_rank_pairs_cover_all_ranks_once(self):
-        partition = Partition(num_qubits=10, num_ranks=8, block_amplitudes=16)
-        for qubit in (7, 8, 9):
-            pairs = partition.rank_pairs(qubit)
-            flattened = [r for pair in pairs for r in pair]
-            assert sorted(flattened) == list(range(8))
-
     def test_pair_global_indices_differ_only_in_target_bit(self):
         partition = Partition(num_qubits=9, num_ranks=4, block_amplitudes=16)
         qubit = 7  # a rank-segment qubit (rank bits are 7, 8)
         assert partition.segment_of(qubit) is QubitSegment.RANK
-        for rank0, rank1 in partition.rank_pairs(qubit):
+        bit = qubit - partition.offset_bits - partition.block_bits
+        pairs = [(r, r ^ 1 << bit) for r in range(partition.num_ranks) if not r >> bit & 1]
+        assert pairs == [(0, 1), (2, 3)]
+        for rank0, rank1 in pairs:
             for block in range(partition.blocks_per_rank):
                 for offset in (0, 5, 15):
                     i0 = partition.global_index(rank0, block, offset)

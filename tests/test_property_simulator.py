@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.circuits.fusion import form_runs
 from repro.core import CompressedSimulator
-from repro.distributed import Partition, plan_gate
+from repro.distributed import Partition, QubitSegment, plan_gate
 from repro.distributed.ranked import RankedStateVector
 from repro.statevector import simulate_statevector, state_fidelity
 from test_compressed_simulator import PARTITION_SHAPES
@@ -218,7 +218,7 @@ class TestLossyFidelityBound:
 
 class TestTierAccounting:
     """Every tier groups a plan before the kernel, on the invariant that a
-    plan stages each (rank, block) at most once."""
+    plan stages each block at most once."""
 
     @given(circuit=run_heavy_circuits(), shape=st.sampled_from(PARTITION_SHAPES))
     @settings(max_examples=40, deadline=None)
@@ -230,12 +230,31 @@ class TestTierAccounting:
         for fused in (True, False):
             gates = list(circuit)
             for element in form_runs(gates, partition.offset_bits) if fused else gates:
-                staged = [
-                    buffer
-                    for task in plan_gate(partition, element).tasks
-                    for buffer in task.buffers
-                ]
+                plan = plan_gate(partition, element)
+                staged = [index for task in plan.tasks for index in task]
                 assert len(staged) == len(set(staged))
+                # A task is distinct in-range global block indices: one
+                # block, or a pair (i, i | target_bit) with that bit clear
+                # in i, in virtual-block order.
+                target_bits = [
+                    1 << (target - partition.offset_bits) for target in plan.staged
+                ]
+                for task in plan.tasks:
+                    assert len(task) == len(set(task)) == 1 << len(target_bits)
+                    assert all(0 <= i < partition.total_blocks for i in task)
+                    if target_bits:
+                        (bit,) = target_bits
+                        first, second = task
+                        assert not first & bit and second == first | bit
+                # Exchanges are a plan-level fact: every task of a RANK pair
+                # plan crosses ranks, no task of any other plan does.
+                is_rank = plan.segment is QubitSegment.RANK
+                assert plan.exchange_count == (len(plan.tasks) if is_rank else 0)
+                per_rank = partition.blocks_per_rank
+                assert all(
+                    (task[0] // per_rank != task[-1] // per_rank) == is_rank
+                    for task in plan.tasks
+                )
 
     @pytest.mark.parametrize("fusion", [True, False])
     @pytest.mark.parametrize("cache", [True, False])

@@ -235,19 +235,19 @@ class TestRealCommunication:
                 plans.append(plan)
                 positions: dict[tuple[int, int], int] = {}
                 lenders = []
-                for task in plan.tasks:
-                    if not task.crosses_ranks:
-                        continue
-                    pair = [sequential.state.get_block(*buffer) for buffer in task.buffers]
+                per_rank = sequential.partition.blocks_per_rank
+                for task in plan.tasks if plan.exchange_count else ():
+                    buffers = [divmod(index, per_rank) for index in task]
+                    pair = [sequential.state.get_block(*buffer) for buffer in buffers]
                     # Sequential: two messages of the larger blob.
                     counted_bytes += 2 * max(entry.nbytes for entry in pair)
                     # Ranked: two ranks take their pairs in plan order, the
                     # lower rank owning the even ones and the upper rank the
                     # odd ones; the other rank sends its framed input and is
                     # sent its framed output.
-                    ranks = (task.first[0], task.second[0])
+                    ranks = (buffers[0][0], buffers[1][0])
                     position = positions[ranks] = positions.get(ranks, -1) + 1
-                    lender = task.buffers[1 - position % 2]
+                    lender = buffers[1 - position % 2]
                     lenders.append(lender)
                     sent_bytes += framed(sequential.state.get_block(*lender))
                 sequential.apply_gate(element)
@@ -358,8 +358,9 @@ class TestExchangeProtocol:
         for plan, tasks in batches:
             if not plan.exchange_count:
                 continue
+            per_rank = (1 << num_qubits) // (num_ranks * 8)
             shared = collections.Counter(
-                (task.first[0], task.second[0]) for task in plan.tasks
+                (first // per_rank, second // per_rank) for first, second in plan.tasks
             )
             assert sum(shared.values()) == plan.exchange_count == len(plan.tasks)
             for (lower, upper), count in shared.items():
@@ -387,7 +388,10 @@ class TestExchangeProtocol:
             )
             reference.apply_circuit(circuit)
             expected = final_blobs(reference)
-        assert sum(task.first[0] == 0 and task.second[0] == 1 for task in first.tasks) >= 2
+        per_rank = reference.partition.blocks_per_rank
+        assert sum(
+            (low // per_rank, high // per_rank) == (0, 1) for low, high in first.tasks
+        ) >= 2
 
         plan = FaultPlan(injections=(DropComm(rank=0, peer=1, after=4),))
         policy = FaultPolicy(max_retries=2, checkpoint_interval_waves=2)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.applications import random_supremacy_circuit
 from repro.circuits import form_runs, qft_circuit
-from repro.distributed import Partition, plan_gate
+from repro.distributed import Partition, QubitSegment, plan_gate
 
 
 @pytest.mark.parametrize(
@@ -46,6 +46,6 @@ def test_schedule_counts(
     assert sum(len(plan.tasks) for plan in plans) == tasks
     assert sum(plan.exchange_count for plan in plans) == exchanges
     assert (
-        sum(any(task.crosses_ranks for task in plan.tasks) for plan in plans)
+        sum(plan.segment is QubitSegment.RANK and bool(plan.tasks) for plan in plans)
         == crossing_elements
     )
