@@ -69,7 +69,7 @@ from .backends import (
     run,
 )
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "__version__",

@@ -33,6 +33,7 @@ import struct
 from pathlib import Path
 
 from .. import errors
+from ..distributed.partition import Partition
 from .config import SimulatorConfig
 from .simulator import CompressedSimulator
 
@@ -150,10 +151,13 @@ def read_checkpoint(path: str | Path) -> tuple[dict, list[tuple]]:
     """Parse a checkpoint file into ``(meta, blocks)`` without building a simulator.
 
     ``blocks`` is a list of ``(rank, block, compressor_name, bound, blob)``
-    tuples.  This is the parsing half of :func:`load_checkpoint`, exposed
-    separately so in-run recovery can push blocks into an *existing*
-    simulator's store instead of constructing a fresh one.  Any malformed,
-    truncated or undecodable content raises :class:`CheckpointError`.
+    tuples naming every block of the file's own geometry (``num_qubits``,
+    ``num_ranks``, ``block_amplitudes``) exactly once.  This is the parsing
+    half of :func:`load_checkpoint`, exposed separately so in-run recovery
+    can push blocks into an *existing* simulator's store instead of
+    constructing a fresh one.  Any malformed, truncated or undecodable
+    content — a block out of range, named twice or missing too — raises
+    :class:`CheckpointError`.
     """
 
     path = Path(path)
@@ -180,12 +184,27 @@ def read_checkpoint(path: str | Path) -> tuple[dict, list[tuple]]:
         raise errors.CheckpointError(
             "checkpoint metadata is not a JSON object", path=str(path)
         )
+    partition = _geometry(meta, path)
     (num_blocks,) = reader.unpack(_U32, "block count")
     blocks: list[tuple] = []
+    named: set[tuple[int, int]] = set()
     for index in range(num_blocks):
         rank, block, name_len, bound, blob_len = reader.unpack(
             _BLOCK_HEADER, f"block {index} header"
         )
+        if rank >= partition.num_ranks or block >= partition.blocks_per_rank:
+            raise errors.CheckpointError(
+                f"block {index} names rank {rank}, block {block}, outside the "
+                f"checkpoint's {partition.num_ranks} ranks of "
+                f"{partition.blocks_per_rank} blocks",
+                path=str(path),
+            )
+        if (rank, block) in named:
+            raise errors.CheckpointError(
+                f"block {index} names rank {rank}, block {block} a second time",
+                path=str(path),
+            )
+        named.add((rank, block))
         try:
             name = reader.take(name_len, f"block {index} compressor name").decode()
         except UnicodeDecodeError as exc:
@@ -200,7 +219,33 @@ def read_checkpoint(path: str | Path) -> tuple[dict, list[tuple]]:
             "checkpoint has trailing bytes after the last block",
             path=str(path),
         )
+    if len(blocks) != partition.total_blocks:
+        raise errors.CheckpointError(
+            f"checkpoint holds {len(blocks)} blocks, its geometry has "
+            f"{partition.total_blocks}",
+            path=str(path),
+        )
     return meta, blocks
+
+
+def _geometry(meta: dict, path: Path) -> Partition:
+    """The partition the checkpoint's metadata describes, or a
+    :class:`CheckpointError` naming what is missing or invalid."""
+
+    fields = [
+        _meta_field(meta, key, path)
+        for key in ("num_qubits", "num_ranks", "block_amplitudes")
+    ]
+    if not all(type(value) is int for value in fields):
+        raise errors.CheckpointError(
+            f"checkpoint geometry {fields} is not three integers", path=str(path)
+        )
+    try:
+        return Partition(*fields)
+    except ValueError as exc:
+        raise errors.CheckpointError(
+            f"checkpoint geometry is invalid: {exc}", path=str(path)
+        ) from exc
 
 
 def _meta_field(meta: dict, key: str, path: Path):
@@ -254,13 +299,6 @@ def _resume(
                 f"simulator's {field}={expected}",
                 path=str(path),
             )
-    expected_blocks = partition.num_ranks * partition.blocks_per_rank
-    if len(blocks) != expected_blocks:
-        raise errors.CheckpointError(
-            f"checkpoint holds {len(blocks)} blocks, partition expects "
-            f"{expected_blocks}",
-            path=str(path),
-        )
 
     simulator.reset()
     simulator.restore(meta, blocks)

@@ -14,22 +14,22 @@ A task's blobs are decompressed side by side into one scratch buffer, a
 *virtual block* whose bit above the block is the pair's target (Eq. 6–7: a
 gate on that target mixes each amplitude with its partner in the other
 block).  The planner has already written every step over that buffer
-(:class:`~repro.distributed.exchange.GatePlan`), so each step takes the one
-path :meth:`BlockKernel._apply_step`, chosen by how many of the buffer's
-bits its parity has.  None: a diagonal whose qubits all lie above the
-buffer, one scalar phase (:func:`repro.statevector.ops.apply_phase`).  One:
-a 2x2 on that bit on two strided views — a pair's 2x2 on the top bit — or,
-exactly diagonal, a phase on the side(s) whose entry is not exactly 1
-(:func:`repro.statevector.ops.apply_diagonal`), the entries swapped when the
-parity's bits above the buffer are odd.  Two or more: a parity phase on the
-offsets where those bits are even and where they are odd.  Every phase
-equals the 2x2's values; a zero's sign may differ (``apply_phase``'s
-contract).  A step applies to a task whose block index has its block- and
-rank-level controls set, so one run may hold steps under different
-controls, and a pair run without non-local controls may carry *riders* —
-one-block steps between its steps on the pair's target — which read each
-half of the buffer at that block's own index, exactly as a one-block task
-would.
+(:class:`~repro.distributed.exchange.GatePlan`), so each step goes through
+:meth:`BlockKernel._apply_step`, which has two paths.  A 2x2 on one bit of
+the buffer that is not exactly diagonal — a pair's 2x2 on the top bit — mixes
+two strided views.  Every other step is a phase: the buffer is reshaped to
+the :func:`repro.statevector.ops.slab` layout of its parity's bits inside the
+buffer — none for a diagonal whose qubits all lie above it, one for a
+diagonal, two for a parity phase — under its local controls, and each side
+whose diagonal entry is not exactly 1 is multiplied by it
+(:func:`repro.statevector.ops.apply_phase`), the entries swapped when the
+parity's bits above the buffer are odd.  Every phase equals the 2x2's
+values; a zero's sign may differ (``apply_phase``'s contract).  A step
+applies to a task whose block index has its block- and rank-level controls
+set, so one run may hold steps under different controls, and a pair run
+without non-local controls may carry *riders* — one-block steps between its
+steps on the pair's target — which read each half of the buffer at that
+block's own index, exactly as a one-block task would.
 
 Both execution tiers call it — the sequential
 :class:`~repro.core.compressed_state.CompressedStateVector` in the parent
@@ -167,8 +167,6 @@ class BlockKernel:
         self.scratch = scratch
         self.cache = cache
         self._compressors: dict[str, Compressor] = {}
-        self._masks: dict[tuple, np.ndarray | None] = {}
-        self._parity_masks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def compressor_for(self, compressor: Compressor) -> Compressor:
         """Warm instance equal to *compressor* (keyed by ``describe()``).
@@ -220,32 +218,6 @@ class BlockKernel:
             for task in group:
                 for index, blob in zip(task, outputs):
                     table[index] = CompressedBlock(blob, name, bound)
-
-    def _mask_for(
-        self, size: int, local_controls: tuple[int, ...]
-    ) -> np.ndarray | None:
-        key = (size, local_controls)
-        if key not in self._masks:
-            self._masks[key] = ops.local_control_mask(size, local_controls)
-        return self._masks[key]
-
-    def _parity_masks_for(
-        self, size: int, local_controls: tuple[int, ...], bits: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The offsets of a *size*-amplitude buffer under *local_controls*
-        whose *bits* have even and odd parity (the two sides of a parity
-        phase)."""
-
-        key = (size, local_controls, bits)
-        if key not in self._parity_masks:
-            odd = ops.local_parity_mask(size, bits)
-            even = ~odd
-            controls = self._mask_for(size, local_controls)
-            if controls is not None:
-                even &= controls
-                odd &= controls
-            self._parity_masks[key] = (even, odd)
-        return self._parity_masks[key]
 
     def run(
         self,
@@ -330,38 +302,27 @@ class BlockKernel:
         has global index *index*, in place.
 
         The step applies when all its *required* block-control bits are set
-        in *index*.  Its parity ``b`` over the bits of *block_parity* set in
-        *index* picks the diagonal entry ``m[b, b]`` every amplitude starts
-        from, and *local_parity* says where in *buffer* the other one lies:
-
-        * no bit — one scalar phase ``m[b, b]`` unless it is exactly 1;
-        * one bit — a 2x2 on it, or, when the 2x2 is exactly diagonal, a
-          phase on the side(s) whose entry is not exactly 1 (the side at 1
-          keeps its bytes), the entries swapped when ``b`` is 1;
-        * two or more — ``m[b, b]`` on the offsets where those bits have
-          even parity and the other entry where they have odd.
-
-        A phase equals the 2x2's values; a zero's sign may differ.
+        in *index*.  A 2x2 on one bit of *buffer* (*local_parity*) that is
+        not exactly diagonal mixes its two sides.  Every other step is a
+        phase on the sides of the :func:`~repro.statevector.ops.slab` layout
+        of *local_parity* under *controls* — one side when no bit of its
+        parity lies in *buffer*, two for a diagonal on one bit, four for a
+        parity phase on two: a side of parity ``p`` takes ``m[e, e]``,
+        ``e = p ^ b``, where ``b`` is the parity of *index*'s bits in
+        *block_parity*, unless that entry is exactly 1.  A phase equals the
+        2x2's values; a zero's sign may differ.
         """
 
         if index & required != required:
             return
-        if local_parity & (local_parity - 1):  # two or more bits: two sides
-            even, odd = self._parity_masks_for(buffer.size, controls, local_parity)
-            # Reversing both axes swaps a diagonal's two entries.
-            sides = ((even, matrix), (odd, matrix[::-1, ::-1]))
-        elif local_parity:  # one bit
+        if local_parity.bit_count() == 1 and not is_exactly_diagonal(matrix):
             bit = local_parity.bit_length() - 1
-            if not is_exactly_diagonal(matrix):
-                ops.apply_controlled_single_qubit(buffer, matrix, bit, controls)
-            elif (index & block_parity).bit_count() & 1:
-                ops.apply_diagonal(buffer, matrix[::-1, ::-1], bit, controls)
-            else:
-                ops.apply_diagonal(buffer, matrix, bit, controls)
+            ops.apply_controlled_single_qubit(buffer, matrix, bit, controls)
             return
-        else:
-            sides = ((self._mask_for(buffer.size, controls), matrix),)
-        for mask, entries in sides:
-            phase = ops.block_phase(entries, block_parity, index)
+        shape, selections = ops.slab(buffer.size, local_parity, controls)
+        view = buffer.reshape(shape)
+        side = (index & block_parity).bit_count() & 1
+        for parity, where in selections:
+            phase = ops.block_phase(matrix, parity ^ side)
             if phase is not None:
-                ops.apply_phase(buffer, phase, mask)
+                ops.apply_phase(view[where], phase)

@@ -177,7 +177,7 @@ def _acts_on(
         return False
     if local_parity:
         return True  # amplitudes inside the block differ
-    return block_phase(step.matrix, block_parity, index) is not None
+    return block_phase(step.matrix, index & block_parity) is not None
 
 
 def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
@@ -185,7 +185,7 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
 
     Control qubits in the block / rank segments prune whole blocks / ranks
     (Section 3.3's three control cases); local controls are left in the plan
-    for the block kernel to apply as element masks.
+    for the block kernel to apply as axes of its strided views.
 
     An element whose every step is one-block — an in-block target, a
     diagonal 2x2, or a parity phase — stages nothing above the block: it

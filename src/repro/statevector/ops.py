@@ -17,15 +17,15 @@ is a power of two.  They are shared by
   non-local target to the bit above the block.  A block pair's 2x2 is then
   an ordinary 2x2 on the buffer's top bit.
 
-Following the HPC-Python guidance, all pair selection is done with reshapes
-and strided views — no Python-level loops over amplitudes: a (controlled) 2x2
-reshapes the vector so its target and every control is a length-2 axis, and
-indexes the two sides as views.  An exactly diagonal 2x2 (:func:`apply_diagonal`)
-is a phase on the side(s) whose entry is not exactly 1; like every phase here
-(:func:`apply_phase`) it equals the 2x2's values, and a zero's sign may differ.
-The kernel's other updates — a phase above the block under local controls,
-a parity phase on two or more bits of the buffer — select amplitudes with
-boolean masks.
+Following the HPC-Python guidance, every update selects its amplitudes as
+strided views of one cached layout (:func:`slab`) — no Python-level loops
+over amplitudes, no index arrays or boolean masks: the vector is reshaped so
+each qubit the update reads is a length-2 axis, and basic indexing picks one
+side of those axes.  A (controlled) 2x2 mixes the two sides of its target;
+a phase (:func:`apply_phase`) multiplies one side by a scalar.  The block
+kernel applies an exactly diagonal 2x2 or a parity phase as a phase on each
+side whose entry (:func:`block_phase`) is not exactly 1: the values equal
+the 2x2's, and a zero's sign may differ.
 """
 
 from __future__ import annotations
@@ -38,52 +38,64 @@ __all__ = [
     "apply_single_qubit",
     "apply_phase",
     "block_phase",
-    "local_parity_mask",
+    "slab",
     "apply_controlled_single_qubit",
-    "apply_diagonal",
-    "local_control_mask",
     "apply_gate_to_vector",
 ]
 
 
 @lru_cache(maxsize=256)
-def _slab(
-    size: int, target: int, controls: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple, tuple]:
-    """The strided layout of a (controlled) 2x2 on a *size*-amplitude vector.
+def slab(
+    size: int, bits: int, controls: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, tuple], ...]]:
+    """The strided layout of an update on the qubits of the mask *bits* under
+    *controls*, on a *size*-amplitude vector.
 
-    Returns ``(shape, low, high)``: reshaped to *shape*, the vector has one
-    length-2 axis per bit of *target* and *controls*, and indexing it with
-    *low* / *high* (basic indices, so views) selects the amplitudes whose
-    control bits are all 1 and whose target bit is 0 / 1.  The layout is a
-    pure function of its arguments, so it is built — and validated — once.
+    Returns ``(shape, selections)``: reshaped to *shape*, the vector has one
+    length-2 axis per qubit of *bits* and per control.  There is one
+    ``(parity, index)`` selection per assignment of the *bits* qubits, in
+    increasing order of the assignment's value: indexing the reshaped vector
+    with *index* (basic indices, so a view) selects the amplitudes with that
+    assignment and every control bit 1, and *parity* is the parity of the
+    assignment's set bits.  A one-bit mask gives a 2x2's two sides, target
+    bit 0 then 1; an empty mask the one side a phase under *controls* moves.
+    The layout is a pure function of its arguments, so it is built — and
+    validated — once.
     """
 
     if size == 0 or size & (size - 1):
         raise ValueError(f"state vector length {size} is not a power of two")
     num_qubits = size.bit_length() - 1
-    if not 0 <= target < num_qubits:
-        raise ValueError(f"qubit {target} out of range for {num_qubits}-qubit state")
+    if bits < 0 or bits >> num_qubits:
+        raise ValueError(
+            f"qubit mask {bits:#b} out of range for {num_qubits}-qubit state"
+        )
     for control in controls:
         if not 0 <= control < num_qubits:
             raise ValueError(
                 f"control qubit {control} out of range for {num_qubits}-qubit state"
             )
-        if control == target:
+        if bits >> control & 1:
             raise ValueError("control qubit equals target qubit")
+    qubits = [qubit for qubit in range(num_qubits) if bits >> qubit & 1]
+    assignments = [0]
+    for qubit in qubits:  # ascending qubits keep the values increasing
+        assignments += [value | 1 << qubit for value in assignments]
+    axes = sorted({*qubits, *controls}, reverse=True)
     shape: list[int] = []
-    low: list = []
-    high: list = []
     above = num_qubits
-    for bit in sorted({target, *controls}, reverse=True):
-        shape += [1 << (above - bit - 1), 2]
-        low += [slice(None), 0 if bit == target else 1]
-        high += [slice(None), 1]
-        above = bit
+    for qubit in axes:
+        shape += [1 << (above - qubit - 1), 2]
+        above = qubit
     shape.append(1 << above)
-    low.append(slice(None))
-    high.append(slice(None))
-    return tuple(shape), tuple(low), tuple(high)
+    selections = []
+    for value in assignments:
+        index: list = []
+        for qubit in axes:
+            index += [slice(None), value >> qubit & 1 if qubit in qubits else 1]
+        index.append(slice(None))
+        selections.append((value.bit_count() & 1, tuple(index)))
+    return tuple(shape), tuple(selections)
 
 
 def _sides(
@@ -94,7 +106,7 @@ def _sides(
 
     if state.ndim != 1:
         raise ValueError("state vector must be one-dimensional")
-    shape, low, high = _slab(state.shape[0], target, controls)
+    shape, ((_, low), (_, high)) = slab(state.shape[0], 1 << target, controls)
     view = state.reshape(shape)
     return view[low], view[high]
 
@@ -111,23 +123,19 @@ def apply_single_qubit(state: np.ndarray, matrix: np.ndarray, qubit: int) -> Non
     apply_controlled_single_qubit(state, matrix, qubit, ())
 
 
-def apply_phase(
-    vector: np.ndarray, phase: complex, mask: np.ndarray | None = None
-) -> None:
-    """Multiply the amplitudes *mask* selects by the scalar *phase*, in place.
+def apply_phase(vector: np.ndarray, phase: complex) -> None:
+    """Multiply every amplitude of *vector* by the scalar *phase*, in place.
 
-    This is a diagonal gate on a target above the block boundary, seen from
-    one block: every amplitude of the block has the same target bit ``b``, so
-    the update is ``m[b, b] * x`` under the local-control mask — no partner
-    block is read.  A parity phase ``d`` on ``x_c ⊕ x_t`` is the same update
-    on the amplitudes of one parity (the mask, :func:`local_parity_mask`,
-    combined with the controls').
+    *vector* is one side of a :func:`slab` layout: the amplitudes of a block
+    that share one assignment of the bits a diagonal reads — every amplitude,
+    for a diagonal gate on a target above the block boundary; one side of
+    an in-block target; one assignment of a parity phase's in-block bits —
+    under the local controls.  No partner amplitude is read.
 
     It computes ``phase * x + 0.0``.  The contract with the 2x2 update
     ``phase * x + 0 * partner`` is *equal values; a zero's sign may differ*:
     where ``phase * x`` and ``0 * partner`` are both ``-0.0`` the 2x2's
-    sum is ``-0.0`` and this is ``+0.0``.  Every phase in this module
-    (:func:`apply_diagonal` too) holds that contract.
+    sum is ``-0.0`` and this is ``+0.0``.
 
     * scalar first, the operand order :func:`apply_single_qubit` uses
       (``u00 * a``) — NumPy's SIMD complex multiply is fused and not
@@ -137,63 +145,26 @@ def apply_phase(
       zero blob.
     """
 
-    if mask is None:
-        vector[:] = phase * vector + 0.0
-    else:
-        vector[mask] = phase * vector[mask] + 0.0
+    vector[...] = phase * vector + 0.0
 
 
-def block_phase(matrix: np.ndarray, bits: int, index: int) -> complex | None:
-    """The phase a diagonal *matrix* multiplies one whole block by, or
-    ``None`` when it is exactly 1 and the block is left alone.
+def block_phase(matrix: np.ndarray, bits: int) -> complex | None:
+    """The diagonal entry ``matrix[p, p]`` where ``p`` is the parity of
+    *bits*, or ``None`` when it is exactly 1 and its amplitudes are left
+    alone (a side at 1 keeps its bytes, ``-0.0`` included, where the 2x2
+    would rewrite it as ``1 * x + 0 * partner``).
 
-    *bits* is a mask over the global block index *index*: the qubits above
-    the block boundary whose parity selects the diagonal entry, so every
-    amplitude of the block sees the same parity ``b`` of ``index & bits``
-    and the phase is ``matrix[b, b]``.  A diagonal gate on a non-local
-    target is the one-bit case; a parity phase ``d`` on ``x_c ⊕ x_t`` is
-    two bits (``0`` when both lie inside the block: ``b = 0``).  Planner and
-    kernel both ask here, so a block is staged exactly when it is changed.
+    The planner asks with the bits of a block's global index that a diagonal
+    reads above the block boundary — the target of a diagonal gate on a
+    non-local qubit, or a parity phase's ``x_c ⊕ x_t`` bits there — so every
+    amplitude of the block sees the same entry.  The kernel asks for each
+    side of a :func:`slab` layout, the side's parity flipped by the block's.
+    Both ask here, so a block is staged exactly when it is changed.
     """
 
-    side = (index & bits).bit_count() & 1
+    side = bits.bit_count() & 1
     phase = matrix[side, side]
     return None if phase == 1 else phase
-
-
-def local_parity_mask(size: int, bits: int) -> np.ndarray:
-    """Boolean mask over *size* block offsets whose *bits* have odd parity.
-
-    The in-block half of a parity phase: with the block-index parity ``b``
-    (:func:`block_phase`), offsets outside the mask take ``m[b, b]`` and
-    offsets inside it take the other diagonal entry.
-    """
-
-    offsets = np.arange(size, dtype=np.int64)
-    odd = np.zeros(size, dtype=bool)
-    for bit in range(bits.bit_length()):
-        if bits >> bit & 1:
-            odd ^= (offsets >> bit & 1).astype(bool)
-    return odd
-
-
-def local_control_mask(
-    size: int, local_controls: tuple[int, ...]
-) -> np.ndarray | None:
-    """Boolean mask over *size* block offsets whose control bits are all 1.
-
-    ``None`` when there are no local controls (the uncontrolled fast path).
-    Every tier's block kernel derives its masks here, so a plan's
-    ``local_controls`` yield byte-identical masks wherever the task runs.
-    """
-
-    if not local_controls:
-        return None
-    control_bits = 0
-    for control in local_controls:
-        control_bits |= 1 << control
-    offsets = np.arange(size, dtype=np.int64)
-    return (offsets & control_bits) == control_bits
 
 
 def apply_controlled_single_qubit(
@@ -204,7 +175,7 @@ def apply_controlled_single_qubit(
 ) -> None:
     """Apply *matrix* to *qubit* only where every control bit is 1, in place.
 
-    The pairs are two strided views of *state* (:func:`_slab`) and the update
+    The pairs are two strided views of *state* (:func:`slab`) and the update
     is ``u00 * a + u01 * b``, ``u10 * a + u11 * b`` over them.
     """
 
@@ -215,28 +186,6 @@ def apply_controlled_single_qubit(
     new_b = u10 * a + u11 * b
     a[...] = new_a
     b[...] = new_b
-
-
-def apply_diagonal(
-    state: np.ndarray,
-    matrix: np.ndarray,
-    qubit: int,
-    controls: tuple[int, ...],
-) -> None:
-    """Apply an exactly diagonal *matrix* to *qubit* where every control bit
-    is 1, in place.
-
-    Only a side whose entry is not exactly 1 is touched: :func:`apply_phase`
-    on that side's strided view, with its contract — the values equal
-    :func:`apply_controlled_single_qubit`'s, a zero's sign may differ.
-    A side at 1 keeps its bytes, ``-0.0`` included, where the 2x2 would
-    rewrite it as ``1 * x + 0 * partner``.
-    """
-
-    for side, x in enumerate(_sides(state, qubit, tuple(controls))):
-        phase = matrix[side, side]
-        if phase != 1:
-            apply_phase(x, phase)
 
 
 def apply_gate_to_vector(state: np.ndarray, gate) -> None:

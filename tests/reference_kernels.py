@@ -25,7 +25,11 @@ pairs with index arrays.  The pairwise update
 (``apply_single_qubit_pairwise_masked``) is the block-pair kernel the
 product's virtual block replaced: a 2x2 across two separate blocks, where the
 product stages the pair side by side and applies an ordinary 2x2 on the
-buffer's top bit.  Neither is a patch point.
+buffer's top bit.  The masked phase (``apply_phase_step_masked``, over the
+two mask builders ``local_control_mask`` and ``local_parity_mask``) is the
+in-block phase path the product's slab views replaced: a diagonal, a phase
+above the block or a parity phase as a boolean-mask gather and scatter.
+None of these is a patch point.
 """
 
 from __future__ import annotations
@@ -418,3 +422,51 @@ def apply_single_qubit_pairwise_masked(
     b = vector_y[mask]
     vector_x[mask] = u00 * a + u01 * b
     vector_y[mask] = u10 * a + u11 * b
+
+
+def local_control_mask(size: int, controls: tuple[int, ...]) -> np.ndarray | None:
+    """Boolean mask over *size* offsets whose control bits are all 1;
+    ``None`` when there are no controls (every offset)."""
+
+    if not controls:
+        return None
+    control_bits = 0
+    for control in controls:
+        control_bits |= 1 << control
+    offsets = np.arange(size, dtype=np.int64)
+    return (offsets & control_bits) == control_bits
+
+
+def local_parity_mask(size: int, bits: int) -> np.ndarray:
+    """Boolean mask over *size* offsets whose *bits* have odd parity."""
+
+    offsets = np.arange(size, dtype=np.int64)
+    odd = np.zeros(size, dtype=bool)
+    for bit in range(bits.bit_length()):
+        if bits >> bit & 1:
+            odd ^= (offsets >> bit & 1).astype(bool)
+    return odd
+
+
+def apply_phase_step_masked(
+    buffer: np.ndarray,
+    matrix: np.ndarray,
+    local_parity: int,
+    side: int,
+    controls: tuple[int, ...],
+) -> None:
+    """Apply an exactly diagonal *matrix* on the parity of the *local_parity*
+    bits of *buffer*, flipped by *side*, where every control bit is 1, in
+    place, with boolean masks: offsets of even parity take
+    ``matrix[side, side]``, odd ones the other entry, each as
+    ``phase * x + 0.0`` on the gathered amplitudes, and an entry of exactly
+    1 leaves its offsets alone."""
+
+    odd = local_parity_mask(buffer.size, local_parity)
+    mask = local_control_mask(buffer.size, controls)
+    for parity, selected in ((0, ~odd), (1, odd)):
+        if mask is not None:
+            selected = selected & mask
+        phase = matrix[parity ^ side, parity ^ side]
+        if phase != 1:
+            buffer[selected] = phase * buffer[selected] + 0.0

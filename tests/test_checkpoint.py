@@ -305,6 +305,65 @@ class TestCheckpointRobustness:
         assert path.read_bytes() == previous
         assert load_checkpoint(path).gate_count == 0
 
+    @staticmethod
+    def _rewrite(path, edit) -> None:
+        """Rewrite the checkpoint at *path* with its block list passed
+        through *edit*."""
+
+        from repro.core import checkpoint
+
+        meta, blocks = read_checkpoint(path)
+        blocks = edit(blocks)
+        meta_blob = json.dumps(meta).encode()
+        parts = [checkpoint._MAGIC, struct.pack("<I", len(meta_blob)), meta_blob]
+        parts.append(struct.pack("<I", len(blocks)))
+        for rank, block, name, bound, blob in blocks:
+            parts.append(
+                checkpoint._BLOCK_HEADER.pack(
+                    rank, block, len(name.encode()), bound, len(blob)
+                )
+            )
+            parts += [name.encode(), blob]
+        path.write_bytes(b"".join(parts))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # Block 1 takes block 0's coordinates: one block named twice,
+            # one never.  Loaded, the missing block kept the reset state.
+            (lambda blocks: [blocks[0], blocks[0], *blocks[2:]],
+             r"block 1 .*rank 0, block 0"),
+            # Rank 2 of a 2-rank file: an IndexError from deep in the store.
+            (lambda blocks: [*blocks[:3], (2, 0, *blocks[3][2:]), *blocks[4:]],
+             r"block 3 .*rank 2, block 0"),
+        ],
+        ids=["listed-twice", "out-of-range"],
+    )
+    def test_each_block_named_exactly_once(self, tmp_path, edit, message):
+        # 6 qubits, 2 ranks of 4 8-amplitude blocks.
+        config = _config(block_amplitudes=8)
+        source = CompressedSimulator(6, config)
+        source.apply_circuit(qft_circuit(6))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(source, path)
+        assert read_checkpoint(path)[1][1][:2] == (0, 1)
+        self._rewrite(path, edit)
+
+        with pytest.raises(CheckpointError, match=message):
+            read_checkpoint(path)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+        warm = CompressedSimulator(6, config)
+        warm.apply_circuit(qft_circuit(6)[:5])
+        before = [(where, entry.blob) for where, entry in warm.state.iter_blocks()]
+        gate_count = warm.gate_count
+        with pytest.raises(CheckpointError, match=message):
+            resume_from_checkpoint(warm, path)
+        assert [
+            (where, entry.blob) for where, entry in warm.state.iter_blocks()
+        ] == before
+        assert warm.gate_count == gate_count
+
     def test_bad_magic_rejected(self, valid_checkpoint):
         payload, tmp_path = valid_checkpoint
         target = tmp_path / "magic.bin"

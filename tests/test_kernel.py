@@ -170,7 +170,7 @@ def _reference(shape, blocks, stored, output):
         .copy()
         for block in blocks[:count]
     ]
-    mask = ops.local_control_mask(BLOCK, CONTROLS)
+    mask = reference_kernels.local_control_mask(BLOCK, CONTROLS)
     if count == 1:
         reference_kernels.apply_controlled_single_qubit(
             buffers[0], MATRIX, 2, CONTROLS
@@ -488,8 +488,9 @@ def _sandwich(control: int, diagonal: Gate) -> ParityPhase:
 def test_parity_steps_under_a_local_control_mask(rng):
     # 7 qubits in 16-amplitude blocks: qubits 4-6 are bits 0-2 of the block
     # index.  Three parity phases, each under local control 3: both qubits
-    # in the block (two masked phases), one in and one above (a phase on one
-    # in-block qubit, flipped by block bit 1), both above (one scalar).
+    # in the block (a phase on each of four sides), one in and one above (a
+    # phase on one in-block qubit, flipped by block bit 1), both above (one
+    # side).
     steps = [
         _sandwich(0, standard_gate("p", 2, controls=(3,), params=(0.9,))),
         _sandwich(5, standard_gate("rz", 1, controls=(3,), params=(0.7,))),
@@ -537,6 +538,37 @@ def test_parity_steps_under_a_local_control_mask(rng):
     (high,) = kernel.run(op, stats, ((blob, codec.name),), index=0b010)
     assert low != high
     assert (stats.cache_hits, stats.cache_misses) == (0, 10)
+
+    # Every phase step against the boolean-mask oracle, bit for bit: 0, 1
+    # (a diagonal) or 2 parity bits in a 32-amplitude buffer, under no, one
+    # or two local controls, at an even and an odd block parity, on
+    # amplitudes with zeros of both signs.  rz moves both sides; p leaves
+    # the side at entry 1 alone, -0.0 included.
+    size = 32
+    buffer = rng.normal(size=size) + 1j * rng.normal(size=size)
+    parts = buffer.view(np.float64)
+    zeros = rng.random(parts.size) < 0.25
+    parts[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    matrices = (
+        standard_gate("rz", 0, params=(0.7,)).matrix,
+        standard_gate("p", 0, params=(-1.3,)).matrix,
+    )
+    block_parity = 0b110
+    for matrix in matrices:
+        for local_parity in (0, 0b100, 0b10010):
+            for controls in ((), (0,), (0, 3)):
+                for index, side in ((0b110, 0), (0b010, 1)):
+                    expected, actual = buffer.copy(), buffer.copy()
+                    reference_kernels.apply_phase_step_masked(
+                        expected, matrix, local_parity, side, controls
+                    )
+                    kernel._apply_step(
+                        actual, index, matrix, local_parity, block_parity,
+                        controls, 0,
+                    )
+                    assert np.array_equal(
+                        actual.view(np.uint64), expected.view(np.uint64)
+                    ), (matrix, local_parity, controls, side)
 
 
 def test_pair_riders_apply_at_each_blocks_own_index(rng):

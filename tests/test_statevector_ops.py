@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels
 from repro.circuits import gates, standard_gate
+from repro.core import ScratchPool
+from repro.core.kernel import BlockKernel
 from repro.statevector import ops
 
 
@@ -226,7 +228,8 @@ class TestPairwiseKernel:
         matrix = standard_gate(name, top, params=params).matrix
         pair = self._pair(rng, 1 << top)
         expected = self._oracle(pair, matrix, controls)
-        ops.apply_diagonal(pair, matrix, top, controls)
+        kernel = BlockKernel({}, ScratchPool(1 << top))
+        kernel._apply_step(pair, 0, matrix, 1 << top, 0, controls, 0)
         assert np.array_equal(pair, expected)
 
 
@@ -259,11 +262,11 @@ class TestApplyPhase:
         expected = state.copy()
         ops.apply_controlled_single_qubit(expected, gate.matrix, target, controls)
         half = 1 << target
-        mask = ops.local_control_mask(half, controls)
+        shape, ((_, where),) = ops.slab(half, 0, controls)
         for side in (0, 1):
             block = state[side * half : (side + 1) * half].copy()
             assert block.size >= 4096
-            ops.apply_phase(block, gate.matrix[side, side], mask)
+            ops.apply_phase(block.reshape(shape)[where], gate.matrix[side, side])
             assert np.array_equal(block, expected[side * half : (side + 1) * half])
 
     @pytest.mark.parametrize("controls", [(), (2,)])
@@ -272,9 +275,46 @@ class TestApplyPhase:
         # yields +0, and so must this: a zero block has to stay byte-equal to
         # the compressor's zero blob.
         block = np.zeros(16, dtype=np.complex128)
+        shape, ((_, where),) = ops.slab(16, 0, controls)
         for phase in (gates.Z[1, 1], gates.phase(2.0)[1, 1], gates.rz(-1.0)[0, 0]):
-            ops.apply_phase(block, phase, ops.local_control_mask(16, controls))
+            ops.apply_phase(block.reshape(shape)[where], phase)
             assert block.tobytes() == bytes(16 * 16)
+
+
+class TestSlab:
+    """The one layout every in-block update selects its amplitudes from."""
+
+    @pytest.mark.parametrize(
+        "bits, controls", [(0, ()), (0, (2,)), (0b100000, (1, 3)), (0b10010, (0,))]
+    )
+    def test_selections_are_views_of_the_masked_offsets(self, bits, controls):
+        size = 64
+        offsets = np.arange(size)
+        shape, selections = ops.slab(size, bits, controls)
+        assert len(selections) == 1 << bits.bit_count()
+        control_mask = reference_kernels.local_control_mask(size, controls)
+        if control_mask is None:
+            control_mask = np.ones(size, dtype=bool)
+        seen = []
+        for parity, where in selections:
+            selected = offsets.reshape(shape)[where]
+            assert np.shares_memory(selected, offsets)  # a view, not a copy
+            value = int(selected.flat[0]) & bits
+            seen.append(value)
+            assert parity == value.bit_count() & 1
+            expected = offsets[control_mask & ((offsets & bits) == value)]
+            assert np.array_equal(np.sort(selected, axis=None), expected)
+        assert seen == sorted(seen)
+
+    def test_is_validated(self):
+        with pytest.raises(ValueError, match="power of two"):
+            ops.slab(48, 1, ())
+        with pytest.raises(ValueError, match="out of range"):
+            ops.slab(16, 1 << 4, ())
+        with pytest.raises(ValueError, match="out of range"):
+            ops.slab(16, 1, (4,))
+        with pytest.raises(ValueError, match="equals target"):
+            ops.slab(16, 0b11, (1,))
 
 
 class TestApplyGateToVector:
