@@ -16,16 +16,15 @@ helpers.  This bench pins those wins to numbers:
   first produced by (``tests/test_huffman.py``'s oracle): same lengths, same
   bytes, and what each costs.
 
-Results land in ``benchmarks/results/BENCH_codec.json`` (machine-readable,
-one file per run) next to the human-readable ``.txt`` blocks.  Decode
-mismatches fail the run in every mode; timing floors are only enforced in
-the full-size run (``REPRO_BENCH_QUICK=1`` is for CI smoke on noisy shared
-runners).
+Results land in ``BENCH_codec.json`` under :func:`recordings.results_dir`
+(machine-readable, one file per run) next to the human-readable ``.txt``
+blocks.  Decode mismatches fail the run in every mode; timing floors are only
+enforced in the full-size run (``REPRO_BENCH_QUICK=1`` is for CI smoke on
+noisy shared runners).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -50,9 +49,9 @@ from repro.core import effective_cpu_count
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_huffman import _heap_build_lengths  # noqa: E402
 
+from recordings import merge_json  # noqa: E402
+
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-RESULTS_DIR = Path(__file__).parent / "results"
-JSON_PATH = RESULTS_DIR / "BENCH_codec.json"
 
 BLOCK_SIZES = (1 << 14, 1 << 17) if QUICK else (1 << 14, 1 << 17, 1 << 20)
 HUFFMAN_SYMBOLS = 1 << 16 if QUICK else 1 << 20
@@ -61,20 +60,19 @@ SPEEDUP_FLOOR = 5.0
 
 
 def _merge_json(section: str, payload) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    data = {}
-    if JSON_PATH.exists():
-        data = json.loads(JSON_PATH.read_text())
-    data[section] = payload
-    data["meta"] = {
-        "quick": QUICK,
-        "huffman_symbols": HUFFMAN_SYMBOLS,
-        "block_sizes": list(BLOCK_SIZES),
-        # Effective CPUs (affinity-aware), not raw os.cpu_count(): container
-        # and cpuset runs must not overstate the available parallelism.
-        "available_cpus": effective_cpu_count(),
-    }
-    JSON_PATH.write_text(json.dumps(data, indent=2))
+    merge_json(
+        "BENCH_codec.json",
+        section,
+        payload,
+        {
+            "quick": QUICK,
+            "huffman_symbols": HUFFMAN_SYMBOLS,
+            "block_sizes": list(BLOCK_SIZES),
+            # Effective CPUs (affinity-aware), not raw os.cpu_count(): container
+            # and cpuset runs must not overstate the available parallelism.
+            "available_cpus": effective_cpu_count(),
+        },
+    )
 
 
 def _spiky_amplitudes(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -31,16 +31,14 @@ Both modes run through the backend registry (``get_backend("compressed")``)
 the ranked tier via ``SimulatorConfig(comm="process")`` — so even this bench
 exercises the same code path as every other ``repro.run()`` workload.
 
-Results land in ``benchmarks/results/BENCH_fig16.json``.  Set
+Results land in ``BENCH_fig16.json`` under :func:`recordings.results_dir`.  Set
 ``REPRO_BENCH_QUICK=1`` for a CI-sized smoke run.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
-from pathlib import Path
 
 from repro.analysis import format_table
 from repro.applications import hadamard_scaling_circuit, random_supremacy_circuit
@@ -49,9 +47,9 @@ from repro.circuits import form_runs
 from repro.core import SimulatorConfig, effective_cpu_count
 from repro.distributed import Partition, plan_gate
 
+from recordings import merge_json
+
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-RESULTS_DIR = Path(__file__).parent / "results"
-JSON_PATH = RESULTS_DIR / "BENCH_fig16.json"
 
 #: 16 qubits in every mode: smaller registers make the modelled speedup
 #: communication-dominated and the strong-scaling shape disappears.  Quick
@@ -71,18 +69,17 @@ LATENCY = 5e-6
 
 
 def _merge_json(section: str, payload) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    data = {}
-    if JSON_PATH.exists():
-        data = json.loads(JSON_PATH.read_text())
-    data[section] = payload
-    data["meta"] = {
-        "quick": QUICK,
-        "num_qubits": NUM_QUBITS,
-        "available_cpus": effective_cpu_count(),
-        "paper": "Figure 16: 51-qubit Hadamard, 128-4096 Theta nodes",
-    }
-    JSON_PATH.write_text(json.dumps(data, indent=2))
+    merge_json(
+        "BENCH_fig16.json",
+        section,
+        payload,
+        {
+            "quick": QUICK,
+            "num_qubits": NUM_QUBITS,
+            "available_cpus": effective_cpu_count(),
+            "paper": "Figure 16: 51-qubit Hadamard, 128-4096 Theta nodes",
+        },
+    )
 
 
 def _block_amplitudes(num_ranks: int) -> int:

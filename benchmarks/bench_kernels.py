@@ -2,8 +2,10 @@
 
 Every step of a block task goes through
 :meth:`repro.core.kernel.BlockKernel._apply_step` on the task's virtual
-block: a 2x2 (controlled or not) on two strided views, and every other step
-as a phase on the sides of one strided layout whose entry is not exactly 1.
+block, in the form :func:`repro.core.kernel.resolve_step` chose once for the
+plan: a 2x2 (controlled or not) on two strided views, a phase as one
+multiply per strided view whose entry is not exactly 1, or — on a small
+buffer, for a phase that moves every amplitude — one gathered multiply.
 This bench times four in-block step kinds — 2x2 (``h``), controlled 2x2
 (``cx``), diagonal (``t``) and controlled diagonal (``cz``) — at 2^9, 2^10,
 2^12 and 2^16 amplitudes, each against the controlled update
@@ -18,16 +20,21 @@ under the lowest in-block bit) on the top bit of two such blocks side by
 side — against the pairwise oracle on the two separate blocks, the kernel's
 former pair path.  Best of 5.
 
+The phase-form rows time both forms of a phase step — per-selection views
+and the gathered multiply — for a one- and a two-bit parity, with and
+without an entry at exactly 1, and name the form the kernel selects:
+:data:`repro.core.kernel.GATHER_MAX_AMPLITUDES` is read off them.
+
 Every case checks that both paths give equal values, the phase and pair
-kinds bit for bit.  The only timing assertion is the wide gap: a ``cz`` at
-2^12 and 2^16 amplitudes is faster on the diagonal path than on the oracle.
-``sweep12_batch`` runs 2^9-amplitude blocks.  Results land in
-``benchmarks/results/BENCH_kernels.json``.
+kinds bit for bit, and each phase form equals the boolean-mask oracle bit
+for bit.  The only timing assertion is the wide gap: a ``cz`` at 2^12 and
+2^16 amplitudes is faster on the diagonal path than on the oracle.
+``sweep12_batch`` runs 2^9-amplitude blocks and 2^10-amplitude pairs.
+Results land in ``BENCH_kernels.json`` under :func:`recordings.results_dir`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import sys
@@ -38,15 +45,23 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.circuits import standard_gate
+from repro.circuits.gates import is_exactly_diagonal
 from repro.core import ScratchPool, effective_cpu_count
-from repro.core.kernel import BlockKernel
+from repro.core.kernel import (
+    GATHER_MAX_AMPLITUDES,
+    BlockKernel,
+    _phase_table,
+    _phase_views,
+    resolve_step,
+)
+from repro.statevector import ops
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import reference_kernels  # noqa: E402
 
+from recordings import merge_json  # noqa: E402
+
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-RESULTS_DIR = Path(__file__).parent / "results"
-JSON_PATH = RESULTS_DIR / "BENCH_kernels.json"
 
 SIZES = (1 << 9, 1 << 10, 1 << 12, 1 << 16)
 REPEATS = 5
@@ -69,6 +84,14 @@ PHASE_KINDS = {
 PAIR_KINDS = {
     "pair 2x2": ("h", ()),
     "controlled pair 2x2": ("x", (0,)),
+}
+#: Phase-form kind -> (gate, in-block parity bits) of an uncontrolled
+#: ``rz(0.7)`` (no entry at 1) or ``p(0.7)`` (``m[0, 0]`` exactly 1) step.
+FORM_KINDS = {
+    "1-bit phase": ("rz", 0b1000),
+    "1-bit phase, entry 1": ("p", 0b1000),
+    "2-bit phase": ("rz", 0b1001000),
+    "2-bit phase, entry 1": ("p", 0b1001000),
 }
 #: Where the diagonal path must beat the oracle.
 GAP_SIZES = (1 << 12, 1 << 16)
@@ -97,18 +120,66 @@ def _row(kind, gate, size, product, oracle, state, calls) -> dict:
     }
 
 
+def _phase_form_rows(block: np.ndarray, size: int, calls: int) -> list[dict]:
+    """Both forms of each :data:`FORM_KINDS` phase on a *size*-amplitude
+    block, each checked against the boolean-mask oracle bit for bit, and the
+    form :func:`resolve_step` selects."""
+
+    rows = []
+    for kind, (name, bits) in FORM_KINDS.items():
+        matrix = standard_gate(name, 0, params=(0.7,)).matrix
+        # The views skip an entry of exactly 1 (None); the gathered form
+        # multiplies by it, which leaves these nonzero amplitudes' bytes.
+        entries = (ops.block_phase(matrix, 0), ops.block_phase(matrix, 1))
+        expected = block.copy()
+        reference_kernels.apply_phase_step_masked(expected, matrix, bits, 0, ())
+        timed = {}
+        for form_name, (form, sides) in (
+            ("views", _phase_views(size, bits, (), entries)),
+            ("gathered", _phase_table(size, bits, tuple(matrix.diagonal()))),
+        ):
+
+            def apply(state, form=form, args=sides[0]):
+                form(state, *args)
+
+            actual = block.copy()
+            apply(actual)
+            assert np.array_equal(
+                actual.view(np.uint64), expected.view(np.uint64)
+            ), (kind, form_name, size)
+            timed[form_name] = _best_seconds(apply, block.copy(), calls) * 1e6
+        step = resolve_step(size, matrix, bits, 0, (), 0, False)
+        selected = "gathered" if step.form is ops.apply_phase_table else "views"
+        rows.append(
+            {
+                "kind": kind,
+                "gate": name,
+                "amplitudes": size,
+                "views_us": timed["views"],
+                "gathered_us": timed["gathered"],
+                "selected": selected,
+                "selected_vs_views": timed[selected] / timed["views"],
+            }
+        )
+    return rows
+
+
 def test_in_block_step_paths(emit):
     rng = np.random.default_rng(11)
-    rows = []
+    rows, forms = [], []
     for size in SIZES:
         kernel = BlockKernel({}, ScratchPool(size))
         calls = max(4, (1 << 18) // size) if QUICK else max(20, (1 << 21) // size)
         block = rng.normal(size=size) + 1j * rng.normal(size=size)
         for kind, (name, target, controls) in KINDS.items():
             matrix = standard_gate(name, target, controls=controls).matrix
+            step = resolve_step(
+                size, matrix, 1 << target, 0, controls, 0,
+                not is_exactly_diagonal(matrix),
+            )
 
-            def product(state, matrix=matrix, target=target, controls=controls):
-                kernel._apply_step(state, 0, matrix, 1 << target, 0, controls, 0)
+            def product(state, step=step):
+                kernel._apply_step(state, 0, step)
 
             def oracle(state, matrix=matrix, target=target, controls=controls):
                 reference_kernels.apply_controlled_single_qubit(
@@ -124,11 +195,11 @@ def test_in_block_step_paths(emit):
 
         phase = standard_gate("rz", 0, params=(0.7,)).matrix
         for kind, (gate, local, parity, index, controls) in PHASE_KINDS.items():
-            step = (phase, local, parity, controls, 0)
+            step = resolve_step(size, phase, local, parity, controls, 0, False)
             side = (index & parity).bit_count() & 1
 
             def product(state, index=index, step=step):
-                kernel._apply_step(state, index, *step)
+                kernel._apply_step(state, index, step)
 
             def oracle(state, local=local, side=side, controls=controls):
                 reference_kernels.apply_phase_step_masked(
@@ -151,8 +222,10 @@ def test_in_block_step_paths(emit):
             matrix = standard_gate(name, top, controls=controls).matrix
             mask = reference_kernels.local_control_mask(size, controls)
 
-            def product(state, matrix=matrix, controls=controls):
-                kernel._apply_step(state, 0, matrix, 1 << top, 0, controls, 0)
+            step = resolve_step(2 * size, matrix, 1 << top, 0, controls, 0, True)
+
+            def product(state, step=step):
+                kernel._apply_step(state, 0, step)
 
             def oracle(state, matrix=matrix, mask=mask):
                 reference_kernels.apply_single_qubit_pairwise_masked(
@@ -168,27 +241,25 @@ def test_in_block_step_paths(emit):
             gate = "c" * len(controls) + name
             rows.append(_row(kind, gate, size, product, oracle, pair, calls))
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    JSON_PATH.write_text(
-        json.dumps(
-            {
-                "meta": {
-                    "quick": QUICK,
-                    "repeats": REPEATS,
-                    "numpy": np.__version__,
-                    "python": platform.python_version(),
-                    "machine": platform.machine(),
-                    "available_cpus": effective_cpu_count(),
-                },
-                "rows": rows,
-            },
-            indent=2,
-        )
-    )
+        forms.extend(_phase_form_rows(block, size, calls))
+
+    meta = {
+        "quick": QUICK,
+        "repeats": REPEATS,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "available_cpus": effective_cpu_count(),
+        "gather_max_amplitudes": GATHER_MAX_AMPLITUDES,
+    }
+    merge_json("BENCH_kernels.json", "rows", rows, meta)
+    merge_json("BENCH_kernels.json", "phase_forms", forms, meta)
     emit(
-        "Block-task step paths vs their oracles (best of "
-        f"{REPEATS}, us per call)",
-        format_table(rows, floatfmt="{:.3g}"),
+        "Block-task step paths vs their oracles, and the two phase forms "
+        f"(best of {REPEATS}, us per call)",
+        format_table(rows, floatfmt="{:.3g}")
+        + "\n\n"
+        + format_table(forms, floatfmt="{:.3g}"),
     )
 
     for row in rows:

@@ -7,7 +7,7 @@
   sequentially and with ``parallel="process"``, results required identical
   up to measured wall-clock metadata.
 
-Results land in ``benchmarks/results/BENCH_parallel.json``;
+Results land in ``BENCH_parallel.json`` under :func:`recordings.results_dir`;
 ``meta.available_cpus`` records which regime produced the numbers
 (affinity-aware, not raw ``os.cpu_count()``).  The ``executor_scaling``
 section of earlier recordings timed the thread tier, which went in v1.17.0:
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -37,9 +36,9 @@ from repro.circuits import QuantumCircuit
 from repro.core import CompressedSimulator, SimulatorConfig, effective_cpu_count
 from repro.resilience import FaultPolicy
 
+from recordings import merge_json
+
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-RESULTS_DIR = Path(__file__).parent / "results"
-JSON_PATH = RESULTS_DIR / "BENCH_parallel.json"
 
 NUM_QUBITS = 8 if QUICK else 12
 BLOCK_AMPLITUDES = 32 if QUICK else 256
@@ -58,18 +57,17 @@ CHECKPOINT_INTERVALS = (0, 8, 32)
 
 
 def _merge_json(section: str, payload) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    data = {}
-    if JSON_PATH.exists():
-        data = json.loads(JSON_PATH.read_text())
-    data[section] = payload
-    data["meta"] = {
-        "quick": QUICK,
-        "available_cpus": effective_cpu_count(),
-        "num_qubits": NUM_QUBITS,
-        "block_amplitudes": BLOCK_AMPLITUDES,
-    }
-    JSON_PATH.write_text(json.dumps(data, indent=2))
+    merge_json(
+        "BENCH_parallel.json",
+        section,
+        payload,
+        {
+            "quick": QUICK,
+            "available_cpus": effective_cpu_count(),
+            "num_qubits": NUM_QUBITS,
+            "block_amplitudes": BLOCK_AMPLITUDES,
+        },
+    )
 
 
 def codec_bound_circuit(num_qubits: int, layers: int) -> QuantumCircuit:

@@ -3,7 +3,9 @@
 Every benchmark module regenerates one of the paper's tables or figures.  The
 ``emit`` fixture routes the reproduced rows/series both to the terminal
 (bypassing pytest's capture, so they land in ``bench_output.txt``) and to a
-text file under ``benchmarks/results/`` for later inspection; the standard
+text file under :func:`recordings.results_dir` — ``benchmarks/results/``, or
+the git-ignored ``benchmarks/results-quick/`` for a ``REPRO_BENCH_QUICK=1``
+run — for later inspection; the standard
 ``benchmark`` fixture from pytest-benchmark times the kernel each experiment
 is built around.
 """
@@ -11,14 +13,13 @@ is built around.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.datasets import qaoa_state, supremacy_state
 
-RESULTS_DIR = Path(__file__).parent / "results"
+from recordings import results_dir
 
 #: Qubit count of the compression-study snapshots (the paper uses 36; this
 #: laptop-scale reproduction uses 14, see DESIGN.md).
@@ -51,8 +52,9 @@ def emit(capsys, request):
         text = f"\n{banner}\n{title}\n{banner}\n{body}\n"
         with capsys.disabled():
             print(text, flush=True)
-        RESULTS_DIR.mkdir(exist_ok=True)
         slug = re.sub(r"[^A-Za-z0-9._-]+", "_", request.node.name.strip("_"))
-        (RESULTS_DIR / f"{slug}.txt").write_text(text)
+        directory = results_dir()
+        directory.mkdir(exist_ok=True)
+        (directory / f"{slug}.txt").write_text(text)
 
     return _emit

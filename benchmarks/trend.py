@@ -2,7 +2,9 @@
 
 ``bench_codec_throughput.py`` writes one ``BENCH_codec.json`` per run; this
 script distills each run into a one-line summary record, appends it to
-``benchmarks/results/TREND.jsonl`` and compares the fresh run against the
+``TREND.jsonl`` next to it (``benchmarks/results/``, or the git-ignored
+``benchmarks/results-quick/`` under ``REPRO_BENCH_QUICK=1``:
+:func:`recordings.results_dir`) and compares the fresh run against the
 most recent *environment-matched* baseline already in the file.  An encode or
 decode throughput drop of more than ``--threshold`` (default 30%) on any
 tracked series fails the run with exit code 1, so the CI codec-bench job
@@ -46,9 +48,11 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-RESULTS_DIR = Path(__file__).parent / "results"
-DEFAULT_RESULTS = RESULTS_DIR / "BENCH_codec.json"
-DEFAULT_TREND = RESULTS_DIR / "TREND.jsonl"
+sys.path.insert(0, str(Path(__file__).parent))
+from recordings import results_dir  # noqa: E402
+
+DEFAULT_RESULTS = results_dir() / "BENCH_codec.json"
+DEFAULT_TREND = results_dir() / "TREND.jsonl"
 DEFAULT_THRESHOLD = 0.30
 
 #: Throughput families gated by :func:`compare` (higher is better in all).

@@ -19,6 +19,11 @@ hashes each blob once in its lifetime.
 Repeats *within* one gate plan never reach the cache: every tier groups a
 plan's byte-identical tasks first (:func:`repro.core.kernel.group_tasks`), so
 the cache serves only patterns that recur from one plan to a later one.
+
+A line keeps its input blobs alive after the task that made it has replaced
+those blocks, and its output blobs after later gates replace them in turn.
+None of that memory is in Eq. 8's footprint; :attr:`BlockCache.nbytes` and
+``CacheStats.peak_bytes`` count it, the blob bytes the lines reference.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ __all__ = ["CacheStats", "BlockCache"]
 logger = logging.getLogger(__name__)
 
 
+def _nbytes(blobs: tuple[bytes, ...]) -> int:
+    return sum(len(blob) for blob in blobs)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss counters plus the disable state."""
@@ -41,6 +50,8 @@ class CacheStats:
     insertions: int = 0
     evictions: int = 0
     disabled: bool = False
+    #: Most blob bytes the lines referenced at once (:attr:`BlockCache.nbytes`).
+    peak_bytes: int = 0
 
     @property
     def lookups(self) -> int:
@@ -66,6 +77,7 @@ class CacheStats:
             "insertions": self.insertions,
             "evictions": self.evictions,
             "disabled": self.disabled,
+            "peak_bytes": self.peak_bytes,
         }
 
 
@@ -91,6 +103,7 @@ class BlockCache:
         self._lines = int(lines)
         self._threshold = miss_disable_threshold
         self._entries: "OrderedDict[tuple, tuple[bytes, ...]]" = OrderedDict()
+        self._nbytes = 0
         self.stats = CacheStats()
 
     @property
@@ -98,6 +111,13 @@ class BlockCache:
         """Capacity of the cache in entries."""
 
         return self._lines
+
+    @property
+    def nbytes(self) -> int:
+        """Blob bytes the lines reference now: every line's input and output
+        blobs (an output may also be the block table's current blob)."""
+
+        return self._nbytes
 
     @property
     def enabled(self) -> bool:
@@ -122,6 +142,7 @@ class BlockCache:
             ):
                 self.stats.disabled = True
                 self._entries.clear()
+                self._nbytes = 0
                 logger.info(
                     "block cache disabled itself: 0 hits in %d lookups",
                     self.stats.misses,
@@ -139,13 +160,21 @@ class BlockCache:
             return
         k = len(line) // 2
         key = (op_key, line[:k])
-        if key in self._entries:
+        replaced = self._entries.get(key)
+        if replaced is None:
+            self._nbytes += _nbytes(line[:k])
+        else:
             self._entries.move_to_end(key)
+            self._nbytes -= _nbytes(replaced)
         self._entries[key] = line[k:]
+        self._nbytes += _nbytes(line[k:])
         self.stats.insertions += 1
         while len(self._entries) > self._lines:
-            self._entries.popitem(last=False)
+            (_, inputs), outputs = self._entries.popitem(last=False)
+            self._nbytes -= _nbytes(inputs) + _nbytes(outputs)
             self.stats.evictions += 1
+        if self._nbytes > self.stats.peak_bytes:
+            self.stats.peak_bytes = self._nbytes
 
     def reset(self) -> None:
         """Drop all lines, zero the statistics and re-enable the cache.
@@ -155,6 +184,7 @@ class BlockCache:
         """
 
         self._entries.clear()
+        self._nbytes = 0
         self.stats = CacheStats()
 
     def __len__(self) -> int:

@@ -14,17 +14,24 @@ A task's blobs are decompressed side by side into one scratch buffer, a
 *virtual block* whose bit above the block is the pair's target (Eq. 6–7: a
 gate on that target mixes each amplitude with its partner in the other
 block).  The planner has already written every step over that buffer
-(:class:`~repro.distributed.exchange.GatePlan`), so each step goes through
-:meth:`BlockKernel._apply_step`, which has two paths.  A 2x2 on one bit of
-the buffer that is not exactly diagonal — a pair's 2x2 on the top bit — mixes
-two strided views.  Every other step is a phase: the buffer is reshaped to
+(:class:`~repro.distributed.exchange.GatePlan`) and said which steps mix, so
+what a step does to a buffer of a given size is decided once per plan, not
+per task (:func:`resolve_step`, after qHiPSTER's kernel chosen per gate):
+every task of a plan runs the same op, and the kernel keeps the resolution of
+the last op it ran.  A step that mixes — a 2x2 on one bit of the buffer, a
+pair's 2x2 on the top bit — mixes two strided views.  Every other step is a
+phase, and its two diagonal entries are read once: the buffer is reshaped to
 the :func:`repro.statevector.ops.slab` layout of its parity's bits inside the
 buffer — none for a diagonal whose qubits all lie above it, one for a
 diagonal, two for a parity phase — under its local controls, and each side
 whose diagonal entry is not exactly 1 is multiplied by it
 (:func:`repro.statevector.ops.apply_phase`), the entries swapped when the
-parity's bits above the buffer are odd.  Every phase equals the 2x2's
-values; a zero's sign may differ (``apply_phase``'s contract).  A step
+parity's bits above the buffer are odd.  On a small buffer
+(:data:`GATHER_MAX_AMPLITUDES`) a phase with a bit in the buffer, no local
+control and no entry at 1 is one gathered multiply over the whole buffer
+instead (:func:`repro.statevector.ops.apply_phase_table`), with the same
+operands per amplitude.  Every phase equals the 2x2's values; a zero's sign
+may differ (``apply_phase``'s contract).  A step
 applies to a task whose block index has its block- and rank-level controls
 set, so one run may hold steps under different controls, and a pair run
 without non-local controls may carry *riders* — one-block steps between its
@@ -55,11 +62,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, MutableMapping, TypeVar
+from typing import Callable, Iterable, MutableMapping, NamedTuple, TypeVar
 
 import numpy as np
 
-from ..circuits.gates import is_exactly_diagonal
 from ..compression.interface import Compressor
 from ..distributed.exchange import BlockOp
 from ..statevector import ops
@@ -67,9 +73,123 @@ from .blocks import CompressedBlock, ScratchPool
 from .cache import BlockCache
 from .report import SimulationReport
 
-__all__ = ["BlockOp", "TaskStats", "BlockKernel", "group_tasks"]
+__all__ = [
+    "BlockOp",
+    "TaskStats",
+    "BlockKernel",
+    "ResolvedStep",
+    "resolve_step",
+    "group_tasks",
+]
 
 Task = TypeVar("Task")
+
+#: The largest virtual block (amplitudes) on which a phase that moves every
+#: amplitude is one gathered multiply rather than one multiply per strided
+#: view.  ``bench_kernels.py``'s phase-form rows read the gathered form
+#: faster for such a phase at every size they time (2^9-2^16), so the bound
+#: is one of memory: the form reads a cached ``uint8`` class vector per
+#: buffer size and parity (:func:`~repro.statevector.ops.parity_classes`),
+#: and this keeps it below the smallest Grover block, 2^12 amplitudes.  A
+#: phase with an entry of exactly 1 keeps the views, which skip that side.
+GATHER_MAX_AMPLITUDES = 1 << 11
+
+
+class ResolvedStep(NamedTuple):
+    """One step of a :class:`BlockOp` as a task runs it (:func:`resolve_step`):
+    ``form(buffer, *sides[b])`` on the tasks whose block index has the
+    *required* bits set, ``b`` the parity of its bits in *block_parity*."""
+
+    required: int
+    block_parity: int
+    form: Callable[..., None]
+    #: The form's arguments after the buffer, for ``b = 0`` and ``b = 1``.
+    sides: tuple[tuple, tuple]
+
+
+def _apply_views(buffer: np.ndarray, shape: tuple[int, ...], phases: tuple) -> None:
+    """:func:`repro.statevector.ops.apply_phase` on each ``(index, phase)``
+    of *phases*, a view of *buffer* reshaped to *shape*."""
+
+    view = buffer.reshape(shape)
+    for where, phase in phases:
+        ops.apply_phase(view[where], phase)
+
+
+def _phase_views(
+    size: int, local_parity: int, controls: tuple[int, ...], entries: tuple
+) -> tuple[Callable[..., None], tuple[tuple, tuple]]:
+    """A phase step as one multiply per :func:`~repro.statevector.ops.slab`
+    view whose entry is not ``None`` (exactly 1): the form and its
+    arguments for either block parity.  *entries* are the phases of parity 0
+    and 1, a view of parity ``p`` takes ``entries[p ^ b]``."""
+
+    shape, selections = ops.slab(size, local_parity, controls)
+    sides = tuple(
+        (
+            shape,
+            tuple(
+                (where, entries[parity ^ side])
+                for parity, where in selections
+                if entries[parity ^ side] is not None
+            ),
+        )
+        for side in (0, 1)
+    )
+    return _apply_views, sides
+
+
+def _phase_table(
+    size: int, local_parity: int, entries: tuple
+) -> tuple[Callable[..., None], tuple[tuple, tuple]]:
+    """A phase step as one gathered multiply over the whole buffer
+    (:func:`~repro.statevector.ops.apply_phase_table`): the form and its
+    arguments for either block parity.  Rewrites a ``-0.0`` where an entry
+    is 1, so only for two entries that are not."""
+
+    classes = ops.parity_classes(size, local_parity)
+    table = np.array(entries)
+    return ops.apply_phase_table, ((table, classes), (table[::-1].copy(), classes))
+
+
+def resolve_step(
+    size: int,
+    matrix: np.ndarray,
+    local_parity: int,
+    block_parity: int,
+    controls: tuple[int, ...],
+    required: int,
+    mixes: bool,
+) -> ResolvedStep:
+    """Decide how one step of a :class:`BlockOp` (its fields in op order)
+    runs on a *size*-amplitude virtual block — once per plan, not per task.
+
+    A step that *mixes* is a 2x2 on the bit *local_parity* under *controls*
+    (two strided views).  Every other step is a phase: its two entries
+    (:func:`~repro.statevector.ops.block_phase`, ``None`` for exactly 1)
+    are read here, and it is one gathered multiply over the buffer when its
+    parity has a bit in the buffer, it has no local control, neither entry
+    is 1 and the buffer has at most :data:`GATHER_MAX_AMPLITUDES`
+    amplitudes; otherwise a multiply per strided view whose entry is not 1.
+    Both give the bytes of a phase on each side; a side at 1 keeps its
+    bytes, ``-0.0`` included.
+    """
+
+    if mixes:
+        args = (matrix, local_parity.bit_length() - 1, controls)
+        form = ops.apply_controlled_single_qubit
+        return ResolvedStep(required, 0, form, (args, args))
+    entries = (ops.block_phase(matrix, 0), ops.block_phase(matrix, 1))
+    if (
+        local_parity
+        and not controls
+        and size <= GATHER_MAX_AMPLITUDES
+        and all(entry is not None for entry in entries)
+    ):
+        form, sides = _phase_table(size, local_parity, entries)
+    else:
+        form, sides = _phase_views(size, local_parity, controls, entries)
+    return ResolvedStep(required, block_parity, form, sides)
 
 
 @dataclass
@@ -79,7 +199,8 @@ class TaskStats:
     ``duplicates`` are tasks served by a byte-identical task of the same plan
     (no cache lookup, no codec call).  Cache hits and misses are the lookups
     the kernel's cache *counted* — a self-disabled cache counts neither,
-    exactly like :class:`BlockCache`'s own statistics.
+    exactly like :class:`BlockCache`'s own statistics — and
+    ``cache_peak_bytes`` is that cache's ``peak_bytes`` after its last insert.
     """
 
     tasks: int = 0
@@ -91,6 +212,7 @@ class TaskStats:
     decompression: float = 0.0
     computation: float = 0.0
     compression: float = 0.0
+    cache_peak_bytes: int = 0
 
     def __reduce__(self) -> tuple:
         # One of these rides every worker -> parent reply: a flat argument
@@ -115,6 +237,8 @@ class TaskStats:
             seconds = getattr(self, bucket)
             if seconds:
                 report.add_time(bucket, seconds)
+        if self.cache_peak_bytes > report.peak_cache_bytes:
+            report.peak_cache_bytes = self.cache_peak_bytes
 
 
 def group_tasks(
@@ -167,6 +291,7 @@ class BlockKernel:
         self.scratch = scratch
         self.cache = cache
         self._compressors: dict[str, Compressor] = {}
+        self._last: tuple[BlockOp, int, tuple[ResolvedStep, ...]] | None = None
 
     def compressor_for(self, compressor: Compressor) -> Compressor:
         """Warm instance equal to *compressor* (keyed by ``describe()``).
@@ -190,6 +315,7 @@ class BlockKernel:
         if self.cache is not None:
             self.cache.reset()
         self._compressors.clear()
+        self._last = None
 
     def run_tasks(
         self,
@@ -236,8 +362,9 @@ class BlockKernel:
         bits in ``op.index_mask`` are read, and the cache key carries them,
         since byte-identical blocks on opposite sides of such a bit have
         different outputs.  The blobs are decompressed side by side into the
-        scratch buffer, every step of *op* goes through :meth:`_apply_step`
-        on that virtual block in order, and each block is recompressed.  A
+        scratch buffer, every step of *op* — resolved once per plan
+        (:meth:`_resolved`) — goes through :meth:`_apply_step` on that
+        virtual block in order, and each block is recompressed.  A
         cross-rank pair is the same call, made once by whichever of its two
         ranks owns it.
 
@@ -267,14 +394,8 @@ class BlockKernel:
         for block, (blob, name) in zip(blocks, inputs):
             scratch.fill(block, self.decompressors[name].decompress(blob))
         decoded = perf_counter()
-        for step in zip(
-            op.matrices,
-            op.local_parities,
-            op.block_parities,
-            op.local_controls,
-            op.block_controls,
-        ):
-            self._apply_step(buffer, index, *step)
+        for step in self._resolved(op, buffer.size):
+            self._apply_step(buffer, index, step)
         applied = perf_counter()
         outputs = tuple(compress(block.view(np.float64)) for block in blocks)
         done = perf_counter()
@@ -286,43 +407,40 @@ class BlockKernel:
 
         if cache is not None:
             cache.insert(op_key, *blobs, *outputs)
+            stats.cache_peak_bytes = cache.stats.peak_bytes
         return outputs
 
-    def _apply_step(
-        self,
-        buffer: np.ndarray,
-        index: int,
-        matrix: np.ndarray,
-        local_parity: int,
-        block_parity: int,
-        controls: tuple[int, ...],
-        required: int,
-    ) -> None:
-        """Apply one step to *buffer*, the virtual block whose first block
-        has global index *index*, in place.
+    def _resolved(self, op: BlockOp, size: int) -> tuple[ResolvedStep, ...]:
+        """*op*'s steps resolved for a *size*-amplitude virtual block —
+        once per plan: every task of a plan runs the same op object, so the
+        last resolution is kept and reused while it is that op's."""
 
-        The step applies when all its *required* block-control bits are set
-        in *index*.  A 2x2 on one bit of *buffer* (*local_parity*) that is
-        not exactly diagonal mixes its two sides.  Every other step is a
-        phase on the sides of the :func:`~repro.statevector.ops.slab` layout
-        of *local_parity* under *controls* — one side when no bit of its
-        parity lies in *buffer*, two for a diagonal on one bit, four for a
-        parity phase on two: a side of parity ``p`` takes ``m[e, e]``,
-        ``e = p ^ b``, where ``b`` is the parity of *index*'s bits in
-        *block_parity*, unless that entry is exactly 1.  A phase equals the
-        2x2's values; a zero's sign may differ.
+        last = self._last
+        if last is None or last[0] is not op or last[1] != size:
+            steps = zip(
+                op.matrices,
+                op.local_parities,
+                op.block_parities,
+                op.local_controls,
+                op.block_controls,
+                op.mixes,
+            )
+            resolved = tuple(resolve_step(size, *step) for step in steps)
+            last = self._last = (op, size, resolved)
+        return last[2]
+
+    @staticmethod
+    def _apply_step(buffer: np.ndarray, index: int, step: ResolvedStep) -> None:
+        """Apply one resolved step to *buffer*, the virtual block whose first
+        block has global index *index*, in place.
+
+        The step applies when all its block-control bits are set in *index*;
+        it then runs the form :func:`resolve_step` chose with the arguments
+        of the side ``b``, the parity of *index*'s bits in the step's block
+        parity.  Nothing is decided here: the entries, the form and the
+        strided layout were all fixed when the plan's op was resolved.
         """
 
-        if index & required != required:
-            return
-        if local_parity.bit_count() == 1 and not is_exactly_diagonal(matrix):
-            bit = local_parity.bit_length() - 1
-            ops.apply_controlled_single_qubit(buffer, matrix, bit, controls)
-            return
-        shape, selections = ops.slab(buffer.size, local_parity, controls)
-        view = buffer.reshape(shape)
-        side = (index & block_parity).bit_count() & 1
-        for parity, where in selections:
-            phase = ops.block_phase(matrix, parity ^ side)
-            if phase is not None:
-                ops.apply_phase(view[where], phase)
+        if index & step.required == step.required:
+            side = (index & step.block_parity).bit_count() & 1
+            step.form(buffer, *step.sides[side])

@@ -54,6 +54,11 @@ class SimulationReport:
     min_compression_ratio: float = float("inf")
     #: Largest total footprint (compressed + scratch) observed, Eq. 8.
     peak_footprint_bytes: int = 0
+    #: Most blob bytes one block cache's lines referenced at once — the
+    #: simulator's cache, or the largest rank shard's on the ranked tier
+    #: (``CacheStats.peak_bytes``).  Superseded blocks among them, so this is
+    #: memory outside :attr:`peak_footprint_bytes` and the budget check.
+    peak_cache_bytes: int = 0
 
     #: ``Π(1 - δ_i)`` over the gates executed, or ``None`` when
     #: ``SimulatorConfig.track_fidelity_bound`` is off.
@@ -207,6 +212,7 @@ class SimulationReport:
             "fusion_gates_out": self.fusion_gates_out,
             "min_compression_ratio": self.min_compression_ratio,
             "peak_footprint_bytes": self.peak_footprint_bytes,
+            "peak_cache_bytes": self.peak_cache_bytes,
             "fidelity_lower_bound": self.fidelity_lower_bound,
             "final_error_bound": self.final_error_bound,
             "escalations": self.escalations,
@@ -237,6 +243,8 @@ class SimulationReport:
             f"{self.decompress_calls} decompress over {self.tasks_executed} tasks",
             f"min compression ratio: {self.min_compression_ratio:.2f}",
             f"peak footprint       : {self.peak_footprint_bytes / 2**20:.2f} MiB",
+            f"peak cache lines     : {self.peak_cache_bytes / 2**20:.2f} MiB "
+            "(outside the footprint)",
             "fidelity lower bound : "
             + (
                 f"{self.fidelity_lower_bound:.6f}"

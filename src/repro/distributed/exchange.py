@@ -45,11 +45,12 @@ class BlockOp(NamedTuple):
     """One schedule element — a gate or a :class:`~repro.circuits.fusion.Run`
     — as the block tasks of its plan see it.
 
-    The first five fields are parallel, one entry per step, and written over
+    The first six fields are parallel, one entry per step, and written over
     a task's virtual block (:class:`GatePlan`): step ``i`` applies
     ``matrices[i]`` on the parity of ``local_parities[i]`` and
     ``block_parities[i]`` under ``local_controls[i]`` on the blocks
-    ``block_controls[i]`` lets through.  A gate is one step.  The fields are
+    ``block_controls[i]`` lets through, as a 2x2 on one bit of the virtual
+    block when ``mixes[i]``, else as a phase.  A gate is one step.  The fields are
     flat (one array, ints and tuples of ints) because the op rides every
     ranked-tier gate message.  :func:`plan_gate` leaves ``compressor`` unset
     (``None``); the simulator sets it and appends its ``describe()`` to
@@ -72,6 +73,10 @@ class BlockOp(NamedTuple):
     #: A pair plan's tasks are already pruned by its pair steps' mask; the
     #: kernel tests it per task and step.
     block_controls: tuple[int, ...]
+    #: Per step, whether it mixes the two sides of its target — a 2x2 that
+    #: is not exactly diagonal, always on one bit of the virtual block.
+    #: Every other step (a diagonal 2x2, a parity phase) is a phase.
+    mixes: tuple[bool, ...]
     #: The block-index bits a task reads: every step's ``block_controls`` and
     #: ``block_parities``.
     index_mask: int
@@ -154,30 +159,32 @@ def _split(
     return tuple(local), mask
 
 
-def _parity_bits(step: Step) -> list[int]:
-    parity = parity_of(step)
-    return [qubit for qubit in range(parity.bit_length()) if parity >> qubit & 1]
+def _split_mask(
+    qubits: int, offset_bits: int, staged: tuple[int, ...]
+) -> tuple[int, int]:
+    """:func:`_split` for a bit mask of qubits: the virtual-block bits and
+    the global block-index bits, both as masks."""
+
+    local, mask = qubits & ((1 << offset_bits) - 1), qubits >> offset_bits
+    for position, target in enumerate(staged):
+        bit = 1 << (target - offset_bits)
+        if mask & bit:
+            mask ^= bit
+            local |= 1 << (offset_bits + position)
+    return local, mask
 
 
-def _is_one_block(step: Step, offset_bits: int) -> bool:
-    """Whether *step* can be applied to one block on its own: an in-block
-    target, or a diagonal (a gate's 2x2 or a parity phase) anywhere."""
+def _moves(step: Step, local_parity: int) -> tuple[bool, bool]:
+    """Whether *step* changes a block whose index bits in its block parity
+    have parity 0, and parity 1 — the test
+    :meth:`repro.core.kernel.BlockKernel._apply_step` applies on the blocks
+    its block controls let through.  A step whose parity reaches into the
+    block changes every such block; one wholly above it leaves the blocks
+    whose entry is exactly 1 alone."""
 
-    return step.target < offset_bits or step.is_diagonal
-
-
-def _acts_on(
-    step: Step, local_parity: int, block_parity: int, required: int, index: int
-) -> bool:
-    """Whether a one-block plan's *step* changes the block with global index
-    *index* (the test :meth:`repro.core.kernel.BlockKernel._apply_step`
-    applies)."""
-
-    if index & required != required:
-        return False
     if local_parity:
-        return True  # amplitudes inside the block differ
-    return block_phase(step.matrix, index & block_parity) is not None
+        return True, True
+    return tuple(block_phase(step.matrix, side) is not None for side in (0, 1))
 
 
 def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
@@ -206,50 +213,70 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
     ``T`` is the bit above the block.
     """
 
-    if gate.max_qubit() >= partition.num_qubits:
-        raise ValueError(
-            f"gate {gate.name} touches qubit {gate.max_qubit()} outside the "
-            f"{partition.num_qubits}-qubit partition"
-        )
     steps = constituents(gate)
     offset = partition.offset_bits
-    mixing = [i for i, step in enumerate(steps) if not _is_one_block(step, offset)]
+    mixes = tuple(not step.is_diagonal for step in steps)
+    mixing = [
+        i for i, step in enumerate(steps) if mixes[i] and step.target >= offset
+    ]
     staged = (steps[mixing[0]].target,) if mixing else ()
-    parities = [_split(_parity_bits(step), offset, staged) for step in steps]
+    parities = [_split_mask(parity_of(step), offset, staged) for step in steps]
     controls = [_split(step.controls, offset, staged) for step in steps]
-    local_parities = tuple(sum(1 << bit for bit in bits) for bits, _ in parities)
+    local_parities = tuple(local for local, _ in parities)
     block_parities = tuple(mask for _, mask in parities)
     block_controls = tuple(mask for _, mask in controls)
     index_mask = 0
     for required, bits in zip(block_controls, block_parities):
         index_mask |= required | bits
+    # Every qubit a step reads is in its parity or its controls, so it is a
+    # bit below the block boundary, the staged target or a block-index bit.
+    block_bits = partition.num_qubits - offset
+    if index_mask >> block_bits or any(q - offset >= block_bits for q in staged):
+        raise ValueError(
+            f"gate {gate.name} touches qubit {gate.max_qubit()} outside the "
+            f"{partition.num_qubits}-qubit partition"
+        )
     op = BlockOp(
-        np.stack([step.matrix for step in steps]),
+        np.array([step.matrix for step in steps]),
         local_parities,
         block_parities,
         tuple(local for local, _ in controls),
         block_controls,
+        mixes,
         index_mask,
         compressor=None,
         op_key=gate.key(),
     )
-    per_step = list(zip(steps, local_parities, block_parities, block_controls))
 
     if not staged:
+        tests = [
+            (required, bits, _moves(step, local))
+            for step, local, bits, required in zip(
+                steps, local_parities, block_parities, block_controls
+            )
+        ]
         tasks = tuple(
             (index,)
             for index in range(partition.total_blocks)
-            if any(_acts_on(*step, index) for step in per_step)
+            if any(
+                index & required == required
+                and moves[(index & bits).bit_count() & 1]
+                for required, bits, moves in tests
+            )
         )
         return GatePlan(QubitSegment.LOCAL, tasks, staged, op, exchange_count=0)
 
     (target,) = staged
     required = block_controls[mixing[0]]
     # A pair step is a gate on the staged bit alone under the pair's controls.
-    pair_step = [1 << offset, 0, required]
-    riders = [step for step, *mapped in per_step if mapped != pair_step]
+    pair_step = (1 << offset, 0, required)
+    riders = [
+        i
+        for i, mapped in enumerate(zip(local_parities, block_parities, block_controls))
+        if mapped != pair_step
+    ]
     if riders and (
-        required or not all(_is_one_block(step, offset) for step in riders)
+        required or any(mixes[i] and steps[i].target >= offset for i in riders)
     ):
         raise ValueError(
             f"{gate.name} is not a run under this partition: every step must "

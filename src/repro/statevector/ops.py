@@ -25,7 +25,10 @@ side of those axes.  A (controlled) 2x2 mixes the two sides of its target;
 a phase (:func:`apply_phase`) multiplies one side by a scalar.  The block
 kernel applies an exactly diagonal 2x2 or a parity phase as a phase on each
 side whose entry (:func:`block_phase`) is not exactly 1: the values equal
-the 2x2's, and a zero's sign may differ.
+the 2x2's, and a zero's sign may differ.  On a small vector a phase that
+moves every amplitude is instead one gathered multiply over the whole vector
+— one ufunc set-up rather than one per view — (:func:`apply_phase_table` on
+the cached :func:`parity_classes`), with the same operands per amplitude.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ import numpy as np
 __all__ = [
     "apply_single_qubit",
     "apply_phase",
+    "apply_phase_table",
     "block_phase",
+    "parity_classes",
     "slab",
     "apply_controlled_single_qubit",
     "apply_gate_to_vector",
@@ -148,6 +153,44 @@ def apply_phase(vector: np.ndarray, phase: complex) -> None:
     vector[...] = phase * vector + 0.0
 
 
+@lru_cache(maxsize=64)
+def parity_classes(size: int, bits: int) -> np.ndarray:
+    """The parity of each offset's *bits* on a *size*-amplitude vector: a
+    read-only ``uint8`` array of 0s and 1s, the class
+    :func:`apply_phase_table` indexes its table with.  Cached, so build it
+    only for the small vectors the gathered phase is used on.
+    """
+
+    if size == 0 or size & (size - 1):
+        raise ValueError(f"state vector length {size} is not a power of two")
+    if bits < 0 or bits >> (size.bit_length() - 1):
+        raise ValueError(f"qubit mask {bits:#b} out of range for {size} amplitudes")
+    offsets = np.arange(size)
+    classes = np.zeros(size, dtype=np.uint8)
+    for qubit in range(bits.bit_length()):
+        if bits >> qubit & 1:
+            classes ^= (offsets >> qubit & 1).astype(np.uint8)
+    classes.flags.writeable = False
+    return classes
+
+
+def apply_phase_table(
+    vector: np.ndarray, table: np.ndarray, classes: np.ndarray
+) -> None:
+    """Multiply each amplitude of *vector* by its class's entry of *table*,
+    in place: ``vector[...] = table[classes] * vector + 0.0``.
+
+    *classes* is a :func:`parity_classes` array over *vector*, *table* the
+    two entries of parity 0 and 1.  Per amplitude these are
+    :func:`apply_phase`'s operands in its order, so the bytes are those of a
+    phase on each side — but an entry of exactly 1 is multiplied too, which
+    rewrites a ``-0.0``: use it only when neither entry is 1.
+    """
+
+    np.multiply(table.take(classes), vector, out=vector)
+    np.add(vector, 0.0, out=vector)
+
+
 def block_phase(matrix: np.ndarray, bits: int) -> complex | None:
     """The diagonal entry ``matrix[p, p]`` where ``p`` is the parity of
     *bits*, or ``None`` when it is exactly 1 and its amplitudes are left
@@ -157,9 +200,9 @@ def block_phase(matrix: np.ndarray, bits: int) -> complex | None:
     The planner asks with the bits of a block's global index that a diagonal
     reads above the block boundary — the target of a diagonal gate on a
     non-local qubit, or a parity phase's ``x_c ⊕ x_t`` bits there — so every
-    amplitude of the block sees the same entry.  The kernel asks for each
-    side of a :func:`slab` layout, the side's parity flipped by the block's.
-    Both ask here, so a block is staged exactly when it is changed.
+    amplitude of the block sees the same entry.  The kernel asks for both
+    entries of each phase step, once per plan.  Both ask here, so a block is
+    staged exactly when it is changed.
     """
 
     side = bits.bit_count() & 1

@@ -8,7 +8,7 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.circuits import standard_gate
+from repro.circuits import ParityPhase, Run, standard_gate
 import repro.core.kernel
 import repro.distributed
 from repro.core import CompressedSimulator, SimulatorConfig
@@ -116,9 +116,27 @@ class TestGatePlanner:
             rank, _ = divmod(first, self.partition.blocks_per_rank)
             assert rank & 0b10  # rank bit 1 (qubit 7) must be set
 
-    def test_gate_outside_partition_rejected(self):
-        with pytest.raises(ValueError):
-            plan_gate(self.partition, standard_gate("h", 9))
+    @pytest.mark.parametrize(
+        "element",
+        [
+            standard_gate("h", 9),  # a mixing target: the staged qubit
+            standard_gate("h", 8),  # the first qubit past the partition
+            standard_gate("rz", 9, params=(0.3,)),  # a diagonal, one-block
+            standard_gate("x", 0, controls=(8,)),  # a control
+            ParityPhase(
+                (
+                    standard_gate("x", 2, controls=(8,)),
+                    standard_gate("rz", 2, params=(0.3,)),
+                    standard_gate("x", 2, controls=(8,)),
+                )
+            ),  # a parity phase's control
+            Run((standard_gate("h", 7), standard_gate("t", 1, controls=(8,)))),
+        ],
+        ids=["mixing", "first-past", "diagonal", "control", "parity", "rider"],
+    )
+    def test_gate_outside_partition_rejected(self, element):
+        with pytest.raises(ValueError, match="outside the 8-qubit partition"):
+            plan_gate(self.partition, element)
 
     @pytest.mark.parametrize("qubit", [2, 4, 6])  # local / block / rank target
     def test_the_plan_builds_the_op_the_simulator_runs(self, qubit, monkeypatch):

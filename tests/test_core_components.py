@@ -403,6 +403,38 @@ class TestBlockCache:
         assert cache.lookup(("h", 0), b"a", b"b") == (b"pa", b"pb")
         assert len(cache) == 2
 
+    def test_referenced_bytes_follow_inserts_and_evictions(self):
+        # nbytes is every line's input plus output blob bytes, kept on
+        # insert, replace, evict, self-disable and reset; peak_bytes is its
+        # high-water mark.
+        def held(cache):
+            return sum(
+                len(blob)
+                for (_, inputs), outputs in cache._entries.items()
+                for blob in inputs + outputs
+            )
+
+        cache = BlockCache(lines=2, miss_disable_threshold=None)
+        cache.insert(("op", 1), b"aaaa", b"bb", b"r" * 10, b"s")
+        assert cache.nbytes == held(cache) == 17
+        cache.insert(("op", 1), b"aaaa", b"bb", b"r", b"s")  # replaced
+        assert cache.nbytes == held(cache) == 8
+        cache.insert(("op", 2), b"c", b"rc" * 3)
+        cache.insert(("op", 3), b"d" * 5, b"rd")  # evicts the first line
+        assert cache.stats.evictions == 1
+        assert cache.nbytes == held(cache) == 14
+        assert cache.stats.peak_bytes == 17
+        assert cache.stats.as_dict()["peak_bytes"] == 17
+        cache.reset()
+        assert cache.nbytes == 0 and cache.stats.peak_bytes == 0
+
+        disabling = BlockCache(lines=4, miss_disable_threshold=2)
+        disabling.insert(("op", 0), b"in", b"out")
+        disabling.lookup(("op", 1), b"x")
+        disabling.lookup(("op", 1), b"y")
+        assert not disabling.enabled and disabling.nbytes == 0
+        assert disabling.stats.peak_bytes == 5
+
     def test_hit_rate(self):
         cache = BlockCache(lines=2, miss_disable_threshold=None)
         cache.insert(("op", 0), b"a", b"r")

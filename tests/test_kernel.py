@@ -42,9 +42,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_kernels
 from repro.circuits import Gate, ParityPhase, QuantumCircuit, Run, standard_gate
+from repro.circuits import gates as gate_module
+from repro.circuits.gates import is_exactly_diagonal
 from repro.compression import CompressorError, get_compressor
 from repro.core import (
     BlockCache,
@@ -54,7 +57,17 @@ from repro.core import (
     SimulationReport,
     SimulatorConfig,
 )
-from repro.core.kernel import BlockKernel, BlockOp, TaskStats, group_tasks
+from repro.core import kernel as kernel_module
+from repro.core.kernel import (
+    GATHER_MAX_AMPLITUDES,
+    BlockKernel,
+    BlockOp,
+    TaskStats,
+    _phase_table,
+    _phase_views,
+    group_tasks,
+    resolve_step,
+)
 from repro.distributed import Partition, plan_gate
 from repro.statevector import ops
 
@@ -139,6 +152,7 @@ def _setup(cache):
         (0,),
         (CONTROLS,),
         (0,),
+        (True,),
         0,
         output,
         ("u", (2,), CONTROLS, "xor@1e-3"),
@@ -278,6 +292,7 @@ def _step_op(steps, codec, describe="lossless"):
         (0,) * len(steps),
         controls,
         (0,) * len(steps),
+        tuple(not is_exactly_diagonal(matrix) for matrix in matrices),
         0,
         codec,
         key,
@@ -378,6 +393,7 @@ def test_one_block_steps_follow_the_block_index(rng):
         (0, 0b010, 0b100),
         ((), (), (1,)),
         (0b001, 0, 0b001),
+        (True, False, False),
         0b111,
         codec,
         tuple(gate.key() for gate in gates) + ("lossless",),
@@ -442,13 +458,13 @@ def test_in_block_diagonal_is_a_phase_on_the_side_it_moves(
     assert gate.is_diagonal
     matrix = gate.matrix
     kernel = BlockKernel({}, ScratchPool(size))
-    step = (matrix, 1 << target, 0, controls, 0)
+    step = resolve_step(size, matrix, 1 << target, 0, controls, 0, False)
 
     block = _diagonal_block(rng, size)
     expected = block.copy()
     ops.apply_controlled_single_qubit(expected, matrix, target, controls)
     out = block.copy()
-    kernel._apply_step(out, 0, *step)
+    kernel._apply_step(out, 0, step)
     # The 2x2 formula's values, zeros of either sign alike.
     assert np.array_equal(out.view(np.float64), expected.view(np.float64))
 
@@ -471,12 +487,13 @@ def test_in_block_diagonal_is_a_phase_on_the_side_it_moves(
     codec = get_compressor("lossless")
     zeros = np.zeros(size, dtype=np.complex128)
     zero_blob = codec.compress(zeros.view(np.float64))
-    kernel._apply_step(zeros, 0, *step)
+    kernel._apply_step(zeros, 0, step)
     assert codec.compress(zeros.view(np.float64)) == zero_blob
 
     # A block control not set in the block's index: nothing changes.
     untouched = block.copy()
-    kernel._apply_step(untouched, 0b10, matrix, 1 << target, 0, controls, 0b1)
+    blocked = resolve_step(size, matrix, 1 << target, 0, controls, 0b1, False)
+    kernel._apply_step(untouched, 0b10, blocked)
     assert untouched.tobytes() == block.tobytes()
 
 
@@ -512,6 +529,7 @@ def test_parity_steps_under_a_local_control_mask(rng):
         (0, 0b010, 0b101),
         ((3,),) * 3,
         (0,) * 3,
+        (False,) * 3,
         0b111,
         codec,
         tuple(step.key() for step in steps) + ("lossless",),
@@ -562,10 +580,11 @@ def test_parity_steps_under_a_local_control_mask(rng):
                     reference_kernels.apply_phase_step_masked(
                         expected, matrix, local_parity, side, controls
                     )
-                    kernel._apply_step(
-                        actual, index, matrix, local_parity, block_parity,
-                        controls, 0,
+                    step = resolve_step(
+                        size, matrix, local_parity, block_parity, controls, 0,
+                        False,
                     )
+                    kernel._apply_step(actual, index, step)
                     assert np.array_equal(
                         actual.view(np.uint64), expected.view(np.uint64)
                     ), (matrix, local_parity, controls, side)
@@ -601,6 +620,9 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
     assert plan.op.local_parities == (1 << 2, 0, 1 << 4, 0b10010, 1 << 4, 1 << 4)
     assert plan.op.block_parities == (0, 0b100, 0, 0, 0b100, 0)
     assert plan.op.local_controls[0] == (4,) and plan.op.block_controls[0] == 0
+    # The u and the h mix their target's two sides; every other step is a
+    # phase, the t on the staged target included.
+    assert plan.op.mixes == (True, False, True, False, False, False)
     # The planner builds the op but for its compressor, which the simulator
     # sets along with the compressor's part of the key.
     assert np.array_equal(plan.op.matrices, np.stack([step.matrix for step in steps]))
@@ -628,10 +650,122 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
     assert (stats.cache_hits, stats.cache_misses) == (4, 4)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_phase_form_equals_the_masked_oracle(data):
+    # A phase step on the parity of up to two in-buffer bits (qubit 0, the
+    # middle one, the top one) under up to two local controls, at either
+    # block parity, with entries that may be exactly 1, on amplitudes with
+    # zeros of both signs and subnormals: the per-selection views, the
+    # gathered multiply (where it is allowed: no entry at 1, no control) and
+    # the form resolve_step selects all equal the boolean-mask oracle bit
+    # for bit.  Sizes 2^1-2^14 straddle GATHER_MAX_AMPLITUDES.
+    num_qubits = data.draw(st.integers(1, 14), label="num_qubits")
+    size = 1 << num_qubits
+    places = sorted({0, num_qubits // 2, num_qubits - 1})
+    bits = data.draw(
+        st.lists(st.sampled_from(places), unique=True, max_size=2), label="bits"
+    )
+    local_parity = sum(1 << bit for bit in bits)
+    free = [qubit for qubit in range(num_qubits) if not local_parity >> qubit & 1]
+    controls = tuple(
+        data.draw(st.lists(st.sampled_from(free), unique=True, max_size=2))
+        if free
+        else ()
+    )
+    side = data.draw(st.integers(0, 1), label="side")
+    angle = st.floats(-np.pi, np.pi, allow_nan=False)
+    diagonal = [
+        1.0 if data.draw(st.booleans(), label=f"m{entry}{entry} is 1")
+        else np.exp(1j * data.draw(angle, label=f"angle {entry}"))
+        for entry in (0, 1)
+    ]
+    matrix = np.diag(diagonal).astype(np.complex128)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    buffer = _diagonal_block(np.random.default_rng(seed), size)
+
+    expected = buffer.copy()
+    reference_kernels.apply_phase_step_masked(
+        expected, matrix, local_parity, side, controls
+    )
+    entries = (ops.block_phase(matrix, 0), ops.block_phase(matrix, 1))
+    forms = [_phase_views(size, local_parity, controls, entries)]
+    if not controls and None not in entries:
+        forms.append(_phase_table(size, local_parity, entries))
+    for form, sides in forms:
+        actual = buffer.copy()
+        form(actual, *sides[side])
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64)), form
+
+    # The kernel's own choice, at a block index whose parity bit is *side*.
+    step = resolve_step(size, matrix, local_parity, 0b1, controls, 0, False)
+    gathered = step.form is ops.apply_phase_table
+    assert gathered == (
+        bool(local_parity)
+        and not controls
+        and size <= GATHER_MAX_AMPLITUDES
+        and None not in entries
+    )
+    actual = buffer.copy()
+    BlockKernel._apply_step(actual, side, step)
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def test_no_task_decides_a_step(monkeypatch):
+    # The kernel reads each step's two entries and its form once per plan:
+    # after a plan's first task, no task calls is_exactly_diagonal or
+    # block_phase.  A QAOA-shaped run on 6 qubits in 8-amplitude blocks: an
+    # rx on a non-local qubit stages block pairs, with parity phases on two
+    # in-buffer bits, on one in-buffer bit plus a block bit, and an rz.
+    calls = {"is_exactly_diagonal": 0, "block_phase": 0}
+
+    def counted(name, original):
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return count
+
+    steps = (
+        _sandwich(0, standard_gate("rz", 2, params=(0.7,))),
+        _sandwich(4, standard_gate("rz", 1, params=(-0.3,))),
+        standard_gate("rx", 3, params=(0.4,)),
+        standard_gate("rz", 5, params=(0.9,)),
+        standard_gate("h", 1),
+    )
+    plan = plan_gate(Partition(6, 1, 8), Run(steps))
+    assert plan.staged == (3,) and len(plan.tasks) == 4
+    codec = get_compressor("lossless")
+    op = plan.op._replace(compressor=codec, op_key=plan.op.op_key + ("lossless",))
+    rng = np.random.default_rng(5)
+    amplitudes = rng.normal(size=64) + 1j * rng.normal(size=64)
+    table = {
+        index: CompressedBlock(
+            codec.compress(amplitudes[8 * index : 8 * index + 8].view(np.float64)),
+            codec.name,
+            codec.bound,
+        )
+        for index in range(8)
+    }
+    kernel = BlockKernel({codec.name: codec}, ScratchPool(8))
+    first, *rest = plan.tasks
+    kernel.run_tasks(op, TaskStats(), table, [first])
+    diagonal = counted("is_exactly_diagonal", gate_module.is_exactly_diagonal)
+    monkeypatch.setattr(gate_module, "is_exactly_diagonal", diagonal)
+    # A kernel that imported it by name would call its own binding.
+    monkeypatch.setattr(kernel_module, "is_exactly_diagonal", diagonal, raising=False)
+    monkeypatch.setattr(ops, "block_phase", counted("block_phase", ops.block_phase))
+    stats = TaskStats()
+    kernel.run_tasks(op, stats, table, rest)
+    assert stats.tasks == 3 and stats.compress_calls == 6
+    assert calls == {"is_exactly_diagonal": 0, "block_phase": 0}
+
+
 def test_task_stats_pickle_flat_and_fold():
-    stats = TaskStats(6, 2, 4, 2, 1, 2, 0.25, 0.5, 0.125)
+    stats = TaskStats(6, 2, 4, 2, 1, 2, 0.25, 0.5, 0.125, 300)
     constructor, args = stats.__reduce__()
-    assert constructor is TaskStats and args == (6, 2, 4, 2, 1, 2, 0.25, 0.5, 0.125)
+    assert constructor is TaskStats
+    assert args == (6, 2, 4, 2, 1, 2, 0.25, 0.5, 0.125, 300)
     assert pickle.loads(pickle.dumps(stats)) == stats
 
     # Folding is the one way counters reach a report, cache outcomes included.
@@ -651,6 +785,9 @@ def test_task_stats_pickle_flat_and_fold():
         report.computation_seconds,
         report.compression_seconds,
     ) == (0.5, 1.0, 0.25)
+    # A cache's high-water mark is a peak, not a sum.
+    assert report.peak_cache_bytes == 300
+    assert report.as_dict()["peak_cache_bytes"] == 300
 
 
 def _entry(blob: bytes, name: str = "lossless") -> CompressedBlock:

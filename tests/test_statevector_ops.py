@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import reference_kernels
 from repro.circuits import gates, standard_gate
 from repro.core import ScratchPool
-from repro.core.kernel import BlockKernel
+from repro.core.kernel import BlockKernel, resolve_step
 from repro.statevector import ops
 
 
@@ -229,7 +229,8 @@ class TestPairwiseKernel:
         pair = self._pair(rng, 1 << top)
         expected = self._oracle(pair, matrix, controls)
         kernel = BlockKernel({}, ScratchPool(1 << top))
-        kernel._apply_step(pair, 0, matrix, 1 << top, 0, controls, 0)
+        step = resolve_step(pair.size, matrix, 1 << top, 0, controls, 0, False)
+        kernel._apply_step(pair, 0, step)
         assert np.array_equal(pair, expected)
 
 
@@ -315,6 +316,24 @@ class TestSlab:
             ops.slab(16, 1, (4,))
         with pytest.raises(ValueError, match="equals target"):
             ops.slab(16, 0b11, (1,))
+
+
+class TestParityClasses:
+    """The class vector the gathered phase indexes its two entries with."""
+
+    @pytest.mark.parametrize("bits", [0, 0b1, 0b100000, 0b10010])
+    def test_is_each_offsets_parity_read_only(self, bits):
+        classes = ops.parity_classes(64, bits)
+        expected = reference_kernels.local_parity_mask(64, bits)
+        assert classes.dtype == np.uint8
+        assert np.array_equal(classes, expected.astype(np.uint8))
+        assert not classes.flags.writeable  # one cached array for every caller
+
+    def test_is_validated(self):
+        with pytest.raises(ValueError, match="power of two"):
+            ops.parity_classes(48, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            ops.parity_classes(16, 1 << 4)
 
 
 class TestApplyGateToVector:
