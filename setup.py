@@ -11,7 +11,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.26.0",
+    version="1.27.0",
     description=(
         "Full-state quantum circuit simulation by using data compression "
         "(SC'19 reproduction)"

@@ -96,6 +96,16 @@ class ParityPhase:
                 "and c not among d's controls"
             )
 
+    @classmethod
+    def _of_sandwich(cls, gates: tuple[Gate, Gate, Gate]) -> "ParityPhase":
+        """The parity phase of *gates*, which :func:`_is_sandwich` has
+        already passed: :func:`_steps` tests every triple once, so this
+        skips the constructor's repeat of that test."""
+
+        phase = object.__new__(cls)
+        object.__setattr__(phase, "gates", gates)
+        return phase
+
     @property
     def matrix(self) -> np.ndarray:
         """The middle gate's diagonal 2x2."""
@@ -239,7 +249,7 @@ def _steps(gates: Sequence[Gate]) -> Iterator[Step]:
     index, count = 0, len(gates)
     while index < count:
         if index + 2 < count and _is_sandwich(*gates[index : index + 3]):
-            yield ParityPhase(tuple(gates[index : index + 3]))
+            yield ParityPhase._of_sandwich(tuple(gates[index : index + 3]))
             index += 3
         else:
             yield gates[index]

@@ -65,9 +65,7 @@ class FPZIPLikeCompressor(Compressor):
 
     name = "fpzip"
 
-    def __init__(
-        self, precision: int = 22, backend: str = "zlib", level: int = 6
-    ) -> None:
+    def __init__(self, precision: int = 22, level: int = 6) -> None:
         if not 4 <= precision <= 64:
             raise CompressorError("FPZIP precision must be in [4, 64]")
         bound = _precision_to_bound(precision)
@@ -76,11 +74,8 @@ class FPZIPLikeCompressor(Compressor):
         if mode is ErrorBoundMode.LOSSLESS:
             self._bound = 0.0
         self._precision = int(precision)
-        self._backend = backend
         self._level = int(level)
-        self._record_init(
-            precision=self._precision, backend=backend, level=self._level
-        )
+        self._record_init(precision=self._precision, level=self._level)
 
     @classmethod
     def from_relative_bound(cls, bound: float, **kwargs) -> "FPZIPLikeCompressor":
@@ -115,7 +110,6 @@ class FPZIPLikeCompressor(Compressor):
         big_endian = residuals[:, None].view(np.uint8).reshape(residuals.size, 8)[:, ::-1]
         payload = lossless_compress_bytes(
             np.ascontiguousarray(big_endian[:, :keep_bytes]).tobytes(),
-            self._backend,
             self._level,
         )
         extra = struct.pack("<BB", self._precision, keep_bytes)
@@ -128,7 +122,7 @@ class FPZIPLikeCompressor(Compressor):
         if tag != _TAG:
             raise CompressorError(f"blob tag {tag} is not an FPZIP-like blob")
         precision, keep_bytes = struct.unpack("<BB", extra)
-        raw = lossless_decompress_bytes(blob[offset:], self._backend)
+        raw = lossless_decompress_bytes(blob[offset:])
         kept = np.frombuffer(raw, dtype=np.uint8).reshape(count, keep_bytes)
         full = np.zeros((count, 8), dtype=np.uint8)
         full[:, :keep_bytes] = kept

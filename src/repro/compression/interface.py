@@ -272,15 +272,23 @@ def available_compressors() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def get_compressor(name: str, *, engine: str | None = None, **kwargs) -> Compressor:
+def get_compressor(
+    name: str, *, engine: str | None = None, backend: str | None = None, **kwargs
+) -> Compressor:
     """Instantiate a registered compressor by *name* or solution letter."""
 
-    # `engine` is read by benchmarks/e2e/e2e_trace.py (frozen), which passes
-    # "numpy"; it selects nothing and goes with that call (docs/migration.md).
+    # `engine` and `backend` are passed by benchmarks/e2e/e2e_trace.py
+    # (frozen), as "numpy" and "zlib"; they select nothing and go with that
+    # call, which goes with ROADMAP item 1.4 (docs/migration.md).
     if engine not in (None, "numpy"):
         raise CompressorError(
             f"codec engine {engine!r} was removed in 1.9.0: there is one "
             "kernel implementation, drop the argument (see docs/migration.md)"
+        )
+    if backend not in (None, "zlib"):
+        raise CompressorError(
+            f"lossless backend {backend!r} was removed in 1.27.0: zlib is the "
+            "one lossless stage, drop the argument (see docs/migration.md)"
         )
     key = name.lower()
     key = _SOLUTION_ALIASES.get(key, key)

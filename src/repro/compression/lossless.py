@@ -1,23 +1,19 @@
-"""Lossless compression backends.
+"""The lossless stage: zlib.
 
 The paper uses Zstandard (Zstd) both as the stand-alone lossless stage at the
 start of every simulation (Section 3.7) and as the final entropy/dictionary
 stage of every lossy pipeline (SZ, Solutions C and D).
 
-Zstandard is not available in this offline environment, so this module wraps
-the Python standard library codecs — ``zlib`` (default), ``lzma`` and
-``bz2`` — behind the same :class:`Compressor` interface.  zlib is, like Zstd,
-an LZ77-family dictionary coder followed by entropy coding, so the qualitative
+Zstandard is not available in this offline environment, so zlib stands in for
+it behind the same :class:`Compressor` interface.  zlib is, like Zstd, an
+LZ77-family dictionary coder followed by entropy coding, so the qualitative
 behaviour the paper relies on (excellent ratios on the sparse early-simulation
 states, poor ratios on dense random mantissas) is preserved; only the absolute
-throughput and a constant ratio factor differ.  This substitution is recorded
-in DESIGN.md.
+throughput and a constant ratio factor differ (``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
-import bz2
-import lzma
 import zlib
 
 import numpy as np
@@ -36,47 +32,27 @@ __all__ = ["LosslessCompressor", "lossless_compress_bytes", "lossless_decompress
 
 _TAG = 0x01
 
-_BACKENDS = {
-    "zlib": (lambda raw, level: zlib.compress(raw, level), zlib.decompress),
-    "lzma": (
-        lambda raw, level: lzma.compress(raw, preset=min(max(level, 0), 9)),
-        lzma.decompress,
-    ),
-    "bz2": (lambda raw, level: bz2.compress(raw, min(max(level, 1), 9)), bz2.decompress),
-}
-
-#: What the stdlib decoders raise on a truncated or corrupt stream (bz2 uses
-#: the two builtins).
-_DECODE_ERRORS = (zlib.error, lzma.LZMAError, OSError, ValueError, EOFError)
-
-_BACKEND_IDS = {"zlib": 0, "lzma": 1, "bz2": 2}
-_BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
+#: The lossless blob's backend byte.  Only zlib (0) is written or read; 1 and
+#: 2 were the lzma and bz2 backends removed in 1.27.0.
+_ZLIB_ID = 0
 
 
-def lossless_compress_bytes(raw: bytes, backend: str = "zlib", level: int = 6) -> bytes:
-    """Compress raw bytes with the selected stdlib backend."""
+def lossless_compress_bytes(raw: bytes, level: int = 6) -> bytes:
+    """Compress raw bytes with zlib at *level*."""
 
-    try:
-        compress, _ = _BACKENDS[backend]
-    except KeyError as exc:
-        raise CompressorError(f"unknown lossless backend {backend!r}") from exc
-    return compress(raw, level)
+    return zlib.compress(raw, level)
 
 
-def lossless_decompress_bytes(blob: bytes, backend: str = "zlib") -> bytes:
+def lossless_decompress_bytes(blob: bytes) -> bytes:
     """Inverse of :func:`lossless_compress_bytes`.
 
     A truncated or corrupt stream raises :class:`CompressorError`.
     """
 
     try:
-        _, decompress = _BACKENDS[backend]
-    except KeyError as exc:
-        raise CompressorError(f"unknown lossless backend {backend!r}") from exc
-    try:
-        return decompress(blob)
-    except _DECODE_ERRORS as exc:
-        raise CompressorError(f"corrupt {backend} stream: {exc}") from exc
+        return zlib.decompress(blob)
+    except zlib.error as exc:
+        raise CompressorError(f"corrupt zlib stream: {exc}") from exc
 
 
 class LosslessCompressor(Compressor):
@@ -84,10 +60,8 @@ class LosslessCompressor(Compressor):
 
     Parameters
     ----------
-    backend:
-        ``"zlib"`` (default), ``"lzma"`` or ``"bz2"``.
     level:
-        Backend compression level.  The default, 6, is zlib's own default;
+        zlib compression level.  The default, 6, is zlib's own default;
         it only affects encoding (any level decodes any blob).  The simulator
         passes ``SimulatorConfig.lossless_level`` instead, which defaults to
         3, the highest of zlib's fast levels, as the paper runs Zstd at a
@@ -96,27 +70,17 @@ class LosslessCompressor(Compressor):
 
     name = "lossless"
 
-    def __init__(self, backend: str = "zlib", level: int = 6) -> None:
+    def __init__(self, level: int = 6) -> None:
         super().__init__(ErrorBoundMode.LOSSLESS, 0.0)
-        if backend not in _BACKENDS:
-            raise CompressorError(f"unknown lossless backend {backend!r}")
-        self._backend = backend
         self._level = int(level)
-        self._record_init(backend=backend, level=self._level)
-
-    @property
-    def backend(self) -> str:
-        """Name of the byte-level backend in use (zlib/bz2/lzma)."""
-
-        return self._backend
+        self._record_init(level=self._level)
 
     def compress(self, data: np.ndarray) -> bytes:
         """Byte-exact compression of the raw float64 buffer."""
 
         array = self._as_float64(data)
-        payload = lossless_compress_bytes(array.tobytes(), self._backend, self._level)
-        extra = bytes([_BACKEND_IDS[self._backend]])
-        return pack_header(_TAG, array.size, extra) + payload
+        payload = lossless_compress_bytes(array.tobytes(), self._level)
+        return pack_header(_TAG, array.size, bytes([_ZLIB_ID])) + payload
 
     def decompress(self, blob: bytes) -> np.ndarray:
         """Bit-exact reconstruction of the original float64 array."""
@@ -124,8 +88,13 @@ class LosslessCompressor(Compressor):
         tag, count, extra, offset = unpack_header(blob)
         if tag != _TAG:
             raise CompressorError(f"blob tag {tag} is not a lossless blob")
-        backend = _BACKEND_NAMES[extra[0]]
-        raw = lossless_decompress_bytes(blob[offset:], backend)
+        if extra != bytes([_ZLIB_ID]):
+            raise CompressorError(
+                f"lossless blob backend byte {extra.hex() or 'missing'} is not "
+                "zlib (0): the lzma and bz2 backends were removed in 1.27.0 "
+                "(see docs/migration.md)"
+            )
+        raw = lossless_decompress_bytes(blob[offset:])
         array = np.frombuffer(raw, dtype=np.float64)
         if array.size != count:
             raise CompressorError(

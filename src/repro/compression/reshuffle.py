@@ -60,12 +60,10 @@ class ReshuffleCompressor(Compressor):
 
     name = "reshuffle"
 
-    def __init__(
-        self, bound: float = 1e-3, backend: str = "zlib", level: int = 6
-    ) -> None:
+    def __init__(self, bound: float = 1e-3, level: int = 6) -> None:
         super().__init__(ErrorBoundMode.RELATIVE, bound)
-        self._record_init(bound=self.bound, backend=backend, level=int(level))
-        self._inner = XorBitplaneCompressor(bound=bound, backend=backend, level=level)
+        self._record_init(bound=self.bound, level=int(level))
+        self._inner = XorBitplaneCompressor(bound=bound, level=level)
 
     def compress(self, data: np.ndarray) -> bytes:
         """De-interleave (real, imag) pairs, then run the inner SZ codec."""

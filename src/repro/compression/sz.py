@@ -60,14 +60,13 @@ def compress_absolute_stream(
     array: np.ndarray,
     bound: float,
     max_bins: int,
-    backend: str,
     level: int,
 ) -> bytes:
     """Compress a float64 stream under an absolute error bound.
 
     Returns a payload (without the outer header) containing the Huffman-coded
     bounded delta codes, the escape positions and raw values, all passed
-    through the lossless backend.
+    through the lossless stage.
     """
 
     codes = quantization.quantize(array, bound)
@@ -95,13 +94,13 @@ def compress_absolute_stream(
         + huff_blob
         + escape_blob
     )
-    return lossless_compress_bytes(payload, backend, level)
+    return lossless_compress_bytes(payload, level)
 
 
-def decompress_absolute_stream(blob: bytes, count: int, backend: str) -> np.ndarray:
+def decompress_absolute_stream(blob: bytes, count: int) -> np.ndarray:
     """Inverse of :func:`compress_absolute_stream`."""
 
-    payload = lossless_decompress_bytes(blob, backend)
+    payload = lossless_decompress_bytes(blob)
     offset = struct.calcsize("<dIQQ")
     if len(payload) < offset:
         raise CompressorError("truncated SZ payload (header)")
@@ -154,7 +153,6 @@ class SZCompressor(Compressor):
         bound: float = 1e-3,
         mode: ErrorBoundMode = ErrorBoundMode.RELATIVE,
         max_bins: int = DEFAULT_QUANTIZATION_BINS,
-        backend: str = "zlib",
         level: int = 6,
     ) -> None:
         if mode is ErrorBoundMode.LOSSLESS:
@@ -163,13 +161,11 @@ class SZCompressor(Compressor):
         if max_bins < 4:
             raise CompressorError("max_bins must be at least 4")
         self._max_bins = int(max_bins)
-        self._backend = backend
         self._level = int(level)
         self._record_init(
             bound=self.bound,
             mode=mode,
             max_bins=self._max_bins,
-            backend=backend,
             level=self._level,
         )
 
@@ -183,12 +179,12 @@ class SZCompressor(Compressor):
 
     def _compress_abs(self, array: np.ndarray) -> bytes:
         payload = compress_absolute_stream(
-            array, self.bound, self._max_bins, self._backend, self._level
+            array, self.bound, self._max_bins, self._level
         )
         return pack_header(_TAG_ABS, array.size, b"") + payload
 
     def _decompress_abs(self, blob: bytes, count: int, offset: int) -> np.ndarray:
-        return decompress_absolute_stream(blob[offset:], count, self._backend)
+        return decompress_absolute_stream(blob[offset:], count)
 
     # -- relative mode (log transform) ----------------------------------------------
 
@@ -196,12 +192,12 @@ class SZCompressor(Compressor):
         log_mag, signs, zero_mask = quantization.log_transform(array)
         log_bound = quantization.relative_to_log_absolute(self.bound)
         body = compress_absolute_stream(
-            log_mag, log_bound, self._max_bins, self._backend, self._level
+            log_mag, log_bound, self._max_bins, self._level
         )
         sign_bits = np.packbits((signs < 0).astype(np.uint8))
         zero_bits = np.packbits(zero_mask.astype(np.uint8))
         side = lossless_compress_bytes(
-            sign_bits.tobytes() + zero_bits.tobytes(), self._backend, self._level
+            sign_bits.tobytes() + zero_bits.tobytes(), self._level
         )
         extra = struct.pack("<QQ", len(body), len(side))
         return pack_header(_TAG_REL, array.size, extra) + body + side
@@ -214,8 +210,8 @@ class SZCompressor(Compressor):
             raise CompressorError("truncated SZ blob (relative-mode streams)")
         body = blob[offset : offset + body_len]
         side = blob[offset + body_len : offset + body_len + side_len]
-        log_mag = decompress_absolute_stream(body, count, self._backend)
-        side_raw = lossless_decompress_bytes(side, self._backend)
+        log_mag = decompress_absolute_stream(body, count)
+        side_raw = lossless_decompress_bytes(side)
         packed_len = (count + 7) // 8
         if len(side_raw) < 2 * packed_len:
             raise CompressorError("truncated SZ blob (sign/zero bitmaps)")
@@ -243,7 +239,7 @@ class SZCompressor(Compressor):
             # with the same reader.  Decoders still accept the old layout:
             # they short-circuit on count == 0 without touching the payload.
             return pack_header(_TAG_ABS, 0, b"") + compress_absolute_stream(
-                array, self.bound, self._max_bins, self._backend, self._level
+                array, self.bound, self._max_bins, self._level
             )
         if self.mode is ErrorBoundMode.ABSOLUTE:
             return self._compress_abs(array)

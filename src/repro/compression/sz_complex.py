@@ -48,7 +48,6 @@ class SZComplexCompressor(Compressor):
         bound: float = 1e-3,
         mode: ErrorBoundMode = ErrorBoundMode.RELATIVE,
         max_bins: int = COMPLEX_QUANTIZATION_BINS,
-        backend: str = "zlib",
         level: int = 6,
     ) -> None:
         if mode is ErrorBoundMode.LOSSLESS:
@@ -58,11 +57,10 @@ class SZComplexCompressor(Compressor):
             bound=self.bound,
             mode=mode,
             max_bins=int(max_bins),
-            backend=backend,
             level=int(level),
         )
         self._inner = SZCompressor(
-            bound=bound, mode=mode, max_bins=max_bins, backend=backend, level=level
+            bound=bound, mode=mode, max_bins=max_bins, level=level
         )
 
     @property

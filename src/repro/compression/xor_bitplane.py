@@ -12,8 +12,8 @@ final simulator uses.  The pipeline for each block of doubles is:
    identical leading bytes with a two-bit code, emitting only the differing
    suffix bytes (the "XOR leading-zero data reduction" step borrowed from
    FPC).
-3. Compress the code stream and the suffix stream with the lossless backend
-   (Zstd in the paper, zlib here — see DESIGN.md).
+3. Compress the code stream and the suffix stream with the lossless stage
+   (Zstd in the paper, zlib here — see docs/architecture.md).
 
 Compared with SZ (Solution A/B) this removes the three costly stages —
 prediction, quantization and Huffman coding — which is why the paper reports
@@ -53,23 +53,17 @@ class XorBitplaneCompressor(Compressor):
     bound:
         Pointwise relative error bound (one of the paper's levels 1e-5..1e-1,
         though any positive value works).
-    backend:
-        Lossless backend for the final stage (default zlib, standing in for
-        Zstd).
     level:
-        Lossless backend compression level.
+        zlib level of the final lossless stage (zlib stands in for Zstd).
     """
 
     name = "xor-bitplane"
 
-    def __init__(
-        self, bound: float = 1e-3, backend: str = "zlib", level: int = 6
-    ) -> None:
+    def __init__(self, bound: float = 1e-3, level: int = 6) -> None:
         super().__init__(ErrorBoundMode.RELATIVE, bound)
-        self._backend = backend
         self._level = int(level)
         self._keep_bytes = bitplane.bytes_to_keep(bound)
-        self._record_init(bound=self.bound, backend=backend, level=self._level)
+        self._record_init(bound=self.bound, level=self._level)
 
     @property
     def keep_bytes(self) -> int:
@@ -108,9 +102,9 @@ class XorBitplaneCompressor(Compressor):
         packed_codes, suffix = bitplane.pack_leading_zero_stream(
             xored, self._keep_bytes
         )
-        codes_blob = lossless_compress_bytes(packed_codes, self._backend, self._level)
-        suffix_blob = lossless_compress_bytes(suffix, self._backend, self._level)
-        exc_blob = lossless_compress_bytes(exceptions, self._backend, self._level)
+        codes_blob = lossless_compress_bytes(packed_codes, self._level)
+        suffix_blob = lossless_compress_bytes(suffix, self._level)
+        exc_blob = lossless_compress_bytes(exceptions, self._level)
         extra = struct.pack(
             "<BdIIIQ",
             self._keep_bytes,
@@ -142,14 +136,14 @@ class XorBitplaneCompressor(Compressor):
         exc_blob = blob[
             offset + codes_len + suffix_len : offset + codes_len + suffix_len + exc_len
         ]
-        packed_codes = lossless_decompress_bytes(codes_blob, self._backend)
-        suffix = lossless_decompress_bytes(suffix_blob, self._backend)
+        packed_codes = lossless_decompress_bytes(codes_blob)
+        suffix = lossless_decompress_bytes(suffix_blob)
         xored = bitplane.unpack_leading_zero_stream(
             packed_codes, suffix, count, keep_bytes
         )
         values = bitplane.xor_delta_decode(xored).view(np.float64)
         if exc_count:
-            exceptions = lossless_decompress_bytes(exc_blob, self._backend)
+            exceptions = lossless_decompress_bytes(exc_blob)
             exc_indices = np.frombuffer(exceptions, dtype="<u8", count=exc_count)
             exc_values = np.frombuffer(
                 exceptions, dtype="<f8", count=exc_count, offset=8 * exc_count

@@ -82,17 +82,13 @@ class ZFPLikeCompressor(Compressor):
         self,
         bound: float = 1e-3,
         mode: ErrorBoundMode = ErrorBoundMode.ABSOLUTE,
-        backend: str = "zlib",
         level: int = 6,
     ) -> None:
         if mode is ErrorBoundMode.LOSSLESS:
             raise CompressorError("ZFP-like is a lossy compressor")
         super().__init__(mode, bound)
-        self._backend = backend
         self._level = int(level)
-        self._record_init(
-            bound=self.bound, mode=mode, backend=backend, level=self._level
-        )
+        self._record_init(bound=self.bound, mode=mode, level=self._level)
 
     # -- fixed-point / embedded coding machinery ---------------------------------------
 
@@ -184,7 +180,7 @@ class ZFPLikeCompressor(Compressor):
         sign_bits = np.packbits((signs < 0).astype(np.uint8))
         zero_bits = np.packbits(zero_mask.astype(np.uint8))
         side = lossless_compress_bytes(
-            sign_bits.tobytes() + zero_bits.tobytes(), self._backend, self._level
+            sign_bits.tobytes() + zero_bits.tobytes(), self._level
         )
         extra = struct.pack("<QQ", len(body), len(side))
         return pack_header(_TAG_REL, array.size, extra) + body + side
@@ -203,7 +199,7 @@ class ZFPLikeCompressor(Compressor):
         body = blob[offset : offset + body_len]
         side = blob[offset + body_len : offset + body_len + side_len]
         log_mag = self._decode_abs(body, count)
-        side_raw = lossless_decompress_bytes(side, self._backend)
+        side_raw = lossless_decompress_bytes(side)
         packed_len = (count + 7) // 8
         sign_bits = np.unpackbits(np.frombuffer(side_raw[:packed_len], dtype=np.uint8))[
             :count

@@ -42,9 +42,7 @@ class AdaptiveErrorController:
     def __init__(self, config: SimulatorConfig) -> None:
         self._config = config
         self._levels: list[float] = list(config.error_levels)
-        self._lossless = LosslessCompressor(
-            backend=config.lossless_backend, level=config.lossless_level
-        )
+        self._lossless = LosslessCompressor(level=config.lossless_level)
         self._lossy: dict[float, Compressor] = {}
         # level_index == -1 means "still lossless"; index i >= 0 means the
         # i-th entry of the error ladder is in force.
@@ -89,7 +87,6 @@ class AdaptiveErrorController:
             self._lossy[bound] = get_compressor(
                 self._config.lossy_compressor,
                 bound=bound,
-                backend=self._config.lossless_backend,
                 level=self._config.lossless_level,
             )
         return self._lossy[bound]

@@ -71,16 +71,12 @@ def save_checkpoint(simulator: CompressedSimulator, path: str | Path) -> int:
         "gate_count": simulator.gate_count,
         "current_bound": simulator.controller.current_bound,
         "escalations": simulator.report().escalations,
-        "fidelity_gate_bounds": (
-            list(simulator.fidelity_tracker.gate_bounds)
-            if simulator.fidelity_tracker is not None
-            else []
-        ),
+        "fidelity_gate_bounds": list(simulator.fidelity_tracker.gate_bounds),
         "lossy_compressor": config.lossy_compressor,
-        "lossless_backend": config.lossless_backend,
         "error_levels": list(config.error_levels),
         "memory_budget_bytes": config.memory_budget_bytes,
-        "track_fidelity_bound": config.track_fidelity_bound,
+        "lossless_level": config.lossless_level,
+        "fusion_enabled": config.fusion_enabled,
     }
     blocks = []
     for (rank, block), entry in simulator.state.iter_blocks():
@@ -184,6 +180,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict, list[tuple]]:
         raise errors.CheckpointError(
             "checkpoint metadata is not a JSON object", path=str(path)
         )
+    _check_removed_settings(meta, path)
     partition = _geometry(meta, path)
     (num_blocks,) = reader.unpack(_U32, "block count")
     blocks: list[tuple] = []
@@ -246,6 +243,31 @@ def _geometry(meta: dict, path: Path) -> Partition:
         raise errors.CheckpointError(
             f"checkpoint geometry is invalid: {exc}", path=str(path)
         ) from exc
+
+
+def _check_removed_settings(meta: dict, path: Path) -> None:
+    """Reject a file written under a setting removed in 1.27.0.
+
+    Before 1.27.0 the writer recorded ``lossless_backend`` and
+    ``track_fidelity_bound``.  Blocks of an lzma or bz2 run no longer decode,
+    and a run without the fidelity bound left no history, so resuming it
+    would report a bound that overstates the fidelity.
+    """
+
+    backend = meta.get("lossless_backend", "zlib")
+    if backend != "zlib":
+        raise errors.CheckpointError(
+            f"checkpoint was written with lossless_backend={backend!r}; only "
+            "zlib remains since 1.27.0 (see docs/migration.md)",
+            path=str(path),
+        )
+    if meta.get("track_fidelity_bound", True) is not True:
+        raise errors.CheckpointError(
+            "checkpoint was written with track_fidelity_bound=False, so its "
+            "fidelity history is incomplete and a resumed bound would "
+            "overstate the fidelity (see docs/migration.md)",
+            path=str(path),
+        )
 
 
 def _meta_field(meta: dict, key: str, path: Path):
@@ -319,23 +341,35 @@ def load_checkpoint(
     The returned simulator has the same partition geometry, compressed
     blocks, adaptive level and fidelity history as the one that was saved;
     applying the remainder of a circuit continues the simulation exactly
-    where it stopped.
+    where it stopped.  Without *config*, the config is rebuilt from the
+    file's metadata; ``lossless_level`` and ``fusion_enabled``, absent
+    before 1.27.0, then read the current defaults.
     """
 
     path = Path(path)
     meta, blocks = read_checkpoint(path)
 
     if config is None:
-        config = SimulatorConfig(
-            num_ranks=_meta_field(meta, "num_ranks", path),
-            block_amplitudes=_meta_field(meta, "block_amplitudes", path),
-            memory_budget_bytes=_meta_field(meta, "memory_budget_bytes", path),
-            error_levels=tuple(_meta_field(meta, "error_levels", path)),
-            lossy_compressor=_meta_field(meta, "lossy_compressor", path),
-            lossless_backend=_meta_field(meta, "lossless_backend", path),
-            # Absent in pre-1.1 checkpoints, which always tracked.
-            track_fidelity_bound=meta.get("track_fidelity_bound", True),
+        settings = {
+            key: _meta_field(meta, key, path)
+            for key in (
+                "num_ranks",
+                "block_amplitudes",
+                "memory_budget_bytes",
+                "error_levels",
+                "lossy_compressor",
+            )
+        }
+        settings.update(
+            (key, meta[key]) for key in ("lossless_level", "fusion_enabled") if key in meta
         )
+        try:
+            config = SimulatorConfig(**settings)
+        except (TypeError, ValueError) as exc:
+            raise errors.CheckpointError(
+                f"checkpoint metadata is not a valid SimulatorConfig: {exc}",
+                path=str(path),
+            ) from exc
     for key in ("gate_count", "fidelity_gate_bounds", "current_bound"):
         _meta_field(meta, key, path)
 

@@ -44,10 +44,8 @@ class SimulatorConfig:
     lossy_compressor:
         Registry name of the lossy compressor ("xor-bitplane" = Solution C,
         the paper's choice; "sz", "sz-complex", "reshuffle" also work).
-    lossless_backend:
-        Backend for the lossless stage(s): "zlib", "lzma" or "bz2".
     lossless_level:
-        Compression level passed to the lossless backend, for lossless blocks
+        zlib level of the lossless stage, for lossless blocks
         and for the final stage of the lossy codecs.  The paper runs Zstd at
         a fast setting, and 3 is the highest of zlib's fast levels (1-3).
         Measured on the end-to-end workloads (2-CPU host): levels 1, 2 and 3
@@ -67,8 +65,6 @@ class SimulatorConfig:
         Begin with lossless compression and only escalate to lossy when the
         memory budget forces it (Section 3.7).  When ``False`` the simulator
         starts directly at the first lossy level (used by the ablation bench).
-    track_fidelity_bound:
-        Maintain the Π(1 - δ_i) lower bound on simulation fidelity.
     fusion_enabled:
         Run the grouping pass (:func:`repro.circuits.fusion.form_runs`)
         before execution: each ``cx(c, t) · d(t) · cx(c, t)`` sandwich with
@@ -126,11 +122,9 @@ class SimulatorConfig:
     memory_budget_bytes: int | None = None
     error_levels: tuple[float, ...] = PAPER_ERROR_LEVELS
     lossy_compressor: str = "xor-bitplane"
-    lossless_backend: str = "zlib"
     lossless_level: int = 3
     use_block_cache: bool = True
     start_lossless: bool = True
-    track_fidelity_bound: bool = True
     fusion_enabled: bool = True
     num_workers: int = 1
     # Read by the frozen rcs16_thread2 / rcs16_process2 workloads of
@@ -208,6 +202,14 @@ class SimulatorConfig:
 
         # Read by benchmarks/e2e/e2e_trace.py (frozen); goes with that line.
         return "numpy"
+
+    @property
+    def lossless_backend(self) -> str:
+        """Always ``"zlib"``; not a field (``lossless_backend=...`` is a ``TypeError``)."""
+
+        # Read by benchmarks/e2e/e2e_trace.py (frozen); goes with ROADMAP
+        # item 1.4.
+        return "zlib"
 
     def resolve_block_amplitudes(self, num_qubits: int, num_ranks: int) -> int:
         """Pick the block size for a given problem when not set explicitly.

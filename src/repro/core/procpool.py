@@ -29,8 +29,6 @@ import pickle
 import time
 import traceback
 import weakref
-from multiprocessing import connection as mp_connection
-from multiprocessing import get_context
 
 from .. import errors
 from ..resilience import faults
@@ -231,6 +229,11 @@ class ProcessPool:
                 f"worker_args has {len(worker_args)} entries for "
                 f"{num_workers} workers"
             )
+        # Imported with the first pool, not with repro: multiprocessing's
+        # connection module loads tempfile, and with it shutil, lzma and bz2.
+        from multiprocessing import connection, get_context
+
+        self._wait = connection.wait
         # Everything a dead worker's replacement needs is kept around, so
         # heal() can rebuild the warm state from scratch.
         self._context = get_context(start_method)
@@ -337,7 +340,7 @@ class ProcessPool:
                 raise errors.PoolProtocolError(
                     "recv_any() called with no outstanding tasks", op="recv_any"
                 )
-            ready = mp_connection.wait(list(waiting), timeout=0.2)
+            ready = self._wait(list(waiting), timeout=0.2)
             for conn in ready:
                 worker_id = waiting[conn]
                 try:

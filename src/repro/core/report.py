@@ -9,7 +9,7 @@ while the compressed simulator executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["SimulationReport"]
 
@@ -27,7 +27,6 @@ class SimulationReport:
     decompression_seconds: float = 0.0
     computation_seconds: float = 0.0
     communication_seconds: float = 0.0
-    other_seconds: float = 0.0
 
     communication_bytes: int = 0
     block_exchanges: int = 0
@@ -60,9 +59,8 @@ class SimulationReport:
     #: memory outside :attr:`peak_footprint_bytes` and the budget check.
     peak_cache_bytes: int = 0
 
-    #: ``Π(1 - δ_i)`` over the gates executed, or ``None`` when
-    #: ``SimulatorConfig.track_fidelity_bound`` is off.
-    fidelity_lower_bound: float | None = 1.0
+    #: ``Π(1 - δ_i)`` over the gates executed (the Fig 6 lower bound).
+    fidelity_lower_bound: float = 1.0
     final_error_bound: float = 0.0
     escalations: int = 0
 
@@ -81,8 +79,6 @@ class SimulationReport:
     #: lost re-executing, checkpoints written and pool restarts.  Fed by
     #: :meth:`record_recovery` from the resilience machinery.
     recovery: dict | None = None
-
-    _buckets: dict = field(default_factory=dict, repr=False)
 
     # -- accumulation -----------------------------------------------------------------
 
@@ -154,7 +150,6 @@ class SimulationReport:
             + self.decompression_seconds
             + self.computation_seconds
             + self.communication_seconds
-            + self.other_seconds
         )
 
     @property
@@ -175,14 +170,12 @@ class SimulationReport:
                 "decompression": 0.0,
                 "communication": 0.0,
                 "computation": 0.0,
-                "other": 0.0,
             }
         return {
             "compression": self.compression_seconds / total,
             "decompression": self.decompression_seconds / total,
             "communication": self.communication_seconds / total,
             "computation": self.computation_seconds / total,
-            "other": self.other_seconds / total,
         }
 
     def as_dict(self) -> dict:
@@ -199,7 +192,6 @@ class SimulationReport:
             "decompression_seconds": self.decompression_seconds,
             "computation_seconds": self.computation_seconds,
             "communication_seconds": self.communication_seconds,
-            "other_seconds": self.other_seconds,
             "communication_bytes": self.communication_bytes,
             "block_exchanges": self.block_exchanges,
             "cache_hits": self.cache_hits,
@@ -245,12 +237,7 @@ class SimulationReport:
             f"peak footprint       : {self.peak_footprint_bytes / 2**20:.2f} MiB",
             f"peak cache lines     : {self.peak_cache_bytes / 2**20:.2f} MiB "
             "(outside the footprint)",
-            "fidelity lower bound : "
-            + (
-                f"{self.fidelity_lower_bound:.6f}"
-                if self.fidelity_lower_bound is not None
-                else "not tracked"
-            ),
+            f"fidelity lower bound : {self.fidelity_lower_bound:.6f}",
             f"final error bound    : {self.final_error_bound:g}",
             f"escalations          : {self.escalations}",
         ]

@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import logging
 import os
-import shutil
-import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -104,18 +102,15 @@ class CompressedSimulator:
             block_amplitudes=block_amplitudes,
         )
         self._controller = AdaptiveErrorController(self._config)
-        self._fidelity = (
-            FidelityTracker() if self._config.track_fidelity_bound else None
-        )
+        self._fidelity = FidelityTracker()
 
         # Decompression needs an instance of the same compressor class that
-        # produced a blob; bounds and backends are embedded in the blobs, so
-        # one instance per class suffices.
+        # produced a blob; bounds are embedded in the blobs, so one instance
+        # per class suffices.
         lossless = self._controller.lossless_compressor()
         lossy = get_compressor(
             self._config.lossy_compressor,
             bound=self._config.error_levels[0],
-            backend=self._config.lossless_backend,
             level=self._config.lossless_level,
         )
         self._decompressors: dict[str, Compressor] = {
@@ -205,9 +200,8 @@ class CompressedSimulator:
         return self._controller
 
     @property
-    def fidelity_tracker(self) -> FidelityTracker | None:
-        """The per-gate fidelity accountant, or ``None`` when
-        ``config.track_fidelity_bound`` is off."""
+    def fidelity_tracker(self) -> FidelityTracker:
+        """The per-gate fidelity accountant (the Fig 6 lower bound)."""
 
         return self._fidelity
 
@@ -232,6 +226,8 @@ class CompressedSimulator:
 
         self._state.close()
         if self._ckpt_tempdir is not None:
+            import shutil  # on first use: it loads lzma and bz2
+
             shutil.rmtree(self._ckpt_tempdir, ignore_errors=True)
             self._ckpt_tempdir = None
             self._resilience_ckpt = None
@@ -264,9 +260,7 @@ class CompressedSimulator:
 
         self._controller = AdaptiveErrorController(self._config)
         self._state.reset(self._initial_compressor(), initial_basis_state)
-        self._fidelity = (
-            FidelityTracker() if self._config.track_fidelity_bound else None
-        )
+        self._fidelity = FidelityTracker()
         self._report = self._state.new_report()
         self._gate_index = 0
         # Any in-run resilience checkpoint describes the pre-reset state.
@@ -330,10 +324,9 @@ class CompressedSimulator:
         self._gate_index = int(meta.get("gate_count", 0))
         self._report.gates_executed = self._gate_index
         self._report.escalations = int(meta.get("escalations", 0))
-        if self._fidelity is not None:
-            self._fidelity.reset()
-            for bound in meta.get("fidelity_gate_bounds", ()):
-                self._fidelity.record_gate(float(bound))
+        self._fidelity.reset()
+        for bound in meta.get("fidelity_gate_bounds", ()):
+            self._fidelity.record_gate(float(bound))
         self._controller = AdaptiveErrorController(self._config)
         if meta.get("current_bound"):
             self._controller.force_level(float(meta["current_bound"]))
@@ -436,8 +429,7 @@ class CompressedSimulator:
 
         self._gate_index += 1
         self._report.gates_executed = self._gate_index
-        if self._fidelity is not None:
-            self._fidelity.record_gate(compressor.bound)
+        self._fidelity.record_gate(compressor.bound)
 
         footprint = self._state.footprint_bytes()
         self._report.observe_footprint(footprint)
@@ -531,6 +523,8 @@ class CompressedSimulator:
         directory = self._policy.checkpoint_dir
         if directory is None:
             if self._ckpt_tempdir is None:
+                import tempfile  # on first use: it loads shutil, lzma and bz2
+
                 self._ckpt_tempdir = tempfile.mkdtemp(prefix="repro-resilience-")
             directory = self._ckpt_tempdir
         else:
@@ -569,9 +563,7 @@ class CompressedSimulator:
     # -- report plumbing ----------------------------------------------------------------------
 
     def _sync_report(self) -> None:
-        self._report.fidelity_lower_bound = (
-            self._fidelity.lower_bound if self._fidelity is not None else None
-        )
+        self._report.fidelity_lower_bound = self._fidelity.lower_bound
         self._report.final_error_bound = self._controller.current_bound
 
     def report(self) -> SimulationReport:

@@ -29,7 +29,7 @@ reference, and leaves the kernel one step path with no qubit arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,28 +142,12 @@ class GatePlan:
         return tuple(tuple(wave) for wave in waves)
 
 
-def _split(
-    qubits: Iterable[int], offset_bits: int, staged: tuple[int, ...]
-) -> tuple[tuple[int, ...], int]:
-    """Split *qubits* into virtual-block bits (see :class:`GatePlan`) and a
-    mask of the others over the global block index."""
-
-    local, mask = [], 0
-    for qubit in qubits:
-        if qubit < offset_bits:
-            local.append(qubit)
-        elif qubit in staged:
-            local.append(offset_bits + staged.index(qubit))
-        else:
-            mask |= 1 << (qubit - offset_bits)
-    return tuple(local), mask
-
-
 def _split_mask(
     qubits: int, offset_bits: int, staged: tuple[int, ...]
 ) -> tuple[int, int]:
-    """:func:`_split` for a bit mask of qubits: the virtual-block bits and
-    the global block-index bits, both as masks."""
+    """Split the bit mask *qubits* into virtual-block bits (see
+    :class:`GatePlan`) and the others as global block-index bits, both as
+    masks."""
 
     local, mask = qubits & ((1 << offset_bits) - 1), qubits >> offset_bits
     for position, target in enumerate(staged):
@@ -172,6 +156,17 @@ def _split_mask(
             mask ^= bit
             local |= 1 << (offset_bits + position)
     return local, mask
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of *mask*'s set bits, lowest first."""
+
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
 
 
 def _moves(step: Step, local_parity: int) -> tuple[bool, bool]:
@@ -221,7 +216,10 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
     ]
     staged = (steps[mixing[0]].target,) if mixing else ()
     parities = [_split_mask(parity_of(step), offset, staged) for step in steps]
-    controls = [_split(step.controls, offset, staged) for step in steps]
+    controls = [
+        _split_mask(sum(1 << q for q in step.controls), offset, staged)
+        for step in steps
+    ]
     local_parities = tuple(local for local, _ in parities)
     block_parities = tuple(mask for _, mask in parities)
     block_controls = tuple(mask for _, mask in controls)
@@ -240,7 +238,7 @@ def plan_gate(partition: Partition, gate: Step | Run) -> GatePlan:
         np.array([step.matrix for step in steps]),
         local_parities,
         block_parities,
-        tuple(local for local, _ in controls),
+        tuple(_bits(local) for local, _ in controls),
         block_controls,
         mixes,
         index_mask,

@@ -298,60 +298,18 @@ class TestResultSerialisation:
 
 
 class TestFidelityTrackingConfig:
-    """Satellite: SimulatorConfig.track_fidelity_bound is finally wired."""
+    """The Fig 6 bound is tracked on every run, one factor per element."""
 
     def test_tracking_on_records_per_gate(self, simulator_config):
-        config = simulator_config(
-            track_fidelity_bound=True, start_lossless=False, error_levels=(1e-2,)
-        )
+        config = simulator_config(start_lossless=False, error_levels=(1e-2,))
         simulator = CompressedSimulator(6, config)
         report = simulator.apply_circuit(ghz_circuit(6))
-        assert simulator.fidelity_tracker is not None
         # One factor per executed schedule element (the GHZ chain's in-block
         # gates share round trips, so fewer than its six gates).
         assert simulator.fidelity_tracker.num_gates == report.gates_executed <= 6
         assert report.fidelity_lower_bound == pytest.approx(
             (1 - 1e-2) ** report.gates_executed
         )
-
-    def test_tracking_off_reports_none(self, simulator_config):
-        config = simulator_config(
-            track_fidelity_bound=False, start_lossless=False, error_levels=(1e-2,)
-        )
-        simulator = CompressedSimulator(6, config)
-        report = simulator.apply_circuit(ghz_circuit(6))
-        assert simulator.fidelity_tracker is None
-        assert report.fidelity_lower_bound is None
-        assert "not tracked" in report.summary()
-        assert report.as_dict()["fidelity_lower_bound"] is None
-
-    def test_tracking_off_through_unified_api(self):
-        result = repro.run(
-            ghz_circuit(6),
-            config=SimulatorConfig(track_fidelity_bound=False),
-        )
-        assert result.report["fidelity_lower_bound"] is None
-
-    def test_tracking_off_survives_reset_and_checkpoint(
-        self, simulator_config, tmp_path
-    ):
-        from repro import load_checkpoint, save_checkpoint
-
-        config = simulator_config(track_fidelity_bound=False)
-        simulator = CompressedSimulator(6, config)
-        simulator.apply_circuit(ghz_circuit(6))
-        path = tmp_path / "no-fidelity.ckpt"
-        save_checkpoint(simulator, path)
-        resumed = load_checkpoint(path, config=config)
-        assert resumed.fidelity_tracker is None
-        # The flag is persisted: a config-less load must not silently turn
-        # tracking back on and claim a perfect bound.
-        default_load = load_checkpoint(path)
-        assert default_load.fidelity_tracker is None
-        assert default_load.report().fidelity_lower_bound is None
-        simulator.reset()
-        assert simulator.fidelity_tracker is None
-        assert simulator.gate_count == 0
 
 
 class TestSimulatorReset:

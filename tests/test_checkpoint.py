@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.applications import random_supremacy_circuit
 from repro.circuits import qft_circuit
 from repro.circuits.fusion import constituents
 from repro.core import (
@@ -27,6 +28,28 @@ def _config(**kwargs) -> SimulatorConfig:
     defaults = dict(num_ranks=2, block_amplitudes=32)
     defaults.update(kwargs)
     return SimulatorConfig(**defaults)
+
+
+def _edit_meta(path, edit) -> None:
+    """Rewrite the metadata JSON of the checkpoint at *path* in place,
+    passing the parsed dict through *edit*."""
+
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12 : 12 + meta_len])
+    edit(meta)
+    blob = json.dumps(meta).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len :])
+
+
+def _split_at_element(simulator, gates) -> int:
+    """A gate index between two schedule elements near the middle: a lossy
+    run quantises once, so cutting one in two would change the lossy bytes."""
+
+    elements = simulator.prepare_gates(gates)
+    return len(gates) - sum(
+        len(constituents(element)) for element in elements[len(elements) // 2 :]
+    )
 
 
 class TestCheckpointRoundTrip:
@@ -168,16 +191,12 @@ class TestCodecEngineKeyCompatibility:
     def _set_engine_key(path, engine) -> None:
         """Rewrite the metadata JSON of the checkpoint at *path* in place."""
 
-        raw = path.read_bytes()
-        (meta_len,) = struct.unpack_from("<I", raw, 8)
-        meta = json.loads(raw[12 : 12 + meta_len])
-        assert "codec_engine" not in meta  # no longer written
-        if engine is not None:
-            meta["codec_engine"] = engine
-        blob = json.dumps(meta).encode()
-        path.write_bytes(
-            raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len :]
-        )
+        def edit(meta):
+            assert "codec_engine" not in meta  # no longer written
+            if engine is not None:
+                meta["codec_engine"] = engine
+
+        _edit_meta(path, edit)
 
     @pytest.mark.parametrize("tier", ["sequential", "ranked-comm"])
     @pytest.mark.parametrize(
@@ -204,9 +223,10 @@ class TestCodecEngineKeyCompatibility:
 
 
 class TestLosslessLevelCompatibility:
-    """Before 1.13.0 the simulator default was ``lossless_level=6``.  The level
-    is not in the file; blobs written at 6 load and resume under the new
-    default exactly as under the old one."""
+    """Before 1.13.0 the simulator default was ``lossless_level=6``, and
+    before 1.27.0 the level was not in the file; blobs written at 6 by such a
+    file load and resume under the new default exactly as under the old
+    one."""
 
     @pytest.mark.parametrize("tier", ["sequential", "ranked-comm"])
     @pytest.mark.parametrize("start_lossless", [True, False], ids=["lossless", "lossy"])
@@ -214,24 +234,84 @@ class TestLosslessLevelCompatibility:
         gates = list(qft_circuit(7))
         old = tier_config(tier, lossless_level=6, start_lossless=start_lossless)
         with CompressedSimulator(7, old) as full:
-            # Split between two schedule elements: a lossy run quantises
-            # once, so cutting one in two would change the lossy bytes.
-            elements = full.prepare_gates(gates)
-            split = len(gates) - sum(
-                len(constituents(element)) for element in elements[len(elements) // 2 :]
-            )
+            split = _split_at_element(full, gates)
             full.apply_circuit(gates)
             expected = full.statevector()
         path = tmp_path / "level6.ckpt"
         with CompressedSimulator(7, old) as first:
             first.apply_circuit(gates[:split])
             save_checkpoint(first, path)
+        _edit_meta(path, lambda meta: meta.pop("lossless_level"))
         # The sequential leg rebuilds its config from the file's metadata.
         config = None if tier == "sequential" else tier_config(tier)
         with load_checkpoint(path, config=config) as resumed:
             assert resumed.config.lossless_level == SimulatorConfig().lossless_level != 6
             resumed.apply_circuit(gates[split:])
             assert np.array_equal(resumed.statevector(), expected)
+
+
+class TestConfigLessResume:
+    """Without a config, ``load_checkpoint`` rebuilds every setting that
+    changes the blobs the remaining gates store."""
+
+    @pytest.mark.parametrize(
+        "setting", [{"lossless_level": 6}, {"fusion_enabled": False}], ids=str
+    )
+    def test_remaining_gates_store_the_uninterrupted_blobs(self, setting, tmp_path):
+        gates = list(random_supremacy_circuit(3, 4, depth=12, seed=5))
+        config = _config(block_amplitudes=256, **setting)
+        full = CompressedSimulator(12, config)
+        split = _split_at_element(full, gates)
+        full.apply_circuit(gates)
+        first = CompressedSimulator(12, config)
+        first.apply_circuit(gates[:split])
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(first, path)
+
+        resumed = load_checkpoint(path)
+        for key, value in setting.items():
+            assert getattr(resumed.config, key) == value
+        resumed.apply_circuit(gates[split:])
+        assert resumed.gate_count == full.gate_count
+        assert [(where, entry.blob) for where, entry in resumed.state.iter_blocks()] == [
+            (where, entry.blob) for where, entry in full.state.iter_blocks()
+        ]
+
+
+class TestRemovedSettings:
+    """Files written with a lossless backend other than zlib, or without the
+    fidelity bound, cannot resume since 1.27.0."""
+
+    @pytest.mark.parametrize(
+        "key, value", [("lossless_backend", "lzma"), ("track_fidelity_bound", False)]
+    )
+    def test_rejected_on_every_restore_path(self, key, value, tmp_path):
+        simulator = CompressedSimulator(6, _config())
+        simulator.apply_circuit(qft_circuit(6))
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(simulator, path)
+        _edit_meta(path, lambda meta: meta.update({key: value}))
+        for restore in (
+            read_checkpoint,
+            load_checkpoint,
+            lambda path: resume_from_checkpoint(simulator, path),
+        ):
+            with pytest.raises(CheckpointError, match=f"{key}.*docs/migration.md"):
+                restore(path)
+
+    def test_zlib_and_tracked_files_still_load(self, tmp_path):
+        # What every writer before 1.27.0 recorded for the defaults.
+        simulator = CompressedSimulator(6, _config())
+        simulator.apply_circuit(qft_circuit(6))
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(simulator, path)
+        _edit_meta(
+            path,
+            lambda meta: meta.update(
+                {"lossless_backend": "zlib", "track_fidelity_bound": True}
+            ),
+        )
+        assert load_checkpoint(path).gate_count == simulator.gate_count
 
 
 class TestCheckpointRobustness:
@@ -363,6 +443,18 @@ class TestCheckpointRobustness:
             (where, entry.blob) for where, entry in warm.state.iter_blocks()
         ] == before
         assert warm.gate_count == gate_count
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lossless_level", "3"), ("error_levels", 5), ("memory_budget_bytes", -1)],
+    )
+    def test_invalid_config_metadata_rejected(self, valid_checkpoint, key, value):
+        payload, tmp_path = valid_checkpoint
+        target = tmp_path / "config.bin"
+        target.write_bytes(payload)
+        _edit_meta(target, lambda meta: meta.update({key: value}))
+        with pytest.raises(CheckpointError, match="SimulatorConfig"):
+            load_checkpoint(target)
 
     def test_bad_magic_rejected(self, valid_checkpoint):
         payload, tmp_path = valid_checkpoint

@@ -37,7 +37,7 @@ class TestSimulatorConfig:
         assert config.lossy_compressor == "xor-bitplane"
         # The cache runs at the paper's constants; they are not fields.
         fields = {field.name for field in dataclasses.fields(SimulatorConfig)}
-        assert len(fields) == 16
+        assert len(fields) == 14
         assert not fields & {"cache_lines", "cache_miss_disable_threshold"}
         cache = BlockCache()
         assert cache.lines == 64
@@ -45,6 +45,16 @@ class TestSimulatorConfig:
             assert cache.enabled
             cache.lookup(("op", miss), b"x")
         assert not cache.enabled
+
+    def test_removed_knobs_are_constants(self):
+        # zlib is the one lossless stage and the Fig 6 bound is always kept.
+        for knob, value in (
+            ("lossless_backend", "zlib"),
+            ("track_fidelity_bound", True),
+        ):
+            with pytest.raises(TypeError, match=knob):
+                SimulatorConfig(**{knob: value})
+        assert SimulatorConfig().lossless_backend == "zlib"
 
     def test_rejects_non_power_of_two_ranks(self):
         with pytest.raises(ValueError):

@@ -173,11 +173,11 @@ class TestSZConformance:
     @pytest.mark.parametrize("stream", sorted(_sz_streams()))
     def test_stream_bytes_and_values_identical(self, stream, use_reference):
         data, bound, max_bins = _sz_streams()[stream]
-        blob = compress_absolute_stream(data, bound, max_bins, "zlib", 6)
-        out = decompress_absolute_stream(blob, data.size, "zlib")
+        blob = compress_absolute_stream(data, bound, max_bins, 6)
+        out = decompress_absolute_stream(blob, data.size)
         use_reference()
-        assert compress_absolute_stream(data, bound, max_bins, "zlib", 6) == blob
-        out_ref = decompress_absolute_stream(blob, data.size, "zlib")
+        assert compress_absolute_stream(data, bound, max_bins, 6) == blob
+        out_ref = decompress_absolute_stream(blob, data.size)
         # Bit identity, not closeness: compare the raw float64 bytes.
         assert out.tobytes() == out_ref.tobytes()
         if data.size:
@@ -375,4 +375,4 @@ class TestEnginePlumbing:
         with pytest.raises(AttributeError):
             SimulatorConfig().codec_engine = "numba"
         fields = {field.name for field in dataclasses.fields(SimulatorConfig)}
-        assert len(fields) == 16 and "codec_engine" not in fields
+        assert len(fields) == 14 and "codec_engine" not in fields

@@ -390,6 +390,20 @@ class TestRunFormation:
         with pytest.raises(GateError):
             ParityPhase((cx, standard_gate("h", 2), cx))
 
+    def test_each_sandwich_is_tested_once(self, monkeypatch):
+        from repro.circuits import fusion
+
+        cx = standard_gate("x", 2, controls=(5,))
+        rz = standard_gate("rz", 2, params=(0.3,))
+        calls = []
+        real = fusion._is_sandwich
+        monkeypatch.setattr(
+            fusion, "_is_sandwich", lambda *gates: calls.append(gates) or real(*gates)
+        )
+        (step,) = form_runs([cx, rz, cx], 3)
+        assert isinstance(step, ParityPhase) and step.gates == (cx, rz, cx)
+        assert calls == [(cx, rz, cx)]
+
 
 # ---------------------------------------------------------------------------
 # Planning: runs and task independence

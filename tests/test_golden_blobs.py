@@ -97,7 +97,7 @@ class TestGoldenEncodeStability:
             assert compressor.decompress(blob).size == 0
             _, count, _, offset = unpack_header(blob)
             assert count == 0
-            assert decompress_absolute_stream(blob[offset:], 0, "zlib").size == 0
+            assert decompress_absolute_stream(blob[offset:], 0).size == 0
 
 
 class TestHuffmanFuzz:

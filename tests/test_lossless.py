@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.compression import CompressorError, LosslessCompressor, roundtrip
+from repro.compression import (
+    CompressorError,
+    LosslessCompressor,
+    get_compressor,
+    roundtrip,
+)
+from repro.compression.interface import unpack_header
 from repro.compression.lossless import (
     lossless_compress_bytes,
     lossless_decompress_bytes,
@@ -13,25 +22,17 @@ from repro.compression.lossless import (
 
 
 class TestByteLevelHelpers:
-    @pytest.mark.parametrize("backend", ["zlib", "lzma", "bz2"])
-    def test_roundtrip_bytes(self, backend):
+    def test_roundtrip_bytes(self):
         raw = b"quantum state amplitudes" * 100
-        blob = lossless_compress_bytes(raw, backend)
-        assert lossless_decompress_bytes(blob, backend) == raw
+        blob = lossless_compress_bytes(raw)
+        assert lossless_decompress_bytes(blob) == raw
         assert len(blob) < len(raw)
-
-    def test_unknown_backend(self):
-        with pytest.raises(CompressorError):
-            lossless_compress_bytes(b"abc", "snappy")
-        with pytest.raises(CompressorError):
-            lossless_decompress_bytes(b"abc", "snappy")
 
 
 class TestLosslessCompressor:
-    @pytest.mark.parametrize("backend", ["zlib", "lzma", "bz2"])
-    def test_exact_roundtrip(self, backend, rng):
+    def test_exact_roundtrip(self, rng):
         data = rng.normal(size=2048)
-        compressor = LosslessCompressor(backend=backend)
+        compressor = LosslessCompressor()
         recovered, record = roundtrip(compressor, data)
         assert np.array_equal(recovered, data)
         assert record.max_abs_error == 0.0
@@ -69,13 +70,35 @@ class TestLosslessCompressor:
     # (empty-array and foreign/garbage-blob rejection moved to the
     # codec_name-parametrized tests in test_codecs_common.py)
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(CompressorError):
-            LosslessCompressor(backend="lz4")
+    def test_backend_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            LosslessCompressor(backend="zlib")
+        with pytest.raises(CompressorError, match="docs/migration.md"):
+            get_compressor("sz", backend="lzma")
+        # The frozen e2e trace passes the one backend there is.
+        assert get_compressor("sz", backend="zlib").name == "sz"
 
-    def test_cross_backend_decode_uses_embedded_backend_id(self):
-        data = np.linspace(0, 1, 512)
-        blob = LosslessCompressor(backend="lzma").compress(data)
-        # A zlib-configured instance can still decode: backend id is embedded.
-        recovered = LosslessCompressor(backend="zlib").decompress(blob)
-        assert np.array_equal(recovered, data)
+    @pytest.mark.parametrize("backend_id", [1, 2])
+    def test_removed_backend_byte_rejected(self, backend_id):
+        # The byte the removed lzma (1) and bz2 (2) backends wrote.
+        blob = bytearray(LosslessCompressor().compress(np.linspace(0, 1, 64)))
+        offset = unpack_header(bytes(blob))[3]
+        blob[offset - 1] = backend_id
+        with pytest.raises(CompressorError, match="docs/migration.md"):
+            LosslessCompressor().decompress(bytes(blob))
+
+
+def test_import_loads_no_other_lossless_library():
+    # -S skips site hooks, which may load these modules themselves; the
+    # parent's sys.path still finds repro and numpy.
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]; import repro; "
+        "print(sorted({'lzma', 'bz2'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, *sys.path],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
