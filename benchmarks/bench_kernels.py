@@ -168,7 +168,7 @@ def test_in_block_step_paths(emit):
     rng = np.random.default_rng(11)
     rows, forms = [], []
     for size in SIZES:
-        kernel = BlockKernel({}, ScratchPool(size))
+        kernel = BlockKernel(ScratchPool(size))
         calls = max(4, (1 << 18) // size) if QUICK else max(20, (1 << 21) // size)
         block = rng.normal(size=size) + 1j * rng.normal(size=size)
         for kind, (name, target, controls) in KINDS.items():

@@ -22,7 +22,7 @@ from repro.analysis.datasets import qaoa_state, supremacy_state
 from recordings import results_dir
 
 #: Qubit count of the compression-study snapshots (the paper uses 36; this
-#: laptop-scale reproduction uses 14, see DESIGN.md).
+#: laptop-scale reproduction uses 14, see docs/figures.md).
 SNAPSHOT_QUBITS = 14
 
 #: The paper's five pointwise relative error levels, loosest first as plotted.

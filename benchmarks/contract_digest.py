@@ -4,8 +4,9 @@ A refactor that claims to change no behaviour must leave every stored block
 and every task / codec / cache / exchange counter exactly as it was.  This
 script prints one JSON line per workload of ``benchmarks/e2e/e2e_workloads.py``
 (imported, never modified): a SHA-256 digest of every stored block — codec
-name plus blob, block by block — after each circuit, plus the report counters
-listed in ``COUNTERS``.  Diff its output between two commits::
+name (read off the blob's header tag) plus blob, block by block — after
+each circuit, plus the report counters listed in ``COUNTERS``.  Diff its
+output between two commits::
 
     python3 benchmarks/contract_digest.py [--seed N] [--smoke] > after.jsonl
 
@@ -33,6 +34,7 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
 
 from e2e_workloads import WORKLOADS  # noqa: E402
 
+from repro.compression import codec_of  # noqa: E402
 from repro.core import CompressedSimulator, SimulatorConfig  # noqa: E402
 
 #: The report counters a behaviour-preserving change must leave unchanged.
@@ -50,7 +52,7 @@ COUNTERS = (
 def _blocks_digest(simulator: CompressedSimulator) -> str:
     digest = hashlib.sha256()
     for _, entry in simulator.state.iter_blocks():
-        digest.update(entry.compressor.encode())
+        digest.update(codec_of(entry.blob).name.encode())
         digest.update(len(entry.blob).to_bytes(8, "little"))
         digest.update(entry.blob)
     return digest.hexdigest()

@@ -13,6 +13,8 @@ from .interface import (
     CompressorError,
     ErrorBoundMode,
     available_compressors,
+    codec_of,
+    decode,
     get_compressor,
     register_compressor,
     roundtrip,
@@ -33,6 +35,8 @@ __all__ = [
     "ErrorBoundMode",
     "PAPER_ERROR_LEVELS",
     "available_compressors",
+    "codec_of",
+    "decode",
     "get_compressor",
     "register_compressor",
     "roundtrip",

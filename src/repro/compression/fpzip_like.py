@@ -131,4 +131,4 @@ class FPZIPLikeCompressor(Compressor):
         return words.view(np.float64).copy()
 
 
-register_compressor("fpzip", FPZIPLikeCompressor)
+register_compressor("fpzip", FPZIPLikeCompressor, tags=(_TAG,))

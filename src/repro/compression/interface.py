@@ -16,6 +16,8 @@ them interchangeably:
   by the names used throughout the paper (``"sz"``, ``"sz-complex"``,
   ``"xor-bitplane"``, ``"reshuffle"``, ``"zfp"``, ``"fpzip"``, ``"lossless"``)
   and by the paper's solution letters (``"A"``–``"D"``).
+* :func:`decode` / :func:`codec_of` — a blob's codec is its header tag, so
+  any registered codec's blob decodes without knowing who wrote it.
 
 All compressors operate on one-dimensional ``float64`` arrays.  Complex
 amplitude blocks are viewed as interleaved real/imaginary ``float64`` pairs
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import functools
 import struct
 import time
 from dataclasses import dataclass, field
@@ -44,6 +47,8 @@ __all__ = [
     "register_compressor",
     "get_compressor",
     "available_compressors",
+    "codec_of",
+    "decode",
     "PAPER_ERROR_LEVELS",
 ]
 
@@ -251,6 +256,9 @@ def roundtrip(compressor: Compressor, data: np.ndarray) -> tuple[np.ndarray, Com
 
 _REGISTRY: dict[str, Callable[..., Compressor]] = {}
 
+#: Blob header tag → factory of the codec that writes it.
+_TAGS: dict[int, Callable[..., Compressor]] = {}
+
 #: Aliases mapping the paper's "Solution" letters to registry names.
 _SOLUTION_ALIASES = {
     "a": "sz",
@@ -260,10 +268,14 @@ _SOLUTION_ALIASES = {
 }
 
 
-def register_compressor(name: str, factory: Callable[..., Compressor]) -> None:
-    """Register a compressor *factory* under *name* (case-insensitive)."""
+def register_compressor(
+    name: str, factory: Callable[..., Compressor], tags: Iterable[int] = ()
+) -> None:
+    """Register a compressor *factory* under *name* (case-insensitive), and
+    as the codec of every blob whose header carries one of *tags*."""
 
     _REGISTRY[name.lower()] = factory
+    _TAGS.update(dict.fromkeys(tags, factory))
 
 
 def available_compressors() -> tuple[str, ...]:
@@ -335,3 +347,28 @@ def unpack_header(blob: bytes) -> tuple[int, int, bytes, int]:
         raise CompressorError("truncated compression blob (header extra)")
     extra = blob[offset : offset + extra_len]
     return tag, count, extra, offset + extra_len
+
+
+@functools.cache
+def _decoder(tag: int) -> Compressor:
+    # No ``decompress`` reads instance state (a blob's header carries its
+    # bound and every other parameter), so a default instance decodes all.
+    return _TAGS[tag]()
+
+
+def codec_of(blob: bytes) -> Compressor:
+    """The codec (a default instance) that decodes *blob*, chosen by its
+    header tag; a bad magic or an unregistered tag raises
+    :class:`CompressorError`."""
+
+    if len(blob) < 5 or blob[:4] != _MAGIC:
+        raise CompressorError("not a repro compression blob (bad magic)")
+    if blob[4] not in _TAGS:
+        raise CompressorError(f"blob tag 0x{blob[4]:02X} names no registered codec")
+    return _decoder(blob[4])
+
+
+def decode(blob: bytes) -> np.ndarray:
+    """Decompress *blob*, whichever registered codec and bound wrote it."""
+
+    return codec_of(blob).decompress(blob)

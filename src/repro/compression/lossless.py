@@ -103,5 +103,5 @@ class LosslessCompressor(Compressor):
         return array.copy()
 
 
-register_compressor("lossless", LosslessCompressor)
+register_compressor("lossless", LosslessCompressor, tags=(_TAG,))
 register_compressor("zstd", LosslessCompressor)

@@ -87,5 +87,5 @@ class ReshuffleCompressor(Compressor):
         return _interleave(shuffled)
 
 
-register_compressor("reshuffle", ReshuffleCompressor)
+register_compressor("reshuffle", ReshuffleCompressor, tags=(_TAG,))
 register_compressor("solution-d", ReshuffleCompressor)

@@ -258,5 +258,5 @@ class SZCompressor(Compressor):
         raise CompressorError(f"blob tag {tag} is not an SZ blob")
 
 
-register_compressor("sz", SZCompressor)
+register_compressor("sz", SZCompressor, tags=(_TAG_ABS, _TAG_REL))
 register_compressor("solution-a", SZCompressor)

@@ -99,5 +99,5 @@ class SZComplexCompressor(Compressor):
         return out
 
 
-register_compressor("sz-complex", SZComplexCompressor)
+register_compressor("sz-complex", SZComplexCompressor, tags=(_TAG,))
 register_compressor("solution-b", SZComplexCompressor)

@@ -152,5 +152,5 @@ class XorBitplaneCompressor(Compressor):
         return values
 
 
-register_compressor("xor-bitplane", XorBitplaneCompressor)
+register_compressor("xor-bitplane", XorBitplaneCompressor, tags=(_TAG,))
 register_compressor("solution-c", XorBitplaneCompressor)

@@ -211,4 +211,4 @@ class ZFPLikeCompressor(Compressor):
         return quantization.log_inverse_transform(log_mag, signs, zero_bits.astype(bool))
 
 
-register_compressor("zfp", ZFPLikeCompressor)
+register_compressor("zfp", ZFPLikeCompressor, tags=(_TAG_ABS, _TAG_REL))

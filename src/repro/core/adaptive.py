@@ -44,6 +44,9 @@ class AdaptiveErrorController:
         self._levels: list[float] = list(config.error_levels)
         self._lossless = LosslessCompressor(level=config.lossless_level)
         self._lossy: dict[float, Compressor] = {}
+        # Built now, so an unknown lossy codec name fails at construction,
+        # not at the first escalation.
+        self._lossy_at(self._levels[0])
         # level_index == -1 means "still lossless"; index i >= 0 means the
         # i-th entry of the error ladder is in force.
         self._level_index = -1 if config.start_lossless else 0
@@ -82,7 +85,11 @@ class AdaptiveErrorController:
 
         if self.is_lossless:
             return self._lossless
-        bound = self._levels[self._level_index]
+        return self._lossy_at(self._levels[self._level_index])
+
+    def _lossy_at(self, bound: float) -> Compressor:
+        """The configured lossy codec at *bound*, one instance per bound."""
+
         if bound not in self._lossy:
             self._lossy[bound] = get_compressor(
                 self._config.lossy_compressor,

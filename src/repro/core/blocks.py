@@ -10,7 +10,6 @@ the role MCDRAM plays in the paper's Theta runs (Section 3.2).
 
 from __future__ import annotations
 
-import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -21,11 +20,13 @@ __all__ = ["CompressedBlock", "ScratchPool"]
 
 @dataclass
 class CompressedBlock:
-    """One compressed block plus the metadata needed to interpret it."""
+    """One compressed block: its blob, whose header tag names its codec
+    (:func:`repro.compression.interface.decode`), and the bound it was
+    encoded at.  Only checkpoints and the frozen e2e tracer read the bound;
+    the class becomes plain ``bytes`` when ROADMAP item 1.4 rewrites that
+    tracer."""
 
     blob: bytes
-    #: Name of the compressor that produced the blob ("lossless", "xor-bitplane", ...).
-    compressor: str
     #: Error bound used (0.0 for lossless).
     bound: float
 
@@ -60,6 +61,8 @@ def _keep_task_heap() -> None:
     a task's worth of heap mapped: the peak is unchanged, only the dips
     between tasks go.  A no-op without glibc.
     """
+
+    import ctypes  # here, not at module level: ``import repro`` stays light
 
     try:
         mallopt = ctypes.CDLL(None).mallopt

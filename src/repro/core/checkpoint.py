@@ -10,12 +10,15 @@ and every compressed blob, written with a small self-describing binary format
 The same file suspends and resumes a job in flight (:mod:`repro.serve`):
 :func:`resume_from_checkpoint` puts a snapshot *into an existing simulator*
 of the same geometry, so a warm simulator keeps its state object (rank
-workers, scratch pool) and decompressors across the suspension and resuming pays only the block
+workers, scratch pool) across the suspension and resuming pays only the block
 table rebuild; :func:`load_checkpoint` builds a simulator from the metadata
 and restores the same parsed file into it.  Both log one INFO record on
 ``repro.core.checkpoint`` per restore; in-run recovery restores through
 :meth:`~repro.core.simulator.CompressedSimulator.restore` directly and logs
 its retry on ``repro.core.simulator`` instead.
+
+A block record's codec name field is kept for the file format only: the
+writer fills it from the blob's header tag, and the reader skips it.
 
 Parsing is fully bounds-checked: a truncated or scribbled file raises
 :class:`~repro.errors.CheckpointError` with the offending field named, never
@@ -33,6 +36,7 @@ import struct
 from pathlib import Path
 
 from .. import errors
+from ..compression.interface import CompressorError, codec_of
 from ..distributed.partition import Partition
 from .config import SimulatorConfig
 from .simulator import CompressedSimulator
@@ -90,7 +94,7 @@ def save_checkpoint(simulator: CompressedSimulator, path: str | Path) -> int:
         handle.write(meta_blob)
         handle.write(struct.pack("<I", len(blocks)))
         for rank, block, entry in blocks:
-            name = entry.compressor.encode()
+            name = codec_of(entry.blob).name.encode()
             handle.write(
                 _BLOCK_HEADER.pack(rank, block, len(name), entry.bound, len(entry.blob))
             )
@@ -146,14 +150,14 @@ _U32 = struct.Struct("<I")
 def read_checkpoint(path: str | Path) -> tuple[dict, list[tuple]]:
     """Parse a checkpoint file into ``(meta, blocks)`` without building a simulator.
 
-    ``blocks`` is a list of ``(rank, block, compressor_name, bound, blob)``
-    tuples naming every block of the file's own geometry (``num_qubits``,
-    ``num_ranks``, ``block_amplitudes``) exactly once.  This is the parsing
+    ``blocks`` is a list of ``(rank, block, bound, blob)`` tuples naming
+    every block of the file's own geometry (``num_qubits``, ``num_ranks``,
+    ``block_amplitudes``) exactly once.  This is the parsing
     half of :func:`load_checkpoint`, exposed separately so in-run recovery
     can push blocks into an *existing* simulator's store instead of
     constructing a fresh one.  Any malformed, truncated or undecodable
-    content — a block out of range, named twice or missing too — raises
-    :class:`CheckpointError`.
+    content — a block out of range, named twice or missing, or a blob whose
+    header names no registered codec, too — raises :class:`CheckpointError`.
     """
 
     path = Path(path)
@@ -202,15 +206,16 @@ def read_checkpoint(path: str | Path) -> tuple[dict, list[tuple]]:
                 path=str(path),
             )
         named.add((rank, block))
+        reader.take(name_len, f"block {index} compressor name")
+        blob = reader.take(blob_len, f"block {index} blob")
         try:
-            name = reader.take(name_len, f"block {index} compressor name").decode()
-        except UnicodeDecodeError as exc:
+            codec_of(blob)
+        except CompressorError as exc:
             raise errors.CheckpointError(
-                f"block {index} compressor name is not valid UTF-8",
+                f"block {index} (rank {rank}, block {block}) is unreadable: {exc}",
                 path=str(path),
             ) from exc
-        blob = reader.take(blob_len, f"block {index} blob")
-        blocks.append((rank, block, name, bound, blob))
+        blocks.append((rank, block, bound, blob))
     if not reader.exhausted:
         raise errors.CheckpointError(
             "checkpoint has trailing bytes after the last block",
@@ -373,9 +378,15 @@ def load_checkpoint(
     for key in ("gate_count", "fidelity_gate_bounds", "current_bound"):
         _meta_field(meta, key, path)
 
-    simulator = CompressedSimulator(
-        _meta_field(meta, "num_qubits", path), config=config
-    )
+    try:
+        simulator = CompressedSimulator(
+            _meta_field(meta, "num_qubits", path), config=config
+        )
+    except CompressorError as exc:
+        raise errors.CheckpointError(
+            f"checkpoint's SimulatorConfig names no usable codec: {exc}",
+            path=str(path),
+        ) from exc
     try:
         _resume(simulator, path, meta, blocks)
     except BaseException:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..compression.interface import Compressor
+from ..compression.interface import Compressor, decode
 from ..distributed.exchange import BlockOp, GatePlan
 from ..distributed.partition import Partition
 from ..statevector.measurement import diagonal_partials
@@ -86,25 +86,18 @@ def initial_rank_blocks(
             if zero_blob is None:
                 zero_blob = compressor.compress(zero_block.view(np.float64))
             blob = zero_blob
-        blocks[first + block] = CompressedBlock(
-            blob=blob, compressor=compressor.name, bound=compressor.bound
-        )
+        blocks[first + block] = CompressedBlock(blob=blob, bound=compressor.bound)
     return blocks, zero_blob
 
 
-def decode_probabilities(
-    entry: CompressedBlock, decompressors: dict[str, Compressor]
-) -> np.ndarray:
+def decode_probabilities(entry: CompressedBlock) -> np.ndarray:
     """``|a_i|^2`` for the amplitudes of one compressed block."""
 
-    values = decompressors[entry.compressor].decompress(entry.blob)
-    return np.abs(values.view(np.complex128)) ** 2
+    return np.abs(decode(entry.blob).view(np.complex128)) ** 2
 
 
 def reduce_blocks(
-    blocks: Iterable[tuple[int, CompressedBlock]],
-    zmasks: Sequence[int],
-    decompressors: dict[str, Compressor],
+    blocks: Iterable[tuple[int, CompressedBlock]], zmasks: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mass and diagonal Pauli partials of each ``(base, block)``.
 
@@ -125,7 +118,7 @@ def reduce_blocks(
     masses: list[float] = []
     rows: list[np.ndarray] = []
     for base, entry in blocks:
-        probs = decode_probabilities(entry, decompressors)
+        probs = decode_probabilities(entry)
         masses.append(probs.sum())
         rows.append(diagonal_partials(probs, base, zmasks))
     return np.array(masses, dtype=np.float64), np.array(rows)
@@ -138,7 +131,7 @@ class CompressedStateVector:
     The block table is a list indexed by global block index (``rank *
     blocks_per_rank + block``); the state's own
     :class:`~repro.core.kernel.BlockKernel` (scratch pool, optional block
-    cache, decoder map) runs every plan on it in this process.
+    cache) runs every plan on it in this process.
 
     Parameters
     ----------
@@ -149,9 +142,6 @@ class CompressedStateVector:
         the adaptive controller swaps in lossy compressors later).
     initial_basis_state:
         Basis state to initialise to (default ``|0...0>``).
-    decompressors:
-        Compressor-name → instance map that decodes stored blobs; shared,
-        not copied, so a decoder registered by its owner reaches every query.
     cache_enabled:
         Whether plans go through a compressed block cache (Section 3.4).
     """
@@ -162,13 +152,10 @@ class CompressedStateVector:
         compressor: Compressor,
         initial_basis_state: int = 0,
         *,
-        decompressors: dict[str, Compressor],
         cache_enabled: bool,
     ) -> None:
         self._partition = partition
-        self._decompressors = decompressors
         self._kernel = BlockKernel(
-            decompressors,
             ScratchPool(partition.block_amplitudes),
             BlockCache() if cache_enabled else None,
         )
@@ -177,7 +164,7 @@ class CompressedStateVector:
 
     def reset(self, compressor: Compressor, initial_basis_state: int = 0) -> None:
         """Re-initialise every block to ``|initial_basis_state>`` and empty
-        the block cache: a fresh state, its scratch pool and decoders kept
+        the block cache: a fresh state, its scratch pool kept
         (the batched-run reset path).  An out-of-range basis state raises
         ``ValueError`` (:meth:`~repro.distributed.partition.Partition.locate`)
         and leaves the blocks as they were."""
@@ -319,8 +306,7 @@ class CompressedStateVector:
             )
         state = np.empty(partition.total_amplitudes, dtype=np.complex128)
         for (rank, block), entry in self.iter_blocks():
-            decompressor = self._decompressors[entry.compressor]
-            values = decompressor.decompress(entry.blob).view(np.complex128)
+            values = decode(entry.blob).view(np.complex128)
             start = partition.global_index(rank, block, 0)
             state[start : start + partition.block_amplitudes] = values
         return state
@@ -336,10 +322,9 @@ class CompressedStateVector:
                 for index, entry in enumerate(self._blocks)
             ),
             zmasks,
-            self._decompressors,
         )
 
     def probabilities_of_block(self, rank: int, block: int) -> np.ndarray:
         """``|a_i|^2`` for the amplitudes of one block."""
 
-        return decode_probabilities(self.get_block(rank, block), self._decompressors)
+        return decode_probabilities(self.get_block(rank, block))

@@ -66,7 +66,7 @@ from typing import Callable, Iterable, MutableMapping, NamedTuple, TypeVar
 
 import numpy as np
 
-from ..compression.interface import Compressor
+from ..compression.interface import Compressor, decode
 from ..distributed.exchange import BlockOp
 from ..statevector import ops
 from .blocks import CompressedBlock, ScratchPool
@@ -248,11 +248,11 @@ def group_tasks(
 
     *staged* yields ``(task, entries, index)``: the caller's handle for a
     task, the one or two stored blocks it stages and its first block's
-    global index.  Tasks share a group when their blobs and codec names are
-    equal and so are the bits of *index* that *op* reads.
+    global index.  Tasks share a group when their blobs are equal (a blob
+    names its own codec) and so are the bits of *index* that *op* reads.
     Groups come back in first-seen order as ``(inputs, tasks)``: *inputs*
     are the positional arguments of :meth:`BlockKernel.run` after
-    ``(op, stats)`` — the ``(blob, name)`` tuple and the read index bits;
+    ``(op, stats)`` — the blob tuple and the read index bits;
     run them once with ``copies=len(tasks)`` and store the outputs for every
     task.  This is safe because a plan stages each block at most
     once, so no task's inputs are another's outputs.
@@ -260,7 +260,7 @@ def group_tasks(
 
     groups: dict[tuple, list[Task]] = {}
     for task, entries, index in staged:
-        blobs = tuple((entry.blob, entry.compressor) for entry in entries)
+        blobs = tuple(entry.blob for entry in entries)
         groups.setdefault((blobs, index & op.index_mask), []).append(task)
     return list(groups.items())
 
@@ -268,12 +268,11 @@ def group_tasks(
 class BlockKernel:
     """Warm state for block round trips plus the one function that runs them.
 
+    Input blobs decode through :func:`~repro.compression.interface.decode`,
+    by their header tags.
+
     Parameters
     ----------
-    decompressors:
-        Compressor-name → instance map used to decode input blobs.  Shared
-        with the caller (not copied): :meth:`compressor_for` registers new
-        decoders in it.
     scratch:
         The pool whose buffer a block (or block pair) is staged in.
     cache:
@@ -281,13 +280,7 @@ class BlockKernel:
         in the parent, a private shard in a worker.
     """
 
-    def __init__(
-        self,
-        decompressors: dict[str, Compressor],
-        scratch: ScratchPool,
-        cache: BlockCache | None = None,
-    ) -> None:
-        self.decompressors = decompressors
+    def __init__(self, scratch: ScratchPool, cache: BlockCache | None = None) -> None:
         self.scratch = scratch
         self.cache = cache
         self._compressors: dict[str, Compressor] = {}
@@ -298,16 +291,10 @@ class BlockKernel:
 
         Workers receive a freshly unpickled compressor with every message;
         recompressing with the first instance seen keeps its tables warm
-        across gates.  The same class decodes every blob it produced, so the
-        decompressor map is kept in sync — escalated-level blobs always find
-        a decoder.
+        across gates.
         """
 
-        warm = self._compressors.get(compressor.describe())
-        if warm is None:
-            warm = self._compressors[compressor.describe()] = compressor
-            self.decompressors.setdefault(compressor.name, compressor)
-        return warm
+        return self._compressors.setdefault(compressor.describe(), compressor)
 
     def reset(self) -> None:
         """Fresh-simulator state: empty cache, no warm compressors."""
@@ -335,7 +322,7 @@ class BlockKernel:
         it stay committed and counted in *stats*.
         """
 
-        name, bound = op.compressor.name, op.compressor.bound
+        bound = op.compressor.bound
         staged = (
             (task, tuple(table[index] for index in task), task[0]) for task in tasks
         )
@@ -343,18 +330,17 @@ class BlockKernel:
             outputs = self.run(op, stats, *inputs, copies=len(group))
             for task in group:
                 for index, blob in zip(task, outputs):
-                    table[index] = CompressedBlock(blob, name, bound)
+                    table[index] = CompressedBlock(blob, bound)
 
     def run(
         self,
         op: BlockOp,
         stats: TaskStats,
-        inputs: tuple[tuple[bytes, str], ...],
+        inputs: tuple[bytes, ...],
         index: int = 0,
         copies: int = 1,
     ) -> tuple[bytes, ...]:
-        """One block task: returns one output blob per ``(blob, name)`` of
-        *inputs*.
+        """One block task: returns one output blob per blob of *inputs*.
 
         *inputs* are the task's blocks in virtual-block order — one block,
         or a pair with its target bit 0 first — and *index* is the first
@@ -377,9 +363,8 @@ class BlockKernel:
         stats.duplicates += copies - 1
         cache = self.cache
         op_key = op.op_key + (index & op.index_mask,)
-        blobs = tuple(blob for blob, _ in inputs)
         if cache is not None and cache.enabled:
-            cached = cache.lookup(op_key, *blobs)
+            cached = cache.lookup(op_key, *inputs)
             if cached is not None:
                 stats.cache_hits += 1
                 return cached
@@ -391,8 +376,8 @@ class BlockKernel:
         buffer = scratch.buffer[: len(inputs) * size]
         blocks = buffer.reshape(len(inputs), size)
         start = perf_counter()
-        for block, (blob, name) in zip(blocks, inputs):
-            scratch.fill(block, self.decompressors[name].decompress(blob))
+        for block, blob in zip(blocks, inputs):
+            scratch.fill(block, decode(blob))
         decoded = perf_counter()
         for step in self._resolved(op, buffer.size):
             self._apply_step(buffer, index, step)
@@ -406,7 +391,7 @@ class BlockKernel:
         stats.compress_calls += len(inputs)
 
         if cache is not None:
-            cache.insert(op_key, *blobs, *outputs)
+            cache.insert(op_key, *inputs, *outputs)
             stats.cache_peak_bytes = cache.stats.peak_bytes
         return outputs
 

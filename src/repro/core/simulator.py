@@ -47,7 +47,7 @@ import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
 from ..circuits.fusion import Run, Step, form_runs, run_of
-from ..compression.interface import Compressor, get_compressor
+from ..compression.interface import Compressor
 from ..distributed.exchange import plan_gate
 from ..distributed.partition import Partition, QubitSegment
 from ..errors import ProcessCommTimeout, WorkerCrashedError
@@ -104,20 +104,6 @@ class CompressedSimulator:
         self._controller = AdaptiveErrorController(self._config)
         self._fidelity = FidelityTracker()
 
-        # Decompression needs an instance of the same compressor class that
-        # produced a blob; bounds are embedded in the blobs, so one instance
-        # per class suffices.
-        lossless = self._controller.lossless_compressor()
-        lossy = get_compressor(
-            self._config.lossy_compressor,
-            bound=self._config.error_levels[0],
-            level=self._config.lossless_level,
-        )
-        self._decompressors: dict[str, Compressor] = {
-            lossless.name: lossless,
-            lossy.name: lossy,
-        }
-
         # In-run resilience bookkeeping (the ranked recovery path): gates
         # applied since the last resilience checkpoint, the path of that
         # checkpoint, and a lazily created temp directory for it when the
@@ -148,7 +134,6 @@ class CompressedSimulator:
             partition=self._partition,
             compressor=self._initial_compressor(),
             initial_basis_state=initial_basis_state,
-            decompressors=self._decompressors,
             cache_enabled=self._config.use_block_cache,
         )
         if self._config.tier == "ranked":
@@ -252,9 +237,9 @@ class CompressedSimulator:
         constructed simulator with the same config: the adaptive controller,
         fidelity tracker, block cache, communication counters and the report
         all start over.  What survives is the expensive machinery — the state
-        object (and its rank workers), the scratch pool and the decompressor
-        instances — which is what makes batched runs over same-width circuits
-        cheap (:class:`repro.backends.CompressedBackend` calls this between
+        object (and its rank workers) and the scratch pool — which is what
+        makes batched runs over same-width circuits cheap
+        (:class:`repro.backends.CompressedBackend` calls this between
         circuits).
         """
 
@@ -298,7 +283,7 @@ class CompressedSimulator:
         clone.restore(
             {"current_bound": self._controller.current_bound},
             (
-                (rank, block, entry.compressor, entry.bound, entry.blob)
+                (rank, block, entry.bound, entry.blob)
                 for (rank, block), entry in self._state.iter_blocks()
             ),
         )
@@ -307,7 +292,7 @@ class CompressedSimulator:
     def restore(self, meta: dict, blocks: Iterable[tuple]) -> None:
         """Overwrite this simulator's state with a snapshot.
 
-        *blocks* are ``(rank, block, compressor name, bound, blob)`` tuples
+        *blocks* are ``(rank, block, bound, blob)`` tuples
         and *meta* is checkpoint metadata
         (:func:`repro.core.checkpoint.read_checkpoint` returns both).  The
         gate index, the report's ``gates_executed`` and ``escalations``, the
@@ -317,10 +302,8 @@ class CompressedSimulator:
         and :meth:`fork` all end here.
         """
 
-        for rank, block, name, bound, blob in blocks:
-            self._state.put_block(
-                rank, block, CompressedBlock(blob=blob, compressor=name, bound=bound)
-            )
+        for rank, block, bound, blob in blocks:
+            self._state.put_block(rank, block, CompressedBlock(blob=blob, bound=bound))
         self._gate_index = int(meta.get("gate_count", 0))
         self._report.gates_executed = self._gate_index
         self._report.escalations = int(meta.get("escalations", 0))

@@ -11,21 +11,27 @@ real blobs between rank processes over the socket-pair
 inter-rank traffic.
 """
 
+import importlib
+
 from .partition import Partition, QubitSegment
 from .exchange import BlockOp, GatePlan, plan_gate
-from .process_comm import CommunicationStats, ProcessCommunicator, rank_links
 
-#: Names that live in :mod:`repro.distributed.ranked`, which imports from
-#: :mod:`repro.core` and therefore cannot load eagerly here (``repro.core``
-#: itself imports this package first).  PEP 562 resolves them on first use.
-_RANKED_EXPORTS = ("RankedStateVector", "RankWorker")
+#: Names resolved on first use (PEP 562): ``ranked`` imports from
+#: :mod:`repro.core`, which imports this package first, and ``process_comm``
+#: loads ``socket``, which only the ranked tier needs.
+_LAZY_EXPORTS = {
+    "RankedStateVector": "ranked",
+    "RankWorker": "ranked",
+    "CommunicationStats": "process_comm",
+    "ProcessCommunicator": "process_comm",
+    "rank_links": "process_comm",
+}
 
 
 def __getattr__(name: str):
-    if name in _RANKED_EXPORTS:
-        from . import ranked
-
-        return getattr(ranked, name)
+    if name in _LAZY_EXPORTS:
+        module = importlib.import_module(f".{_LAZY_EXPORTS[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -83,29 +83,14 @@ from .process_comm import CommunicationStats, ProcessCommunicator, rank_links
 __all__ = ["RankWorker", "RankedStateVector"]
 
 
-def _frame_blob(name: str, blob: bytes) -> bytes:
-    """Prefix *blob* with its compressor name so the peer can decode it."""
-
-    encoded = name.encode("utf-8")
-    return len(encoded).to_bytes(2, "little") + encoded + blob
-
-
-def _unframe_blob(payload: bytes) -> tuple[str, bytes]:
-    """Split a framed payload back into ``(compressor_name, blob)``."""
-
-    name_len = int.from_bytes(payload[:2], "little")
-    name = payload[2 : 2 + name_len].decode("utf-8")
-    return name, payload[2 + name_len :]
-
-
 class RankWorker:
     """Warm per-process state of one simulated-MPI rank.
 
     Owns the rank's slice of the compressed state (global block index →
     :class:`~repro.core.blocks.CompressedBlock`, in ascending order), a
-    :class:`~repro.core.kernel.BlockKernel` (decompressor map seeded from
-    the parent's, a scratch buffer of two blocks, warm compressors, an
-    optional :class:`~repro.core.cache.BlockCache` shard) and the rank's
+    :class:`~repro.core.kernel.BlockKernel` (a scratch buffer of two
+    blocks, warm compressors, an optional
+    :class:`~repro.core.cache.BlockCache` shard) and the rank's
     :class:`~repro.distributed.process_comm.ProcessCommunicator` endpoint.
     Constructed once per worker process by the pool; every control message
     is served by :meth:`handle`.
@@ -115,9 +100,6 @@ class RankWorker:
     num_qubits, num_ranks, block_amplitudes:
         The partition geometry (every rank derives the same
         :class:`~repro.distributed.partition.Partition`).
-    decompressors:
-        Compressor-name → instance map for decoding stored blobs (grows as
-        escalated compressors arrive with gate messages).
     cache_enabled:
         Whether this rank keeps a block-cache shard (the paper's 64 lines).
     comm_timeout:
@@ -133,7 +115,6 @@ class RankWorker:
         num_qubits: int,
         num_ranks: int,
         block_amplitudes: int,
-        decompressors: dict[str, Compressor],
         cache_enabled: bool,
         comm_timeout: float,
         rank: int,
@@ -155,7 +136,6 @@ class RankWorker:
         )
         self._blocks: dict[int, CompressedBlock] = {}
         self._kernel = BlockKernel(
-            dict(decompressors),
             ScratchPool(block_amplitudes),
             BlockCache() if cache_enabled else None,
         )
@@ -198,10 +178,10 @@ class RankWorker:
             return ("init-ok", self._rank_bytes())
         if kind == "get":
             entry = self._blocks[message[1]]
-            return ("block", entry.blob, entry.compressor, entry.bound)
+            return ("block", entry.blob, entry.bound)
         if kind == "put":
-            _, index, name, bound, blob = message
-            self._blocks[index] = CompressedBlock(blob, name, bound)
+            _, index, bound, blob = message
+            self._blocks[index] = CompressedBlock(blob, bound)
             return ("put-ok", self._rank_bytes())
         if kind == "reduce":
             offset_bits = self._partition.offset_bits
@@ -211,7 +191,6 @@ class RankWorker:
                     for index, entry in self._blocks.items()
                 ),
                 message[1],
-                self._kernel.decompressors,
             )
             return ("reduce-ok", masses, partials)
         if kind == "ping":
@@ -265,31 +244,23 @@ class RankWorker:
         per_rank = self._partition.blocks_per_rank
         base, low_base = self._rank * per_rank, min(self._rank, peer) * per_rank
         row = int(self._rank > peer)  # 0: this rank holds target-bit-0 blocks
-        name, bound = op.compressor.name, op.compressor.bound
+        bound = op.compressor.bound
         for start in range(0, len(blocks), 2):
             chunk = blocks[start : start + 2]
             owned = chunk[row] if row < len(chunk) else None
             lent = chunk[1 - row] if 1 - row < len(chunk) else None
-            payload = b""
-            if lent is not None:
-                entry = self._blocks[base + lent]
-                payload = _frame_blob(entry.compressor, entry.blob)
+            payload = b"" if lent is None else self._blocks[base + lent].blob
             received = self._comm.sendrecv_bytes(peer, payload, pairs=len(chunk))
             payload = b""
             if owned is not None:
-                entry = self._blocks[base + owned]
-                mine = (entry.blob, entry.compressor)
-                peer_name, peer_blob = _unframe_blob(received)
-                theirs = (peer_blob, peer_name)
-                low, high = (mine, theirs) if row == 0 else (theirs, mine)
+                mine = self._blocks[base + owned].blob
+                low, high = (mine, received) if row == 0 else (received, mine)
                 outs = self._kernel.run(op, stats, (low, high), index=low_base + owned)
-                self._blocks[base + owned] = CompressedBlock(outs[row], name, bound)
-                payload = _frame_blob(name, outs[1 - row])
+                self._blocks[base + owned] = CompressedBlock(outs[row], bound)
+                payload = outs[1 - row]
             received = self._comm.sendrecv_bytes(peer, payload, pairs=0)
             if lent is not None:
-                self._blocks[base + lent] = CompressedBlock(
-                    _unframe_blob(received)[1], name, bound
-                )
+                self._blocks[base + lent] = CompressedBlock(received, bound)
 
 
 class RankedStateVector(CompressedStateVector):
@@ -321,10 +292,9 @@ class RankedStateVector(CompressedStateVector):
 
     Parameters
     ----------
-    partition, compressor, initial_basis_state, decompressors, cache_enabled:
+    partition, compressor, initial_basis_state, cache_enabled:
         As for :class:`~repro.core.compressed_state.CompressedStateVector`;
-        *decompressors* seeds every rank worker's map and decodes the blobs
-        the parent fetches, and *cache_enabled* gives every rank a shard.
+        *cache_enabled* gives every rank a shard.
     start_method:
         ``multiprocessing`` start method for the rank workers.
     comm_timeout:
@@ -347,13 +317,11 @@ class RankedStateVector(CompressedStateVector):
         compressor: Compressor,
         initial_basis_state: int = 0,
         *,
-        decompressors: dict[str, Compressor],
         cache_enabled: bool,
         start_method: str | None = None,
         comm_timeout: float = 120.0,
     ) -> None:
         self._partition = partition
-        self._decompressors = decompressors
         num_ranks = partition.num_ranks
         # The workers hold the only open ends once the pool is up (or has
         # failed to come up): a socket is a descriptor, and this process may
@@ -366,7 +334,6 @@ class RankedStateVector(CompressedStateVector):
                     partition.num_qubits,
                     num_ranks,
                     partition.block_amplitudes,
-                    decompressors,
                     cache_enabled,
                     comm_timeout,
                 ),
@@ -537,16 +504,14 @@ class RankedStateVector(CompressedStateVector):
     def get_block(self, rank: int, block: int) -> CompressedBlock:
         """Pull one compressed block out of its owning rank worker."""
 
-        _, blob, name, bound = self._request(rank, ("get", self._index(rank, block)))
-        return CompressedBlock(blob=blob, compressor=name, bound=bound)
+        _, blob, bound = self._request(rank, ("get", self._index(rank, block)))
+        return CompressedBlock(blob=blob, bound=bound)
 
     def put_block(self, rank: int, block: int, entry: CompressedBlock) -> None:
         """Push one compressed block into its owning rank worker."""
 
         index = self._index(rank, block)
-        reply = self._request(
-            rank, ("put", index, entry.compressor, entry.bound, entry.blob)
-        )
+        reply = self._request(rank, ("put", index, entry.bound, entry.blob))
         self._rank_bytes[rank] = reply[1]
 
     def compressed_bytes(self) -> int:
@@ -557,10 +522,9 @@ class RankedStateVector(CompressedStateVector):
     def reduce_blocks(self, zmasks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Per-block masses and diagonal partials, reduced in the rank workers.
 
-        Each rank decodes its own blocks with its own warm map and replies
-        with numbers only; the rows are stacked in rank order, so the result
-        is the rank-major table the sequential state would produce for the
-        same blobs.
+        Each rank decodes its own blocks and replies with numbers only; the
+        rows are stacked in rank order, so the result is the rank-major table
+        the sequential state would produce for the same blobs.
         """
 
         pool = self._require_pool()

@@ -12,6 +12,7 @@ import pytest
 from repro.applications import random_supremacy_circuit
 from repro.circuits import qft_circuit
 from repro.circuits.fusion import constituents
+from repro.compression import codec_of
 from repro.core import (
     CompressedSimulator,
     SimulatorConfig,
@@ -40,6 +41,16 @@ def _edit_meta(path, edit) -> None:
     edit(meta)
     blob = json.dumps(meta).encode()
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len :])
+
+
+def _rewrite_blob(blocks, index, header):
+    """*blocks* from :func:`read_checkpoint` with block *index*'s blob
+    header (magic and tag) replaced by *header*."""
+
+    blocks = list(blocks)
+    rank, block, bound, blob = blocks[index]
+    blocks[index] = (rank, block, bound, header + blob[5:])
+    return blocks
 
 
 def _split_at_element(simulator, gates) -> int:
@@ -278,6 +289,39 @@ class TestConfigLessResume:
         ]
 
 
+class TestCrossCodecResume:
+    """A blob names its codec in its header tag, so a file written under one
+    lossy codec resumes in a simulator configured with another: the stored
+    blocks decode by their tags, and the remaining gates store blobs of the
+    resuming simulator's codec."""
+
+    def test_sz_file_resumes_under_xor_bitplane_on_both_tiers(self, tmp_path):
+        gates = list(qft_circuit(7))
+        written = tier_config(
+            "sequential", lossy_compressor="sz", memory_budget_bytes=1
+        )
+        path = tmp_path / "sz.ckpt"
+        with CompressedSimulator(7, written) as first:
+            split = _split_at_element(first, gates)
+            first.apply_circuit(gates[:split])
+            save_checkpoint(first, path)
+        meta, blocks = read_checkpoint(path)
+        assert "sz" in {codec_of(blob).name for *_, blob in blocks}
+
+        stored = {}
+        for tier in ("sequential", "ranked-comm"):
+            config = tier_config(
+                tier, lossy_compressor="xor-bitplane", memory_budget_bytes=1
+            )
+            with load_checkpoint(path, config=config) as resumed:
+                resumed.apply_circuit(gates[split:])
+                assert resumed.gate_count > meta["gate_count"]
+                stored[tier] = [entry.blob for _, entry in resumed.state.iter_blocks()]
+        assert stored["ranked-comm"] == stored["sequential"]
+        codecs = {codec_of(blob).name for blob in stored["sequential"]}
+        assert "xor-bitplane" in codecs
+
+
 class TestRemovedSettings:
     """Files written with a lossless backend other than zlib, or without the
     fidelity bound, cannot resume since 1.27.0."""
@@ -397,13 +441,12 @@ class TestCheckpointRobustness:
         meta_blob = json.dumps(meta).encode()
         parts = [checkpoint._MAGIC, struct.pack("<I", len(meta_blob)), meta_blob]
         parts.append(struct.pack("<I", len(blocks)))
-        for rank, block, name, bound, blob in blocks:
+        for rank, block, bound, blob in blocks:
+            name = b"lossless"  # the reader skips the name field
             parts.append(
-                checkpoint._BLOCK_HEADER.pack(
-                    rank, block, len(name.encode()), bound, len(blob)
-                )
+                checkpoint._BLOCK_HEADER.pack(rank, block, len(name), bound, len(blob))
             )
-            parts += [name.encode(), blob]
+            parts += [name, blob]
         path.write_bytes(b"".join(parts))
 
     @pytest.mark.parametrize(
@@ -416,8 +459,14 @@ class TestCheckpointRobustness:
             # Rank 2 of a 2-rank file: an IndexError from deep in the store.
             (lambda blocks: [*blocks[:3], (2, 0, *blocks[3][2:]), *blocks[4:]],
              r"block 3 .*rank 2, block 0"),
+            # A blob whose header names no registered codec: it loaded, and
+            # the first gate raised CompressorError.
+            (lambda blocks: _rewrite_blob(blocks, 2, b"QCSX\x01"),
+             r"block 2 \(rank 0, block 2\) is unreadable: .*bad magic"),
+            (lambda blocks: _rewrite_blob(blocks, 2, b"QCSC\x7f"),
+             r"block 2 \(rank 0, block 2\) is unreadable: .*0x7F names no"),
         ],
-        ids=["listed-twice", "out-of-range"],
+        ids=["listed-twice", "out-of-range", "bad-magic", "unregistered-tag"],
     )
     def test_each_block_named_exactly_once(self, tmp_path, edit, message):
         # 6 qubits, 2 ranks of 4 8-amplitude blocks.
@@ -446,7 +495,12 @@ class TestCheckpointRobustness:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("lossless_level", "3"), ("error_levels", 5), ("memory_budget_bytes", -1)],
+        [
+            ("lossless_level", "3"),
+            ("error_levels", 5),
+            ("memory_budget_bytes", -1),
+            ("lossy_compressor", "nope"),
+        ],
     )
     def test_invalid_config_metadata_rejected(self, valid_checkpoint, key, value):
         payload, tmp_path = valid_checkpoint

@@ -123,15 +123,10 @@ class TestStateBlockTable:
     def setup_method(self):
         self.partition = Partition(num_qubits=6, num_ranks=2, block_amplitudes=8)
         codec = LosslessCompressor()
-        self.state = CompressedStateVector(
-            self.partition,
-            codec,
-            decompressors={codec.name: codec},
-            cache_enabled=False,
-        )
+        self.state = CompressedStateVector(self.partition, codec, cache_enabled=False)
 
     def test_put_get_roundtrip(self):
-        block = CompressedBlock(blob=b"abc", compressor="lossless", bound=0.0)
+        block = CompressedBlock(blob=b"abc", bound=0.0)
         self.state.put_block(1, 2, block)
         assert self.state.get_block(1, 2).blob == b"abc"
         table = list(self.state.iter_blocks())
@@ -154,7 +149,7 @@ class TestStateBlockTable:
         for rank in range(2):
             for block in range(self.partition.blocks_per_rank):
                 self.state.put_block(
-                    rank, block, CompressedBlock(b"x" * 10, "lossless", 0.0)
+                    rank, block, CompressedBlock(b"x" * 10, 0.0)
                 )
         assert self.state.compressed_bytes() == 10 * self.partition.total_blocks
 
@@ -256,11 +251,13 @@ def fresh_task_heap(monkeypatch):
     clear it around the test so each test sees a process that has not set
     the thresholds yet, and record ``mallopt`` instead of calling it."""
 
+    import ctypes
+
     from repro.core import blocks
 
     blocks._keep_task_heap.cache_clear()
     monkeypatch.setattr(_RecordingLibc, "calls", [])
-    monkeypatch.setattr(blocks.ctypes, "CDLL", _RecordingLibc)
+    monkeypatch.setattr(ctypes, "CDLL", _RecordingLibc)
     yield blocks
     blocks._keep_task_heap.cache_clear()
 
@@ -273,16 +270,13 @@ class TestKeepTaskHeap:
     def _state():
         codec = LosslessCompressor()
         partition = Partition(num_qubits=4, num_ranks=1, block_amplitudes=4)
-        return CompressedStateVector(
-            partition, codec, decompressors={codec.name: codec}, cache_enabled=True
-        )
+        return CompressedStateVector(partition, codec, cache_enabled=True)
 
     @staticmethod
     def _rank_worker():
         from repro.distributed.ranked import RankWorker
 
-        codec = LosslessCompressor()
-        worker = RankWorker(4, 1, 4, {codec.name: codec}, True, 1.0, 0, {}, None)
+        worker = RankWorker(4, 1, 4, True, 1.0, 0, {}, None)
         worker.close()
         return worker
 
@@ -303,8 +297,9 @@ class TestKeepTaskHeap:
 
     @pytest.mark.parametrize("libc", [_NoLibc, _NotGlibc])
     def test_without_glibc_it_is_a_no_op(self, fresh_task_heap, monkeypatch, libc):
-        blocks = fresh_task_heap
-        monkeypatch.setattr(blocks.ctypes, "CDLL", libc)
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", libc)
         state = self._state()
         assert state.to_statevector()[0] == 1.0
         self._rank_worker()

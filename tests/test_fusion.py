@@ -761,10 +761,7 @@ class TestRidersOnEveryTier:
                 simulator.apply_circuit(circuit)
                 state = simulator.statevector()
                 assert np.array_equal(state.view(np.float64), dense.view(np.float64))
-                blobs[name] = [
-                    (entry.blob, entry.compressor)
-                    for _, entry in simulator.state.iter_blocks()
-                ]
+                blobs[name] = [entry.blob for _, entry in simulator.state.iter_blocks()]
         assert blobs["tier"] == blobs["sequential"]
 
 

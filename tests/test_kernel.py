@@ -23,7 +23,8 @@ Pinned here:
   block, each half at its block's own index: both blocks of every pair
   equal a dense reference.
 * **Grouping** — :func:`group_tasks` groups by exactly the kernel's inputs
-  (blob bytes, codec names, the index bits the op reads) in first-seen
+  (blob bytes, whose header names their codec, and the index bits the op
+  reads) in first-seen
   order, and one ``copies=n`` call counts n tasks, n - 1 duplicates, one
   lookup and one round trip.
 * **Partial plans** — a corrupt blob mid-plan leaves the finished tasks
@@ -80,14 +81,13 @@ CONTROLS = (1,)
 
 
 class CountingCodec:
-    """Delegating compressor that counts its codec calls."""
+    """Delegating compressor that counts its compress calls."""
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self.name = inner.name
         self.bound = inner.bound
         self.compress_calls = 0
-        self.decompress_calls = 0
 
     def describe(self) -> str:
         return self.inner.describe()
@@ -97,8 +97,28 @@ class CountingCodec:
         return self.inner.compress(data)
 
     def decompress(self, blob):
-        self.decompress_calls += 1
         return self.inner.decompress(blob)
+
+
+class CountingDecode:
+    """Stands in for the kernel's one decoder, ``decode``, and counts calls."""
+
+    def __init__(self, decode) -> None:
+        self.decode = decode
+        self.calls = 0
+
+    def __call__(self, blob):
+        self.calls += 1
+        return self.decode(blob)
+
+
+@pytest.fixture
+def decodes(monkeypatch) -> CountingDecode:
+    """Count every blob the kernel decodes (by its header tag)."""
+
+    counter = CountingDecode(kernel_module.decode)
+    monkeypatch.setattr(kernel_module, "decode", counter)
+    return counter
 
 
 class CountingScratch(ScratchPool):
@@ -145,7 +165,7 @@ def _setup(cache):
     stored = CountingCodec(get_compressor("lossless"))
     output = CountingCodec(get_compressor("xor-bitplane", bound=1e-3))
     scratch = CountingScratch(BLOCK)
-    kernel = BlockKernel({stored.name: stored, output.name: output}, scratch, cache)
+    kernel = BlockKernel(scratch, cache)
     op = BlockOp(
         MATRIX[None],
         (1 << 2,),
@@ -198,7 +218,7 @@ def _reference(shape, blocks, stored, output):
 
 @pytest.mark.parametrize("cache_kind", list(CACHES))
 @pytest.mark.parametrize("shape", list(SHAPES))
-def test_round_trip_matches_reference(shape, cache_kind, blocks):
+def test_round_trip_matches_reference(shape, cache_kind, blocks, decodes):
     count, decompressions, compressions = SHAPES[shape]
     reference_codecs = _setup(None)[2:4]
     expected = _reference(shape, blocks, *reference_codecs)
@@ -207,8 +227,7 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
     kernel, op, stored, output, scratch = _setup(cache)
     op = _op_for(shape, op)
     inputs = tuple(
-        (stored.inner.compress(block.view(np.float64)), stored.name)
-        for block in blocks[:count]
+        stored.inner.compress(block.view(np.float64)) for block in blocks[:count]
     )
     # ("is not None": an empty BlockCache is falsy through __len__.)
     counted_before = (
@@ -225,10 +244,7 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
     )
     assert (stats.cache_hits, stats.cache_misses) == (0, 1 if counted else 0)
     assert stats.decompression > 0 and stats.computation > 0 and stats.compression > 0
-    assert (stored.decompress_calls, output.compress_calls) == (
-        decompressions,
-        compressions,
-    )
+    assert (decodes.calls, output.compress_calls) == (decompressions, compressions)
     assert scratch.fills == decompressions
 
     # The same task again: a live cache answers it without touching a codec
@@ -243,7 +259,7 @@ def test_round_trip_matches_reference(shape, cache_kind, blocks):
     assert (stats.cache_hits, stats.cache_misses) == (
         (1, 1) if counted else (0, 0)
     )
-    assert (stored.decompress_calls, output.compress_calls) == (
+    assert (decodes.calls, output.compress_calls) == (
         repeats * decompressions,
         repeats * compressions,
     )
@@ -264,7 +280,7 @@ def test_a_task_caches_one_line_of_its_own_width(shape, blocks):
     blobs = tuple(
         stored.inner.compress(block.view(np.float64)) for block in blocks[:count]
     )
-    outputs = kernel.run(op, TaskStats(), tuple((blob, stored.name) for blob in blobs))
+    outputs = kernel.run(op, TaskStats(), blobs)
     assert len(outputs) == count and len(cache) == 1
     assert cache.lookup(op.op_key + (0,), *blobs) == outputs
     assert cache.lookup(op.op_key + (0,), *blobs, *blobs) is None
@@ -300,11 +316,11 @@ def _step_op(steps, codec, describe="lossless"):
 
 
 @pytest.mark.parametrize("cache_kind", ["none", "enabled"])
-def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
+def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks, decodes):
     def lossless_kernel(cache):
         codec = CountingCodec(get_compressor("lossless"))
         scratch = CountingScratch(BLOCK)
-        return BlockKernel({codec.name: codec}, scratch, cache), codec, scratch
+        return BlockKernel(scratch, cache), codec, scratch
 
     blob = get_compressor("lossless").compress(blocks[0].view(np.float64))
 
@@ -312,61 +328,52 @@ def test_multi_step_run_equals_chained_single_steps(cache_kind, blocks):
     chained, chained_stats = blob, TaskStats()
     for step in STEPS:
         (chained,) = chained_kernel.run(
-            _step_op([step], codec), chained_stats, ((chained, codec.name),)
+            _step_op([step], codec), chained_stats, (chained,)
         )
-    assert (chained_stats.tasks, codec.decompress_calls, codec.compress_calls) == (
-        3,
-        3,
-        3,
-    )
+    assert (chained_stats.tasks, decodes.calls, codec.compress_calls) == (3, 3, 3)
 
+    decodes.calls = 0
     kernel, codec, scratch = lossless_kernel(CACHES[cache_kind]())
     op = _step_op(STEPS, codec)
     stats = TaskStats()
-    assert kernel.run(op, stats, ((blob, codec.name),)) == (chained,)
+    assert kernel.run(op, stats, (blob,)) == (chained,)
     assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (1, 1, 1)
-    assert (codec.decompress_calls, codec.compress_calls, scratch.fills) == (1, 1, 1)
+    assert (decodes.calls, codec.compress_calls, scratch.fills) == (1, 1, 1)
 
     # Again: a live cache answers from the run's line without a codec call;
     # the line is the run's own, not any constituent's or a prefix's.
-    assert kernel.run(op, stats, ((blob, codec.name),)) == (chained,)
+    assert kernel.run(op, stats, (blob,)) == (chained,)
     hit = cache_kind == "enabled"
     assert stats.tasks == 2
-    assert (codec.decompress_calls, codec.compress_calls, scratch.fills) == (
+    assert (decodes.calls, codec.compress_calls, scratch.fills) == (
         (1, 1, 1) if hit else (2, 2, 2)
     )
     assert (stats.cache_hits, stats.cache_misses) == ((1, 1) if hit else (0, 0))
     if hit:
         for shorter in (STEPS[:1], STEPS[:2]):
-            kernel.run(_step_op(shorter, codec), stats, ((blob, codec.name),))
+            kernel.run(_step_op(shorter, codec), stats, (blob,))
         assert (stats.cache_hits, stats.cache_misses) == (1, 3)
 
 
-def test_multi_step_pair_equals_chained_pairs(blocks):
+def test_multi_step_pair_equals_chained_pairs(blocks, decodes):
     codec = CountingCodec(get_compressor("lossless"))
-    kernel = BlockKernel({codec.name: codec}, CountingScratch(BLOCK))
+    kernel = BlockKernel(CountingScratch(BLOCK))
     # Same steps, all on one target above the block: the masks differ per step.
     steps = [(matrix, TOP, controls) for matrix, _, controls in STEPS]
-    pair = tuple(
-        (codec.inner.compress(block.view(np.float64)), codec.name) for block in blocks
-    )
+    pair = tuple(codec.inner.compress(block.view(np.float64)) for block in blocks)
 
     chained, chained_stats = pair, TaskStats()
     for step in steps:
-        outs = kernel.run(_step_op([step], codec), chained_stats, chained)
-        chained = tuple((out, codec.name) for out in outs)
+        chained = kernel.run(_step_op([step], codec), chained_stats, chained)
     assert (chained_stats.decompress_calls, chained_stats.compress_calls) == (6, 6)
 
     op = _step_op(steps, codec)
-    calls = (codec.decompress_calls, codec.compress_calls)
+    calls = (decodes.calls, codec.compress_calls)
     stats = TaskStats()
     whole = kernel.run(op, stats, pair)
-    assert whole == tuple(blob for blob, _ in chained)
+    assert whole == chained
     assert (stats.tasks, stats.decompress_calls, stats.compress_calls) == (1, 2, 2)
-    assert (codec.decompress_calls - calls[0], codec.compress_calls - calls[1]) == (
-        2,
-        2,
-    )
+    assert (decodes.calls - calls[0], codec.compress_calls - calls[1]) == (2, 2)
 
 
 
@@ -386,7 +393,7 @@ def test_one_block_steps_follow_the_block_index(rng):
 
     codec = CountingCodec(get_compressor("lossless"))
     cache = CACHES["enabled"]()
-    kernel = BlockKernel({codec.name: codec}, ScratchPool(BLOCK), cache)
+    kernel = BlockKernel(ScratchPool(BLOCK), cache)
     op = BlockOp(
         np.stack([gate.matrix for gate in gates]),
         (1 << 2, 0, 0),
@@ -403,7 +410,7 @@ def test_one_block_steps_follow_the_block_index(rng):
         block = dense[index * BLOCK : (index + 1) * BLOCK]
         # Bits above the mask are not read.
         (out,) = kernel.run(
-            op, stats, ((codec.compress(block.view(np.float64)), codec.name),),
+            op, stats, (codec.compress(block.view(np.float64)),),
             index=index | 0b1000,
         )
         assert np.array_equal(
@@ -416,11 +423,11 @@ def test_one_block_steps_follow_the_block_index(rng):
     # left the 4-line cache), two outputs; the same bits again hit whatever
     # the bits outside the mask say.
     blob = codec.compress(dense[:BLOCK].view(np.float64))
-    (low,) = kernel.run(op, stats, ((blob, codec.name),), index=0b000)
-    (high,) = kernel.run(op, stats, ((blob, codec.name),), index=0b010)
+    (low,) = kernel.run(op, stats, (blob,), index=0b000)
+    (high,) = kernel.run(op, stats, (blob,), index=0b010)
     assert low == blob != high
     assert (stats.cache_hits, stats.cache_misses) == (0, 10)
-    assert kernel.run(op, stats, ((blob, codec.name),), index=0b11010) == (high,)
+    assert kernel.run(op, stats, (blob,), index=0b11010) == (high,)
     assert (stats.cache_hits, stats.cache_misses) == (1, 10)
 
 
@@ -457,7 +464,7 @@ def test_in_block_diagonal_is_a_phase_on_the_side_it_moves(
     gate = standard_gate(name, target, controls=controls, params=params)
     assert gate.is_diagonal
     matrix = gate.matrix
-    kernel = BlockKernel({}, ScratchPool(size))
+    kernel = BlockKernel(ScratchPool(size))
     step = resolve_step(size, matrix, 1 << target, 0, controls, 0, False)
 
     block = _diagonal_block(rng, size)
@@ -520,9 +527,7 @@ def test_parity_steps_under_a_local_control_mask(rng):
             ops.apply_gate_to_vector(expected, gate)
 
     codec = CountingCodec(get_compressor("lossless"))
-    kernel = BlockKernel(
-        {codec.name: codec}, ScratchPool(BLOCK), CACHES["enabled"]()
-    )
+    kernel = BlockKernel(ScratchPool(BLOCK), CACHES["enabled"]())
     op = BlockOp(
         np.stack([step.matrix for step in steps]),
         (0b101, 0b10, 0),
@@ -540,7 +545,7 @@ def test_parity_steps_under_a_local_control_mask(rng):
     for index in range(8):
         block = dense[index * BLOCK : (index + 1) * BLOCK]
         (out,) = kernel.run(
-            op, stats, ((codec.compress(block.view(np.float64)), codec.name),),
+            op, stats, (codec.compress(block.view(np.float64)),),
             index=index,
         )
         assert np.array_equal(
@@ -552,8 +557,8 @@ def test_parity_steps_under_a_local_control_mask(rng):
     # One blob on both sides of qubit 5's bit: the in-block qubit's two
     # phases swap, so two lines and two outputs.
     blob = codec.compress(dense[:BLOCK].view(np.float64))
-    (low,) = kernel.run(op, stats, ((blob, codec.name),), index=0b000)
-    (high,) = kernel.run(op, stats, ((blob, codec.name),), index=0b010)
+    (low,) = kernel.run(op, stats, (blob,), index=0b000)
+    (high,) = kernel.run(op, stats, (blob,), index=0b010)
     assert low != high
     assert (stats.cache_hits, stats.cache_misses) == (0, 10)
 
@@ -611,7 +616,7 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
             ops.apply_gate_to_vector(expected, gate)
 
     codec = CountingCodec(get_compressor("lossless"))
-    kernel = BlockKernel({codec.name: codec}, ScratchPool(BLOCK), CACHES["enabled"]())
+    kernel = BlockKernel(ScratchPool(BLOCK), CACHES["enabled"]())
     plan = plan_gate(Partition(7, 1, BLOCK), Run(tuple(steps)))
     # Qubit 5 is the virtual block's bit 4: the riders' control on it is a
     # local control there, x_1 xor x_5 two bits of the buffer, and x_6 xor
@@ -637,7 +642,7 @@ def test_pair_riders_apply_at_each_blocks_own_index(rng):
     stats = TaskStats()
     for task in plan.tasks:
         low, high = task
-        pair = ((blob(low), codec.name), (blob(high), codec.name))
+        pair = (blob(low), blob(high))
         outs = kernel.run(op, stats, pair, index=low)
         for index, out in zip((low, high), outs):
             assert np.array_equal(
@@ -742,12 +747,11 @@ def test_no_task_decides_a_step(monkeypatch):
     table = {
         index: CompressedBlock(
             codec.compress(amplitudes[8 * index : 8 * index + 8].view(np.float64)),
-            codec.name,
             codec.bound,
         )
         for index in range(8)
     }
-    kernel = BlockKernel({codec.name: codec}, ScratchPool(8))
+    kernel = BlockKernel(ScratchPool(8))
     first, *rest = plan.tasks
     kernel.run_tasks(op, TaskStats(), table, [first])
     diagonal = counted("is_exactly_diagonal", gate_module.is_exactly_diagonal)
@@ -790,8 +794,8 @@ def test_task_stats_pickle_flat_and_fold():
     assert report.as_dict()["peak_cache_bytes"] == 300
 
 
-def _entry(blob: bytes, name: str = "lossless") -> CompressedBlock:
-    return CompressedBlock(blob=blob, compressor=name, bound=0.0)
+def _entry(blob: bytes) -> CompressedBlock:
+    return CompressedBlock(blob=blob, bound=0.0)
 
 
 def test_group_tasks_keys_on_exactly_what_the_kernel_reads():
@@ -801,45 +805,41 @@ def test_group_tasks_keys_on_exactly_what_the_kernel_reads():
         ("a", (_entry(same),), 0b000),
         # Equal bytes in another object, an unread index bit: same group.
         ("b", (_entry(bytes(bytearray(same))),), 0b101),
-        # A read index bit, a codec name, one byte: three new groups.
+        # A read index bit, one byte: two new groups.  (A blob's header tag
+        # names its codec, so equal bytes are one codec's.)
         ("c", (_entry(same),), 0b010),
-        ("d", (_entry(same, "xor-bitplane"),), 0b000),
         ("e", (_entry(b"blocK"),), 0b000),
         ("f", (_entry(same),), 0b001),
     ]
     groups = group_tasks(op, staged)
-    assert [tasks for _, tasks in groups] == [["a", "b", "f"], ["c"], ["d"], ["e"]]
-    assert groups[0][0] == (((same, "lossless"),), 0)
+    assert [tasks for _, tasks in groups] == [["a", "b", "f"], ["c"], ["e"]]
+    assert groups[0][0] == ((same,), 0)
     assert groups[1][0][-1] == 0b010
 
-    # Pairs: both blobs and both names, in order, and the index bits their
-    # riders read.
+    # Pairs: both blobs, in order, and the index bits their riders read.
     pair = (_entry(b"low"), _entry(b"high"))
     staged = [("p", pair, 0), ("q", pair, 7), ("r", pair[::-1], 0)]
     groups = group_tasks(op._replace(index_mask=0), staged)
     assert [tasks for _, tasks in groups] == [["p", "q"], ["r"]]
-    assert groups[0][0] == (((b"low", "lossless"), (b"high", "lossless")), 0)
+    assert groups[0][0] == ((b"low", b"high"), 0)
     groups = group_tasks(op._replace(index_mask=0b100), staged)
     assert [tasks for _, tasks in groups] == [["p"], ["q"], ["r"]]
     assert groups[1][0][-1] == 0b100
 
 
 @pytest.mark.parametrize("cache_kind", list(CACHES))
-def test_copies_count_tasks_and_duplicates_once(cache_kind, blocks):
+def test_copies_count_tasks_and_duplicates_once(cache_kind, blocks, decodes):
     reference, reference_op = _setup(None)[:2]
     kernel, op, stored, output, scratch = _setup(CACHES[cache_kind]())
     blob = stored.inner.compress(blocks[0].view(np.float64))
-    expected = reference.run(reference_op, TaskStats(), ((blob, stored.name),))
+    expected = reference.run(reference_op, TaskStats(), (blob,))
 
+    decodes.calls = 0
     stats = TaskStats()
-    assert kernel.run(op, stats, ((blob, stored.name),), copies=3) == expected
+    assert kernel.run(op, stats, (blob,), copies=3) == expected
     assert (stats.tasks, stats.duplicates) == (3, 2)
     assert (stats.decompress_calls, stats.compress_calls) == (1, 1)
-    assert (stored.decompress_calls, output.compress_calls, scratch.fills) == (
-        1,
-        1,
-        1,
-    )
+    assert (decodes.calls, output.compress_calls, scratch.fills) == (1, 1, 1)
     counted = cache_kind == "enabled"
     assert (stats.cache_hits, stats.cache_misses) == (0, 1 if counted else 0)
 
@@ -867,9 +867,7 @@ def test_failure_mid_plan_keeps_finished_tasks(simulator_config):
         simulator.state.put_block(
             1,
             0,
-            CompressedBlock(
-                blob=entry.blob[:-1], compressor=entry.compressor, bound=entry.bound
-            ),
+            CompressedBlock(blob=entry.blob[:-1], bound=entry.bound),
         )
         counts = simulator.report().as_dict()
         with pytest.raises(CompressorError):

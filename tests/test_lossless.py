@@ -88,12 +88,17 @@ class TestLosslessCompressor:
             LosslessCompressor().decompress(bytes(blob))
 
 
-def test_import_loads_no_other_lossless_library():
+def test_import_loads_no_unused_stdlib_module():
+    # No other lossless library, no ctypes (only the glibc heap setting of
+    # a scratch pool uses it) and no socket (only the ranked tier's links).
+    # Counted beyond what numpy loads, since numpy may load ctypes itself.
     # -S skips site hooks, which may load these modules themselves; the
     # parent's sys.path still finds repro and numpy.
     script = (
-        "import sys; sys.path[:0] = sys.argv[1:]; import repro; "
-        "print(sorted({'lzma', 'bz2'} & set(sys.modules)))"
+        "import sys; sys.path[:0] = sys.argv[1:]; import numpy; "
+        "before = set(sys.modules); import repro; "
+        "print(sorted({'lzma', 'bz2', 'ctypes', 'socket'} & "
+        "(set(sys.modules) - before)))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", script, *sys.path],

@@ -52,13 +52,10 @@ def entangling_circuit() -> QuantumCircuit:
     return qft_benchmark_circuit(NUM_QUBITS, seed=3)
 
 
-def final_blobs(simulator) -> list[tuple[bytes, str, float]]:
+def final_blobs(simulator) -> list[tuple[bytes, float]]:
     """The compressed state flattened in global (rank-major) block order."""
 
-    return [
-        (entry.blob, entry.compressor, entry.bound)
-        for _key, entry in simulator.state.iter_blocks()
-    ]
+    return [(entry.blob, entry.bound) for _key, entry in simulator.state.iter_blocks()]
 
 
 def run_reference(circuit, **config_overrides):
@@ -221,11 +218,6 @@ class TestRealCommunication:
         circuit = QuantumCircuit(NUM_QUBITS).h(0).h(7).t(7).cx(5, 4).rz(0.3, 6)
         circuit.cz(6, 7).cx(5, 4).cx(0, 6).h(1).cp(0.4, 1, 7).h(6).sx(7)
         counted_bytes = sent_bytes = 0
-
-        def framed(entry) -> int:
-            # A blob framed with its codec name (2-byte length prefix).
-            return entry.nbytes + 2 + len(entry.compressor)
-
         with CompressedSimulator(
             NUM_QUBITS, SimulatorConfig(num_ranks=4, block_amplitudes=BLOCK)
         ) as sequential:
@@ -243,16 +235,16 @@ class TestRealCommunication:
                     counted_bytes += 2 * max(entry.nbytes for entry in pair)
                     # Ranked: two ranks take their pairs in plan order, the
                     # lower rank owning the even ones and the upper rank the
-                    # odd ones; the other rank sends its framed input and is
-                    # sent its framed output.
+                    # odd ones; the other rank sends its input blob as it is
+                    # stored and is sent its output blob.
                     ranks = (buffers[0][0], buffers[1][0])
                     position = positions[ranks] = positions.get(ranks, -1) + 1
                     lender = buffers[1 - position % 2]
                     lenders.append(lender)
-                    sent_bytes += framed(sequential.state.get_block(*lender))
+                    sent_bytes += sequential.state.get_block(*lender).nbytes
                 sequential.apply_gate(element)
                 sent_bytes += sum(
-                    framed(sequential.state.get_block(*lender)) for lender in lenders
+                    sequential.state.get_block(*lender).nbytes for lender in lenders
                 )
             seq_report = sequential.report()
         crossing = [plan for plan in plans if plan.exchange_count]
@@ -537,13 +529,9 @@ class TestParentReadout:
             for block, size in enumerate(self.SIZES):
                 blob = rng.bytes(size)
                 rank = block % 2
-                state.put_block(rank, block, CompressedBlock(blob, "opaque", 0.25))
+                state.put_block(rank, block, CompressedBlock(blob, 0.25))
                 entry = state.get_block(rank, block)
-                assert (entry.blob, entry.compressor, entry.bound) == (
-                    blob,
-                    "opaque",
-                    0.25,
-                )
+                assert (entry.blob, entry.bound) == (blob, 0.25)
             # The parent's cached footprint followed every put.
             assert state.compressed_bytes() == sum(
                 entry.nbytes for _key, entry in state.iter_blocks()

@@ -228,7 +228,7 @@ class TestPairwiseKernel:
         matrix = standard_gate(name, top, params=params).matrix
         pair = self._pair(rng, 1 << top)
         expected = self._oracle(pair, matrix, controls)
-        kernel = BlockKernel({}, ScratchPool(1 << top))
+        kernel = BlockKernel(ScratchPool(1 << top))
         step = resolve_step(pair.size, matrix, 1 << top, 0, controls, 0, False)
         kernel._apply_step(pair, 0, step)
         assert np.array_equal(pair, expected)

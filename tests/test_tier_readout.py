@@ -40,11 +40,8 @@ DIAGONAL = PauliObservable.from_terms(
 STATES = {"lossless": {}, "escalated": {"memory_budget_bytes": 2500}}
 
 
-def blobs(simulator) -> list[tuple[bytes, str, float]]:
-    return [
-        (entry.blob, entry.compressor, entry.bound)
-        for _key, entry in simulator.state.iter_blocks()
-    ]
+def blobs(simulator) -> list[tuple[bytes, float]]:
+    return [(entry.blob, entry.bound) for _key, entry in simulator.state.iter_blocks()]
 
 
 def run_circuit(make_config, state: str) -> CompressedSimulator:
